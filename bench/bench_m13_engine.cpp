@@ -1,11 +1,14 @@
 // M13 — Microbenchmarks of the simulation engine (google-benchmark):
-// trajectory throughput on the EI-joint model and event-queue operations.
+// trajectory throughput of the kernel on the EI-joint model, the parallel
+// runner, and the kernel's phase-sojourn sampler.
 #include <benchmark/benchmark.h>
+
+#include <span>
 
 #include "eijoint/model.hpp"
 #include "eijoint/scenarios.hpp"
-#include "sim/event_queue.hpp"
-#include "sim/fmt_executor.hpp"
+#include "sim/batch_executor.hpp"
+#include "sim/sampler.hpp"
 #include "smc/runner.hpp"
 
 using namespace fmtree;
@@ -19,12 +22,17 @@ const fmt::FaultMaintenanceTree& ei_joint_current() {
 }
 
 void BM_TrajectoryEiJoint(benchmark::State& state) {
-  const sim::FmtSimulator simulator(ei_joint_current());
+  const sim::BatchExecutor kernel(ei_joint_current());
+  sim::BatchWorkspace ws;
   sim::SimOptions opts;
   opts.horizon = static_cast<double>(state.range(0));
-  std::uint64_t stream = 0;
+  std::uint64_t first = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(simulator.run(RandomStream(1, stream++), opts));
+    kernel.run(1, first++, 1, opts, ws,
+               [](std::uint64_t, std::span<sim::TrajectoryResult> block) {
+                 benchmark::DoNotOptimize(block.data());
+                 return true;
+               });
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   state.counters["sim-years/s"] = benchmark::Counter(
@@ -34,8 +42,7 @@ void BM_TrajectoryEiJoint(benchmark::State& state) {
 BENCHMARK(BM_TrajectoryEiJoint)->Arg(10)->Arg(50)->Arg(200);
 
 void BM_ParallelRunner(benchmark::State& state) {
-  const sim::FmtSimulator simulator(ei_joint_current());
-  const smc::ParallelRunner runner(simulator,
+  const smc::ParallelRunner runner(ei_joint_current(),
                                    static_cast<unsigned>(state.range(0)));
   sim::SimOptions opts;
   opts.horizon = 20.0;
@@ -48,27 +55,16 @@ void BM_ParallelRunner(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelRunner)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
-void BM_EventQueueScheduleAndPop(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  RandomStream rng(3, 0);
-  for (auto _ : state) {
-    sim::EventQueue<std::uint32_t> q;
-    for (std::size_t i = 0; i < n; ++i)
-      q.schedule(rng.uniform01(), static_cast<std::uint32_t>(i));
-    while (!q.empty()) benchmark::DoNotOptimize(q.pop());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(64)->Arg(1024)->Arg(16384);
-
-void BM_DistributionSampling(benchmark::State& state) {
-  const Distribution d = Distribution::erlang(6, 0.6);
-  RandomStream rng(9, 0);
-  for (auto _ : state) benchmark::DoNotOptimize(d.sample(rng));
+void BM_SojournSampling(benchmark::State& state) {
+  // The kernel's sampler on an Erlang(6) sojourn: six ziggurat Exp(1) draws.
+  fmt::FaultMaintenanceTree m;
+  m.set_top(m.add_basic_event("leaf", Distribution::erlang(6, 0.6)));
+  const sim::SojournSampler sampler(m);
+  CounterStream rng(9, 0);
+  for (auto _ : state) benchmark::DoNotOptimize(sampler.sample(0, 1, rng));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_DistributionSampling);
+BENCHMARK(BM_SojournSampling);
 
 }  // namespace
 

@@ -1,34 +1,26 @@
 // Engine performance benchmark: trajectories/second and per-event cost of
 // the Monte-Carlo hot path on the two case-study models, emitted as
-// BENCH_engine.json so successive PRs are measured against a tracked
+// BENCH_engine.json so successive changes are measured against a tracked
 // baseline (run via bench/run_perf.sh).
 //
 // Configurations per model, all at a fixed seed:
-//  * baseline  — the pre-PR engine preserved verbatim in bench/seed_engine.hpp
-//                (std::priority_queue, full gate re-evaluation per event,
-//                fresh allocations per trajectory);
-//  * single    — the production scalar engine, one thread, reused
-//                SimWorkspace;
-//  * batch     — the SoA lane-batch engine (sim::BatchExecutor, Philox
-//                counter streams), one thread, at its default lane width;
-//  * parallel  — the production engine through ParallelRunner at hardware
-//                concurrency (FMTREE_BENCH_THREADS overrides). On a
-//                single-core host the run is recorded but flagged
-//                parallel_measured=false: a 1-thread run is not a parallel
-//                measurement and must not be compared as one;
+//  * batch     — the trajectory kernel (sim::BatchExecutor, Philox counter
+//                streams) called directly on one thread;
+//  * parallel  — the kernel through ParallelRunner at hardware concurrency
+//                (FMTREE_BENCH_THREADS overrides). On a single-core host the
+//                run is recorded but flagged parallel_measured=false: a
+//                1-thread run is not a parallel measurement and must not be
+//                compared as one;
 //  * telemetry — the parallel configuration re-run with all three obs sinks
 //                attached (metrics + tracer + throttled progress), to measure
 //                the observability overhead and re-check that telemetry
-//                changes no result bit (the acceptance bar is <3% on the
-//                EI-joint model).
+//                changes no result bit.
 //
-// Before timing, the first trajectories of the seed engine, the production
-// engine, and its reference-evaluation mode are compared bit-for-bit: the
-// speedup must come from doing the same work faster, not different work. The
-// batch engine uses a different RNG family, so it is checked differently:
-// its per-trajectory results must be bit-identical across lane widths and
-// chunk splits (batch_lane_invariant) — statistical agreement with the
-// scalar oracle is enforced by tests/smc/engine_equivalence_test.cpp.
+// Before timing, the first 200 kernel trajectories are compared bit for bit
+// with sim::Reference, the naive oracle simulator (bitwise_equivalent): the
+// speed must come from doing the same work faster, not different work. The
+// kernel's per-trajectory bits must also be independent of how the range is
+// split into runs (batch_lane_invariant).
 //
 // Trajectory counts scale with FMTREE_BENCH_TRAJECTORIES; --smoke runs a
 // tiny count (the ctest perf smoke target) so the harness cannot bit-rot.
@@ -43,13 +35,12 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "bench/seed_engine.hpp"
 #include "fmt/parser.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/tracer.hpp"
 #include "sim/batch_executor.hpp"
-#include "sim/fmt_executor.hpp"
+#include "sim/reference.hpp"
 #include "smc/runner.hpp"
 #include "util/error.hpp"
 
@@ -80,10 +71,7 @@ struct ModelReport {
   std::string name;
   std::uint64_t trajectories = 0;
   double horizon = 0.0;
-  double baseline_traj_per_sec = 0.0;
-  double single_traj_per_sec = 0.0;
   double batch_traj_per_sec = 0.0;
-  unsigned batch_lane_width = 0;
   double batch_events_per_trajectory = 0.0;
   double batch_ns_per_event = 0.0;
   double parallel_traj_per_sec = 0.0;
@@ -91,14 +79,8 @@ struct ModelReport {
   bool parallel_measured = false;  ///< false = 1 worker, not a parallel figure
   double telemetry_traj_per_sec = 0.0;
   double telemetry_overhead_pct = 0.0;  ///< parallel slowdown with sinks attached
-  double events_per_trajectory = 0.0;
-  double ns_per_event = 0.0;
-  double speedup_single = 0.0;
-  double speedup_batch = 0.0;      ///< batch engine vs seed baseline
-  double batch_vs_scalar = 0.0;    ///< batch engine vs production scalar engine
-  double speedup_parallel = 0.0;
-  bool equivalent = false;            ///< baseline and single agree bit-for-bit
-  bool batch_lane_invariant = false;  ///< batch bits stable across widths/chunks
+  bool equivalent = false;            ///< kernel and reference agree bit-for-bit
+  bool batch_lane_invariant = false;  ///< kernel bits stable across run splits
   bool telemetry_equivalent = false;  ///< telemetry run reproduces every summary bit
 };
 
@@ -124,80 +106,59 @@ bool bitwise_equal(const sim::TrajectoryResult& a, const sim::TrajectoryResult& 
          a.downtime == b.downtime && a.cost.total() == b.cost.total() &&
          a.discounted_cost.total() == b.discounted_cost.total() &&
          a.inspections == b.inspections && a.repairs == b.repairs &&
-         a.replacements == b.replacements &&
+         a.replacements == b.replacements && a.events == b.events &&
          a.repairs_per_leaf == b.repairs_per_leaf &&
          a.failures_per_leaf == b.failures_per_leaf;
 }
 
+/// The kernel's results for trajectories [first, first + n).
+std::vector<sim::TrajectoryResult> kernel_results(const sim::BatchExecutor& kernel,
+                                                  std::uint64_t first, std::uint64_t n,
+                                                  const sim::SimOptions& opts) {
+  std::vector<sim::TrajectoryResult> out;
+  sim::BatchWorkspace ws;
+  kernel.run(kSeed, first, n, opts, ws,
+             [&](std::uint64_t, std::span<sim::TrajectoryResult> block) {
+               out.insert(out.end(), block.begin(), block.end());
+               return true;
+             });
+  return out;
+}
+
 ModelReport bench_model(const std::string& name, double horizon, std::uint64_t n) {
   const fmt::FaultMaintenanceTree model = fmt::parse_fmt(read_model_file(name + ".fmt"));
-  const sim::FmtSimulator simulator(model);
-  const bench_seed::SeedSimulator seed_simulator(model);
+  const sim::BatchExecutor kernel(model);
 
   ModelReport rep;
   rep.name = name;
   rep.trajectories = n;
   rep.horizon = horizon;
 
-  sim::SimOptions fast;
-  fast.horizon = horizon;
-  sim::SimOptions reference = fast;
-  reference.reference_engine = true;
+  sim::SimOptions opts;
+  opts.horizon = horizon;
 
-  // Cross-check: the seed engine, the production engine, and its full
-  // re-evaluation mode must agree bit-for-bit before any timing.
-  rep.equivalent = true;
+  // Cross-check before any timing: the kernel against the reference oracle.
   {
-    sim::SimWorkspace ws;
+    const sim::Reference reference(model);
     const std::uint64_t check = std::min<std::uint64_t>(n, 200);
-    for (std::uint64_t i = 0; i < check; ++i) {
-      const auto s = seed_simulator.run(RandomStream(kSeed, i), fast);
-      const auto a = simulator.run(RandomStream(kSeed, i), reference);
-      const auto b = simulator.run(RandomStream(kSeed, i), fast, ws);
-      if (!bitwise_equal(s, a) || !bitwise_equal(s, b)) rep.equivalent = false;
-    }
+    const std::vector<sim::TrajectoryResult> fast =
+        kernel_results(kernel, 0, check, opts);
+    rep.equivalent = true;
+    for (std::uint64_t i = 0; i < check; ++i)
+      rep.equivalent =
+          rep.equivalent && bitwise_equal(fast[i], reference.run(kSeed, i, opts));
   }
 
-  // Baseline: the engine as it stood before this optimisation pass. Runs
-  // fewer trajectories when n is large; rates normalise the difference.
-  {
-    const std::uint64_t n_base = std::max<std::uint64_t>(n / 4, 1);
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::uint64_t i = 0; i < n_base; ++i)
-      (void)seed_simulator.run(RandomStream(kSeed, i), fast);
-    rep.baseline_traj_per_sec = static_cast<double>(n_base) / seconds_since(t0);
-  }
-
-  // Production engine, single thread, reused workspace.
-  {
-    sim::SimWorkspace ws;
-    std::uint64_t events = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::uint64_t i = 0; i < n; ++i)
-      events += simulator.run(RandomStream(kSeed, i), fast, ws).events;
-    const double sec = seconds_since(t0);
-    rep.single_traj_per_sec = static_cast<double>(n) / sec;
-    rep.events_per_trajectory = static_cast<double>(events) / static_cast<double>(n);
-    rep.ns_per_event = events > 0 ? sec * 1e9 / static_cast<double>(events) : 0.0;
-  }
-
-  // Batch engine, one thread, default lane width — the same direct-call
-  // shape as the scalar single-thread loop above, so the two figures are
-  // comparable kernel-to-kernel.
-  const sim::BatchExecutor batch(model);
-  rep.batch_lane_width = sim::BatchExecutor::kDefaultLaneWidth;
+  // The kernel on one thread, called directly.
   {
     sim::BatchWorkspace ws;
-    const std::uint32_t width = sim::BatchExecutor::kDefaultLaneWidth;
     std::uint64_t events = 0;
     const auto t0 = std::chrono::steady_clock::now();
-    for (std::uint64_t first = 0; first < n; first += width) {
-      const auto lanes =
-          static_cast<std::uint32_t>(std::min<std::uint64_t>(width, n - first));
-      batch.run(kSeed, first, lanes, fast, ws);
-      for (std::uint32_t lane = 0; lane < lanes; ++lane)
-        events += ws.results[lane].events;
-    }
+    kernel.run(kSeed, 0, n, opts, ws,
+               [&](std::uint64_t, std::span<sim::TrajectoryResult> block) {
+                 for (const sim::TrajectoryResult& r : block) events += r.events;
+                 return true;
+               });
     const double sec = seconds_since(t0);
     rep.batch_traj_per_sec = static_cast<double>(n) / sec;
     rep.batch_events_per_trajectory =
@@ -206,23 +167,23 @@ ModelReport bench_model(const std::string& name, double horizon, std::uint64_t n
   }
 
   // Counter-stream determinism: trajectory i's bits may depend only on
-  // (seed, i), never on lane width or how the range was chunked.
+  // (seed, i), never on how the range was split into runs.
   {
-    const auto n_check = static_cast<std::uint32_t>(std::min<std::uint64_t>(n, 2048));
-    sim::BatchWorkspace whole_ws, split_ws;
-    batch.run(kSeed, 0, n_check, fast, whole_ws);
-    std::vector<sim::TrajectoryResult> whole = whole_ws.results;
+    const std::uint64_t n_check = std::min<std::uint64_t>(n, 2048);
+    const std::vector<sim::TrajectoryResult> whole =
+        kernel_results(kernel, 0, n_check, opts);
     rep.batch_lane_invariant = true;
-    for (std::uint32_t first = 0; first < n_check; first += 5) {  // odd chunking
-      const std::uint32_t lanes = std::min<std::uint32_t>(5, n_check - first);
-      batch.run(kSeed, first, lanes, fast, split_ws);
-      for (std::uint32_t lane = 0; lane < lanes; ++lane)
-        if (!bitwise_equal(whole[first + lane], split_ws.results[lane]))
+    for (std::uint64_t first = 0; first < n_check; first += 5) {  // odd splits
+      const std::uint64_t lanes = std::min<std::uint64_t>(5, n_check - first);
+      const std::vector<sim::TrajectoryResult> split =
+          kernel_results(kernel, first, lanes, opts);
+      for (std::uint64_t lane = 0; lane < lanes; ++lane)
+        if (!bitwise_equal(whole[first + lane], split[lane]))
           rep.batch_lane_invariant = false;
     }
   }
 
-  // Production engine through the deterministic parallel runner, at hardware
+  // The kernel through the deterministic parallel runner, at hardware
   // concurrency (or FMTREE_BENCH_THREADS). threads() is what actually ran:
   // a 1-worker run is recorded but flagged as not a parallel measurement.
   unsigned requested_threads = 0;
@@ -231,13 +192,13 @@ ModelReport bench_model(const std::string& name, double horizon, std::uint64_t n
     const unsigned long v = std::strtoul(env, &end, 10);
     if (end != env && v > 0) requested_threads = static_cast<unsigned>(v);
   }
-  const smc::ParallelRunner runner(simulator, requested_threads);
+  const smc::ParallelRunner runner(model, requested_threads);
   rep.parallel_threads = runner.threads();
   rep.parallel_measured = runner.threads() > 1;
   smc::BatchResult plain;
   {
     const auto t0 = std::chrono::steady_clock::now();
-    plain = runner.run(kSeed, 0, n, fast);
+    plain = runner.run(kSeed, 0, n, opts);
     rep.parallel_traj_per_sec = static_cast<double>(n) / seconds_since(t0);
   }
 
@@ -247,7 +208,7 @@ ModelReport bench_model(const std::string& name, double horizon, std::uint64_t n
     obs::MetricsRegistry metrics;
     obs::Tracer tracer;
     obs::ProgressReporter progress([](const obs::Progress&) {}, 0.25);
-    sim::SimOptions instrumented = fast;
+    sim::SimOptions instrumented = opts;
     instrumented.telemetry = {
         .metrics = &metrics, .tracer = &tracer, .progress = &progress};
     const auto t0 = std::chrono::steady_clock::now();
@@ -258,11 +219,6 @@ ModelReport bench_model(const std::string& name, double horizon, std::uint64_t n
     rep.telemetry_equivalent = bitwise_equal(plain, traced) &&
                                metrics.counter_value("smc.trajectories") == n;
   }
-
-  rep.speedup_single = rep.single_traj_per_sec / rep.baseline_traj_per_sec;
-  rep.speedup_batch = rep.batch_traj_per_sec / rep.baseline_traj_per_sec;
-  rep.batch_vs_scalar = rep.batch_traj_per_sec / rep.single_traj_per_sec;
-  rep.speedup_parallel = rep.parallel_traj_per_sec / rep.baseline_traj_per_sec;
   return rep;
 }
 
@@ -275,10 +231,7 @@ void write_json(std::ostream& os, const std::vector<ModelReport>& reports) {
        << "      \"model\": \"" << r.name << "\",\n"
        << "      \"trajectories\": " << r.trajectories << ",\n"
        << "      \"horizon\": " << r.horizon << ",\n"
-       << "      \"baseline_traj_per_sec\": " << r.baseline_traj_per_sec << ",\n"
-       << "      \"single_thread_traj_per_sec\": " << r.single_traj_per_sec << ",\n"
        << "      \"batch_traj_per_sec\": " << r.batch_traj_per_sec << ",\n"
-       << "      \"batch_lane_width\": " << r.batch_lane_width << ",\n"
        << "      \"batch_events_per_trajectory\": " << r.batch_events_per_trajectory
        << ",\n"
        << "      \"batch_ns_per_event\": " << r.batch_ns_per_event << ",\n"
@@ -288,12 +241,6 @@ void write_json(std::ostream& os, const std::vector<ModelReport>& reports) {
        << ",\n"
        << "      \"telemetry_traj_per_sec\": " << r.telemetry_traj_per_sec << ",\n"
        << "      \"telemetry_overhead_pct\": " << r.telemetry_overhead_pct << ",\n"
-       << "      \"events_per_trajectory\": " << r.events_per_trajectory << ",\n"
-       << "      \"ns_per_event\": " << r.ns_per_event << ",\n"
-       << "      \"speedup_single_thread\": " << r.speedup_single << ",\n"
-       << "      \"speedup_batch\": " << r.speedup_batch << ",\n"
-       << "      \"batch_vs_scalar\": " << r.batch_vs_scalar << ",\n"
-       << "      \"speedup_parallel\": " << r.speedup_parallel << ",\n"
        << "      \"bitwise_equivalent\": " << (r.equivalent ? "true" : "false") << ",\n"
        << "      \"batch_lane_invariant\": "
        << (r.batch_lane_invariant ? "true" : "false") << ",\n"
@@ -331,26 +278,19 @@ int main(int argc, char** argv) {
 
   bool ok = true;
   for (const ModelReport& r : reports) {
-    std::cout << r.name << ": baseline "
-              << static_cast<std::uint64_t>(r.baseline_traj_per_sec)
-              << " traj/s, single " << static_cast<std::uint64_t>(r.single_traj_per_sec)
-              << " traj/s (x" << r.speedup_single << ", " << r.ns_per_event
-              << " ns/ev), batch " << static_cast<std::uint64_t>(r.batch_traj_per_sec)
-              << " traj/s (x" << r.speedup_batch << ", x" << r.batch_vs_scalar
-              << " vs scalar, W=" << r.batch_lane_width << ", " << r.batch_ns_per_event
-              << " ns/ev), parallel "
-              << static_cast<std::uint64_t>(r.parallel_traj_per_sec) << " traj/s (x"
-              << r.speedup_parallel << ", " << r.parallel_threads << " threads"
+    std::cout << r.name << ": kernel " << static_cast<std::uint64_t>(r.batch_traj_per_sec)
+              << " traj/s (" << r.batch_ns_per_event << " ns/ev, "
+              << r.batch_events_per_trajectory << " ev/traj), parallel "
+              << static_cast<std::uint64_t>(r.parallel_traj_per_sec) << " traj/s ("
+              << r.parallel_threads << " threads"
               << (r.parallel_measured ? "" : "; 1 worker — NOT a parallel figure")
-              << "), telemetry "
-              << static_cast<std::uint64_t>(r.telemetry_traj_per_sec) << " traj/s ("
-              << r.telemetry_overhead_pct << "% overhead), " << r.events_per_trajectory
-              << " ev/traj, "
+              << "), telemetry " << static_cast<std::uint64_t>(r.telemetry_traj_per_sec)
+              << " traj/s (" << r.telemetry_overhead_pct << "% overhead), "
               << (r.equivalent && r.telemetry_equivalent ? "bitwise-equivalent"
                                                          : "RESULTS DIVERGED")
               << ", "
-              << (r.batch_lane_invariant ? "batch lane/chunk-invariant"
-                                         : "BATCH BITS DEPEND ON LANE LAYOUT")
+              << (r.batch_lane_invariant ? "split-invariant"
+                                         : "KERNEL BITS DEPEND ON THE RUN SPLIT")
               << "\n";
     ok = ok && r.equivalent && r.telemetry_equivalent && r.batch_lane_invariant;
   }
@@ -363,7 +303,7 @@ int main(int argc, char** argv) {
   write_json(out, reports);
   std::cout << "\nwrote " << out_path << "\n";
   std::cout << (ok ? "PASS" : "FAIL") << ": "
-            << (ok ? "scalar results bit-identical, batch results lane/chunk-invariant"
+            << (ok ? "kernel matches the reference bit for bit, split-invariant"
                    : "an equivalence or invariance check failed")
             << "\n";
   return ok ? 0 : 1;

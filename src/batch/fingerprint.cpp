@@ -16,15 +16,10 @@ Fingerprint settings_fingerprint(const smc::AnalysisSettings& s) {
   const bool adaptive = s.target_relative_error > 0;
   h.f64("target_relative_error", adaptive ? s.target_relative_error : 0.0);
   if (adaptive) h.u64("batch", s.batch);
-  // Engine identity: the two kernels draw from different RNG families, so
-  // their results differ bit-wise and must never share a cache entry. The
-  // fields are hashed only on the non-default engine (the same pattern as
-  // `batch` above), so every fingerprint minted before the batch engine
-  // existed — and every scalar fingerprint today — is unchanged.
-  if (resolve_engine(s.engine) == Engine::Batch) {
-    h.str("engine", engine_name(Engine::Batch));
-    h.str("rng", "philox4x32-10");
-  }
+  // Kernel identity (see the header): the same two fields earlier releases
+  // hashed for this kernel, so their cache entries stay valid.
+  h.str("engine", "batch");
+  h.str("rng", "philox4x32-10");
   // Scripted maintenance policy: hash the compiled form's fingerprint (not
   // the script text), so reformatting preserves the key while any semantic
   // change invalidates it. Hashed only when a policy is present — built-in

@@ -7,19 +7,18 @@
 // adaptive-stopping parameters), plus the kind and schema version of the
 // result. Execution-only knobs are deliberately excluded:
 //
-//   * threads — the engine is bit-reproducible at any thread count, so a
+//   * threads — the kernel is bit-reproducible at any thread count, so a
 //     result computed with 8 threads is *the* result for 1 thread too;
 //   * telemetry — observational by contract, changes no output bit;
 //   * control  — truncated runs are never cached (see ResultCache::put), and
 //     an untruncated run is identical with or without a RunControl watching;
 //   * failure_log_cap — KPI reports never include failure logs.
-//   * lane_width — the batch engine is bit-reproducible at any lane width
-//     (counter-based streams), exactly like `threads`.
 //
-// The *engine* is NOT execution-only: scalar and batch kernels consume
-// different RNG families, so `engine` (plus the RNG family name) is hashed
-// whenever the resolved engine is Batch — scalar fingerprints predate the
-// field and stay byte-stable by hashing nothing in that case.
+// Every fingerprint also hashes the kernel's identity — `engine=batch` and
+// the RNG family `rng=philox4x32-10`. Keys minted before the scalar engine
+// was retired carried these two fields exactly on runs of this kernel, so
+// those cache entries keep hitting while entries the retired scalar engine
+// wrote (which lacked them) simply miss.
 //
 // Settings fields are fed through the order-insensitive KeyedHasher, so the
 // fingerprint is a function of the field *values*, not of the order any

@@ -15,7 +15,6 @@
 #include "obs/progress.hpp"
 #include "obs/tracer.hpp"
 #include "sim/batch_executor.hpp"
-#include "sim/fmt_executor.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
 
@@ -35,15 +34,12 @@ struct JobExec {
   std::uint32_t index = 0;  ///< into plan.jobs / outcome.results
   const SweepJob* job = nullptr;
   /// Scripted-policy jobs simulate the apply_policy transform of the job's
-  /// model (owned here so the simulator/executor pointers stay stable); the
+  /// model (owned here so the executor's model reference stays stable); the
   /// cache key is still minted from the untransformed model + the policy
   /// fingerprint in the settings.
   std::optional<fmt::FaultMaintenanceTree> transformed;
   std::optional<lang::BoundPolicy> bound;
-  std::unique_ptr<sim::FmtSimulator> simulator;
-  /// Non-null when the job's resolved engine is Engine::Batch; tasks then
-  /// run lane batches through it instead of the scalar simulator.
-  std::unique_ptr<sim::BatchExecutor> batch_executor;
+  std::optional<sim::BatchExecutor> executor;
   sim::SimOptions opts;
   smc::BatchResult batch;  ///< summaries preallocated; slots are disjoint
   std::mutex totals_mutex;
@@ -99,8 +95,8 @@ struct alignas(64) Heartbeat {
 };
 
 sim::SimOptions options_for(const smc::AnalysisSettings& s) {
-  // Mirrors smc::analyze's collect(): same options, so the simulator draws
-  // the exact same event sequence per trajectory stream.
+  // Mirrors smc::analyze's collect(): same options, so the kernel draws the
+  // exact same event sequence per trajectory stream.
   sim::SimOptions opts;
   static_cast<RunSettings&>(opts) = s;
   opts.horizon = s.horizon;
@@ -108,17 +104,6 @@ sim::SimOptions options_for(const smc::AnalysisSettings& s) {
   opts.record_failure_log = false;
   opts.failure_log_cap = s.failure_log_cap;
   return opts;
-}
-
-void store_summary(smc::TrajectorySummary& s, const sim::TrajectoryResult& r) {
-  s.first_failure_time = r.first_failure_time;
-  s.failures = static_cast<std::uint32_t>(r.failures);
-  s.downtime = r.downtime;
-  s.cost = r.cost;
-  s.discounted_total = r.discounted_cost.total();
-  s.inspections = static_cast<std::uint32_t>(r.inspections);
-  s.repairs = static_cast<std::uint32_t>(r.repairs);
-  s.replacements = static_cast<std::uint32_t>(r.replacements);
 }
 
 /// Maps a caught exception to its failure record. The transient classes
@@ -200,9 +185,7 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
             lang::apply_policy(*job.settings.policy, job.model));
         sim_model = &*exec->transformed;
       }
-      exec->simulator = std::make_unique<sim::FmtSimulator>(*sim_model);
-      if (resolve_engine(job.settings.engine) == Engine::Batch)
-        exec->batch_executor = std::make_unique<sim::BatchExecutor>(*sim_model);
+      exec->executor.emplace(*sim_model);
       exec->opts = options_for(job.settings);
       if (job.settings.policy) {
         exec->bound.emplace(lang::bind_policy(*job.settings.policy, *sim_model));
@@ -256,8 +239,7 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
     for (const auto& exec : pooled) exec_of[exec->index] = exec.get();
 
     auto work = [&](unsigned w) {
-      sim::SimWorkspace ws;  // reused across all of this worker's tasks
-      sim::BatchWorkspace bws;  // ditto, for batch-engine jobs
+      sim::BatchWorkspace ws;  // reused across all of this worker's tasks
       obs::LocalMetrics local =
           metrics != nullptr ? metrics->local() : obs::LocalMetrics{};
       std::vector<std::uint64_t> leaf_failures, leaf_repairs;
@@ -343,58 +325,30 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
           // (isolated into a per-job failure record + retry), stall mode
           // parks this worker to exercise the watchdog.
           (void)fault::fault_point("sweep.task");
-          if (exec.batch_executor != nullptr) {
-            // Batch engine: slice the task into lane batches. Trajectory
-            // identity lives in the counter-based streams, so the slicing
-            // (like the chunking above it) cannot affect any result bit.
-            const std::uint64_t width =
-                exec.opts.lane_width != 0
-                    ? exec.opts.lane_width
-                    : sim::BatchExecutor::kDefaultLaneWidth;
-            for (std::uint64_t off = 0; off < task.count;) {
-              if (should_stop() || job_cancelled()) break;
-              const auto n = static_cast<std::uint32_t>(
-                  std::min(width, task.count - off));
-              exec.batch_executor->run(seed, task.first + off, n, exec.opts,
-                                       bws);
-              for (std::uint32_t lane = 0; lane < n; ++lane) {
-                const sim::TrajectoryResult& r = bws.results[lane];
-                store_summary(exec.batch.summaries[task.first + off + lane], r);
-                for (std::size_t leaf = 0; leaf < num_leaves; ++leaf) {
-                  leaf_failures[leaf] += r.failures_per_leaf[leaf];
-                  leaf_repairs[leaf] += r.repairs_per_leaf[leaf];
-                }
-                if (metrics != nullptr) {
-                  local.add(ids.trajectories);
-                  local.add(ids.events, r.events);
-                }
-              }
-              task_done += n;
-              done.fetch_add(n, std::memory_order_relaxed);
-              heartbeats[w].beats.fetch_add(1, std::memory_order_relaxed);
-              off += n;
-              report_progress();
-            }
-          } else {
-            for (std::uint64_t i = 0; i < task.count; ++i) {
-              if (should_stop() || job_cancelled()) break;
-              const std::uint64_t index = task.first + i;
-              sim::TrajectoryResult r = exec.simulator->run(
-                  RandomStream(seed, index), exec.opts, ws);
-              store_summary(exec.batch.summaries[index], r);
-              for (std::size_t leaf = 0; leaf < num_leaves; ++leaf) {
-                leaf_failures[leaf] += r.failures_per_leaf[leaf];
-                leaf_repairs[leaf] += r.repairs_per_leaf[leaf];
-              }
-              ++task_done;
-              done.fetch_add(1, std::memory_order_relaxed);
-              heartbeats[w].beats.fetch_add(1, std::memory_order_relaxed);
-              if (metrics != nullptr) {
-                local.add(ids.trajectories);
-                local.add(ids.events, r.events);
-              }
-              report_progress();
-            }
+          // Trajectory identity lives in the counter-based streams, so the
+          // slicing into tasks and kernel blocks cannot affect any result bit.
+          if (!should_stop() && !job_cancelled()) {
+            exec.executor->run(
+                seed, task.first, task.count, exec.opts, ws,
+                [&](std::uint64_t index, std::span<sim::TrajectoryResult> block) {
+                  for (std::size_t lane = 0; lane < block.size(); ++lane) {
+                    const sim::TrajectoryResult& r = block[lane];
+                    exec.batch.summaries[index + lane] = smc::summarize(r);
+                    for (std::size_t leaf = 0; leaf < num_leaves; ++leaf) {
+                      leaf_failures[leaf] += r.failures_per_leaf[leaf];
+                      leaf_repairs[leaf] += r.repairs_per_leaf[leaf];
+                    }
+                    if (metrics != nullptr) {
+                      local.add(ids.trajectories);
+                      local.add(ids.events, r.events);
+                    }
+                  }
+                  task_done += block.size();
+                  done.fetch_add(block.size(), std::memory_order_relaxed);
+                  heartbeats[w].beats.fetch_add(1, std::memory_order_relaxed);
+                  report_progress();
+                  return !should_stop() && !job_cancelled();
+                });
           }
         } catch (const std::exception& e) {
           // First failure wins; later tasks of the job are skipped on claim.

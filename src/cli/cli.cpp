@@ -126,12 +126,6 @@ Options parse_args(const std::vector<std::string>& args) {
     else if (flag == "--seed") opt.seed = parse_count(value(), "seed");
     else if (flag == "--threads")
       opt.threads = static_cast<unsigned>(parse_count(value(), "threads"));
-    else if (flag == "--engine") {
-      const std::string& name = value();
-      if (name == "scalar") opt.engine = Engine::Scalar;
-      else if (name == "batch") opt.engine = Engine::Batch;
-      else throw DomainError("--engine must be 'scalar' or 'batch'");
-    }
     else if (flag == "--confidence") opt.confidence = parse_double(value(), "confidence");
     else if (flag == "--quantiles") opt.quantiles = parse_quantiles(value());
     else if (flag == "--timeout") opt.timeout = parse_double(value(), "timeout");
@@ -352,7 +346,6 @@ int cmd_analyze(const Options& opt, const fmt::FaultMaintenanceTree& model,
   s.trajectories = opt.runs;
   s.seed = opt.seed;
   s.threads = opt.threads;
-  s.engine = opt.engine;
   s.confidence = opt.confidence;
   s.telemetry = telemetry;
   // The process-wide handle lets a SIGINT (wired up in main()) or --timeout
@@ -459,7 +452,6 @@ serve::Request sweep_request(const Options& opt, const std::string& model_text) 
   request.settings.horizon = opt.horizon;
   request.settings.trajectories = opt.runs;
   request.settings.seed = opt.seed;
-  request.settings.engine = opt.engine;
   request.settings.confidence = opt.confidence;
   // With --policy and no explicit --frequencies the sweep evaluates only the
   // scripted candidates (the default grid would drown them in noise).
@@ -691,7 +683,6 @@ serve::Request fleet_request(const Options& opt, const std::string& model_text) 
   request.settings.horizon = opt.horizon;
   request.settings.trajectories = opt.runs;
   request.settings.seed = opt.seed;
-  request.settings.engine = opt.engine;
   request.settings.confidence = opt.confidence;
   request.has_fleet = true;
   request.fleet.joints = static_cast<std::uint32_t>(opt.joints);
@@ -1037,7 +1028,6 @@ int run_compare(const Options& options, const std::string& model_a_text,
   s.trajectories = options.runs;
   s.seed = options.seed;
   s.threads = options.threads;
-  s.engine = options.engine;
   s.confidence = options.confidence;
   s.telemetry = session.handles();
   const smc::PairedComparison cmp = smc::compare_models(a, b, s);
@@ -1214,8 +1204,6 @@ std::string usage() {
       "  --runs <n>         Monte-Carlo trajectories (default 10000)\n"
       "  --seed <n>         RNG seed (default 1)\n"
       "  --threads <n>      worker threads (default: all cores)\n"
-      "  --engine <name>    trajectory kernel: scalar | batch (default:\n"
-      "                     FMTREE_ENGINE env var, else scalar)\n"
       "  --confidence <p>   CI level (default 0.95)\n"
       "  --quantiles <l>    comma-separated TTF quantiles, e.g. 0.1,0.5,0.9\n"
       "  --timeout <s>      wall-clock budget in seconds; on expiry analyze\n"
@@ -1224,7 +1212,7 @@ std::string usage() {
       "  --no-fallback      fail exact on a resource limit instead of\n"
       "                     falling back to Monte-Carlo\n"
       "  --json-errors      report failures as a JSON diagnostic array\n"
-      "  --metrics <file>   write engine metrics as JSON (fmtree.metrics/v1)\n"
+      "  --metrics <file>   write run metrics as JSON (fmtree.metrics/v1)\n"
       "  --trace <file>     write phase spans as JSON (fmtree.trace/v1);\n"
       "                     chrome:<file> writes Chrome trace_event format\n"
       "  --progress         print throttled progress lines while running\n"

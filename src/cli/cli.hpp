@@ -13,7 +13,7 @@
 //   fmtree serve   <socket> [options]             analysis daemon (fmtree.request/v1)
 //
 // Options: --horizon <years>  --runs <n>  --seed <n>  --threads <n>
-//          --engine <scalar|batch>  --confidence <p>
+//          --confidence <p>
 //          --quantiles <p1,p2,...>  --timeout <s>
 //          --state-cap <n>    --no-fallback  --json-errors
 //          --metrics <file>   --trace <file|chrome:file>  --progress
@@ -38,7 +38,6 @@
 #include <string>
 #include <vector>
 
-#include "fmtree/run_settings.hpp"
 #include "smc/run_control.hpp"
 
 namespace fmtree::cli {
@@ -74,9 +73,6 @@ struct Options {
   std::uint64_t runs = 10000;
   std::uint64_t seed = 1;
   unsigned threads = 0;
-  /// Trajectory kernel (--engine scalar|batch); Default defers to the
-  /// FMTREE_ENGINE environment variable.
-  Engine engine = Engine::Default;
   double confidence = 0.95;
   std::vector<double> quantiles;  ///< empty = skip quantile report
   bool json_errors = false;       ///< report failures as JSON diagnostics on stderr

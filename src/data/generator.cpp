@@ -1,6 +1,8 @@
 #include "data/generator.hpp"
 
-#include "sim/fmt_executor.hpp"
+#include <limits>
+
+#include "smc/runner.hpp"
 #include "util/error.hpp"
 
 namespace fmtree::data {
@@ -14,25 +16,24 @@ IncidentDatabase generate_incidents(const fmt::FaultMaintenanceTree& ground_trut
 FleetData generate_fleet_data(const fmt::FaultMaintenanceTree& ground_truth,
                               std::uint32_t num_assets, double years,
                               std::uint64_t seed) {
-  const sim::FmtSimulator simulator(ground_truth);
   sim::SimOptions opts;
   opts.horizon = years;
   opts.record_failure_log = true;
+  opts.failure_log_cap = std::numeric_limits<std::uint64_t>::max();  // keep every log
+  const smc::BatchResult batch =
+      smc::ParallelRunner(ground_truth).run(seed, 0, num_assets, opts);
 
   FleetData fleet{IncidentDatabase(num_assets, years), {}, 0, 0};
-  for (const fmt::ExtendedBasicEvent& e : ground_truth.ebes())
-    fleet.repairs_by_mode.emplace(e.name, 0);
   for (std::uint32_t asset = 0; asset < num_assets; ++asset) {
-    const sim::TrajectoryResult r = simulator.run(RandomStream(seed, asset), opts);
-    for (const sim::FailureRecord& f : r.failure_log) {
+    for (const sim::FailureRecord& f : batch.failure_logs[asset]) {
       fleet.incidents.add(
           IncidentRecord{asset, f.time, ground_truth.ebes()[f.cause_leaf].name});
     }
-    for (std::size_t leaf = 0; leaf < ground_truth.num_ebes(); ++leaf)
-      fleet.repairs_by_mode[ground_truth.ebes()[leaf].name] += r.repairs_per_leaf[leaf];
-    fleet.inspections += r.inspections;
-    fleet.replacements += r.replacements;
+    fleet.inspections += batch.summaries[asset].inspections;
+    fleet.replacements += batch.summaries[asset].replacements;
   }
+  for (std::size_t leaf = 0; leaf < ground_truth.num_ebes(); ++leaf)
+    fleet.repairs_by_mode[ground_truth.ebes()[leaf].name] += batch.repairs_per_leaf[leaf];
   return fleet;
 }
 

@@ -21,7 +21,7 @@ namespace fmtree::data {
 
 /// Simulates `num_assets` independent assets for `years` under the model's
 /// maintenance policy, recording every system failure with its attributed
-/// mode. Asset i uses RandomStream(seed, i).
+/// mode. Asset i is trajectory i of the kernel: CounterStream(seed, i).
 IncidentDatabase generate_incidents(const fmt::FaultMaintenanceTree& ground_truth,
                                     std::uint32_t num_assets, double years,
                                     std::uint64_t seed);

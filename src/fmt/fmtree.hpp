@@ -13,7 +13,7 @@
 // Analyses:
 //   * structure()/static_view() expose a classic fault tree for BDD-based
 //     baselines (maintenance ignored),
-//   * sim::FmtSimulator executes the full timed semantics,
+//   * sim::BatchExecutor executes the full timed semantics,
 //   * analytic::fmt_to_ctmc gives exact answers for inspection-free models.
 #pragma once
 

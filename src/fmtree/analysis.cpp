@@ -61,16 +61,6 @@ Analysis& Analysis::target_relative_error(double rel) {
   return *this;
 }
 
-Analysis& Analysis::engine(Engine e) {
-  settings_.engine = e;
-  return *this;
-}
-
-Analysis& Analysis::lane_width(unsigned lanes) {
-  settings_.lane_width = lanes;
-  return *this;
-}
-
 Analysis& Analysis::control(const smc::RunControl* ctl) {
   settings_.control = ctl;
   return *this;

@@ -105,17 +105,11 @@ public:
   /// Adaptive stopping: simulate until the CI half-width of E[#failures]
   /// is <= rel * mean (trajectories() then caps the budget).
   Analysis& target_relative_error(double rel);
-  /// Trajectory kernel: Engine::Scalar (reference), Engine::Batch (SoA lane
-  /// kernel), or Engine::Default (FMTREE_ENGINE-resolved, the default).
-  Analysis& engine(Engine e);
-  /// Batch-engine lanes per worker batch; 0 = kernel default. Execution-only
-  /// (results are bit-identical at any width).
-  Analysis& lane_width(unsigned lanes);
   /// Cooperative cancellation/budgets for every subsequent call.
   Analysis& control(const smc::RunControl* ctl);
   /// Compiles a maintenance-policy script (the src/lang DSL) and attaches it
   /// to every subsequent analysis call: the model's built-in inspection
-  /// modules are replaced by the script's calendars and the engines run the
+  /// modules are replaced by the script's calendars and the kernel runs the
   /// compiled rules at each inspection event. Throws ParseErrors (L1xx
   /// diagnostics) on malformed scripts. An empty source detaches the policy.
   Analysis& policy_script(const std::string& source);

@@ -8,7 +8,7 @@
 // per-backend settings structs *embed* RunSettings as a base subobject:
 //
 //   smc::AnalysisSettings : fmtree::RunSettings   (adds trajectories, CI, ...)
-//   sim::SimOptions       : fmtree::RunSettings   (adds failure-log, engine knobs)
+//   sim::SimOptions       : fmtree::RunSettings   (adds failure log, discounting)
 //   analytic::SolverOptions : fmtree::RunSettings (adds tolerance, iterations)
 //
 // Field access through the old locations (settings.seed, opts.horizon, ...)
@@ -19,16 +19,14 @@
 //
 //   static_cast<fmtree::RunSettings&>(sim_opts) = analysis_settings;
 //
-// Not every backend consumes every field (the single-trajectory simulator
-// ignores seed/threads — stream identity comes from the RandomStream it is
+// Not every backend consumes every field (the trajectory kernel ignores
+// seed/threads — stream identity comes from the (seed, index) pair it is
 // handed; the linear solvers ignore horizon/seed/threads). Each consumer
 // documents what it honors.
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <string_view>
 
 #include "obs/telemetry.hpp"
 
@@ -42,62 +40,17 @@ struct CompiledPolicy;
 
 namespace fmtree {
 
-/// Which Monte-Carlo trajectory kernel executes the simulation.
-///
-/// The two engines implement the same FMT semantics but draw from different
-/// RNG families (scalar: stateful xoshiro streams; batch: counter-based
-/// Philox streams), so their trajectory-level results differ bit-wise while
-/// agreeing statistically. Each engine is individually deterministic: the
-/// scalar engine at any thread count, the batch engine additionally at any
-/// lane width and chunk size. Because the draw sequences differ, the engine
-/// identity is part of every result-cache fingerprint (batch/fingerprint.hpp).
-enum class Engine : std::uint8_t {
-  Default = 0,  ///< resolve via FMTREE_ENGINE env var; Scalar when unset
-  Scalar = 1,   ///< one trajectory at a time (sim::FmtSimulator + xoshiro)
-  Batch = 2,    ///< lane-batch SoA kernel (sim::BatchExecutor + Philox)
-};
-
-/// Stable engine identifier ("scalar" / "batch"); Default resolves first.
-constexpr const char* engine_name(Engine e) noexcept {
-  return e == Engine::Batch ? "batch" : "scalar";
-}
-
-/// The process-wide default engine: FMTREE_ENGINE=batch selects the batch
-/// kernel for every run that left Engine::Default in its settings; any other
-/// value (or none) selects the scalar engine. Read once and cached, so the
-/// choice is stable for the lifetime of the process.
-inline Engine default_engine() noexcept {
-  static const Engine resolved = [] {
-    const char* v = std::getenv("FMTREE_ENGINE");
-    return (v != nullptr && std::string_view(v) == "batch") ? Engine::Batch
-                                                            : Engine::Scalar;
-  }();
-  return resolved;
-}
-
-/// Default -> the process default; Scalar/Batch pass through.
-inline Engine resolve_engine(Engine e) noexcept {
-  return e == Engine::Default ? default_engine() : e;
-}
-
 /// Shared execution settings, embedded by every per-backend options struct.
 struct RunSettings {
   /// Analysis time horizon in the model's time unit (the study: years).
   double horizon = 10.0;
-  /// Base RNG seed; trajectory i draws from RandomStream(seed, i) on the
-  /// scalar engine and CounterStream(seed, i) on the batch engine.
+  /// Base RNG seed; trajectory i draws from CounterStream(seed, i).
   std::uint64_t seed = 1;
   /// Worker threads; 0 = hardware concurrency.
   unsigned threads = 0;
-  /// Trajectory kernel; Default defers to FMTREE_ENGINE (see resolve_engine).
-  Engine engine = Engine::Default;
-  /// Batch-engine lanes simulated together per worker; 0 = the kernel's
-  /// default width. Execution-only: reports are bit-identical at any width,
-  /// so the value is excluded from cache fingerprints (like `threads`).
-  unsigned lane_width = 0;
   /// Optional scripted maintenance policy (compiled from the policy DSL,
   /// see src/lang). When set, analysis runs replace the model's built-in
-  /// inspection modules with the script's calendars and the engines invoke
+  /// inspection modules with the script's calendars and the kernel invokes
   /// the compiled rules at every inspection event. The compiled form's
   /// fingerprint — not the script text — enters the settings fingerprint,
   /// so reformatting a script preserves cache keys while any semantic

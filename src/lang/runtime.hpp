@@ -26,7 +26,7 @@
 // scripted periodic policy bit-identical to the built-in one.
 //
 // Policy evaluation draws no random numbers and mutates only PolicyState,
-// so determinism at any thread count / lane width is inherited unchanged.
+// so determinism at any thread count is inherited unchanged.
 #pragma once
 
 #include <cmath>
@@ -63,8 +63,8 @@ struct BoundPolicy {
                           const PolicyState& st) const;
 };
 
-/// Mutable per-trajectory policy execution state (embedded in the engines'
-/// workspaces: one per scalar trajectory, one per batch lane).
+/// Mutable per-trajectory policy execution state (one per kernel lane, one
+/// per reference trajectory).
 struct PolicyState {
   std::vector<double> budget_spent;              ///< per budget
   std::vector<std::uint8_t> repaired_this_round; ///< per leaf
@@ -98,7 +98,7 @@ inline bool round_active(const BoundPolicy& bp, std::size_t cal, double now) {
 
 /// Engine adapter assembled from four callables (see the Host contract in
 /// the header comment). `phase` returns the leaf's current degradation
-/// phase as a double (failed leaves sit at phases + 1 in both engines).
+/// phase as a double (failed leaves sit at phases + 1).
 template <class PhaseFn, class FailedFn, class UnderRepairFn, class RepairFn>
 struct LambdaHost {
   PhaseFn phase_of;

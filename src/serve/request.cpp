@@ -152,9 +152,13 @@ Request parse_request(const std::string& text) {
   if (const json::Value* settings = doc.find("settings")) {
     if (!settings->is(json::Kind::Object))
       invalid("request field 'settings' must be an object");
+    if (settings->find("engine") != nullptr)
+      invalid("request field 'settings.engine' was removed",
+              "fmtree has a single trajectory engine; drop 'settings.engine' "
+              "from the request");
     reject_unknown_members(*settings, "settings",
                            {"horizon", "trajectories", "seed", "confidence",
-                            "discount_rate", "target_relative_error", "engine"});
+                            "discount_rate", "target_relative_error"});
     if (const json::Value* v = settings->find("horizon"))
       req.settings.horizon = parse_number(*v, "settings.horizon");
     if (const json::Value* v = settings->find("trajectories"))
@@ -168,16 +172,6 @@ Request parse_request(const std::string& text) {
     if (const json::Value* v = settings->find("target_relative_error"))
       req.settings.target_relative_error =
           parse_number(*v, "settings.target_relative_error");
-    if (const json::Value* v = settings->find("engine")) {
-      if (!v->is(json::Kind::String))
-        invalid("request field 'settings.engine' must be a string");
-      if (v->text == "default") req.settings.engine = Engine::Default;
-      else if (v->text == "scalar") req.settings.engine = Engine::Scalar;
-      else if (v->text == "batch") req.settings.engine = Engine::Batch;
-      else
-        invalid("unknown engine '" + v->text + "'",
-                "one of \"default\", \"scalar\", \"batch\"");
-    }
   }
   if (!(req.settings.horizon > 0)) invalid("settings.horizon must be positive");
   if (req.settings.trajectories == 0)
@@ -294,12 +288,7 @@ std::string encode_request(const Request& request) {
      << "    \"discount_rate\": \"" << hexfloat(request.settings.discount_rate)
      << "\",\n"
      << "    \"target_relative_error\": \""
-     << hexfloat(request.settings.target_relative_error) << "\",\n"
-     << "    \"engine\": \""
-     << (request.settings.engine == Engine::Default
-             ? "default"
-             : engine_name(request.settings.engine))
-     << "\"\n"
+     << hexfloat(request.settings.target_relative_error) << "\"\n"
      << "  }";
   if (request.has_fleet) {
     os << ",\n  \"fleet\": {\"joints\": " << request.fleet.joints
@@ -466,7 +455,7 @@ PreparedRequest prepare(const Request& request, const std::string& model_root) {
 
   // Scripted candidates: compile each script (R114 carries the compiler's
   // own L1xx diagnostics) and attach the compiled policy to the job's
-  // settings; the engines transform the model at execution time. Script
+  // settings; the analysis layer transforms the model at execution time. Script
   // refs resolve under the same model root — and the same path discipline —
   // as model refs.
   for (const Request::PolicyScript& script : request.scripts) {

@@ -9,7 +9,7 @@
 // server's model root), the result-relevant analysis settings, and an
 // optional maintenance-policy grid. The settings fields are exactly the
 // ones that participate in the cache fingerprint (batch/fingerprint.hpp):
-// execution knobs — threads, lane width, telemetry — are deliberately not
+// execution knobs — threads, telemetry — are deliberately not
 // part of the schema, because by the bitwise-determinism contract they
 // cannot change a result and are the *server's* business, not the client's.
 //

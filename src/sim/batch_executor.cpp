@@ -11,47 +11,10 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Right edge of the ziggurat's base layer for Exp(1); samples beyond it
-/// come from the analytic tail r + Exp(1).
-constexpr double kZigguratR = 7.69711747013104972;
-
 }  // namespace
 
-// Table construction follows Marsaglia & Tsang's published setup: 256
-// layers of equal area ve, x_255 = r, x_{i-1} = -log(exp(-x_i) + ve/x_i).
-BatchExecutor::ExpZiggurat::ExpZiggurat() noexcept {
-  constexpr double m = 4294967296.0;  // 2^32: draws are 32-bit integers
-  constexpr double ve = 3.9496598225815571993e-3;
-  double de = kZigguratR, te = kZigguratR;
-  const double q = ve / std::exp(-de);
-  ke_[0] = static_cast<std::uint32_t>((de / q) * m);
-  ke_[1] = 0;
-  we_[0] = q / m;
-  we_[255] = de / m;
-  fe_[0] = 1.0;
-  fe_[255] = std::exp(-de);
-  for (int i = 254; i >= 1; --i) {
-    de = -std::log(ve / de + std::exp(-de));
-    ke_[i + 1] = static_cast<std::uint32_t>((de / te) * m);
-    te = de;
-    fe_[i] = std::exp(-de);
-    we_[i] = de / m;
-  }
-}
-
-double BatchExecutor::ExpZiggurat::sample(CounterStream& rng) const noexcept {
-  for (;;) {
-    const auto j = static_cast<std::uint32_t>(rng() >> 32);
-    const unsigned i = j & 255u;
-    const double x = j * we_[i];
-    if (j < ke_[i]) return x;  // inside the layer rectangle: ~98% of draws
-    if (i == 0) return kZigguratR - std::log(rng.uniform01_open_left());
-    if (fe_[i] + rng.uniform01() * (fe_[i - 1] - fe_[i]) < std::exp(-x)) return x;
-  }
-}
-
 BatchExecutor::BatchExecutor(const fmt::FaultMaintenanceTree& model)
-    : model_(model), eval_(model.structure()) {
+    : model_(model), eval_(model.structure()), sampler_(model) {
   model.validate();
   top_node_ = model.top().value;
   num_leaves_ = static_cast<std::uint32_t>(model.num_ebes());
@@ -60,41 +23,13 @@ BatchExecutor::BatchExecutor(const fmt::FaultMaintenanceTree& model)
     return static_cast<std::uint32_t>(model.ebe_index(id));
   };
 
-  // ---- Sojourn samplers: Distribution variants flattened to tagged rows ----
-  sampler_begin_.reserve(num_leaves_);
   num_phases_.reserve(num_leaves_);
   threshold_.reserve(num_leaves_);
   for (const fmt::ExtendedBasicEvent& ebe : model.ebes()) {
-    const fmt::DegradationModel& deg = ebe.degradation;
-    sampler_begin_.push_back(static_cast<std::uint32_t>(samplers_.size()));
-    num_phases_.push_back(deg.phases());
-    threshold_.push_back(deg.threshold_phase());
+    num_phases_.push_back(ebe.degradation.phases());
+    threshold_.push_back(ebe.degradation.threshold_phase());
     repair_cost_.push_back(ebe.repair.cost);
     repair_duration_.push_back(ebe.repair.duration);
-    for (int p = 1; p <= deg.phases(); ++p) {
-      Sampler s;
-      std::visit(
-          [&s](const auto& d) {
-            using T = std::decay_t<decltype(d)>;
-            if constexpr (std::is_same_v<T, Exponential>) {
-              s = {Sampler::Kind::Exponential, 1.0 / d.rate, 0.0};
-            } else if constexpr (std::is_same_v<T, Erlang>) {
-              s = {Sampler::Kind::Erlang, 1.0 / d.rate,
-                   static_cast<double>(d.shape)};
-            } else if constexpr (std::is_same_v<T, Weibull>) {
-              s = {Sampler::Kind::Weibull, d.shape, d.scale};
-            } else if constexpr (std::is_same_v<T, Lognormal>) {
-              s = {Sampler::Kind::Lognormal, d.mu, d.sigma};
-            } else if constexpr (std::is_same_v<T, UniformDist>) {
-              s = {Sampler::Kind::Uniform, d.lo, d.hi};
-            } else {
-              static_assert(std::is_same_v<T, Deterministic>);
-              s = {Sampler::Kind::Deterministic, d.value, 0.0};
-            }
-          },
-          deg.sojourn(p).as_variant());
-      samplers_.push_back(s);
-    }
   }
 
   // ---- Maintenance modules with CSR target lists ---------------------------
@@ -172,36 +107,6 @@ BatchExecutor::BatchExecutor(const fmt::FaultMaintenanceTree& model)
   downtime_cost_rate_ = corrective.downtime_cost_rate;
 }
 
-double BatchExecutor::sample_sojourn(std::uint32_t leaf, std::int32_t phase,
-                                     CounterStream& rng) const {
-  const Sampler& s = samplers_[sampler_begin_[leaf] + static_cast<std::uint32_t>(
-                                                          phase - 1)];
-  switch (s.kind) {
-    case Sampler::Kind::Exponential:
-      return zig_.sample(rng) * s.a;
-    case Sampler::Kind::Erlang: {
-      double sum = zig_.sample(rng);
-      for (std::int32_t i = 1; i < static_cast<std::int32_t>(s.b); ++i)
-        sum += zig_.sample(rng);
-      return sum * s.a;
-    }
-    case Sampler::Kind::Weibull:
-      return s.b * std::pow(-std::log(rng.uniform01_open_left()), 1.0 / s.a);
-    case Sampler::Kind::Lognormal: {
-      // Box–Muller, one variate per call — mirrors Distribution::sample.
-      const double u1 = rng.uniform01_open_left();
-      const double u2 = rng.uniform01();
-      const double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
-      return std::exp(s.a + s.b * z);
-    }
-    case Sampler::Kind::Uniform:
-      return rng.uniform(s.a, s.b);
-    case Sampler::Kind::Deterministic:
-      return s.a;
-  }
-  return kInf;  // unreachable
-}
-
 /// Mutable view of one lane's rows inside the workspace. Plain pointers so
 /// the event loop indexes flat memory with no bounds rechecking. The four
 /// clock pointers are offsets into one contiguous candidate row (leaf_time
@@ -245,7 +150,7 @@ void BatchExecutor::simulate_lane(LaneContext& lane, const SimOptions& opts) con
   };
 
   const auto schedule_phase = [&](std::uint32_t leaf, double now) {
-    const double raw = sample_sojourn(leaf, lane.phase[leaf], rng);
+    const double raw = sampler_.sample(leaf, lane.phase[leaf], rng);
     if (lane.accel[leaf] > 0) {
       lane.leaf_time[leaf] = now + raw / lane.accel[leaf];
     } else {
@@ -368,8 +273,8 @@ void BatchExecutor::simulate_lane(LaneContext& lane, const SimOptions& opts) con
   };
 
   // Apply initial spare dormancy (and any rate dependency active at t = 0):
-  // run() samples every leaf at acceleration 1, exactly like the scalar
-  // engine, and this rescales the affected sojourns before the first event.
+  // run_block() samples every leaf at acceleration 1, and this rescales the
+  // affected sojourns before the first event.
   update_rates(0.0);
 
   // ---- Main loop: branch-free min-scan over the lane's candidate clocks ----
@@ -502,12 +407,10 @@ void BatchExecutor::simulate_lane(LaneContext& lane, const SimOptions& opts) con
   }
 }
 
-void BatchExecutor::run(std::uint64_t seed, std::uint64_t first, std::uint32_t n,
-                        const SimOptions& opts, BatchWorkspace& ws) const {
+void BatchExecutor::run_block(std::uint64_t seed, std::uint64_t first, std::uint32_t n,
+                              const SimOptions& opts, BatchWorkspace& ws) const {
   if (!(opts.horizon > 0)) throw DomainError("simulation horizon must be positive");
   if (opts.discount_rate < 0) throw DomainError("discount rate must be >= 0");
-  if (opts.trace != nullptr)
-    throw DomainError("traces are per-trajectory; run the scalar simulator");
   const std::uint32_t num_leaves = num_leaves_;
   const auto num_insp = static_cast<std::uint32_t>(inspections_.size());
   const auto num_repl = static_cast<std::uint32_t>(replacements_.size());
@@ -552,13 +455,13 @@ void BatchExecutor::run(std::uint64_t seed, std::uint64_t first, std::uint32_t n
 
   // ---- Initial firing times: all leaves x lanes sampled in one pass --------
   // Every lane starts with phase 1 and acceleration 1, so this is exactly
-  // what schedule_phase would draw leaf-by-leaf — hoisted out of the event
+  // what schedule_phase would draw leaf by leaf — hoisted out of the event
   // loop into a contiguous sweep over the SoA block.
   for (std::uint32_t lane = 0; lane < n; ++lane) {
     CounterStream& rng = ws.rng[lane];
     double* row = ws.clock.data() + static_cast<std::size_t>(lane) * num_clocks;
     for (std::uint32_t leaf = 0; leaf < num_leaves; ++leaf)
-      row[leaf] = sample_sojourn(leaf, 1, rng);
+      row[leaf] = sampler_.sample(leaf, 1, rng);
   }
 
   // ---- Per-lane event loops -------------------------------------------------

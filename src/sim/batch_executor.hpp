@@ -1,54 +1,143 @@
-// Structure-of-arrays lane-batch execution of the FMT semantics — the raw
-// throughput engine behind fmtree::Engine::Batch.
+// The trajectory kernel: structure-of-arrays lane-block execution of the
+// fault-maintenance-tree semantics. Every Monte-Carlo result of the library
+// comes from here; sim::Reference re-implements the same semantics naively
+// and is held to it bit for bit by the tests.
 //
-// Where FmtSimulator advances one trajectory through a binary-heap event
-// queue, BatchExecutor advances a *lane batch* of W independent trajectories
-// whose mutable state lives in structure-of-arrays form: one flat array per
-// field (phase, acceleration, next-event clock, ...), each holding W
-// contiguous per-lane rows. The per-event hot path is restructured around
-// that layout:
-//
-//  * event selection is a branch-free min-scan over the lane's candidate
-//    clocks (per-leaf next transition/repair, per-module next inspection/
-//    replacement, pending corrective renewal) — cancellation is a plain
-//    store, where the heap needed handle bookkeeping and lazy deletion;
-//  * sojourn sampling runs over flat per-(leaf, phase) sampler tables
-//    (kind tag + parameters) instead of std::visit on Distribution — and
-//    the initial firing times of all leaves x lanes are sampled in one
-//    pass when a batch starts;
-//  * gate re-evaluation reuses the incremental GateEvaluator tables
-//    (shared, immutable) with one GateEvaluator::State per lane, so a leaf
-//    flip costs O(changed region) exactly as in the scalar engine.
+// Semantics:
+//  * each leaf degrades through its phases; phase sojourn times are sampled
+//    from the leaf's DegradationModel and divided by the leaf's current
+//    acceleration factor;
+//  * RDEP: while a rate dependency's trigger holds, its dependents' factors
+//    are multiplied in; a factor change mid-phase rescales the *remaining*
+//    sojourn time (remaining' = remaining * old/new). A spare-pool member
+//    that is not the pool's active leaf runs at the pool's dormancy factor;
+//    a factor of zero freezes the remaining time until reactivation;
+//  * FDEP: once a trigger holds, its dependents fail instantly (iterated to
+//    the monotone fixpoint);
+//  * inspections fire periodically; each non-failed target at/past its
+//    threshold phase and not under repair is repaired (with probability p
+//    on imperfect inspections). A repair renews the leaf, or pauses it for
+//    the repair duration and then renews it. Failed leaves are not
+//    repairable by inspection. A scripted policy replaces the threshold
+//    sweep by its compiled rules;
+//  * replacements fire periodically and renew their targets unconditionally
+//    (including failed ones);
+//  * when the top event rises, a failure is counted and attributed to the
+//    leaf whose failure raised it; if corrective maintenance is enabled, the
+//    whole system is renewed `delay` time units later. Time with the top
+//    event true is downtime;
+//  * all costs accrue into a CostBreakdown, and discounted at rate r into
+//    a second one;
+//  * simultaneous events fire in clock-row order (see BatchWorkspace::clock):
+//    leaves by index, then inspections, replacements, corrective renewal.
+//    Events at exactly the horizon still fire;
+//  * after each event the state settles: FDEP fixpoint, then acceleration
+//    factors, then the top-event edge.
 //
 // Randomness is counter-based (CounterStream, Philox-4x32-10): draw i of
-// trajectory t under seed s is the pure function philox(s, (t, i)), so a
-// trajectory's stream depends only on its own event sequence — never on
-// which lane, chunk, or thread ran it, nor on how many trajectories shared
-// the batch. Reports are therefore bit-identical at any lane width, chunk
-// size, and thread count by construction.
+// trajectory t under seed s is the pure function philox(s, (t, i)). A
+// trajectory draws its initial sojourns leaf by leaf, then one draw per
+// scheduled sojourn and per imperfect-inspection Bernoulli trial, so its
+// stream depends only on its own event sequence — never on which lane,
+// block, chunk or thread ran it. Reports are bit-identical at any thread
+// count and chunking by construction.
 //
-// The two engines implement the same semantics over the same distributions
-// but different RNG families, so their outputs agree statistically, not
-// bit-wise; FmtSimulator remains the reference oracle (equivalence is
-// enforced by tests/smc/engine_equivalence_test.cpp).
+// Execution: the mutable state of a block of lanes lives in flat
+// per-field arrays (phase, acceleration, next-event clock, ...), so
+//  * event selection is a branch-free min-scan over the lane's clock row —
+//    cancellation is a plain store;
+//  * sojourns come from flat per-(leaf, phase) sampler rows (SojournSampler)
+//    and the initial firing times of a whole block are sampled in one pass;
+//  * gates are evaluated incrementally (GateEvaluator, one State per lane),
+//    so a leaf flip costs O(changed region), and events that cannot change
+//    a failure flag (phase advances, repairs, inspections) skip the FDEP and
+//    top-event parts of the settle, which they provably leave unchanged.
 #pragma once
 
-#include <array>
+#include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "fmt/fmtree.hpp"
-#include "sim/fmt_executor.hpp"
+#include "fmtree/run_settings.hpp"
+#include "lang/runtime.hpp"
 #include "sim/gate_eval.hpp"
+#include "sim/sampler.hpp"
 #include "util/rng.hpp"
 
 namespace fmtree::sim {
 
-/// All mutable state of one BatchExecutor::run call, reusable across batches
-/// (one per worker thread): SoA field arrays sized lanes x leaves, per-lane
-/// gate states and counter streams, and the per-lane results. Like
-/// SimWorkspace, a workspace carries nothing between runs and may be handed
-/// to executors of different models — run() resizes everything to fit.
+/// One system-level failure during a trajectory.
+struct FailureRecord {
+  double time = 0.0;
+  /// Leaf index (model.leaves() order) whose phase transition triggered the
+  /// top event — the proximate cause used for incident attribution.
+  std::uint32_t cause_leaf = 0;
+};
+
+struct TrajectoryResult {
+  double horizon = 0.0;
+  /// Time of the first top-event failure; +infinity if none before horizon.
+  double first_failure_time = std::numeric_limits<double>::infinity();
+  std::uint64_t failures = 0;
+  double downtime = 0.0;
+  fmt::CostBreakdown cost;
+  /// Net-present-value costs: each accrual weighted by exp(-r * t) with
+  /// r = SimOptions::discount_rate. Equals `cost` when the rate is zero.
+  fmt::CostBreakdown discounted_cost;
+  std::uint64_t inspections = 0;   ///< inspection rounds performed
+  std::uint64_t repairs = 0;       ///< condition-based repair actions
+  std::uint64_t replacements = 0;  ///< planned replacement rounds
+  std::uint64_t events = 0;        ///< discrete events processed (perf metric)
+  /// Per-leaf count of condition-based repairs (model.leaves() order).
+  std::vector<std::uint64_t> repairs_per_leaf;
+  /// Per-leaf count of system failures attributed to the leaf.
+  std::vector<std::uint64_t> failures_per_leaf;
+  /// Filled when SimOptions::record_failure_log is set.
+  std::vector<FailureRecord> failure_log;
+
+  bool survived() const noexcept {
+    return first_failure_time > horizon;
+  }
+};
+
+/// Per-run simulator options. Embeds fmtree::RunSettings: the simulators
+/// honor `horizon` and (through ParallelRunner) `telemetry`; seed/threads/
+/// control are consumed by the batch drivers — stream identity always comes
+/// from the (seed, index) pair handed to run().
+struct SimOptions : fmtree::RunSettings {
+  /// The single-trajectory default horizon stays 1.0 (the batch layers
+  /// always set it explicitly from their own settings).
+  SimOptions() noexcept { horizon = 1.0; }
+
+  bool record_failure_log = false;
+  /// Cap on the total number of FailureRecord entries a ParallelRunner batch
+  /// retains across all trajectories when record_failure_log is set.
+  /// Trajectory logs that would exceed the cap are dropped whole and the
+  /// batch is flagged failure_logs_truncated; per-trajectory statistics are
+  /// unaffected (logs are auxiliary). Which logs near the boundary are
+  /// dropped depends on thread scheduling; at one thread the retained set is
+  /// the deterministic index-order prefix that fits.
+  std::uint64_t failure_log_cap = std::uint64_t{1} << 24;
+  /// Continuous discount rate r for net-present-value cost accounting:
+  /// a cost c at time t contributes c * exp(-r t) to discounted_cost.
+  double discount_rate = 0.0;
+  /// Scripted maintenance policy bound to *this simulator's model* (which
+  /// must already be the lang::apply_policy transform of the original).
+  /// When set, inspection events run the compiled rules through the
+  /// executor-callback host instead of the built-in threshold sweep.
+  /// The BoundPolicy (and the CompiledPolicy it references) must outlive
+  /// every run. nullptr = built-in semantics.
+  const lang::BoundPolicy* bound_policy = nullptr;
+};
+
+/// All mutable state of one block of lanes, reusable across blocks (one per
+/// worker thread): SoA field arrays sized lanes x leaves, per-lane gate
+/// states and counter streams, and the per-lane results. A workspace carries
+/// nothing between blocks and may be handed to executors of different
+/// models — every block resizes it to fit.
 struct BatchWorkspace {
   // Lane-major SoA rows: field[lane * num_leaves + leaf].
   std::vector<std::int32_t> phase;
@@ -70,52 +159,48 @@ struct BatchWorkspace {
   std::vector<CounterStream> rng;
   /// Per-lane scripted-policy VM states (sized only when a policy runs).
   std::vector<lang::PolicyState> policy;
-  /// Per-lane trajectory results, valid for lanes [0, n) after run().
+  /// Per-lane trajectory results of the current block.
   std::vector<TrajectoryResult> results;
 };
 
-/// Executes lane batches of trajectories of one FMT. Immutable after
-/// construction; run() is const and re-entrant, so one instance is shared
-/// across threads (each thread owning its BatchWorkspace).
+/// Executes trajectories of one FMT. Immutable after construction; run() is
+/// const and re-entrant, so one instance is shared across threads (each
+/// thread owning its BatchWorkspace).
 class BatchExecutor {
 public:
-  /// Lanes per batch when RunSettings::lane_width is 0. Wide enough to
-  /// amortize batch setup and keep the initial sampling pass long, small
-  /// enough that a batch's SoA state stays cache-resident.
-  static constexpr unsigned kDefaultLaneWidth = 16;
-
   /// Validates the model and compiles it into flat tables. The model must
   /// outlive the executor.
   explicit BatchExecutor(const fmt::FaultMaintenanceTree& model);
 
-  /// Simulates trajectories [first, first + n) — lane L running stream
-  /// CounterStream(seed, first + L) — and leaves per-trajectory results in
-  /// ws.results[0..n). Honors horizon / discount_rate / record_failure_log
-  /// from `opts`; reference_engine is meaningless here and ignored; traces
-  /// are unsupported (throws DomainError when opts.trace is set).
-  void run(std::uint64_t seed, std::uint64_t first, std::uint32_t n,
-           const SimOptions& opts, BatchWorkspace& ws) const;
+  /// Simulates trajectories [first, first + count), trajectory i on
+  /// CounterStream(seed, i), one block of lanes at a time. After each block
+  /// on_block(index, results) receives the index of the block's first
+  /// trajectory and the block's results (valid until the next block; the
+  /// callee may move from them). Returning false stops before the next
+  /// block. Honors horizon, discount_rate, record_failure_log and
+  /// bound_policy from `opts`.
+  template <class OnBlock>
+  void run(std::uint64_t seed, std::uint64_t first, std::uint64_t count,
+           const SimOptions& opts, BatchWorkspace& ws, OnBlock&& on_block) const {
+    for (std::uint64_t done = 0; done < count;) {
+      const auto n =
+          static_cast<std::uint32_t>(std::min<std::uint64_t>(kLanes, count - done));
+      run_block(seed, first + done, n, opts, ws);
+      if (!on_block(first + done, std::span<TrajectoryResult>(ws.results.data(), n)))
+        return;
+      done += n;
+    }
+  }
 
   const fmt::FaultMaintenanceTree& model() const noexcept { return model_; }
 
 private:
-  /// One (leaf, phase) sojourn sampler: Distribution flattened to a kind tag
-  /// plus two parameters, so the hot loop switches instead of std::visit-ing.
-  struct Sampler {
-    enum class Kind : std::uint8_t {
-      Exponential,    ///< a = rate
-      Erlang,         ///< a = rate, b = shape
-      Weibull,        ///< a = shape, b = scale
-      Lognormal,      ///< a = mu, b = sigma
-      Uniform,        ///< a = lo, b = hi
-      Deterministic,  ///< a = value (+infinity = never)
-    };
-    Kind kind = Kind::Deterministic;
-    double a = 0.0;
-    double b = 0.0;
-  };
+  /// Lanes per block: wide enough to amortize block setup and keep the
+  /// initial sampling pass long, small enough that a block's SoA state stays
+  /// cache-resident. Execution-only — results do not depend on it.
+  static constexpr std::uint32_t kLanes = 16;
 
-  /// Hot-loop form of one rate dependency (mirrors FmtSimulator::RdepInfo).
+  /// Hot-loop form of one rate dependency (no strings, ids pre-resolved).
   struct RdepInfo {
     std::uint32_t trigger_node = 0;
     std::uint32_t trigger_leaf = 0;  ///< valid iff trigger_phase >= 1
@@ -138,39 +223,20 @@ private:
     std::uint32_t targets_begin = 0, targets_end = 0;  ///< into repl_targets_
   };
 
-  /// Ziggurat sampler for Exp(1) (Marsaglia & Tsang 2000, 256 layers): one
-  /// 32-bit draw, a table compare and a multiply produce ~98% of samples
-  /// without ever calling log() — the scalar engine's inversion method
-  /// (-log(u)/rate) spends most of its sampling time in exactly that log.
-  /// An exact method, not an approximation: the accepted values follow
-  /// Exp(1) precisely, rejections fall through to the wedge/tail tests.
-  class ExpZiggurat {
-  public:
-    ExpZiggurat() noexcept;
-    double sample(CounterStream& rng) const noexcept;
-
-  private:
-    std::array<std::uint32_t, 256> ke_;  ///< acceptance thresholds
-    std::array<double, 256> we_;         ///< layer widths (x scale / 2^32)
-    std::array<double, 256> fe_;         ///< f(x_i) = exp(-x_i)
-  };
-
   struct LaneContext;  // per-lane view over the workspace rows (in .cpp)
 
-  double sample_sojourn(std::uint32_t leaf, std::int32_t phase,
-                        CounterStream& rng) const;
+  /// Simulates the n <= kLanes trajectories [first, first + n) into
+  /// ws.results[0..n).
+  void run_block(std::uint64_t seed, std::uint64_t first, std::uint32_t n,
+                 const SimOptions& opts, BatchWorkspace& ws) const;
   void simulate_lane(LaneContext& lane, const SimOptions& opts) const;
 
   const fmt::FaultMaintenanceTree& model_;
   GateEvaluator eval_;
-  ExpZiggurat zig_;
+  SojournSampler sampler_;
   std::uint32_t top_node_ = 0;
   std::uint32_t num_leaves_ = 0;
 
-  // Per (leaf, phase) samplers: phase p of leaf l at
-  // samplers_[sampler_begin_[l] + p - 1].
-  std::vector<Sampler> samplers_;
-  std::vector<std::uint32_t> sampler_begin_;
   std::vector<std::int32_t> num_phases_;  // per leaf
   std::vector<std::int32_t> threshold_;   // per leaf: inspection threshold phase
   std::vector<double> repair_cost_;       // per leaf

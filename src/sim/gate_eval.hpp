@@ -1,6 +1,6 @@
 // Incremental evaluation of a fault tree's boolean structure.
 //
-// The discrete-event executor flips one leaf at a time (a phase transition
+// The trajectory kernel flips one leaf at a time (a phase transition
 // failing a leaf, a repair restoring it, an FDEP cascade); recomputing every
 // gate on each flip costs O(nodes) per event. GateEvaluator instead keeps a
 // failed-child counter per gate and propagates a flip only along paths whose
@@ -45,17 +45,6 @@ public:
   /// change upward. No-op if the leaf already has that value.
   void set_leaf(State& s, std::uint32_t leaf, bool failed) const;
 
-  /// Reference path: full bottom-up re-evaluation of every gate from the
-  /// leaf values currently in `s.node_true`, rebuilding the counters. Used
-  /// by the pre-incremental benchmark baseline and as the test oracle.
-  void recompute(State& s) const;
-
-  /// Writes a leaf value without propagating (reference path only; follow
-  /// with recompute()).
-  void set_leaf_raw(State& s, std::uint32_t leaf, bool failed) const {
-    s.node_true[leaf_nodes_[leaf]] = failed ? 1 : 0;
-  }
-
   bool value(const State& s, ft::NodeId node) const {
     return s.node_true[node.value] != 0;
   }
@@ -68,6 +57,10 @@ public:
   std::uint32_t leaf_node(std::uint32_t leaf) const { return leaf_nodes_[leaf]; }
 
 private:
+  /// Full bottom-up re-evaluation of every gate from the leaf values in
+  /// `s.node_true`, rebuilding the counters.
+  void recompute(State& s) const;
+
   // Per node: firing threshold on the failed-child counter; leaves get a
   // sentinel of INT32_MAX so they can never fire from a counter.
   std::vector<std::int32_t> thresholds_;

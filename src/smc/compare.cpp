@@ -14,10 +14,8 @@ PairedComparison compare_models(const fmt::FaultMaintenanceTree& a,
                                 const AnalysisSettings& settings) {
   if (!(settings.horizon > 0)) throw DomainError("horizon must be positive");
   if (settings.trajectories == 0) throw DomainError("need at least one trajectory");
-  const sim::FmtSimulator sim_a(a);
-  const sim::FmtSimulator sim_b(b);
-  const ParallelRunner runner_a(sim_a, settings.threads);
-  const ParallelRunner runner_b(sim_b, settings.threads);
+  const ParallelRunner runner_a(a, settings.threads);
+  const ParallelRunner runner_b(b, settings.threads);
   sim::SimOptions opts;
   opts.horizon = settings.horizon;
 
@@ -48,8 +46,7 @@ std::vector<double> failure_time_quantiles(const fmt::FaultMaintenanceTree& mode
   if (probabilities.empty()) throw DomainError("need at least one probability");
   for (double p : probabilities)
     if (!(p >= 0 && p <= 1)) throw DomainError("quantile probability outside [0,1]");
-  const sim::FmtSimulator simulator(model);
-  const ParallelRunner runner(simulator, settings.threads);
+  const ParallelRunner runner(model, settings.threads);
   sim::SimOptions opts;
   opts.horizon = settings.horizon;
   const BatchResult batch = runner.run(settings.seed, 0, settings.trajectories, opts);

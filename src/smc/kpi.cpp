@@ -29,18 +29,17 @@ BatchResult collect(const fmt::FaultMaintenanceTree& model, const AnalysisSettin
                     double horizon, bool record_failure_log = false) {
   auto build_span = obs::maybe_span(s.telemetry.tracer, "build");
   // Scripted policy: simulate the apply_policy transform of the model (its
-  // calendars as inspection modules) and hand both engines the bound policy.
+  // calendars as inspection modules) and hand the kernel the bound policy.
   // The transform and binding live here — the single funnel every analysis
-  // entry point (KPIs, curves, MTTF) and both engines run through.
+  // entry point (KPIs, curves, MTTF) runs through.
   std::optional<fmt::FaultMaintenanceTree> transformed;
   std::optional<lang::BoundPolicy> bound;
   if (s.policy) {
     transformed.emplace(lang::apply_policy(*s.policy, model));
     bound.emplace(lang::bind_policy(*s.policy, *transformed));
   }
-  const sim::FmtSimulator simulator(transformed ? *transformed : model);
+  const ParallelRunner runner(transformed ? *transformed : model, s.threads);
   build_span.close();
-  const ParallelRunner runner(simulator, s.threads);
   sim::SimOptions opts;
   static_cast<RunSettings&>(opts) = s;  // horizon overridden below
   opts.horizon = horizon;

@@ -1,20 +1,20 @@
 // Deterministic multi-threaded Monte-Carlo execution of FMT trajectories.
 //
-// Trajectory i always draws from RandomStream(seed, i), independent of the
+// Trajectory i always draws from CounterStream(seed, i), independent of the
 // thread that runs it, and floating-point aggregation happens sequentially
 // over the index-ordered summaries — so every statistic is bit-for-bit
 // reproducible at any thread count.
 //
-// Each worker thread owns one sim::SimWorkspace reused across all its
-// trajectories, so a batch of millions of runs performs no per-trajectory
-// allocation in the simulator (the determinism contract is unaffected:
-// workspaces carry no state between trajectories).
+// Each worker thread owns one sim::BatchWorkspace reused across all its
+// blocks, so a batch of millions of runs performs no per-trajectory
+// allocation in the kernel (the determinism contract is unaffected:
+// workspaces carry no state between blocks).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "sim/fmt_executor.hpp"
+#include "sim/batch_executor.hpp"
 #include "smc/run_control.hpp"
 
 namespace fmtree::smc {
@@ -54,14 +54,18 @@ struct BatchResult {
   StopReason stop_reason = StopReason::None;
 };
 
+/// The summary of one trajectory result.
+TrajectorySummary summarize(const sim::TrajectoryResult& r);
+
 class ParallelRunner {
 public:
+  /// Builds the kernel for `model` (which must outlive the runner) once;
   /// `threads == 0` selects std::thread::hardware_concurrency().
-  explicit ParallelRunner(const sim::FmtSimulator& simulator, unsigned threads = 0);
+  explicit ParallelRunner(const fmt::FaultMaintenanceTree& model, unsigned threads = 0);
 
   /// Runs trajectories with stream ids [first, first+count) under `seed`.
   ///
-  /// With a RunControl, workers poll it between trajectories; on a stop the
+  /// With a RunControl, workers poll it between kernel blocks; on a stop the
   /// batch is cut to the longest fully-completed index prefix, so every
   /// delivered statistic is exact for the streams it covers — identical to
   /// running the same seed over just those streams. Without one (`control ==
@@ -69,15 +73,8 @@ public:
   ///
   /// Telemetry rides in `opts.telemetry`: smc.* counters and the
   /// events-per-trajectory histogram accumulate per worker and merge at the
-  /// end of the batch; a ProgressReporter is polled between trajectories.
+  /// end of the batch; a ProgressReporter is polled between blocks.
   /// Telemetry reads counters only — enabling it changes no result bit.
-  ///
-  /// The trajectory kernel is selected by `opts.engine` (resolved through
-  /// FMTREE_ENGINE when Default). The scalar engine runs trajectory i on
-  /// RandomStream(seed, first + i); the batch engine runs lane batches of
-  /// sim::BatchExecutor on CounterStream(seed, first + i). Either way the
-  /// result is bit-identical at any thread count; the batch engine is
-  /// additionally invariant to lane width (opts.lane_width) and chunking.
   BatchResult run(std::uint64_t seed, std::uint64_t first, std::uint64_t count,
                   const sim::SimOptions& opts,
                   const RunControl* control = nullptr) const;
@@ -85,11 +82,7 @@ public:
   unsigned threads() const noexcept { return threads_; }
 
 private:
-  BatchResult run_batch(std::uint64_t seed, std::uint64_t first,
-                        std::uint64_t count, const sim::SimOptions& opts,
-                        const RunControl* control) const;
-
-  const sim::FmtSimulator& simulator_;
+  sim::BatchExecutor executor_;
   unsigned threads_;
 };
 

@@ -147,41 +147,19 @@ TEST(SettingsFingerprint, SensitiveToResultRelevantFieldsOnly) {
   EXPECT_NE(adaptive_base, settings_fingerprint(adaptive));
 }
 
+// Cache-key continuity across the retirement of the scalar engine. The
+// hexes below are what the previous release minted for the same inputs:
+// with the batch kernel selected (which every key now equals, so its disk
+// caches keep hitting) and with the scalar engine (whose entries must miss).
 TEST(SettingsFingerprint, EngineIdentitySeparatesCacheEntries) {
   smc::AnalysisSettings s;
   s.horizon = 20.0;
   s.trajectories = 1000;
   s.seed = 42;
-
-  smc::AnalysisSettings scalar = s;
-  scalar.engine = Engine::Scalar;
-  smc::AnalysisSettings batch = s;
-  batch.engine = Engine::Batch;
-
-  // The engines draw different random numbers, so a cached scalar result
-  // must never answer a batch request (or vice versa).
-  EXPECT_NE(settings_fingerprint(scalar), settings_fingerprint(batch));
-
-  // Default resolves through FMTREE_ENGINE before hashing: the key depends
-  // on which kernel actually runs, not on how it was spelled.
-  smc::AnalysisSettings dflt = s;
-  dflt.engine = Engine::Default;
-  EXPECT_EQ(settings_fingerprint(dflt),
-            settings_fingerprint(resolve_engine(Engine::Default) == Engine::Batch
-                                     ? batch
-                                     : scalar));
-
-  // Lane width and threads are execution-only on both engines: reports are
-  // bit-identical at any value, so neither may move the key.
-  const auto with = [](smc::AnalysisSettings t, auto&& mutate) {
-    mutate(t);
-    return settings_fingerprint(t);
-  };
-  EXPECT_EQ(settings_fingerprint(batch),
-            with(batch, [](auto& t) { t.lane_width = 64; }));
-  EXPECT_EQ(settings_fingerprint(batch), with(batch, [](auto& t) { t.threads = 8; }));
-  EXPECT_EQ(settings_fingerprint(scalar),
-            with(scalar, [](auto& t) { t.lane_width = 64; }));
+  EXPECT_EQ(settings_fingerprint(s).hex(), "3d893346335fd0218aac0fbef3b8dcb4");
+  EXPECT_NE(settings_fingerprint(s).hex(), "c8d57fd35240ec52f373ce2a7c9e2549");
+  s.threads = 8;  // execution-only: never moves the key
+  EXPECT_EQ(settings_fingerprint(s).hex(), "3d893346335fd0218aac0fbef3b8dcb4");
 }
 
 TEST(CacheKey, EnginesNeverShareACacheEntry) {
@@ -189,15 +167,11 @@ TEST(CacheKey, EnginesNeverShareACacheEntry) {
   smc::AnalysisSettings s;
   s.horizon = 10.0;
   s.trajectories = 100;
-  smc::AnalysisSettings scalar = s;
-  scalar.engine = Engine::Scalar;
-  smc::AnalysisSettings batch = s;
-  batch.engine = Engine::Batch;
-  const CacheKey a = kpi_cache_key(m, scalar);
-  const CacheKey b = kpi_cache_key(m, batch);
-  EXPECT_EQ(a.model, b.model);      // same model either way
-  EXPECT_NE(a.request, b.request);  // different kernel, different entry
-  EXPECT_NE(a.id(), b.id());
+  const CacheKey key = kpi_cache_key(m, s);
+  EXPECT_EQ(key.id(),
+            "18fff6c30c7ebaf75e4a8fb5565bc4d1-7d227af647452d19375a5a1bccd659fb");
+  EXPECT_NE(key.id(),
+            "18fff6c30c7ebaf75e4a8fb5565bc4d1-ccd22d97c34c4527bb1ad1fb38b26072");
 }
 
 TEST(CacheKey, SeparatesModelAndRequest) {

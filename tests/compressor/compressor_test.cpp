@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../sim/sim_testing.hpp"
 #include "ft/cutsets.hpp"
 #include "smc/kpi.hpp"
 #include "util/error.hpp"
@@ -115,12 +116,10 @@ TEST(Compressor, TimedRepairsAccountedInTrace) {
   // The wear-part repairs carry durations; they must appear as
   // started-then-completed pairs.
   const auto m = build_compressor(CompressorParameters::defaults(), current_plan());
-  const sim::FmtSimulator simulator(m);
   sim::Trace trace;
   sim::SimOptions opts;
   opts.horizon = 60.0;
-  opts.trace = &trace;
-  (void)simulator.run(RandomStream(3, 3), opts);
+  (void)sim_test::checked_run(m, 3, 3, opts, &trace);
   const auto started = trace.of_kind(sim::TraceKind::RepairPerformed);
   const auto completed = trace.of_kind(sim::TraceKind::RepairCompleted);
   EXPECT_LE(completed.size(), started.size());

@@ -5,7 +5,7 @@
 #include <cmath>
 #include "analytic/fmt2ctmc.hpp"
 #include "fmt/parser.hpp"
-#include "sim/fmt_executor.hpp"
+#include "../sim/sim_testing.hpp"
 #include "smc/kpi.hpp"
 #include "util/error.hpp"
 
@@ -20,11 +20,9 @@ DegradationModel det_phases(int n, int threshold, double unit = 1.0) {
 
 sim::TrajectoryResult run_one(const FaultMaintenanceTree& m, double horizon,
                               sim::Trace* trace = nullptr) {
-  const sim::FmtSimulator simulator(m);
   sim::SimOptions opts;
   opts.horizon = horizon;
-  opts.trace = trace;
-  return simulator.run(RandomStream(1, 0), opts);
+  return sim_test::checked_run(m, 1, 0, opts, trace);
 }
 
 // ---- FDEP model validation ----------------------------------------------------

@@ -8,7 +8,7 @@
 #include "eijoint/model.hpp"
 #include "eijoint/scenarios.hpp"
 #include "fmt/parser.hpp"
-#include "sim/fmt_executor.hpp"
+#include "../sim/sim_testing.hpp"
 
 namespace fmtree {
 namespace {
@@ -69,15 +69,13 @@ class TrajectoryInvariants
 TEST_P(TrajectoryInvariants, Hold) {
   const auto& [name, seed] = GetParam();
   const fmt::FaultMaintenanceTree model = make_model(name);
-  const sim::FmtSimulator simulator(model);
   const double horizon = 25.0;
   sim::SimOptions opts;
   opts.horizon = horizon;
   opts.record_failure_log = true;
   opts.discount_rate = 0.05;
 
-  for (std::uint64_t stream = 0; stream < 40; ++stream) {
-    const sim::TrajectoryResult r = simulator.run(RandomStream(seed, stream), opts);
+  for (const sim::TrajectoryResult& r : sim_test::kernel_run(model, seed, 0, 40, opts)) {
     // Failure accounting is internally consistent.
     ASSERT_EQ(r.failure_log.size(), r.failures);
     std::uint64_t attributed = 0;

@@ -142,7 +142,6 @@ corrective cost=100;
 smc::AnalysisSettings settings_with(std::shared_ptr<const CompiledPolicy> p) {
   smc::AnalysisSettings s;
   s.trajectories = 100;
-  s.engine = Engine::Scalar;
   s.policy = std::move(p);
   return s;
 }

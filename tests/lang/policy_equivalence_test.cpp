@@ -1,8 +1,8 @@
 // The headline acceptance property of the policy DSL: the scripted periodic
 // policy (examples/policies/periodic.mpl) produces bitwise-identical KPIs
-// to the model's built-in periodic inspection, on both engines, at any
-// thread count and lane width — because policy evaluation draws no random
-// numbers and repairs flow through the engines' own bookkeeping.
+// to the model's built-in periodic inspection at any thread count — because
+// policy evaluation draws no random numbers and repairs flow through the
+// kernel's own bookkeeping.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -62,83 +62,62 @@ void expect_identical(const smc::KpiReport& a, const smc::KpiReport& b) {
   }
 }
 
-smc::AnalysisSettings settings(Engine engine, unsigned threads,
-                               unsigned lane_width) {
+smc::AnalysisSettings settings(unsigned threads) {
   smc::AnalysisSettings s;
   s.horizon = 10.0;
   s.trajectories = 600;
   s.seed = 7;
-  s.engine = engine;
   s.threads = threads;
-  s.lane_width = lane_width;
   return s;
 }
 
 TEST(PolicyEquivalence, ScriptedPeriodicMatchesBuiltInBitwise) {
   const fmt::FaultMaintenanceTree model = ei_joint();
   const auto periodic = example("periodic.mpl");
-
-  struct Config {
-    Engine engine;
-    unsigned threads;
-    unsigned lane_width;
-  };
-  const Config configs[] = {
-      {Engine::Scalar, 1, 0}, {Engine::Scalar, 4, 0},
-      {Engine::Batch, 1, 0},  {Engine::Batch, 4, 0},
-      {Engine::Batch, 2, 1},  {Engine::Batch, 3, 8},
-  };
-  for (const Config& c : configs) {
-    smc::AnalysisSettings builtin_settings = settings(c.engine, c.threads, c.lane_width);
+  for (const unsigned threads : {1u, 3u, 4u}) {
+    smc::AnalysisSettings builtin_settings = settings(threads);
     const smc::KpiReport builtin = smc::analyze(model, builtin_settings);
 
     smc::AnalysisSettings scripted_settings = builtin_settings;
     scripted_settings.policy = periodic;
     const smc::KpiReport scripted = smc::analyze(model, scripted_settings);
 
-    SCOPED_TRACE(::testing::Message()
-                 << engine_name(c.engine) << " threads=" << c.threads
-                 << " lanes=" << c.lane_width);
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     expect_identical(builtin, scripted);
   }
 }
 
 TEST(PolicyEquivalence, ScriptedRunsAreThreadCountInvariant) {
   // Determinism is inherited: a scripted run is bit-identical to itself at
-  // any thread count / lane width (per engine).
+  // any thread count.
   const fmt::FaultMaintenanceTree model = ei_joint();
   const auto policy = example("seasonal.mpl");
-  for (const Engine engine : {Engine::Scalar, Engine::Batch}) {
-    smc::AnalysisSettings a = settings(engine, 1, 1);
-    a.policy = policy;
-    smc::AnalysisSettings b = settings(engine, 4, 16);
-    b.policy = policy;
-    SCOPED_TRACE(engine_name(engine));
-    expect_identical(smc::analyze(model, a), smc::analyze(model, b));
-  }
+  smc::AnalysisSettings a = settings(1);
+  a.policy = policy;
+  smc::AnalysisSettings b = settings(4);
+  b.policy = policy;
+  expect_identical(smc::analyze(model, a), smc::analyze(model, b));
 }
 
 TEST(PolicyEquivalence, EveryExampleScriptExecutes) {
   const fmt::FaultMaintenanceTree model = ei_joint();
   for (const char* name :
        {"periodic.mpl", "condition_based.mpl", "opportunistic.mpl", "seasonal.mpl"}) {
-    for (const Engine engine : {Engine::Scalar, Engine::Batch}) {
-      smc::AnalysisSettings s = settings(engine, 0, 0);
-      s.trajectories = 200;
-      s.policy = example(name);
-      const smc::KpiReport report = smc::analyze(model, s);
-      SCOPED_TRACE(::testing::Message() << name << " on " << engine_name(engine));
-      EXPECT_EQ(report.trajectories, 200u);
-      EXPECT_GT(report.total_cost.point, 0.0);
-      EXPECT_TRUE(std::isfinite(report.cost_per_year.point));
-    }
+    smc::AnalysisSettings s = settings(0);
+    s.trajectories = 200;
+    s.policy = example(name);
+    const smc::KpiReport report = smc::analyze(model, s);
+    SCOPED_TRACE(name);
+    EXPECT_EQ(report.trajectories, 200u);
+    EXPECT_GT(report.total_cost.point, 0.0);
+    EXPECT_TRUE(std::isfinite(report.cost_per_year.point));
   }
 }
 
 TEST(PolicyEquivalence, PolicyChangesTheResult) {
   // Sanity: the scripted condition-based policy is NOT the built-in one.
   const fmt::FaultMaintenanceTree model = ei_joint();
-  smc::AnalysisSettings plain = settings(Engine::Scalar, 0, 0);
+  smc::AnalysisSettings plain = settings(0);
   smc::AnalysisSettings scripted = plain;
   scripted.policy = example("condition_based.mpl");
   EXPECT_NE(smc::analyze(model, plain).total_cost.point,

@@ -118,10 +118,6 @@ TEST(TelemetryDeterminism, MetricsJsonMatchesGoldenFile) {
   const fmt::FaultMaintenanceTree model = fmt::parse_fmt(kModel);
   obs::MetricsRegistry metrics;
   AnalysisSettings s = base_settings(2);
-  // The golden file records the scalar engine's event counts; the batch
-  // engine draws a different (statistically equivalent) trajectory set, so
-  // pin the kernel regardless of the FMTREE_ENGINE process default.
-  s.engine = Engine::Scalar;
   s.telemetry.metrics = &metrics;
   analyze(model, s);
 

@@ -114,6 +114,26 @@ TEST(ServeRequest, StableDiagnosticCodes) {
             "R112");
 }
 
+TEST(ServeRequest, RemovedEngineFieldIsRejectedWithAHint) {
+  // The schema once carried settings.engine; with one trajectory engine the
+  // field is gone, and a client still sending it learns which field to drop.
+  for (const char* engine : {"batch", "scalar", "default"}) {
+    try {
+      parse_request(std::string(R"({"schema": "fmtree.request/v1",
+                                    "model": {"ref": "x"},
+                                    "settings": {"engine": ")") +
+                    engine + R"("}})");
+      ADD_FAILURE() << "settings.engine = " << engine << " was accepted";
+    } catch (const RequestError& e) {
+      EXPECT_EQ(e.code(), "R112");
+      ASSERT_EQ(e.diagnostics().size(), 1u);
+      EXPECT_NE(e.diagnostics()[0].message.find("settings.engine"), std::string::npos);
+      EXPECT_NE(e.diagnostics()[0].hint.find("settings.engine"), std::string::npos);
+    }
+  }
+  EXPECT_EQ(encode_request(sweep_request()).find("engine"), std::string::npos);
+}
+
 TEST(ServeRequest, PrepareExpandsThePolicyGridWithCliIdenticalLabels) {
   const PreparedRequest prepared = prepare(sweep_request(), "models");
   ASSERT_EQ(prepared.jobs.size(), 3u);

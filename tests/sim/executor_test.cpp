@@ -1,9 +1,10 @@
-// Semantic tests of the FMT executor. Deterministic phase durations make
+// Semantic tests of the FMT semantics. Deterministic phase durations make
 // every event time exact, so assertions are sharp rather than statistical.
-#include "sim/fmt_executor.hpp"
-
+// Each run goes through the reference simulator (which records traces) and
+// is checked bit for bit against the kernel.
 #include <gtest/gtest.h>
 
+#include "sim_testing.hpp"
 #include "util/error.hpp"
 
 namespace fmtree::sim {
@@ -27,13 +28,10 @@ DegradationModel det_phases(int n, int threshold, double unit = 1.0) {
 }
 
 TrajectoryResult run(const FaultMaintenanceTree& m, double horizon,
-                     Trace* trace = nullptr, bool log = false) {
-  const FmtSimulator simulator(m);
+                     Trace* trace = nullptr) {
   SimOptions opts;
   opts.horizon = horizon;
-  opts.trace = trace;
-  opts.record_failure_log = log;
-  return simulator.run(RandomStream(1, 0), opts);
+  return sim_test::checked_run(m, 1, 0, opts, trace);
 }
 
 TEST(Executor, UnmaintainedDeterministicFailureTime) {
@@ -194,11 +192,10 @@ TEST(Executor, CauseAttributionInFailureLog) {
   const NodeId b = m.add_ebe("slow", det_phases(1, 2, 5.0));
   m.set_top(m.add_or("top", {a, b}));
   m.set_corrective(CorrectivePolicy{true, 0.0, 0, 0});
-  const FmtSimulator simulator(m);
   SimOptions opts;
   opts.horizon = 3.5;
   opts.record_failure_log = true;
-  const TrajectoryResult r = simulator.run(RandomStream(1, 0), opts);
+  const TrajectoryResult r = sim_test::checked_run(m, 1, 0, opts);
   // Renewal cycle of 'fast': failures at 1, 2, 3 - all caused by leaf 0.
   ASSERT_EQ(r.failure_log.size(), 3u);
   for (const FailureRecord& f : r.failure_log) EXPECT_EQ(f.cause_leaf, 0u);
@@ -244,11 +241,11 @@ TEST(Executor, SameStreamSameResult) {
   m.set_top(m.add_or("top", {a, b}));
   m.add_inspection(InspectionModule{"insp", 0.5, -1, 10, {a}});
   m.set_corrective(CorrectivePolicy{true, 0.1, 1000, 100});
-  const FmtSimulator simulator(m);
+  const Reference reference(m);
   SimOptions opts;
   opts.horizon = 50.0;
-  const TrajectoryResult r1 = simulator.run(RandomStream(9, 7), opts);
-  const TrajectoryResult r2 = simulator.run(RandomStream(9, 7), opts);
+  const TrajectoryResult r1 = reference.run(9, 7, opts);
+  const TrajectoryResult r2 = reference.run(9, 7, opts);
   EXPECT_EQ(r1.failures, r2.failures);
   EXPECT_DOUBLE_EQ(r1.first_failure_time, r2.first_failure_time);
   EXPECT_DOUBLE_EQ(r1.cost.total(), r2.cost.total());
@@ -258,10 +255,10 @@ TEST(Executor, SameStreamSameResult) {
 TEST(Executor, RejectsNonPositiveHorizon) {
   FaultMaintenanceTree m;
   m.set_top(m.add_ebe("a", det_phases(1, 2)));
-  const FmtSimulator simulator(m);
   SimOptions opts;
   opts.horizon = 0.0;
-  EXPECT_THROW(simulator.run(RandomStream(1, 0), opts), DomainError);
+  EXPECT_THROW(Reference(m).run(1, 0, opts), DomainError);
+  EXPECT_THROW(sim_test::kernel_run(m, 1, 0, 1, opts), DomainError);
 }
 
 TEST(Executor, FailureExactlyAtHorizonCounts) {

@@ -1,13 +1,14 @@
 // Randomized equivalence tests for the incremental gate evaluator.
 //
 // Two layers of defence:
-//  * GateEvaluator alone, against its own recompute() reference: random
-//    AND/OR/VOT DAGs (shared subtrees included) under long random leaf
-//    flip/repair sequences — every intermediate node_true state must match a
-//    full bottom-up re-evaluation of the same leaf values;
-//  * the whole executor: random FMT models with FDEPs, spares, RDEPs and
-//    maintenance, run in incremental and reference-evaluation mode — every
-//    TrajectoryResult field must agree bit-for-bit.
+//  * GateEvaluator alone, against the fault tree's own recursive structure
+//    function (ft::FaultTree::evaluate): random AND/OR/VOT DAGs (shared
+//    subtrees included) under long random leaf flip/repair sequences — every
+//    intermediate node_true state must match;
+//  * the whole kernel, whose settle is incremental, against sim::Reference,
+//    which re-evaluates every gate from scratch: random FMT models with
+//    FDEPs, spares, RDEPs and maintenance — every TrajectoryResult field must
+//    agree bit for bit.
 //
 // std::mt19937 is fully specified by the standard, so these "random" tests
 // are deterministic across platforms.
@@ -20,22 +21,12 @@
 #include <string>
 #include <vector>
 
-#include "fmt/fmtree.hpp"
-#include "sim/fmt_executor.hpp"
+#include "sim_testing.hpp"
 
 namespace fmtree::sim {
 namespace {
 
-using fmt::CorrectivePolicy;
-using fmt::DegradationModel;
-using fmt::FaultMaintenanceTree;
-using fmt::InspectionModule;
-using fmt::RepairSpec;
-using fmt::ReplacementModule;
-
-int pick(std::mt19937& rng, int lo, int hi) {  // inclusive bounds
-  return std::uniform_int_distribution<int>(lo, hi)(rng);
-}
+using sim_test::pick;
 
 /// Random monotone DAG: `num_leaves` basic events, then `num_gates` gates
 /// whose children are drawn (without replacement) from all earlier nodes —
@@ -76,24 +67,19 @@ TEST(GateEval, RandomFlipSequencesMatchFullReevaluation) {
 
     GateEvaluator::State incremental;
     eval.reset(incremental);
-    std::vector<char> leaf_vals(static_cast<std::size_t>(num_leaves), 0);
+    std::vector<bool> failed(static_cast<std::size_t>(num_leaves), false);
 
-    GateEvaluator::State reference;
     for (int step = 0; step < 400; ++step) {
       // A mix of flips (fail <-> repair) and redundant writes (no-ops).
       const auto leaf = static_cast<std::uint32_t>(pick(rng, 0, num_leaves - 1));
-      const bool fail =
-          pick(rng, 0, 3) != 0 ? leaf_vals[leaf] == 0 : leaf_vals[leaf] != 0;
-      leaf_vals[leaf] = fail ? 1 : 0;
+      const bool fail = pick(rng, 0, 3) != 0 ? !failed[leaf] : failed[leaf];
+      failed[leaf] = fail;
       eval.set_leaf(incremental, leaf, fail);
 
-      eval.reset(reference);
-      for (std::uint32_t l = 0; l < static_cast<std::uint32_t>(num_leaves); ++l)
-        eval.set_leaf_raw(reference, l, leaf_vals[l] != 0);
-      eval.recompute(reference);
-
-      ASSERT_EQ(incremental.node_true, reference.node_true)
-          << "seed " << seed << " step " << step;
+      for (std::uint32_t node = 0; node < tree.node_count(); ++node)
+        ASSERT_EQ(eval.value(incremental, ft::NodeId{node}),
+                  tree.evaluate(ft::NodeId{node}, failed))
+            << "seed " << seed << " step " << step << " node " << node;
       ASSERT_TRUE(eval.consistent(incremental)) << "seed " << seed << " step " << step;
     }
   }
@@ -120,98 +106,17 @@ TEST(GateEval, VotingThresholdEdges) {
   }
 }
 
-// ---- Executor-level equivalence ---------------------------------------------
-
-bool same_result(const TrajectoryResult& a, const TrajectoryResult& b) {
-  if (a.failure_log.size() != b.failure_log.size()) return false;
-  for (std::size_t i = 0; i < a.failure_log.size(); ++i) {
-    if (a.failure_log[i].time != b.failure_log[i].time ||
-        a.failure_log[i].cause_leaf != b.failure_log[i].cause_leaf)
-      return false;
-  }
-  return a.failures == b.failures && a.first_failure_time == b.first_failure_time &&
-         a.downtime == b.downtime && a.cost.total() == b.cost.total() &&
-         a.discounted_cost.total() == b.discounted_cost.total() &&
-         a.inspections == b.inspections && a.repairs == b.repairs &&
-         a.replacements == b.replacements && a.events == b.events &&
-         a.repairs_per_leaf == b.repairs_per_leaf &&
-         a.failures_per_leaf == b.failures_per_leaf;
-}
-
-/// Random FMT exercising every executor feature the evaluator interacts
-/// with: multi-phase leaves (some with timed repairs), a spare pool with
-/// dormancy, an FDEP cascade, event- and phase-triggered RDEPs, imperfect
-/// inspections, replacements and corrective renewal.
-FaultMaintenanceTree random_fmt(std::mt19937& rng) {
-  FaultMaintenanceTree m;
-  const int num_leaves = pick(rng, 4, 8);
-  std::vector<ft::NodeId> leaves;
-  for (int i = 0; i < num_leaves; ++i) {
-    const int phases = pick(rng, 1, 4);
-    const double mean = 0.5 + 0.25 * pick(rng, 0, 10);
-    RepairSpec repair{"fix", 10.0, pick(rng, 0, 2) == 0 ? 0.25 : 0.0};
-    leaves.push_back(
-        m.add_ebe("e" + std::to_string(i),
-                  DegradationModel::erlang(phases, mean, pick(rng, 1, phases)),
-                  repair));
-  }
-
-  // Two dedicated leaves form a warm spare pool.
-  const ft::NodeId sp0 = m.add_ebe("sp0", DegradationModel::erlang(2, 2.0, 1));
-  const ft::NodeId sp1 = m.add_ebe("sp1", DegradationModel::erlang(2, 2.0, 1));
-  const ft::NodeId spare = m.add_spare("pool", {sp0, sp1}, 0.25 * pick(rng, 0, 4));
-
-  // Random two-level structure over the plain leaves, with the spare mixed in.
-  std::vector<ft::NodeId> pool = leaves;
-  std::shuffle(pool.begin(), pool.end(), rng);
-  const std::size_t half = pool.size() / 2;
-  const ft::NodeId g1 =
-      m.add_or("g1", std::vector<ft::NodeId>(pool.begin(), pool.begin() + half));
-  const ft::NodeId g2 = m.add_voting(
-      "g2", pick(rng, 1, 2), std::vector<ft::NodeId>(pool.begin() + half, pool.end()));
-  const ft::NodeId top = pick(rng, 0, 1) ? m.add_and("top", {g1, g2, spare})
-                                         : m.add_or("top", {g1, g2, spare});
-  m.set_top(top);
-
-  // FDEP: the first gate knocks out a couple of leaves from the second half.
-  if (pick(rng, 0, 1)) m.add_fdep("cascade", g1, {pool[half], pool.back()});
-  // Event-triggered RDEP on the spare pool, phase-triggered RDEP off leaf 0.
-  m.add_rdep("stress", g2, {sp0, sp1}, 1.0 + 0.5 * pick(rng, 0, 4));
-  m.add_rdep("wear", leaves[0], {leaves[1]}, 2.0, 1);
-
-  m.add_inspection(InspectionModule{
-      "insp", 0.4 + 0.2 * pick(rng, 0, 4), -1.0, 5.0,
-      std::vector<ft::NodeId>(leaves.begin(), leaves.end()),
-      pick(rng, 0, 1) ? 1.0 : 0.8});
-  m.add_replacement(ReplacementModule{"renew", 2.0 + pick(rng, 0, 3), -1.0, 50.0,
-                                      {leaves[0], sp0, sp1}});
-  m.set_corrective(CorrectivePolicy{true, 0.1 * pick(rng, 0, 3), 100.0, 25.0});
-  return m;
-}
+// ---- Kernel-level equivalence ------------------------------------------------
 
 TEST(GateEval, ExecutorReferenceAndIncrementalEnginesAgreeBitForBit) {
-  for (unsigned seed = 0; seed < 10; ++seed) {
+  sim::SimOptions opts;
+  opts.horizon = 10.0;
+  opts.record_failure_log = true;
+  opts.discount_rate = 0.05;
+  for (unsigned seed = 0; seed < 50; ++seed) {
     std::mt19937 rng(seed);
-    const FaultMaintenanceTree model = random_fmt(rng);
-    const FmtSimulator simulator(model);
-
-    SimOptions fast;
-    fast.horizon = 25.0;
-    fast.record_failure_log = true;
-    fast.discount_rate = 0.05;
-    SimOptions reference = fast;
-    reference.reference_engine = true;
-
-    SimWorkspace ws;
-    for (std::uint64_t traj = 0; traj < 8; ++traj) {
-      const TrajectoryResult a = simulator.run(RandomStream(seed, traj), reference);
-      const TrajectoryResult b = simulator.run(RandomStream(seed, traj), fast);
-      const TrajectoryResult c = simulator.run(RandomStream(seed, traj), fast, ws);
-      EXPECT_TRUE(same_result(a, b)) << "seed " << seed << " trajectory " << traj;
-      EXPECT_TRUE(same_result(a, c)) << "seed " << seed << " trajectory " << traj
-                                     << " (reused workspace)";
-      EXPECT_GT(a.events, 0u);
-    }
+    const fmt::FaultMaintenanceTree model = sim_test::random_fmt(rng);
+    sim_test::expect_reference_agrees(model, opts, seed, 500);
   }
 }
 

@@ -2,7 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "fmt/parser.hpp"
-#include "sim/fmt_executor.hpp"
+#include "sim_testing.hpp"
 #include "util/error.hpp"
 
 namespace fmtree::sim {
@@ -22,11 +22,9 @@ DegradationModel det_phases(int n, int threshold, double unit = 1.0) {
 
 TrajectoryResult run(const FaultMaintenanceTree& m, double horizon,
                      Trace* trace = nullptr) {
-  const FmtSimulator simulator(m);
   SimOptions opts;
   opts.horizon = horizon;
-  opts.trace = trace;
-  return simulator.run(RandomStream(1, 0), opts);
+  return sim_test::checked_run(m, 1, 0, opts, trace);
 }
 
 TEST(TimedRepair, DegradationPausedDuringRepair) {
@@ -121,12 +119,10 @@ TEST(TimedRepair, ZeroDurationEqualsInstantSemantics) {
   };
   const FaultMaintenanceTree m0 = build(0.0);
   const FaultMaintenanceTree m0b = build(0.0);
-  const FmtSimulator s0(m0);  // the simulator keeps a reference to the model
-  const FmtSimulator s0b(m0b);
   SimOptions opts;
   opts.horizon = 50.0;
-  const TrajectoryResult a = s0.run(RandomStream(3, 1), opts);
-  const TrajectoryResult b = s0b.run(RandomStream(3, 1), opts);
+  const TrajectoryResult a = sim_test::checked_run(m0, 3, 1, opts);
+  const TrajectoryResult b = sim_test::checked_run(m0b, 3, 1, opts);
   EXPECT_EQ(a.failures, b.failures);
   EXPECT_EQ(a.repairs, b.repairs);
   EXPECT_DOUBLE_EQ(a.cost.total(), b.cost.total());

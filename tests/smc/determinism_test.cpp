@@ -1,5 +1,5 @@
 // Cross-thread determinism regression tests. The contract (smc/runner.hpp):
-// trajectory i always runs on RandomStream(seed, start + i), so every
+// trajectory i always runs on CounterStream(seed, start + i), so every
 // aggregate — analyze(), the failure-log-driven curves, adaptive batching —
 // is a pure function of (model, settings minus threads). These tests pin
 // that down with exact (bitwise) comparisons on the shipped EI-joint model.

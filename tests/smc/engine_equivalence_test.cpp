@@ -1,15 +1,13 @@
-// Scalar-vs-batch engine contract: the two trajectory kernels draw from
-// different RNG families (xoshiro streams vs Philox counter streams), so
-// their outputs are never compared bit-for-bit — the contract is
+// The kernel's statistical and determinism contract.
 //
-//  * statistical equivalence: on the case-study models every KPI estimated
-//    by one engine falls inside (overlaps) the other engine's confidence
-//    interval, because both implement the same FMT semantics;
-//  * per-engine determinism: the batch engine's report is bit-identical at
-//    any thread count, lane width, and chunk split (counter streams make
-//    trajectory i a pure function of (seed, i)); the scalar engine ignores
-//    the batch-only knobs entirely, so enabling them can never disturb the
-//    scalar goldens pinned in tests/integration/regression_test.cpp.
+//  * Statistical continuity: the kernel replaced a scalar engine that drew
+//    from a different RNG family (xoshiro streams). On the case-study models
+//    every KPI the kernel estimates must overlap the confidence interval the
+//    retired engine recorded at the same settings, pinned below — the
+//    semantics did not move when the engine changed, only the draws.
+//  * Determinism: the kernel's report is bit-identical at any thread count,
+//    lane-block width and chunk split (counter streams make trajectory i a
+//    pure function of (seed, i)).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,9 +17,8 @@
 #include <vector>
 
 #include "../batch/report_bits.hpp"
+#include "../sim/sim_testing.hpp"
 #include "fmt/parser.hpp"
-#include "sim/batch_executor.hpp"
-#include "sim/fmt_executor.hpp"
 #include "smc/kpi.hpp"
 #include "smc/runner.hpp"
 
@@ -35,43 +32,52 @@ fmt::FaultMaintenanceTree load_model(const std::string& name) {
   return fmt::parse_fmt(text.str());
 }
 
-bool overlaps(const ConfidenceInterval& a, const ConfidenceInterval& b) {
-  return a.lo <= b.hi && b.lo <= a.hi;
+bool overlaps(const ConfidenceInterval& a, double lo, double hi) {
+  return a.lo <= hi && lo <= a.hi;
 }
 
-AnalysisSettings base_settings(Engine engine) {
+/// 95% CIs the retired scalar engine recorded over 20000 trajectories
+/// (seed 20160628, horizon 10, one thread).
+struct RecordedKpis {
+  double reliability_lo, reliability_hi;
+  double failures_lo, failures_hi;
+  double availability_lo, availability_hi;
+  double cost_lo, cost_hi;
+};
+
+void expect_statistical_agreement(const std::string& model_name,
+                                  const RecordedKpis& scalar) {
   AnalysisSettings s;
   s.horizon = 10.0;
   s.trajectories = 20000;
   s.seed = 20160628;
   s.threads = 1;
-  s.engine = engine;
-  return s;
-}
-
-void expect_statistical_agreement(const std::string& model_name) {
-  const fmt::FaultMaintenanceTree model = load_model(model_name);
-  const KpiReport scalar = analyze(model, base_settings(Engine::Scalar));
-  const KpiReport batch = analyze(model, base_settings(Engine::Batch));
-  EXPECT_TRUE(overlaps(scalar.reliability, batch.reliability))
-      << scalar.reliability.point << " vs " << batch.reliability.point;
-  EXPECT_TRUE(overlaps(scalar.expected_failures, batch.expected_failures))
-      << scalar.expected_failures.point << " vs " << batch.expected_failures.point;
-  EXPECT_TRUE(overlaps(scalar.availability, batch.availability))
-      << scalar.availability.point << " vs " << batch.availability.point;
-  EXPECT_TRUE(overlaps(scalar.total_cost, batch.total_cost))
-      << scalar.total_cost.point << " vs " << batch.total_cost.point;
+  const KpiReport k = analyze(load_model(model_name), s);
+  EXPECT_TRUE(overlaps(k.reliability, scalar.reliability_lo, scalar.reliability_hi))
+      << k.reliability.point;
+  EXPECT_TRUE(overlaps(k.expected_failures, scalar.failures_lo, scalar.failures_hi))
+      << k.expected_failures.point;
+  EXPECT_TRUE(overlaps(k.availability, scalar.availability_lo, scalar.availability_hi))
+      << k.availability.point;
+  EXPECT_TRUE(overlaps(k.total_cost, scalar.cost_lo, scalar.cost_hi))
+      << k.total_cost.point;
 }
 
 TEST(EngineEquivalence, EiJointKpisAgreeStatistically) {
-  expect_statistical_agreement("ei_joint");
+  expect_statistical_agreement(
+      "ei_joint", {0.70975975451251005, 0.72225726670751333, 0.324874398185036,
+                   0.3408256018149613, 0.99931937212244382, 0.99935124458885571,
+                   12960.92052994066, 13115.141114411465});
 }
 
 TEST(EngineEquivalence, CompressorKpisAgreeStatistically) {
-  expect_statistical_agreement("compressor");
+  expect_statistical_agreement(
+      "compressor", {0.29319101560621519, 0.30588599085240675, 1.125389698935489,
+                     1.1535103010645094, 0.99425485263913616, 0.99439498213612643,
+                     61488.277946935363, 62423.1335025589});
 }
 
-// ---- Batch-engine determinism ----------------------------------------------
+// ---- Kernel determinism ------------------------------------------------------
 
 bool bitwise_equal(const TrajectorySummary& a, const TrajectorySummary& b) {
   using batch_test::same_bits;
@@ -97,30 +103,33 @@ bool bitwise_equal(const BatchResult& a, const BatchResult& b) {
 
 TEST(BatchDeterminism, ReportBitsInvariantToThreadCount) {
   const fmt::FaultMaintenanceTree model = load_model("ei_joint");
-  const sim::FmtSimulator simulator(model);
   sim::SimOptions opts;
   opts.horizon = 10.0;
-  opts.engine = Engine::Batch;
-  const BatchResult one = ParallelRunner(simulator, 1).run(99, 0, 2000, opts);
-  const BatchResult three = ParallelRunner(simulator, 3).run(99, 0, 2000, opts);
-  const BatchResult seven = ParallelRunner(simulator, 7).run(99, 0, 2000, opts);
+  const BatchResult one = ParallelRunner(model, 1).run(99, 0, 2000, opts);
+  const BatchResult three = ParallelRunner(model, 3).run(99, 0, 2000, opts);
+  const BatchResult seven = ParallelRunner(model, 7).run(99, 0, 2000, opts);
   EXPECT_TRUE(bitwise_equal(one, three));
   EXPECT_TRUE(bitwise_equal(one, seven));
 }
 
 TEST(BatchDeterminism, ReportBitsInvariantToLaneWidth) {
+  // A run of n trajectories simulates its first block with min(n, lanes)
+  // lanes, so slicing the range into runs of width w exercises blocks of
+  // every width up to the kernel's own — the bits must not notice.
   const fmt::FaultMaintenanceTree model = load_model("ei_joint");
-  const sim::FmtSimulator simulator(model);
-  const ParallelRunner runner(simulator, 2);
   sim::SimOptions opts;
   opts.horizon = 10.0;
-  opts.engine = Engine::Batch;
-  const BatchResult dflt = runner.run(7, 0, 2000, opts);
-  for (unsigned width : {1u, 3u, 16u, 64u}) {
-    sim::SimOptions w = opts;
-    w.lane_width = width;
-    EXPECT_TRUE(bitwise_equal(dflt, runner.run(7, 0, 2000, w)))
-        << "lane width " << width;
+  const std::vector<sim::TrajectoryResult> whole =
+      sim_test::kernel_run(model, 7, 0, 600, opts);
+  for (std::uint64_t width : {1u, 3u, 16u, 64u}) {
+    for (std::uint64_t first = 0; first < whole.size(); first += width) {
+      const std::uint64_t n = std::min<std::uint64_t>(width, whole.size() - first);
+      const std::vector<sim::TrajectoryResult> slice =
+          sim_test::kernel_run(model, 7, first, n, opts);
+      for (std::uint64_t lane = 0; lane < n; ++lane)
+        ASSERT_TRUE(sim_test::bit_identical(whole[first + lane], slice[lane]))
+            << "width " << width << ", trajectory " << first + lane;
+    }
   }
 }
 
@@ -129,41 +138,18 @@ TEST(BatchDeterminism, ChunkSplitsReproduceEveryTrajectoryBit) {
   // re-running an arbitrary sub-range must reproduce the same trajectories
   // bit-for-bit, independent of how the full range was originally split.
   const fmt::FaultMaintenanceTree model = load_model("compressor");
-  const sim::BatchExecutor executor(model);
   sim::SimOptions opts;
   opts.horizon = 10.0;
-  sim::BatchWorkspace whole, split;
-  executor.run(5, 0, 512, opts, whole);
-  const std::vector<sim::TrajectoryResult> reference = whole.results;
-  for (std::uint32_t first = 0; first < 512; first += 7) {
-    const std::uint32_t n = std::min<std::uint32_t>(7, 512 - first);
-    executor.run(5, first, n, opts, split);
-    for (std::uint32_t lane = 0; lane < n; ++lane) {
-      const sim::TrajectoryResult& a = reference[first + lane];
-      const sim::TrajectoryResult& b = split.results[lane];
-      ASSERT_EQ(a.events, b.events) << "trajectory " << first + lane;
-      ASSERT_TRUE(batch_test::same_bits(a.first_failure_time, b.first_failure_time));
-      ASSERT_TRUE(batch_test::same_bits(a.downtime, b.downtime));
-      ASSERT_TRUE(batch_test::same_bits(a.cost.total(), b.cost.total()));
-      ASSERT_TRUE(
-          batch_test::same_bits(a.discounted_cost.total(), b.discounted_cost.total()));
-      ASSERT_EQ(a.failures, b.failures);
-      ASSERT_EQ(a.repairs_per_leaf, b.repairs_per_leaf);
-      ASSERT_EQ(a.failures_per_leaf, b.failures_per_leaf);
-    }
+  const std::vector<sim::TrajectoryResult> reference =
+      sim_test::kernel_run(model, 5, 0, 512, opts);
+  for (std::uint64_t first = 0; first < 512; first += 37) {
+    const std::uint64_t n = std::min<std::uint64_t>(37, 512 - first);
+    const std::vector<sim::TrajectoryResult> split =
+        sim_test::kernel_run(model, 5, first, n, opts);
+    for (std::uint64_t lane = 0; lane < n; ++lane)
+      ASSERT_TRUE(sim_test::bit_identical(reference[first + lane], split[lane]))
+          << "trajectory " << first + lane;
   }
-}
-
-// ---- Scalar engine must ignore batch-only knobs -----------------------------
-
-TEST(ScalarEngine, IgnoresLaneWidthAndStaysBitStable) {
-  const fmt::FaultMaintenanceTree model = load_model("ei_joint");
-  AnalysisSettings plain = base_settings(Engine::Scalar);
-  plain.trajectories = 2000;
-  AnalysisSettings knobs = plain;
-  knobs.lane_width = 64;
-  knobs.threads = 3;
-  EXPECT_TRUE(batch_test::same_bits(analyze(model, plain), analyze(model, knobs)));
 }
 
 }  // namespace

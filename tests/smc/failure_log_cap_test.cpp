@@ -6,7 +6,6 @@
 
 #include "fmt/parser.hpp"
 #include "obs/metrics.hpp"
-#include "sim/fmt_executor.hpp"
 #include "smc/kpi.hpp"
 #include "smc/runner.hpp"
 #include "util/error.hpp"
@@ -24,8 +23,7 @@ corrective cost=100 delay=0;
 
 TEST(FailureLogCap, UncappedRunKeepsEveryLog) {
   const fmt::FaultMaintenanceTree model = fmt::parse_fmt(kChattyModel);
-  const sim::FmtSimulator simulator(model);
-  const ParallelRunner runner(simulator, 2);
+  const ParallelRunner runner(model, 2);
   sim::SimOptions opts;
   opts.horizon = 5.0;
   opts.record_failure_log = true;
@@ -39,8 +37,7 @@ TEST(FailureLogCap, UncappedRunKeepsEveryLog) {
 
 TEST(FailureLogCap, CapDropsWholeLogsAndFlagsTheBatch) {
   const fmt::FaultMaintenanceTree model = fmt::parse_fmt(kChattyModel);
-  const sim::FmtSimulator simulator(model);
-  const ParallelRunner runner(simulator, 2);
+  const ParallelRunner runner(model, 2);
 
   sim::SimOptions opts;
   opts.horizon = 5.0;
@@ -72,8 +69,7 @@ TEST(FailureLogCap, CapDropsWholeLogsAndFlagsTheBatch) {
 
 TEST(FailureLogCap, SingleThreadedCapKeepsAPrefixDeterministically) {
   const fmt::FaultMaintenanceTree model = fmt::parse_fmt(kChattyModel);
-  const sim::FmtSimulator simulator(model);
-  const ParallelRunner runner(simulator, 1);
+  const ParallelRunner runner(model, 1);
   sim::SimOptions opts;
   opts.horizon = 5.0;
   opts.record_failure_log = true;

@@ -3,7 +3,7 @@
 
 #include <cmath>
 
-#include "sim/fmt_executor.hpp"
+#include "../sim/sim_testing.hpp"
 #include "smc/kpi.hpp"
 #include "util/error.hpp"
 
@@ -27,11 +27,10 @@ TEST(Npv, DeterministicEventsDiscountExactly) {
   const NodeId a = m.add_ebe("a", det_phases(2, 2, 100.0), fmt::RepairSpec{"fix", 0});
   m.set_top(a);
   m.add_inspection(fmt::InspectionModule{"i", 1.0, -1, 100.0, {a}});
-  const sim::FmtSimulator simulator(m);
   sim::SimOptions opts;
   opts.horizon = 3.5;
   opts.discount_rate = 0.1;
-  const sim::TrajectoryResult r = simulator.run(RandomStream(1, 0), opts);
+  const sim::TrajectoryResult r = sim_test::checked_run(m, 1, 0, opts);
   const double expected =
       100 * (std::exp(-0.1) + std::exp(-0.2) + std::exp(-0.3));
   EXPECT_NEAR(r.discounted_cost.inspection, expected, 1e-10);
@@ -45,11 +44,10 @@ TEST(Npv, DowntimeIntegralDiscounted) {
   const NodeId a = m.add_ebe("a", det_phases(1, 2, 1.0));
   m.set_top(a);
   m.set_corrective(fmt::CorrectivePolicy{true, 1.0, 1000.0, 50.0});
-  const sim::FmtSimulator simulator(m);
   sim::SimOptions opts;
   opts.horizon = 1.5;  // downtime clamped at horizon: [1, 1.5]
   opts.discount_rate = 0.2;
-  const sim::TrajectoryResult r = simulator.run(RandomStream(1, 0), opts);
+  const sim::TrajectoryResult r = sim_test::checked_run(m, 1, 0, opts);
   const double expected = 50.0 * (std::exp(-0.2) - std::exp(-0.3)) / 0.2;
   EXPECT_NEAR(r.discounted_cost.downtime, expected, 1e-10);
   // Failure cost of 1000 at t = 1 discounts to 1000 e^-0.2.
@@ -63,22 +61,21 @@ TEST(Npv, ZeroRateEqualsUndiscounted) {
   m.set_top(a);
   m.add_inspection(fmt::InspectionModule{"i", 0.25, -1, 5, {a}});
   m.set_corrective(fmt::CorrectivePolicy{true, 0.1, 500, 20});
-  const sim::FmtSimulator simulator(m);
   sim::SimOptions opts;
   opts.horizon = 30.0;
   opts.discount_rate = 0.0;
-  const sim::TrajectoryResult r = simulator.run(RandomStream(8, 2), opts);
+  const sim::TrajectoryResult r = sim_test::checked_run(m, 8, 2, opts);
   EXPECT_DOUBLE_EQ(r.discounted_cost.total(), r.cost.total());
 }
 
 TEST(Npv, NegativeRateRejected) {
   FaultMaintenanceTree m;
   m.set_top(m.add_basic_event("a", Distribution::exponential(1)));
-  const sim::FmtSimulator simulator(m);
   sim::SimOptions opts;
   opts.horizon = 1.0;
   opts.discount_rate = -0.1;
-  EXPECT_THROW(simulator.run(RandomStream(1, 0), opts), DomainError);
+  EXPECT_THROW(sim::Reference(m).run(1, 0, opts), DomainError);
+  EXPECT_THROW(sim_test::kernel_run(m, 1, 0, 1, opts), DomainError);
 }
 
 TEST(Npv, KpiReportExposesNpv) {

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "fmt/parser.hpp"
-#include "sim/fmt_executor.hpp"
 #include "smc/kpi.hpp"
 #include "smc/runner.hpp"
 #include "util/error.hpp"
@@ -52,8 +51,7 @@ TEST(RunControl, StopReasonNames) {
 
 TEST(RunControl, UncontrolledRunIsNeverTruncated) {
   const fmt::FaultMaintenanceTree model = fmt::parse_fmt(kModel);
-  const sim::FmtSimulator simulator(model);
-  const ParallelRunner runner(simulator, 2);
+  const ParallelRunner runner(model, 2);
   sim::SimOptions run_opts;
   run_opts.horizon = 10.0;
   const BatchResult r = runner.run(7, 0, 200, run_opts);
@@ -67,8 +65,7 @@ TEST(RunControl, NullControlMatchesNoControlBitExactly) {
   // The controlled code path (sparse deltas, prefix accounting) must not
   // perturb results when no stop fires.
   const fmt::FaultMaintenanceTree model = fmt::parse_fmt(kModel);
-  const sim::FmtSimulator simulator(model);
-  const ParallelRunner runner(simulator, 3);
+  const ParallelRunner runner(model, 3);
   sim::SimOptions opts;
   opts.horizon = 10.0;
   RunControl idle;  // no condition armed
@@ -89,8 +86,7 @@ TEST(RunControl, TruncatedPrefixBitIdenticalToUntruncatedRun) {
   // Budget-stop a multi-threaded run, then rerun exactly the delivered
   // prefix without a control: every statistic must match bit for bit.
   const fmt::FaultMaintenanceTree model = fmt::parse_fmt(kModel);
-  const sim::FmtSimulator simulator(model);
-  const ParallelRunner runner(simulator, 4);
+  const ParallelRunner runner(model, 4);
   sim::SimOptions opts;
   opts.horizon = 10.0;
 

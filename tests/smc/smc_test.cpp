@@ -41,12 +41,11 @@ AnalysisSettings fast_settings(double horizon, std::uint64_t n = 20000) {
 
 TEST(ParallelRunner, DeterministicAcrossThreadCounts) {
   const FaultMaintenanceTree m = series_two_exponentials();
-  const sim::FmtSimulator simulator(m);
   sim::SimOptions opts;
   opts.horizon = 5.0;
-  const BatchResult r1 = ParallelRunner(simulator, 1).run(77, 0, 500, opts);
-  const BatchResult r4 = ParallelRunner(simulator, 4).run(77, 0, 500, opts);
-  const BatchResult r7 = ParallelRunner(simulator, 7).run(77, 0, 500, opts);
+  const BatchResult r1 = ParallelRunner(m, 1).run(77, 0, 500, opts);
+  const BatchResult r4 = ParallelRunner(m, 4).run(77, 0, 500, opts);
+  const BatchResult r7 = ParallelRunner(m, 7).run(77, 0, 500, opts);
   ASSERT_EQ(r1.summaries.size(), 500u);
   for (std::size_t i = 0; i < 500; ++i) {
     EXPECT_DOUBLE_EQ(r1.summaries[i].first_failure_time,
@@ -61,25 +60,14 @@ TEST(ParallelRunner, DeterministicAcrossThreadCounts) {
 
 TEST(ParallelRunner, FirstOffsetContinuesStreams) {
   const FaultMaintenanceTree m = series_two_exponentials();
-  const sim::FmtSimulator simulator(m);
   sim::SimOptions opts;
   opts.horizon = 5.0;
-  const ParallelRunner runner(simulator, 2);
+  const ParallelRunner runner(m, 2);
   const BatchResult all = runner.run(5, 0, 100, opts);
   const BatchResult tail = runner.run(5, 60, 40, opts);
   for (std::size_t i = 0; i < 40; ++i)
     EXPECT_DOUBLE_EQ(all.summaries[60 + i].first_failure_time,
                      tail.summaries[i].first_failure_time);
-}
-
-TEST(ParallelRunner, RejectsTraces) {
-  const FaultMaintenanceTree m = series_two_exponentials();
-  const sim::FmtSimulator simulator(m);
-  sim::Trace trace;
-  sim::SimOptions opts;
-  opts.horizon = 1.0;
-  opts.trace = &trace;
-  EXPECT_THROW(ParallelRunner(simulator).run(1, 0, 1, opts), DomainError);
 }
 
 // ---- KPIs vs closed forms ------------------------------------------------------

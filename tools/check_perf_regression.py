@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Perf-regression gate for the Monte-Carlo engine benchmark.
+"""Perf-regression gate for the Monte-Carlo kernel benchmark.
 
 Compares one or more candidate BENCH_engine.json runs (produced by
 bench/run_perf.sh --out run.json) against the checked-in baseline and fails
@@ -9,16 +9,13 @@ run has to clear the bar, which absorbs most CI-runner noise.
 
 Beyond the throughput floor the gate also:
 
- * validates every candidate entry structurally — the batch-engine fields
-   must be present, positive, and lane/chunk-invariant, the scalar engine
-   must report bitwise equivalence, and a run with parallel_threads <= 1
+ * validates every candidate entry structurally — the kernel fields must be
+   present and positive, the kernel must match the reference simulator bit
+   for bit and be split-invariant, and a run with parallel_threads <= 1
    must carry parallel_measured=false (a 1-worker run is not a parallel
    measurement and is refused as a parallel comparison metric);
- * prints ns/event and speedup deltas of the best candidate against the
-   baseline, so a gate failure comes with per-event attribution;
- * optionally enforces a cross-metric ratio with --min-ratio /
-   --baseline-metric (e.g. batch_traj_per_sec >= 2.0 x the baseline's
-   single_thread_traj_per_sec — the batch-engine acceptance bar).
+ * prints throughput and ns/event deltas of the best candidate against the
+   baseline, so a gate failure comes with per-event attribution.
 
 Exit status: 0 = within tolerance, 1 = regression or malformed input.
 """
@@ -31,11 +28,8 @@ import sys
 
 # Per-model fields every candidate run must carry, with sanity predicates.
 REQUIRED_FIELDS = {
-    "single_thread_traj_per_sec": lambda v, e: isinstance(v, (int, float)) and v > 0,
     "batch_traj_per_sec": lambda v, e: isinstance(v, (int, float)) and v > 0,
-    "batch_lane_width": lambda v, e: isinstance(v, int) and v > 0,
     "batch_ns_per_event": lambda v, e: isinstance(v, (int, float)) and v > 0,
-    "ns_per_event": lambda v, e: isinstance(v, (int, float)) and v > 0,
     "bitwise_equivalent": lambda v, e: v is True,
     "batch_lane_invariant": lambda v, e: v is True,
     "parallel_threads": lambda v, e: isinstance(v, int) and v >= 1,
@@ -46,13 +40,8 @@ REQUIRED_FIELDS = {
 
 # Fields worth a delta line when comparing best candidate vs baseline.
 DELTA_FIELDS = [
-    ("single_thread_traj_per_sec", "traj/s", "higher"),
     ("batch_traj_per_sec", "traj/s", "higher"),
-    ("ns_per_event", "ns/ev", "lower"),
     ("batch_ns_per_event", "ns/ev", "lower"),
-    ("speedup_single_thread", "x", "higher"),
-    ("speedup_batch", "x", "higher"),
-    ("batch_vs_scalar", "x", "higher"),
 ]
 
 
@@ -124,19 +113,10 @@ def main() -> int:
                         help="checked-in BENCH_engine.json to compare against")
     parser.add_argument("--model", default="ei_joint",
                         help="model entry to compare (default: ei_joint)")
-    parser.add_argument("--metric", default="single_thread_traj_per_sec",
-                        help="throughput field (default: single_thread_traj_per_sec)")
-    parser.add_argument("--baseline-metric", default=None,
-                        help="baseline field to compare against "
-                             "(default: same as --metric)")
+    parser.add_argument("--metric", default="batch_traj_per_sec",
+                        help="throughput field (default: batch_traj_per_sec)")
     parser.add_argument("--tolerance", type=float, default=0.20,
                         help="allowed fractional drop below baseline (default: 0.20)")
-    parser.add_argument("--min-ratio", type=float, default=None,
-                        help="require best candidate >= RATIO x baseline metric "
-                             "instead of the tolerance floor")
-    parser.add_argument("--min-value", type=float, default=None,
-                        help="require best candidate >= VALUE outright (machine-"
-                             "independent bar, e.g. batch_vs_scalar >= 2.0)")
     parser.add_argument("--no-validate", action="store_true",
                         help="skip structural validation of candidate files "
                              "(for gating runs produced by older harnesses)")
@@ -145,14 +125,10 @@ def main() -> int:
     args = parser.parse_args()
     if not 0 <= args.tolerance < 1:
         raise SystemExit("error: --tolerance must lie in [0, 1)")
-    if args.min_ratio is not None and args.min_ratio <= 0:
-        raise SystemExit("error: --min-ratio must be positive")
-    baseline_metric = args.baseline_metric or args.metric
 
     baseline_doc = load_doc(args.baseline)
     baseline_entry = model_entry(baseline_doc, args.baseline, args.model)
-    baseline = metric_value(baseline_entry, args.baseline, args.model,
-                            baseline_metric)
+    baseline = metric_value(baseline_entry, args.baseline, args.model, args.metric)
 
     runs = []
     problems = []
@@ -174,17 +150,10 @@ def main() -> int:
         return 1
 
     best_path, best_entry, best = max(runs, key=lambda item: item[2])
-    if args.min_value is not None:
-        floor = args.min_value
-        bar = f">= {args.min_value:g} outright"
-    elif args.min_ratio is not None:
-        floor = baseline * args.min_ratio
-        bar = f"{args.min_ratio:g}x {baseline_metric}"
-    else:
-        floor = baseline * (1.0 - args.tolerance)
-        bar = f"-{args.tolerance:.0%}"
+    floor = baseline * (1.0 - args.tolerance)
+    bar = f"-{args.tolerance:.0%}"
 
-    print(f"baseline {args.model}.{baseline_metric}: {baseline:.0f} "
+    print(f"baseline {args.model}.{args.metric}: {baseline:.0f} "
           f"(floor at {bar}: {floor:.0f})")
     for path, _, value in runs:
         marker = " <-- best" if path == best_path else ""
