@@ -1,6 +1,6 @@
 // M13 — Microbenchmarks of the simulation engine (google-benchmark):
-// trajectory throughput of the kernel on the EI-joint model, the parallel
-// runner, and the kernel's phase-sojourn sampler.
+// trajectory throughput of the kernel on the EI-joint model, of smc::analyze
+// on the trajectory pool, and of the kernel's phase-sojourn sampler.
 #include <benchmark/benchmark.h>
 
 #include <span>
@@ -9,7 +9,7 @@
 #include "eijoint/scenarios.hpp"
 #include "sim/batch_executor.hpp"
 #include "sim/sampler.hpp"
-#include "smc/runner.hpp"
+#include "smc/kpi.hpp"
 
 using namespace fmtree;
 
@@ -41,19 +41,18 @@ void BM_TrajectoryEiJoint(benchmark::State& state) {
 }
 BENCHMARK(BM_TrajectoryEiJoint)->Arg(10)->Arg(50)->Arg(200);
 
-void BM_ParallelRunner(benchmark::State& state) {
-  const smc::ParallelRunner runner(ei_joint_current(),
-                                   static_cast<unsigned>(state.range(0)));
-  sim::SimOptions opts;
-  opts.horizon = 20.0;
-  std::uint64_t first = 0;
+void BM_AnalyzeOnPool(benchmark::State& state) {
+  smc::AnalysisSettings settings;
+  settings.horizon = 20.0;
+  settings.trajectories = 512;
+  settings.threads = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(runner.run(1, first, 512, opts));
-    first += 512;
+    benchmark::DoNotOptimize(smc::analyze(ei_joint_current(), settings));
+    ++settings.seed;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 512);
 }
-BENCHMARK(BM_ParallelRunner)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+BENCHMARK(BM_AnalyzeOnPool)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 void BM_SojournSampling(benchmark::State& state) {
   // The kernel's sampler on an Erlang(6) sojourn: six ziggurat Exp(1) draws.

@@ -6,15 +6,15 @@
 // Configurations per model, all at a fixed seed:
 //  * batch     — the trajectory kernel (sim::BatchExecutor, Philox counter
 //                streams) called directly on one thread;
-//  * parallel  — the kernel through ParallelRunner at hardware concurrency
-//                (FMTREE_BENCH_THREADS overrides). On a single-core host the
-//                run is recorded but flagged parallel_measured=false: a
-//                1-thread run is not a parallel measurement and must not be
-//                compared as one;
+//  * parallel  — smc::analyze, i.e. the kernel on the trajectory pool with
+//                the KPI fold, at hardware concurrency (FMTREE_BENCH_THREADS
+//                overrides). On a single-core host the run is recorded but
+//                flagged parallel_measured=false: a 1-thread run is not a
+//                parallel measurement and must not be compared as one;
 //  * telemetry — the parallel configuration re-run with all three obs sinks
 //                attached (metrics + tracer + throttled progress), to measure
 //                the observability overhead and re-check that telemetry
-//                changes no result bit.
+//                changes no report bit.
 //
 // Before timing, the first 200 kernel trajectories are compared bit for bit
 // with sim::Reference, the naive oracle simulator (bitwise_equivalent): the
@@ -32,8 +32,10 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "batch/result_cache.hpp"
 #include "bench/common.hpp"
 #include "fmt/parser.hpp"
 #include "obs/metrics.hpp"
@@ -41,7 +43,7 @@
 #include "obs/tracer.hpp"
 #include "sim/batch_executor.hpp"
 #include "sim/reference.hpp"
-#include "smc/runner.hpp"
+#include "smc/kpi.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -81,25 +83,8 @@ struct ModelReport {
   double telemetry_overhead_pct = 0.0;  ///< parallel slowdown with sinks attached
   bool equivalent = false;            ///< kernel and reference agree bit-for-bit
   bool batch_lane_invariant = false;  ///< kernel bits stable across run splits
-  bool telemetry_equivalent = false;  ///< telemetry run reproduces every summary bit
+  bool telemetry_equivalent = false;  ///< telemetry run reproduces every report bit
 };
-
-bool bitwise_equal(const smc::TrajectorySummary& a, const smc::TrajectorySummary& b) {
-  return a.first_failure_time == b.first_failure_time && a.failures == b.failures &&
-         a.downtime == b.downtime && a.cost.inspection == b.cost.inspection &&
-         a.cost.repair == b.cost.repair && a.cost.replacement == b.cost.replacement &&
-         a.cost.corrective == b.cost.corrective && a.cost.downtime == b.cost.downtime &&
-         a.discounted_total == b.discounted_total && a.inspections == b.inspections &&
-         a.repairs == b.repairs && a.replacements == b.replacements;
-}
-
-bool bitwise_equal(const smc::BatchResult& a, const smc::BatchResult& b) {
-  if (a.summaries.size() != b.summaries.size()) return false;
-  for (std::size_t i = 0; i < a.summaries.size(); ++i)
-    if (!bitwise_equal(a.summaries[i], b.summaries[i])) return false;
-  return a.failures_per_leaf == b.failures_per_leaf &&
-         a.repairs_per_leaf == b.repairs_per_leaf;
-}
 
 bool bitwise_equal(const sim::TrajectoryResult& a, const sim::TrajectoryResult& b) {
   return a.failures == b.failures && a.first_failure_time == b.first_failure_time &&
@@ -183,41 +168,48 @@ ModelReport bench_model(const std::string& name, double horizon, std::uint64_t n
     }
   }
 
-  // The kernel through the deterministic parallel runner, at hardware
-  // concurrency (or FMTREE_BENCH_THREADS). threads() is what actually ran:
-  // a 1-worker run is recorded but flagged as not a parallel measurement.
+  // The kernel on the pool through smc::analyze, at hardware concurrency
+  // (or FMTREE_BENCH_THREADS). A 1-worker run is recorded but flagged as
+  // not a parallel measurement.
   unsigned requested_threads = 0;
   if (const char* env = std::getenv("FMTREE_BENCH_THREADS")) {
     char* end = nullptr;
     const unsigned long v = std::strtoul(env, &end, 10);
     if (end != env && v > 0) requested_threads = static_cast<unsigned>(v);
   }
-  const smc::ParallelRunner runner(model, requested_threads);
-  rep.parallel_threads = runner.threads();
-  rep.parallel_measured = runner.threads() > 1;
-  smc::BatchResult plain;
+  smc::AnalysisSettings settings;
+  settings.horizon = horizon;
+  settings.trajectories = n;
+  settings.seed = kSeed;
+  settings.threads = requested_threads != 0
+                         ? requested_threads
+                         : std::max(1u, std::thread::hardware_concurrency());
+  rep.parallel_threads = settings.threads;
+  rep.parallel_measured = settings.threads > 1;
+  smc::KpiReport plain;
   {
     const auto t0 = std::chrono::steady_clock::now();
-    plain = runner.run(kSeed, 0, n, opts);
+    plain = smc::analyze(model, settings);
     rep.parallel_traj_per_sec = static_cast<double>(n) / seconds_since(t0);
   }
 
   // Same parallel run with every telemetry sink attached: the observability
-  // overhead, and a re-check that telemetry changes no result bit.
+  // overhead, and a re-check that telemetry changes no report bit.
   {
     obs::MetricsRegistry metrics;
     obs::Tracer tracer;
     obs::ProgressReporter progress([](const obs::Progress&) {}, 0.25);
-    sim::SimOptions instrumented = opts;
+    smc::AnalysisSettings instrumented = settings;
     instrumented.telemetry = {
         .metrics = &metrics, .tracer = &tracer, .progress = &progress};
     const auto t0 = std::chrono::steady_clock::now();
-    const smc::BatchResult traced = runner.run(kSeed, 0, n, instrumented);
+    const smc::KpiReport traced = smc::analyze(model, instrumented);
     rep.telemetry_traj_per_sec = static_cast<double>(n) / seconds_since(t0);
     rep.telemetry_overhead_pct =
         (1.0 - rep.telemetry_traj_per_sec / rep.parallel_traj_per_sec) * 100.0;
-    rep.telemetry_equivalent = bitwise_equal(plain, traced) &&
-                               metrics.counter_value("smc.trajectories") == n;
+    rep.telemetry_equivalent =
+        batch::report_content_hash(plain) == batch::report_content_hash(traced) &&
+        metrics.counter_value("smc.trajectories") == n;
   }
   return rep;
 }

@@ -11,8 +11,7 @@
 //     result computed with 8 threads is *the* result for 1 thread too;
 //   * telemetry — observational by contract, changes no output bit;
 //   * control  — truncated runs are never cached (see ResultCache::put), and
-//     an untruncated run is identical with or without a RunControl watching;
-//   * failure_log_cap — KPI reports never include failure logs.
+//     an untruncated run is identical with or without a RunControl watching.
 //
 // Every fingerprint also hashes the kernel's identity — `engine=batch` and
 // the RNG family `rng=philox4x32-10`. Keys minted before the scalar engine

@@ -1,27 +1,20 @@
-// Batch execution of analysis sweeps over one shared work-stealing pool.
+// Batch execution of analysis sweeps on the trajectory pool.
 //
 // A SweepPlan is a set of (model, settings) jobs — typically the same system
 // under many policy variants (the paper's cost-curve sweep). run_sweep()
-// schedules *trajectory chunks* of all jobs over one pool, so small jobs no
-// longer idle most threads the way per-job ParallelRunner calls do, and
-// consults an optional ResultCache so previously computed jobs cost one
-// model hash instead of a simulation.
+// consults an optional ResultCache, so previously computed jobs cost one
+// model hash instead of a simulation, and runs every miss as one job of a
+// single smc::run_pool call: workers claim fixed-size trajectory chunks of
+// all jobs in plan order, so small jobs do not idle most threads.
 //
-// Determinism contract (the same one smc::analyze keeps): trajectory i of a
-// job draws from RandomStream(settings.seed, i) regardless of which worker
-// runs it, chunk boundaries only partition the index space, per-leaf totals
-// are integer sums (exactly commutative), and aggregation runs sequentially
-// in index order via smc::aggregate_kpis. A job's report is therefore
-// bit-identical to smc::analyze on the same model and settings, at any
-// thread count, chunk size, and cache state.
-//
-// Two job classes fall back to a plain smc::analyze call (still executed,
-// still cached, just not chunk-scheduled): adaptive-stopping jobs
-// (target_relative_error > 0), whose trajectory count is decided by a
-// sequential CI feedback loop, and — trivially — jobs on models the pooled
-// path cannot split. Job-level RunSettings::control and ::telemetry are
-// ignored: interruption and instrumentation of a sweep are plan-level
-// concerns (SweepPlan::control, run_sweep's telemetry argument).
+// Determinism contract (the same one smc::analyze keeps): every job —
+// adaptive-stopping ones included — is a smc::Simulation folded by a
+// smc::KpiFold in trajectory-index order, exactly what smc::analyze runs.
+// A job's report is therefore bit-identical to smc::analyze on the same
+// model and settings, at any thread count and cache state. Job-level
+// RunSettings::control and ::telemetry are ignored: interruption and
+// instrumentation of a sweep are plan-level concerns (SweepPlan::control,
+// run_sweep's telemetry argument).
 //
 // Self-healing (DESIGN.md, "Failure semantics"): a job that throws mid-run —
 // an injected I/O error, a resource cap, a NaN-poisoned aggregate — becomes a
@@ -59,16 +52,12 @@ struct SweepJob {
   /// serve layer fires it when every caller of a deduplicated request has
   /// hung up). A cancel that lands after the job's last trajectory completed
   /// is too late by design — the job aggregates and caches normally.
-  /// Analyze-fallback jobs (adaptive stopping, retries) only observe it at
-  /// attempt boundaries.
+  /// Retries only observe it at attempt boundaries.
   const smc::RunControl* cancel = nullptr;
 };
 
 struct SweepPlan {
   std::vector<SweepJob> jobs;
-  /// Trajectories per scheduled task. Smaller chunks balance better across
-  /// jobs of uneven size; the result is identical for any value.
-  std::uint64_t chunk = 2048;
   /// Worker threads; 0 = hardware concurrency.
   unsigned threads = 0;
   /// Polled between trajectories. On a stop, jobs whose trajectories all
@@ -139,11 +128,12 @@ struct SweepOutcome {
 
 /// Executes the plan. `cache` may be null (no caching); `telemetry` may be
 /// empty. Emits batch.* counters (jobs, jobs_simulated — jobs that produced
-/// a fresh report rather than a cache hit — tasks, steals, trajectories,
-/// cache hits/misses), the robustness counters (sweep.retries,
-/// sweep.job_failures, cache.corrupt_entries, fault.injected), per-task
-/// tracer spans named after the job labels plus "retry:<label>" spans, and
-/// "sweep"-phase progress over the total trajectory count.
+/// a fresh report rather than a cache hit — tasks, i.e. pool chunks, events
+/// and trajectories folded, cache hits/misses), the robustness counters
+/// (sweep.retries, sweep.job_failures, cache.corrupt_entries,
+/// fault.injected), a "job:<label>" tracer span per chunk plus
+/// "retry:<label>" spans, and "sweep"-phase progress over the total
+/// trajectory count. The "sweep.task" fault site fires once per chunk.
 SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache = nullptr,
                        const obs::Telemetry& telemetry = {});
 

@@ -1,8 +1,6 @@
 #include "data/generator.hpp"
 
-#include <limits>
-
-#include "smc/runner.hpp"
+#include "smc/pool.hpp"
 #include "util/error.hpp"
 
 namespace fmtree::data {
@@ -16,24 +14,31 @@ IncidentDatabase generate_incidents(const fmt::FaultMaintenanceTree& ground_trut
 FleetData generate_fleet_data(const fmt::FaultMaintenanceTree& ground_truth,
                               std::uint32_t num_assets, double years,
                               std::uint64_t seed) {
+  const sim::BatchExecutor kernel(ground_truth);
   sim::SimOptions opts;
   opts.horizon = years;
   opts.record_failure_log = true;
-  opts.failure_log_cap = std::numeric_limits<std::uint64_t>::max();  // keep every log
-  const smc::BatchResult batch =
-      smc::ParallelRunner(ground_truth).run(seed, 0, num_assets, opts);
-
   FleetData fleet{IncidentDatabase(num_assets, years), {}, 0, 0};
-  for (std::uint32_t asset = 0; asset < num_assets; ++asset) {
-    for (const sim::FailureRecord& f : batch.failure_logs[asset]) {
+  std::vector<std::uint64_t> repairs(ground_truth.num_ebes(), 0);  // per leaf
+  std::uint32_t asset = 0;
+  smc::PoolJob job{.executor = &kernel, .options = &opts, .seed = seed,
+                   .trajectories = num_assets};
+  // Asset i is trajectory i: its incidents are appended in asset order.
+  job.fold = [&](sim::TrajectoryResult& r) {
+    for (const sim::FailureRecord& f : r.failure_log)
       fleet.incidents.add(
           IncidentRecord{asset, f.time, ground_truth.ebes()[f.cause_leaf].name});
-    }
-    fleet.inspections += batch.summaries[asset].inspections;
-    fleet.replacements += batch.summaries[asset].replacements;
-  }
-  for (std::size_t leaf = 0; leaf < ground_truth.num_ebes(); ++leaf)
-    fleet.repairs_by_mode[ground_truth.ebes()[leaf].name] += batch.repairs_per_leaf[leaf];
+    fleet.inspections += r.inspections;
+    fleet.replacements += r.replacements;
+    for (std::size_t leaf = 0; leaf < repairs.size(); ++leaf)
+      repairs[leaf] += r.repairs_per_leaf[leaf];
+    ++asset;
+    return true;
+  };
+  smc::run_pool({&job, 1}, {});
+  if (job.error) std::rethrow_exception(job.error);
+  for (std::size_t leaf = 0; leaf < repairs.size(); ++leaf)
+    fleet.repairs_by_mode[ground_truth.ebes()[leaf].name] += repairs[leaf];
   return fleet;
 }
 

@@ -1,5 +1,5 @@
 // Fleet analysis: shard a corridor's per-joint analyses across the shared
-// work-stealing sweep pool and aggregate corridor-level KPIs.
+// trajectory pool of a sweep and aggregate corridor-level KPIs.
 //
 // Each joint becomes one batch::SweepJob carrying its own model and the
 // shared analysis settings, so a shard is bit-identical to a standalone run

@@ -202,7 +202,7 @@ public:
       const maintenance::MaintenancePolicy& base, double lo, double hi,
       int iterations = 16);
 
-  /// Runs an explicit batch plan through the shared work-stealing pool with
+  /// Runs an explicit batch plan through the shared trajectory pool with
   /// this session's cache and telemetry. The plan's threads (when 0) and
   /// control (when null) default to this session's settings; its jobs carry
   /// their own models and settings, so they need not match the session's.

@@ -32,7 +32,7 @@ struct SweepResult {
 /// curves are comparable) and returns the cost curve plus the cost-optimal
 /// candidate. Candidates must be non-empty.
 ///
-/// All candidates are simulated over one shared work-stealing pool
+/// All candidates are simulated over one shared trajectory pool
 /// (batch::run_sweep), so the wall-clock cost is that of the total
 /// trajectory count, not of the slowest candidate times the candidate
 /// count. Results are bit-identical to evaluating each candidate with
@@ -50,7 +50,7 @@ SweepResult sweep_policies(const ModelFactory& factory,
 /// Evaluates scripted maintenance policies (compiled src/lang scripts) on
 /// one shared base model: each candidate runs with its compiled policy in
 /// the settings (the engines replace the model's built-in inspections with
-/// the script's calendars), all over the same work-stealing pool and cache
+/// the script's calendars), all over the same trajectory pool and cache
 /// machinery as the MaintenancePolicy overload — so scripted and built-in
 /// candidates can be compared on one cost curve. Labels and the returned
 /// curve's MaintenancePolicy names are the scripts' policy names; the other

@@ -55,11 +55,14 @@ double parse_number(const json::Value& v, const std::string& what) {
   invalid("request field '" + what + "' must be a number or hexfloat string");
 }
 
+/// Schema integers (counts and seeds): a JSON number spelled as a
+/// nonnegative integer below 2^64, read exactly — never through a double.
 std::uint64_t parse_count(const json::Value& v, const std::string& what) {
-  const double d = parse_number(v, what);
-  if (!(d >= 0) || d != std::floor(d))
-    invalid("request field '" + what + "' must be a nonnegative integer");
-  return static_cast<std::uint64_t>(d);
+  try {
+    return v.as_u64();
+  } catch (const Error&) {
+    invalid("request field '" + what + "' must be an integer in [0, 2^64)");
+  }
 }
 
 /// C99 hexfloat form, same helper discipline as the result cache: exact

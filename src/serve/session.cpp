@@ -364,7 +364,6 @@ void Session::dispatcher_loop() {
     }
     batch::SweepPlan plan;
     plan.threads = config_.threads;
-    plan.chunk = config_.chunk;
     plan.max_retries = config_.max_retries;
     plan.stall_timeout_s = config_.stall_timeout_s;
     plan.control = &drain_control_;

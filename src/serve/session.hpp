@@ -1,8 +1,8 @@
 // serve::Session — the analysis service, usable in-process or behind the
 // `fmtree serve` socket daemon (serve/server.hpp). One Session owns one
 // ResultCache and one dispatcher that drains submitted jobs through the
-// shared work-stealing pool (batch::run_sweep), so many concurrent callers
-// share one hot cache and one saturated trajectory pool.
+// trajectory pool (batch::run_sweep), so many concurrent callers share one
+// hot cache and one saturated trajectory pool.
 //
 // Submission semantics, in resolution order per job:
 //   1. cache hit   — resolved immediately, no queue slot consumed;
@@ -55,7 +55,6 @@ struct SessionConfig {
   std::string model_root = "models";  ///< directory for model "ref" lookups
   std::uint32_t max_retries = 2;      ///< SweepPlan::max_retries
   double stall_timeout_s = 0.0;       ///< SweepPlan::stall_timeout_s
-  std::uint64_t chunk = 2048;         ///< SweepPlan::chunk
   /// Borrowed cache (e.g. fmtree::Analysis sharing its own); nullptr = the
   /// Session owns one built from cache_dir.
   batch::ResultCache* cache = nullptr;

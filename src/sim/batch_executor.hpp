@@ -104,23 +104,15 @@ struct TrajectoryResult {
 };
 
 /// Per-run simulator options. Embeds fmtree::RunSettings: the simulators
-/// honor `horizon` and (through ParallelRunner) `telemetry`; seed/threads/
-/// control are consumed by the batch drivers — stream identity always comes
-/// from the (seed, index) pair handed to run().
+/// honor `horizon`; seed/threads/control/telemetry are consumed by the
+/// trajectory pool (smc/pool.hpp) — stream identity always comes from the
+/// (seed, index) pair handed to run().
 struct SimOptions : fmtree::RunSettings {
   /// The single-trajectory default horizon stays 1.0 (the batch layers
   /// always set it explicitly from their own settings).
   SimOptions() noexcept { horizon = 1.0; }
 
   bool record_failure_log = false;
-  /// Cap on the total number of FailureRecord entries a ParallelRunner batch
-  /// retains across all trajectories when record_failure_log is set.
-  /// Trajectory logs that would exceed the cap are dropped whole and the
-  /// batch is flagged failure_logs_truncated; per-trajectory statistics are
-  /// unaffected (logs are auxiliary). Which logs near the boundary are
-  /// dropped depends on thread scheduling; at one thread the retained set is
-  /// the deterministic index-order prefix that fits.
-  std::uint64_t failure_log_cap = std::uint64_t{1} << 24;
   /// Continuous discount rate r for net-present-value cost accounting:
   /// a cost c at time t contributes c * exp(-r t) to discounted_cost.
   double discount_rate = 0.0;

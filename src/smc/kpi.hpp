@@ -5,11 +5,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <vector>
 
 #include "fmt/fmtree.hpp"
 #include "fmtree/run_settings.hpp"
-#include "smc/runner.hpp"
+#include "lang/runtime.hpp"
+#include "smc/pool.hpp"
 #include "util/stats.hpp"
 
 namespace fmtree::smc {
@@ -27,16 +30,12 @@ struct AnalysisSettings : RunSettings {
   /// Continuous discount rate for net-present-value cost reporting
   /// (KpiReport::npv_cost); 0 disables discounting.
   double discount_rate = 0.0;
-  /// If > 0: keep simulating (in batches of `batch`) until the CI half-width
-  /// of E[#failures] is <= target_relative_error * mean, or `trajectories`
-  /// is reached; `trajectories` then acts as the budget cap.
+  /// If > 0: keep simulating until the CI half-width of E[#failures] is
+  /// <= target_relative_error * mean, checked after every `batch`
+  /// trajectories, or until `trajectories` is reached; `trajectories` then
+  /// acts as the budget cap.
   double target_relative_error = 0.0;
   std::uint64_t batch = 2048;
-  /// Cap on the total number of sim::FailureRecord entries retained per
-  /// collection when failure logs are recorded (expected_failures_curve);
-  /// bounds memory on multi-million-trajectory runs. See
-  /// sim::SimOptions::failure_log_cap for the truncation contract.
-  std::uint64_t failure_log_cap = std::uint64_t{1} << 24;
 };
 
 /// Everything the case study reports, from one set of trajectories.
@@ -67,23 +66,92 @@ struct KpiReport {
   std::vector<double> repairs_per_leaf;
 };
 
-/// Runs the Monte-Carlo analysis and aggregates all KPIs. Equivalent to
-/// validate_settings + collecting trajectories + aggregate_kpis.
+/// Runs the Monte-Carlo analysis and aggregates all KPIs: validate_settings,
+/// then a KpiFold over a Simulation of the model, as one job on the pool.
 KpiReport analyze(const fmt::FaultMaintenanceTree& model,
                   const AnalysisSettings& settings);
 
-/// Rejects nonsensical settings (non-positive horizon, zero trajectories,
-/// confidence outside (0,1)) with DomainError. analyze() calls this; other
-/// executors (the batch sweep engine) share the same contract.
+/// Rejects nonsensical settings with DomainError: a non-positive horizon,
+/// zero trajectories, confidence outside (0,1), a negative or non-finite
+/// discount rate, and adaptive stopping (target_relative_error > 0) with a
+/// zero batch. analyze() calls this; other executors (the batch sweep
+/// engine) share the same contract.
 void validate_settings(const AnalysisSettings& settings);
 
-/// Aggregates index-ordered trajectory summaries into the full KPI report.
-/// The loop visits summaries strictly in trajectory-index order, so the
-/// report depends only on the summaries themselves — never on how many
-/// threads produced them or how the work was chunked. Alternative executors
-/// (batch sweeps) reuse this to stay bit-identical with analyze(). Throws
-/// ResourceLimitError when `batch` holds no completed trajectory.
-KpiReport aggregate_kpis(const BatchResult& batch, const AnalysisSettings& settings);
+class AnalysisFold;
+
+/// One analysis's model made ready for the pool: the apply_policy transform
+/// and bound policy of a scripted run, the kernel and its options. Every smc
+/// estimator and every pooled sweep job sets up its kernel through this
+/// type, so they all simulate the same event sequence per trajectory.
+class Simulation {
+public:
+  /// `model` must outlive the simulation. Throws what apply_policy and
+  /// bind_policy throw for a policy the model cannot carry.
+  Simulation(const fmt::FaultMaintenanceTree& model, const AnalysisSettings& settings,
+             bool record_failure_log = false);
+  Simulation(const Simulation&) = delete;
+  Simulation& operator=(const Simulation&) = delete;
+
+  /// A pool job over the settings' seed and trajectory count, folded by
+  /// `fold` (which must outlive the job).
+  PoolJob job(AnalysisFold& fold) const;
+
+private:
+  std::optional<fmt::FaultMaintenanceTree> transformed_;
+  sim::BatchExecutor executor_;
+  std::optional<lang::BoundPolicy> bound_;
+  sim::SimOptions options_;
+  std::uint64_t seed_ = 0;
+  std::uint64_t trajectories_ = 0;
+};
+
+/// The fold behind every smc estimator. It hands each trajectory to the
+/// estimator's `observe` callback, keeps the running statistics of the
+/// failure count, and implements adaptive stopping: with
+/// target_relative_error > 0 it ends the job after the first multiple of
+/// `batch` folded trajectories at which the CI half-width of E[#failures]
+/// is within the target, reporting that CI through
+/// settings.telemetry.progress at every such multiple.
+class AnalysisFold {
+public:
+  using Observer = std::function<void(sim::TrajectoryResult&)>;
+  AnalysisFold(const AnalysisSettings& settings, Observer observe);
+  AnalysisFold(const AnalysisFold&) = delete;  // `observe` may capture `this`
+  AnalysisFold& operator=(const AnalysisFold&) = delete;
+
+  /// Folds the next trajectory; false once adaptive stopping ends the run.
+  bool add(sim::TrajectoryResult& r);
+  std::uint64_t folded() const noexcept { return failures_.count(); }
+  const AnalysisSettings& settings() const noexcept { return settings_; }
+  const RunningStats& failures() const noexcept { return failures_; }
+
+private:
+  AnalysisSettings settings_;
+  Observer observe_;
+  RunningStats failures_;
+  double z_ = 0.0;
+};
+
+/// Folds trajectories into the full KPI report. It is the aggregation of
+/// analyze() and of every pooled sweep job, so a job's report depends only
+/// on its settings, never on the thread count or which path ran it.
+class KpiFold final : public AnalysisFold {
+public:
+  KpiFold(const AnalysisSettings& settings, std::size_t leaves);
+  /// The report over the folded trajectories, flagged truncated when `stop`
+  /// is not None. Throws ResourceLimitError when none was folded.
+  KpiReport report(StopReason stop = StopReason::None) const;
+
+private:
+  void observe(const sim::TrajectoryResult& r);
+
+  RunningStats availability_, total_cost_, npv_cost_;
+  RunningStats inspections_, repairs_, replacements_;
+  fmt::CostBreakdown cost_sum_;
+  std::uint64_t survived_ = 0;
+  std::vector<std::uint64_t> failures_per_leaf_, repairs_per_leaf_;
+};
 
 /// One point of an estimated curve.
 struct CurvePoint {

@@ -5,7 +5,7 @@
 // the workers executing it. Workers poll should_stop() between trajectories;
 // none of the mechanisms preempt a trajectory mid-flight, so stopping is
 // always at a trajectory boundary and results over the completed prefix stay
-// exact (see ParallelRunner for the truncation contract).
+// exact (see smc/pool.hpp for the truncation contract).
 //
 // Three independent stop conditions, first one to fire wins:
 //   - request_stop(): externally signalled (async-signal-safe, lock-free);

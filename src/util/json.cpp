@@ -210,8 +210,9 @@ std::uint64_t Value::as_u64() const {
   if (kind != Kind::Number) throw IoError("json: expected a number");
   errno = 0;
   char* end = nullptr;
+  // strtoull would wrap a negative value around to a huge positive one.
   const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0')
+  if (text.starts_with('-') || errno != 0 || end == text.c_str() || *end != '\0')
     throw IoError("json: bad unsigned integer '" + text + "'");
   return v;
 }

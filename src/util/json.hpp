@@ -33,7 +33,8 @@ struct Value {
   bool is(Kind k) const noexcept { return kind == k; }
 
   /// Decodes a Number token as u64 / double; throws IoError on any other
-  /// kind or on trailing garbage in the token.
+  /// kind or on trailing garbage in the token. as_u64 accepts only a plain
+  /// nonnegative integer below 2^64 (no sign, fraction or exponent).
   std::uint64_t as_u64() const;
   double as_double() const;
 };

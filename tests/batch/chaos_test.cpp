@@ -46,9 +46,8 @@ smc::AnalysisSettings small_settings(std::uint64_t trajectories = 300) {
   return s;
 }
 
-SweepPlan small_plan(std::uint64_t chunk = 64, unsigned threads = 2) {
+SweepPlan small_plan(unsigned threads = 2) {
   SweepPlan plan;
-  plan.chunk = chunk;
   plan.threads = threads;
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
     SweepJob job;
@@ -108,7 +107,7 @@ TEST(ChaosSweep, ExhaustedRetriesBecomeAStructuredFailureNotACrash) {
 }
 
 TEST(ChaosSweep, WatchdogConvertsAStallIntoAStalledStop) {
-  SweepPlan plan = small_plan(/*chunk=*/64, /*threads=*/2);
+  SweepPlan plan = small_plan(/*threads=*/2);
   plan.stall_timeout_s = 0.25;
   // One worker parks for far longer than the stall window; the watchdog must
   // stop the sweep with a diagnostic instead of letting it hang silently.

@@ -67,10 +67,9 @@ TEST(SweepCheckpoint, PlanIdDetectsADifferentPlan) {
   EXPECT_EQ(checkpoint_plan_id(tiny_plan()), checkpoint_plan_id(tiny_plan()));
   // A different seed grid is a different plan...
   EXPECT_NE(checkpoint_plan_id(tiny_plan()), checkpoint_plan_id(tiny_plan(7)));
-  // ...but execution knobs (threads, chunking, retries) are not.
+  // ...but execution knobs (threads, retries) are not.
   SweepPlan tuned = tiny_plan();
   tuned.threads = 7;
-  tuned.chunk = 3;
   tuned.max_retries = 9;
   EXPECT_EQ(checkpoint_plan_id(tiny_plan()), checkpoint_plan_id(tuned));
 }

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <string>
+#include <vector>
 
 #include "eijoint/model.hpp"
 #include "eijoint/scenarios.hpp"
 #include "fmt/parser.hpp"
+#include "obs/metrics.hpp"
+#include "obs/tracer.hpp"
 #include "report_bits.hpp"
 #include "smc/kpi.hpp"
 #include "util/error.hpp"
@@ -33,9 +38,8 @@ smc::AnalysisSettings small_settings(std::uint64_t trajectories = 300) {
   return s;
 }
 
-SweepPlan small_plan(std::uint64_t chunk = 2048, unsigned threads = 0) {
+SweepPlan small_plan(unsigned threads = 0) {
   SweepPlan plan;
-  plan.chunk = chunk;
   plan.threads = threads;
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
     SweepJob job;
@@ -49,35 +53,33 @@ SweepPlan small_plan(std::uint64_t chunk = 2048, unsigned threads = 0) {
 }
 
 // The load-bearing invariant: a pooled sweep produces, for every job, the
-// exact bits smc::analyze produces — at any thread count and chunk size.
+// exact bits smc::analyze produces — at any thread count.
 TEST(SweepEngine, BitIdenticalToAnalyzeAtAnyThreadAndChunkCount) {
   const SweepPlan plan = small_plan();
-  const SweepOutcome serial = run_sweep(small_plan(/*chunk=*/2048, /*threads=*/1));
-  const SweepOutcome pooled = run_sweep(small_plan(/*chunk=*/7, /*threads=*/4));
-  ASSERT_EQ(serial.results.size(), 3u);
-  ASSERT_EQ(pooled.results.size(), 3u);
-  for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
-    const smc::KpiReport direct =
-        smc::analyze(plan.jobs[i].model, plan.jobs[i].settings);
-    EXPECT_TRUE(serial.results[i].completed);
-    EXPECT_TRUE(pooled.results[i].completed);
-    EXPECT_TRUE(same_bits(serial.results[i].report, direct));
-    EXPECT_TRUE(same_bits(pooled.results[i].report, direct));
+  for (unsigned threads : {1u, 2u, 7u}) {
+    const SweepOutcome pooled = run_sweep(small_plan(threads));
+    ASSERT_EQ(pooled.results.size(), 3u);
+    for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
+      const smc::KpiReport direct =
+          smc::analyze(plan.jobs[i].model, plan.jobs[i].settings);
+      EXPECT_TRUE(pooled.results[i].completed);
+      EXPECT_TRUE(same_bits(pooled.results[i].report, direct)) << threads;
+    }
+    EXPECT_EQ(pooled.trajectories_simulated, 900u);
+    EXPECT_FALSE(pooled.truncated);
   }
-  EXPECT_EQ(pooled.trajectories_simulated, 900u);
-  EXPECT_FALSE(pooled.truncated);
 }
 
 TEST(SweepEngine, RejectsBadPlansAndSettings) {
-  SweepPlan bad_chunk = small_plan();
-  bad_chunk.chunk = 0;
-  EXPECT_THROW(run_sweep(bad_chunk), DomainError);
   SweepPlan bad_settings = small_plan();
   bad_settings.jobs[1].settings.horizon = -1.0;
   EXPECT_THROW(run_sweep(bad_settings), DomainError);
+  SweepPlan bad_discount = small_plan();
+  bad_discount.jobs[2].settings.discount_rate = -0.1;
+  EXPECT_THROW(run_sweep(bad_discount), DomainError);
 }
 
-TEST(SweepEngine, AdaptiveJobsFallBackButStayExactAndCached) {
+TEST(SweepEngine, AdaptiveJobsRunPooledAndStayBitIdentical) {
   SweepPlan plan;
   SweepJob job;
   job.label = "adaptive";
@@ -86,18 +88,74 @@ TEST(SweepEngine, AdaptiveJobsFallBackButStayExactAndCached) {
   job.settings.target_relative_error = 0.2;
   job.settings.batch = 100;
   plan.jobs.push_back(std::move(job));
-
-  ResultCache cache;
-  const SweepOutcome cold = run_sweep(plan, &cache);
-  ASSERT_TRUE(cold.results[0].completed);
   const smc::KpiReport direct =
       smc::analyze(plan.jobs[0].model, plan.jobs[0].settings);
-  EXPECT_TRUE(same_bits(cold.results[0].report, direct));
+  ASSERT_LT(direct.trajectories, 2000u);  // the target stops it early
 
-  const SweepOutcome warm = run_sweep(plan, &cache);
-  EXPECT_EQ(warm.cache_hits, 1u);
-  EXPECT_TRUE(warm.results[0].cache_hit);
-  EXPECT_TRUE(same_bits(warm.results[0].report, direct));
+  for (unsigned threads : {1u, 2u, 7u}) {
+    plan.threads = threads;
+    obs::MetricsRegistry metrics;
+    ResultCache cache;
+    const SweepOutcome cold = run_sweep(plan, &cache, {&metrics, nullptr, nullptr});
+    ASSERT_TRUE(cold.results[0].completed);
+    EXPECT_TRUE(same_bits(cold.results[0].report, direct)) << threads;
+    // Pooled, not handed to smc::analyze: the pool folded exactly the
+    // report's trajectories and smc.* saw none.
+    EXPECT_EQ(metrics.counter_value("batch.trajectories"), direct.trajectories);
+    EXPECT_GT(metrics.counter_value("batch.tasks"), 0u);
+    EXPECT_EQ(metrics.counter_value("smc.trajectories"), 0u);
+
+    const SweepOutcome warm = run_sweep(plan, &cache);
+    EXPECT_EQ(warm.cache_hits, 1u);
+    EXPECT_TRUE(warm.results[0].cache_hit);
+    EXPECT_TRUE(same_bits(warm.results[0].report, direct));
+  }
+}
+
+TEST(SweepEngine, StartsJobsInPlanOrder) {
+  // The pool claims chunks in plan order, so a one-thread sweep opens each
+  // job's first span in plan order (and a served dispatch cycle, sorted
+  // highest priority first, serves its most urgent job first).
+  SweepPlan plan;
+  plan.threads = 1;
+  for (int j = 0; j < 5; ++j) {
+    SweepJob job;
+    job.label = "job" + std::to_string(j);
+    job.model = fmt::parse_fmt(kModel);
+    job.settings = small_settings(500);
+    job.settings.seed = static_cast<std::uint64_t>(j) + 1;
+    plan.jobs.push_back(std::move(job));
+  }
+  obs::Tracer tracer;
+  const SweepOutcome outcome = run_sweep(plan, nullptr, {nullptr, &tracer, nullptr});
+  ASSERT_EQ(outcome.cache_misses, 5u);
+  std::vector<std::string> first_seen;
+  for (const obs::SpanRecord& span : tracer.records()) {
+    if (span.name.rfind("job:", 0) != 0) continue;
+    if (std::find(first_seen.begin(), first_seen.end(), span.name) == first_seen.end())
+      first_seen.push_back(span.name);
+  }
+  EXPECT_EQ(first_seen, (std::vector<std::string>{"job:job0", "job:job1", "job:job2",
+                                                   "job:job3", "job:job4"}));
+}
+
+TEST(SweepEngine, HugeJobStopsAtBudgetInBoundedMemory) {
+  // A 2^40-trajectory job under a trajectory budget: nothing may be sized by
+  // the request, so the plan must stop and report the job incomplete.
+  SweepPlan plan = small_plan(2);
+  plan.jobs.resize(1);
+  plan.jobs[0].settings.trajectories = std::uint64_t{1} << 40;
+  smc::RunControl control;
+  control.set_trajectory_budget(20000);
+  plan.control = &control;
+  ResultCache cache;
+  const SweepOutcome outcome = run_sweep(plan, &cache);
+  EXPECT_TRUE(outcome.truncated);
+  EXPECT_EQ(outcome.stop_reason, smc::StopReason::BudgetExhausted);
+  EXPECT_FALSE(outcome.results[0].completed);
+  EXPECT_GE(outcome.trajectories_simulated, 20000u);
+  EXPECT_LT(outcome.trajectories_simulated, 40000u);
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(SweepEngine, StoppedPlanReturnsIncompleteJobsAndCachesNothing) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <string>
 
 #include "batch/fingerprint.hpp"
@@ -190,6 +191,46 @@ Request fleet_request() {
   r.fleet.jitter = 0.12;
   r.fleet.coupling = 0.3;
   return r;
+}
+
+TEST(ServeRequest, IntegerFieldsRoundTripExactly) {
+  // Counts and seeds never pass through a double: 2^53 + 1 and 2^64 - 1
+  // survive the trip, so a served run uses the caller's exact seed.
+  for (const std::uint64_t value :
+       {(std::uint64_t{1} << 53) + 1, std::numeric_limits<std::uint64_t>::max()}) {
+    Request original = fleet_request();
+    original.settings.seed = value;
+    original.settings.trajectories = value;
+    original.fleet.seed = value;
+    const Request parsed = parse_request(encode_request(original));
+    EXPECT_EQ(parsed.settings.seed, value);
+    EXPECT_EQ(parsed.settings.trajectories, value);
+    EXPECT_EQ(parsed.fleet.seed, value);
+  }
+}
+
+TEST(ServeRequest, NonIntegerCountsAreR112) {
+  for (const std::string value : {"1e30", "3.5", "-1", "18446744073709551616", "\"7\""}) {
+    for (const std::string field : {"seed", "trajectories"}) {
+      EXPECT_EQ(expect_code([&] {
+                  parse_request(R"({"schema": "fmtree.request/v1",
+                                    "model": {"ref": "x"}, "settings": {")" +
+                                field + "\": " + value + "}}");
+                }),
+                "R112")
+          << field << " = " << value;
+    }
+    for (const std::string field : {"joints", "seed"}) {
+      const std::string joints = field == "joints" ? "" : "\"joints\": 2, ";
+      EXPECT_EQ(expect_code([&] {
+                  parse_request(R"({"schema": "fmtree.request/v1",
+                                    "model": {"ref": "x"}, "fleet": {)" +
+                                joints + "\"" + field + "\": " + value + "}}");
+                }),
+                "R112")
+          << "fleet." << field << " = " << value;
+    }
+  }
 }
 
 TEST(ServeRequest, FleetMemberRoundTripsBitExactly) {

@@ -155,6 +155,21 @@ TEST(ServeSession, LastWatcherCancelAbandonsTheJob) {
   EXPECT_TRUE(response.all_done());
 }
 
+TEST(ServeSession, NegativeDiscountRateIsRejectedWithR112) {
+  // Refused at admission rather than failing later as a job.
+  Harness h(64, 4);
+  Request r = sweep_request();
+  r.settings.discount_rate = -0.1;
+  std::vector<batch::SweepJob> jobs = prepare(r, ".").jobs;
+  try {
+    (void)h.session->submit_jobs(std::move(jobs));
+    FAIL() << "expected RequestError";
+  } catch (const RequestError& e) {
+    EXPECT_EQ(e.code(), "R112");
+  }
+  EXPECT_EQ(h.metrics.counter_value("serve.jobs"), 0u);
+}
+
 TEST(ServeSession, InvalidSettingsAreRejectedWithR112) {
   Harness h;
   Request r = sweep_request();

@@ -1,7 +1,8 @@
-// Shared helpers for the tests of the trajectory kernel (BatchExecutor) and
-// its reference oracle (Reference): bitwise TrajectoryResult comparison,
-// kernel runs collected into vectors, the reference-vs-kernel agreement
-// check, and a seeded random FMT generator.
+// Shared helpers for the tests of the trajectory kernel (BatchExecutor), its
+// reference oracle (Reference) and the trajectory pool: bitwise
+// TrajectoryResult comparison, kernel and pool runs collected into vectors,
+// the reference-vs-kernel agreement check, and a seeded random FMT
+// generator.
 //
 // std::mt19937 is fully specified by the standard, so the "random" models
 // are the same on every platform.
@@ -22,6 +23,7 @@
 #include "fmt/fmtree.hpp"
 #include "sim/batch_executor.hpp"
 #include "sim/reference.hpp"
+#include "smc/pool.hpp"
 
 namespace fmtree::sim_test {
 
@@ -75,6 +77,37 @@ inline std::vector<sim::TrajectoryResult> kernel_run(
                  return true;
                });
   return out;
+}
+
+/// A fold keeping every trajectory in the order the pool folds it.
+inline smc::Fold collect_into(std::vector<sim::TrajectoryResult>& out) {
+  return [&out](sim::TrajectoryResult& r) {
+    out.push_back(std::move(r));
+    return true;
+  };
+}
+
+/// One pool job over trajectories [0, count) under `seed` on `threads`
+/// workers: what its fold received, and the pool's outcome.
+struct PoolRun {
+  std::vector<sim::TrajectoryResult> results;
+  smc::PoolOutcome outcome;
+};
+
+inline PoolRun pool_run(const fmt::FaultMaintenanceTree& model, std::uint64_t seed,
+                        std::uint64_t count, const sim::SimOptions& opts,
+                        unsigned threads, const smc::RunControl* control = nullptr) {
+  const sim::BatchExecutor executor(model);
+  PoolRun run;
+  smc::PoolJob job{.executor = &executor, .options = &opts, .seed = seed,
+                   .trajectories = count, .fold = collect_into(run.results)};
+  smc::PoolOptions options;
+  options.threads = threads;
+  options.control = control;
+  run.outcome = smc::run_pool({&job, 1}, options);
+  EXPECT_FALSE(job.error);
+  EXPECT_EQ(job.folded, run.results.size());
+  return run;
 }
 
 /// Trajectory `index` under `seed` from the reference (tracing into `trace`

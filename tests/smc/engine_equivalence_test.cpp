@@ -20,7 +20,6 @@
 #include "../sim/sim_testing.hpp"
 #include "fmt/parser.hpp"
 #include "smc/kpi.hpp"
-#include "smc/runner.hpp"
 
 namespace fmtree::smc {
 namespace {
@@ -79,37 +78,19 @@ TEST(EngineEquivalence, CompressorKpisAgreeStatistically) {
 
 // ---- Kernel determinism ------------------------------------------------------
 
-bool bitwise_equal(const TrajectorySummary& a, const TrajectorySummary& b) {
-  using batch_test::same_bits;
-  return same_bits(a.first_failure_time, b.first_failure_time) &&
-         a.failures == b.failures && same_bits(a.downtime, b.downtime) &&
-         same_bits(a.cost.inspection, b.cost.inspection) &&
-         same_bits(a.cost.repair, b.cost.repair) &&
-         same_bits(a.cost.replacement, b.cost.replacement) &&
-         same_bits(a.cost.corrective, b.cost.corrective) &&
-         same_bits(a.cost.downtime, b.cost.downtime) &&
-         same_bits(a.discounted_total, b.discounted_total) &&
-         a.inspections == b.inspections && a.repairs == b.repairs &&
-         a.replacements == b.replacements;
-}
-
-bool bitwise_equal(const BatchResult& a, const BatchResult& b) {
-  if (a.summaries.size() != b.summaries.size()) return false;
-  for (std::size_t i = 0; i < a.summaries.size(); ++i)
-    if (!bitwise_equal(a.summaries[i], b.summaries[i])) return false;
-  return a.failures_per_leaf == b.failures_per_leaf &&
-         a.repairs_per_leaf == b.repairs_per_leaf && a.completed == b.completed;
-}
-
 TEST(BatchDeterminism, ReportBitsInvariantToThreadCount) {
   const fmt::FaultMaintenanceTree model = load_model("ei_joint");
-  sim::SimOptions opts;
-  opts.horizon = 10.0;
-  const BatchResult one = ParallelRunner(model, 1).run(99, 0, 2000, opts);
-  const BatchResult three = ParallelRunner(model, 3).run(99, 0, 2000, opts);
-  const BatchResult seven = ParallelRunner(model, 7).run(99, 0, 2000, opts);
-  EXPECT_TRUE(bitwise_equal(one, three));
-  EXPECT_TRUE(bitwise_equal(one, seven));
+  AnalysisSettings s;
+  s.horizon = 10.0;
+  s.trajectories = 2000;
+  s.seed = 99;
+  s.discount_rate = 0.04;
+  s.threads = 1;
+  const KpiReport one = analyze(model, s);
+  for (unsigned threads : {3u, 7u}) {
+    s.threads = threads;
+    EXPECT_TRUE(batch_test::same_bits(one, analyze(model, s))) << threads;
+  }
 }
 
 TEST(BatchDeterminism, ReportBitsInvariantToLaneWidth) {

@@ -5,9 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "../sim/sim_testing.hpp"
 #include "fmt/parser.hpp"
 #include "smc/kpi.hpp"
-#include "smc/runner.hpp"
 #include "util/error.hpp"
 
 namespace fmtree::smc {
@@ -51,68 +51,50 @@ TEST(RunControl, StopReasonNames) {
 
 TEST(RunControl, UncontrolledRunIsNeverTruncated) {
   const fmt::FaultMaintenanceTree model = fmt::parse_fmt(kModel);
-  const ParallelRunner runner(model, 2);
   sim::SimOptions run_opts;
   run_opts.horizon = 10.0;
-  const BatchResult r = runner.run(7, 0, 200, run_opts);
-  EXPECT_EQ(r.completed, 200u);
-  EXPECT_FALSE(r.truncated);
-  EXPECT_EQ(r.stop_reason, StopReason::None);
-  EXPECT_EQ(r.summaries.size(), 200u);
+  const sim_test::PoolRun r = sim_test::pool_run(model, 7, 200, run_opts, 2);
+  EXPECT_EQ(r.results.size(), 200u);
+  EXPECT_EQ(r.outcome.stop_reason, StopReason::None);
+  EXPECT_EQ(r.outcome.trajectories, 200u);
 }
 
 TEST(RunControl, NullControlMatchesNoControlBitExactly) {
-  // The controlled code path (sparse deltas, prefix accounting) must not
-  // perturb results when no stop fires.
+  // Polling a control that never fires must not perturb results.
   const fmt::FaultMaintenanceTree model = fmt::parse_fmt(kModel);
-  const ParallelRunner runner(model, 3);
   sim::SimOptions opts;
   opts.horizon = 10.0;
   RunControl idle;  // no condition armed
-  const BatchResult plain = runner.run(11, 0, 300, opts);
-  const BatchResult controlled = runner.run(11, 0, 300, opts, &idle);
-  EXPECT_FALSE(controlled.truncated);
-  ASSERT_EQ(plain.summaries.size(), controlled.summaries.size());
-  for (std::size_t i = 0; i < plain.summaries.size(); ++i) {
-    EXPECT_EQ(plain.summaries[i].first_failure_time,
-              controlled.summaries[i].first_failure_time);
-    EXPECT_EQ(plain.summaries[i].cost.total(), controlled.summaries[i].cost.total());
-  }
-  EXPECT_EQ(plain.failures_per_leaf, controlled.failures_per_leaf);
-  EXPECT_EQ(plain.repairs_per_leaf, controlled.repairs_per_leaf);
+  const sim_test::PoolRun plain = sim_test::pool_run(model, 11, 300, opts, 3);
+  const sim_test::PoolRun controlled = sim_test::pool_run(model, 11, 300, opts, 3, &idle);
+  EXPECT_EQ(controlled.outcome.stop_reason, StopReason::None);
+  ASSERT_EQ(plain.results.size(), controlled.results.size());
+  for (std::size_t i = 0; i < plain.results.size(); ++i)
+    ASSERT_TRUE(sim_test::bit_identical(plain.results[i], controlled.results[i])) << i;
 }
 
 TEST(RunControl, TruncatedPrefixBitIdenticalToUntruncatedRun) {
   // Budget-stop a multi-threaded run, then rerun exactly the delivered
-  // prefix without a control: every statistic must match bit for bit.
+  // prefix without a control: every trajectory must match bit for bit.
   const fmt::FaultMaintenanceTree model = fmt::parse_fmt(kModel);
-  const ParallelRunner runner(model, 4);
   sim::SimOptions opts;
   opts.horizon = 10.0;
 
   RunControl control;
   control.set_trajectory_budget(120);
-  const BatchResult truncated = runner.run(42, 0, 5000, opts, &control);
-  ASSERT_TRUE(truncated.truncated);
-  EXPECT_EQ(truncated.stop_reason, StopReason::BudgetExhausted);
+  const sim_test::PoolRun truncated =
+      sim_test::pool_run(model, 42, 5000, opts, 4, &control);
+  EXPECT_EQ(truncated.outcome.stop_reason, StopReason::BudgetExhausted);
   // The delivered prefix hovers around the budget but is only guaranteed to
   // be nonempty and partial (a slow worker shortens it).
-  ASSERT_GT(truncated.completed, 0u);
-  ASSERT_LT(truncated.completed, 5000u);
-  ASSERT_EQ(truncated.summaries.size(), truncated.completed);
+  ASSERT_GT(truncated.results.size(), 0u);
+  ASSERT_LT(truncated.results.size(), 5000u);
 
-  const BatchResult reference = runner.run(42, 0, truncated.completed, opts);
-  ASSERT_EQ(reference.summaries.size(), truncated.summaries.size());
-  for (std::size_t i = 0; i < reference.summaries.size(); ++i) {
-    EXPECT_EQ(reference.summaries[i].first_failure_time,
-              truncated.summaries[i].first_failure_time);
-    EXPECT_EQ(reference.summaries[i].failures, truncated.summaries[i].failures);
-    EXPECT_EQ(reference.summaries[i].downtime, truncated.summaries[i].downtime);
-    EXPECT_EQ(reference.summaries[i].discounted_total,
-              truncated.summaries[i].discounted_total);
-  }
-  EXPECT_EQ(reference.failures_per_leaf, truncated.failures_per_leaf);
-  EXPECT_EQ(reference.repairs_per_leaf, truncated.repairs_per_leaf);
+  const sim_test::PoolRun reference =
+      sim_test::pool_run(model, 42, truncated.results.size(), opts, 4);
+  ASSERT_EQ(reference.results.size(), truncated.results.size());
+  for (std::size_t i = 0; i < reference.results.size(); ++i)
+    ASSERT_TRUE(sim_test::bit_identical(reference.results[i], truncated.results[i])) << i;
 }
 
 TEST(RunControl, AnalyzeReportsTruncationOverExactPrefix) {
@@ -176,6 +158,38 @@ TEST(RunControl, AdaptiveBatchingStopsAtBudget) {
   EXPECT_TRUE(k.truncated);
   EXPECT_EQ(k.stop_reason, StopReason::BudgetExhausted);
   EXPECT_LT(k.trajectories, 2000u);  // stopped near the budget, not the cap
+}
+
+TEST(RunControl, HugeRunStopsAtBudgetInBoundedMemory) {
+  // 2^40 requested trajectories: nothing may be sized by the request (one
+  // byte per trajectory alone would be a terabyte), so the run must stop at
+  // its budget and deliver an exact prefix.
+  const fmt::FaultMaintenanceTree model = fmt::parse_fmt(kModel);
+  AnalysisSettings s;
+  s.horizon = 10.0;
+  s.trajectories = std::uint64_t{1} << 40;
+  s.seed = 3;
+  s.threads = 4;
+  RunControl control;
+  control.set_trajectory_budget(20000);
+  s.control = &control;
+  const KpiReport truncated = analyze(model, s);
+  ASSERT_TRUE(truncated.truncated);
+  EXPECT_EQ(truncated.stop_reason, StopReason::BudgetExhausted);
+  ASSERT_GT(truncated.trajectories, 0u);
+  EXPECT_LE(truncated.trajectories, 20000u + 64u * 4u * s.threads);
+
+  AnalysisSettings exact = s;
+  exact.control = nullptr;
+  exact.trajectories = truncated.trajectories;
+  const KpiReport reference = analyze(model, exact);
+  EXPECT_EQ(reference.reliability.point, truncated.reliability.point);
+  EXPECT_EQ(reference.expected_failures.lo, truncated.expected_failures.lo);
+  EXPECT_EQ(reference.total_cost.hi, truncated.total_cost.hi);
+  EXPECT_EQ(reference.npv_cost.point, truncated.npv_cost.point);
+  EXPECT_EQ(reference.availability.point, truncated.availability.point);
+  EXPECT_EQ(reference.failures_per_leaf, truncated.failures_per_leaf);
+  EXPECT_EQ(reference.repairs_per_leaf, truncated.repairs_per_leaf);
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
+#include "../sim/sim_testing.hpp"
 #include "smc/kpi.hpp"
-#include "smc/runner.hpp"
+#include "smc/pool.hpp"
 #include "util/error.hpp"
 
 namespace fmtree::smc {
@@ -37,37 +39,76 @@ AnalysisSettings fast_settings(double horizon, std::uint64_t n = 20000) {
   return s;
 }
 
-// ---- Runner ------------------------------------------------------------------
+// ---- Pool ------------------------------------------------------------------
 
-TEST(ParallelRunner, DeterministicAcrossThreadCounts) {
+TEST(Pool, FoldsInIndexOrderAtAnyThreadCount) {
+  // The fold must receive trajectory i as the i-th call whatever the worker
+  // count: the kernel run straight through is the order to match.
   const FaultMaintenanceTree m = series_two_exponentials();
   sim::SimOptions opts;
   opts.horizon = 5.0;
-  const BatchResult r1 = ParallelRunner(m, 1).run(77, 0, 500, opts);
-  const BatchResult r4 = ParallelRunner(m, 4).run(77, 0, 500, opts);
-  const BatchResult r7 = ParallelRunner(m, 7).run(77, 0, 500, opts);
-  ASSERT_EQ(r1.summaries.size(), 500u);
-  for (std::size_t i = 0; i < 500; ++i) {
-    EXPECT_DOUBLE_EQ(r1.summaries[i].first_failure_time,
-                     r4.summaries[i].first_failure_time);
-    EXPECT_DOUBLE_EQ(r1.summaries[i].first_failure_time,
-                     r7.summaries[i].first_failure_time);
-    EXPECT_EQ(r1.summaries[i].failures, r7.summaries[i].failures);
+  const std::vector<sim::TrajectoryResult> serial =
+      sim_test::kernel_run(m, 77, 0, 500, opts);
+  for (unsigned threads : {1u, 4u, 7u}) {
+    const sim_test::PoolRun run = sim_test::pool_run(m, 77, 500, opts, threads);
+    ASSERT_EQ(run.results.size(), 500u) << threads;
+    EXPECT_EQ(run.outcome.stop_reason, StopReason::None);
+    for (std::size_t i = 0; i < 500; ++i)
+      ASSERT_TRUE(sim_test::bit_identical(serial[i], run.results[i]))
+          << threads << " threads, trajectory " << i;
   }
-  EXPECT_EQ(r1.failures_per_leaf, r4.failures_per_leaf);
-  EXPECT_EQ(r1.failures_per_leaf, r7.failures_per_leaf);
 }
 
-TEST(ParallelRunner, FirstOffsetContinuesStreams) {
+TEST(Pool, ShorterJobFoldsAPrefixOfALongerOne) {
+  // What makes a truncated run exact: a job over n trajectories folds the
+  // first n of any longer job on the same seed.
   const FaultMaintenanceTree m = series_two_exponentials();
   sim::SimOptions opts;
   opts.horizon = 5.0;
-  const ParallelRunner runner(m, 2);
-  const BatchResult all = runner.run(5, 0, 100, opts);
-  const BatchResult tail = runner.run(5, 60, 40, opts);
-  for (std::size_t i = 0; i < 40; ++i)
-    EXPECT_DOUBLE_EQ(all.summaries[60 + i].first_failure_time,
-                     tail.summaries[i].first_failure_time);
+  const sim_test::PoolRun all = sim_test::pool_run(m, 5, 300, opts, 3);
+  const sim_test::PoolRun head = sim_test::pool_run(m, 5, 130, opts, 2);
+  ASSERT_EQ(head.results.size(), 130u);
+  for (std::size_t i = 0; i < head.results.size(); ++i)
+    ASSERT_TRUE(sim_test::bit_identical(all.results[i], head.results[i])) << i;
+}
+
+TEST(Pool, AFoldEndsItsJobAndAFailureStaysInItsJob) {
+  const FaultMaintenanceTree m = series_two_exponentials();
+  const sim::BatchExecutor kernel(m);
+  sim::SimOptions opts;
+  opts.horizon = 5.0;
+  std::uint64_t seen = 0;
+  const Fold ends = [&seen](sim::TrajectoryResult&) { return ++seen != 100; };
+  const Fold throws = [n = 0](sim::TrajectoryResult&) mutable {
+    if (++n == 150) throw std::runtime_error("fold failed");
+    return true;
+  };
+  std::vector<sim::TrajectoryResult> rest;
+  const auto job = [&](std::uint64_t seed, std::uint64_t n, Fold fold) {
+    return PoolJob{.executor = &kernel, .options = &opts, .seed = seed,
+                   .trajectories = n, .fold = std::move(fold)};
+  };
+  PoolJob jobs[] = {job(1, 5000, ends), job(2, 5000, throws),
+                    job(3, 700, sim_test::collect_into(rest))};
+  PoolOptions options;
+  options.threads = 4;
+  const PoolOutcome outcome = run_pool(jobs, options);
+  EXPECT_EQ(outcome.stop_reason, StopReason::None);
+  // The fold that said stop received exactly the trajectories up to it.
+  EXPECT_TRUE(jobs[0].ended);
+  EXPECT_TRUE(jobs[0].finished());
+  EXPECT_EQ(jobs[0].folded, 100u);
+  EXPECT_EQ(seen, 100u);
+  // A throwing fold fails its own job only.
+  EXPECT_TRUE(jobs[1].error);
+  EXPECT_FALSE(jobs[1].finished());
+  EXPECT_FALSE(jobs[2].error);
+  EXPECT_TRUE(jobs[2].finished());
+  ASSERT_EQ(rest.size(), 700u);
+  const std::vector<sim::TrajectoryResult> serial =
+      sim_test::kernel_run(m, 3, 0, 700, opts);
+  for (std::size_t i = 0; i < serial.size(); ++i)
+    ASSERT_TRUE(sim_test::bit_identical(serial[i], rest[i])) << i;
 }
 
 // ---- KPIs vs closed forms ------------------------------------------------------
@@ -157,6 +198,28 @@ TEST(Kpi, SettingsValidation) {
   s.trajectories = 10;
   s.confidence = 1.5;
   EXPECT_THROW(analyze(m, s), DomainError);
+}
+
+TEST(Kpi, NegativeDiscountRateIsADomainErrorAtAnyThreadCount) {
+  // Rejected up front: the kernel would throw inside a worker thread.
+  const FaultMaintenanceTree m = exponential_leaf(1.0);
+  for (double rate : {-0.1, std::nan(""), HUGE_VAL}) {
+    AnalysisSettings s = fast_settings(5.0, 2000);
+    s.discount_rate = rate;
+    EXPECT_THROW(analyze(m, s), DomainError) << rate;
+    EXPECT_THROW(mean_time_to_failure(m, s), DomainError) << rate;
+  }
+}
+
+TEST(Kpi, AdaptiveRunWithZeroBatchIsADomainError) {
+  // A zero batch would never reach a stopping check.
+  const FaultMaintenanceTree m = exponential_leaf(1.0);
+  AnalysisSettings s = fast_settings(5.0, 2000);
+  s.target_relative_error = 0.05;
+  s.batch = 0;
+  EXPECT_THROW(analyze(m, s), DomainError);
+  s.target_relative_error = 0.0;  // the batch only matters to adaptive runs
+  EXPECT_EQ(analyze(m, s).trajectories, 2000u);
 }
 
 // ---- Curves ---------------------------------------------------------------------
