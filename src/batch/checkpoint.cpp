@@ -97,15 +97,15 @@ SweepCheckpoint decode_checkpoint(const std::string& text) {
 }
 
 bool write_checkpoint(const std::string& path, const SweepPlan& plan,
-                      const SweepOutcome& outcome) {
+                      std::span<const JobResult> results) {
   SweepCheckpoint cp;
   cp.plan_id = checkpoint_plan_id(plan);
   cp.jobs.reserve(plan.jobs.size());
   for (std::size_t j = 0; j < plan.jobs.size(); ++j) {
     CheckpointEntry e;
     e.label = plan.jobs[j].label;
-    if (j < outcome.results.size()) {
-      const JobResult& r = outcome.results[j];
+    if (j < results.size()) {
+      const JobResult& r = results[j];
       e.key = r.key.id();
       e.status = r.completed ? "done" : r.failed ? "failed" : "pending";
     } else {

@@ -17,12 +17,7 @@ namespace fmtree::batch {
 
 namespace {
 
-/// C99 hexfloat form: exact bits, locale-independent, strtod-parseable.
-std::string hexfloat(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
+using json::hexfloat;
 
 double parse_hexfloat(const json::Value& v) {
   if (!v.is(json::Kind::String)) throw IoError("cache entry: expected a hexfloat string");

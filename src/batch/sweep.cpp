@@ -16,6 +16,8 @@ namespace fmtree::batch {
 
 namespace {
 
+constexpr double kRetryBackoffCapMs = 1000.0;
+
 struct SweepMetricIds {
   obs::CounterId jobs, jobs_simulated, tasks, trajectories, events, cache_hits,
       cache_misses;
@@ -72,6 +74,16 @@ JobFailure classify_failure(const std::exception_ptr& error, std::uint32_t attem
 }
 
 }  // namespace
+
+const char* job_state_name(JobState s) noexcept {
+  switch (s) {
+    case JobState::Done: return "done";
+    case JobState::Failed: return "failed";
+    case JobState::Cancelled: return "cancelled";
+    case JobState::Interrupted: return "interrupted";
+  }
+  return "?";
+}
 
 SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
                        const obs::Telemetry& telemetry) {
@@ -181,7 +193,7 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
       if (stopped()) return;  // stopping: leave the job incomplete
       const double backoff_ms =
           std::min(plan.retry_backoff_ms * std::exp2(double(result.retries)),
-                   plan.retry_backoff_cap_ms);
+                   kRetryBackoffCapMs);
       if (backoff_ms > 0)
         std::this_thread::sleep_for(
             std::chrono::duration<double, std::milli>(backoff_ms));

@@ -69,9 +69,8 @@ struct SweepPlan {
   /// Non-transient classes (domain, resource, internal) never retry.
   std::uint32_t max_retries = 2;
   /// Exponential backoff before retry k sleeps
-  /// min(retry_backoff_ms * 2^(k-1), retry_backoff_cap_ms) milliseconds.
+  /// min(retry_backoff_ms * 2^(k-1), 1000) milliseconds.
   double retry_backoff_ms = 25.0;
-  double retry_backoff_cap_ms = 1000.0;
   /// Stall watchdog: when > 0 and the pool makes no trajectory progress for
   /// this many seconds while tasks remain, the sweep stops with
   /// StopReason::Stalled and a diagnostic naming the silent workers.
@@ -89,6 +88,19 @@ struct JobFailure {
   std::uint32_t attempts = 0;  ///< total attempts (first run + retries)
 };
 
+/// Final state of one job, derived from JobResult's flags.
+enum class JobState : std::uint8_t {
+  Done,         ///< report is valid (simulated or from cache)
+  Failed,       ///< permanent failure; JobResult::failure says why
+  Cancelled,    ///< SweepJob::cancel stopped it before completion
+  Interrupted,  ///< the run stopped (control, watchdog, drain) before it finished
+};
+
+/// "done", "failed", "cancelled" or "interrupted".
+const char* job_state_name(JobState s) noexcept;
+
+/// One job's outcome — from run_sweep, and unchanged through serve::Session,
+/// the fmtree.response/v1 wire and the CLI.
 struct JobResult {
   std::string label;
   CacheKey key;
@@ -105,6 +117,13 @@ struct JobResult {
   /// failed and cancelled are mutually exclusive.
   bool cancelled = false;
   smc::KpiReport report;
+
+  JobState state() const noexcept {
+    if (completed) return JobState::Done;
+    if (failed) return JobState::Failed;
+    if (cancelled) return JobState::Cancelled;
+    return JobState::Interrupted;
+  }
 };
 
 struct SweepOutcome {

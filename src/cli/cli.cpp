@@ -477,16 +477,16 @@ int render_sweep_response(const Options& opt, const serve::Response& o,
   TextTable t({"policy", "cost / time unit", "failures / time unit", "source"});
   std::size_t best = o.jobs.size();
   for (std::size_t i = 0; i < o.jobs.size(); ++i) {
-    const serve::JobOutcome& r = o.jobs[i];
-    if (r.state == serve::JobState::Failed) {
+    const batch::JobResult& r = o.jobs[i];
+    if (r.failed) {
       t.add_row({r.label, "(failed: " + r.failure.kind + ")", "", ""});
       continue;
     }
-    if (r.state == serve::JobState::Cancelled) {
+    if (r.cancelled) {
       t.add_row({r.label, "(cancelled)", "", ""});
       continue;
     }
-    if (r.state == serve::JobState::Interrupted) {
+    if (!r.completed) {
       t.add_row({r.label, "(interrupted)", "", ""});
       continue;
     }
@@ -502,34 +502,28 @@ int render_sweep_response(const Options& opt, const serve::Response& o,
         << cell(o.jobs[best].report.cost_per_year.point, 2) << " / time unit\n";
   }
   if (show_cache_line) {
-    const std::uint64_t hits = o.count(serve::JobState::Done) -
-                               [&] {
-                                 std::uint64_t simulated = 0;
-                                 for (const serve::JobOutcome& r : o.jobs)
-                                   if (r.state == serve::JobState::Done && !r.cache_hit)
-                                     ++simulated;
-                                 return simulated;
-                               }();
+    std::uint64_t hits = 0;
+    for (const batch::JobResult& r : o.jobs) hits += r.cache_hit ? 1 : 0;
     out << "cache: " << hits << " hits, " << o.jobs.size() - hits << " misses ("
         << opt.cache_dir << ")\n";
   }
   std::uint64_t retries = 0;
-  for (const serve::JobOutcome& r : o.jobs) retries += r.retries;
+  for (const batch::JobResult& r : o.jobs) retries += r.retries;
   if (retries > 0)
     out << "self-healing: " << retries << " retr" << (retries == 1 ? "y" : "ies")
         << " recovered transient failures\n";
   for (const Diagnostic& d : o.warnings)
     out << "fmtree: " << format_diagnostic(d) << "\n";
-  const std::uint64_t jobs_failed = o.count(serve::JobState::Failed);
+  const std::uint64_t jobs_failed = o.count(batch::JobState::Failed);
   if (jobs_failed > 0) {
     out << "\nNOTE: " << jobs_failed << " job(s) failed permanently:\n";
-    for (const serve::JobOutcome& r : o.jobs)
-      if (r.state == serve::JobState::Failed)
+    for (const batch::JobResult& r : o.jobs)
+      if (r.failed)
         out << "  " << r.label << " [" << r.failure.kind << ", "
             << r.failure.attempts << " attempt(s)]: " << r.failure.message
             << "\n";
   }
-  if (o.count(serve::JobState::Interrupted) > 0) {
+  if (o.count(batch::JobState::Interrupted) > 0) {
     out << "\nNOTE: sweep truncated (" << smc::stop_reason_name(o.stop_reason)
         << "); interrupted policies carry no results.\n";
     return kExitTruncated;
@@ -537,24 +531,59 @@ int render_sweep_response(const Options& opt, const serve::Response& o,
   return jobs_failed > 0 ? kExitTruncated : kExitOk;
 }
 
-/// Reconstructs the SweepOutcome shape the checkpoint writer expects from a
-/// Response (jobs arrive in plan order, carrying the same cache keys).
-batch::SweepOutcome outcome_for_checkpoint(const serve::Response& response) {
-  batch::SweepOutcome outcome;
-  outcome.results.reserve(response.jobs.size());
-  for (const serve::JobOutcome& job : response.jobs) {
-    batch::JobResult r;
-    r.label = job.label;
-    r.key = job.key;
-    r.completed = job.state == serve::JobState::Done;
-    r.failed = job.state == serve::JobState::Failed;
-    r.cancelled = job.state == serve::JobState::Cancelled;
-    r.cache_hit = job.cache_hit;
-    r.retries = job.retries;
-    r.failure = job.failure;
-    outcome.results.push_back(std::move(r));
+/// The service configuration of one invocation (`serve`, and the
+/// in-process runs of `sweep` and `fleet`).
+serve::SessionConfig session_config(const Options& opt, obs::Telemetry telemetry) {
+  serve::SessionConfig config;
+  config.threads = opt.threads;
+  config.queue_limit = opt.queue_limit;
+  config.cache_dir = opt.cache_dir;
+  config.model_root = opt.model_root;
+  config.max_retries = opt.max_retries;
+  config.stall_timeout_s = opt.stall_timeout;
+  config.telemetry = telemetry;
+  return config;
+}
+
+/// `--connect`: runs the request on the daemon, forwarding its progress.
+serve::Response run_connected(const Options& opt, const serve::Request& request,
+                              obs::Telemetry telemetry) {
+  serve::ClientEvents events;
+  if (telemetry.progress != nullptr) {
+    events.progress = [progress = telemetry.progress](const obs::Progress& p) {
+      progress->update(p);
+    };
   }
-  return outcome;
+  return serve::request_over_socket(opt.connect, request, events);
+}
+
+/// Runs prepared jobs in-process: the daemon's service entry points, minus
+/// the socket. The Session (not run_sweep) because its dedup inside one
+/// request runs identical jobs once. SIGINT and --timeout reach the jobs
+/// through the wait loop, whose drain stops them at a trajectory boundary.
+serve::Response run_in_process(const Options& opt, std::vector<batch::SweepJob> jobs,
+                               obs::Telemetry telemetry) {
+  smc::RunControl& control = interrupt_control();
+  control.reset();
+  if (opt.timeout > 0) control.set_timeout(opt.timeout);
+  serve::SessionConfig config = session_config(opt, telemetry);
+  config.queue_limit = std::max(config.queue_limit, jobs.size());
+  serve::Session session(std::move(config));
+  serve::Ticket ticket = session.submit_jobs(std::move(jobs));
+  while (!ticket.wait_for(0.05)) {
+    if (control.should_stop(0) != smc::StopReason::None) {
+      session.drain();
+      break;
+    }
+  }
+  serve::Response response = ticket.take();
+  // The drain path reports Interrupted; the control knows the precise reason
+  // (deadline vs signal), so prefer it.
+  const smc::StopReason local_reason = control.should_stop(0);
+  if (response.stop_reason != smc::StopReason::None &&
+      local_reason != smc::StopReason::None)
+    response.stop_reason = local_reason;
+  return response;
 }
 
 int cmd_sweep(const Options& opt, const fmt::FaultMaintenanceTree& model,
@@ -574,34 +603,15 @@ int cmd_sweep(const Options& opt, const fmt::FaultMaintenanceTree& model,
   }
 
   if (!opt.connect.empty()) {
-    serve::ClientEvents events;
-    if (telemetry.progress != nullptr) {
-      events.progress = [&telemetry](const obs::Progress& p) {
-        telemetry.progress->update(p);
-      };
-    }
-    const serve::Response response =
-        serve::request_over_socket(opt.connect, request, events);
-    return render_sweep_response(opt, response, /*show_cache_line=*/false, out);
+    return render_sweep_response(opt, run_connected(opt, request, telemetry),
+                                 /*show_cache_line=*/false, out);
   }
 
-  // In-process: the same expansion and service entry points as the daemon,
-  // minus the socket. The per-plan control (SIGINT / --timeout) is bridged
-  // by the wait loop below; the Session's own drain path delivers the same
-  // trajectory-boundary truncation run_sweep always had.
   serve::PreparedRequest prepared = serve::prepare(request, opt.model_root);
-
-  // The checkpoint manifest still wants a SweepPlan (for the plan id and the
-  // job list); build it from the same prepared jobs the service will run.
+  // The checkpoint manifest wants a SweepPlan (for the plan id and the job
+  // list); build it from the same prepared jobs the service will run.
   batch::SweepPlan plan;
-  plan.threads = opt.threads;
-  plan.max_retries = opt.max_retries;
-  plan.stall_timeout_s = opt.stall_timeout;
   plan.jobs = prepared.jobs;
-
-  smc::RunControl& control = interrupt_control();
-  control.reset();
-  if (opt.timeout > 0) control.set_timeout(opt.timeout);
 
   // --resume: consult the checkpoint manifest before running. The cache is
   // what actually replays completed jobs bit-identically; the manifest adds
@@ -641,35 +651,12 @@ int cmd_sweep(const Options& opt, const fmt::FaultMaintenanceTree& model,
     }
   }
 
-  serve::SessionConfig config;
-  config.threads = opt.threads;
-  config.queue_limit = std::max(opt.queue_limit, prepared.jobs.size());
-  config.cache_dir = opt.cache_dir;
-  config.model_root = opt.model_root;
-  config.max_retries = opt.max_retries;
-  config.stall_timeout_s = opt.stall_timeout;
-  config.telemetry = telemetry;
-  serve::Session session(std::move(config));
-  serve::Ticket ticket = session.submit_jobs(std::move(prepared.jobs));
-  while (!ticket.wait_for(0.05)) {
-    if (control.should_stop(0) != smc::StopReason::None) {
-      session.drain();  // resolves every ticket at the trajectory boundary
-      break;
-    }
-  }
-  serve::Response response = ticket.take();
-  // The drain path reports Interrupted; the control knows the precise reason
-  // (deadline vs signal), so prefer it for the truncation NOTE.
-  const smc::StopReason local_reason = control.should_stop(0);
-  if (response.stop_reason != smc::StopReason::None &&
-      local_reason != smc::StopReason::None)
-    response.stop_reason = local_reason;
-
+  const serve::Response response =
+      run_in_process(opt, std::move(prepared.jobs), telemetry);
   // Publish the manifest for the *next* --resume whenever a cache exists —
   // also after a truncated run, which is exactly when resume matters.
   if (!opt.cache_dir.empty())
-    batch::write_checkpoint(batch::checkpoint_path(opt.cache_dir), plan,
-                            outcome_for_checkpoint(response));
+    batch::write_checkpoint(batch::checkpoint_path(opt.cache_dir), plan, response.jobs);
 
   return render_sweep_response(opt, response,
                                /*show_cache_line=*/!opt.cache_dir.empty(), out);
@@ -706,42 +693,6 @@ fleet::CorridorSpec fleet_spec(const Options& opt) {
   spec.coupling = opt.coupling;
   spec.spacing_km = opt.spacing_km;
   return spec;
-}
-
-/// Folds a served/in-process Response (jobs in corridor order) into the same
-/// FleetOutcome shape fleet::analyze_fleet produces, so both executors render
-/// identically and aggregate through the same exact sums.
-fleet::FleetOutcome fleet_outcome_from_response(
-    const fleet::Corridor& corridor, const serve::Response& response,
-    const fleet::FleetOptions& options) {
-  fleet::FleetOutcome o;
-  o.warnings = response.warnings;
-  o.truncated = response.count(serve::JobState::Interrupted) > 0;
-  o.joints.reserve(corridor.joints.size());
-  for (std::size_t i = 0; i < corridor.joints.size(); ++i) {
-    fleet::JointSummary s;
-    s.name = corridor.joints[i].name;
-    s.scale = corridor.joints[i].scale;
-    if (i < response.jobs.size()) {
-      const serve::JobOutcome& job = response.jobs[i];
-      if (job.state == serve::JobState::Done) {
-        s.report = job.report;
-        job.cache_hit ? ++o.cache_hits : ++o.cache_misses;
-      } else if (job.state == serve::JobState::Failed) {
-        ++o.jobs_failed;
-        Diagnostic d;
-        d.severity = Severity::Warning;
-        d.code = "F101";
-        d.message = "fleet shard '" + s.name + "' failed [" + job.failure.kind +
-                    "]: " + job.failure.message;
-        d.hint = "the joint is excluded from the corridor aggregates";
-        o.warnings.push_back(std::move(d));
-      }
-    }
-    o.joints.push_back(std::move(s));
-  }
-  o.kpis = fleet::aggregate_fleet(corridor, o.joints, options);
-  return o;
 }
 
 int render_fleet(const Options& opt, const fleet::Corridor& corridor,
@@ -849,13 +800,10 @@ int cmd_fleet(const Options& opt, const fmt::FaultMaintenanceTree& model,
   // spacing the request schema deliberately omits); the jobs the daemon
   // expands from the request are bit-identical to the local plan's.
   const fleet::Corridor corridor = fleet::generate_corridor(model, fleet_spec(opt));
+  // Render-side options only: the jobs come from the request (prepare()).
   fleet::FleetOptions options;
-  options.settings = request.settings;
   options.resources.crews = opt.crews;
   options.worst_k = opt.worst_k;
-  options.threads = opt.threads;
-  options.max_retries = opt.max_retries;
-  options.stall_timeout_s = opt.stall_timeout;
   if (!request.scripts.empty()) {
     // The jobs get the compiled policy through prepare(); this copy only
     // feeds the render-side budget KPI of the aggregator.
@@ -867,68 +815,20 @@ int cmd_fleet(const Options& opt, const fmt::FaultMaintenanceTree& model,
         std::make_shared<const lang::CompiledPolicy>(*std::move(compiled));
   }
 
-  const auto finish = [&](const serve::Response& response, bool show_cache) {
+  const auto render = [&](const serve::Response& response, bool show_cache) {
     const fleet::FleetOutcome o =
-        fleet_outcome_from_response(corridor, response, options);
-    if (telemetry.metrics != nullptr) {
-      obs::MetricsRegistry& m = *telemetry.metrics;
-      m.add(m.counter("fleet.joints"), corridor.joints.size());
-      m.add(m.counter("fleet.cache_hits"), o.cache_hits);
-      m.add(m.counter("fleet.cache_misses"), o.cache_misses);
-      m.add(m.counter("fleet.jobs_failed"), o.jobs_failed);
-    }
+        fleet::fleet_outcome(corridor, response.jobs, response.warnings, options);
     return render_fleet(opt, corridor, o, show_cache, out);
   };
-
-  if (!opt.connect.empty()) {
-    serve::ClientEvents events;
-    if (telemetry.progress != nullptr) {
-      events.progress = [&telemetry](const obs::Progress& p) {
-        telemetry.progress->update(p);
-      };
-    }
-    const serve::Response response =
-        serve::request_over_socket(opt.connect, request, events);
-    return finish(response, /*show_cache=*/false);
-  }
-
-  // In-process: the same expansion and service entry points as the daemon,
-  // minus the socket (the cmd_sweep pattern).
+  if (!opt.connect.empty())
+    return render(run_connected(opt, request, telemetry), /*show_cache=*/false);
   serve::PreparedRequest prepared = serve::prepare(request, opt.model_root);
-  smc::RunControl& control = interrupt_control();
-  control.reset();
-  if (opt.timeout > 0) control.set_timeout(opt.timeout);
-
-  serve::SessionConfig config;
-  config.threads = opt.threads;
-  config.queue_limit = std::max(opt.queue_limit, prepared.jobs.size());
-  config.cache_dir = opt.cache_dir;
-  config.model_root = opt.model_root;
-  config.max_retries = opt.max_retries;
-  config.stall_timeout_s = opt.stall_timeout;
-  config.telemetry = telemetry;
-  serve::Session session(std::move(config));
-  serve::Ticket ticket = session.submit_jobs(std::move(prepared.jobs));
-  while (!ticket.wait_for(0.05)) {
-    if (control.should_stop(0) != smc::StopReason::None) {
-      session.drain();
-      break;
-    }
-  }
-  const serve::Response response = ticket.take();
-  return finish(response, /*show_cache=*/!opt.cache_dir.empty());
+  return render(run_in_process(opt, std::move(prepared.jobs), telemetry),
+                /*show_cache=*/!opt.cache_dir.empty());
 }
 
 int cmd_serve(const Options& opt, std::ostream& out, obs::Telemetry telemetry) {
-  serve::SessionConfig config;
-  config.threads = opt.threads;
-  config.queue_limit = opt.queue_limit;
-  config.cache_dir = opt.cache_dir;
-  config.model_root = opt.model_root;
-  config.max_retries = opt.max_retries;
-  config.stall_timeout_s = opt.stall_timeout;
-  config.telemetry = telemetry;
-  serve::Session session(std::move(config));
+  serve::Session session(session_config(opt, telemetry));
 
   // SIGINT/SIGTERM (wired in main()) and --timeout stop the accept loop;
   // Server::run then drains the session and joins every connection.

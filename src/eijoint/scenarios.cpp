@@ -72,20 +72,11 @@ std::vector<double> cost_curve_frequencies() {
 
 batch::SweepPlan cost_curve_plan(const EiJointParameters& params,
                                  const smc::AnalysisSettings& settings) {
-  const maintenance::ModelFactory factory = ei_joint_factory(params);
-  batch::SweepPlan plan;
-  for (const maintenance::MaintenancePolicy& policy :
-       maintenance::inspection_frequency_candidates(current_policy(),
-                                                    cost_curve_frequencies())) {
-    batch::SweepJob job;
-    job.label = policy.name;
-    job.model = factory(policy);
-    job.settings = settings;
-    job.settings.control = nullptr;  // plan-level concerns; see batch/sweep.hpp
-    job.settings.telemetry = {};
-    plan.jobs.push_back(std::move(job));
-  }
-  return plan;
+  return maintenance::policy_plan(
+      ei_joint_factory(params),
+      maintenance::inspection_frequency_candidates(current_policy(),
+                                                   cost_curve_frequencies()),
+      settings);
 }
 
 }  // namespace fmtree::eijoint

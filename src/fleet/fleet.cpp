@@ -19,11 +19,6 @@ batch::SweepPlan fleet_plan(const Corridor& corridor, const FleetOptions& option
     job.model = joint.model;
     job.settings = options.settings;
     job.settings.policy = options.policy;
-    // Execution concerns are plan-level; a job-local control or telemetry
-    // sink would also leak into nothing (run_sweep ignores them) — clear
-    // them so the cache fingerprint story stays obvious.
-    job.settings.control = nullptr;
-    job.settings.telemetry = {};
     plan.jobs.push_back(std::move(job));
   }
   return plan;
@@ -87,44 +82,51 @@ FleetKpis aggregate_fleet(const Corridor& corridor,
   return kpis;
 }
 
-FleetOutcome analyze_fleet(const Corridor& corridor, const FleetOptions& options,
-                           batch::ResultCache* cache,
-                           const obs::Telemetry& telemetry) {
-  const batch::SweepPlan plan = fleet_plan(corridor, options);
-  const batch::SweepOutcome outcome = batch::run_sweep(plan, cache, telemetry);
-
+FleetOutcome fleet_outcome(const Corridor& corridor,
+                           std::span<const batch::JobResult> results,
+                           std::vector<Diagnostic> warnings,
+                           const FleetOptions& options) {
   FleetOutcome fleet;
-  fleet.cache_hits = outcome.cache_hits;
-  fleet.cache_misses = outcome.cache_misses;
-  fleet.jobs_failed = outcome.jobs_failed;
-  fleet.truncated = outcome.truncated;
-  fleet.warnings = outcome.warnings;
+  fleet.warnings = std::move(warnings);
   fleet.joints.reserve(corridor.joints.size());
   for (std::size_t i = 0; i < corridor.joints.size(); ++i) {
     JointSummary summary;
     summary.name = corridor.joints[i].name;
     summary.scale = corridor.joints[i].scale;
-    if (i < outcome.results.size() && outcome.results[i].completed) {
-      summary.report = outcome.results[i].report;
-    } else if (i < outcome.results.size() && outcome.results[i].failed) {
-      Diagnostic d;
-      d.severity = Severity::Warning;
-      d.code = "F101";
-      d.message = "fleet shard '" + summary.name + "' failed [" +
-                  outcome.results[i].failure.kind +
-                  "]: " + outcome.results[i].failure.message;
-      d.hint = "the joint is excluded from the corridor aggregates";
-      fleet.warnings.push_back(std::move(d));
+    if (i < results.size()) {
+      const batch::JobResult& result = results[i];
+      ++(result.cache_hit ? fleet.cache_hits : fleet.cache_misses);
+      if (result.completed) {
+        summary.report = result.report;
+      } else if (result.failed) {
+        ++fleet.jobs_failed;
+        Diagnostic d;
+        d.severity = Severity::Warning;
+        d.code = "F101";
+        d.message = "fleet shard '" + summary.name + "' failed [" + result.failure.kind +
+                    "]: " + result.failure.message;
+        d.hint = "the joint is excluded from the corridor aggregates";
+        fleet.warnings.push_back(std::move(d));
+      } else if (!result.cancelled) {
+        fleet.truncated = true;
+      }
     }
     fleet.joints.push_back(std::move(summary));
   }
   fleet.kpis = aggregate_fleet(corridor, fleet.joints, options);
+  return fleet;
+}
 
+FleetOutcome analyze_fleet(const Corridor& corridor, const FleetOptions& options,
+                           batch::ResultCache* cache,
+                           const obs::Telemetry& telemetry) {
+  batch::SweepOutcome outcome =
+      batch::run_sweep(fleet_plan(corridor, options), cache, telemetry);
+  FleetOutcome fleet =
+      fleet_outcome(corridor, outcome.results, std::move(outcome.warnings), options);
   if (telemetry.metrics != nullptr) {
     obs::MetricsRegistry& m = *telemetry.metrics;
     m.add(m.counter("fleet.joints"), corridor.joints.size());
-    m.add(m.counter("fleet.cache_hits"), fleet.cache_hits);
-    m.add(m.counter("fleet.cache_misses"), fleet.cache_misses);
     m.add(m.counter("fleet.jobs_failed"), fleet.jobs_failed);
   }
   return fleet;

@@ -103,8 +103,7 @@ struct FleetOutcome {
 };
 
 /// The corridor as a sweep plan: one job per joint, labeled joint_name(i),
-/// carrying options.settings (+ policy) with control/telemetry cleared —
-/// execution concerns stay plan-level. Exposed so the daemon and the fleet
+/// carrying options.settings (+ policy). Exposed so the daemon and the fleet
 /// CLI expand identically.
 batch::SweepPlan fleet_plan(const Corridor& corridor, const FleetOptions& options);
 
@@ -113,10 +112,19 @@ FleetKpis aggregate_fleet(const Corridor& corridor,
                           std::span<const JointSummary> summaries,
                           const FleetOptions& options);
 
-/// Runs the corridor through the shared pool and aggregates. Failed shards
-/// become warnings (code F101) and are excluded from the aggregates. Emits
-/// fleet.* counters (joints, cache_hits, cache_misses, jobs_failed) on the
-/// telemetry metrics sink.
+/// The inverse of fleet_plan: folds the per-joint results of a run (corridor
+/// order, whichever executor produced them) and the run's warnings into a
+/// FleetOutcome. Counts follow run_sweep: a miss is any job the cache did
+/// not answer. Failed shards become warnings (code F101) and are excluded
+/// from the aggregates; an interrupted shard marks the outcome truncated.
+FleetOutcome fleet_outcome(const Corridor& corridor,
+                           std::span<const batch::JobResult> results,
+                           std::vector<Diagnostic> warnings,
+                           const FleetOptions& options);
+
+/// Runs the corridor through the shared pool and folds it with
+/// fleet_outcome. Emits the fleet.joints and fleet.jobs_failed counters on
+/// the telemetry metrics sink.
 FleetOutcome analyze_fleet(const Corridor& corridor, const FleetOptions& options,
                            batch::ResultCache* cache = nullptr,
                            const obs::Telemetry& telemetry = {});

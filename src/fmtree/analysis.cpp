@@ -149,17 +149,13 @@ smc::KpiReport PendingKpis::wait() {
     ticket_ = serve::Ticket();
   }
   if (response_->jobs.empty()) throw Error("async analysis resolved to no job");
-  const serve::JobOutcome& job = response_->jobs.front();
-  switch (job.state) {
-    case serve::JobState::Done: return job.report;
-    case serve::JobState::Failed:
-      throw Error("async analysis failed [" + job.failure.kind +
-                  "]: " + job.failure.message);
-    case serve::JobState::Cancelled: throw Error("async analysis was cancelled");
-    case serve::JobState::Interrupted:
-      throw Error("async analysis was interrupted before completion");
-  }
-  throw Error("async analysis resolved to an unknown state");
+  const batch::JobResult& job = response_->jobs.front();
+  if (job.completed) return job.report;
+  if (job.failed)
+    throw Error("async analysis failed [" + job.failure.kind +
+                "]: " + job.failure.message);
+  if (job.cancelled) throw Error("async analysis was cancelled");
+  throw Error("async analysis was interrupted before completion");
 }
 
 void PendingKpis::cancel() { ticket_.cancel(); }
@@ -173,15 +169,11 @@ PendingKpis Analysis::submit() {
     config.telemetry = settings_.telemetry;
     service_ = std::make_unique<serve::Session>(std::move(config));
   }
-  batch::SweepJob job;
-  job.label = "analysis";
-  job.model = model_;
-  job.settings = settings_;
-  job.settings.control = nullptr;  // cancellation is the ticket's job here
-  job.settings.telemetry = {};
-  PendingKpis pending;
+  // Cancellation is the ticket's job here: run_sweep ignores the job's own
+  // control (and telemetry).
   std::vector<batch::SweepJob> jobs;
-  jobs.push_back(std::move(job));
+  jobs.push_back({"analysis", model_, settings_, nullptr});
+  PendingKpis pending;
   pending.ticket_ = service_->submit_jobs(std::move(jobs));
   return pending;
 }
@@ -251,18 +243,7 @@ fleet::FleetOutcome Analysis::fleet(const fleet::CorridorSpec& spec,
 batch::SweepOutcome Analysis::sweep(
     const maintenance::ModelFactory& factory,
     const std::vector<maintenance::MaintenancePolicy>& candidates) {
-  batch::SweepPlan plan;
-  plan.jobs.reserve(candidates.size());
-  for (const maintenance::MaintenancePolicy& policy : candidates) {
-    batch::SweepJob job;
-    job.label = policy.name;
-    job.model = factory(policy);
-    job.settings = settings_;
-    job.settings.control = nullptr;
-    job.settings.telemetry = {};
-    plan.jobs.push_back(std::move(job));
-  }
-  return sweep(std::move(plan));
+  return sweep(maintenance::policy_plan(factory, candidates, settings_));
 }
 
 }  // namespace fmtree

@@ -1,7 +1,6 @@
 #include "maintenance/optimizer.hpp"
 
 #include <cmath>
-#include <sstream>
 #include <utility>
 
 #include "batch/sweep.hpp"
@@ -21,25 +20,25 @@ void count_evaluation(const smc::AnalysisSettings& settings) {
 
 }  // namespace
 
+batch::SweepPlan policy_plan(const ModelFactory& factory,
+                             const std::vector<MaintenancePolicy>& candidates,
+                             const smc::AnalysisSettings& settings) {
+  batch::SweepPlan plan;
+  plan.threads = settings.threads;
+  plan.control = settings.control;
+  plan.jobs.reserve(candidates.size());
+  for (const MaintenancePolicy& policy : candidates)
+    plan.jobs.push_back({policy.name, factory(policy), settings, nullptr});
+  return plan;
+}
+
 SweepResult sweep_policies(const ModelFactory& factory,
                            const std::vector<MaintenancePolicy>& candidates,
                            const smc::AnalysisSettings& settings,
                            batch::ResultCache* cache) {
   if (candidates.empty()) throw DomainError("policy sweep needs candidates");
-  batch::SweepPlan plan;
-  plan.threads = settings.threads;
-  plan.control = settings.control;
-  plan.jobs.reserve(candidates.size());
-  for (const MaintenancePolicy& policy : candidates) {
-    batch::SweepJob job;
-    job.label = policy.name;
-    job.model = factory(policy);
-    job.settings = settings;
-    job.settings.control = nullptr;    // interruption is plan-level
-    job.settings.telemetry = {};       // instrumentation too
-    plan.jobs.push_back(std::move(job));
-  }
-  batch::SweepOutcome outcome = batch::run_sweep(plan, cache, settings.telemetry);
+  batch::SweepOutcome outcome = batch::run_sweep(
+      policy_plan(factory, candidates, settings), cache, settings.telemetry);
 
   SweepResult result;
   result.curve.reserve(candidates.size());
@@ -62,52 +61,6 @@ SweepResult sweep_policies(const ModelFactory& factory,
   return result;
 }
 
-SweepResult sweep_policies(
-    const fmt::FaultMaintenanceTree& model,
-    const std::vector<std::shared_ptr<const lang::CompiledPolicy>>& scripts,
-    const smc::AnalysisSettings& settings, batch::ResultCache* cache) {
-  if (scripts.empty()) throw DomainError("policy sweep needs candidates");
-  batch::SweepPlan plan;
-  plan.threads = settings.threads;
-  plan.control = settings.control;
-  plan.jobs.reserve(scripts.size());
-  for (const std::shared_ptr<const lang::CompiledPolicy>& script : scripts) {
-    if (script == nullptr) throw DomainError("scripted candidate is null");
-    batch::SweepJob job;
-    job.label = script->name;
-    job.model = model;
-    job.settings = settings;
-    job.settings.policy = script;
-    job.settings.control = nullptr;    // interruption is plan-level
-    job.settings.telemetry = {};       // instrumentation too
-    plan.jobs.push_back(std::move(job));
-  }
-  batch::SweepOutcome outcome = batch::run_sweep(plan, cache, settings.telemetry);
-
-  SweepResult result;
-  result.curve.reserve(scripts.size());
-  bool have_best = false;
-  for (std::size_t i = 0; i < scripts.size(); ++i) {
-    batch::JobResult& job = outcome.results[i];
-    if (!job.completed) {
-      job.report.truncated = true;
-      job.report.stop_reason = outcome.stop_reason;
-    }
-    MaintenancePolicy label_only;
-    label_only.name = scripts[i]->name;
-    result.curve.push_back(
-        PolicyEvaluation{std::move(label_only), std::move(job.report)});
-    count_evaluation(settings);
-    if (job.completed &&
-        (!have_best || result.curve[i].cost_per_year() <
-                           result.curve[result.best_index].cost_per_year())) {
-      result.best_index = i;
-      have_best = true;
-    }
-  }
-  return result;
-}
-
 std::vector<MaintenancePolicy> inspection_frequency_candidates(
     const MaintenancePolicy& base, const std::vector<double>& frequencies_per_year) {
   if (frequencies_per_year.empty())
@@ -118,15 +71,8 @@ std::vector<MaintenancePolicy> inspection_frequency_candidates(
     if (f < 0 || !std::isfinite(f))
       throw DomainError("inspection frequency must be finite and >= 0");
     MaintenancePolicy p = base;
-    std::ostringstream name;
-    if (f == 0) {
-      p.inspection_period = 0;
-      name << "no-inspection";
-    } else {
-      p.inspection_period = 1.0 / f;
-      name << f << "x-per-year";
-    }
-    p.name = name.str();
+    p.inspection_period = f == 0 ? 0.0 : 1.0 / f;
+    p.name = inspection_frequency_label(f);
     out.push_back(std::move(p));
   }
   return out;

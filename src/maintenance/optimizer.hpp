@@ -3,11 +3,10 @@
 // paper's finding that the current EI-joint policy is close to cost-optimal.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "batch/result_cache.hpp"
-#include "lang/policy.hpp"
+#include "batch/sweep.hpp"
 #include "maintenance/policy.hpp"
 #include "smc/kpi.hpp"
 
@@ -28,6 +27,14 @@ struct SweepResult {
   const PolicyEvaluation& best() const { return curve.at(best_index); }
 };
 
+/// The candidates as a sweep plan: one job per candidate, labelled by the
+/// policy name, running factory(candidate) under `settings`. The plan's
+/// threads and control come from `settings`; run_sweep ignores the jobs'
+/// own copies of control and telemetry.
+batch::SweepPlan policy_plan(const ModelFactory& factory,
+                             const std::vector<MaintenancePolicy>& candidates,
+                             const smc::AnalysisSettings& settings);
+
 /// Evaluates every candidate policy with the same settings (same seed, so
 /// curves are comparable) and returns the cost curve plus the cost-optimal
 /// candidate. Candidates must be non-empty.
@@ -47,23 +54,9 @@ SweepResult sweep_policies(const ModelFactory& factory,
                            const smc::AnalysisSettings& settings,
                            batch::ResultCache* cache = nullptr);
 
-/// Evaluates scripted maintenance policies (compiled src/lang scripts) on
-/// one shared base model: each candidate runs with its compiled policy in
-/// the settings (the engines replace the model's built-in inspections with
-/// the script's calendars), all over the same trajectory pool and cache
-/// machinery as the MaintenancePolicy overload — so scripted and built-in
-/// candidates can be compared on one cost curve. Labels and the returned
-/// curve's MaintenancePolicy names are the scripts' policy names; the other
-/// MaintenancePolicy fields are not meaningful for scripted candidates.
-/// Scripted evaluations never share cache entries with built-in ones (the
-/// compiled fingerprint is part of the settings fingerprint).
-SweepResult sweep_policies(
-    const fmt::FaultMaintenanceTree& model,
-    const std::vector<std::shared_ptr<const lang::CompiledPolicy>>& scripts,
-    const smc::AnalysisSettings& settings, batch::ResultCache* cache = nullptr);
-
 /// Convenience: candidates that differ from `base` only in inspection
-/// frequency (inspections per year, 0 = none). Names are derived.
+/// frequency (inspections per year, 0 = none). Names are
+/// inspection_frequency_label(f).
 std::vector<MaintenancePolicy> inspection_frequency_candidates(
     const MaintenancePolicy& base, const std::vector<double>& frequencies_per_year);
 

@@ -1,8 +1,17 @@
 #include "maintenance/policy.hpp"
 
+#include <sstream>
+
 #include "util/error.hpp"
 
 namespace fmtree::maintenance {
+
+std::string inspection_frequency_label(double per_year) {
+  if (per_year == 0) return "no-inspection";
+  std::ostringstream name;
+  name << per_year << "x-per-year";
+  return name.str();
+}
 
 void apply_policy(fmt::FaultMaintenanceTree& model, const MaintenancePolicy& policy) {
   if (policy.has_inspections()) {

@@ -31,6 +31,11 @@ struct MaintenancePolicy {
   }
 };
 
+/// The name of a policy inspecting `per_year` times a year: "no-inspection"
+/// for 0, else "<per_year>x-per-year" (default stream formatting, e.g.
+/// "0.5x-per-year"). Sweep labels and cache-checkpoint entries use it.
+std::string inspection_frequency_label(double per_year);
+
 /// Builds a concrete FMT implementing a policy. Provided by each case study.
 using ModelFactory = std::function<fmt::FaultMaintenanceTree(const MaintenancePolicy&)>;
 

@@ -1,7 +1,6 @@
 #include "serve/protocol.hpp"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <string_view>
@@ -26,12 +25,6 @@ constexpr std::string_view kPhases[] = {"sweep", "simulate", "solve", "refine"};
   throw RequestError("R121", "malformed response event: " + what,
                      "client and server disagree on fmtree.response/v1; check "
                      "that both run compatible fmtree versions");
-}
-
-std::string hexfloat(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
 }
 
 std::string diagnostics_json(const std::vector<Diagnostic>& items) {
@@ -88,11 +81,11 @@ Severity severity_from_name(const std::string& name) {
   bad_wire("unknown diagnostic severity '" + name + "'");
 }
 
-JobState job_state_from_name(const std::string& name) {
-  if (name == "done") return JobState::Done;
-  if (name == "failed") return JobState::Failed;
-  if (name == "cancelled") return JobState::Cancelled;
-  if (name == "interrupted") return JobState::Interrupted;
+batch::JobState job_state_from_name(const std::string& name) {
+  using batch::JobState;
+  for (const JobState s : {JobState::Done, JobState::Failed, JobState::Cancelled,
+                           JobState::Interrupted})
+    if (name == batch::job_state_name(s)) return s;
   bad_wire("unknown job status '" + name + "'");
 }
 
@@ -119,18 +112,21 @@ std::vector<Diagnostic> decode_diagnostics(const json::Value& arr,
   return out;
 }
 
-JobOutcome decode_job(const json::Value& obj) {
+batch::JobResult decode_job(const json::Value& obj) {
   if (!obj.is(json::Kind::Object)) bad_wire("result job must be an object");
-  JobOutcome out;
+  batch::JobResult out;
   out.label = get_string(obj, "label");
   const json::Value& key = member(obj, "key");
   if (!key.is(json::Kind::Object)) bad_wire("job 'key' must be an object");
   out.key.model = Fingerprint::from_hex(get_string(key, "model"));
   out.key.request = Fingerprint::from_hex(get_string(key, "request"));
-  out.state = job_state_from_name(get_string(obj, "status"));
+  const batch::JobState state = job_state_from_name(get_string(obj, "status"));
+  out.completed = state == batch::JobState::Done;
+  out.failed = state == batch::JobState::Failed;
+  out.cancelled = state == batch::JobState::Cancelled;
   out.cache_hit = get_string_or(obj, "source", "simulated") == "cache";
   out.retries = static_cast<std::uint32_t>(get_u64(obj, "retries"));
-  if (out.state == JobState::Failed) {
+  if (out.failed) {
     const json::Value& failure = member(obj, "failure");
     if (!failure.is(json::Kind::Object)) bad_wire("job 'failure' must be an object");
     out.failure.kind = get_string(failure, "kind");
@@ -140,7 +136,7 @@ JobOutcome decode_job(const json::Value& obj) {
     out.failure.transient = transient.boolean;
     out.failure.attempts = static_cast<std::uint32_t>(get_u64(failure, "attempts"));
   }
-  if (out.state == JobState::Done) {
+  if (out.completed) {
     // The embedded report is the verbatim (compacted) "fmtree.result/v2"
     // document; re-serializing the parsed subtree reproduces its value bytes
     // exactly (json::write keeps raw number tokens), so decode_report's
@@ -163,10 +159,10 @@ std::string encode_progress(const obs::Progress& progress) {
   std::ostringstream os;
   os << "{\"schema\":\"" << kSchema << "\",\"event\":\"progress\",\"phase\":\""
      << json::escape(progress.phase) << "\",\"done\":" << progress.done
-     << ",\"total\":" << progress.total << ",\"rate\":\"" << hexfloat(progress.rate)
-     << "\",\"eta_seconds\":\"" << hexfloat(progress.eta_seconds)
-     << "\",\"ci_half_width\":\"" << hexfloat(progress.ci_half_width)
-     << "\",\"ci_target\":\"" << hexfloat(progress.ci_target) << "\"}\n";
+     << ",\"total\":" << progress.total << ",\"rate\":\"" << json::hexfloat(progress.rate)
+     << "\",\"eta_seconds\":\"" << json::hexfloat(progress.eta_seconds)
+     << "\",\"ci_half_width\":\"" << json::hexfloat(progress.ci_half_width)
+     << "\",\"ci_target\":\"" << json::hexfloat(progress.ci_target) << "\"}\n";
   return os.str();
 }
 
@@ -177,20 +173,20 @@ std::string encode_result(const Response& response) {
      << smc::stop_reason_name(response.stop_reason)
      << "\",\"warnings\":" << diagnostics_json(response.warnings) << ",\"jobs\":[";
   for (std::size_t i = 0; i < response.jobs.size(); ++i) {
-    const JobOutcome& job = response.jobs[i];
+    const batch::JobResult& job = response.jobs[i];
     if (i != 0) os << ',';
     os << "{\"label\":\"" << json::escape(job.label) << "\",\"key\":{\"model\":\""
        << job.key.model.hex() << "\",\"request\":\"" << job.key.request.hex()
-       << "\"},\"status\":\"" << job_state_name(job.state) << "\",\"source\":\""
-       << (job.cache_hit ? "cache" : "simulated")
+       << "\"},\"status\":\"" << batch::job_state_name(job.state())
+       << "\",\"source\":\"" << (job.cache_hit ? "cache" : "simulated")
        << "\",\"retries\":" << job.retries;
-    if (job.state == JobState::Failed) {
+    if (job.failed) {
       os << ",\"failure\":{\"kind\":\"" << json::escape(job.failure.kind)
          << "\",\"message\":\"" << json::escape(job.failure.message)
          << "\",\"transient\":" << (job.failure.transient ? "true" : "false")
          << ",\"attempts\":" << job.failure.attempts << '}';
     }
-    if (job.state == JobState::Done)
+    if (job.completed)
       os << ",\"report\":" << compact_json(batch::encode_report(job.key, job.report));
     os << '}';
   }

@@ -1,7 +1,6 @@
 #include "serve/request.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <optional>
@@ -10,6 +9,7 @@
 #include "fleet/fleet.hpp"
 #include "fmt/parser.hpp"
 #include "lang/runtime.hpp"
+#include "maintenance/policy.hpp"
 #include "util/json.hpp"
 
 namespace fmtree::serve {
@@ -63,14 +63,6 @@ std::uint64_t parse_count(const json::Value& v, const std::string& what) {
   } catch (const Error&) {
     invalid("request field '" + what + "' must be an integer in [0, 2^64)");
   }
-}
-
-/// C99 hexfloat form, same helper discipline as the result cache: exact
-/// bits, locale-independent, strtod-parseable.
-std::string hexfloat(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
 }
 
 void reject_unknown_members(const json::Value& object, const char* where,
@@ -284,20 +276,20 @@ std::string encode_request(const Request& request) {
   }
   os << "},\n"
      << "  \"settings\": {\n"
-     << "    \"horizon\": \"" << hexfloat(request.settings.horizon) << "\",\n"
+     << "    \"horizon\": \"" << json::hexfloat(request.settings.horizon) << "\",\n"
      << "    \"trajectories\": " << request.settings.trajectories << ",\n"
      << "    \"seed\": " << request.settings.seed << ",\n"
-     << "    \"confidence\": \"" << hexfloat(request.settings.confidence) << "\",\n"
-     << "    \"discount_rate\": \"" << hexfloat(request.settings.discount_rate)
+     << "    \"confidence\": \"" << json::hexfloat(request.settings.confidence) << "\",\n"
+     << "    \"discount_rate\": \"" << json::hexfloat(request.settings.discount_rate)
      << "\",\n"
      << "    \"target_relative_error\": \""
-     << hexfloat(request.settings.target_relative_error) << "\"\n"
+     << json::hexfloat(request.settings.target_relative_error) << "\"\n"
      << "  }";
   if (request.has_fleet) {
     os << ",\n  \"fleet\": {\"joints\": " << request.fleet.joints
        << ", \"seed\": " << request.fleet.seed << ", \"jitter\": \""
-       << hexfloat(request.fleet.jitter) << "\", \"coupling\": \""
-       << hexfloat(request.fleet.coupling) << "\"}";
+       << json::hexfloat(request.fleet.jitter) << "\", \"coupling\": \""
+       << json::hexfloat(request.fleet.coupling) << "\"}";
   }
   if (request.has_policy) {
     os << ",\n  \"policy\": {";
@@ -305,7 +297,7 @@ std::string encode_request(const Request& request) {
     if (!request.frequencies.empty()) {
       os << "\"frequencies\": [";
       for (std::size_t i = 0; i < request.frequencies.size(); ++i)
-        os << (i == 0 ? "\"" : ", \"") << hexfloat(request.frequencies[i]) << "\"";
+        os << (i == 0 ? "\"" : ", \"") << json::hexfloat(request.frequencies[i]) << "\"";
       os << "]";
       first_member = false;
     }
@@ -442,15 +434,12 @@ PreparedRequest prepare(const Request& request, const std::string& model_root) {
   for (double f : request.frequencies) {
     batch::SweepJob job;
     job.model = prepared.model;
+    job.label = maintenance::inspection_frequency_label(f);
     if (f == 0) {
       job.model.clear_inspections();
-      job.label = "no-inspection";
     } else {
       for (std::size_t i = 0; i < job.model.inspections().size(); ++i)
         job.model.set_inspection_schedule(i, 1.0 / f);
-      std::ostringstream name;
-      name << f << "x-per-year";
-      job.label = name.str();
     }
     job.settings = request.settings;
     prepared.jobs.push_back(std::move(job));

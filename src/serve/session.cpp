@@ -9,6 +9,13 @@ namespace fmtree::serve {
 
 namespace detail {
 
+/// What one dispatch cycle (one run_sweep call), or one drain, reports
+/// beyond its jobs' results. Shared by the entries it resolved.
+struct Cycle {
+  smc::StopReason stop_reason = smc::StopReason::None;
+  std::vector<Diagnostic> warnings;
+};
+
 /// One deduplicated unit of work. Shared (shared_ptr) between every ticket
 /// watching it, the pending queue and the in-flight index; all fields except
 /// `cancel` are guarded by the session mutex.
@@ -20,10 +27,14 @@ struct JobEntry {
   std::uint64_t seq = 0;
   int interested = 0;  ///< watchers; the last one to leave cancels the job
   bool done = false;
-  JobOutcome outcome;
+  batch::JobResult result;
+  /// The cycle or drain that resolved the entry; null for cache hits and
+  /// jobs cancelled while queued.
+  std::shared_ptr<const Cycle> cycle;
 };
 
-/// The serve.* counter ids, defined here so the header does not pull in
+/// The serve.* counter ids (plus the batch.cache.hits counter admission
+/// shares with run_sweep), defined here so the header does not pull in
 /// obs/metrics.hpp. `valid` is false when no registry is attached.
 struct ServeMetrics {
   obs::CounterId requests, rejected, jobs, dedup_hits, cache_hits, cancelled;
@@ -36,7 +47,7 @@ struct ServeMetrics {
     ids.rejected = registry->counter("serve.rejected");
     ids.jobs = registry->counter("serve.jobs");
     ids.dedup_hits = registry->counter("serve.dedup_hits");
-    ids.cache_hits = registry->counter("serve.cache_hits");
+    ids.cache_hits = registry->counter("batch.cache.hits");
     ids.cancelled = registry->counter("serve.cancelled");
     ids.valid = true;
     return ids;
@@ -45,53 +56,20 @@ struct ServeMetrics {
 
 }  // namespace detail
 
+using detail::Cycle;
 using detail::JobEntry;
 using detail::ServeMetrics;
 
-namespace {
-
-JobOutcome outcome_from(const batch::JobResult& r) {
-  JobOutcome o;
-  o.label = r.label;
-  o.key = r.key;
-  o.cache_hit = r.cache_hit;
-  o.retries = r.retries;
-  if (r.completed) {
-    o.state = JobState::Done;
-    o.report = r.report;
-  } else if (r.failed) {
-    o.state = JobState::Failed;
-    o.failure = r.failure;
-  } else if (r.cancelled) {
-    o.state = JobState::Cancelled;
-  } else {
-    o.state = JobState::Interrupted;
-  }
-  return o;
-}
-
-}  // namespace
-
-const char* job_state_name(JobState s) noexcept {
-  switch (s) {
-    case JobState::Done: return "done";
-    case JobState::Failed: return "failed";
-    case JobState::Cancelled: return "cancelled";
-    case JobState::Interrupted: return "interrupted";
-  }
-  return "?";
-}
-
 bool Response::all_done() const noexcept {
-  for (const JobOutcome& j : jobs)
-    if (j.state != JobState::Done) return false;
+  for (const batch::JobResult& j : jobs)
+    if (!j.completed) return false;
   return true;
 }
 
-std::uint64_t Response::count(JobState s) const noexcept {
+std::uint64_t Response::count(batch::JobState s) const noexcept {
   std::uint64_t n = 0;
-  for (const JobOutcome& j : jobs)
-    if (j.state == s) ++n;
+  for (const batch::JobResult& j : jobs)
+    if (j.state() == s) ++n;
   return n;
 }
 
@@ -157,10 +135,19 @@ Response Ticket::take() {
   if (session_ == nullptr) return response;
   std::lock_guard lock(session_->mutex_);
   response.jobs.reserve(entries_.size());
-  for (const auto& e : entries_) response.jobs.push_back(e->outcome);
-  response.warnings = std::move(session_->warnings_);
-  session_->warnings_.clear();
-  response.stop_reason = session_->last_stop_reason_;
+  std::vector<const Cycle*> cycles;  // each cycle's warnings are reported once
+  for (const auto& e : entries_) {
+    response.jobs.push_back(e->result);
+    const Cycle* cycle = e->cycle.get();
+    if (cycle == nullptr) continue;
+    if (response.stop_reason == smc::StopReason::None &&
+        e->result.state() == batch::JobState::Interrupted)
+      response.stop_reason = cycle->stop_reason;
+    if (std::find(cycles.begin(), cycles.end(), cycle) != cycles.end()) continue;
+    cycles.push_back(cycle);
+    response.warnings.insert(response.warnings.end(), cycle->warnings.begin(),
+                             cycle->warnings.end());
+  }
   return response;
 }
 
@@ -273,11 +260,11 @@ Ticket Session::submit_jobs(std::vector<batch::SweepJob> jobs, int priority,
       auto entry = std::make_shared<JobEntry>();
       entry->key_id = key_id;
       entry->done = true;
-      entry->outcome.label = jobs[i].label;
-      entry->outcome.key = keys[i];
-      entry->outcome.state = JobState::Done;
-      entry->outcome.cache_hit = true;
-      entry->outcome.report = *std::move(hits[i]);
+      entry->result.label = jobs[i].label;
+      entry->result.key = keys[i];
+      entry->result.completed = true;
+      entry->result.cache_hit = true;
+      entry->result.report = *std::move(hits[i]);
       ticket.entries_.push_back(std::move(entry));
       if (ids.valid) metrics->add(ids.cache_hits);
       continue;
@@ -299,8 +286,8 @@ Ticket Session::submit_jobs(std::vector<batch::SweepJob> jobs, int priority,
     entry->priority = priority;
     entry->seq = next_seq_++;
     entry->interested = 1;
-    entry->outcome.label = entry->job.label;
-    entry->outcome.key = keys[i];
+    entry->result.label = entry->job.label;
+    entry->result.key = keys[i];
     inflight_.emplace(key_id, entry);
     created.emplace(key_id, entry);
     pending_.push_back(entry);
@@ -329,7 +316,7 @@ void Session::release_interest(
     if (it != pending_.end()) {
       pending_.erase(it);
       entry->done = true;
-      entry->outcome.state = JobState::Cancelled;
+      entry->result.cancelled = true;
       inflight_.erase(entry->key_id);
       --outstanding_;
     }
@@ -337,25 +324,27 @@ void Session::release_interest(
   done_cv_.notify_all();
 }
 
-void Session::resolve_entry_locked(JobEntry& entry, JobOutcome outcome) {
+void Session::resolve_entry_locked(JobEntry& entry, batch::JobResult result,
+                                   std::shared_ptr<const Cycle> cycle) {
   entry.done = true;
-  entry.outcome = std::move(outcome);
+  entry.result = std::move(result);
+  entry.cycle = std::move(cycle);
   inflight_.erase(entry.key_id);
   --outstanding_;
 }
 
 void Session::dispatcher_loop() {
   for (;;) {
-    std::vector<std::shared_ptr<JobEntry>> cycle;
+    std::vector<std::shared_ptr<JobEntry>> entries;
     {
       std::unique_lock lock(mutex_);
       work_cv_.wait(lock, [&] { return stopping_ || !pending_.empty(); });
       if (stopping_) return;  // drain() resolves whatever is still pending
-      cycle = std::move(pending_);
+      entries = std::move(pending_);
       pending_.clear();
       // Priority order: highest first, FIFO within a priority. The sort is
       // scheduling-only — results are bit-identical in any order.
-      std::stable_sort(cycle.begin(), cycle.end(),
+      std::stable_sort(entries.begin(), entries.end(),
                        [](const auto& a, const auto& b) {
                          return a->priority != b->priority
                                     ? a->priority > b->priority
@@ -367,20 +356,18 @@ void Session::dispatcher_loop() {
     plan.max_retries = config_.max_retries;
     plan.stall_timeout_s = config_.stall_timeout_s;
     plan.control = &drain_control_;
-    plan.jobs.reserve(cycle.size());
-    for (const auto& entry : cycle) plan.jobs.push_back(entry->job);
+    plan.jobs.reserve(entries.size());
+    for (const auto& entry : entries) plan.jobs.push_back(entry->job);
 
     obs::Telemetry telemetry = config_.telemetry;
     telemetry.progress = progress_reporter_.get();
-    const batch::SweepOutcome outcome =
-        batch::run_sweep(plan, cache_, telemetry);
+    batch::SweepOutcome outcome = batch::run_sweep(plan, cache_, telemetry);
+    const auto cycle = std::make_shared<const Cycle>(
+        Cycle{outcome.stop_reason, std::move(outcome.warnings)});
 
     std::lock_guard lock(mutex_);
-    for (const Diagnostic& d : outcome.warnings) warnings_.push_back(d);
-    if (outcome.stop_reason != smc::StopReason::None)
-      last_stop_reason_ = outcome.stop_reason;
-    for (std::size_t i = 0; i < cycle.size(); ++i)
-      resolve_entry_locked(*cycle[i], outcome_from(outcome.results[i]));
+    for (std::size_t i = 0; i < entries.size(); ++i)
+      resolve_entry_locked(*entries[i], std::move(outcome.results[i]), cycle);
     done_cv_.notify_all();
   }
 }
@@ -391,12 +378,13 @@ void Session::drain() {
     if (stopping_) return;
     stopping_ = true;
     drain_control_.request_stop();
-    // Unclaimed jobs resolve now; the dispatcher's in-flight plan stops at
-    // the next trajectory boundary and resolves its own entries.
-    if (!pending_.empty()) last_stop_reason_ = smc::StopReason::Interrupted;
+    // Unclaimed jobs resolve now as Interrupted; the dispatcher's in-flight
+    // plan stops at the next trajectory boundary and resolves its own entries.
+    const auto drained =
+        std::make_shared<const Cycle>(Cycle{smc::StopReason::Interrupted, {}});
     for (const auto& entry : pending_) {
       entry->done = true;
-      entry->outcome.state = JobState::Interrupted;
+      entry->cycle = drained;
       inflight_.erase(entry->key_id);
       --outstanding_;
     }

@@ -58,45 +58,35 @@ struct SessionConfig {
   /// Borrowed cache (e.g. fmtree::Analysis sharing its own); nullptr = the
   /// Session owns one built from cache_dir.
   batch::ResultCache* cache = nullptr;
-  /// Server-owned sinks. serve.* counters are registered here; run_sweep
-  /// adds its batch.* counters. Progress flows through the Session's own
-  /// snapshot (progress()) *and* any reporter installed here.
+  /// Server-owned sinks. serve.* counters are registered here, and
+  /// admission-time cache hits count as batch.cache.hits like run_sweep's
+  /// own; run_sweep adds its other batch.* counters. Progress flows through
+  /// the Session's own snapshot (progress()) *and* any reporter installed
+  /// here.
   obs::Telemetry telemetry;
 };
 
-/// Final status of one job of a request.
-enum class JobState : std::uint8_t {
-  Done,         ///< report is valid (simulated or cache)
-  Failed,       ///< permanent failure; `failure` says why
-  Cancelled,    ///< every watcher hung up before completion
-  Interrupted,  ///< the service stopped (drain/deadline) before completion
-};
-
-const char* job_state_name(JobState s) noexcept;
-
-struct JobOutcome {
-  std::string label;
-  batch::CacheKey key;
-  JobState state = JobState::Interrupted;
-  bool cache_hit = false;
-  std::uint32_t retries = 0;
-  batch::JobFailure failure;  ///< valid when state == Failed
-  smc::KpiReport report;      ///< valid when state == Done
-};
+/// A job of a response is the batch layer's result. A job is Cancelled when
+/// every watcher hung up before completion, and Interrupted when the service
+/// stopped (drain, deadline, watchdog) first.
+using JobOutcome = batch::JobResult;
 
 /// Everything a completed request resolves to, in job submission order.
 struct Response {
   std::string id;  ///< echo of Request::id
-  std::vector<JobOutcome> jobs;
+  std::vector<batch::JobResult> jobs;
+  /// The warnings of the dispatch cycles that ran this request's jobs.
   std::vector<Diagnostic> warnings;
-  /// Why the service stopped early, when any job is Interrupted.
+  /// Why the service stopped early: the first stop reason among this
+  /// request's Interrupted jobs, None when there are none.
   smc::StopReason stop_reason = smc::StopReason::None;
 
   bool all_done() const noexcept;
-  std::uint64_t count(JobState s) const noexcept;
+  std::uint64_t count(batch::JobState s) const noexcept;
 };
 
 namespace detail {
+struct Cycle;
 struct JobEntry;
 struct ServeMetrics;
 }
@@ -120,8 +110,8 @@ public:
   void wait();
   /// Blocks up to `seconds`; returns done().
   bool wait_for(double seconds);
-  /// Waits, then assembles the response (including cache warnings drained
-  /// from the service). Call once.
+  /// Waits, then assembles the response: the jobs' results plus the stop
+  /// reason and warnings of the dispatch cycles that resolved them.
   Response take();
   /// Detaches this caller. Jobs whose last watcher detaches are cancelled
   /// at the next trajectory boundary; jobs shared with other callers keep
@@ -174,7 +164,8 @@ private:
   friend class Ticket;
 
   void dispatcher_loop();
-  void resolve_entry_locked(detail::JobEntry& entry, JobOutcome outcome);
+  void resolve_entry_locked(detail::JobEntry& entry, batch::JobResult result,
+                            std::shared_ptr<const detail::Cycle> cycle);
   void release_interest(const std::vector<std::shared_ptr<detail::JobEntry>>& entries);
 
   SessionConfig config_;
@@ -190,8 +181,6 @@ private:
   std::size_t outstanding_ = 0;  ///< queued + running (admission accounting)
   std::uint64_t next_seq_ = 0;
   bool stopping_ = false;
-  std::vector<Diagnostic> warnings_;  ///< drained into responses
-  smc::StopReason last_stop_reason_ = smc::StopReason::None;
 
   smc::RunControl drain_control_;
   std::thread dispatcher_;

@@ -294,4 +294,10 @@ std::string escape(std::string_view s) {
   return out;
 }
 
+std::string hexfloat(double v) {
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
 }  // namespace fmtree::json

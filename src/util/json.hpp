@@ -52,4 +52,8 @@ std::string write(const Value& v);
 /// Escapes `s` for embedding inside a JSON string literal (no quotes added).
 std::string escape(std::string_view s);
 
+/// The C99 hexfloat spelling of `v` ("%a"): exact bits, locale-independent,
+/// strtod-parseable. fmtree writes doubles as strings of this form.
+std::string hexfloat(double v);
+
 }  // namespace fmtree::json

@@ -76,8 +76,9 @@ void expect_same_outcome(const FleetOutcome& a, const FleetOutcome& b) {
 }
 
 /// The daemon's code path for the same corridor: expand the request through
-/// serve::prepare (which routes through fleet::fleet_plan) and execute it on
-/// a serve::Session, then reassemble per-joint summaries in corridor order.
+/// serve::prepare (which routes through fleet::fleet_plan), execute it on a
+/// serve::Session and fold the response with fleet_outcome, as `fmtree fleet`
+/// does.
 FleetOutcome via_service(const Corridor& corridor, const FleetOptions& options) {
   serve::Request request;
   request.model_text = kModel;
@@ -95,20 +96,10 @@ FleetOutcome via_service(const Corridor& corridor, const FleetOptions& options) 
   serve::PreparedRequest prepared = serve::prepare(request, "models");
   serve::Ticket ticket = session.submit_jobs(std::move(prepared.jobs));
   const serve::Response response = ticket.take();
-
-  FleetOutcome outcome;
-  outcome.joints.reserve(corridor.joints.size());
-  for (std::size_t i = 0; i < corridor.joints.size(); ++i) {
-    JointSummary summary;
-    summary.name = corridor.joints[i].name;
-    summary.scale = corridor.joints[i].scale;
-    EXPECT_EQ(response.jobs[i].label, summary.name) << i;
-    if (response.jobs[i].state == serve::JobState::Done)
-      summary.report = response.jobs[i].report;
-    outcome.joints.push_back(std::move(summary));
-  }
-  outcome.kpis = aggregate_fleet(corridor, outcome.joints, options);
-  return outcome;
+  EXPECT_TRUE(response.all_done());
+  for (std::size_t i = 0; i < corridor.joints.size(); ++i)
+    EXPECT_EQ(response.jobs[i].label, corridor.joints[i].name) << i;
+  return fleet_outcome(corridor, response.jobs, response.warnings, options);
 }
 
 // The matrix axes: thread count, and in-process vs served execution (the

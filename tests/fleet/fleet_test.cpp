@@ -259,6 +259,8 @@ TEST(Fleet, FailedShardBecomesAWarningAndIsExcludedFromAggregates) {
   const FleetOutcome outcome = analyze_fleet(corridor, options);
   EXPECT_EQ(outcome.jobs_failed, 1u);
   EXPECT_EQ(outcome.kpis.joints, 3u);
+  // Every job the cache did not answer is a miss, the failed shard included.
+  EXPECT_EQ(outcome.cache_hits + outcome.cache_misses, corridor.joints.size());
   bool found = false;
   for (const Diagnostic& d : outcome.warnings) found = found || d.code == "F101";
   EXPECT_TRUE(found);

@@ -164,7 +164,7 @@ TEST(ServeSocket, SigtermDrainMidRequestThenRestartReplaysFromCache) {
   }
   // The in-flight ticket resolved instead of hanging; its unfinished jobs
   // report Interrupted and the response says why.
-  EXPECT_GT(interrupted.count(JobState::Interrupted), 0u);
+  EXPECT_GT(interrupted.count(batch::JobState::Interrupted), 0u);
   EXPECT_EQ(interrupted.stop_reason, smc::StopReason::Interrupted);
 
   // A restarted daemon on the same cache directory replays the completed

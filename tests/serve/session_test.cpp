@@ -1,9 +1,12 @@
 // serve::Session semantics: in-flight dedup (N identical concurrent requests
 // cost one computation), all-or-nothing admission control (R120), cache-hit
-// resolution, and the drain path that resolves every ticket.
+// resolution, the drain path that resolves every ticket, and responses that
+// report only their own stop reason and warnings.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "../batch/report_bits.hpp"
@@ -11,6 +14,7 @@
 #include "serve/request.hpp"
 #include "serve/session.hpp"
 #include "smc/kpi.hpp"
+#include "util/fault_injection.hpp"
 
 namespace fmtree::serve {
 namespace {
@@ -37,18 +41,41 @@ Request sweep_request(std::uint64_t trajectories = 400) {
   return r;
 }
 
+Request single_policy(double frequency) {
+  Request r = sweep_request();
+  r.frequencies = {frequency};
+  return r;
+}
+
 struct Harness {
   obs::MetricsRegistry metrics;
   std::unique_ptr<Session> session;
 
-  explicit Harness(std::size_t queue_limit = 64, unsigned threads = 2) {
+  explicit Harness(std::size_t queue_limit = 64, unsigned threads = 2,
+                   double stall_timeout_s = 0.0) {
     SessionConfig config;
     config.threads = threads;
     config.queue_limit = queue_limit;
+    config.stall_timeout_s = stall_timeout_s;
     config.telemetry.metrics = &metrics;
     session = std::make_unique<Session>(std::move(config));
   }
+
+  /// Each job submitted is counted once, under one name per outcome: a
+  /// cache hit (at admission or in its dispatch cycle), a cache miss of its
+  /// cycle, or an attach to an identical job. Jobs cancelled or drained
+  /// while still queued are in none of them.
+  std::uint64_t accounted_jobs() const {
+    return metrics.counter_value("batch.cache.hits") +
+           metrics.counter_value("batch.cache.misses") +
+           metrics.counter_value("serve.dedup_hits");
+  }
 };
+
+/// The first trajectory chunk the pool claims parks its worker for 1 s; a
+/// session with a 0.25 s watchdog stops that dispatch cycle as Stalled.
+const std::vector<std::string> kStallFirstChunk = {
+    "sweep.task:stall=1000,nth=1,limit=1"};
 
 // The PR's headline acceptance criterion: two concurrent identical requests
 // cost exactly one computation per job and both callers receive bit-equal
@@ -72,8 +99,9 @@ TEST(ServeSession, ConcurrentIdenticalRequestsComputeOnce) {
   EXPECT_EQ(h.metrics.counter_value("batch.jobs_simulated"), 2u);
   EXPECT_EQ(h.metrics.counter_value("serve.requests"), 2u);
   EXPECT_EQ(h.metrics.counter_value("serve.dedup_hits") +
-                h.metrics.counter_value("serve.cache_hits"),
+                h.metrics.counter_value("batch.cache.hits"),
             2u);
+  EXPECT_EQ(h.accounted_jobs(), 4u);
 }
 
 TEST(ServeSession, DedupInsideOneRequestCostsOneSlotAndOneComputation) {
@@ -88,6 +116,7 @@ TEST(ServeSession, DedupInsideOneRequestCostsOneSlotAndOneComputation) {
   EXPECT_EQ(h.metrics.counter_value("batch.jobs_simulated"), 1u);
   EXPECT_EQ(h.metrics.counter_value("serve.jobs"), 1u);
   EXPECT_EQ(h.metrics.counter_value("serve.dedup_hits"), 2u);
+  EXPECT_EQ(h.accounted_jobs(), 3u);
 }
 
 TEST(ServeSession, RepeatedRequestResolvesFromTheCacheWithoutSimulation) {
@@ -96,9 +125,10 @@ TEST(ServeSession, RepeatedRequestResolvesFromTheCacheWithoutSimulation) {
   const std::uint64_t simulated = h.metrics.counter_value("batch.jobs_simulated");
   const Response again = h.session->submit(sweep_request()).take();
   EXPECT_TRUE(again.all_done());
-  for (const JobOutcome& j : again.jobs) EXPECT_TRUE(j.cache_hit);
+  for (const batch::JobResult& j : again.jobs) EXPECT_TRUE(j.cache_hit);
   EXPECT_EQ(h.metrics.counter_value("batch.jobs_simulated"), simulated);
-  EXPECT_GE(h.metrics.counter_value("serve.cache_hits"), 2u);
+  EXPECT_GE(h.metrics.counter_value("batch.cache.hits"), 2u);
+  EXPECT_EQ(h.accounted_jobs(), 4u);
 }
 
 TEST(ServeSession, AdmissionRejectsWholeRequestsBeyondTheQueueLimit) {
@@ -131,9 +161,10 @@ TEST(ServeSession, DrainResolvesPendingTicketsAsInterrupted) {
   EXPECT_TRUE(ticket.done());
   const Response response = ticket.take();
   ASSERT_EQ(response.jobs.size(), 2u);
-  for (const JobOutcome& j : response.jobs)
-    EXPECT_TRUE(j.state == JobState::Interrupted || j.state == JobState::Done);
-  EXPECT_GT(response.count(JobState::Interrupted), 0u);
+  for (const batch::JobResult& j : response.jobs)
+    EXPECT_TRUE(j.state() == batch::JobState::Interrupted || j.completed);
+  EXPECT_GT(response.count(batch::JobState::Interrupted), 0u);
+  EXPECT_EQ(response.stop_reason, smc::StopReason::Interrupted);
   // A drained session accepts nothing new (R122, not a hang).
   try {
     (void)h.session->submit(sweep_request());
@@ -153,6 +184,47 @@ TEST(ServeSession, LastWatcherCancelAbandonsTheJob) {
   // orphaned 50M-trajectory plan.
   const Response response = h.session->submit(sweep_request(400)).take();
   EXPECT_TRUE(response.all_done());
+}
+
+// A stop and its diagnostic belong to the dispatch cycle that hit them.
+// Request B runs in a later, clean cycle than the stalled request A, so B
+// reports no stop reason and no warning even when it is taken first.
+TEST(ServeSession, EachResponseCarriesOnlyItsOwnStopReasonAndWarnings) {
+  const fault::Scope faults(kStallFirstChunk);
+  Harness h(64, 2, /*stall_timeout_s=*/0.25);
+  const std::uint64_t fired = fault::FaultRegistry::instance().fires();
+  Ticket a = h.session->submit(single_policy(2));
+  // Submit B only once A's cycle is running (its first chunk is stalled),
+  // so B waits for the next cycle.
+  while (fault::FaultRegistry::instance().fires() == fired)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  Ticket b = h.session->submit(single_policy(0));
+
+  const Response rb = b.take();
+  EXPECT_TRUE(rb.all_done());
+  EXPECT_EQ(rb.stop_reason, smc::StopReason::None);
+  EXPECT_TRUE(rb.warnings.empty());
+
+  const Response ra = a.take();
+  ASSERT_EQ(ra.jobs.size(), 1u);
+  EXPECT_EQ(ra.jobs[0].state(), batch::JobState::Interrupted);
+  EXPECT_EQ(ra.stop_reason, smc::StopReason::Stalled);
+  ASSERT_EQ(ra.warnings.size(), 1u);
+  EXPECT_EQ(ra.warnings[0].code, "B102");
+}
+
+// A stop ends with its cycle: a later request on the same session that
+// completes every job reports no stop reason.
+TEST(ServeSession, ALaterRequestDoesNotInheritAnEarlierStop) {
+  const fault::Scope faults(kStallFirstChunk);
+  Harness h(64, 2, /*stall_timeout_s=*/0.25);
+  const Response stalled = h.session->submit(single_policy(2)).take();
+  EXPECT_EQ(stalled.stop_reason, smc::StopReason::Stalled);
+
+  const Response later = h.session->submit(single_policy(0)).take();
+  EXPECT_TRUE(later.all_done());
+  EXPECT_EQ(later.stop_reason, smc::StopReason::None);
+  EXPECT_TRUE(later.warnings.empty());
 }
 
 TEST(ServeSession, NegativeDiscountRateIsRejectedWithR112) {
