@@ -151,7 +151,10 @@ std::string encode_report(const CacheKey& key, const smc::KpiReport& r) {
 }
 
 smc::KpiReport decode_report(const CacheKey& key, const std::string& text) {
-  const json::Value doc = json::parse(text);
+  return decode_report(key, json::parse(text));
+}
+
+smc::KpiReport decode_report(const CacheKey& key, const json::Value& doc) {
   const json::Value* schema = doc.find("schema");
   if (schema == nullptr || !schema->is(json::Kind::String) ||
       schema->text != "fmtree.result/v2")

@@ -51,6 +51,7 @@
 #include "batch/fingerprint.hpp"
 #include "smc/kpi.hpp"
 #include "util/diagnostics.hpp"
+#include "util/json.hpp"
 
 namespace fmtree::batch {
 
@@ -125,6 +126,8 @@ std::string encode_report(const CacheKey& key, const smc::KpiReport& report);
 /// mismatch (the entry parsed but its values disagree with the checksum the
 /// writer stored).
 smc::KpiReport decode_report(const CacheKey& key, const std::string& text);
+/// The same, for a document already parsed (e.g. embedded in a served event).
+smc::KpiReport decode_report(const CacheKey& key, const json::Value& doc);
 
 /// The integrity checksum stored in every disk entry: a fingerprint of the
 /// report's *values* (IEEE-754 bit patterns, counts, vector lengths), not of

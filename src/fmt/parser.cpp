@@ -9,7 +9,6 @@
 #include <variant>
 
 #include "ft/lexer.hpp"
-#include "ft/parser.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
 
@@ -20,6 +19,69 @@ namespace {
 using ft::Token;
 using ft::TokenCursor;
 using ft::TokenType;
+
+/// Parses one distribution expression, e.g. "erlang(3, 0.5)".
+Distribution parse_distribution(TokenCursor& cur) {
+  const std::size_t line = cur.line();
+  const std::string kind = cur.expect_identifier("distribution name");
+  if (kind == "never") return Distribution::never();
+
+  cur.expect(TokenType::LParen, "'(' after distribution name");
+  std::vector<double> args;
+  if (cur.peek().type != TokenType::RParen) {
+    args.push_back(cur.expect_number("distribution parameter"));
+    while (cur.accept(TokenType::Comma))
+      args.push_back(cur.expect_number("distribution parameter"));
+  }
+  cur.expect(TokenType::RParen, "')' after distribution parameters");
+
+  auto arity = [&](std::size_t n) {
+    if (args.size() != n)
+      throw ParseError(line, "distribution '" + kind + "' takes " + std::to_string(n) +
+                                 " parameter(s), got " + std::to_string(args.size()));
+  };
+  // Shape parameters are cast to int; reject anything the cast cannot
+  // represent (casting a non-finite or out-of-range double is UB).
+  auto int_shape = [&](double k, const char* which) {
+    if (!std::isfinite(k) || k != std::floor(k) || k < 1 || k > 1e9)
+      throw ParseError(line,
+                       std::string(which) + " shape must be an integer in [1, 1e9]");
+    return static_cast<int>(k);
+  };
+  try {
+    if (kind == "exp") {
+      arity(1);
+      return Distribution::exponential(args[0]);
+    }
+    if (kind == "erlang") {
+      arity(2);
+      return Distribution::erlang(int_shape(args[0], "erlang"), args[1]);
+    }
+    if (kind == "erlang_mean") {
+      arity(2);
+      return Distribution::erlang_mean(int_shape(args[0], "erlang_mean"), args[1]);
+    }
+    if (kind == "weibull") {
+      arity(2);
+      return Distribution::weibull(args[0], args[1]);
+    }
+    if (kind == "lognormal") {
+      arity(2);
+      return Distribution::lognormal(args[0], args[1]);
+    }
+    if (kind == "uniform") {
+      arity(2);
+      return Distribution::uniform(args[0], args[1]);
+    }
+    if (kind == "det") {
+      arity(1);
+      return Distribution::deterministic(args[0]);
+    }
+  } catch (const DomainError& e) {
+    throw ParseError(line, e.what());
+  }
+  throw ParseError(line, "unknown distribution '" + kind + "'");
+}
 
 struct GateDecl {
   GateType type;
@@ -74,13 +136,8 @@ struct Declarations {
   CorrectivePolicy corrective{.enabled = false};
   bool corrective_seen = false;
   std::string top;
+  SourceLocation top_loc;  // of the 'toplevel' statement
 };
-
-void ensure_unique_name(const Declarations& d, const std::string& name,
-                        std::size_t line) {
-  if (d.gates.contains(name) || d.leaves.contains(name))
-    throw ParseError(line, "duplicate definition of '" + name + "'");
-}
 
 LeafDecl parse_ebe_body(TokenCursor& cur, std::size_t line) {
   double phases = -1, mean = -1, rate = -1, threshold = -1;
@@ -245,6 +302,7 @@ void parse_statement(TokenCursor& cur, Declarations& decls) {
       throw ParseError(line, column, head, "duplicate toplevel declaration", "P102",
                        "a model has exactly one 'toplevel <name>;' statement");
     decls.top = cur.expect_identifier("top event name");
+    decls.top_loc = {line, column};
   } else if (head == "inspection" || head == "replacement") {
     decls.modules.push_back(parse_module_body(cur, head == "inspection", line));
   } else if (head == "rdep") {
@@ -258,10 +316,12 @@ void parse_statement(TokenCursor& cur, Declarations& decls) {
     decls.corrective_seen = true;
   } else {
     const std::string& name = head;
-    ensure_unique_name(decls, name, line);
+    if (decls.gates.contains(name) || decls.leaves.contains(name))
+      throw ParseError(line, column, name, "duplicate definition of '" + name + "'",
+                       "P102", "every node is declared exactly once");
     const std::string op = cur.expect_identifier("gate type, 'be' or 'ebe'");
     if (op == "be") {
-      Distribution d = ft::parse_distribution(cur);
+      Distribution d = parse_distribution(cur);
       decls.leaves.emplace(
           name, LeafDecl{DegradationModel::basic(std::move(d)), RepairSpec{}, line});
     } else if (op == "ebe") {
@@ -285,7 +345,8 @@ void parse_statement(TokenCursor& cur, Declarations& decls) {
         g.type = GateType::Voting;
         const double k = cur.expect_number("voting threshold k");
         if (!std::isfinite(k) || k != std::floor(k) || k < 1 || k > 1e9)
-          throw ParseError(line, "voting threshold must be a positive integer");
+          throw ParseError(line, column, name,
+                           "voting threshold must be a positive integer", "P201");
         g.k = static_cast<int>(k);
       }
       while (cur.peek().type == TokenType::Identifier)
@@ -304,6 +365,7 @@ void parse_statement(TokenCursor& cur, Declarations& decls) {
 Declarations collect(TokenCursor& cur, Diagnostics& diags) {
   Declarations decls;
   while (!cur.at_end()) {
+    const SourceLocation statement{cur.line(), cur.column()};
     try {
       parse_statement(cur, decls);
     } catch (const ParseError& e) {
@@ -311,8 +373,11 @@ Declarations collect(TokenCursor& cur, Diagnostics& diags) {
       cur.synchronize();
     } catch (const Error& e) {
       // Statement helpers may surface domain errors from model construction;
-      // keep the collect contract (diagnostics, never exceptions).
-      diags.add(diagnostic_from(e, "P199"));
+      // keep the collect contract (diagnostics, never exceptions), located at
+      // the statement that raised them.
+      Diagnostic d = diagnostic_from(e, "P199");
+      d.loc = statement;
+      diags.add(std::move(d));
       cur.synchronize();
     }
   }
@@ -330,15 +395,16 @@ void validate_declarations(const Declarations& decls, Diagnostics& diags) {
     return decls.gates.contains(name) || decls.leaves.contains(name);
   };
   std::unordered_set<std::string> reported;
-  const auto report_undefined = [&](const std::string& name, std::size_t line) {
+  const auto report_undefined = [&](const std::string& name, SourceLocation at) {
     if (!reported.insert(name).second) return;
-    diags.error("M101", {line, 0}, "node '" + name + "' referenced but never defined",
+    diags.error("M101", at, "node '" + name + "' referenced but never defined",
                 "declare it as a gate, 'be' or 'ebe' leaf", name);
   };
-  if (!decls.top.empty() && !declared(decls.top)) report_undefined(decls.top, 0);
+  if (!decls.top.empty() && !declared(decls.top))
+    report_undefined(decls.top, decls.top_loc);
   for (const auto& [name, g] : decls.gates)
     for (const std::string& child : g.children)
-      if (!declared(child)) report_undefined(child, g.line);
+      if (!declared(child)) report_undefined(child, {g.line, g.column});
 
   // Dependency / module statements resolve names too; historically these
   // fail as parse errors ("unknown node"), so they get a P-range code.
@@ -575,10 +641,7 @@ std::string dist_to_text(const Distribution& d) {
           os << "uniform(" << num(x.lo) << ", " << num(x.hi) << ")";
         } else {
           static_assert(std::is_same_v<T, Deterministic>);
-          if (std::isinf(x.value))
-            os << "never";
-          else
-            os << "det(" << num(x.value) << ")";
+          os << "det(" << num(x.value) << ")";  // leaf lifetimes are finite
         }
       },
       d.as_variant());

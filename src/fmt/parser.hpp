@@ -1,16 +1,29 @@
-// Text format for fault maintenance trees. Extends the static fault-tree
-// grammar (ft/parser.hpp) with degradation and maintenance statements:
+// Text format for fault maintenance trees: a static fault tree (toplevel,
+// gates and `be` leaves) plus degradation and maintenance statements.
+// Statements come in any order, each ends with ';', and '#' comments run to
+// the end of the line:
 //
 //   toplevel <name>;
-//   <name> and|or <child>...;            # gates, as in the ft format
+//   <name> and|or <child>...;
 //   <name> vot <k> <child>...;
+//   <name> spare [dormancy=<d>] <primary> <spare>...;
 //   <name> be <dist>;                    # classic leaf (1 phase, undetectable)
 //   <name> ebe phases=<N> mean=<M>|rate=<r> threshold=<K>
-//          [repair_cost=<c>] [repair=<action-name>];
-//   rdep <name> factor=<g> trigger=<node> targets <leaf>...;
-//   inspection <name> period=<p> [offset=<o>] [cost=<c>] targets <leaf>...|all;
+//          [repair_cost=<c>] [repair_time=<t>] [repair=<action-name>];
+//   rdep <name> factor=<g> trigger=<node> [trigger_phase=<j>] targets <leaf>...;
+//   fdep <name> trigger=<node> targets <leaf>...;
+//   inspection <name> period=<p> [offset=<o>] [cost=<c>] [detect=<q>]
+//          targets <leaf>...|all;
 //   replacement <name> period=<p> [offset=<o>] [cost=<c>] targets <leaf>...|all;
 //   corrective [cost=<c>] [delay=<d>] [downtime_rate=<r>] [off];
+//
+// where <dist> is one of
+//   exp(rate) | erlang(k, rate) | erlang_mean(k, mean) | weibull(shape, scale)
+//   | lognormal(mu, sigma) | uniform(lo, hi) | det(value)
+// A leaf's lifetime must be finite: `never` and `det(inf)` are rejected.
+//
+// Names may be bare identifiers or double-quoted strings. Every node is
+// declared exactly once; forward references are allowed; cycles are rejected.
 //
 // For `inspection ... targets all`, "all" expands to every inspectable leaf;
 // for `replacement ... targets all`, to every leaf.

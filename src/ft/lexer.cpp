@@ -33,11 +33,12 @@ std::vector<Token> tokenize_impl(const std::string& input, Diagnostics* diags) {
   std::size_t line_start = 0;  // index of the first character of `line`
   const std::size_t n = input.size();
   const auto column = [&](std::size_t at) { return at - line_start + 1; };
-  const auto fail = [&](std::size_t at, std::string code, const std::string& msg,
-                        const std::string& token, const std::string& hint) {
+  const auto fail = [&](std::size_t at_line, std::size_t at_column, std::string code,
+                        const std::string& msg, const std::string& token,
+                        const std::string& hint) {
     if (diags == nullptr)
-      throw ParseError(line, column(at), token, msg, std::move(code), hint);
-    diags->error(std::move(code), {line, column(at)}, msg, hint, token);
+      throw ParseError(at_line, at_column, token, msg, std::move(code), hint);
+    diags->error(std::move(code), {at_line, at_column}, msg, hint, token);
   };
   while (i < n) {
     const char c = input[i];
@@ -56,8 +57,10 @@ std::vector<Token> tokenize_impl(const std::string& input, Diagnostics* diags) {
       continue;
     }
     if (c == '"') {
+      // A string may span lines; it is located where its opening quote is.
+      const std::size_t open_line = line;
+      const std::size_t open_column = column(i);
       std::string text;
-      const std::size_t start = i;
       ++i;
       while (i < n && input[i] != '"') {
         if (input[i] == '\n') {
@@ -67,16 +70,16 @@ std::vector<Token> tokenize_impl(const std::string& input, Diagnostics* diags) {
         text += input[i++];
       }
       if (i >= n) {
-        fail(start, "L102", "unterminated string literal", {},
+        fail(open_line, open_column, "L102", "unterminated string literal", {},
              "close the string with '\"'");
         // Recovery: treat the rest of the input as the string's contents.
-        out.push_back(Token{TokenType::Identifier, std::move(text), 0.0, line,
-                            column(start)});
+        out.push_back(Token{TokenType::Identifier, std::move(text), 0.0, open_line,
+                            open_column});
         break;
       }
       ++i;  // closing quote
       out.push_back(
-          Token{TokenType::Identifier, std::move(text), 0.0, line, column(start)});
+          Token{TokenType::Identifier, std::move(text), 0.0, open_line, open_column});
       continue;
     }
     if (is_ident_start(c)) {
@@ -91,7 +94,7 @@ std::vector<Token> tokenize_impl(const std::string& input, Diagnostics* diags) {
       char* end = nullptr;
       const double value = std::strtod(input.c_str() + i, &end);
       if (end == input.c_str() + i) {
-        fail(i, "L103", "malformed number", std::string(1, c), {});
+        fail(line, column(i), "L103", "malformed number", std::string(1, c), {});
         ++i;  // recovery: skip the character
         continue;
       }
@@ -117,7 +120,7 @@ std::vector<Token> tokenize_impl(const std::string& input, Diagnostics* diags) {
         out.push_back(Token{TokenType::Equals, "=", 0.0, line, column(i)});
         break;
       default:
-        fail(i, "L101", std::string("unexpected character '") + c + "'",
+        fail(line, column(i), "L101", std::string("unexpected character '") + c + "'",
              std::string(1, c),
              "identifiers use letters, digits, '_', '.', '-'; strings use double "
              "quotes");

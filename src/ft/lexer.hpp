@@ -1,4 +1,4 @@
-// Tokenizer shared by the fault-tree and fault-maintenance-tree text formats.
+// Tokenizer for the fault-maintenance-tree text format (fmt/parser.hpp).
 #pragma once
 
 #include <cstdint>

@@ -138,10 +138,9 @@ batch::JobResult decode_job(const json::Value& obj) {
   }
   if (out.completed) {
     // The embedded report is the verbatim (compacted) "fmtree.result/v2"
-    // document; re-serializing the parsed subtree reproduces its value bytes
-    // exactly (json::write keeps raw number tokens), so decode_report's
-    // content-hash check still guards end-to-end integrity.
-    out.report = batch::decode_report(out.key, json::write(member(obj, "report")));
+    // document, decoded from its parsed subtree; decode_report's content-hash
+    // check guards end-to-end integrity.
+    out.report = batch::decode_report(out.key, member(obj, "report"));
   }
   return out;
 }

@@ -229,48 +229,6 @@ double Value::as_double() const {
 
 Value parse(std::string_view text) { return Parser(text).parse_document(); }
 
-namespace {
-
-void write_value(const Value& v, std::string& out) {
-  switch (v.kind) {
-    case Kind::Null: out += "null"; return;
-    case Kind::Bool: out += v.boolean ? "true" : "false"; return;
-    case Kind::Number: out += v.text; return;
-    case Kind::String:
-      out.push_back('"');
-      out += escape(v.text);
-      out.push_back('"');
-      return;
-    case Kind::Array:
-      out.push_back('[');
-      for (std::size_t i = 0; i < v.items.size(); ++i) {
-        if (i != 0) out.push_back(',');
-        write_value(v.items[i], out);
-      }
-      out.push_back(']');
-      return;
-    case Kind::Object:
-      out.push_back('{');
-      for (std::size_t i = 0; i < v.members.size(); ++i) {
-        if (i != 0) out.push_back(',');
-        out.push_back('"');
-        out += escape(v.members[i].first);
-        out += "\":";
-        write_value(v.members[i].second, out);
-      }
-      out.push_back('}');
-      return;
-  }
-}
-
-}  // namespace
-
-std::string write(const Value& v) {
-  std::string out;
-  write_value(v, out);
-  return out;
-}
-
 std::string escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());

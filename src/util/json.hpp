@@ -43,12 +43,6 @@ struct Value {
 /// garbage is an error). Throws IoError on malformed input.
 Value parse(std::string_view text);
 
-/// Serializes a Value back to compact (whitespace-free, single-line) JSON.
-/// Number tokens are emitted verbatim, so parse -> write round-trips every
-/// value byte; strings are re-escaped through escape(). Used by the serve
-/// protocol to extract embedded sub-documents from a parsed event line.
-std::string write(const Value& v);
-
 /// Escapes `s` for embedding inside a JSON string literal (no quotes added).
 std::string escape(std::string_view s);
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ft/bdd.hpp"
 #include "util/error.hpp"
 
 namespace fmtree::fmt {
@@ -145,6 +146,121 @@ TEST(FmtParser, RoundTripsThroughToText) {
   }
   // Inspection offsets serialize explicitly, so schedules match too.
   EXPECT_DOUBLE_EQ(m1.inspections()[0].first_at, m2.inspections()[0].first_at);
+}
+
+// Static fault trees: the toplevel / and / or / vot / be statements alone.
+
+TEST(FtParser, ParsesSimpleTree) {
+  const ft::FaultTree t = parse_fmt(R"(
+    toplevel System;
+    System or A B;
+    A be exp(0.5);
+    B be erlang(3, 1.0);
+  )").structure();
+  EXPECT_EQ(t.name(t.top()), "System");
+  EXPECT_EQ(t.basic_events().size(), 2u);
+  EXPECT_EQ(t.basic(*t.find("A")).lifetime, Distribution::exponential(0.5));
+  EXPECT_EQ(t.basic(*t.find("B")).lifetime, Distribution::erlang(3, 1.0));
+}
+
+TEST(FtParser, ForwardReferencesAllowed) {
+  const ft::FaultTree t = parse_fmt(R"(
+    toplevel Top;
+    A be exp(1);
+    Top and A B;
+    B be exp(2);
+  )").structure();
+  EXPECT_EQ(t.gate(t.top()).type, GateType::And);
+}
+
+TEST(FtParser, VotingGateWithThreshold) {
+  const ft::FaultTree t = parse_fmt(R"(
+    toplevel V;
+    V vot 2 A B C;
+    A be exp(1); B be exp(1); C be exp(1);
+  )").structure();
+  EXPECT_EQ(t.gate(t.top()).type, GateType::Voting);
+  EXPECT_EQ(t.gate(t.top()).k, 2);
+}
+
+TEST(FtParser, QuotedNamesAndComments) {
+  const ft::FaultTree t = parse_fmt(R"(
+    # a comment
+    toplevel "my system";   # trailing comment
+    "my system" or "part 1";
+    "part 1" be exp(1);
+  )").structure();
+  EXPECT_TRUE(t.find("my system").has_value());
+  EXPECT_TRUE(t.find("part 1").has_value());
+}
+
+TEST(FtParser, AllDistributionForms) {
+  const ft::FaultTree t = parse_fmt(R"(
+    toplevel T;
+    T or A B C D E F G;
+    A be exp(2);
+    B be erlang(4, 0.5);
+    C be erlang_mean(4, 8);
+    D be weibull(1.5, 2);
+    E be lognormal(0.1, 0.9);
+    F be uniform(1, 2);
+    G be det(3);
+  )").structure();
+  EXPECT_EQ(t.basic(*t.find("C")).lifetime, Distribution::erlang(4, 0.5));
+  EXPECT_EQ(t.basic(*t.find("G")).lifetime, Distribution::deterministic(3));
+}
+
+TEST(FtParser, ErrorsCarryLineNumbers) {
+  try {
+    parse_fmt("toplevel T;\nT or A;\nA be exp(0);\n");
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 3u);
+  }
+}
+
+TEST(FtParser, RejectsMalformedInput) {
+  EXPECT_THROW(parse_fmt("T or A; A be exp(1);"), ParseError);  // no toplevel
+  EXPECT_THROW(parse_fmt("toplevel T; T or; "), ParseError);    // no children
+  EXPECT_THROW(parse_fmt("toplevel T; T unknown A; A be exp(1);"), ParseError);
+  // missing trailing ;
+  EXPECT_THROW(parse_fmt("toplevel T; T or A; A be exp(1)"), ParseError);
+  EXPECT_THROW(parse_fmt("toplevel T; T or A; A be zeta(1);"), ParseError);
+  EXPECT_THROW(parse_fmt("toplevel T; T vot 0 A B; A be exp(1); B be exp(1);"),
+               ParseError);
+  EXPECT_THROW(parse_fmt("toplevel T; toplevel U; T or A; A be exp(1);"), ParseError);
+  EXPECT_THROW(parse_fmt("toplevel T; T or A; T or B; A be exp(1); B be exp(1);"),
+               ParseError);  // duplicate definition
+}
+
+TEST(FtParser, RejectsUndefinedAndUnreachableAndCyclic) {
+  EXPECT_THROW(parse_fmt("toplevel T; T or Missing;"), ModelError);
+  EXPECT_THROW(parse_fmt(R"(
+    toplevel T; T or A; A be exp(1); Orphan be exp(1);
+  )"),
+               ModelError);
+  EXPECT_THROW(parse_fmt(R"(
+    toplevel T; T or U; U or T;
+  )"),
+               ModelError);
+}
+
+TEST(FtParser, RoundTripsThroughToText) {
+  const std::string source = R"(
+    toplevel Sys;
+    Sys or M E;
+    M vot 2 A B C;
+    E and D F;
+    A be exp(0.1); B be exp(0.2); C be exp(0.3);
+    D be erlang(2, 0.5); F be weibull(1.5, 4);
+  )";
+  const ft::FaultTree t1 = parse_fmt(source).structure();
+  const ft::FaultTree t2 = parse_fmt(to_text(parse_fmt(source))).structure();
+  // Same structure: identical probability at several mission times.
+  for (double time : {0.5, 1.0, 5.0})
+    EXPECT_NEAR(top_event_probability(t1, time), top_event_probability(t2, time), 1e-12);
+  EXPECT_EQ(t1.basic_events().size(), t2.basic_events().size());
+  EXPECT_EQ(t1.gates().size(), t2.gates().size());
 }
 
 }  // namespace

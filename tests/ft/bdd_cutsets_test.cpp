@@ -3,8 +3,8 @@
 
 #include "eijoint/model.hpp"
 #include "eijoint/scenarios.hpp"
+#include "fmt/parser.hpp"
 #include "ft/cutsets.hpp"
-#include "ft/parser.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -12,12 +12,12 @@ namespace fmtree::ft {
 namespace {
 
 TEST(BddCutSets, SimpleGates) {
-  const FaultTree t = parse_fault_tree(R"(
+  const FaultTree t = fmt::parse_fmt(R"(
     toplevel T;
     T or G1 c;
     G1 and a b;
     a be exp(1); b be exp(1); c be exp(1);
-  )");
+  )").structure();
   const auto cuts = minimal_cut_sets_bdd(t);
   ASSERT_EQ(cuts.size(), 2u);
   EXPECT_EQ(cuts[0], (CutSet{2}));     // {c}
@@ -25,11 +25,11 @@ TEST(BddCutSets, SimpleGates) {
 }
 
 TEST(BddCutSets, MatchesMocusOnVoting) {
-  const FaultTree t = parse_fault_tree(R"(
+  const FaultTree t = fmt::parse_fmt(R"(
     toplevel T;
     T vot 3 a b c d e;
     a be exp(1); b be exp(1); c be exp(1); d be exp(1); e be exp(1);
-  )");
+  )").structure();
   EXPECT_EQ(minimal_cut_sets_bdd(t), minimal_cut_sets(t));
   EXPECT_EQ(minimal_cut_sets_bdd(t).size(), 10u);  // C(5,3)
 }

@@ -4,6 +4,8 @@
 
 
 #include <cmath>
+#include "fmt/parser.hpp"
+#include "ft/dot.hpp"
 #include "util/error.hpp"
 
 namespace fmtree::ft {
@@ -158,6 +160,27 @@ TEST(FaultTreeProbabilities, ProbabilitiesAtUsesCdf) {
   ASSERT_EQ(p.size(), 2u);
   EXPECT_NEAR(p[0], 1 - std::exp(-2.0), 1e-12);
   EXPECT_EQ(p[1], 0.0);  // deterministic(5) has not failed at t=2
+}
+
+TEST(FtDot, EmitsAllNodesAndEdges) {
+  const FaultTree t = fmt::parse_fmt(R"(
+    toplevel T;
+    T or A G;
+    G and B C;
+    A be exp(1); B be exp(1); C be exp(1);
+  )").structure();
+  const std::string dot = to_dot(t, "example");
+  EXPECT_NE(dot.find("digraph \"example\""), std::string::npos);
+  EXPECT_NE(dot.find("label=\"A\""), std::string::npos);
+  EXPECT_NE(dot.find("[OR]"), std::string::npos);
+  EXPECT_NE(dot.find("[AND]"), std::string::npos);
+  // 4 edges: T->A, T->G, G->B, G->C.
+  std::size_t edges = 0, pos = 0;
+  while ((pos = dot.find(" -> ", pos)) != std::string::npos) {
+    ++edges;
+    pos += 4;
+  }
+  EXPECT_EQ(edges, 4u);
 }
 
 }  // namespace

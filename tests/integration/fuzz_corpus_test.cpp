@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "fmt/parser.hpp"
-#include "ft/parser.hpp"
 #include "util/diagnostics.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -44,15 +43,32 @@ std::vector<std::pair<std::string, std::string>> load_corpus() {
 
 /// Every diagnostic must carry a stable code: one category letter and a
 /// number (e.g. "P104"). Crash-shaped output (empty code, free text) fails.
-void expect_well_formed(const Diagnostics& diags, const std::string& source) {
+/// Lexical and syntax diagnostics must also point into `text`: a line from 1
+/// to one past the last line, and a column at most one past that line's end
+/// (column 0 means "unknown").
+void expect_well_formed(const Diagnostics& diags, const std::string& text) {
+  std::vector<std::size_t> line_lengths{0};
+  for (const char c : text) {
+    if (c == '\n')
+      line_lengths.push_back(0);
+    else
+      ++line_lengths.back();
+  }
+  if (text.ends_with('\n')) line_lengths.pop_back();  // no line after the last '\n'
   for (const Diagnostic& d : diags.all()) {
-    ASSERT_GE(d.code.size(), 2u) << source;
+    ASSERT_GE(d.code.size(), 2u) << text;
     EXPECT_NE(std::string("LPMNRUX").find(d.code[0]), std::string::npos)
-        << source << ": code " << d.code;
+        << text << ": code " << d.code;
     for (std::size_t i = 1; i < d.code.size(); ++i)
       EXPECT_TRUE(std::isdigit(static_cast<unsigned char>(d.code[i])))
-          << source << ": code " << d.code;
-    EXPECT_FALSE(d.message.empty()) << source;
+          << text << ": code " << d.code;
+    EXPECT_FALSE(d.message.empty()) << text;
+    if (d.code[0] != 'L' && d.code[0] != 'P') continue;
+    ASSERT_GE(d.loc.line, 1u) << format_diagnostic(d);
+    ASSERT_LE(d.loc.line, line_lengths.size() + 1) << format_diagnostic(d);
+    const std::size_t length =
+        d.loc.line <= line_lengths.size() ? line_lengths[d.loc.line - 1] : 0;
+    EXPECT_LE(d.loc.column, length + 1) << format_diagnostic(d);
   }
 }
 
@@ -64,12 +80,7 @@ TEST(FuzzCorpus, EveryCorpusFileYieldsOnlyTypedDiagnostics) {
     fmt::FmtParseResult r;
     ASSERT_NO_THROW(r = fmt::parse_fmt_collect(text));
     EXPECT_EQ(r.model.has_value(), !r.diagnostics.has_errors());
-    expect_well_formed(r.diagnostics, name);
-
-    ft::FtParseResult ft_result;
-    ASSERT_NO_THROW(ft_result = ft::parse_fault_tree_collect(text));
-    EXPECT_EQ(ft_result.tree.has_value(), !ft_result.diagnostics.has_errors());
-    expect_well_formed(ft_result.diagnostics, name);
+    expect_well_formed(r.diagnostics, text);
   }
 }
 

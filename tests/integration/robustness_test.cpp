@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "fmt/parser.hpp"
-#include "ft/parser.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -123,7 +122,7 @@ TEST(FtParserRobustness, PrefixesOfStaticFormat) {
       "C be weibull(1.5, 3);\nD be never;\n";
   for (std::size_t len = 0; len <= text.size(); ++len) {
     try {
-      (void)ft::parse_fault_tree(text.substr(0, len));
+      (void)fmt::parse_fmt(text.substr(0, len)).structure();
     } catch (const Error&) {
     }
   }
