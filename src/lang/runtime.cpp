@@ -48,6 +48,36 @@ std::vector<fmt::NodeId> resolve_targets(const CompiledPolicy& policy,
   return out;
 }
 
+/// Whether a calendar's rounds depend on the engine state alone: no seasonal
+/// window, and no condition or spend amount of its statements reads the
+/// clock or a budget (whose refills follow the clock).
+bool time_invariant(const CompiledPolicy& policy, const Calendar& cal) {
+  if (cal.window_cycle > 0) return false;
+  const auto reads_clock = [&](std::uint32_t begin, std::uint32_t end) {
+    for (std::uint32_t i = begin; i < end; ++i)
+      if (policy.code[i].op == Op::PushTime || policy.code[i].op == Op::PushBudget)
+        return true;
+    return false;
+  };
+  const auto spend_reads_clock = [&](std::uint32_t begin, std::uint32_t end) {
+    for (std::uint32_t a = begin; a < end; ++a) {
+      const Action& act = policy.actions[a];
+      if (act.kind == Action::Kind::Spend &&
+          reads_clock(act.amount_begin, act.amount_end))
+        return true;
+    }
+    return false;
+  };
+  for (std::uint32_t s = cal.stmts_begin; s < cal.stmts_end; ++s) {
+    const Statement& stmt = policy.statements[s];
+    if (reads_clock(stmt.cond_begin, stmt.cond_end) ||
+        spend_reads_clock(stmt.then_begin, stmt.then_end) ||
+        spend_reads_clock(stmt.else_begin, stmt.else_end))
+      return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 double BoundPolicy::budget_available(std::uint32_t b, double now,
@@ -124,6 +154,7 @@ BoundPolicy bind_policy(const CompiledPolicy& policy,
       bound.calendar_targets.push_back(leaf_index(id));
     bound.target_begin.push_back(
         static_cast<std::uint32_t>(bound.calendar_targets.size()));
+    bound.time_invariant.push_back(time_invariant(policy, cal) ? 1 : 0);
   }
 
   bound.leaf_threshold.reserve(model.num_ebes());

@@ -12,8 +12,16 @@
 //     next one is scheduled;
 //   * run_round(bound, module, now, host, state) — books nothing itself;
 //     evaluates the calendar's rule statements once per target component
-//     (in target-list order) and issues repairs through the engine-supplied
-//     Host callbacks.
+//     (in target-list order), issues repairs through the engine-supplied
+//     Host callbacks, and returns whether it acted (issued a repair or a
+//     spend).
+//
+// A round that did not act left the engine and the PolicyState as they
+// were. On a time-invariant calendar (BoundPolicy::time_invariant: no
+// seasonal window, no `time` or `budget` read) every later round before the
+// next other engine event therefore does not act either, so the kernel
+// books those rounds in a tight loop without running them. Calendars that
+// read the clock or a budget run every round.
 //
 // The Host is the engine adapter (a lang::LambdaHost over engine-local
 // state): phase/failed/under_repair reads, and repair(leaf) performing the
@@ -55,6 +63,11 @@ struct BoundPolicy {
   std::vector<std::uint32_t> calendar_targets;
   std::vector<double> leaf_threshold;  ///< per leaf, as VM doubles
   std::vector<double> leaf_phases;     ///< per leaf
+  /// Per calendar: 1 when a round's outcome depends on the engine state
+  /// alone — no seasonal window, and no condition or spend amount reads
+  /// `time` or a budget. Kept out of CompiledPolicy, so the policy
+  /// fingerprint does not see it.
+  std::vector<std::uint8_t> time_invariant;
 
   /// Remaining budget b at time `now` given what the trajectory has spent:
   /// initial + refill_amount * floor(now / refill_period) - spent. Lazy —
@@ -205,13 +218,15 @@ double eval_code(const BoundPolicy& bp, const Host& host, const PolicyState& st,
 /// target component in list order, runs the rule statements, issuing
 /// guarded repairs and budget spends. Books no visit cost itself — the
 /// engine accrues the InspectionModule cost exactly as for built-in rounds.
+/// Returns whether the round issued a repair or a spend.
 template <class Host>
-void run_round(const BoundPolicy& bp, std::size_t cal, double now,
+bool run_round(const BoundPolicy& bp, std::size_t cal, double now,
                const Host& host, PolicyState& st) {
   st.begin_round();
   const CompiledPolicy& p = *bp.compiled;
   const Calendar& c = p.calendars[cal];
   const std::uint32_t crew = p.crew;
+  bool acted = false;
   for (std::uint32_t k = bp.target_begin[cal]; k < bp.target_begin[cal + 1]; ++k) {
     const std::uint32_t self = bp.calendar_targets[k];
     for (std::uint32_t s = c.stmts_begin; s < c.stmts_end; ++s) {
@@ -239,6 +254,7 @@ void run_round(const BoundPolicy& bp, std::size_t cal, double now,
             host.repair(leaf);
             st.repaired_this_round[leaf] = 1;
             ++st.repairs_this_round;
+            acted = true;
             break;
           }
           case Action::Kind::Spend: {
@@ -246,12 +262,14 @@ void run_round(const BoundPolicy& bp, std::size_t cal, double now,
                 detail::eval_code(bp, host, st, self, now, act.amount_begin,
                                   act.amount_end, st.stack);
             st.budget_spent[act.budget] += amount;
+            acted = true;
             break;
           }
         }
       }
     }
   }
+  return acted;
 }
 
 }  // namespace fmtree::lang

@@ -353,6 +353,8 @@ void BatchExecutor::simulate_lane(LaneContext& lane, const SimOptions& opts) con
           renew_leaf(leaf, now);
         }
       };
+      // An idle round changes no state and draws no number; see below.
+      bool idle = true;
       if (policy) {
         const auto host = lang::make_host(
             [&](std::uint32_t leaf) {
@@ -361,13 +363,15 @@ void BatchExecutor::simulate_lane(LaneContext& lane, const SimOptions& opts) con
             [&](std::uint32_t leaf) { return lane.failed[leaf] != 0; },
             [&](std::uint32_t leaf) { return lane.under_repair[leaf] != 0; },
             do_repair);
-        lang::run_round(*policy, m, now, host, *lane.policy);
+        idle = !lang::run_round(*policy, m, now, host, *lane.policy) &&
+               policy->time_invariant[m] != 0;
       } else {
         for (std::uint32_t k = mod.targets_begin; k < mod.targets_end; ++k) {
           const std::uint32_t leaf = insp_targets_[k];
           if (lane.failed[leaf]) continue;       // inspections cannot fix failures
           if (lane.under_repair[leaf]) continue;  // a crew is already on it
           if (lane.phase[leaf] < threshold_[leaf]) continue;
+          idle = false;  // eligible: a repair, or a detection draw, follows
           // Imperfect inspections miss degradation with prob. 1 - p.
           if (mod.detection_probability < 1.0 &&
               !rng.bernoulli(mod.detection_probability)) {
@@ -376,10 +380,32 @@ void BatchExecutor::simulate_lane(LaneContext& lane, const SimOptions& opts) con
           do_repair(leaf);
         }
       }
-      // Repairs reset phases, which can deactivate phase-triggered rate
-      // dependencies (failure states are untouched, so no gate can flip).
-      update_rates(now);
-      lane.inspect_time[m] = now + mod.period;
+      if (!idle) {
+        // Repairs reset phases, which can deactivate phase-triggered rate
+        // dependencies (failure states are untouched, so no gate can flip).
+        update_rates(now);
+        lane.inspect_time[m] = now + mod.period;
+        continue;
+      }
+      // Fast-forward: nothing changed since the last update_rates, and only
+      // another clock can change anything, so every round of this module
+      // before the next other event is idle too. Book them here, as the
+      // min-scan would: a tie goes to the lower clock index, and the round
+      // times are the same repeated additions.
+      double before = kInf, after = kInf;  // earliest clock below / above ours
+      for (std::uint32_t i = 0; i < best_idx; ++i) before = std::min(before, clock[i]);
+      for (std::uint32_t i = best_idx + 1; i <= corrective_idx; ++i)
+        after = std::min(after, clock[i]);
+      const double last = std::min(after, horizon);
+      double t = now + mod.period;
+      while (t < before && t <= last) {
+        ++result.events;
+        ++result.inspections;
+        result.cost.inspection += mod.cost;
+        result.discounted_cost.inspection += mod.cost * discount(t);
+        t += mod.period;
+      }
+      lane.inspect_time[m] = t;
     } else if (best_idx < corrective_idx) {
       const std::uint32_t m = best_idx - repl_base;
       const ReplacementInfo& mod = replacements_[m];
@@ -411,6 +437,20 @@ void BatchExecutor::run_block(std::uint64_t seed, std::uint64_t first, std::uint
                               const SimOptions& opts, BatchWorkspace& ws) const {
   if (!(opts.horizon > 0)) throw DomainError("simulation horizon must be positive");
   if (opts.discount_rate < 0) throw DomainError("discount rate must be >= 0");
+  // A period of at most half an ulp of the horizon can leave t + period == t
+  // at some t <= horizon, where its rounds would refire forever; above it
+  // every round advances the clock.
+  const double stall = (std::nextafter(opts.horizon, kInf) - opts.horizon) / 2;
+  const auto check_period = [&](const char* kind, const auto& mod) {
+    if (mod.first_at <= opts.horizon && mod.period <= stall)
+      throw DomainError(std::string(kind) + " '" + mod.name +
+                        "' has a period too small to advance the clock before the "
+                        "horizon");
+  };
+  for (const fmt::InspectionModule& mod : model_.inspections())
+    check_period("inspection", mod);
+  for (const fmt::ReplacementModule& mod : model_.replacements())
+    check_period("replacement", mod);
   const std::uint32_t num_leaves = num_leaves_;
   const auto num_insp = static_cast<std::uint32_t>(inspections_.size());
   const auto num_repl = static_cast<std::uint32_t>(replacements_.size());

@@ -51,7 +51,20 @@
 //  * gates are evaluated incrementally (GateEvaluator, one State per lane),
 //    so a leaf flip costs O(changed region), and events that cannot change
 //    a failure flag (phase advances, repairs, inspections) skip the FDEP and
-//    top-event parts of the settle, which they provably leave unchanged.
+//    top-event parts of the settle, which they provably leave unchanged;
+//  * idle inspection rounds fast-forward. A built-in round is idle when no
+//    target is eligible (working, not under repair, at or past its
+//    threshold phase); a round that missed an eligible target drew a number
+//    and is not idle. A scripted round is idle when run_round neither
+//    repaired nor spent and its calendar is time-invariant
+//    (lang::BoundPolicy::time_invariant). An idle round changes no state,
+//    so every later round of its module before the next other clock is
+//    idle too: the kernel books them in a tight loop, with the min-scan's
+//    tie order, the same cost additions and the same repeated `t + period`
+//    clock. They still count in `inspections` and `events` (and so in
+//    smc.events), so no result bit moves; sim::Reference stays naive and
+//    runs each round as an event. A period of at most half an ulp of the
+//    horizon, which could stop the clock, is rejected with a DomainError.
 #pragma once
 
 #include <algorithm>

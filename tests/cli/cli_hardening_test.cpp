@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -174,6 +175,29 @@ TEST(CliExit, TimeoutTruncatesAnalyzeWithExitOne) {
   EXPECT_EQ(rc, kExitTruncated);
   EXPECT_NE(out.str().find("truncated (deadline)"), std::string::npos);
   EXPECT_NE(out.str().find("reliability"), std::string::npos);
+}
+
+TEST(CliExit, PeriodTooSmallToAdvanceTheClockFailsAtOnce) {
+  // The EI-joint inspected every 1e-17 from t = 1, where 1 + 1e-17 == 1.
+  // The trajectory pool polls --timeout only between blocks, so a stalled
+  // clock would never return; the kernel refuses the period up front.
+  std::ifstream file(std::string(FMTREE_SOURCE_DIR) + "/models/ei_joint.fmt");
+  std::ostringstream text;
+  text << file.rdbuf();
+  std::string model = text.str();
+  const std::string schedule = "period=0.25 offset=0.25";
+  ASSERT_NE(model.find(schedule), std::string::npos);
+  model.replace(model.find(schedule), schedule.size(), "period=1e-17 offset=1");
+  const std::string path = write_model("stall", model);
+  std::ostringstream out, err;
+  const auto t0 = std::chrono::steady_clock::now();
+  const int rc = main_impl({"analyze", path, "--runs", "16", "--threads", "1",
+                            "--timeout", "2"},
+                           out, err);
+  const std::chrono::duration<double> took = std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(rc, kExitUsage);
+  EXPECT_LT(took.count(), 1.0);
+  EXPECT_NE(err.str().find("'current-4x-inspection'"), std::string::npos) << err.str();
 }
 
 TEST(CliExit, InterruptControlIsProcessWideSingleton) {

@@ -1,9 +1,13 @@
 // Policy runtime semantics against a synthetic host (no engine): the model
-// transform, target resolution, seasonal windows, lazy budgets, and the
-// repair guards of run_round (idempotence, crew cap, failed/under-repair).
+// transform, target resolution, seasonal windows, lazy budgets, the repair
+// guards of run_round (idempotence, crew cap, failed/under-repair), what
+// run_round reports, and which calendars are time-invariant.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "fmt/parser.hpp"
@@ -161,6 +165,90 @@ TEST(LangRuntime, NamedReadsAndRepairTargetsOtherComponents) {
   FakeState fake{{1, 3, 1}, {0, 0, 0}, {0, 0, 0}, {}};
   run_round(bound, 0, 1.0, host_over(fake), st);
   EXPECT_EQ(fake.repaired, (std::vector<std::uint32_t>{1}));
+}
+
+TEST(LangRuntime, RunRoundReportsWhetherItActed) {
+  const fmt::FaultMaintenanceTree model = fmt::parse_fmt(kModel);
+  const CompiledPolicy policy = compile_policy(
+      "budget log = 0;\n"
+      "calendar c every 1 targets a, b;\n"
+      "rule c { if phase >= threshold then repair; }\n"
+      "calendar d every 1 targets a;\n"
+      "rule d { if failed then repair else spend(log, 0); }");
+  const fmt::FaultMaintenanceTree transformed = apply_policy(policy, model);
+  const BoundPolicy bound = bind_policy(policy, transformed);
+  PolicyState st;
+  st.reset(bound);
+
+  // Nothing at its threshold: no repair, no spend.
+  FakeState below{{1, 2, 1}, {0, 0, 0}, {0, 0, 0}, {}};
+  EXPECT_FALSE(run_round(bound, 0, 1.0, host_over(below), st));
+  // Eligible but guarded away (failed, already under repair): still idle.
+  FakeState guarded{{4, 3, 1}, {1, 0, 0}, {0, 1, 0}, {}};
+  EXPECT_FALSE(run_round(bound, 0, 1.0, host_over(guarded), st));
+  EXPECT_TRUE(guarded.repaired.empty());
+  // One repair.
+  FakeState due{{1, 3, 1}, {0, 0, 0}, {0, 0, 0}, {}};
+  EXPECT_TRUE(run_round(bound, 0, 1.0, host_over(due), st));
+  EXPECT_EQ(due.repaired, (std::vector<std::uint32_t>{1}));
+  // A spend acts even when it spends nothing and repairs nothing.
+  FakeState working{{1, 1, 1}, {0, 0, 0}, {0, 0, 0}, {}};
+  EXPECT_TRUE(run_round(bound, 1, 1.0, host_over(working), st));
+  EXPECT_TRUE(working.repaired.empty());
+  // A failed component is not repairable, so the rule's repair is guarded
+  // away and no spend is reached.
+  FakeState failed{{4, 1, 1}, {1, 0, 0}, {0, 0, 0}, {}};
+  EXPECT_FALSE(run_round(bound, 1, 1.0, host_over(failed), st));
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream file(std::string(FMTREE_SOURCE_DIR) + "/" + path);
+  EXPECT_TRUE(file.good()) << path;
+  std::ostringstream text;
+  text << file.rdbuf();
+  return text.str();
+}
+
+/// The time-invariance flags bind_policy gives the calendars of `script`
+/// over the EI-joint.
+std::vector<std::uint8_t> time_invariant_flags(const std::string& script) {
+  const fmt::FaultMaintenanceTree model = fmt::parse_fmt(slurp("models/ei_joint.fmt"));
+  const CompiledPolicy policy = compile_policy(script);
+  return bind_policy(policy, apply_policy(policy, model)).time_invariant;
+}
+
+TEST(LangRuntime, TimeInvariantCalendars) {
+  using Flags = std::vector<std::uint8_t>;
+  const auto example = [](const char* name) {
+    return time_invariant_flags(slurp(std::string("examples/policies/") + name));
+  };
+  // Rounds that read only the components' state fast-forward...
+  EXPECT_EQ(example("periodic.mpl"), Flags{1});
+  EXPECT_EQ(example("opportunistic.mpl"), Flags{1});
+  EXPECT_EQ(example("condition_based.mpl"), (Flags{1, 1}));
+  // ...a seasonal window, a budget read or a clock read rules it out.
+  EXPECT_EQ(example("seasonal.mpl"), Flags{0});
+  EXPECT_EQ(example("shared_crew.mpl"), Flags{0});
+  EXPECT_EQ(time_invariant_flags("calendar c every 1 window 0..0.5 of 1 targets all;\n"
+                                 "rule c { if phase >= threshold then repair; }"),
+            Flags{0});
+  EXPECT_EQ(time_invariant_flags("calendar c every 1 targets all;\n"
+                                 "rule c { if phase >= threshold and time > 2\n"
+                                 "         then repair; }"),
+            Flags{0});
+  EXPECT_EQ(time_invariant_flags("budget b = 5;\n"
+                                 "calendar c every 1 targets all;\n"
+                                 "rule c { if phase >= threshold\n"
+                                 "         then repair, spend(b, time); }"),
+            Flags{0});
+  // A calendar is judged by its own statements only.
+  EXPECT_EQ(time_invariant_flags("budget b = 5;\n"
+                                 "calendar c every 1 targets all;\n"
+                                 "rule c { if phase >= threshold\n"
+                                 "         then repair, spend(b, 1); }\n"
+                                 "calendar d every 2 targets all;\n"
+                                 "rule d { if budget(b) > 0 then repair; }"),
+            (Flags{1, 0}));
 }
 
 }  // namespace

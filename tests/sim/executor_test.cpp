@@ -261,6 +261,72 @@ TEST(Executor, RejectsNonPositiveHorizon) {
   EXPECT_THROW(sim_test::kernel_run(m, 1, 0, 1, opts), DomainError);
 }
 
+TEST(Executor, IdleRoundsKeepTheClockOrderOfTies) {
+  // The leaf is detectable only at t = 4 and t = 8, where the yearly round
+  // repairs it, so almost every round is idle and the kernel books most of
+  // them in its fast-forward loop. The quarterly module ties with the
+  // yearly one (a lower clock index: it goes first) and with the
+  // half-yearly one (a higher index: the quarterly round goes first), and
+  // all three fire at the horizon. The kernel must equal the reference bit
+  // for bit, discounted cost sums included.
+  FaultMaintenanceTree m;
+  const NodeId a = m.add_ebe("a", det_phases(2, 2, 4.0), RepairSpec{"fix", 100});
+  m.set_top(a);
+  m.add_inspection(InspectionModule{"yearly", 1.0, -1, 5, {a}});
+  m.add_inspection(InspectionModule{"quarterly", 0.25, -1, 3, {a}});
+  m.add_inspection(InspectionModule{"half-yearly", 0.5, -1, 2, {a}});
+  SimOptions opts;
+  opts.horizon = 10.0;
+  opts.discount_rate = 0.05;
+  const TrajectoryResult r = sim_test::checked_run(m, 1, 0, opts);
+  EXPECT_EQ(r.inspections, 70u);  // 10 + 40 + 20, the last three at t = 10
+  EXPECT_EQ(r.events, 72u);       // plus the phase steps at 4 and 8
+  EXPECT_DOUBLE_EQ(r.cost.inspection, 10 * 5.0 + 40 * 3.0 + 20 * 2.0);
+  EXPECT_EQ(r.repairs, 2u);
+  EXPECT_EQ(r.failures, 0u);
+}
+
+/// Runs the kernel on `m` and expects the stall check to reject `module`.
+void expect_stall_rejected(const FaultMaintenanceTree& m, const SimOptions& opts,
+                           const std::string& module) {
+  try {
+    sim_test::kernel_run(m, 1, 0, 16, opts);
+    ADD_FAILURE() << "expected a DomainError naming '" << module << "'";
+  } catch (const DomainError& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + module + "'"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Executor, RejectsInspectionPeriodThatCannotAdvanceTheClock) {
+  // 1 + 1e-17 == 1: the rounds from t = 1 would refire at t = 1 forever.
+  FaultMaintenanceTree m;
+  const NodeId a = m.add_ebe("a", det_phases(3, 2), RepairSpec{"fix", 100});
+  m.set_top(a);
+  m.add_inspection(InspectionModule{"stuck", 1e-17, 1.0, 10, {a}});
+  SimOptions opts;
+  opts.horizon = 10.0;
+  expect_stall_rejected(m, opts, "stuck");
+  // The bound is inclusive: half an ulp of the horizon still rounds back.
+  FaultMaintenanceTree half = m;
+  half.set_inspection_schedule(0, 0x1p-53, 0.5);
+  opts.horizon = 1.0;
+  expect_stall_rejected(half, opts, "stuck");
+  // Rounds that start after the horizon never run.
+  opts.horizon = 0.75;
+  EXPECT_EQ(sim_test::kernel_run(m, 1, 0, 1, opts).front().inspections, 0u);
+}
+
+TEST(Executor, RejectsReplacementPeriodThatCannotAdvanceTheClock) {
+  FaultMaintenanceTree m;
+  const NodeId a = m.add_ebe("a", det_phases(3, 2), RepairSpec{"fix", 100});
+  m.set_top(a);
+  m.add_replacement(ReplacementModule{"stuck", 1e-17, 1.0, 50, {a}});
+  SimOptions opts;
+  opts.horizon = 10.0;
+  expect_stall_rejected(m, opts, "stuck");
+}
+
 TEST(Executor, FailureExactlyAtHorizonCounts) {
   FaultMaintenanceTree m;
   m.set_top(m.add_ebe("a", det_phases(1, 2, 5.0)));
