@@ -91,6 +91,41 @@ void corrupt_payload(std::string& payload) {
   payload[payload.size() / 2] ^= 0x01;
 }
 
+/// Writes `payload` to `tmp_path` and publishes it at `final_path` by
+/// rename, so concurrent readers never observe a partial entry. Returns
+/// false when a step fails, leaving no temp file behind.
+bool publish(std::string payload, const std::string& tmp_path,
+             const std::string& final_path) {
+  try {
+    // "cache.write" in corrupt mode simulates silent media corruption: the
+    // mangled payload is published and must be caught by the content hash on
+    // the next read. Error mode simulates a failed write syscall.
+    if (fault::fault_point("cache.write")) corrupt_payload(payload);
+  } catch (const fault::InjectedFault&) {
+    return false;  // nothing was written yet
+  }
+  {
+    std::ofstream out(tmp_path, std::ios::trunc);
+    if (!out) return false;
+    out << payload;
+    if (!out.flush()) {
+      std::remove(tmp_path.c_str());
+      return false;
+    }
+  }
+  try {
+    (void)fault::fault_point("cache.rename");
+  } catch (const fault::InjectedFault&) {
+    std::remove(tmp_path.c_str());  // failed publish must not leak the temp
+    return false;
+  }
+  if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
+    std::remove(tmp_path.c_str());
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 Fingerprint report_content_hash(const smc::KpiReport& r) {
@@ -248,21 +283,26 @@ void ResultCache::recovery_scan() {
   }
 }
 
-void ResultCache::quarantine_entry(const std::string& path, const std::string& why) {
-  // Caller holds mutex_. Move the entry aside so the next read is a clean
-  // miss and the corrupt bytes stay available for post-mortem inspection.
-  ++stats_.disk_failures;
-  ++stats_.corrupt_entries;
+std::optional<Diagnostic> ResultCache::quarantine_entry(const std::string& path,
+                                                        const std::string& why) {
+  // Runs unlocked. Move the entry aside so the next read is a clean miss and
+  // the corrupt bytes stay available for post-mortem inspection. Concurrent
+  // readers of one corrupt entry race on the rename: the winner reports it,
+  // a loser finds it gone and counts a plain miss.
   const std::filesystem::path source(path);
   const std::filesystem::path dir(quarantine_directory());
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
+  if (!ec) std::filesystem::rename(source, dir / source.filename(), ec);
+  if (ec == std::errc::no_such_file_or_directory) return std::nullopt;
+  {
+    std::lock_guard lock(mutex_);
+    ++stats_.disk_failures;
+    ++stats_.corrupt_entries;
+    if (!ec) ++stats_.quarantined;
+  }
   std::string disposition;
   if (!ec) {
-    std::filesystem::rename(source, dir / source.filename(), ec);
-  }
-  if (!ec) {
-    ++stats_.quarantined;
     disposition = "quarantined to '" + (dir / source.filename()).string() + "'";
   } else {
     disposition = "could not quarantine: " + ec.message();
@@ -274,16 +314,19 @@ void ResultCache::quarantine_entry(const std::string& path, const std::string& w
               "' (" + why + "); " + disposition;
   d.hint = "the result will be recomputed; inspect the quarantine directory "
            "if corruption persists";
-  warnings_.push_back(std::move(d));
+  return d;
 }
 
-std::optional<smc::KpiReport> ResultCache::get(const CacheKey& key) {
-  std::lock_guard lock(mutex_);
+std::optional<smc::KpiReport> ResultCache::get(const CacheKey& key,
+                                               std::optional<Diagnostic>* quarantined) {
   const std::string id = key.id();
-  if (const auto it = memory_.find(id); it != memory_.end()) {
-    ++stats_.hits;
-    ++stats_.memory_hits;
-    return it->second;
+  {
+    std::lock_guard lock(mutex_);
+    if (const auto it = memory_.find(id); it != memory_.end()) {
+      ++stats_.hits;
+      ++stats_.memory_hits;
+      return it->second;
+    }
   }
   if (!directory_.empty()) {
     const std::string path = entry_path(key);
@@ -292,71 +335,46 @@ std::optional<smc::KpiReport> ResultCache::get(const CacheKey& key) {
       std::ostringstream text;
       text << in.rdbuf();
       std::string payload = text.str();
+      std::string why;
       try {
         if (fault::fault_point("cache.read")) corrupt_payload(payload);
         smc::KpiReport report = decode_report(key, payload);
+        std::lock_guard lock(mutex_);
         memory_.emplace(id, report);
         ++stats_.hits;
         ++stats_.disk_hits;
         return report;
       } catch (const fault::InjectedFault& e) {
-        quarantine_entry(path, e.what());  // injected read error: same path
+        why = e.what();  // injected read error: same path as a corrupt entry
       } catch (const IoError& e) {
-        quarantine_entry(path, e.what());
+        why = e.what();
       }
+      std::optional<Diagnostic> warning = quarantine_entry(path, why);
+      if (warning && quarantined != nullptr) *quarantined = std::move(warning);
     }
   }
+  std::lock_guard lock(mutex_);
   ++stats_.misses;
   return std::nullopt;
 }
 
 void ResultCache::put(const CacheKey& key, const smc::KpiReport& report) {
   if (report.truncated) return;  // a stop prefix is not the key's canonical result
-  std::lock_guard lock(mutex_);
-  memory_.insert_or_assign(key.id(), report);
-  if (directory_.empty()) return;
-  // Write-then-rename so concurrent readers never observe a partial entry.
+  std::uint64_t sequence = 0;
+  {
+    std::lock_guard lock(mutex_);
+    memory_.insert_or_assign(key.id(), report);
+    if (directory_.empty()) return;
+    sequence = ++tmp_sequence_;
+  }
   // The temp name is process- and sequence-unique: two writers of the same
   // key never clobber each other's in-flight file.
   const std::string final_path = entry_path(key);
   const std::string tmp_path =
-      final_path + ".tmp." + process_tag() + "-" + std::to_string(++tmp_sequence_);
-  std::string payload = encode_report(key, report);
-  try {
-    // "cache.write" in corrupt mode simulates silent media corruption: the
-    // mangled payload is published and must be caught by the content hash on
-    // the next read. Error mode simulates a failed write syscall.
-    if (fault::fault_point("cache.write")) corrupt_payload(payload);
-  } catch (const fault::InjectedFault&) {
-    ++stats_.disk_failures;
-    return;  // nothing was written yet
-  }
-  {
-    std::ofstream out(tmp_path, std::ios::trunc);
-    if (!out) {
-      ++stats_.disk_failures;
-      return;
-    }
-    out << payload;
-    if (!out.flush()) {
-      ++stats_.disk_failures;
-      std::remove(tmp_path.c_str());
-      return;
-    }
-  }
-  try {
-    (void)fault::fault_point("cache.rename");
-  } catch (const fault::InjectedFault&) {
-    ++stats_.disk_failures;
-    std::remove(tmp_path.c_str());  // failed publish must not leak the temp
-    return;
-  }
-  if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    ++stats_.disk_failures;
-    std::remove(tmp_path.c_str());
-    return;
-  }
-  ++stats_.disk_writes;
+      final_path + ".tmp." + process_tag() + "-" + std::to_string(sequence);
+  const bool written = publish(encode_report(key, report), tmp_path, final_path);
+  std::lock_guard lock(mutex_);
+  ++(written ? stats_.disk_writes : stats_.disk_failures);
 }
 
 ResultCache::Stats ResultCache::stats() const {

@@ -1,7 +1,7 @@
 // Content-addressed cache of analysis results.
 //
 // Two tiers:
-//  * memory — always on; a mutex-guarded map from CacheKey to KpiReport;
+//  * memory — always on; a map from CacheKey to KpiReport;
 //  * disk   — optional; one JSON file per entry ("fmtree.result/v2") in a
 //    caller-chosen directory, so repeated CLI runs and separate processes
 //    share results.
@@ -18,15 +18,27 @@
 // put(): they are exact only over the prefix a stop happened to cut, which
 // is not a deterministic function of the key.
 //
+// Concurrency: get() and put() may be called from any number of threads.
+// `mutex_` guards only the memory tier, the stats, the pending C102
+// warnings and the temp-file sequence. Disk I/O and the codec run unlocked:
+// a get's file read, its "cache.read" fault point, decode_report and the
+// content-hash check, and a put's encode, write and rename. So a
+// memory-tier lookup never waits on another thread's disk read or write.
+//
 // Crash safety (the disk tier survives torn writes, bit rot and injected
 // faults — see DESIGN.md, "Failure semantics"):
 //  * every entry carries a content hash over the decoded *values*
 //    (report_content_hash); a read whose recomputed hash disagrees with the
 //    stored one is corrupt, no matter how plausibly it parsed;
-//  * corrupt or unreadable entries are treated as misses, counted in
-//    Stats::corrupt_entries, moved into a `quarantine/` subdirectory for
-//    post-mortem inspection, and reported as stable-code C101 warning
-//    diagnostics (take_warnings());
+//  * corrupt or unreadable entries are treated as misses and moved into a
+//    `quarantine/` subdirectory for post-mortem inspection. Each entry is
+//    quarantined once: of several readers that find it corrupt at once,
+//    only the one whose rename moves it counts it in Stats::corrupt_entries
+//    and gets its C101 warning; the others find it gone and count a plain
+//    miss;
+//  * the C101 goes to the caller of the get() that quarantined the entry,
+//    so it reaches the request that read the entry. take_warnings() carries
+//    only the C102 of the recovery scan;
 //  * writes go to a process-unique `<entry>.json.tmp.<tag>` file and are
 //    published by rename, so concurrent readers never observe a partial
 //    entry; failed writes remove their temp file;
@@ -38,7 +50,8 @@
 // "cache.read" (error/corrupt the just-read payload), "cache.write" (fail or
 // corrupt a write), "cache.rename" (fail the publish step). All are inert
 // unless armed; a cache under injection degrades to recomputation, never
-// takes the analysis down.
+// takes the analysis down. They fire on whichever thread calls get() or
+// put(), which for a sweep's reads is one of the resolver's workers.
 #pragma once
 
 #include <cstdint>
@@ -70,13 +83,16 @@ public:
   ResultCache& operator=(const ResultCache&) = delete;
 
   /// Looks the key up (memory first, then disk; a disk hit is promoted into
-  /// memory). Returns the stored report or nullopt. Corrupt disk entries
-  /// are quarantined and count as misses.
-  std::optional<smc::KpiReport> get(const CacheKey& key);
+  /// memory). Returns the stored report or nullopt. A corrupt disk entry
+  /// counts as a miss and is quarantined; when this call is the one that
+  /// moved it, its C101 warning is stored in `*quarantined` (left untouched
+  /// otherwise). A caller passing nullptr drops the warning.
+  std::optional<smc::KpiReport> get(const CacheKey& key,
+                                    std::optional<Diagnostic>* quarantined = nullptr);
 
   /// Stores a report under `key` in every tier. Truncated reports are
   /// ignored (see file comment). Disk write failures are recorded in
-  /// stats() and otherwise ignored.
+  /// stats() and otherwise ignored. The disk write runs outside `mutex_`.
   void put(const CacheKey& key, const smc::KpiReport& report);
 
   /// Cumulative counters since construction. hits == memory_hits + disk_hits.
@@ -87,15 +103,15 @@ public:
     std::uint64_t disk_hits = 0;
     std::uint64_t disk_writes = 0;
     std::uint64_t disk_failures = 0;  ///< unreadable/corrupt reads + failed writes
-    std::uint64_t corrupt_entries = 0;      ///< reads rejected by decode/checksum
+    std::uint64_t corrupt_entries = 0;      ///< entries rejected on read, once each
     std::uint64_t quarantined = 0;          ///< corrupt entries moved aside
     std::uint64_t recovered_tmp_files = 0;  ///< stale temp files removed at open
   };
   Stats stats() const;
 
-  /// Drains the pending warning diagnostics (C101 corrupt-entry quarantine,
-  /// C102 recovery-scan cleanup). Callers surface them on their own channel;
-  /// un-drained warnings are dropped with the cache.
+  /// Drains the recovery scan's C102 warning, if any. Callers surface it on
+  /// their own channel; an un-drained warning is dropped with the cache.
+  /// (C101s go to the get() that quarantined the entry.)
   std::vector<Diagnostic> take_warnings();
 
   /// Entries currently held in the memory tier.
@@ -109,13 +125,14 @@ public:
 private:
   std::string entry_path(const CacheKey& key) const;
   void recovery_scan();                                         // ctor only
-  void quarantine_entry(const std::string& path, const std::string& why);
+  std::optional<Diagnostic> quarantine_entry(const std::string& path,
+                                             const std::string& why);
 
-  mutable std::mutex mutex_;
+  std::string directory_;     ///< set at construction, read unlocked
+  mutable std::mutex mutex_;  ///< guards every member below
   std::unordered_map<std::string, smc::KpiReport> memory_;
-  std::string directory_;
   Stats stats_;
-  std::vector<Diagnostic> warnings_;
+  std::vector<Diagnostic> warnings_;  ///< the recovery scan's C102
   std::uint64_t tmp_sequence_ = 0;
 };
 

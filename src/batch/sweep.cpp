@@ -1,10 +1,13 @@
 #include "batch/sweep.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <deque>
+#include <exception>
 #include <optional>
+#include <system_error>
 #include <thread>
 
 #include "obs/metrics.hpp"
@@ -85,6 +88,53 @@ const char* job_state_name(JobState s) noexcept {
   return "?";
 }
 
+unsigned resolve_width(unsigned threads, std::size_t jobs) noexcept {
+  const std::size_t wanted =
+      threads != 0 ? threads : std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t width = std::min(wanted, jobs / kResolveGrain);
+  return static_cast<unsigned>(std::max<std::size_t>(width, 1));
+}
+
+std::vector<Resolution> resolve_jobs(std::span<const SweepJob> jobs, ResultCache* cache,
+                                     unsigned threads) {
+  std::vector<Resolution> slots(jobs.size());
+  std::vector<std::exception_ptr> errors(jobs.size());
+  std::atomic<std::size_t> cursor{0};
+  std::atomic<bool> failed{false};
+  const auto work = [&]() noexcept {
+    // After a failure no worker claims another index, but every index below
+    // it was already claimed and still resolves, so the lowest failing one
+    // is always recorded.
+    while (!failed) {
+      const std::size_t i = cursor++;
+      if (i >= jobs.size()) return;
+      try {
+        Resolution& slot = slots[i];
+        slot.key = kpi_cache_key(jobs[i].model, jobs[i].settings);
+        if (cache != nullptr) slot.hit = cache->get(slot.key, &slot.quarantined);
+      } catch (...) {
+        errors[i] = std::current_exception();
+        failed = true;
+      }
+    }
+  };
+  const unsigned width = resolve_width(threads, jobs.size());
+  std::vector<std::thread> helpers;
+  helpers.reserve(width - 1);
+  for (unsigned w = 1; w < width; ++w) {
+    try {
+      helpers.emplace_back(work);
+    } catch (const std::system_error&) {
+      break;  // no thread to spare: the workers already running take it all
+    }
+  }
+  work();
+  for (std::thread& helper : helpers) helper.join();
+  for (const std::exception_ptr& error : errors)
+    if (error) std::rethrow_exception(error);
+  return slots;
+}
+
 SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
                        const obs::Telemetry& telemetry) {
   for (const SweepJob& job : plan.jobs) smc::validate_settings(job.settings);
@@ -94,14 +144,15 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
   const SweepMetricIds ids =
       metrics != nullptr ? register_sweep_metrics(*metrics) : SweepMetricIds{};
   const std::uint64_t faults_before = fault::FaultRegistry::instance().fires();
-  const std::uint64_t corrupt_before =
-      cache != nullptr ? cache->stats().corrupt_entries : 0;
 
   SweepOutcome outcome;
   outcome.results.resize(plan.jobs.size());
 
-  // Phase 1: resolve every job against the cache and set up each miss as a
-  // pool job: its simulation, and the KPI fold smc::analyze would use.
+  // Phase 1: resolve every job against the cache on the resolver's workers.
+  // Then, serially and in plan order, count each job and set up each miss as
+  // a pool job: its simulation, and the KPI fold smc::analyze would use.
+  std::vector<Resolution> resolved = resolve_jobs(plan.jobs, cache, plan.threads);
+  std::vector<Diagnostic> quarantines;  // the jobs' C101s, in plan order
   std::deque<smc::Simulation> simulations;
   std::deque<smc::KpiFold> folds;
   std::vector<smc::PoolJob> jobs;
@@ -109,18 +160,19 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
   for (std::uint32_t j = 0; j < plan.jobs.size(); ++j) {
     const SweepJob& job = plan.jobs[j];
     JobResult& result = outcome.results[j];
+    Resolution& resolution = resolved[j];
     result.label = job.label;
-    result.key = kpi_cache_key(job.model, job.settings);
+    result.key = resolution.key;
     if (metrics != nullptr) metrics->add(ids.jobs);
-    if (cache != nullptr) {
-      if (std::optional<smc::KpiReport> hit = cache->get(result.key)) {
-        result.report = *std::move(hit);
-        result.completed = true;
-        result.cache_hit = true;
-        ++outcome.cache_hits;
-        if (metrics != nullptr) metrics->add(ids.cache_hits);
-        continue;
-      }
+    if (resolution.quarantined)
+      quarantines.push_back(*std::move(resolution.quarantined));
+    if (resolution.hit) {
+      result.report = *std::move(resolution.hit);
+      result.completed = true;
+      result.cache_hit = true;
+      ++outcome.cache_hits;
+      if (metrics != nullptr) metrics->add(ids.cache_hits);
+      continue;
     }
     ++outcome.cache_misses;
     if (metrics != nullptr) metrics->add(ids.cache_misses);
@@ -279,15 +331,12 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
     d.hint = "raise --stall-timeout if the workload legitimately pauses";
     outcome.warnings.push_back(std::move(d));
   }
-  if (cache != nullptr) {
+  if (cache != nullptr)
     for (Diagnostic& d : cache->take_warnings())
       outcome.warnings.push_back(std::move(d));
-    if (metrics != nullptr) {
-      const std::uint64_t corrupt_now = cache->stats().corrupt_entries;
-      if (corrupt_now > corrupt_before)
-        metrics->add(ids.corrupt_entries, corrupt_now - corrupt_before);
-    }
-  }
+  if (metrics != nullptr && !quarantines.empty())
+    metrics->add(ids.corrupt_entries, quarantines.size());
+  for (Diagnostic& d : quarantines) outcome.warnings.push_back(std::move(d));
   if (metrics != nullptr) {
     const std::uint64_t fired =
         fault::FaultRegistry::instance().fires() - faults_before;

@@ -7,6 +7,13 @@
 // single smc::run_pool call: workers claim fixed-size trajectory chunks of
 // all jobs in plan order, so small jobs do not idle most threads.
 //
+// Cache resolution (resolve_jobs) is parallel too: a warm 1000-joint
+// corridor is 1000 model hashes and ~1000 disk reads before any trajectory
+// runs, so the keys are computed and the cache read on up to `threads`
+// workers. What the resolution decides is counted afterwards, serially and
+// in plan order, so counters, warnings and the pool's job order do not
+// depend on the width.
+//
 // Determinism contract (the same one smc::analyze keeps): every job —
 // adaptive-stopping ones included — is a smc::Simulation folded by a
 // smc::KpiFold in trajectory-index order, exactly what smc::analyze runs.
@@ -28,7 +35,10 @@
 // StopReason::Stalled stop with a diagnostic naming the stuck workers.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -140,12 +150,44 @@ struct SweepOutcome {
   std::uint64_t jobs_failed = 0;     ///< jobs with a permanent failure record
   std::uint64_t jobs_cancelled = 0;  ///< jobs stopped by SweepJob::cancel
   std::uint64_t retries = 0;         ///< retry attempts across all jobs
-  /// Cache-integrity warnings (C101/C102) drained from the cache plus the
-  /// watchdog's stall diagnostic (B102) when it fired.
+  /// The watchdog's stall diagnostic (B102) when it fired, the C102 drained
+  /// from the cache (take_warnings), then the C101 of every entry this
+  /// plan's reads quarantined, in plan order.
   std::vector<Diagnostic> warnings;
 };
 
-/// Executes the plan. `cache` may be null (no caching); `telemetry` may be
+/// One job's cache resolution.
+struct Resolution {
+  CacheKey key;
+  std::optional<smc::KpiReport> hit;      ///< the cached report, on a hit
+  std::optional<Diagnostic> quarantined;  ///< C101, when this read quarantined the entry
+};
+
+/// Jobs per resolver worker. On a 4-core x86-64 host, starting and joining
+/// a helper thread costs ~15 µs and an EI-joint job ~7 µs to key and look
+/// up in memory, ~30 µs with a disk read. Two workers resolved 16 memory
+/// hits no faster than one, and 32 in 221 instead of 271 µs. At 16 a served
+/// request (1–25 jobs) resolves inline and a 1000-joint corridor uses every
+/// worker.
+inline constexpr std::size_t kResolveGrain = 16;
+
+/// The resolver's width: max(1, min(threads, jobs / kResolveGrain)), where
+/// threads == 0 means the hardware concurrency.
+unsigned resolve_width(unsigned threads, std::size_t jobs) noexcept;
+
+/// Computes every job's cache key and, when `cache` is non-null, reads the
+/// cache for it, on resolve_width(threads, jobs.size()) workers, the calling
+/// thread among them. Workers take job indices from one atomic cursor and
+/// each writes only its job's slot, so the result (in job order) does not
+/// depend on the width, except which of several identical jobs reads a
+/// corrupt entry first and gets its C101. The "cache.read" fault site fires
+/// on the workers. An exception from a worker is rethrown here once all
+/// have joined: the one of the lowest job index, as a serial loop would.
+std::vector<Resolution> resolve_jobs(std::span<const SweepJob> jobs, ResultCache* cache,
+                                     unsigned threads);
+
+/// Executes the plan: resolve_jobs at width plan.threads, then one pool run
+/// of the misses. `cache` may be null (no caching); `telemetry` may be
 /// empty. Emits batch.* counters (jobs, jobs_simulated — jobs that produced
 /// a fresh report rather than a cache hit — tasks, i.e. pool chunks, events
 /// and trajectories folded, cache hits/misses), the robustness counters

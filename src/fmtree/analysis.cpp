@@ -181,7 +181,9 @@ PendingKpis Analysis::submit() {
 smc::KpiReport Analysis::kpis() {
   if (!cache_) return smc::analyze(model_, settings_);
   const batch::CacheKey key = batch::kpi_cache_key(model_, settings_);
-  if (std::optional<smc::KpiReport> hit = cache_->get(key)) return *std::move(hit);
+  // A quarantined entry's C101 is dropped: kpis() returns a bare report.
+  if (std::optional<smc::KpiReport> hit = cache_->get(key, /*quarantined=*/nullptr))
+    return *std::move(hit);
   smc::KpiReport report = smc::analyze(model_, settings_);
   cache_->put(key, report);  // refuses truncated reports itself
   return report;

@@ -98,7 +98,9 @@ RefinedOptimum refine_inspection_frequency(const ModelFactory& factory,
     double cost = 0.0;
     if (cache != nullptr) {
       const batch::CacheKey key = batch::kpi_cache_key(model, settings);
-      if (std::optional<smc::KpiReport> hit = cache->get(key)) {
+      // A quarantined entry's C101 is dropped: the refinement reports
+      // only its optimum.
+      if (std::optional<smc::KpiReport> hit = cache->get(key, /*quarantined=*/nullptr)) {
         cost = hit->cost_per_year.point;
       } else {
         const smc::KpiReport report = smc::analyze(model, settings);

@@ -33,11 +33,13 @@ struct JobEntry {
   std::shared_ptr<const Cycle> cycle;
 };
 
-/// The serve.* counter ids (plus the batch.cache.hits counter admission
-/// shares with run_sweep), defined here so the header does not pull in
-/// obs/metrics.hpp. `valid` is false when no registry is attached.
+/// The serve.* counter ids (plus the batch.cache.hits and
+/// cache.corrupt_entries counters admission shares with run_sweep), defined
+/// here so the header does not pull in obs/metrics.hpp. `valid` is false
+/// when no registry is attached.
 struct ServeMetrics {
-  obs::CounterId requests, rejected, jobs, dedup_hits, cache_hits, cancelled;
+  obs::CounterId requests, rejected, jobs, dedup_hits, cache_hits, corrupt_entries,
+      cancelled;
   bool valid = false;
 
   static ServeMetrics from(obs::MetricsRegistry* registry) {
@@ -48,6 +50,7 @@ struct ServeMetrics {
     ids.jobs = registry->counter("serve.jobs");
     ids.dedup_hits = registry->counter("serve.dedup_hits");
     ids.cache_hits = registry->counter("batch.cache.hits");
+    ids.corrupt_entries = registry->counter("cache.corrupt_entries");
     ids.cancelled = registry->counter("serve.cancelled");
     ids.valid = true;
     return ids;
@@ -79,6 +82,7 @@ Ticket::Ticket(Ticket&& other) noexcept
     : session_(other.session_),
       id_(std::move(other.id_)),
       entries_(std::move(other.entries_)),
+      warnings_(std::move(other.warnings_)),
       detached_(other.detached_) {
   other.session_ = nullptr;
   other.detached_ = true;
@@ -90,6 +94,7 @@ Ticket& Ticket::operator=(Ticket&& other) noexcept {
     session_ = other.session_;
     id_ = std::move(other.id_);
     entries_ = std::move(other.entries_);
+    warnings_ = std::move(other.warnings_);
     detached_ = other.detached_;
     other.session_ = nullptr;
     other.detached_ = true;
@@ -133,6 +138,7 @@ Response Ticket::take() {
   Response response;
   response.id = id_;
   if (session_ == nullptr) return response;
+  response.warnings = warnings_;
   std::lock_guard lock(session_->mutex_);
   response.jobs.reserve(entries_.size());
   std::vector<const Cycle*> cycles;  // each cycle's warnings are reported once
@@ -209,28 +215,35 @@ Ticket Session::submit_jobs(std::vector<batch::SweepJob> jobs, int priority,
       throw RequestError("R112", std::string("invalid settings: ") + e.what());
     }
   }
-  std::vector<batch::CacheKey> keys;
-  keys.reserve(jobs.size());
-  for (const batch::SweepJob& job : jobs)
-    keys.push_back(batch::kpi_cache_key(job.model, job.settings));
+  // Admission reads: every job's key and cache lookup, before the session
+  // lock, on the resolver's workers for a large request. A job that an
+  // identical in-flight one finishes between this read and the lock is
+  // neither a hit here nor in flight below, so it is admitted as New and
+  // runs again, with the same bits.
+  std::vector<batch::Resolution> resolved =
+      batch::resolve_jobs(jobs, cache_, config_.threads);
+  const ServeMetrics& ids = *serve_metrics_;
+  obs::MetricsRegistry* metrics = config_.telemetry.metrics;
+  std::vector<Diagnostic> quarantines;  // the C101s of this request's reads
+  for (batch::Resolution& r : resolved)
+    if (r.quarantined) quarantines.push_back(*std::move(r.quarantined));
+  if (ids.valid && !quarantines.empty())
+    metrics->add(ids.corrupt_entries, quarantines.size());
 
   std::unique_lock lock(mutex_);
   if (stopping_)
     throw RequestError("R122", "service is draining and accepts no new requests");
-  const ServeMetrics& ids = *serve_metrics_;
-  obs::MetricsRegistry* metrics = config_.telemetry.metrics;
   if (ids.valid) metrics->add(ids.requests);
 
-  // Resolution pass: classify every job before touching any state, so an
-  // admission rejection leaves the session exactly as it found it.
+  // Classification pass: classify every job before touching any state, so
+  // an admission rejection leaves the session exactly as it found it.
   enum class Kind : std::uint8_t { Hit, Attach, New };
   std::vector<Kind> kinds(jobs.size(), Kind::New);
-  std::vector<std::optional<smc::KpiReport>> hits(jobs.size());
   std::size_t new_jobs = 0;
   std::map<std::string, std::size_t> new_in_request;  // dedup inside one request
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const std::string key_id = keys[i].id();
-    if ((hits[i] = cache_->get(keys[i]))) {
+    const std::string key_id = resolved[i].key.id();
+    if (resolved[i].hit) {
       kinds[i] = Kind::Hit;
     } else if (inflight_.count(key_id) != 0 || new_in_request.count(key_id) != 0) {
       kinds[i] = Kind::Attach;
@@ -251,20 +264,21 @@ Ticket Session::submit_jobs(std::vector<batch::SweepJob> jobs, int priority,
   Ticket ticket;
   ticket.session_ = this;
   ticket.id_ = std::move(id);
+  ticket.warnings_ = std::move(quarantines);
   ticket.entries_.reserve(jobs.size());
   std::map<std::string, std::shared_ptr<JobEntry>> created;
   bool queued_any = false;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const std::string key_id = keys[i].id();
+    const std::string key_id = resolved[i].key.id();
     if (kinds[i] == Kind::Hit) {
       auto entry = std::make_shared<JobEntry>();
       entry->key_id = key_id;
       entry->done = true;
       entry->result.label = jobs[i].label;
-      entry->result.key = keys[i];
+      entry->result.key = resolved[i].key;
       entry->result.completed = true;
       entry->result.cache_hit = true;
-      entry->result.report = *std::move(hits[i]);
+      entry->result.report = *std::move(resolved[i].hit);
       ticket.entries_.push_back(std::move(entry));
       if (ids.valid) metrics->add(ids.cache_hits);
       continue;
@@ -287,7 +301,7 @@ Ticket Session::submit_jobs(std::vector<batch::SweepJob> jobs, int priority,
     entry->seq = next_seq_++;
     entry->interested = 1;
     entry->result.label = entry->job.label;
-    entry->result.key = keys[i];
+    entry->result.key = resolved[i].key;
     inflight_.emplace(key_id, entry);
     created.emplace(key_id, entry);
     pending_.push_back(entry);

@@ -5,6 +5,11 @@
 // hot cache and one saturated trajectory pool.
 //
 // Submission semantics, in resolution order per job:
+//   0. admission read — every job's cache key and cache lookup are computed
+//     before the session mutex is taken (batch::resolve_jobs, on up to
+//     SessionConfig::threads workers for a large request), so one request's
+//     disk reads never hold up another's admission. A C101 from these reads
+//     (a corrupt entry quarantined) belongs to this request's ticket;
 //   1. cache hit   — resolved immediately, no queue slot consumed;
 //   2. in-flight   — an identical job (same CacheKey) is already queued or
 //     running: the caller attaches to it (dedup), the job runs once, every
@@ -59,10 +64,10 @@ struct SessionConfig {
   /// Session owns one built from cache_dir.
   batch::ResultCache* cache = nullptr;
   /// Server-owned sinks. serve.* counters are registered here, and
-  /// admission-time cache hits count as batch.cache.hits like run_sweep's
-  /// own; run_sweep adds its other batch.* counters. Progress flows through
-  /// the Session's own snapshot (progress()) *and* any reporter installed
-  /// here.
+  /// admission-time cache hits and quarantines count as batch.cache.hits and
+  /// cache.corrupt_entries like run_sweep's own; run_sweep adds its other
+  /// batch.* counters. Progress flows through the Session's own snapshot
+  /// (progress()) *and* any reporter installed here.
   obs::Telemetry telemetry;
 };
 
@@ -75,7 +80,8 @@ using JobOutcome = batch::JobResult;
 struct Response {
   std::string id;  ///< echo of Request::id
   std::vector<batch::JobResult> jobs;
-  /// The warnings of the dispatch cycles that ran this request's jobs.
+  /// The C101s of this request's admission reads, then the warnings of
+  /// the dispatch cycles that ran its jobs.
   std::vector<Diagnostic> warnings;
   /// Why the service stopped early: the first stop reason among this
   /// request's Interrupted jobs, None when there are none.
@@ -110,8 +116,9 @@ public:
   void wait();
   /// Blocks up to `seconds`; returns done().
   bool wait_for(double seconds);
-  /// Waits, then assembles the response: the jobs' results plus the stop
-  /// reason and warnings of the dispatch cycles that resolved them.
+  /// Waits, then assembles the response: the jobs' results, the C101s of
+  /// this request's admission reads, and the stop reason and warnings of the
+  /// dispatch cycles that resolved its jobs.
   Response take();
   /// Detaches this caller. Jobs whose last watcher detaches are cancelled
   /// at the next trajectory boundary; jobs shared with other callers keep
@@ -123,6 +130,7 @@ private:
   class Session* session_ = nullptr;
   std::string id_;
   std::vector<std::shared_ptr<detail::JobEntry>> entries_;
+  std::vector<Diagnostic> warnings_;  ///< C101s of the admission reads
   bool detached_ = false;
 };
 

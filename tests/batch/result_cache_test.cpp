@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 
 #include "batch/fingerprint.hpp"
 #include "fmt/parser.hpp"
@@ -177,18 +178,25 @@ TEST(ResultCache, QuarantinesCorruptEntriesWithAWarning) {
     f.put(static_cast<char>(c ^ 0x01));
   }
   ResultCache reader(dir);
-  EXPECT_FALSE(reader.get(key).has_value());
+  std::optional<Diagnostic> warning;
+  EXPECT_FALSE(reader.get(key, &warning).has_value());
   const ResultCache::Stats st = reader.stats();
   EXPECT_EQ(st.corrupt_entries, 1u);
   EXPECT_EQ(st.quarantined, 1u);
   EXPECT_FALSE(std::filesystem::exists(path));  // moved, not deleted
   EXPECT_TRUE(std::filesystem::exists(
       std::filesystem::path(reader.quarantine_directory()) / (key.id() + ".json")));
-  const std::vector<Diagnostic> warnings = reader.take_warnings();
-  ASSERT_EQ(warnings.size(), 1u);
-  EXPECT_EQ(warnings[0].code, "C101");
-  EXPECT_EQ(warnings[0].severity, Severity::Warning);
-  EXPECT_TRUE(reader.take_warnings().empty());  // drained
+  // The C101 goes to the caller of the get() that quarantined the entry,
+  // not to the cache's shared list.
+  ASSERT_TRUE(warning.has_value());
+  EXPECT_EQ(warning->code, "C101");
+  EXPECT_EQ(warning->severity, Severity::Warning);
+  EXPECT_TRUE(reader.take_warnings().empty());
+  // The entry is gone now: a second read is a plain miss with no warning.
+  std::optional<Diagnostic> again;
+  EXPECT_FALSE(reader.get(key, &again).has_value());
+  EXPECT_FALSE(again.has_value());
+  EXPECT_EQ(reader.stats().corrupt_entries, 1u);
 }
 
 TEST(ResultCache, RecoveryScanRemovesStaleTempFiles) {

@@ -1,15 +1,21 @@
 // serve::Session semantics: in-flight dedup (N identical concurrent requests
 // cost one computation), all-or-nothing admission control (R120), cache-hit
-// resolution, the drain path that resolves every ticket, and responses that
-// report only their own stop reason and warnings.
+// resolution, the drain path that resolves every ticket, responses that
+// report only their own stop reason and warnings, and admission reads that
+// run outside the session lock.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <utility>
 
 #include "../batch/report_bits.hpp"
+#include "fleet/corridor.hpp"
+#include "fleet/fleet.hpp"
+#include "fmt/parser.hpp"
 #include "obs/metrics.hpp"
 #include "serve/request.hpp"
 #include "serve/session.hpp"
@@ -52,11 +58,12 @@ struct Harness {
   std::unique_ptr<Session> session;
 
   explicit Harness(std::size_t queue_limit = 64, unsigned threads = 2,
-                   double stall_timeout_s = 0.0) {
+                   double stall_timeout_s = 0.0, std::string cache_dir = {}) {
     SessionConfig config;
     config.threads = threads;
     config.queue_limit = queue_limit;
     config.stall_timeout_s = stall_timeout_s;
+    config.cache_dir = std::move(cache_dir);
     config.telemetry.metrics = &metrics;
     session = std::make_unique<Session>(std::move(config));
   }
@@ -76,6 +83,36 @@ struct Harness {
 /// session with a 0.25 s watchdog stops that dispatch cycle as Stalled.
 const std::vector<std::string> kStallFirstChunk = {
     "sweep.task:stall=1000,nth=1,limit=1"};
+
+std::string fresh_dir(const std::string& name) {
+  const std::string dir = testing::TempDir() + name;
+  std::filesystem::remove_all(dir);  // idempotence across ctest runs
+  return dir;
+}
+
+/// A disk cache holding the result of `request` alone, computed by a
+/// session that is gone by the time this returns.
+std::string warm_cache(const std::string& name, const Request& request) {
+  const std::string dir = fresh_dir(name);
+  Harness warm(64, 2, 0.0, dir);
+  EXPECT_TRUE(warm.session->submit(request).take().all_done());
+  return dir;
+}
+
+/// Flips one bit in the middle of every entry of a disk cache.
+void corrupt_entries(const std::string& dir) {
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (!entry.is_regular_file() || entry.path().extension() != ".json") continue;
+    std::fstream f(entry.path(), std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(0, std::ios::end);
+    const std::streamoff middle = static_cast<std::streamoff>(f.tellg()) / 2;
+    char c = 0;
+    f.seekg(middle);
+    f.get(c);
+    f.seekp(middle);
+    f.put(static_cast<char>(c ^ 0x01));
+  }
+}
 
 // The PR's headline acceptance criterion: two concurrent identical requests
 // cost exactly one computation per job and both callers receive bit-equal
@@ -225,6 +262,102 @@ TEST(ServeSession, ALaterRequestDoesNotInheritAnEarlierStop) {
   EXPECT_TRUE(later.all_done());
   EXPECT_EQ(later.stop_reason, smc::StopReason::None);
   EXPECT_TRUE(later.warnings.empty());
+}
+
+// A corrupt entry found while admitting request B is B's to report. B is
+// admitted while A's dispatch cycle is stalled, so a C101 left on a list the
+// cache shares would reach A's response when A's cycle ends.
+TEST(ServeSession, AnAdmissionC101GoesToTheRequestThatReadTheEntry) {
+  const std::string dir = warm_cache("fmtree_session_admission_c101", single_policy(0));
+  corrupt_entries(dir);
+  const fault::Scope faults(kStallFirstChunk);
+  Harness h(64, 2, /*stall_timeout_s=*/0.25, dir);
+  const std::uint64_t fired = fault::FaultRegistry::instance().fires();
+  Ticket a = h.session->submit(single_policy(2));
+  while (fault::FaultRegistry::instance().fires() == fired)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  Ticket b = h.session->submit(single_policy(0));
+
+  const Response rb = b.take();
+  EXPECT_TRUE(rb.all_done());
+  EXPECT_EQ(rb.stop_reason, smc::StopReason::None);
+  ASSERT_EQ(rb.warnings.size(), 1u);
+  EXPECT_EQ(rb.warnings[0].code, "C101");
+
+  const Response ra = a.take();
+  EXPECT_EQ(ra.stop_reason, smc::StopReason::Stalled);
+  ASSERT_EQ(ra.warnings.size(), 1u);
+  EXPECT_EQ(ra.warnings[0].code, "B102");
+  EXPECT_EQ(h.metrics.counter_value("cache.corrupt_entries"), 1u);
+}
+
+// Admission reads the cache before it takes the session lock: while one
+// request's disk read is parked ("cache.read" stalls 400 ms), a second
+// request is admitted at once.
+TEST(ServeSession, AdmissionDoesNotWaitOnAnotherRequestsDiskRead) {
+  const std::string dir = warm_cache("fmtree_session_parked_read", single_policy(2));
+  Harness h(64, 2, 0.0, dir);
+  const fault::Scope faults({"cache.read:stall=400,nth=1"});
+  const std::uint64_t fired = fault::FaultRegistry::instance().fires();
+  Ticket a;
+  std::thread first([&] { a = h.session->submit(single_policy(2)); });
+  while (fault::FaultRegistry::instance().fires() == fired)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const auto t0 = std::chrono::steady_clock::now();
+  Ticket b = h.session->submit(single_policy(0));
+  const double admitted_ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+          .count();
+  first.join();
+  EXPECT_LT(admitted_ms, 100.0);
+  const Response ra = a.take();
+  ASSERT_EQ(ra.jobs.size(), 1u);
+  EXPECT_TRUE(ra.jobs[0].cache_hit);
+  EXPECT_TRUE(b.take().all_done());
+}
+
+// A warm 1000-joint corridor submitted to a width-4 session resolves on the
+// resolver's workers to the very results and hit counts of
+// fleet::analyze_fleet over the same cache directory.
+TEST(ServeSession, WarmCorridorResolvesLikeAnalyzeFleet) {
+  constexpr std::size_t kJoints = 1000;
+  fleet::CorridorSpec spec;
+  spec.joints = kJoints;
+  spec.seed = 9;
+  spec.jitter = 0.1;
+  spec.coupling = 0.2;
+  const fleet::Corridor corridor = fleet::generate_corridor(fmt::parse_fmt(kModel), spec);
+  fleet::FleetOptions options;
+  options.settings.horizon = 1.0;
+  options.settings.trajectories = 4;
+  options.settings.seed = 5;
+  options.threads = 4;
+  const std::string dir = fresh_dir("fmtree_session_warm_corridor");
+  {
+    batch::ResultCache cold(dir);
+    ASSERT_EQ(fleet::analyze_fleet(corridor, options, &cold).cache_misses, kJoints);
+  }
+  batch::ResultCache warm(dir);
+  const fleet::FleetOutcome expected = fleet::analyze_fleet(corridor, options, &warm);
+  ASSERT_EQ(expected.cache_hits, kJoints);
+
+  Harness h(kJoints, 4, 0.0, dir);
+  const Response response =
+      h.session->submit_jobs(fleet::fleet_plan(corridor, options).jobs).take();
+  ASSERT_EQ(response.jobs.size(), kJoints);
+  EXPECT_TRUE(response.warnings.empty());
+  const fleet::FleetOutcome served =
+      fleet::fleet_outcome(corridor, response.jobs, response.warnings, options);
+  EXPECT_EQ(served.cache_hits, expected.cache_hits);
+  EXPECT_EQ(served.cache_misses, 0u);
+  EXPECT_EQ(h.metrics.counter_value("batch.cache.hits"), kJoints);
+  EXPECT_EQ(h.metrics.counter_value("batch.cache.misses"), 0u);
+  for (std::size_t i = 0; i < kJoints; ++i) {
+    EXPECT_EQ(response.jobs[i].label, corridor.joints[i].name);
+    EXPECT_TRUE(same_bits(served.joints[i].report, expected.joints[i].report)) << i;
+  }
+  EXPECT_TRUE(same_bits(served.kpis.cost_per_year, expected.kpis.cost_per_year));
+  EXPECT_TRUE(same_bits(served.kpis.failures_per_year, expected.kpis.failures_per_year));
 }
 
 TEST(ServeSession, NegativeDiscountRateIsRejectedWithR112) {
