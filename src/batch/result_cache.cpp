@@ -288,7 +288,10 @@ std::optional<Diagnostic> ResultCache::quarantine_entry(const std::string& path,
   // Runs unlocked. Move the entry aside so the next read is a clean miss and
   // the corrupt bytes stay available for post-mortem inspection. Concurrent
   // readers of one corrupt entry race on the rename: the winner reports it,
-  // a loser finds it gone and counts a plain miss.
+  // a loser finds it gone and counts a plain miss. A reader held up between
+  // its read and this rename long enough for the job to be recomputed and
+  // put again would move the fresh entry aside; that costs one more
+  // recomputation, never a wrong result.
   const std::filesystem::path source(path);
   const std::filesystem::path dir(quarantine_directory());
   std::error_code ec;

@@ -9,7 +9,7 @@
 # Invoked by ctest as
 #
 #   cmake -DFMTREE=<fmtree binary> -DSOURCE_DIR=<repo root>
-#         -DWORK_DIR=<scratch directory, emptied first> -DJOBS=<job count>
+#         -DWORK_DIR=<work directory, emptied first> -DJOBS=<job count>
 #         "-DARGS=<arg;arg;...>" -P cache_replay.cmake
 #
 # The command runs in SOURCE_DIR, so ARGS name models and policies by paths
