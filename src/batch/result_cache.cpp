@@ -286,17 +286,25 @@ void ResultCache::recovery_scan() {
 std::optional<Diagnostic> ResultCache::quarantine_entry(const std::string& path,
                                                         const std::string& why) {
   // Runs unlocked. Move the entry aside so the next read is a clean miss and
-  // the corrupt bytes stay available for post-mortem inspection. Concurrent
-  // readers of one corrupt entry race on the rename: the winner reports it,
-  // a loser finds it gone and counts a plain miss. A reader held up between
-  // its read and this rename long enough for the job to be recomputed and
-  // put again would move the fresh entry aside; that costs one more
-  // recomputation, never a wrong result.
+  // the corrupt bytes stay available for post-mortem inspection, under a
+  // name no other move uses. Concurrent readers of one corrupt entry race on
+  // the rename: the winner reports it, a loser finds it gone and counts a
+  // plain miss. A reader held up between its read and this rename long
+  // enough for the job to be recomputed and put again moves the fresh entry
+  // aside and reports a second C101 for the key; that costs one more
+  // recomputation, never a wrong result, and the winner's copy stays intact.
+  std::uint64_t sequence = 0;
+  {
+    std::lock_guard lock(mutex_);
+    sequence = ++name_sequence_;
+  }
   const std::filesystem::path source(path);
-  const std::filesystem::path dir(quarantine_directory());
+  const std::filesystem::path target =
+      std::filesystem::path(quarantine_directory()) /
+      (source.filename().string() + "." + process_tag() + "-" + std::to_string(sequence));
   std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (!ec) std::filesystem::rename(source, dir / source.filename(), ec);
+  std::filesystem::create_directories(target.parent_path(), ec);
+  if (!ec) std::filesystem::rename(source, target, ec);
   if (ec == std::errc::no_such_file_or_directory) return std::nullopt;
   {
     std::lock_guard lock(mutex_);
@@ -306,7 +314,7 @@ std::optional<Diagnostic> ResultCache::quarantine_entry(const std::string& path,
   }
   std::string disposition;
   if (!ec) {
-    disposition = "quarantined to '" + (dir / source.filename()).string() + "'";
+    disposition = "quarantined to '" + target.string() + "'";
   } else {
     disposition = "could not quarantine: " + ec.message();
   }
@@ -368,7 +376,7 @@ void ResultCache::put(const CacheKey& key, const smc::KpiReport& report) {
     std::lock_guard lock(mutex_);
     memory_.insert_or_assign(key.id(), report);
     if (directory_.empty()) return;
-    sequence = ++tmp_sequence_;
+    sequence = ++name_sequence_;
   }
   // The temp name is process- and sequence-unique: two writers of the same
   // key never clobber each other's in-flight file.

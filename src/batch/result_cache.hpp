@@ -20,10 +20,11 @@
 //
 // Concurrency: get() and put() may be called from any number of threads.
 // `mutex_` guards only the memory tier, the stats, the pending C102
-// warnings and the temp-file sequence. Disk I/O and the codec run unlocked:
-// a get's file read, its "cache.read" fault point, decode_report and the
-// content-hash check, and a put's encode, write and rename. So a
-// memory-tier lookup never waits on another thread's disk read or write.
+// warnings and the sequence that makes temp and quarantine names unique.
+// Disk I/O and the codec run unlocked: a get's file read, its "cache.read"
+// fault point, decode_report and the content-hash check, a put's encode,
+// write and rename, and a quarantine's rename. So a memory-tier lookup
+// never waits on another thread's disk read or write.
 //
 // Crash safety (the disk tier survives torn writes, bit rot and injected
 // faults — see DESIGN.md, "Failure semantics"):
@@ -31,11 +32,15 @@
 //    (report_content_hash); a read whose recomputed hash disagrees with the
 //    stored one is corrupt, no matter how plausibly it parsed;
 //  * corrupt or unreadable entries are treated as misses and moved into a
-//    `quarantine/` subdirectory for post-mortem inspection. Each entry is
-//    quarantined once: of several readers that find it corrupt at once,
-//    only the one whose rename moves it counts it in Stats::corrupt_entries
-//    and gets its C101 warning; the others find it gone and count a plain
-//    miss;
+//    `quarantine/` subdirectory for post-mortem inspection, each under a
+//    name of its own (`<entry>.json.<tag>-<n>`), so no move overwrites an
+//    earlier one. Each entry is quarantined once: of several readers that
+//    find it corrupt at once, only the one whose rename moves it counts it
+//    in Stats::corrupt_entries and gets its C101 warning; the others find it
+//    gone and count a plain miss. The one exception: a reader held up
+//    between its read and its rename while the entry is quarantined,
+//    recomputed and put again moves that fresh entry aside, and so counts a
+//    second C101 for the key and costs one more recomputation;
 //  * the C101 goes to the caller of the get() that quarantined the entry,
 //    so it reaches the request that read the entry. take_warnings() carries
 //    only the C102 of the recovery scan;
@@ -103,7 +108,7 @@ public:
     std::uint64_t disk_hits = 0;
     std::uint64_t disk_writes = 0;
     std::uint64_t disk_failures = 0;  ///< unreadable/corrupt reads + failed writes
-    std::uint64_t corrupt_entries = 0;      ///< entries rejected on read, once each
+    std::uint64_t corrupt_entries = 0;      ///< entries rejected on read (one per C101)
     std::uint64_t quarantined = 0;          ///< corrupt entries moved aside
     std::uint64_t recovered_tmp_files = 0;  ///< stale temp files removed at open
   };
@@ -133,7 +138,7 @@ private:
   std::unordered_map<std::string, smc::KpiReport> memory_;
   Stats stats_;
   std::vector<Diagnostic> warnings_;  ///< the recovery scan's C102
-  std::uint64_t tmp_sequence_ = 0;
+  std::uint64_t name_sequence_ = 0;  ///< temp and quarantine file names
 };
 
 /// Serialization used by the disk tier ("fmtree.result/v2"), exposed so

@@ -43,10 +43,11 @@ void write_all(int fd, const std::string& data) {
 
 [[noreturn]] void rethrow_server_error(const Event& event) {
   if (event.error_code == "R120") {
-    // Reconstruct the admission rejection so callers can catch the specific
-    // type and retry later.
-    throw AdmissionError(event.diagnostics.empty() ? "request rejected"
-                                                   : event.diagnostics[0].message);
+    // Reconstruct the admission rejection, with the C101s that follow its
+    // R120, so callers can catch the specific type and retry later.
+    if (event.diagnostics.empty()) throw AdmissionError("request rejected");
+    throw AdmissionError(event.diagnostics[0].message,
+                         {event.diagnostics.begin() + 1, event.diagnostics.end()});
   }
   throw RequestError(event.error_code, event.diagnostics);
 }

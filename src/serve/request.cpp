@@ -79,9 +79,10 @@ void reject_unknown_members(const json::Value& object, const char* where,
 }  // namespace
 
 RequestError::RequestError(std::string code, const std::string& message,
-                           std::string hint)
+                           std::string hint, std::vector<Diagnostic> warnings)
     : Error(message), code_(std::move(code)) {
   diagnostics_.push_back(make_diagnostic(code_, message, std::move(hint)));
+  for (Diagnostic& w : warnings) diagnostics_.push_back(std::move(w));
 }
 
 RequestError::RequestError(std::string code, std::vector<Diagnostic> diagnostics)
@@ -89,9 +90,10 @@ RequestError::RequestError(std::string code, std::vector<Diagnostic> diagnostics
       code_(std::move(code)),
       diagnostics_(std::move(diagnostics)) {}
 
-AdmissionError::AdmissionError(const std::string& message)
-    : RequestError("R120", message,
-                   "the daemon's job queue is full; retry after a drain") {}
+AdmissionError::AdmissionError(const std::string& message,
+                               std::vector<Diagnostic> warnings)
+    : RequestError("R120", message, "the daemon's job queue is full; retry after a drain",
+                   std::move(warnings)) {}
 
 Request parse_request(const std::string& text) {
   json::Value doc;

@@ -47,7 +47,10 @@ namespace fmtree::serve {
 /// --json-errors channel as every other failure.
 class RequestError : public Error {
 public:
-  RequestError(std::string code, const std::string& message, std::string hint = {});
+  /// One diagnostic with `code`, followed by `warnings`: the C101s that a
+  /// refused request's admission reads produced (serve/session.hpp).
+  RequestError(std::string code, const std::string& message, std::string hint = {},
+               std::vector<Diagnostic> warnings = {});
   RequestError(std::string code, std::vector<Diagnostic> diagnostics);
 
   const std::string& code() const noexcept { return code_; }
@@ -59,10 +62,12 @@ private:
 };
 
 /// R120: the daemon's bounded queue is full — the 429 of this protocol.
-/// Nothing of the request was enqueued; the client may retry later.
+/// Nothing of the request was enqueued; the client may retry later. The R120
+/// is followed by the C101s of the request's admission reads, if any.
 class AdmissionError : public RequestError {
 public:
-  explicit AdmissionError(const std::string& message);
+  explicit AdmissionError(const std::string& message,
+                          std::vector<Diagnostic> warnings = {});
 };
 
 /// One parsed "fmtree.request/v1" document.

@@ -215,6 +215,15 @@ Ticket Session::submit_jobs(std::vector<batch::SweepJob> jobs, int priority,
       throw RequestError("R112", std::string("invalid settings: ") + e.what());
     }
   }
+  const auto draining = [](std::vector<Diagnostic> warnings) {
+    return RequestError("R122", "service is draining and accepts no new requests", {},
+                        std::move(warnings));
+  };
+  {
+    // A draining session refuses the request before reading the cache.
+    std::lock_guard lock(mutex_);
+    if (stopping_) throw draining({});
+  }
   // Admission reads: every job's key and cache lookup, before the session
   // lock, on the resolver's workers for a large request. A job that an
   // identical in-flight one finishes between this read and the lock is
@@ -224,15 +233,16 @@ Ticket Session::submit_jobs(std::vector<batch::SweepJob> jobs, int priority,
       batch::resolve_jobs(jobs, cache_, config_.threads);
   const ServeMetrics& ids = *serve_metrics_;
   obs::MetricsRegistry* metrics = config_.telemetry.metrics;
-  std::vector<Diagnostic> quarantines;  // the C101s of this request's reads
+  // The C101s of this request's reads: its ticket reports them, and so does
+  // the R120 or R122 that refuses it.
+  std::vector<Diagnostic> quarantines;
   for (batch::Resolution& r : resolved)
     if (r.quarantined) quarantines.push_back(*std::move(r.quarantined));
   if (ids.valid && !quarantines.empty())
     metrics->add(ids.corrupt_entries, quarantines.size());
 
   std::unique_lock lock(mutex_);
-  if (stopping_)
-    throw RequestError("R122", "service is draining and accepts no new requests");
+  if (stopping_) throw draining(std::move(quarantines));
   if (ids.valid) metrics->add(ids.requests);
 
   // Classification pass: classify every job before touching any state, so
@@ -257,7 +267,8 @@ Ticket Session::submit_jobs(std::vector<batch::SweepJob> jobs, int priority,
     throw AdmissionError(
         "request needs " + std::to_string(new_jobs) + " queue slot(s) but only " +
         std::to_string(config_.queue_limit - outstanding_) + " of " +
-        std::to_string(config_.queue_limit) + " are free");
+        std::to_string(config_.queue_limit) + " are free",
+        std::move(quarantines));
   }
 
   // Commit pass: the request is now guaranteed to be accepted whole.

@@ -8,8 +8,11 @@
 //   0. admission read — every job's cache key and cache lookup are computed
 //     before the session mutex is taken (batch::resolve_jobs, on up to
 //     SessionConfig::threads workers for a large request), so one request's
-//     disk reads never hold up another's admission. A C101 from these reads
-//     (a corrupt entry quarantined) belongs to this request's ticket;
+//     disk reads never hold up another's admission. A draining session
+//     refuses the request (R122) before these reads. A C101 from them (a
+//     corrupt entry quarantined) belongs to this request: its ticket reports
+//     it, or, when the request is refused, the R120 or R122 carries it after
+//     its own diagnostic;
 //   1. cache hit   — resolved immediately, no queue slot consumed;
 //   2. in-flight   — an identical job (same CacheKey) is already queued or
 //     running: the caller attaches to it (dedup), the job runs once, every
@@ -142,7 +145,7 @@ public:
   ~Session();  ///< drains
 
   /// Parses nothing: the request's model is resolved (prepare()) and its
-  /// jobs submitted atomically. Throws RequestError (R112/R113) and
+  /// jobs submitted atomically. Throws RequestError (R112/R113/R122) and
   /// AdmissionError (R120).
   Ticket submit(const Request& request);
 

@@ -1,8 +1,9 @@
 // The parallel cache resolver (batch::resolve_jobs) and the ResultCache it
 // reads concurrently: a plan resolves to the same reports, counters and C101
 // list at any width; a corrupt entry read by many threads at once is
-// quarantined, counted and reported once; and no lock is held across disk
-// I/O, so a memory-tier read never waits on a parked disk write.
+// quarantined, counted and reported once; a quarantine move never overwrites
+// an earlier one; and no lock is held across disk I/O, so a memory-tier read
+// never waits on a parked disk write.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +12,7 @@
 #include <fstream>
 #include <optional>
 #include <random>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,6 +61,25 @@ void corrupt_file(const std::string& path) {
 
 std::string entry_path(const std::string& dir, const CacheKey& key) {
   return dir + "/" + key.id() + ".json";
+}
+
+/// The quarantined copies of `key`'s entry ("<id>.json.<tag>-<n>").
+std::vector<std::filesystem::path> quarantined_copies(const ResultCache& cache,
+                                                      const CacheKey& key) {
+  std::vector<std::filesystem::path> copies;
+  std::error_code ec;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(cache.quarantine_directory(), ec))
+    if (entry.path().filename().string().rfind(key.id() + ".json.", 0) == 0)
+      copies.push_back(entry.path());
+  return copies;
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
 }
 
 TEST(ResolveJobs, WidthFollowsTheGrainAndTheThreadBudget) {
@@ -204,14 +225,64 @@ TEST(ResultCacheConcurrency, ACorruptEntryReadByManyThreadsIsQuarantinedOnce) {
     int total = 0;
     for (unsigned t = 0; t < kThreads; ++t) total += c101s[t][round];
     EXPECT_EQ(total, 1) << "round " << round;
-    const std::string moved =
-        cache.quarantine_directory() + "/" + corrupt_key(round).id() + ".json";
-    EXPECT_TRUE(std::filesystem::exists(moved));
+    EXPECT_EQ(quarantined_copies(cache, corrupt_key(round)).size(), 1u)
+        << "round " << round;
   }
   for (unsigned t = 0; t < kThreads; ++t) EXPECT_EQ(hits_on_corrupt[t], 0);
   const ResultCache::Stats st = cache.stats();
   EXPECT_EQ(st.corrupt_entries, kRounds);
   EXPECT_EQ(st.quarantined, kRounds);
+}
+
+// Reader A reads a corrupt entry and is held up ("cache.read" stalls 300 ms)
+// while reader B quarantines it and the job's fresh result is put again.
+// A's rename then moves the fresh entry aside: a second C101 for the key and
+// one more recomputation, but the corrupt copy B moved stays intact beside
+// it, because every quarantine move has a name of its own.
+TEST(ResultCacheConcurrency, AReaderHeldPastARecomputeKeepsTheFirstQuarantinedCopy) {
+  const std::string dir = fresh_dir("fmtree_cache_held_reader");
+  const CacheKey key{Fingerprint{5, 5}, Fingerprint{6, 6}};
+  smc::KpiReport report;
+  report.horizon = 5.0;
+  report.trajectories = 10;
+  {
+    ResultCache writer(dir);
+    writer.put(key, report);
+  }
+  corrupt_file(entry_path(dir, key));
+  const std::string corrupt_bytes = read_file(entry_path(dir, key));
+
+  ResultCache cache(dir);
+  const fault::Scope faults({"cache.read:stall=300,nth=1"});
+  const std::uint64_t fired = fault::FaultRegistry::instance().fires();
+  std::optional<Diagnostic> held_warning;
+  std::thread held([&] { EXPECT_FALSE(cache.get(key, &held_warning).has_value()); });
+  while (fault::FaultRegistry::instance().fires() == fired)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::optional<Diagnostic> warning;
+  EXPECT_FALSE(cache.get(key, &warning).has_value());
+  cache.put(key, report);
+  held.join();
+
+  ASSERT_TRUE(warning.has_value());
+  ASSERT_TRUE(held_warning.has_value());
+  EXPECT_EQ(cache.stats().corrupt_entries, 2u);
+  EXPECT_EQ(cache.stats().quarantined, 2u);
+  const std::vector<std::filesystem::path> copies = quarantined_copies(cache, key);
+  ASSERT_EQ(copies.size(), 2u);
+  int corrupt = 0;
+  int fresh = 0;
+  for (const std::filesystem::path& copy : copies) {
+    const std::string text = read_file(copy);
+    if (text == corrupt_bytes) ++corrupt;
+    if (text == encode_report(key, report)) ++fresh;
+  }
+  EXPECT_EQ(corrupt, 1);
+  EXPECT_EQ(fresh, 1);
+  // The memory tier still holds the fresh result.
+  const std::optional<smc::KpiReport> hit = cache.get(key);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_TRUE(same_bits(*hit, report));
 }
 
 // A put parks in its disk write ("cache.write" stalls 400 ms); a memory-tier

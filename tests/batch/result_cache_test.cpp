@@ -7,6 +7,8 @@
 #include <fstream>
 #include <limits>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "batch/fingerprint.hpp"
 #include "fmt/parser.hpp"
@@ -180,15 +182,21 @@ TEST(ResultCache, QuarantinesCorruptEntriesWithAWarning) {
   ResultCache reader(dir);
   std::optional<Diagnostic> warning;
   EXPECT_FALSE(reader.get(key, &warning).has_value());
+  ASSERT_TRUE(warning.has_value());
   const ResultCache::Stats st = reader.stats();
   EXPECT_EQ(st.corrupt_entries, 1u);
   EXPECT_EQ(st.quarantined, 1u);
   EXPECT_FALSE(std::filesystem::exists(path));  // moved, not deleted
-  EXPECT_TRUE(std::filesystem::exists(
-      std::filesystem::path(reader.quarantine_directory()) / (key.id() + ".json")));
+  // Moved under a name of its own: "<id>.json.<tag>-<n>".
+  std::vector<std::string> moved;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(reader.quarantine_directory()))
+    moved.push_back(entry.path().filename().string());
+  ASSERT_EQ(moved.size(), 1u);
+  EXPECT_EQ(moved[0].rfind(key.id() + ".json.", 0), 0u) << moved[0];
+  EXPECT_NE(warning->message.find(moved[0]), std::string::npos) << warning->message;
   // The C101 goes to the caller of the get() that quarantined the entry,
   // not to the cache's shared list.
-  ASSERT_TRUE(warning.has_value());
   EXPECT_EQ(warning->code, "C101");
   EXPECT_EQ(warning->severity, Severity::Warning);
   EXPECT_TRUE(reader.take_warnings().empty());

@@ -7,7 +7,8 @@
 // write (serve.write) is isolated to that one connection while the daemon —
 // and its cache — keep serving; a SIGTERM-style drain mid-request resolves
 // the in-flight ticket, and a restarted daemon on the same cache directory
-// replays completed work bit-identically.
+// replays completed work bit-identically; a refused request's error carries
+// the C101s of its admission reads to the client.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -63,11 +64,13 @@ struct Daemon {
   std::thread thread;
   std::string socket_path;
 
-  explicit Daemon(const std::string& name, std::string cache_dir = {}) {
+  explicit Daemon(const std::string& name, std::string cache_dir = {},
+                  std::size_t queue_limit = 64) {
     socket_path = testing::TempDir() + name + ".sock";
     std::filesystem::remove(socket_path);
     SessionConfig config;
     config.threads = 2;
+    config.queue_limit = queue_limit;
     config.cache_dir = std::move(cache_dir);
     config.telemetry.metrics = &metrics;
     session = std::make_unique<Session>(std::move(config));
@@ -180,6 +183,37 @@ TEST(ServeSocket, SigtermDrainMidRequestThenRestartReplaysFromCache) {
         << i;
   }
   EXPECT_EQ(restarted.metrics.counter_value("batch.jobs_simulated"), 0u);
+}
+
+// A request the daemon refuses for want of queue slots still reports the
+// corrupt entries its admission reads found: the client's AdmissionError
+// carries them after the R120.
+TEST(ServeSocket, ARefusedRequestCarriesItsC101sOverTheSocket) {
+  const std::string dir = testing::TempDir() + "fmtree_serve_refused_cache";
+  std::filesystem::remove_all(dir);  // idempotence across ctest runs
+  {
+    Daemon warm("fmtree_serve_refused_warm", dir);
+    ASSERT_TRUE(request_over_socket(warm.socket_path, sweep_request()).all_done());
+  }
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".json") continue;
+    // A torn write: the entry keeps only its first half.
+    std::filesystem::resize_file(entry.path(),
+                                 std::filesystem::file_size(entry.path()) / 2);
+  }
+
+  Daemon daemon("fmtree_serve_refused", dir, /*queue_limit=*/1);
+  try {
+    (void)request_over_socket(daemon.socket_path, sweep_request());
+    FAIL() << "expected AdmissionError";
+  } catch (const AdmissionError& e) {
+    ASSERT_EQ(e.diagnostics().size(), 3u);
+    EXPECT_EQ(e.diagnostics()[0].code, "R120");
+    EXPECT_EQ(e.diagnostics()[1].code, "C101");
+    EXPECT_EQ(e.diagnostics()[2].code, "C101");
+  }
+  EXPECT_EQ(daemon.metrics.counter_value("serve.rejected"), 1u);
+  EXPECT_EQ(daemon.metrics.counter_value("cache.corrupt_entries"), 2u);
 }
 
 TEST(ChaosServe, DroppedAcceptIsIsolatedToOneConnection) {

@@ -1,8 +1,8 @@
 // serve::Session semantics: in-flight dedup (N identical concurrent requests
 // cost one computation), all-or-nothing admission control (R120), cache-hit
 // resolution, the drain path that resolves every ticket, responses that
-// report only their own stop reason and warnings, and admission reads that
-// run outside the session lock.
+// report only their own stop reason and warnings, admission reads that run
+// outside the session lock, and refusals that carry those reads' warnings.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -11,6 +11,7 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "../batch/report_bits.hpp"
 #include "fleet/corridor.hpp"
@@ -288,6 +289,62 @@ TEST(ServeSession, AnAdmissionC101GoesToTheRequestThatReadTheEntry) {
   EXPECT_EQ(ra.stop_reason, smc::StopReason::Stalled);
   ASSERT_EQ(ra.warnings.size(), 1u);
   EXPECT_EQ(ra.warnings[0].code, "B102");
+  EXPECT_EQ(h.metrics.counter_value("cache.corrupt_entries"), 1u);
+}
+
+// A request refused after its admission reads carries their C101s in its
+// error, after the R120: it read the entry, so no other response reports it.
+TEST(ServeSession, ARefusedRequestCarriesTheC101sOfItsAdmissionReads) {
+  const std::string dir = warm_cache("fmtree_session_refused_c101", single_policy(0));
+  corrupt_entries(dir);
+  Harness h(/*queue_limit=*/1, 2, 0.0, dir);
+  // Two new jobs, one of them the corrupt entry's, against one slot.
+  try {
+    (void)h.session->submit(sweep_request());
+    FAIL() << "expected AdmissionError";
+  } catch (const AdmissionError& e) {
+    ASSERT_EQ(e.diagnostics().size(), 2u);
+    EXPECT_EQ(e.diagnostics()[0].code, "R120");
+    EXPECT_EQ(e.diagnostics()[1].code, "C101");
+  }
+  EXPECT_EQ(h.metrics.counter_value("serve.rejected"), 1u);
+  EXPECT_EQ(h.metrics.counter_value("cache.corrupt_entries"), 1u);
+}
+
+// A session that starts draining while a request's admission read is parked
+// refuses that request with an R122 carrying its C101; a request submitted
+// once the session is draining is refused before it reads the cache.
+TEST(ServeSession, ADrainingSessionRefusesWithTheC101sItRead) {
+  const std::string dir = warm_cache("fmtree_session_draining_c101", sweep_request());
+  corrupt_entries(dir);
+  Harness h(64, 2, 0.0, dir);
+  const fault::Scope faults({"cache.read:stall=300,nth=1"});
+  const std::uint64_t fired = fault::FaultRegistry::instance().fires();
+  std::vector<Diagnostic> refused;
+  std::thread parked([&] {
+    try {
+      (void)h.session->submit(single_policy(0));
+    } catch (const RequestError& e) {
+      refused = e.diagnostics();
+    }
+  });
+  while (fault::FaultRegistry::instance().fires() == fired)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  h.session->drain();
+  parked.join();
+  ASSERT_EQ(refused.size(), 2u);
+  EXPECT_EQ(refused[0].code, "R122");
+  EXPECT_EQ(refused[1].code, "C101");
+
+  try {
+    (void)h.session->submit(single_policy(2));
+    FAIL() << "expected RequestError";
+  } catch (const RequestError& e) {
+    EXPECT_EQ(e.code(), "R122");
+    EXPECT_EQ(e.diagnostics().size(), 1u);
+  }
+  // The second request's corrupt entry was never read.
+  EXPECT_EQ(h.session->cache().stats().corrupt_entries, 1u);
   EXPECT_EQ(h.metrics.counter_value("cache.corrupt_entries"), 1u);
 }
 
