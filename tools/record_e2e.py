@@ -3,19 +3,19 @@
 
 Runs
 
-    python3 e2ebench/run.py --workload <w> --seed <s> --seconds <t> --trace 0
+    python3 e2ebench/run.py --workload <w> --seed <s> --seconds 25 --trace 0
 
-k times for each workload (k = 5 by default) and writes, for every workload
-and end-to-end metric, the median, min and max over the k runs, with k, the
-seed, the run length, nproc, each workload's pool width and the commit. A run
-that fails its output checks or reports failed operations stops the
-recording with exit status 1: a number from incorrect code is not recorded.
+k times for each of the three workloads (k = 5 by default) and writes, for
+every workload and end-to-end metric, the median, min and max over the k
+runs, with k, the seed, the run length, nproc, each workload's pool width and
+the commit. The run length and the workload list are fixed, so the file always
+covers every workload at the benchmark's run length. A run that fails its
+output checks or reports failed operations stops the recording with exit
+status 1: a number from incorrect code is not recorded.
 
 Usage, from anywhere in the repository:
 
-    python3 tools/record_e2e.py [--runs 5] [--seed 1] [--seconds 25]
-                                [--workloads study_cold,corridor_replay,served_mix]
-                                [--out BENCH_e2e.json]
+    python3 tools/record_e2e.py [--runs 5] [--seed 1] [--out BENCH_e2e.json]
 """
 
 from __future__ import annotations
@@ -30,13 +30,14 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("study_cold", "corridor_replay", "served_mix")
+SECONDS = 25
 ENV_LINE = re.compile(r"^env: .*\bnproc=(\d+) pool_width=(\d+) .*\bcommit=(\S+)")
 
 
-def run_once(workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run_once(workload: str, seed: int) -> tuple[dict, dict]:
     """One benchmark run: (its JSON result, its env fields)."""
     command = [sys.executable, os.path.join("e2ebench", "run.py"), "--workload", workload,
-               "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"]
+               "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     env = {}
@@ -60,23 +61,22 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--runs", type=int, default=5, help="runs per workload (k)")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=25.0)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_e2e.json"))
     args = parser.parse_args()
-    workloads = [w for w in args.workloads.split(",") if w]
-    if args.runs < 1 or not workloads or any(w not in WORKLOADS for w in workloads):
-        parser.error("need --runs >= 1 and workloads among " + ", ".join(WORKLOADS))
+    if args.runs < 1:
+        parser.error("need --runs >= 1")
 
-    doc = {"benchmark": "e2e", "command": "python3 e2ebench/run.py --trace 0",
-           "runs": args.runs, "seed": args.seed, "seconds": args.seconds,
+    doc = {"benchmark": "e2e",
+           "command": f"python3 e2ebench/run.py --workload <w> --seed {args.seed} "
+                      f"--seconds {SECONDS} --trace 0",
+           "runs": args.runs, "seed": args.seed, "seconds": SECONDS,
            "nproc": None, "commit": None, "workloads": {}}
-    for workload in workloads:
+    for workload in WORKLOADS:
         samples: dict[str, list[float]] = {}
         units: dict[str, str] = {}
         env: dict = {}
         for k in range(args.runs):
-            result, env = run_once(workload, args.seed, args.seconds)
+            result, env = run_once(workload, args.seed)
             for name, metric in result["metrics"].items():
                 samples.setdefault(name, []).append(metric["value"])
                 units[name] = metric["unit"]
