@@ -4,10 +4,9 @@
 // expected number of failures (with per-mode attribution), availability and
 // cost — plus the classic static-analysis view (importance measures).
 //
-// Runs through the fmtree::Analysis facade with telemetry enabled, so the
-// end of the run can also show what the engine did (trajectory and event
-// counts, phase timings) — the same data `fmtree analyze --metrics/--trace`
-// exports as JSON.
+// Runs through the fmtree::Analysis facade with metrics enabled, so the end
+// of the run can also show what the engine did (trajectory and event
+// counts) — the counters `fmtree analyze --metrics` exports as JSON.
 #include <iostream>
 
 #include "eijoint/model.hpp"
@@ -30,7 +29,7 @@ int main() {
 
   // ---- Full FMT analysis (statistical model checking) ----------------------
   Analysis study(std::move(model));
-  study.horizon(20.0).trajectories(20000).seed(1).enable_metrics().enable_tracing();
+  study.horizon(20.0).trajectories(20000).seed(1).enable_metrics();
   const smc::KpiReport k = study.kpis();
   const double horizon = study.settings().horizon;
 
@@ -78,7 +77,6 @@ int main() {
     tel.add_row({name, std::to_string(study.metrics().counter_value(name))});
   }
   tel.print(std::cout);
-  std::cout << "(full export: study.metrics_json() / study.trace_json())\n";
 
   // ---- Classic static fault-tree view (maintenance ignored) -----------------
   std::cout << "\nStatic view at a 10-year mission (no maintenance), importance:\n";

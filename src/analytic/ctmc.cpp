@@ -34,13 +34,6 @@ CtmcEdge Ctmc::edge(std::size_t i) const {
   return CtmcEdge{from_[i], to_[i], rate_[i]};
 }
 
-void Ctmc::uniformized_step(const std::vector<double>& v,
-                            std::vector<double>& out) const {
-  if (v.size() != num_states_)
-    throw DomainError("vector size does not match state count");
-  dtmc_step(v, out, uniformization_rate());
-}
-
 double Ctmc::uniformization_rate() const {
   const double max_exit = *std::max_element(exit_.begin(), exit_.end());
   // A margin above the max exit rate keeps the DTMC aperiodic; 1.02 is

@@ -34,10 +34,6 @@ public:
   /// The i-th transition (insertion order). Used by the linear solvers.
   CtmcEdge edge(std::size_t i) const;
 
-  /// One step of the uniformized DTMC (P = I + Q/lambda with the chain's
-  /// own uniformization rate): out = v P. Exposed for stationary analysis.
-  void uniformized_step(const std::vector<double>& v, std::vector<double>& out) const;
-
   /// Transient state distribution pi(t) from `initial`, truncating the
   /// Poisson series once the tail mass is below `epsilon`.
   std::vector<double> transient(const std::vector<double>& initial, double t,

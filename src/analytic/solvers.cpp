@@ -50,32 +50,6 @@ void record_convergence(const SolverOptions& opts, std::size_t iterations,
 
 }  // namespace
 
-std::vector<double> steady_state(const Ctmc& chain, const SolverOptions& opts) {
-  auto solve_span = obs::maybe_span(opts.telemetry.tracer, "solve");
-  const std::size_t n = chain.num_states();
-  std::vector<double> pi(n, 1.0 / static_cast<double>(n));
-  std::vector<double> next(n);
-  double delta = 0;
-  for (std::size_t it = 0; it < opts.max_iterations; ++it) {
-    chain.uniformized_step(pi, next);
-    delta = 0;
-    for (std::size_t s = 0; s < n; ++s)
-      delta = std::max(delta, std::fabs(next[s] - pi[s]));
-    pi.swap(next);
-    if (delta < opts.tolerance) {
-      double total = 0;  // normalize away accumulated rounding
-      for (double p : pi) total += p;
-      for (double& p : pi) p /= total;
-      record_convergence(opts, it + 1, delta);
-      return pi;
-    }
-    poll_iteration(opts, "steady_state power iteration", it, delta, n);
-  }
-  throw ResourceLimitError(
-      "steady_state power iteration failed to converge",
-      {.iterations = opts.max_iterations, .residual = delta, .states = n});
-}
-
 double mean_time_to_absorption(const Ctmc& chain, const std::vector<double>& initial,
                                const std::vector<bool>& absorbing,
                                const SolverOptions& opts) {

@@ -1,6 +1,6 @@
 // Linear-algebraic CTMC queries complementing transient uniformization:
-// stationary distributions and expected hitting times, plus the exact
-// mean-time-to-failure oracle for Markovian FMTs.
+// expected hitting times, and the exact mean-time-to-failure oracle for
+// Markovian FMTs.
 #pragma once
 
 #include "analytic/ctmc.hpp"
@@ -19,12 +19,6 @@ struct SolverOptions : fmtree::RunSettings {
   std::size_t max_iterations = 200000;
 };
 
-/// Stationary distribution pi with pi Q = 0, sum(pi) = 1, computed by power
-/// iteration on the uniformized DTMC. For an irreducible chain this is the
-/// unique long-run distribution; for reducible chains it is the limit from
-/// the uniform initial distribution. Throws DomainError on non-convergence.
-std::vector<double> steady_state(const Ctmc& chain, const SolverOptions& opts = {});
-
 /// Expected time to reach the `absorbing` set from `initial`
 /// (E[inf{t : X_t in absorbing}]), by Gauss–Seidel on the hitting-time
 /// equations. Throws DomainError if a non-absorbing state cannot reach the
@@ -34,7 +28,7 @@ double mean_time_to_absorption(const Ctmc& chain, const std::vector<double>& ini
                                const SolverOptions& opts = {});
 
 /// Exact mean time to first system failure of a Markovian FMT (no periodic
-/// maintenance, exponential phases). The oracle for smc::mean_time_to_failure.
+/// maintenance, exponential phases).
 double exact_mttf(const fmt::FaultMaintenanceTree& model,
                   std::size_t max_states = 1u << 20, const SolverOptions& opts = {});
 

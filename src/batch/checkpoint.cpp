@@ -28,13 +28,6 @@ std::uint64_t SweepCheckpoint::jobs_failed() const {
   return n;
 }
 
-std::uint64_t SweepCheckpoint::jobs_pending() const {
-  std::uint64_t n = 0;
-  for (const CheckpointEntry& e : jobs)
-    if (e.status == "pending") ++n;
-  return n;
-}
-
 std::string checkpoint_plan_id(const SweepPlan& plan) {
   StreamHasher h;
   h.tag(kSchema);

@@ -44,7 +44,6 @@ struct SweepCheckpoint {
   /// pending; a failed job is NOT banked (it will re-run on resume), so
   /// progress accounting must never fold it into the done count.
   std::uint64_t jobs_failed() const;
-  std::uint64_t jobs_pending() const;
 };
 
 /// Identity of a plan for resume purposes: a fingerprint over the ordered

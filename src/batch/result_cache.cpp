@@ -398,9 +398,4 @@ std::vector<Diagnostic> ResultCache::take_warnings() {
   return std::exchange(warnings_, {});
 }
 
-std::size_t ResultCache::size() const {
-  std::lock_guard lock(mutex_);
-  return memory_.size();
-}
-
 }  // namespace fmtree::batch

@@ -119,9 +119,6 @@ public:
   /// (C101s go to the get() that quarantined the entry.)
   std::vector<Diagnostic> take_warnings();
 
-  /// Entries currently held in the memory tier.
-  std::size_t size() const;
-
   bool has_disk_tier() const noexcept { return !directory_.empty(); }
   const std::string& directory() const noexcept { return directory_; }
   /// Where corrupt entries are moved ("<directory>/quarantine").

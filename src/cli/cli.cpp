@@ -1146,7 +1146,8 @@ std::string usage() {
       "                     and print per-mode Garwood rates; needs\n"
       "                     --observe-years, exposure = joints x years\n"
       "  --generate-incidents <csv>  fleet: simulate the fleet and stream an\n"
-      "                     incident database to <csv>; needs --observe-years\n"
+      "                     incident database to <csv>; needs --observe-years;\n"
+      "                     draws from --fleet-seed (--seed is not used)\n"
       "  --observe-years <t> fleet: observation window for the two above\n"
       "  --queue-limit <n>  serve: max outstanding jobs before requests are\n"
       "                     rejected with R120 (default 64)\n"

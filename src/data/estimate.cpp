@@ -51,9 +51,9 @@ RateEstimate estimate_rate(std::uint64_t events, double exposure, double confide
 
 namespace {
 
-/// Shared NaN-poisoning guard of the lifetime fitters: an empty sample is
-/// unusable, and a single NaN/inf/non-positive value would otherwise poison
-/// (or, with RunningStats' non-finite exclusion, silently bias) the moments.
+/// NaN-poisoning guard of the lifetime fit: an empty sample is unusable, and
+/// a single NaN/inf/non-positive value would otherwise poison (or, with
+/// RunningStats' non-finite exclusion, silently bias) the moments.
 void require_positive_finite(const std::vector<double>& samples, const char* what) {
   if (samples.empty()) throw DomainError(std::string(what) + " needs >= 1 sample");
   for (double x : samples) {
@@ -100,107 +100,6 @@ ErlangFit fit_erlang(const std::vector<double>& samples) {
   }
   fit.rate = static_cast<double>(fit.shape) / fit.sample_mean;
   return fit;
-}
-
-WeibullFit fit_weibull(const std::vector<double>& samples) {
-  require_positive_finite(samples, "weibull fit");
-  WeibullFit fit;
-  fit.n = samples.size();
-
-  const auto [min_it, max_it] = std::minmax_element(samples.begin(), samples.end());
-  if (fit.n < 2 || *min_it == *max_it) {
-    // Zero spread: the MLE shape diverges to +infinity (the sample looks
-    // deterministic). Clamp to the ceiling; the scale is the common value.
-    fit.shape = kMaxWeibullShape;
-    fit.scale = *max_it;
-    fit.degenerate = true;
-    fit.note = fit.n < 2 ? "single sample cannot identify a shape; clamped"
-                         : "zero sample spread (all samples equal); shape clamped";
-    fit.log_likelihood = weibull_log_likelihood(fit.shape, fit.scale, samples);
-    return fit;
-  }
-
-  double mean_log = 0;
-  for (double x : samples) mean_log += std::log(x);
-  mean_log /= static_cast<double>(samples.size());
-
-  // Profile-likelihood equation in the shape k:
-  //   g(k) = sum x^k ln x / sum x^k - 1/k - mean(ln x) = 0,
-  // with g increasing in k. Bisection is robust for any data.
-  const auto g = [&](double k) {
-    double sum_xk = 0, sum_xk_lnx = 0;
-    for (double x : samples) {
-      const double xk = std::pow(x, k);
-      sum_xk += xk;
-      sum_xk_lnx += xk * std::log(x);
-    }
-    return sum_xk_lnx / sum_xk - 1.0 / k - mean_log;
-  };
-  double lo = 1e-3, hi = 1.0;
-  // A root escaping the bracket means a (near-)degenerate spread; clamp to
-  // the corresponding bound instead of failing the whole calibration.
-  while (g(hi) < 0 && hi <= kMaxWeibullShape) hi *= 2;
-  if (hi > kMaxWeibullShape) {
-    hi = kMaxWeibullShape;
-    lo = kMaxWeibullShape;
-    fit.degenerate = true;
-    fit.note = "near-zero sample spread; shape clamped to the ceiling";
-  }
-  while (g(lo) > 0 && lo >= 1e-9) lo /= 2;
-  if (lo < 1e-9) {
-    lo = 1e-9;
-    hi = 1e-9;
-    fit.degenerate = true;
-    fit.note = "extreme sample spread; shape clamped to the floor";
-  }
-  for (int it = 0; it < 200 && lo < hi; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    (g(mid) < 0 ? lo : hi) = mid;
-  }
-  fit.shape = 0.5 * (lo + hi);
-  double sum_xk = 0;
-  for (double x : samples) sum_xk += std::pow(x, fit.shape);
-  fit.scale = std::pow(sum_xk / static_cast<double>(samples.size()), 1.0 / fit.shape);
-  fit.log_likelihood = weibull_log_likelihood(fit.shape, fit.scale, samples);
-  return fit;
-}
-
-double weibull_log_likelihood(double shape, double scale,
-                              const std::vector<double>& samples) {
-  if (!(shape > 0) || !(scale > 0))
-    throw DomainError("weibull parameters must be positive");
-  double ll = 0;
-  for (double x : samples) {
-    if (!(x > 0)) throw DomainError("weibull likelihood requires positive samples");
-    const double z = x / scale;
-    ll += std::log(shape / scale) + (shape - 1) * std::log(z) - std::pow(z, shape);
-  }
-  return ll;
-}
-
-double erlang_log_likelihood(int shape, double rate, const std::vector<double>& samples) {
-  if (shape < 1 || !(rate > 0)) throw DomainError("erlang parameters invalid");
-  double ll = 0;
-  const double log_norm = static_cast<double>(shape) * std::log(rate) -
-                          std::lgamma(static_cast<double>(shape));
-  for (double x : samples) {
-    if (!(x > 0)) throw DomainError("erlang likelihood requires positive samples");
-    ll += log_norm + (shape - 1) * std::log(x) - rate * x;
-  }
-  return ll;
-}
-
-FamilySelection select_lifetime_family(const std::vector<double>& samples) {
-  FamilySelection out;
-  out.erlang = fit_erlang(samples);
-  out.weibull = fit_weibull(samples);
-  out.erlang_log_likelihood =
-      erlang_log_likelihood(out.erlang.shape, out.erlang.rate, samples);
-  out.weibull_log_likelihood = out.weibull.log_likelihood;
-  out.family = out.weibull_log_likelihood > out.erlang_log_likelihood
-                   ? LifetimeFamily::Weibull
-                   : LifetimeFamily::Erlang;
-  return out;
 }
 
 fmt::DegradationModel fit_degradation(const std::vector<DegradationSample>& samples) {

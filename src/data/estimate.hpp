@@ -32,11 +32,6 @@ RateEstimate estimate_rate(std::uint64_t events, double exposure,
 /// integer shape.
 inline constexpr int kDegenerateErlangShape = 100;
 
-/// Shape ceiling of the Weibull profile-likelihood fit. The MLE diverges to
-/// +infinity as the sample spread vanishes; the fit clamps there (flagged
-/// `degenerate`) instead of failing, matching a near-deterministic lifetime.
-inline constexpr double kMaxWeibullShape = 1e4;
-
 /// Erlang fit by moment matching: shape = round(mean^2/var) clamped to
 /// [1, kDegenerateErlangShape], rate = shape/mean.
 struct ErlangFit {
@@ -67,44 +62,6 @@ ErlangFit fit_erlang(const std::vector<double>& samples);
 /// durations fit a clamped near-deterministic model instead of throwing);
 /// non-finite durations throw DomainError.
 fmt::DegradationModel fit_degradation(const std::vector<DegradationSample>& samples);
-
-/// Weibull fit by maximum likelihood (bisection on the profile likelihood
-/// in the shape parameter).
-struct WeibullFit {
-  double shape = 1.0;
-  double scale = 1.0;
-  std::size_t n = 0;
-  double log_likelihood = 0.0;
-  /// True when the shape was clamped (single sample, zero spread, or the
-  /// profile-likelihood root left [1e-9, kMaxWeibullShape]); `note` says why.
-  bool degenerate = false;
-  std::string note;
-};
-
-/// Same input contract as fit_erlang: throws on empty / non-positive /
-/// non-finite samples, clamps (and flags) degenerate-but-valid ones.
-WeibullFit fit_weibull(const std::vector<double>& samples);
-
-/// Log-likelihoods for model selection between the two lifetime families
-/// the study's calibration considers.
-double weibull_log_likelihood(double shape, double scale,
-                              const std::vector<double>& samples);
-double erlang_log_likelihood(int shape, double rate,
-                             const std::vector<double>& samples);
-
-enum class LifetimeFamily { Erlang, Weibull };
-
-struct FamilySelection {
-  LifetimeFamily family = LifetimeFamily::Erlang;
-  ErlangFit erlang;
-  WeibullFit weibull;
-  double erlang_log_likelihood = 0.0;
-  double weibull_log_likelihood = 0.0;
-};
-
-/// Fits both families and picks the one with the higher log-likelihood
-/// (both have two parameters, so this is equivalent to AIC selection).
-FamilySelection select_lifetime_family(const std::vector<double>& samples);
 
 /// Quantile of the Gamma(shape, rate=1) distribution by bisection on the
 /// regularized incomplete gamma function. Exposed for tests.

@@ -18,8 +18,7 @@ FleetData generate_fleet_data(const fmt::FaultMaintenanceTree& ground_truth,
   sim::SimOptions opts;
   opts.horizon = years;
   opts.record_failure_log = true;
-  FleetData fleet{IncidentDatabase(num_assets, years), {}, 0, 0};
-  std::vector<std::uint64_t> repairs(ground_truth.num_ebes(), 0);  // per leaf
+  FleetData fleet{IncidentDatabase(num_assets, years), 0, 0};
   std::uint32_t asset = 0;
   smc::PoolJob job{.executor = &kernel, .options = &opts, .seed = seed,
                    .trajectories = num_assets};
@@ -30,15 +29,11 @@ FleetData generate_fleet_data(const fmt::FaultMaintenanceTree& ground_truth,
           IncidentRecord{asset, f.time, ground_truth.ebes()[f.cause_leaf].name});
     fleet.inspections += r.inspections;
     fleet.replacements += r.replacements;
-    for (std::size_t leaf = 0; leaf < repairs.size(); ++leaf)
-      repairs[leaf] += r.repairs_per_leaf[leaf];
     ++asset;
     return true;
   };
   smc::run_pool({&job, 1}, {});
   if (job.error) std::rethrow_exception(job.error);
-  for (std::size_t leaf = 0; leaf < repairs.size(); ++leaf)
-    fleet.repairs_by_mode[ground_truth.ebes()[leaf].name] += repairs[leaf];
   return fleet;
 }
 

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "data/incident.hpp"
@@ -27,11 +26,10 @@ IncidentDatabase generate_incidents(const fmt::FaultMaintenanceTree& ground_trut
                                     std::uint64_t seed);
 
 /// A fleet observation window: the incident registration plus the
-/// aggregated maintenance-management records (condition-based repairs per
-/// mode, inspection and renewal counts) — the paper's second data source.
+/// aggregated maintenance-management records (inspection and renewal
+/// counts) — the paper's second data source.
 struct FleetData {
   IncidentDatabase incidents;
-  std::map<std::string, std::uint64_t> repairs_by_mode;
   std::uint64_t inspections = 0;
   std::uint64_t replacements = 0;
 

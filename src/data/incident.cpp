@@ -1,6 +1,5 @@
 #include "data/incident.hpp"
 
-#include <istream>
 #include <ostream>
 
 #include "util/csv.hpp"
@@ -36,28 +35,6 @@ void IncidentDatabase::save_csv(std::ostream& os) const {
   for (const IncidentRecord& r : records_)
     writer.write_row(
         {std::to_string(r.asset_id), std::to_string(r.time), r.failure_mode});
-}
-
-IncidentDatabase IncidentDatabase::load_csv(std::istream& is, std::uint32_t num_assets,
-                                            double observation_years) {
-  const std::vector<CsvRow> rows = read_csv(is);
-  if (rows.empty() || rows.front() != CsvRow{"asset_id", "time", "failure_mode"})
-    throw IoError("incident csv: missing or wrong header");
-  IncidentDatabase db(num_assets, observation_years);
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    const CsvRow& row = rows[i];
-    if (row.size() != 3) throw IoError("incident csv: row " + std::to_string(i) +
-                                       " has wrong column count");
-    try {
-      db.add(IncidentRecord{static_cast<std::uint32_t>(std::stoul(row[0])),
-                            std::stod(row[1]), row[2]});
-    } catch (const std::invalid_argument&) {
-      throw IoError("incident csv: malformed value in row " + std::to_string(i));
-    } catch (const std::out_of_range&) {
-      throw IoError("incident csv: value out of range in row " + std::to_string(i));
-    }
-  }
-  return db;
 }
 
 }  // namespace fmtree::data

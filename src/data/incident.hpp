@@ -18,7 +18,7 @@ struct IncidentRecord {
   std::string failure_mode;    ///< attributed cause (leaf name)
 };
 
-/// In-memory incident database with CSV round-trip.
+/// In-memory incident database; add() range-checks every record.
 class IncidentDatabase {
 public:
   IncidentDatabase(std::uint32_t num_assets, double observation_years);
@@ -44,9 +44,8 @@ public:
   std::map<std::string, std::uint64_t> counts_by_mode() const;
 
   /// CSV format: header "asset_id,time,failure_mode", one row per record.
+  /// data::IncidentStreamReader (data/stream.hpp) reads it back.
   void save_csv(std::ostream& os) const;
-  static IncidentDatabase load_csv(std::istream& is, std::uint32_t num_assets,
-                                   double observation_years);
 
 private:
   std::uint32_t num_assets_;

@@ -12,7 +12,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <utility>
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
@@ -47,23 +46,10 @@ MappedFile::~MappedFile() {
   if (data_ != nullptr) ::munmap(const_cast<char*>(data_), size_);
 }
 
-MappedFile::MappedFile(MappedFile&& other) noexcept
-    : data_(std::exchange(other.data_, nullptr)),
-      size_(std::exchange(other.size_, 0)) {}
-
-MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
-  if (this != &other) {
-    if (data_ != nullptr) ::munmap(const_cast<char*>(data_), size_);
-    data_ = std::exchange(other.data_, nullptr);
-    size_ = std::exchange(other.size_, 0);
-  }
-  return *this;
-}
-
 namespace {
 
-/// One CSV field off the mapping (util/csv.cpp dialect: RFC 4180 quoting,
-/// CRLF tolerated). Advances `cur` past the field and its delimiter; sets
+/// One CSV field off the mapping (the dialect CsvWriter writes: RFC 4180
+/// quoting, CRLF tolerated). Advances `cur` past the field and its delimiter; sets
 /// `end_of_row` when the delimiter was a newline (or end of input).
 std::string next_field(const char*& cur, const char* end, bool& end_of_row) {
   std::string field;
@@ -125,7 +111,7 @@ IncidentStreamReader::IncidentStreamReader(const std::string& path) : map_(path)
 }
 
 bool IncidentStreamReader::next(IncidentRecord& out) {
-  // Skip blank lines (read_csv drops them too).
+  // Skip blank lines.
   while (cur_ < end_ && (*cur_ == '\n' || *cur_ == '\r')) ++cur_;
   if (cur_ >= end_) return false;
 
@@ -136,6 +122,7 @@ bool IncidentStreamReader::next(IncidentRecord& out) {
   if (eor) malformed(row_, "wrong column count");
   out.failure_mode = next_field(cur_, end_, eor);
   if (!eor) malformed(row_, "wrong column count");
+  if (out.failure_mode.empty()) malformed(row_, "empty failure mode");
 
   char* parse_end = nullptr;
   errno = 0;
@@ -151,6 +138,8 @@ bool IncidentStreamReader::next(IncidentRecord& out) {
   if (parse_end == time.c_str() || *parse_end != '\0')
     malformed(row_, "malformed value");
   if (errno == ERANGE) malformed(row_, "value out of range");
+  if (!std::isfinite(out.time) || out.time < 0)
+    malformed(row_, "negative or non-finite time");
 
   ++row_;
   return true;

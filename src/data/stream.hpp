@@ -1,16 +1,15 @@
 // Streaming incident ingestion: calibrate against million-record incident
 // databases in O(1) memory.
 //
-// IncidentDatabase::load_csv materialises every record; fine for the paper's
-// ~hundreds of incidents, hopeless for a national fleet's registry. The
-// streaming layer keeps the same CSV dialect (the exact bytes save_csv
-// writes — RFC 4180 quoting, "asset_id,time,failure_mode" header) but never
-// holds more than one record:
+// The layer reads and writes the CSV dialect of IncidentDatabase::save_csv
+// (RFC 4180 quoting, "asset_id,time,failure_mode" header) but never holds
+// more than one record:
 //
 //  * MappedFile           — read-only POSIX mmap with RAII unmap;
 //  * IncidentStreamReader — pull-reader yielding IncidentRecords straight
 //                           off the mapping, zero copies for unquoted
-//                           fields' numeric parses;
+//                           fields' numeric parses; the only incident
+//                           reader;
 //  * scan_incidents       — one pass producing the O(#modes) summary
 //                           estimation needs (per-mode counts, record count,
 //                           max asset id / time);
@@ -32,16 +31,14 @@
 
 namespace fmtree::data {
 
-/// Read-only memory mapping of a whole file. Move-only; unmaps on
-/// destruction. An empty file maps to a null data() with size() == 0.
+/// Read-only memory mapping of a whole file; unmaps on destruction. An empty
+/// file maps to a null data() with size() == 0.
 class MappedFile {
 public:
   explicit MappedFile(const std::string& path);  ///< throws IoError
   ~MappedFile();
-  MappedFile(MappedFile&& other) noexcept;
-  MappedFile& operator=(MappedFile&& other) noexcept;
-  MappedFile(const MappedFile&) = delete;
-  MappedFile& operator=(const MappedFile&) = delete;
+  MappedFile(MappedFile&&) = delete;
+  MappedFile& operator=(MappedFile&&) = delete;
 
   const char* data() const noexcept { return data_; }
   std::size_t size() const noexcept { return size_; }
@@ -52,11 +49,13 @@ private:
 };
 
 /// Pull-reader over a mapped incident CSV. Validates the header eagerly
-/// (throws IoError, same message discipline as load_csv); next() yields
-/// records in file order and throws IoError on a malformed row, naming the
-/// 1-based data-row index. Unlike IncidentDatabase, the reader applies no
-/// range checks — it does not know the fleet size or window; callers
-/// validate against their own context (scan_incidents reports the maxima).
+/// (throws IoError); next() yields records in file order and throws IoError
+/// naming the 1-based data-row index on a malformed row: a wrong column
+/// count, an unparsable or out-of-range value, a negative or non-finite
+/// time, or an empty failure mode. The asset-id and window checks of
+/// IncidentDatabase::add depend on the fleet size and window, which the
+/// reader does not know; callers validate against their own context
+/// (scan_incidents reports the maxima, estimate_mode_rates checks them).
 class IncidentStreamReader {
 public:
   explicit IncidentStreamReader(const std::string& path);

@@ -12,62 +12,14 @@ bool overlap(const RateEstimate& a, const ConfidenceInterval& b) {
 
 }  // namespace
 
-namespace {
-
-ValidationReport validate_impl(const fmt::FaultMaintenanceTree& model,
-                               const IncidentDatabase& holdout,
-                               const smc::AnalysisSettings& settings,
-                               smc::KpiReport* kpis_out);
-
-}  // namespace
-
 ValidationReport validate_against(const fmt::FaultMaintenanceTree& model,
                                   const IncidentDatabase& holdout,
                                   const smc::AnalysisSettings& settings) {
-  return validate_impl(model, holdout, settings, nullptr);
-}
-
-ValidationReport validate_fleet(const fmt::FaultMaintenanceTree& model,
-                                const FleetData& holdout,
-                                const smc::AnalysisSettings& settings) {
-  smc::KpiReport kpis;
-  ValidationReport report = validate_impl(model, holdout.incidents, settings, &kpis);
-  const double window = holdout.incidents.observation_years();
-  const double sim_exposure = static_cast<double>(kpis.trajectories) * window;
-  for (std::size_t leaf = 0; leaf < model.num_ebes(); ++leaf) {
-    const std::string& mode = model.ebes()[leaf].name;
-    const auto predicted_events = static_cast<std::uint64_t>(
-        kpis.repairs_per_leaf[leaf] * static_cast<double>(kpis.trajectories) + 0.5);
-    const RateEstimate predicted =
-        estimate_rate(predicted_events, sim_exposure, settings.confidence);
-    const auto it = holdout.repairs_by_mode.find(mode);
-    const std::uint64_t observed_events =
-        it == holdout.repairs_by_mode.end() ? 0 : it->second;
-
-    ValidationRow row;
-    row.label = mode;
-    row.observed =
-        estimate_rate(observed_events, holdout.exposure(), settings.confidence);
-    row.predicted = {predicted.rate, predicted.lo, predicted.hi, predicted.confidence};
-    row.intervals_overlap = row.observed.lo <= row.predicted.hi &&
-                            row.predicted.lo <= row.observed.hi;
-    report.repairs.push_back(std::move(row));
-  }
-  return report;
-}
-
-namespace {
-
-ValidationReport validate_impl(const fmt::FaultMaintenanceTree& model,
-                               const IncidentDatabase& holdout,
-                               const smc::AnalysisSettings& settings,
-                               smc::KpiReport* kpis_out) {
   // Predict with the same horizon as the observation window so that
   // edge effects (e.g. the first inspection offset) match.
   smc::AnalysisSettings s = settings;
   s.horizon = holdout.observation_years();
   const smc::KpiReport kpis = smc::analyze(model, s);
-  if (kpis_out != nullptr) *kpis_out = kpis;
 
   ValidationReport report;
   report.trajectories = kpis.trajectories;
@@ -107,7 +59,5 @@ ValidationReport validate_impl(const fmt::FaultMaintenanceTree& model,
   }
   return report;
 }
-
-}  // namespace
 
 }  // namespace fmtree::data

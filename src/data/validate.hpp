@@ -25,9 +25,6 @@ struct ValidationRow {
 struct ValidationReport {
   ValidationRow system;             ///< all modes combined
   std::vector<ValidationRow> modes; ///< one row per failure mode present
-  /// Per-mode condition-based repair rates, when fleet maintenance records
-  /// are available (validate_fleet).
-  std::vector<ValidationRow> repairs;
   std::uint64_t trajectories = 0;
 };
 
@@ -36,13 +33,5 @@ struct ValidationReport {
 ValidationReport validate_against(const fmt::FaultMaintenanceTree& model,
                                   const IncidentDatabase& holdout,
                                   const smc::AnalysisSettings& settings);
-
-/// As validate_against, but also checks the maintenance-record side: the
-/// model's predicted per-mode repair rates against the fleet's logged
-/// condition-based repairs. A model can match failure rates while wildly
-/// mispredicting maintenance workload; this catches that.
-ValidationReport validate_fleet(const fmt::FaultMaintenanceTree& model,
-                                const FleetData& holdout,
-                                const smc::AnalysisSettings& settings);
 
 }  // namespace fmtree::data

@@ -39,7 +39,7 @@ std::vector<double> cost_curve_frequencies();
 /// The paper's cost-curve sweep as a batch plan (maintenance::policy_plan):
 /// one job per frequency in cost_curve_frequencies() (labels follow the
 /// optimizer's naming), all under the same settings so the curve is
-/// seed-comparable. Run it with batch::run_sweep or fmtree::Analysis::sweep.
+/// seed-comparable. Run it with batch::run_sweep.
 batch::SweepPlan cost_curve_plan(const EiJointParameters& params,
                                  const smc::AnalysisSettings& settings);
 

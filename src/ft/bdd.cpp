@@ -1,7 +1,6 @@
 #include "ft/bdd.hpp"
 
 #include <array>
-#include <cmath>
 
 #include "util/error.hpp"
 
@@ -87,24 +86,6 @@ BddRef BddManager::bdd_or(BddRef a, BddRef b) {
   return BddRef{apply_or(a.index, b.index)};
 }
 
-BddRef BddManager::bdd_not(BddRef a) {
-  if (a.index == 0) return one();
-  if (a.index == 1) return zero();
-  const std::array<std::uint32_t, 3> key{a.index, 0, 0};
-  if (auto it = not_cache_.find(key); it != not_cache_.end()) return BddRef{it->second};
-  const Node n = nodes_[a.index];
-  const std::uint32_t r =
-      make_node(n.var, bdd_not(BddRef{n.low}).index, bdd_not(BddRef{n.high}).index);
-  not_cache_.emplace(key, r);
-  return BddRef{r};
-}
-
-BddRef BddManager::ite(BddRef f, BddRef g, BddRef h) {
-  // f·g + ¬f·h — built from AND/OR/NOT; the caches make this efficient
-  // enough for our model sizes.
-  return bdd_or(bdd_and(f, g), bdd_and(bdd_not(f), h));
-}
-
 BddRef BddManager::at_least(int k, std::span<const BddRef> fs) {
   if (k <= 0) return one();
   if (static_cast<std::size_t>(k) > fs.size()) return zero();
@@ -149,15 +130,6 @@ double BddManager::probability(BddRef f, std::span<const double> p) const {
   return memo.at(f.index);
 }
 
-bool BddManager::evaluate(BddRef f, const std::vector<bool>& assignment) const {
-  if (assignment.size() != num_vars_)
-    throw DomainError("assignment size does not match BDD variable count");
-  std::uint32_t n = f.index;
-  while (nodes_[n].var != kTerminalVar)
-    n = assignment[nodes_[n].var] ? nodes_[n].high : nodes_[n].low;
-  return n == 1;
-}
-
 BddManager::NodeView BddManager::view(BddRef f) const {
   if (f.index >= nodes_.size()) throw DomainError("BDD reference out of range");
   const Node& n = nodes_[f.index];
@@ -171,11 +143,6 @@ BddManager::NodeView BddManager::view(BddRef f) const {
     out.high = BddRef{n.high};
   }
   return out;
-}
-
-double BddManager::sat_count(BddRef f) const {
-  std::vector<double> p(num_vars_, 0.5);
-  return probability(f, p) * std::pow(2.0, static_cast<double>(num_vars_));
 }
 
 BddRef build_bdd(BddManager& mgr, const FaultTree& tree) {

@@ -32,20 +32,11 @@ public:
 
   BddRef bdd_and(BddRef a, BddRef b);
   BddRef bdd_or(BddRef a, BddRef b);
-  BddRef bdd_not(BddRef a);
-  /// if-then-else(f, g, h) = f·g + ¬f·h.
-  BddRef ite(BddRef f, BddRef g, BddRef h);
   /// "At least k of fs" as a BDD.
   BddRef at_least(int k, std::span<const BddRef> fs);
 
   /// P(f = 1) when variable i is true independently with probability p[i].
   double probability(BddRef f, std::span<const double> p) const;
-
-  /// Evaluates f under a concrete assignment.
-  bool evaluate(BddRef f, const std::vector<bool>& assignment) const;
-
-  /// Number of satisfying assignments over all num_vars variables.
-  double sat_count(BddRef f) const;
 
   /// Count of live nodes (including the two terminals).
   std::size_t node_count() const noexcept { return nodes_.size(); }
@@ -57,8 +48,8 @@ public:
   void set_max_nodes(std::size_t max_nodes) noexcept { max_nodes_ = max_nodes; }
   std::size_t max_nodes() const noexcept { return max_nodes_; }
 
-  /// Structural view of a node, for algorithms walking the diagram
-  /// (e.g. minimal-solution extraction).
+  /// Structural view of a node, for algorithms walking the diagram (the
+  /// tests' minimal-solution extraction).
   struct NodeView {
     bool is_terminal = false;
     bool terminal_value = false;  ///< meaningful when is_terminal
@@ -101,7 +92,6 @@ private:
   std::unordered_map<std::array<std::uint32_t, 3>, std::uint32_t, TripleHash> unique_;
   std::unordered_map<std::array<std::uint32_t, 3>, std::uint32_t, TripleHash> and_cache_;
   std::unordered_map<std::array<std::uint32_t, 3>, std::uint32_t, TripleHash> or_cache_;
-  std::unordered_map<std::array<std::uint32_t, 3>, std::uint32_t, TripleHash> not_cache_;
 };
 
 /// Compiles the tree's structure function into a BDD. The manager must have

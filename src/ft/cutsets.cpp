@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "ft/bdd.hpp"
 #include "util/error.hpp"
 
 namespace fmtree::ft {
@@ -118,100 +117,6 @@ std::vector<CutSet> minimal_cut_sets(const FaultTree& tree, std::size_t limit) {
   CutList top = memo.at(tree.top().value);
   minimize(top);
   return top;
-}
-
-namespace {
-
-// Rauzy's minimal solutions: for a coherent function,
-//   minsol(0) = {}, minsol(1) = {{}},
-//   minsol((v, lo, hi)) = minsol(lo)
-//                       u { {v} u c : c in minsol(hi), not subsumed by
-//                           any solution of minsol(lo) }.
-std::vector<CutSet> minimal_solutions(const BddManager& mgr, BddRef f,
-                                      std::unordered_map<std::uint32_t, CutList>& memo) {
-  if (auto it = memo.find(f.index); it != memo.end()) return it->second;
-  const BddManager::NodeView node = mgr.view(f);
-  CutList result;
-  if (node.is_terminal) {
-    if (node.terminal_value) result.push_back(CutSet{});
-  } else {
-    const CutList without = minimal_solutions(mgr, node.low, memo);
-    const CutList with = minimal_solutions(mgr, node.high, memo);
-    result = without;
-    for (const CutSet& c : with) {
-      CutSet candidate;
-      candidate.reserve(c.size() + 1);
-      // Variables increase with depth, so v precedes everything in c.
-      candidate.push_back(node.var);
-      candidate.insert(candidate.end(), c.begin(), c.end());
-      const bool dominated = std::any_of(
-          without.begin(), without.end(),
-          [&](const CutSet& l) { return subsumes(l, candidate); });
-      if (!dominated) result.push_back(std::move(candidate));
-    }
-  }
-  memo.emplace(f.index, result);
-  return result;
-}
-
-}  // namespace
-
-std::vector<CutSet> minimal_cut_sets_bdd(const FaultTree& tree) {
-  tree.validate();
-  BddManager mgr(static_cast<std::uint32_t>(tree.basic_events().size()));
-  const BddRef f = build_bdd(mgr, tree);
-  std::unordered_map<std::uint32_t, CutList> memo;
-  CutList cuts = minimal_solutions(mgr, f, memo);
-  minimize(cuts);  // establishes the canonical (size, lex) order
-  return cuts;
-}
-
-double rare_event_probability(const std::vector<CutSet>& cuts,
-                              std::span<const double> p) {
-  double total = 0.0;
-  for (const CutSet& c : cuts) {
-    double prod = 1.0;
-    for (std::uint32_t i : c) {
-      if (i >= p.size()) throw ModelError("cut set references unknown basic event");
-      prod *= p[i];
-    }
-    total += prod;
-  }
-  return total;
-}
-
-double min_cut_upper_bound(const std::vector<CutSet>& cuts, std::span<const double> p) {
-  double survive = 1.0;
-  for (const CutSet& c : cuts) {
-    double prod = 1.0;
-    for (std::uint32_t i : c) {
-      if (i >= p.size()) throw ModelError("cut set references unknown basic event");
-      prod *= p[i];
-    }
-    survive *= 1.0 - prod;
-  }
-  return 1.0 - survive;
-}
-
-bool is_cut_set(const FaultTree& tree, const CutSet& candidate) {
-  std::vector<bool> failed(tree.basic_events().size(), false);
-  for (std::uint32_t i : candidate) {
-    if (i >= failed.size()) throw ModelError("cut set references unknown basic event");
-    failed[i] = true;
-  }
-  return tree.evaluate_top(failed);
-}
-
-bool is_minimal_cut_set(const FaultTree& tree, const CutSet& candidate) {
-  if (!is_cut_set(tree, candidate)) return false;
-  for (std::size_t drop = 0; drop < candidate.size(); ++drop) {
-    CutSet reduced;
-    reduced.reserve(candidate.size() - 1);
-    for (std::size_t i = 0; i < candidate.size(); ++i)
-      if (i != drop) reduced.push_back(candidate[i]);
-    if (is_cut_set(tree, reduced)) return false;
-  }
-  return true;
 }
 
 }  // namespace fmtree::ft

@@ -20,27 +20,4 @@ using CutSet = std::vector<std::uint32_t>;
 std::vector<CutSet> minimal_cut_sets(const FaultTree& tree,
                                      std::size_t limit = 1u << 20);
 
-/// Minimal cut sets via the BDD (Rauzy's minimal-solutions algorithm):
-/// compiles the structure function and extracts minimal solutions with
-/// per-node memoization. Identical output to minimal_cut_sets (same
-/// ordering); usually much faster on trees with heavy sharing, and an
-/// independent oracle for the MOCUS implementation.
-std::vector<CutSet> minimal_cut_sets_bdd(const FaultTree& tree);
-
-/// Rare-event approximation of top probability from cut sets:
-/// sum over cut sets of the product of member probabilities.
-double rare_event_probability(const std::vector<CutSet>& cuts,
-                              std::span<const double> p);
-
-/// Min-cut upper bound: 1 - prod(1 - P(cut)). Exact for disjoint cut sets.
-double min_cut_upper_bound(const std::vector<CutSet>& cuts,
-                           std::span<const double> p);
-
-/// True iff `candidate` is a cut set (not necessarily minimal) of the tree.
-bool is_cut_set(const FaultTree& tree, const CutSet& candidate);
-
-/// True iff `candidate` is a *minimal* cut set: it is a cut set and removing
-/// any single element stops it from being one.
-bool is_minimal_cut_set(const FaultTree& tree, const CutSet& candidate);
-
 }  // namespace fmtree::ft

@@ -23,10 +23,9 @@ bool is_number_start(char c, char next) {
          (c == '.' && std::isdigit(static_cast<unsigned char>(next)) != 0);
 }
 
-/// Shared scanner. With `diags == nullptr` lexical errors throw ParseError
-/// (the strict historical behaviour); with a sink they are recorded and
-/// skipped so the whole input is scanned in one pass.
-std::vector<Token> tokenize_impl(const std::string& input, Diagnostics* diags) {
+}  // namespace
+
+std::vector<Token> tokenize(const std::string& input, Diagnostics& diags) {
   std::vector<Token> out;
   std::size_t line = 1;
   std::size_t i = 0;
@@ -36,9 +35,7 @@ std::vector<Token> tokenize_impl(const std::string& input, Diagnostics* diags) {
   const auto fail = [&](std::size_t at_line, std::size_t at_column, std::string code,
                         const std::string& msg, const std::string& token,
                         const std::string& hint) {
-    if (diags == nullptr)
-      throw ParseError(at_line, at_column, token, msg, std::move(code), hint);
-    diags->error(std::move(code), {at_line, at_column}, msg, hint, token);
+    diags.error(std::move(code), {at_line, at_column}, msg, hint, token);
   };
   while (i < n) {
     const char c = input[i];
@@ -132,16 +129,6 @@ std::vector<Token> tokenize_impl(const std::string& input, Diagnostics* diags) {
   out.push_back(Token{TokenType::End, {}, 0.0, line,
                       i >= line_start ? i - line_start + 1 : 1});
   return out;
-}
-
-}  // namespace
-
-std::vector<Token> tokenize(const std::string& input) {
-  return tokenize_impl(input, nullptr);
-}
-
-std::vector<Token> tokenize(const std::string& input, Diagnostics& diags) {
-  return tokenize_impl(input, &diags);
 }
 
 const Token& TokenCursor::next() {

@@ -28,14 +28,10 @@ struct Token {
   std::size_t column = 1;  // 1-based column of the token's first character
 };
 
-/// Tokenizes the whole input. '#' starts a comment to end of line. Throws
-/// ParseError on unterminated strings or malformed numbers. The final token
-/// is always TokenType::End.
-std::vector<Token> tokenize(const std::string& input);
-
-/// Error-recovery tokenization: lexical problems are recorded in `diags`
-/// (codes L101/L102) and skipped instead of thrown, so one pass surfaces
-/// every bad character. Never throws on malformed input.
+/// Tokenizes the whole input. '#' starts a comment to end of line. Lexical
+/// problems are recorded in `diags` (codes L101/L102/L103) and skipped, so
+/// one pass surfaces every bad character; it never throws on malformed
+/// input. The final token is always TokenType::End.
 std::vector<Token> tokenize(const std::string& input, Diagnostics& diags);
 
 /// Cursor over a token stream with convenience expectations.

@@ -23,10 +23,9 @@ bool is_number_start(char c, char next) {
          (c == '.' && std::isdigit(static_cast<unsigned char>(next)) != 0);
 }
 
-/// Shared scanner. With `diags == nullptr` lexical errors throw ParseError;
-/// with a sink they are recorded and skipped so the whole input is scanned
-/// in one pass.
-std::vector<Token> tokenize_impl(const std::string& input, Diagnostics* diags) {
+}  // namespace
+
+std::vector<Token> tokenize(const std::string& input, Diagnostics& diags) {
   std::vector<Token> out;
   std::size_t line = 1;
   std::size_t i = 0;
@@ -35,9 +34,7 @@ std::vector<Token> tokenize_impl(const std::string& input, Diagnostics* diags) {
   const auto column = [&](std::size_t at) { return at - line_start + 1; };
   const auto fail = [&](std::size_t at, std::string code, const std::string& msg,
                         const std::string& token, const std::string& hint) {
-    if (diags == nullptr)
-      throw ParseError(line, column(at), token, msg, std::move(code), hint);
-    diags->error(std::move(code), {line, column(at)}, msg, hint, token);
+    diags.error(std::move(code), {line, column(at)}, msg, hint, token);
   };
   const auto push = [&](TokenType type, std::string text, std::size_t at) {
     out.push_back(Token{type, std::move(text), 0.0, false, line, column(at)});
@@ -75,12 +72,8 @@ std::vector<Token> tokenize_impl(const std::string& input, Diagnostics* diags) {
         text += input[i++];
       }
       if (i >= n) {
-        if (diags == nullptr)
-          throw ParseError(start_line, start_column, {},
-                           "unterminated string literal", "L111",
-                           "close the string with '\"'");
-        diags->error("L111", {start_line, start_column},
-                     "unterminated string literal", "close the string with '\"'");
+        diags.error("L111", {start_line, start_column},
+                    "unterminated string literal", "close the string with '\"'");
         // Recovery: treat the rest of the input as the string's contents.
         out.push_back(Token{TokenType::Identifier, std::move(text), 0.0, true,
                             start_line, start_column});
@@ -185,16 +178,6 @@ std::vector<Token> tokenize_impl(const std::string& input, Diagnostics* diags) {
   out.push_back(Token{TokenType::End, {}, 0.0, false, line,
                       i >= line_start ? i - line_start + 1 : 1});
   return out;
-}
-
-}  // namespace
-
-std::vector<Token> tokenize(const std::string& input) {
-  return tokenize_impl(input, nullptr);
-}
-
-std::vector<Token> tokenize(const std::string& input, Diagnostics& diags) {
-  return tokenize_impl(input, &diags);
 }
 
 const Token& TokenCursor::next() {

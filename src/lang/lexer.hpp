@@ -4,9 +4,8 @@
 // (comparison operators, braces, arithmetic, the '..' window range), so it
 // carries its own lexer, built on the same conventions as ft::tokenize:
 // '#' comments to end of line, quoted strings become identifiers (with the
-// `quoted` flag set so keywords never match them), and a shared
-// strict/recovery scanner — lexical problems throw ParseError without a
-// sink, or are recorded (codes L110-L112) and skipped with one.
+// `quoted` flag set so keywords never match them), and a recovering
+// scanner — lexical problems are recorded (codes L110-L112) and skipped.
 #pragma once
 
 #include <cstdint>
@@ -50,14 +49,10 @@ struct Token {
   std::size_t column = 1;  // 1-based column of the token's first character
 };
 
-/// Tokenizes the whole input. Throws ParseError (codes L110-L112) on bad
-/// characters, unterminated strings or malformed numbers. The final token is
-/// always TokenType::End.
-std::vector<Token> tokenize(const std::string& input);
-
-/// Error-recovery tokenization: lexical problems are recorded in `diags`
-/// and skipped instead of thrown, so one pass surfaces every bad character.
-/// Never throws on malformed input.
+/// Tokenizes the whole input. Bad characters, unterminated strings and
+/// malformed numbers are recorded in `diags` (codes L110-L112) and skipped,
+/// so one pass surfaces every bad character; it never throws on malformed
+/// input. The final token is always TokenType::End.
 std::vector<Token> tokenize(const std::string& input, Diagnostics& diags);
 
 /// Cursor over a token stream with convenience expectations (throwing

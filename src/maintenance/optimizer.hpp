@@ -60,26 +60,4 @@ SweepResult sweep_policies(const ModelFactory& factory,
 std::vector<MaintenancePolicy> inspection_frequency_candidates(
     const MaintenancePolicy& base, const std::vector<double>& frequencies_per_year);
 
-/// Result of a continuous refinement of the inspection frequency.
-struct RefinedOptimum {
-  double frequency = 0.0;      ///< inspections per year at the minimum found
-  double cost_per_year = 0.0;
-  std::size_t evaluations = 0;
-};
-
-/// Golden-section search over the inspection frequency in [lo, hi]
-/// (inspections per year, lo > 0). The Monte-Carlo seed is fixed, making
-/// the objective a deterministic function, but residual sampling noise of
-/// ~CI-half-width remains — treat the result as a refinement of a grid
-/// optimum, not a certificate. The cost curve must be unimodal over the
-/// bracket for the search to be meaningful (true for the case studies).
-/// `cache` (optional) is consulted per probe — a refinement that revisits a
-/// bracket already swept on the grid reuses those evaluations for free.
-RefinedOptimum refine_inspection_frequency(const ModelFactory& factory,
-                                           const MaintenancePolicy& base, double lo,
-                                           double hi,
-                                           const smc::AnalysisSettings& settings,
-                                           int iterations = 16,
-                                           batch::ResultCache* cache = nullptr);
-
 }  // namespace fmtree::maintenance

@@ -100,21 +100,6 @@ void MetricsRegistry::set(GaugeId g, double value) {
   }
 }
 
-void MetricsRegistry::observe(HistogramId h, double x) {
-  if (!h.valid()) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (h.index >= hists_.size()) return;
-  Hist& hist = hists_[h.index];
-  if (x < hist.lo) {
-    ++hist.underflow;
-    return;
-  }
-  const double width = (hist.hi - hist.lo) / static_cast<double>(hist.counts.size());
-  const auto bin = static_cast<std::size_t>((x - hist.lo) / width);
-  if (bin >= hist.counts.size()) ++hist.overflow;
-  else ++hist.counts[bin];
-}
-
 LocalMetrics MetricsRegistry::local() const {
   std::lock_guard<std::mutex> lock(mutex_);
   LocalMetrics out;
@@ -153,36 +138,6 @@ std::uint64_t MetricsRegistry::counter_value(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::uint32_t i = find_counter(name);
   return i == kNotFound ? 0 : counters_[i].value;
-}
-
-double MetricsRegistry::gauge_value(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const std::uint32_t i = find_gauge(name);
-  return i == kNotFound ? 0.0 : gauges_[i].value;
-}
-
-std::uint64_t MetricsRegistry::histogram_total(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const std::uint32_t i = find_hist(name);
-  if (i == kNotFound) return 0;
-  const Hist& h = hists_[i];
-  std::uint64_t total = h.underflow + h.overflow;
-  for (std::uint64_t c : h.counts) total += c;
-  return total;
-}
-
-void MetricsRegistry::reset_values() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (Counter& c : counters_) c.value = 0;
-  for (Gauge& g : gauges_) {
-    g.value = 0.0;
-    g.set = false;
-  }
-  for (Hist& h : hists_) {
-    std::fill(h.counts.begin(), h.counts.end(), 0);
-    h.underflow = 0;
-    h.overflow = 0;
-  }
 }
 
 std::string MetricsRegistry::to_json() const {

@@ -111,9 +111,9 @@ private:
 
 /// Thread-safe registry of named metrics. Registration is idempotent: asking
 /// for an existing name returns the same id (histograms must re-specify the
-/// same shape). All direct mutation (add/set/observe) takes the registry
-/// mutex — fine for per-batch or per-phase events; hot loops go through
-/// LocalMetrics instead.
+/// same shape). Direct mutation (add/set) takes the registry mutex — fine
+/// for per-batch or per-phase events; hot loops, and every histogram
+/// observation, go through LocalMetrics instead.
 class MetricsRegistry {
 public:
   MetricsRegistry() = default;
@@ -129,26 +129,18 @@ public:
 
   void add(CounterId c, std::uint64_t delta = 1);
   void set(GaugeId g, double value);
-  void observe(HistogramId h, double x);
 
   /// A local accumulator pre-sized for everything registered so far.
   LocalMetrics local() const;
   /// Folds a local accumulator into the registry and resets it.
   void merge(LocalMetrics& local);
 
-  // Read-back (primarily for tests and report generation). Unknown names
-  // return 0 / 0.0.
+  /// Read-back of one counter; an unknown name returns 0. (Gauges and
+  /// histograms are read through to_json().)
   std::uint64_t counter_value(std::string_view name) const;
-  double gauge_value(std::string_view name) const;
-  /// Total observation count of a histogram (including under/overflow).
-  std::uint64_t histogram_total(std::string_view name) const;
 
   /// Stable-schema JSON rendering ("fmtree.metrics/v1"), keys sorted.
   std::string to_json() const;
-
-  /// Drops all values (not the registrations) — counters to zero, gauges to
-  /// unset, histogram bins to zero.
-  void reset_values();
 
 private:
   struct Counter {

@@ -23,14 +23,6 @@ void ProgressReporter::update(Progress p) {
   deliver(p, now);
 }
 
-void ProgressReporter::report_now(Progress p) {
-  const auto now = Clock::now();
-  next_due_.store((now + interval_).time_since_epoch().count(),
-                  std::memory_order_release);
-  std::lock_guard<std::mutex> lock(mutex_);
-  deliver(p, now);
-}
-
 void ProgressReporter::deliver(Progress& p, Clock::time_point now) {
   if (have_last_ && p.done > last_done_) {
     const double dt = std::chrono::duration<double>(now - last_time_).count();

@@ -25,7 +25,7 @@ namespace fmtree::obs {
 /// One progress snapshot. Producers fill what they know; negative doubles
 /// and zero totals mean "not applicable / unknown".
 struct Progress {
-  std::string_view phase;        ///< "simulate", "solve", "sweep", "refine", ...
+  std::string_view phase;        ///< "simulate", "solve", "sweep"
   std::uint64_t done = 0;        ///< units completed (trajectories, candidates)
   std::uint64_t total = 0;       ///< scheduled units; 0 = unknown / open-ended
   double rate = 0.0;             ///< units per second; filled in by the reporter
@@ -39,9 +39,9 @@ using ProgressFn = std::function<void(const Progress&)>;
 
 class ProgressReporter {
 public:
-  /// Delivers at most one snapshot per `min_interval_seconds` (plus any
-  /// forced report_now calls). The callback runs on whichever worker thread
-  /// won the interval, serialized by an internal mutex.
+  /// Delivers at most one snapshot per `min_interval_seconds`. The callback
+  /// runs on whichever worker thread won the interval, serialized by an
+  /// internal mutex.
   explicit ProgressReporter(ProgressFn fn, double min_interval_seconds = 0.25);
 
   /// True once the throttle interval has elapsed — the cheap hot-loop guard.
@@ -53,9 +53,6 @@ public:
   /// Delivers `p` if due (first caller past the deadline wins; the rest
   /// return immediately). Computes rate and eta from successive calls.
   void update(Progress p);
-
-  /// Delivers `p` unconditionally (end-of-phase summaries).
-  void report_now(Progress p);
 
   std::uint64_t deliveries() const noexcept {
     return deliveries_.load(std::memory_order_relaxed);

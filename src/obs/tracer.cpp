@@ -78,11 +78,6 @@ void Tracer::end_span(std::size_t index) noexcept {
   if (it != stack.rend()) stack.erase(std::next(it).base());
 }
 
-std::size_t Tracer::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return spans_.size();
-}
-
 std::vector<SpanRecord> Tracer::records() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return spans_;

@@ -72,9 +72,6 @@ public:
   /// open span.
   Span span(std::string_view name);
 
-  /// Number of spans recorded so far (open or closed).
-  std::size_t size() const;
-
   /// Snapshot of all spans (open spans have end_ns == 0).
   std::vector<SpanRecord> records() const;
 

@@ -19,7 +19,7 @@ constexpr std::string_view kSchema = "fmtree.response/v1";
 
 /// The phase literals progress producers use (obs/progress.hpp). Decoded
 /// phases are interned to these so Event::progress.phase never dangles.
-constexpr std::string_view kPhases[] = {"sweep", "simulate", "solve", "refine"};
+constexpr std::string_view kPhases[] = {"sweep", "simulate", "solve"};
 
 [[noreturn]] void bad_wire(const std::string& what) {
   throw RequestError("R121", "malformed response event: " + what,

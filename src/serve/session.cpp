@@ -104,14 +104,6 @@ Ticket& Ticket::operator=(Ticket&& other) noexcept {
 
 Ticket::~Ticket() { cancel(); }
 
-bool Ticket::done() const {
-  if (session_ == nullptr) return true;
-  std::lock_guard lock(session_->mutex_);
-  for (const auto& e : entries_)
-    if (!e->done) return false;
-  return true;
-}
-
 void Ticket::wait() {
   if (session_ == nullptr) return;
   std::unique_lock lock(session_->mutex_);

@@ -63,8 +63,8 @@ struct SessionConfig {
   std::string model_root = "models";  ///< directory for model "ref" lookups
   std::uint32_t max_retries = 2;      ///< SweepPlan::max_retries
   double stall_timeout_s = 0.0;       ///< SweepPlan::stall_timeout_s
-  /// Borrowed cache (e.g. fmtree::Analysis sharing its own); nullptr = the
-  /// Session owns one built from cache_dir.
+  /// Borrowed cache, e.g. a second Session sharing another's cache();
+  /// nullptr = the Session owns one built from cache_dir.
   batch::ResultCache* cache = nullptr;
   /// Server-owned sinks. serve.* counters are registered here, and
   /// admission-time cache hits and quarantines count as batch.cache.hits and
@@ -113,11 +113,9 @@ public:
 
   /// Number of jobs the request resolved to (after policy expansion).
   std::size_t jobs() const noexcept { return entries_.size(); }
-  /// True once every job of the request is resolved.
-  bool done() const;
-  /// Blocks until done.
+  /// Blocks until every job of the request is resolved.
   void wait();
-  /// Blocks up to `seconds`; returns done().
+  /// Blocks up to `seconds`; returns whether every job is resolved.
   bool wait_for(double seconds);
   /// Waits, then assembles the response: the jobs' results, the C101s of
   /// this request's admission reads, and the stop reason and warnings of the

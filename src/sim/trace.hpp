@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -40,16 +39,8 @@ public:
   const std::vector<TraceEvent>& events() const noexcept { return events_; }
   std::size_t size() const noexcept { return events_.size(); }
 
-  /// All events of one kind, in time order.
-  std::vector<TraceEvent> of_kind(TraceKind kind) const;
-
-  /// Human-readable dump (one line per event).
-  void print(std::ostream& os) const;
-
 private:
   std::vector<TraceEvent> events_;
 };
-
-const char* trace_kind_name(TraceKind kind);
 
 }  // namespace fmtree::sim

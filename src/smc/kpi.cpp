@@ -36,14 +36,13 @@ std::optional<fmt::FaultMaintenanceTree> policy_transform(
 }  // namespace
 
 Simulation::Simulation(const fmt::FaultMaintenanceTree& model,
-                       const AnalysisSettings& settings, bool record_failure_log)
+                       const AnalysisSettings& settings)
     : transformed_(policy_transform(model, settings)),
       executor_(transformed_ ? *transformed_ : model),
       seed_(settings.seed),
       trajectories_(settings.trajectories) {
   options_.horizon = settings.horizon;
   options_.discount_rate = settings.discount_rate;
-  options_.record_failure_log = record_failure_log;
   if (settings.policy) {
     bound_.emplace(lang::bind_policy(*settings.policy, executor_.model()));
     options_.bound_policy = &*bound_;
@@ -116,9 +115,9 @@ ConfidenceInterval scale(const ConfidenceInterval& ci, double factor) {
 /// counts smc.* metrics per folded trajectory. A job that failed rethrows
 /// here, on the caller's thread.
 StopReason collect(const fmt::FaultMaintenanceTree& model, const AnalysisSettings& s,
-                   AnalysisFold& fold, bool record_failure_log = false) {
+                   AnalysisFold& fold) {
   auto build_span = obs::maybe_span(s.telemetry.tracer, "build");
-  const Simulation simulation(model, s, record_failure_log);
+  const Simulation simulation(model, s);
   build_span.close();
 
   PoolOptions options;
@@ -229,58 +228,6 @@ std::vector<CurvePoint> reliability_curve(const fmt::FaultMaintenanceTree& model
     out.push_back(CurvePoint{
         grid[g], wilson_interval(survivors[g], fold.folded(), settings.confidence)});
   return out;
-}
-
-std::vector<CurvePoint> expected_failures_curve(const fmt::FaultMaintenanceTree& model,
-                                                const std::vector<double>& grid,
-                                                const AnalysisSettings& settings) {
-  validate_settings(settings);
-  if (grid.empty()) throw DomainError("empty grid");
-  AnalysisSettings s = settings;
-  s.horizon = *std::max_element(grid.begin(), grid.end());
-  if (!(s.horizon > 0)) throw DomainError("grid needs a positive maximum");
-
-  // Needs per-failure timestamps, so the kernel records failure logs; each
-  // is bucketed into the grid as it is folded, in trajectory-index order.
-  std::vector<double> sorted_grid = grid;
-  std::sort(sorted_grid.begin(), sorted_grid.end());
-  std::vector<RunningStats> counts(sorted_grid.size());
-  std::vector<double> times;
-  AnalysisFold fold(s, [&](const sim::TrajectoryResult& r) {
-    times.clear();
-    for (const sim::FailureRecord& f : r.failure_log) times.push_back(f.time);
-    std::sort(times.begin(), times.end());
-    for (std::size_t g = 0; g < sorted_grid.size(); ++g) {
-      const auto it = std::upper_bound(times.begin(), times.end(), sorted_grid[g]);
-      counts[g].add(static_cast<double>(it - times.begin()));
-    }
-  });
-  collect(model, s, fold, /*record_failure_log=*/true);
-  auto aggregate_span = obs::maybe_span(settings.telemetry.tracer, "aggregate");
-
-  std::vector<CurvePoint> out;
-  out.reserve(grid.size());
-  for (std::size_t g = 0; g < sorted_grid.size(); ++g)
-    out.push_back(CurvePoint{sorted_grid[g], counts[g].mean_ci(settings.confidence)});
-  return out;
-}
-
-MttfEstimate mean_time_to_failure(const fmt::FaultMaintenanceTree& model,
-                                  const AnalysisSettings& settings) {
-  validate_settings(settings);
-  // Time to first failure, right-censored at the horizon.
-  RunningStats ttf;
-  std::uint64_t censored = 0;
-  AnalysisFold fold(settings, [&](const sim::TrajectoryResult& r) {
-    if (r.first_failure_time > settings.horizon) {
-      ttf.add(settings.horizon);
-      ++censored;
-    } else {
-      ttf.add(r.first_failure_time);
-    }
-  });
-  collect(model, settings, fold);
-  return MttfEstimate{ttf.mean_ci(settings.confidence), censored, fold.folded()};
 }
 
 }  // namespace fmtree::smc

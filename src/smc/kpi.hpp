@@ -88,8 +88,7 @@ class Simulation {
 public:
   /// `model` must outlive the simulation. Throws what apply_policy and
   /// bind_policy throw for a policy the model cannot carry.
-  Simulation(const fmt::FaultMaintenanceTree& model, const AnalysisSettings& settings,
-             bool record_failure_log = false);
+  Simulation(const fmt::FaultMaintenanceTree& model, const AnalysisSettings& settings);
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
@@ -164,22 +163,6 @@ struct CurvePoint {
 std::vector<CurvePoint> reliability_curve(const fmt::FaultMaintenanceTree& model,
                                           const std::vector<double>& grid,
                                           const AnalysisSettings& settings);
-
-/// Expected cumulative number of failures at each t in `grid`.
-std::vector<CurvePoint> expected_failures_curve(const fmt::FaultMaintenanceTree& model,
-                                                const std::vector<double>& grid,
-                                                const AnalysisSettings& settings);
-
-/// Mean time to first system failure. Trajectories that survive the horizon
-/// are right-censored at it, making the estimate a lower bound; `censored`
-/// reports how many.
-struct MttfEstimate {
-  ConfidenceInterval mttf;
-  std::uint64_t censored = 0;
-  std::uint64_t trajectories = 0;
-};
-MttfEstimate mean_time_to_failure(const fmt::FaultMaintenanceTree& model,
-                                  const AnalysisSettings& settings);
 
 /// Evenly spaced grid helper: n+1 points 0, h/n, ..., h.
 std::vector<double> linspace_grid(double horizon, std::size_t n);

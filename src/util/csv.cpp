@@ -1,10 +1,6 @@
 #include "util/csv.hpp"
 
-#include <istream>
 #include <ostream>
-#include <sstream>
-
-#include "util/error.hpp"
 
 namespace fmtree {
 
@@ -27,69 +23,6 @@ void CsvWriter::write_row(const CsvRow& row) {
     os_ << csv_escape(row[i]);
   }
   os_ << '\n';
-}
-
-std::vector<CsvRow> read_csv(std::istream& is) {
-  std::vector<CsvRow> rows;
-  CsvRow row;
-  std::string field;
-  bool in_quotes = false;
-  bool row_has_content = false;
-  char c;
-  while (is.get(c)) {
-    if (in_quotes) {
-      if (c == '"') {
-        if (is.peek() == '"') {
-          is.get();
-          field += '"';
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        field += c;
-      }
-      continue;
-    }
-    switch (c) {
-      case '"':
-        if (!field.empty())
-          throw IoError("csv: quote in the middle of an unquoted field");
-        in_quotes = true;
-        row_has_content = true;
-        break;
-      case ',':
-        row.push_back(std::move(field));
-        field.clear();
-        row_has_content = true;
-        break;
-      case '\r':
-        break;  // tolerate CRLF
-      case '\n':
-        if (row_has_content || !field.empty()) {
-          row.push_back(std::move(field));
-          field.clear();
-          rows.push_back(std::move(row));
-          row.clear();
-          row_has_content = false;
-        }
-        break;
-      default:
-        field += c;
-        row_has_content = true;
-        break;
-    }
-  }
-  if (in_quotes) throw IoError("csv: unterminated quoted field");
-  if (row_has_content || !field.empty()) {
-    row.push_back(std::move(field));
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-std::vector<CsvRow> read_csv_string(const std::string& text) {
-  std::istringstream is(text);
-  return read_csv(is);
 }
 
 }  // namespace fmtree

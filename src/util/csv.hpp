@@ -1,7 +1,6 @@
-// Minimal CSV reading/writing for incident databases and bench outputs.
-//
-// Supports quoted fields with embedded commas/quotes/newlines (RFC 4180
-// subset). Good enough for our own round-trips; not a general CSV library.
+// Minimal CSV writing for incident databases and bench outputs: RFC 4180
+// quoting of fields with embedded commas, quotes or newlines. The one
+// reader of the dialect is data::IncidentStreamReader (data/stream.hpp).
 #pragma once
 
 #include <iosfwd>
@@ -22,13 +21,8 @@ private:
   std::ostream& os_;
 };
 
-/// Parses all rows from a stream. Throws IoError on malformed quoting.
-std::vector<CsvRow> read_csv(std::istream& is);
-
-/// Convenience: parse from an in-memory string.
-std::vector<CsvRow> read_csv_string(const std::string& text);
-
-/// Escapes one field per RFC 4180 (used by CsvWriter; exposed for tests).
+/// Escapes one field per RFC 4180 (used by CsvWriter and the incident
+/// stream writer).
 std::string csv_escape(const std::string& field);
 
 }  // namespace fmtree

@@ -44,15 +44,6 @@ std::string format_diagnostic(const Diagnostic& d) {
   return os.str();
 }
 
-std::string Diagnostics::format() const {
-  std::string out;
-  for (const Diagnostic& d : items_) {
-    out += format_diagnostic(d);
-    out += '\n';
-  }
-  return out;
-}
-
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);

@@ -59,10 +59,6 @@ public:
   bool has_errors() const noexcept { return errors_ > 0; }
   const std::vector<Diagnostic>& all() const noexcept { return items_; }
 
-  /// Human-readable rendering, one diagnostic per line:
-  ///   <line>:<col>: error[P101]: message (hint: ...)
-  std::string format() const;
-
   /// Machine-readable rendering: a JSON array of diagnostic objects with
   /// keys severity/code/line/column/message/hint/token.
   std::string to_json() const;
@@ -77,7 +73,8 @@ private:
   std::size_t errors_ = 0;
 };
 
-/// Renders one diagnostic in the human-readable format used by Diagnostics::format().
+/// Renders one diagnostic for humans:
+///   <line>:<col>: error[P101]: message (hint: ...)
 std::string format_diagnostic(const Diagnostic& d);
 
 /// JSON string escaping for the machine-readable error channel.

@@ -154,18 +154,6 @@ bool FaultRegistry::disarm(std::string_view site) {
   return erased;
 }
 
-void FaultRegistry::disarm_all() {
-  std::lock_guard lock(mutex_);
-  sites_.clear();
-  armed_count_.store(0, std::memory_order_relaxed);
-}
-
-std::uint64_t FaultRegistry::hits(std::string_view site) const {
-  std::lock_guard lock(mutex_);
-  const auto it = sites_.find(std::string(site));
-  return it == sites_.end() ? 0 : it->second.hits;
-}
-
 std::optional<FaultHit> FaultRegistry::check(std::string_view site) {
   std::optional<FaultHit> hit;
   {

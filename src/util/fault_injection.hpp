@@ -119,7 +119,6 @@ public:
   void arm(FaultSpec spec);
   /// Disarms one site; returns false if it was not armed.
   bool disarm(std::string_view site);
-  void disarm_all();
 
   bool any_armed() const noexcept {
     return armed_count_.load(std::memory_order_relaxed) != 0;
@@ -130,14 +129,11 @@ public:
   /// Corrupt is returned for the site to honor.
   std::optional<FaultHit> check(std::string_view site);
 
-  /// Total fires across all sites since process start (or last reset via
-  /// disarm_all + re-arm; fires are never decremented). Feeds the
-  /// fault.injected metric.
+  /// Total fires across all sites since process start (never decremented).
+  /// Feeds the fault.injected metric.
   std::uint64_t fires() const noexcept {
     return fires_.load(std::memory_order_relaxed);
   }
-  /// Hits recorded for one site (armed or not, since it was first armed).
-  std::uint64_t hits(std::string_view site) const;
 
 private:
   FaultRegistry();
@@ -148,7 +144,7 @@ private:
     std::uint64_t fired = 0;
   };
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::unordered_map<std::string, Armed> sites_;
   std::atomic<std::size_t> armed_count_{0};
   std::atomic<std::uint64_t> fires_{0};

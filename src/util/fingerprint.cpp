@@ -150,10 +150,6 @@ KeyedHasher& KeyedHasher::f64(std::string_view key, double v) {
   return field(key, StreamHasher().f64(v).digest());
 }
 
-KeyedHasher& KeyedHasher::boolean(std::string_view key, bool v) {
-  return field(key, StreamHasher().boolean(v).digest());
-}
-
 KeyedHasher& KeyedHasher::str(std::string_view key, std::string_view v) {
   return field(key, StreamHasher().str(v).digest());
 }

@@ -83,7 +83,6 @@ public:
 
   KeyedHasher& u64(std::string_view key, std::uint64_t v);
   KeyedHasher& f64(std::string_view key, double v);
-  KeyedHasher& boolean(std::string_view key, bool v);
   KeyedHasher& str(std::string_view key, std::string_view v);
   KeyedHasher& fingerprint(std::string_view key, const Fingerprint& f);
 

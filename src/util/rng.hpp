@@ -113,9 +113,6 @@ public:
     return lo + (hi - lo) * uniform01();
   }
 
-  /// Uniform integer in [0, n). Uses Lemire's multiply-shift rejection method.
-  std::uint64_t below(std::uint64_t n) noexcept;
-
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool bernoulli(double p) noexcept { return uniform01() < p; }
 
@@ -242,9 +239,6 @@ public:
   double uniform(double lo, double hi) noexcept {
     return lo + (hi - lo) * uniform01();
   }
-
-  /// Uniform integer in [0, n). Uses Lemire's multiply-shift rejection method.
-  std::uint64_t below(std::uint64_t n) noexcept;
 
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool bernoulli(double p) noexcept { return uniform01() < p; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "util/distributions.hpp"
 #include "util/error.hpp"
@@ -25,26 +24,6 @@ void RunningStats::add(double x) noexcept {
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);
   m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) noexcept {
-  non_finite_ += other.non_finite_;
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    const std::uint64_t non_finite = non_finite_;
-    *this = other;
-    non_finite_ = non_finite;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 double RunningStats::variance() const noexcept {
@@ -82,71 +61,6 @@ ConfidenceInterval wilson_interval(std::uint64_t successes, std::uint64_t trials
   const double centre = (p + z2 / (2 * n)) / denom;
   const double half = z * std::sqrt(p * (1 - p) / n + z2 / (4 * n * n)) / denom;
   return {p, std::max(0.0, centre - half), std::min(1.0, centre + half), confidence};
-}
-
-ConfidenceInterval hoeffding_interval(double point, std::uint64_t trials,
-                                      double confidence) {
-  if (trials == 0) throw DomainError("hoeffding_interval requires trials > 0");
-  if (!(confidence > 0 && confidence < 1))
-    throw DomainError("confidence must lie in (0,1)");
-  const double alpha = 1.0 - confidence;
-  const double eps =
-      std::sqrt(std::log(2.0 / alpha) / (2.0 * static_cast<double>(trials)));
-  return {point, std::max(0.0, point - eps), std::min(1.0, point + eps), confidence};
-}
-
-std::uint64_t okamoto_sample_size(double eps, double confidence) {
-  if (!(eps > 0)) throw DomainError("okamoto_sample_size requires eps > 0");
-  if (!(confidence > 0 && confidence < 1))
-    throw DomainError("confidence must lie in (0,1)");
-  const double alpha = 1.0 - confidence;
-  return static_cast<std::uint64_t>(
-      std::ceil(std::log(2.0 / alpha) / (2.0 * eps * eps)));
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
-  if (!(hi > lo)) throw DomainError("histogram requires hi > lo");
-  if (bins == 0) throw DomainError("histogram requires at least one bin");
-}
-
-void Histogram::add(double x) noexcept {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  auto idx = static_cast<std::size_t>((x - lo_) / width_);
-  if (idx >= counts_.size()) idx = counts_.size() - 1;  // guard fp rounding
-  ++counts_[idx];
-}
-
-std::uint64_t Histogram::bin_count(std::size_t i) const {
-  if (i >= counts_.size()) throw DomainError("histogram bin out of range");
-  return counts_[i];
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  if (i >= counts_.size()) throw DomainError("histogram bin out of range");
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i) + width_; }
-
-double quantile(std::vector<double> sample, double q) {
-  if (sample.empty()) throw DomainError("quantile of empty sample");
-  if (!(q >= 0 && q <= 1)) throw DomainError("quantile requires q in [0,1]");
-  std::sort(sample.begin(), sample.end());
-  if (sample.size() == 1) return sample.front();
-  const double pos = q * static_cast<double>(sample.size() - 1);
-  const auto i = static_cast<std::size_t>(pos);
-  if (i + 1 >= sample.size()) return sample.back();
-  const double frac = pos - static_cast<double>(i);
-  return sample[i] * (1.0 - frac) + sample[i + 1] * frac;
 }
 
 }  // namespace fmtree

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace fmtree {
 
@@ -25,8 +24,6 @@ struct ConfidenceInterval {
 class RunningStats {
 public:
   void add(double x) noexcept;
-  /// Merge another accumulator (Chan et al. parallel combination).
-  void merge(const RunningStats& other) noexcept;
 
   std::uint64_t count() const noexcept { return n_; }
   /// Number of non-finite samples seen (and excluded from the moments).
@@ -59,41 +56,5 @@ private:
 /// which reliability estimates frequently are.
 ConfidenceInterval wilson_interval(std::uint64_t successes, std::uint64_t trials,
                                    double confidence = 0.95);
-
-/// Distribution-free CI from Hoeffding's inequality for values in [0, 1].
-/// Conservative but valid at any sample size.
-ConfidenceInterval hoeffding_interval(double point, std::uint64_t trials,
-                                      double confidence = 0.95);
-
-/// Okamoto/Chernoff bound: number of samples needed so that a proportion
-/// estimate has half-width <= eps with the given confidence.
-std::uint64_t okamoto_sample_size(double eps, double confidence = 0.95);
-
-/// Fixed-width histogram over [lo, hi) with out-of-range counters.
-class Histogram {
-public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  std::uint64_t bin_count(std::size_t i) const;
-  std::size_t bins() const noexcept { return counts_.size(); }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-  std::uint64_t underflow() const noexcept { return underflow_; }
-  std::uint64_t overflow() const noexcept { return overflow_; }
-  std::uint64_t total() const noexcept { return total_; }
-
-private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
-};
-
-/// Empirical quantile (linear interpolation) of a sample; sorts a copy.
-double quantile(std::vector<double> sample, double q);
 
 }  // namespace fmtree

@@ -57,21 +57,9 @@ void TextTable::print(std::ostream& os) const {
   for (const auto& row : rows_) emit(row);
 }
 
-std::string TextTable::to_string() const {
-  std::ostringstream os;
-  print(os);
-  return os.str();
-}
-
 std::string cell(double value, int decimals) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(decimals) << value;
-  return os.str();
-}
-
-std::string cell_sci(double value, int significant) {
-  std::ostringstream os;
-  os << std::scientific << std::setprecision(significant - 1) << value;
   return os.str();
 }
 

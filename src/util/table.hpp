@@ -27,7 +27,6 @@ public:
 
   /// Renders with a header rule and column separators.
   void print(std::ostream& os) const;
-  std::string to_string() const;
 
 private:
   std::vector<std::string> headers_;
@@ -37,8 +36,6 @@ private:
 
 /// Fixed-decimal formatting, e.g. cell(3.14159, 2) == "3.14".
 std::string cell(double value, int decimals);
-/// Scientific formatting with the given significant digits.
-std::string cell_sci(double value, int significant);
 std::string cell(std::uint64_t value);
 std::string cell(int value);
 

@@ -16,30 +16,6 @@
 namespace fmtree::analytic {
 namespace {
 
-Ctmc slow_chain() {
-  // Asymmetric two-state chain: from the uniform start the iterate keeps
-  // moving toward (0.6, 0.4), so the residual is nonzero at every sweep.
-  Ctmc c(2);
-  c.add_transition(0, 1, 2.0);
-  c.add_transition(1, 0, 3.0);
-  return c;
-}
-
-TEST(ResourceLimits, SteadyStateNonConvergenceCarriesProgress) {
-  SolverOptions opts;
-  opts.max_iterations = 3;
-  opts.tolerance = 0.0;  // `delta < 0` never holds: guaranteed cap hit
-  try {
-    (void)steady_state(slow_chain(), opts);
-    FAIL() << "expected ResourceLimitError";
-  } catch (const ResourceLimitError& e) {
-    EXPECT_NE(std::string(e.what()).find("failed to converge"), std::string::npos);
-    EXPECT_EQ(e.progress().iterations, 3u);
-    EXPECT_GT(e.progress().residual, 0.0);
-    EXPECT_EQ(e.progress().states, 2u);
-  }
-}
-
 TEST(ResourceLimits, HittingTimeNonConvergenceCarriesProgress) {
   // 0 -> 1 absorbing; with tolerance 0 the Gauss-Seidel loop can never
   // declare victory.
@@ -55,6 +31,8 @@ TEST(ResourceLimits, HittingTimeNonConvergenceCarriesProgress) {
   } catch (const ResourceLimitError& e) {
     EXPECT_NE(std::string(e.what()).find("failed to converge"), std::string::npos);
     EXPECT_EQ(e.progress().iterations, 2u);
+    EXPECT_GT(e.progress().residual, 0.0);
+    EXPECT_EQ(e.progress().states, 3u);
   }
 }
 
@@ -123,20 +101,6 @@ TEST(ResourceLimits, RunningStatsExcludesNonFiniteAndRefusesIntervals) {
   } catch (const DomainError& e) {
     EXPECT_NE(std::string(e.what()).find("non-finite"), std::string::npos);
   }
-}
-
-TEST(ResourceLimits, RunningStatsMergePropagatesNonFiniteCount) {
-  RunningStats a, b;
-  a.add(1.0);
-  b.add(std::numeric_limits<double>::quiet_NaN());
-  b.add(2.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_EQ(a.non_finite_count(), 1u);
-  RunningStats empty;
-  empty.merge(a);  // merge-into-empty must not lose the counter either
-  EXPECT_EQ(empty.non_finite_count(), 1u);
-  EXPECT_THROW((void)empty.mean_ci(), DomainError);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <exception>
 
 #include "smc/kpi.hpp"
 #include "util/error.hpp"
@@ -10,49 +10,22 @@
 namespace fmtree::analytic {
 namespace {
 
-TEST(SteadyState, TwoStateBirthDeath) {
-  // 0 <-> 1 with up-rate a, down-rate b: pi = (b, a)/(a+b).
-  Ctmc c(2);
-  c.add_transition(0, 1, 2.0);
-  c.add_transition(1, 0, 3.0);
-  const auto pi = steady_state(c);
-  EXPECT_NEAR(pi[0], 0.6, 1e-9);
-  EXPECT_NEAR(pi[1], 0.4, 1e-9);
-}
-
-TEST(SteadyState, BirthDeathChainDetailedBalance) {
-  // M/M/1/3 queue: arrivals 1.0, service 2.0 -> pi_k ~ (1/2)^k.
-  Ctmc c(4);
-  for (State s = 0; s < 3; ++s) {
-    c.add_transition(s, s + 1, 1.0);
-    c.add_transition(s + 1, s, 2.0);
-  }
-  const auto pi = steady_state(c);
-  const double z = 1 + 0.5 + 0.25 + 0.125;
-  for (State s = 0; s < 4; ++s)
-    EXPECT_NEAR(pi[s], std::pow(0.5, s) / z, 1e-9) << s;
-}
-
-TEST(SteadyState, SumsToOne) {
-  Ctmc c(3);
-  c.add_transition(0, 1, 1.0);
-  c.add_transition(1, 2, 0.5);
-  c.add_transition(2, 0, 2.0);
-  const auto pi = steady_state(c);
-  double total = 0;
-  for (double p : pi) total += p;
-  EXPECT_NEAR(total, 1.0, 1e-12);
-}
-
-TEST(SteadyState, MatchesLongHorizonTransient) {
-  Ctmc c(3);
-  c.add_transition(0, 1, 0.7);
-  c.add_transition(1, 0, 0.2);
-  c.add_transition(1, 2, 0.4);
-  c.add_transition(2, 1, 1.1);
-  const auto pi = steady_state(c);
-  const auto transient = c.transient({1, 0, 0}, 500.0);
-  for (State s = 0; s < 3; ++s) EXPECT_NEAR(pi[s], transient[s], 1e-6) << s;
+/// Monte-Carlo mean time to first system failure, right-censored at the
+/// horizon: the simulation side of the exact_mttf cross-check. `censored`
+/// counts the trajectories that survived the horizon.
+ConfidenceInterval smc_mttf(const fmt::FaultMaintenanceTree& model,
+                            const smc::AnalysisSettings& s, std::uint64_t& censored) {
+  RunningStats ttf;
+  smc::AnalysisFold fold(s, [&](const sim::TrajectoryResult& r) {
+    const bool survived = r.first_failure_time > s.horizon;
+    ttf.add(survived ? s.horizon : r.first_failure_time);
+    if (survived) ++censored;
+  });
+  const smc::Simulation simulation(model, s);
+  smc::PoolJob job = simulation.job(fold);
+  smc::run_pool({&job, 1}, {});
+  if (job.error) std::rethrow_exception(job.error);
+  return ttf.mean_ci(s.confidence);
 }
 
 TEST(Mtta, ErlangChainMatchesMean) {
@@ -143,10 +116,11 @@ TEST(ExactMttf, AgreesWithSmcEstimate) {
   s.horizon = 200.0;  // long enough that censoring is negligible
   s.trajectories = 40000;
   s.seed = 4;
-  const smc::MttfEstimate est = smc::mean_time_to_failure(m, s);
-  EXPECT_LT(est.censored, 5u);
-  EXPECT_TRUE(est.mttf.contains(exact))
-      << "exact=" << exact << " estimate=" << est.mttf.point;
+  std::uint64_t censored = 0;
+  const ConfidenceInterval estimate = smc_mttf(m, s, censored);
+  EXPECT_LT(censored, 5u);
+  EXPECT_TRUE(estimate.contains(exact))
+      << "exact=" << exact << " estimate=" << estimate.point;
 }
 
 }  // namespace

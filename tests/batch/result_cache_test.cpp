@@ -71,7 +71,6 @@ TEST(ResultCache, MemoryTierHitsBitwise) {
   const auto hit = cache.get(key);
   ASSERT_TRUE(hit.has_value());
   EXPECT_TRUE(same_bits(*hit, nasty_report()));
-  EXPECT_EQ(cache.size(), 1u);
   const ResultCache::Stats st = cache.stats();
   EXPECT_EQ(st.hits, 1u);
   EXPECT_EQ(st.memory_hits, 1u);
@@ -85,7 +84,6 @@ TEST(ResultCache, RefusesTruncatedReports) {
   truncated.truncated = true;
   truncated.stop_reason = smc::StopReason::Interrupted;
   cache.put(test_key(), truncated);
-  EXPECT_EQ(cache.size(), 0u);
   EXPECT_FALSE(cache.get(test_key()).has_value());
 }
 

@@ -155,7 +155,8 @@ TEST(SweepEngine, HugeJobStopsAtBudgetInBoundedMemory) {
   EXPECT_FALSE(outcome.results[0].completed);
   EXPECT_GE(outcome.trajectories_simulated, 20000u);
   EXPECT_LT(outcome.trajectories_simulated, 40000u);
-  EXPECT_EQ(cache.size(), 0u);
+  const SweepJob& job = plan.jobs[0];
+  EXPECT_FALSE(cache.get(kpi_cache_key(job.model, job.settings)).has_value());
 }
 
 TEST(SweepEngine, StoppedPlanReturnsIncompleteJobsAndCachesNothing) {
@@ -168,7 +169,8 @@ TEST(SweepEngine, StoppedPlanReturnsIncompleteJobsAndCachesNothing) {
   EXPECT_TRUE(outcome.truncated);
   EXPECT_EQ(outcome.stop_reason, smc::StopReason::Interrupted);
   for (const JobResult& r : outcome.results) EXPECT_FALSE(r.completed);
-  EXPECT_EQ(cache.size(), 0u);
+  for (const SweepJob& job : plan.jobs)
+    EXPECT_FALSE(cache.get(kpi_cache_key(job.model, job.settings)).has_value());
 }
 
 // Acceptance criterion of the batch subsystem: replaying the EI-joint cost

@@ -120,6 +120,31 @@ TEST(CliExit, JsonErrorsCoverIoFailuresToo) {
   EXPECT_NE(err.str().find("cannot open"), std::string::npos);
 }
 
+TEST(CliExit, CalibrateRefusesIncidentRowsTheDatabaseWouldRefuse) {
+  // A negative time, a NaN time and an empty mode are malformed rows of the
+  // incident database whatever the fleet: the streaming calibration must
+  // stop at the first with a row-numbered input error (exit 2, U101)
+  // instead of printing a rate table.
+  const std::string csv = "fmtree_cli_hardening_bad_incidents.csv";
+  {
+    std::ofstream f(csv);
+    f << "asset_id,time,failure_mode\n"
+         "0,-3.5,ballast_wear\n"
+         "1,nan,ballast_wear\n"
+         "2,1.0,\n"
+         "3,2.0,fishplate_crack\n";
+  }
+  const std::string model = std::string(FMTREE_SOURCE_DIR) + "/models/ei_joint.fmt";
+  std::ostringstream out, err;
+  const int rc = main_impl({"fleet", model, "--joints", "10", "--observe-years", "5",
+                            "--calibrate", csv, "--json-errors"},
+                           out, err);
+  EXPECT_EQ(rc, kExitUsage);
+  EXPECT_NE(err.str().find("\"code\":\"U101\""), std::string::npos) << err.str();
+  EXPECT_NE(err.str().find("row 1"), std::string::npos) << err.str();
+  EXPECT_EQ(out.str().find("per-mode failure rates"), std::string::npos) << out.str();
+}
+
 TEST(CliExit, ModelDiagnosticsAlsoExitThree) {
   const std::string path = write_model(
       "orphan", "toplevel T;\nT or A;\nA be exp(1);\nOrphan be exp(1);\n");

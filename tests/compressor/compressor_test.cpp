@@ -120,8 +120,8 @@ TEST(Compressor, TimedRepairsAccountedInTrace) {
   sim::SimOptions opts;
   opts.horizon = 60.0;
   (void)sim_test::checked_run(m, 3, 3, opts, &trace);
-  const auto started = trace.of_kind(sim::TraceKind::RepairPerformed);
-  const auto completed = trace.of_kind(sim::TraceKind::RepairCompleted);
+  const auto started = sim_test::of_kind(trace, sim::TraceKind::RepairPerformed);
+  const auto completed = sim_test::of_kind(trace, sim::TraceKind::RepairCompleted);
   EXPECT_LE(completed.size(), started.size());
 }
 

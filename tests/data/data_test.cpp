@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <limits>
-#include <sstream>
+#include <vector>
 
 #include "data/estimate.hpp"
 #include "data/generator.hpp"
 #include "data/incident.hpp"
+#include "data/stream.hpp"
 #include "data/validate.hpp"
 #include "util/error.hpp"
 
@@ -47,23 +50,21 @@ TEST(IncidentDatabase, CsvRoundTrip) {
   IncidentDatabase db(5, 3.0);
   db.add({0, 0.5, "mode with, comma"});
   db.add({4, 2.999, "clean"});
-  std::ostringstream os;
-  db.save_csv(os);
-  std::istringstream is(os.str());
-  const IncidentDatabase loaded = IncidentDatabase::load_csv(is, 5, 3.0);
+  const std::string path = testing::TempDir() + "fmtree_incident_roundtrip.csv";
+  {
+    std::ofstream file(path, std::ios::binary);
+    db.save_csv(file);
+  }
+  // The streaming reader is the one reader of save_csv's format.
+  IncidentStreamReader reader(path);
+  std::vector<IncidentRecord> loaded;
+  IncidentRecord record;
+  while (reader.next(record)) loaded.push_back(record);
   ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded.records()[0].failure_mode, "mode with, comma");
-  EXPECT_NEAR(loaded.records()[1].time, 2.999, 1e-9);
-  EXPECT_EQ(loaded.records()[1].asset_id, 4u);
-}
-
-TEST(IncidentDatabase, LoadRejectsBadHeaderAndRows) {
-  std::istringstream bad_header("a,b,c\n1,2,3\n");
-  EXPECT_THROW(IncidentDatabase::load_csv(bad_header, 5, 3.0), IoError);
-  std::istringstream bad_row("asset_id,time,failure_mode\n1,2\n");
-  EXPECT_THROW(IncidentDatabase::load_csv(bad_row, 5, 3.0), IoError);
-  std::istringstream bad_num("asset_id,time,failure_mode\nxx,2,m\n");
-  EXPECT_THROW(IncidentDatabase::load_csv(bad_num, 5, 3.0), IoError);
+  EXPECT_EQ(loaded[0].failure_mode, "mode with, comma");
+  EXPECT_NEAR(loaded[1].time, 2.999, 1e-9);
+  EXPECT_EQ(loaded[1].asset_id, 4u);
+  std::remove(path.c_str());
 }
 
 // ---- Generator ------------------------------------------------------------------

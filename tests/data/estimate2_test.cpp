@@ -1,102 +1,13 @@
-// Weibull MLE, lifetime-family selection, fleet data and the extended
-// (maintenance-record) validation.
+// Fleet data: the maintenance records generate_fleet_data collects beside
+// the incident registration.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <limits>
-#include <vector>
-
-#include "data/estimate.hpp"
 #include "data/generator.hpp"
-#include "data/validate.hpp"
 #include "eijoint/model.hpp"
 #include "eijoint/scenarios.hpp"
-#include "util/error.hpp"
-#include "util/rng.hpp"
 
 namespace fmtree::data {
 namespace {
-
-std::vector<double> draw(const Distribution& d, std::size_t n, std::uint64_t seed) {
-  RandomStream rng(seed, 0);
-  std::vector<double> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(d.sample(rng));
-  return out;
-}
-
-// ---- Weibull MLE ---------------------------------------------------------------
-
-TEST(FitWeibull, RecoversKnownParameters) {
-  const auto samples = draw(Distribution::weibull(2.5, 8.0), 20000, 11);
-  const WeibullFit fit = fit_weibull(samples);
-  EXPECT_NEAR(fit.shape, 2.5, 0.06);
-  EXPECT_NEAR(fit.scale, 8.0, 0.15);
-}
-
-TEST(FitWeibull, ExponentialDataGivesShapeNearOne) {
-  const auto samples = draw(Distribution::exponential(0.25), 20000, 12);
-  const WeibullFit fit = fit_weibull(samples);
-  EXPECT_NEAR(fit.shape, 1.0, 0.03);
-  EXPECT_NEAR(fit.scale, 4.0, 0.15);
-}
-
-TEST(FitWeibull, DecreasingHazardShapeBelowOne) {
-  const auto samples = draw(Distribution::weibull(0.7, 3.0), 20000, 13);
-  EXPECT_NEAR(fit_weibull(samples).shape, 0.7, 0.03);
-}
-
-TEST(FitWeibull, Validation) {
-  EXPECT_THROW(fit_weibull({}), DomainError);
-  EXPECT_THROW(fit_weibull({1.0, -2.0}), DomainError);
-  const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(fit_weibull({1.0, inf}), DomainError);
-  EXPECT_THROW(fit_weibull({1.0, std::nan("")}), DomainError);
-}
-
-TEST(FitWeibull, DegenerateSamplesClampInsteadOfThrowing) {
-  // A single sample and an all-equal sample both have zero spread: the MLE
-  // shape diverges, so the fit clamps to the ceiling with a diagnostic.
-  for (const std::vector<double>& s :
-       {std::vector<double>{3.0}, std::vector<double>{3.0, 3.0, 3.0}}) {
-    const WeibullFit fit = fit_weibull(s);
-    EXPECT_TRUE(fit.degenerate);
-    EXPECT_FALSE(fit.note.empty());
-    EXPECT_DOUBLE_EQ(fit.shape, kMaxWeibullShape);
-    EXPECT_DOUBLE_EQ(fit.scale, 3.0);
-    EXPECT_TRUE(std::isfinite(fit.log_likelihood));
-  }
-}
-
-TEST(LogLikelihoods, MleBeatsPerturbedParameters) {
-  const auto samples = draw(Distribution::weibull(1.8, 5.0), 5000, 14);
-  const WeibullFit fit = fit_weibull(samples);
-  EXPECT_GT(fit.log_likelihood,
-            weibull_log_likelihood(fit.shape * 1.3, fit.scale, samples));
-  EXPECT_GT(fit.log_likelihood,
-            weibull_log_likelihood(fit.shape, fit.scale * 1.3, samples));
-}
-
-TEST(LogLikelihoods, ErlangValidation) {
-  EXPECT_THROW(erlang_log_likelihood(0, 1.0, {1.0}), DomainError);
-  EXPECT_THROW(erlang_log_likelihood(1, 0.0, {1.0}), DomainError);
-  EXPECT_THROW(weibull_log_likelihood(0, 1.0, {1.0}), DomainError);
-}
-
-TEST(FamilySelection, PicksTheGeneratingFamily) {
-  // Strongly Weibull data (shape 0.6 is inexpressible by Erlang).
-  const auto weib = draw(Distribution::weibull(0.6, 5.0), 20000, 15);
-  EXPECT_EQ(select_lifetime_family(weib).family, LifetimeFamily::Weibull);
-  // Erlang(5) data: Erlang should win (or at least not lose badly; the
-  // families overlap, so require the log-likelihood gap to be small if
-  // Weibull edges it out numerically).
-  const auto erl = draw(Distribution::erlang(5, 1.0), 20000, 16);
-  const FamilySelection sel = select_lifetime_family(erl);
-  if (sel.family != LifetimeFamily::Erlang) {
-    EXPECT_NEAR(sel.weibull_log_likelihood, sel.erlang_log_likelihood,
-                0.002 * std::fabs(sel.erlang_log_likelihood));
-  }
-}
 
 // ---- Fleet data -------------------------------------------------------------------
 
@@ -115,50 +26,6 @@ TEST(FleetData, MaintenanceCountsConsistent) {
   // Quarterly inspections over 10 years x 200 assets = 8000 rounds.
   EXPECT_EQ(fleet.inspections, 8000u);
   EXPECT_EQ(fleet.replacements, 0u);
-  // Contamination is the workhorse repair (~0.8-1 per joint-year).
-  const double contamination_rate =
-      static_cast<double>(fleet.repairs_by_mode.at("contamination")) / fleet.exposure();
-  EXPECT_GT(contamination_rate, 0.4);
-  EXPECT_LT(contamination_rate, 1.5);
-  // Every mode key exists even with zero repairs.
-  EXPECT_TRUE(fleet.repairs_by_mode.contains("impact_damage"));
-  EXPECT_EQ(fleet.repairs_by_mode.at("impact_damage"), 0u);
-}
-
-TEST(ValidateFleet, GroundTruthMatchesOwnMaintenanceRecords) {
-  const auto model = eijoint::build_ei_joint(eijoint::EiJointParameters::defaults(),
-                                             eijoint::current_policy());
-  const FleetData fleet = generate_fleet_data(model, 600, 10.0, 321);
-  smc::AnalysisSettings s;
-  s.trajectories = 3000;
-  s.seed = 77;
-  const ValidationReport report = validate_fleet(model, fleet, s);
-  EXPECT_TRUE(report.system.intervals_overlap);
-  ASSERT_EQ(report.repairs.size(), model.num_ebes());
-  for (const ValidationRow& row : report.repairs)
-    EXPECT_TRUE(row.intervals_overlap) << row.label;
-}
-
-TEST(ValidateFleet, WrongMaintenanceModelCaughtByRepairRates) {
-  // A candidate with the same failure behaviour for contamination but a
-  // much later threshold produces far fewer repairs: the repair-rate check
-  // must flag it even though overall failure rates may stay plausible at
-  // modest precision.
-  const auto truth = eijoint::build_ei_joint(eijoint::EiJointParameters::defaults(),
-                                             eijoint::current_policy());
-  eijoint::EiJointParameters wrong_params = eijoint::EiJointParameters::defaults();
-  wrong_params.contamination.threshold = 3;  // instead of 2
-  const auto wrong = eijoint::build_ei_joint(wrong_params, eijoint::current_policy());
-  const FleetData fleet = generate_fleet_data(truth, 600, 10.0, 654);
-  smc::AnalysisSettings s;
-  s.trajectories = 3000;
-  s.seed = 78;
-  const ValidationReport report = validate_fleet(wrong, fleet, s);
-  bool contamination_flagged = false;
-  for (const ValidationRow& row : report.repairs)
-    if (row.label == "contamination" && !row.intervals_overlap)
-      contamination_flagged = true;
-  EXPECT_TRUE(contamination_flagged);
 }
 
 }  // namespace

@@ -75,7 +75,7 @@ TEST(Fdep, ChainedCascadeReachesFixpoint) {
   const sim::TrajectoryResult r = run_one(m, 10.0, &trace);
   EXPECT_DOUBLE_EQ(r.first_failure_time, 1.0);
   // All three leaf failures happen at t = 1.
-  const auto failures = trace.of_kind(sim::TraceKind::LeafFailed);
+  const auto failures = sim_test::of_kind(trace, sim::TraceKind::LeafFailed);
   ASSERT_EQ(failures.size(), 3u);
   for (const auto& e : failures) EXPECT_DOUBLE_EQ(e.time, 1.0);
 }

@@ -1,6 +1,8 @@
 // The BDD-based minimal-cut-set extraction, cross-checked against MOCUS.
 #include <gtest/gtest.h>
 
+#include "../util/rng_testing.hpp"
+#include "cutset_oracles.hpp"
 #include "eijoint/model.hpp"
 #include "eijoint/scenarios.hpp"
 #include "fmt/parser.hpp"
@@ -58,7 +60,7 @@ TEST(BddCutSets, MatchesMocusOnRandomTrees) {
   for (int rep = 0; rep < 40; ++rep) {
     FaultTree t;
     std::vector<NodeId> nodes;
-    const int leaves = 3 + static_cast<int>(rng.below(5));
+    const int leaves = 3 + static_cast<int>(below(rng, 5));
     for (int i = 0; i < leaves; ++i)
       nodes.push_back(
           t.add_basic_event("l" + std::to_string(i), Distribution::exponential(1)));
@@ -67,10 +69,10 @@ TEST(BddCutSets, MatchesMocusOnRandomTrees) {
     int gate_id = 0;
     while (nodes.size() > 1) {
       const std::size_t take =
-          2 + rng.below(std::min<std::uint64_t>(3, nodes.size() - 1));
+          2 + below(rng, std::min<std::uint64_t>(3, nodes.size() - 1));
       std::vector<NodeId> kids;
       for (std::size_t i = 0; i < take; ++i) {
-        const std::size_t pick = rng.below(nodes.size());
+        const std::size_t pick = below(rng, nodes.size());
         kids.push_back(nodes[pick]);
         if (i + 1 == take || rng.bernoulli(0.8)) {
           nodes.erase(nodes.begin() + static_cast<std::ptrdiff_t>(pick));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cutset_oracles.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -123,25 +124,6 @@ TEST(CutSets, LimitGuardsAgainstExplosion) {
   t.set_top(t.add_voting("T", 2, leaves));
   EXPECT_THROW(minimal_cut_sets(t, 10), ModelError);
   EXPECT_EQ(minimal_cut_sets(t, 1u << 20).size(), 190u);
-}
-
-TEST(CutSetProbability, RareEventAndUpperBoundOrdering) {
-  FaultTree t = simple_or();
-  const auto cuts = minimal_cut_sets(t);
-  const std::vector<double> p{0.1, 0.2};
-  const double exact = 1 - 0.9 * 0.8;  // 0.28
-  const double rare = rare_event_probability(cuts, p);
-  const double upper = min_cut_upper_bound(cuts, p);
-  EXPECT_NEAR(rare, 0.3, 1e-12);
-  EXPECT_NEAR(upper, exact, 1e-12);  // disjoint singleton cuts: exact
-  EXPECT_GE(rare, exact);            // rare-event over-approximates
-}
-
-TEST(CutSetProbability, OutOfRangeIndexThrows) {
-  const std::vector<CutSet> cuts{{5}};
-  const std::vector<double> p{0.1};
-  EXPECT_THROW(rare_event_probability(cuts, p), ModelError);
-  EXPECT_THROW(min_cut_upper_bound(cuts, p), ModelError);
 }
 
 TEST(IsCutSet, DetectsNonCutsAndNonMinimal) {

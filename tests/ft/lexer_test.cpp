@@ -2,13 +2,15 @@
 
 #include <gtest/gtest.h>
 
-#include "util/error.hpp"
+#include "util/diagnostics.hpp"
 
 namespace fmtree::ft {
 namespace {
 
 TEST(Lexer, TokenizesPunctuationAndNumbers) {
-  const auto tokens = tokenize("a(1.5e-2,b)=;");
+  Diagnostics diags;
+  const auto tokens = tokenize("a(1.5e-2,b)=;", diags);
+  EXPECT_TRUE(diags.empty());
   ASSERT_EQ(tokens.size(), 9u);  // a ( num , b ) = ; End
   EXPECT_EQ(tokens[0].type, TokenType::Identifier);
   EXPECT_EQ(tokens[2].type, TokenType::Number);
@@ -18,8 +20,19 @@ TEST(Lexer, TokenizesPunctuationAndNumbers) {
 }
 
 TEST(Lexer, RejectsGarbage) {
-  EXPECT_THROW(tokenize("valid @ invalid"), ParseError);
-  EXPECT_THROW(tokenize("\"unterminated"), ParseError);
+  Diagnostics diags;
+  tokenize("valid @ invalid", diags);
+  ASSERT_EQ(diags.error_count(), 1u);
+  EXPECT_EQ(diags.all()[0].code, "L101");
+  EXPECT_EQ(diags.all()[0].loc.line, 1u);
+  EXPECT_EQ(diags.all()[0].loc.column, 7u);
+
+  Diagnostics unterminated;
+  tokenize("x\n  \"unterminated", unterminated);
+  ASSERT_EQ(unterminated.error_count(), 1u);
+  EXPECT_EQ(unterminated.all()[0].code, "L102");
+  EXPECT_EQ(unterminated.all()[0].loc.line, 2u);
+  EXPECT_EQ(unterminated.all()[0].loc.column, 3u);
 }
 
 }  // namespace

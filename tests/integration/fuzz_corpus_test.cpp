@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "../util/rng_testing.hpp"
 #include "fmt/parser.hpp"
 #include "util/diagnostics.hpp"
 #include "util/error.hpp"
@@ -119,26 +120,26 @@ corrective cost=8000 delay=0.02 downtime_rate=50000;
 /// duplications and statement shuffles/drops, seeded per repetition.
 std::string mutate(const std::string& text, RandomStream& rng) {
   std::string out = text;
-  const std::uint64_t ops = 1 + rng.below(4);
+  const std::uint64_t ops = 1 + below(rng, 4);
   for (std::uint64_t op = 0; op < ops && !out.empty(); ++op) {
-    switch (rng.below(5)) {
+    switch (below(rng, 5)) {
       case 0:  // substitute a printable byte
-        out[rng.below(out.size())] = static_cast<char>(32 + rng.below(95));
+        out[below(rng, out.size())] = static_cast<char>(32 + below(rng, 95));
         break;
       case 1:  // delete a byte
-        out.erase(rng.below(out.size()), 1);
+        out.erase(below(rng, out.size()), 1);
         break;
       case 2:  // duplicate a span
         {
-          const std::size_t pos = rng.below(out.size());
+          const std::size_t pos = below(rng, out.size());
           const std::size_t len =
-              std::min<std::size_t>(1 + rng.below(12), out.size() - pos);
+              std::min<std::size_t>(1 + below(rng, 12), out.size() - pos);
           out.insert(pos, out.substr(pos, len));
         }
         break;
       case 3:  // drop everything after a random ';'
         {
-          const std::size_t cut = out.find(';', rng.below(out.size()));
+          const std::size_t cut = out.find(';', below(rng, out.size()));
           if (cut != std::string::npos) out.resize(cut + 1);
         }
         break;
@@ -146,7 +147,7 @@ std::string mutate(const std::string& text, RandomStream& rng) {
         {
           static const char* kTokens[] = {";", "=", "(", ")", "toplevel", "ebe",
                                           "1e999", "\"", "#", "vot", "targets"};
-          out.insert(rng.below(out.size()), kTokens[rng.below(std::size(kTokens))]);
+          out.insert(below(rng, out.size()), kTokens[below(rng, std::size(kTokens))]);
         }
         break;
     }

@@ -2,6 +2,7 @@
 // exceptions, never crashes or silent misbehaviour.
 #include <gtest/gtest.h>
 
+#include "../util/rng_testing.hpp"
 #include "fmt/parser.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -58,8 +59,8 @@ TEST(ParserRobustness, RandomByteMutations) {
   RandomStream rng(2026, 0);
   for (int rep = 0; rep < 300; ++rep) {
     std::string mutated = text;
-    const std::size_t pos = rng.below(mutated.size());
-    mutated[pos] = static_cast<char>(32 + rng.below(95));
+    const std::size_t pos = below(rng, mutated.size());
+    mutated[pos] = static_cast<char>(32 + below(rng, 95));
     try {
       (void)fmt::parse_fmt(mutated);
     } catch (const Error&) {
@@ -88,7 +89,7 @@ TEST(ParserRobustness, StatementOrderIrrelevant) {
     // Fisher-Yates shuffle.
     std::vector<std::string> shuffled = statements;
     for (std::size_t i = shuffled.size(); i > 1; --i)
-      std::swap(shuffled[i - 1], shuffled[rng.below(i)]);
+      std::swap(shuffled[i - 1], shuffled[below(rng, i)]);
     std::string text;
     for (const std::string& s : shuffled) text += s + "\n";
     const fmt::FaultMaintenanceTree m = fmt::parse_fmt(text);

@@ -51,8 +51,8 @@ TEST(LangCorpus, ValidScriptsCompileWithoutErrors) {
   for (const fs::path& path : scripts_in(kCorpus / "valid")) {
     Diagnostics diags;
     const auto policy = compile_policy(slurp(path), diags);
-    EXPECT_TRUE(policy.has_value()) << path << "\n" << diags.format();
-    EXPECT_FALSE(diags.has_errors()) << path << "\n" << diags.format();
+    EXPECT_TRUE(policy.has_value()) << path << "\n" << diags.to_json();
+    EXPECT_FALSE(diags.has_errors()) << path << "\n" << diags.to_json();
     for (const Diagnostic& d : diags.all())
       EXPECT_TRUE(is_l1xx(d.code)) << path << ": " << d.code;
   }

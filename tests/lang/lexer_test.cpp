@@ -1,6 +1,6 @@
 // Tokenizer of the maintenance-policy DSL: token coverage, the '..' range
 // operator against greedy number scanning, quoted identifiers, and the
-// L110-L112 lexical diagnostics in both strict and recovery modes.
+// L110-L112 lexical diagnostics, recorded with their locations.
 #include "lang/lexer.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +10,14 @@
 namespace fmtree::lang {
 namespace {
 
+/// Tokenizes input that must lex without a diagnostic.
+std::vector<Token> lex(const std::string& input) {
+  Diagnostics diags;
+  std::vector<Token> tokens = tokenize(input, diags);
+  EXPECT_TRUE(diags.empty()) << input;
+  return tokens;
+}
+
 std::vector<TokenType> types_of(const std::vector<Token>& tokens) {
   std::vector<TokenType> out;
   for (const Token& t : tokens) out.push_back(t.type);
@@ -17,7 +25,7 @@ std::vector<TokenType> types_of(const std::vector<Token>& tokens) {
 }
 
 TEST(LangLexer, TokenizesAStatement) {
-  const auto tokens = tokenize("calendar c every 0.25 cost 35;");
+  const auto tokens = lex("calendar c every 0.25 cost 35;");
   ASSERT_EQ(tokens.size(), 8u);
   EXPECT_EQ(tokens[0].type, TokenType::Identifier);
   EXPECT_EQ(tokens[0].text, "calendar");
@@ -29,7 +37,7 @@ TEST(LangLexer, TokenizesAStatement) {
 }
 
 TEST(LangLexer, OperatorsAndPunctuation) {
-  const auto tokens = tokenize("( ) { } , ; = + - * / < <= > >= == !=");
+  const auto tokens = lex("( ) { } , ; = + - * / < <= > >= == !=");
   const std::vector<TokenType> expect = {
       TokenType::LParen,    TokenType::RParen,  TokenType::LBrace,
       TokenType::RBrace,    TokenType::Comma,   TokenType::Semicolon,
@@ -42,14 +50,14 @@ TEST(LangLexer, OperatorsAndPunctuation) {
 
 TEST(LangLexer, RangeOperatorSurvivesGreedyNumbers) {
   // "1..5" must lex as 1, '..', 5 — strtod alone would eat "1." first.
-  const auto tokens = tokenize("window 1..5 of 10");
+  const auto tokens = lex("window 1..5 of 10");
   ASSERT_EQ(tokens.size(), 7u);
   EXPECT_EQ(tokens[1].type, TokenType::Number);
   EXPECT_DOUBLE_EQ(tokens[1].number, 1.0);
   EXPECT_EQ(tokens[2].type, TokenType::DotDot);
   EXPECT_DOUBLE_EQ(tokens[3].number, 5.0);
 
-  const auto frac = tokenize("0.25..0.75");
+  const auto frac = lex("0.25..0.75");
   ASSERT_EQ(frac.size(), 4u);
   EXPECT_DOUBLE_EQ(frac[0].number, 0.25);
   EXPECT_EQ(frac[1].type, TokenType::DotDot);
@@ -57,7 +65,7 @@ TEST(LangLexer, RangeOperatorSurvivesGreedyNumbers) {
 }
 
 TEST(LangLexer, QuotedStringsAreMarkedIdentifiers) {
-  const auto tokens = tokenize("policy \"end post wear\";");
+  const auto tokens = lex("policy \"end post wear\";");
   ASSERT_EQ(tokens.size(), 4u);
   EXPECT_EQ(tokens[1].type, TokenType::Identifier);
   EXPECT_EQ(tokens[1].text, "end post wear");
@@ -66,7 +74,7 @@ TEST(LangLexer, QuotedStringsAreMarkedIdentifiers) {
 }
 
 TEST(LangLexer, CommentsAndLocations) {
-  const auto tokens = tokenize("# a comment\ncrew 2; # trailing\nrepair");
+  const auto tokens = lex("# a comment\ncrew 2; # trailing\nrepair");
   ASSERT_EQ(tokens.size(), 5u);
   EXPECT_EQ(tokens[0].text, "crew");
   EXPECT_EQ(tokens[0].line, 2u);
@@ -77,15 +85,13 @@ TEST(LangLexer, CommentsAndLocations) {
   EXPECT_EQ(tokens[3].line, 3u);
 }
 
-TEST(LangLexer, StrictModeThrowsOnBadCharacter) {
-  try {
-    tokenize("calendar c @ every 1;");
-    FAIL() << "expected ParseError";
-  } catch (const ParseError& e) {
-    EXPECT_EQ(e.code(), "L110");
-    EXPECT_EQ(e.line(), 1u);
-    EXPECT_EQ(e.column(), 12u);
-  }
+TEST(LangLexer, BadCharacterIsDiagnosedWhereItStands) {
+  Diagnostics diags;
+  tokenize("calendar c @ every 1;", diags);
+  ASSERT_EQ(diags.error_count(), 1u);
+  EXPECT_EQ(diags.all()[0].code, "L110");
+  EXPECT_EQ(diags.all()[0].loc.line, 1u);
+  EXPECT_EQ(diags.all()[0].loc.column, 12u);
 }
 
 TEST(LangLexer, RecoveryModeCollectsAndContinues) {
@@ -111,8 +117,6 @@ TEST(LangLexer, UnterminatedStringReportsOpeningQuote) {
   ASSERT_EQ(tokens.size(), 3u);
   EXPECT_EQ(tokens[1].text, "abc\ndef");
   EXPECT_TRUE(tokens[1].quoted);
-
-  EXPECT_THROW(tokenize("policy \"abc"), ParseError);
 }
 
 TEST(LangLexer, LoneBangIsDiagnosed) {

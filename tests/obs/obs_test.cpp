@@ -10,9 +10,22 @@
 #include "obs/progress.hpp"
 #include "obs/tracer.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace fmtree::obs {
 namespace {
+
+// Gauges and histograms are read back through the JSON export.
+double exported_gauge(const MetricsRegistry& reg, std::string_view name) {
+  const json::Value doc = json::parse(reg.to_json());
+  return doc.find("gauges")->find(name)->as_double();
+}
+
+std::uint64_t exported_histogram_total(const MetricsRegistry& reg,
+                                       std::string_view name) {
+  const json::Value doc = json::parse(reg.to_json());
+  return doc.find("histograms")->find(name)->find("total")->as_u64();
+}
 
 TEST(Metrics, RegistrationIsIdempotent) {
   MetricsRegistry reg;
@@ -45,13 +58,15 @@ TEST(Metrics, DirectMutationAndReadBack) {
 
   const GaugeId g = reg.gauge("g");
   reg.set(g, 2.5);
-  EXPECT_DOUBLE_EQ(reg.gauge_value("g"), 2.5);
+  EXPECT_DOUBLE_EQ(exported_gauge(reg, "g"), 2.5);
 
   const HistogramId h = reg.histogram("h", 0.0, 10.0, 5);
-  reg.observe(h, -1.0);  // underflow
-  reg.observe(h, 3.0);
-  reg.observe(h, 99.0);  // overflow
-  EXPECT_EQ(reg.histogram_total("h"), 3u);
+  LocalMetrics local = reg.local();
+  local.observe(h, -1.0);  // underflow
+  local.observe(h, 3.0);
+  local.observe(h, 99.0);  // overflow
+  reg.merge(local);
+  EXPECT_EQ(exported_histogram_total(reg, "h"), 3u);
 }
 
 TEST(Metrics, LocalAccumulatorsMergeAndReset) {
@@ -68,7 +83,7 @@ TEST(Metrics, LocalAccumulatorsMergeAndReset) {
   reg.merge(a);
   reg.merge(b);
   EXPECT_EQ(reg.counter_value("c"), 15u);
-  EXPECT_EQ(reg.histogram_total("h"), 2u);
+  EXPECT_EQ(exported_histogram_total(reg, "h"), 2u);
 
   // merge() resets the local state, so folding again adds nothing.
   reg.merge(a);
@@ -108,7 +123,10 @@ TEST(Metrics, JsonFollowsSchemaWithSortedKeys) {
   reg.add(reg.counter("alpha"), 2);
   reg.set(reg.gauge("g"), 1.5);
   reg.gauge("never_set");  // registered but unset gauges are omitted
-  reg.observe(reg.histogram("h", 0.0, 2.0, 2), 0.5);
+  const HistogramId h = reg.histogram("h", 0.0, 2.0, 2);
+  LocalMetrics local = reg.local();  // sized after the registration
+  local.observe(h, 0.5);
+  reg.merge(local);
 
   const std::string json = reg.to_json();
   EXPECT_NE(json.find("\"schema\": \"fmtree.metrics/v1\""), std::string::npos);
@@ -119,15 +137,6 @@ TEST(Metrics, JsonFollowsSchemaWithSortedKeys) {
   EXPECT_EQ(json.find("never_set"), std::string::npos);
   EXPECT_NE(json.find("\"underflow\""), std::string::npos);
   EXPECT_NE(json.find("\"total\""), std::string::npos);
-}
-
-TEST(Metrics, ResetValuesKeepsRegistrations) {
-  MetricsRegistry reg;
-  const CounterId c = reg.counter("c");
-  reg.add(c, 5);
-  reg.reset_values();
-  EXPECT_EQ(reg.counter_value("c"), 0u);
-  EXPECT_EQ(reg.counter("c").index, c.index);
 }
 
 TEST(Tracer, SpansNestPerThread) {
@@ -182,7 +191,7 @@ TEST(Tracer, MaybeSpanToleratesNull) {
   span.close();  // no tracer: nothing to do, nothing to crash
   Tracer tracer;
   maybe_span(&tracer, "real").close();
-  EXPECT_EQ(tracer.size(), 1u);
+  EXPECT_EQ(tracer.records().size(), 1u);
 }
 
 TEST(Progress, DeliversAndComputesRate) {
@@ -214,8 +223,6 @@ TEST(Progress, ThrottleAdmitsOneDeliveryPerInterval) {
   for (int i = 0; i < 100; ++i) reporter.update(p);
   EXPECT_EQ(calls.load(), 1);
   EXPECT_FALSE(reporter.due());
-  reporter.report_now(p);  // forced delivery bypasses the throttle
-  EXPECT_EQ(calls.load(), 2);
 }
 
 }  // namespace

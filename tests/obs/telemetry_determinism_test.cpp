@@ -74,7 +74,7 @@ TEST(TelemetryDeterminism, EnablingTelemetryChangesNoOutputBit) {
     SCOPED_TRACE(threads);
     expect_reports_identical(bare, observed);
     EXPECT_EQ(metrics.counter_value("smc.trajectories"), 4000u);
-    EXPECT_GT(tracer.size(), 0u);
+    EXPECT_GT(tracer.records().size(), 0u);
   }
 }
 

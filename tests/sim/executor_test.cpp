@@ -160,7 +160,7 @@ TEST(Executor, RdepPhaseTriggerActivatesMidDegradation) {
   Trace trace;
   const TrajectoryResult r = run(m, 10.0, &trace);
   EXPECT_DOUBLE_EQ(r.first_failure_time, 3.0);
-  const auto accel_events = trace.of_kind(TraceKind::AccelerationChanged);
+  const auto accel_events = sim_test::of_kind(trace, TraceKind::AccelerationChanged);
   ASSERT_GE(accel_events.size(), 1u);
   EXPECT_DOUBLE_EQ(accel_events[0].time, 1.0);
   EXPECT_EQ(accel_events[0].subject, "b");
@@ -221,9 +221,9 @@ TEST(Executor, TraceRecordsLifecycle) {
   m.set_corrective(CorrectivePolicy{true, 0.25, 10, 0});
   Trace trace;
   (void)run(m, 4.0, &trace);
-  EXPECT_FALSE(trace.of_kind(TraceKind::PhaseTransition).empty());
-  EXPECT_FALSE(trace.of_kind(TraceKind::InspectionPerformed).empty());
-  EXPECT_FALSE(trace.of_kind(TraceKind::RepairPerformed).empty());
+  EXPECT_FALSE(sim_test::of_kind(trace, TraceKind::PhaseTransition).empty());
+  EXPECT_FALSE(sim_test::of_kind(trace, TraceKind::InspectionPerformed).empty());
+  EXPECT_FALSE(sim_test::of_kind(trace, TraceKind::RepairPerformed).empty());
   // Times are nondecreasing.
   double prev = 0;
   for (const TraceEvent& e : trace.events()) {

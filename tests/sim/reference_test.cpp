@@ -154,7 +154,7 @@ TEST(ReferenceKernel, TraceRecordingChangesNoResult) {
     Trace trace;
     EXPECT_TRUE(sim_test::bit_identical(reference.run(3, index, opts, &trace),
                                         reference.run(3, index, opts)));
-    EXPECT_FALSE(trace.of_kind(TraceKind::InspectionPerformed).empty());
+    EXPECT_FALSE(sim_test::of_kind(trace, TraceKind::InspectionPerformed).empty());
   }
 }
 

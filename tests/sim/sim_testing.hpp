@@ -23,9 +23,19 @@
 #include "fmt/fmtree.hpp"
 #include "sim/batch_executor.hpp"
 #include "sim/reference.hpp"
+#include "sim/trace.hpp"
 #include "smc/pool.hpp"
 
 namespace fmtree::sim_test {
+
+/// The events of one kind in `trace`, in time order.
+inline std::vector<sim::TraceEvent> of_kind(const sim::Trace& trace,
+                                            sim::TraceKind kind) {
+  std::vector<sim::TraceEvent> out;
+  for (const sim::TraceEvent& e : trace.events())
+    if (e.kind == kind) out.push_back(e);
+  return out;
+}
 
 /// Every TrajectoryResult field, doubles compared by bit pattern.
 inline ::testing::AssertionResult bit_identical(const sim::TrajectoryResult& a,

@@ -41,7 +41,7 @@ TEST(TimedRepair, DegradationPausedDuringRepair) {
   const TrajectoryResult r = run(m, 20.0, &trace);
   EXPECT_EQ(r.repairs, 1u);
   EXPECT_DOUBLE_EQ(r.first_failure_time, 8.5);
-  const auto done = trace.of_kind(TraceKind::RepairCompleted);
+  const auto done = sim_test::of_kind(trace, TraceKind::RepairCompleted);
   ASSERT_EQ(done.size(), 1u);
   EXPECT_DOUBLE_EQ(done[0].time, 5.5);
 }
@@ -73,7 +73,7 @@ TEST(TimedRepair, ReplacementPreemptsRepair) {
   m.add_replacement(fmt::ReplacementModule{"renew", 100.0, 3.0, 10, {a}});
   Trace trace;
   const TrajectoryResult r = run(m, 10.0, &trace);
-  EXPECT_EQ(trace.of_kind(TraceKind::RepairCompleted).size(), 0u);
+  EXPECT_EQ(sim_test::of_kind(trace, TraceKind::RepairCompleted).size(), 0u);
   EXPECT_EQ(r.replacements, 1u);
   // Renewed at 3: phases at 4, 5, fails at 6.
   EXPECT_DOUBLE_EQ(r.first_failure_time, 6.0);

@@ -93,12 +93,12 @@ TEST(Determinism, AnalyzeWithAdaptiveStoppingIsThreadCountInvariant) {
   expect_same_report(one, four);
 }
 
-TEST(Determinism, ExpectedFailuresCurveIsThreadCountInvariant) {
+TEST(Determinism, ReliabilityCurveIsThreadCountInvariant) {
   const fmt::FaultMaintenanceTree model =
       fmt::parse_fmt(read_model_file("ei_joint.fmt"));
   const std::vector<double> grid = linspace_grid(10.0, 20);
-  const auto one = expected_failures_curve(model, grid, base_settings(1));
-  const auto four = expected_failures_curve(model, grid, base_settings(4));
+  const auto one = reliability_curve(model, grid, base_settings(1));
+  const auto four = reliability_curve(model, grid, base_settings(4));
   ASSERT_EQ(one.size(), four.size());
   for (std::size_t i = 0; i < one.size(); ++i) {
     EXPECT_EQ(one[i].t, four[i].t) << "grid point " << i;
@@ -115,13 +115,13 @@ TEST(Determinism, CurveHonorsTrajectoryBudgetAndBatching) {
   s.trajectories = 1500;
   s.batch = 256;
   const std::vector<double> grid = linspace_grid(10.0, 10);
-  const auto curve = expected_failures_curve(model, grid, s);
+  const auto curve = reliability_curve(model, grid, s);
   ASSERT_EQ(curve.size(), grid.size());
-  // At t = 0 no failures have happened yet; at the horizon the estimate
+  // At t = 0 every trajectory still works; at the horizon the estimate
   // matches analyze() on the same settings exactly (same trajectories).
-  EXPECT_EQ(curve.front().value.point, 0.0);
+  EXPECT_EQ(curve.front().value.point, 1.0);
   const KpiReport report = analyze(model, s);
-  EXPECT_EQ(curve.back().value.point, report.expected_failures.point);
+  EXPECT_EQ(curve.back().value.point, report.reliability.point);
 }
 
 }  // namespace

@@ -207,7 +207,7 @@ TEST(Kpi, NegativeDiscountRateIsADomainErrorAtAnyThreadCount) {
     AnalysisSettings s = fast_settings(5.0, 2000);
     s.discount_rate = rate;
     EXPECT_THROW(analyze(m, s), DomainError) << rate;
-    EXPECT_THROW(mean_time_to_failure(m, s), DomainError) << rate;
+    EXPECT_THROW(reliability_curve(m, linspace_grid(5.0, 5), s), DomainError) << rate;
   }
 }
 
@@ -244,18 +244,6 @@ TEST(Curves, ReliabilityCurveIsNonincreasing) {
     EXPECT_LE(curve[i].value.point, curve[i - 1].value.point + 1e-12);
 }
 
-TEST(Curves, ExpectedFailuresCurveLinearForPoisson) {
-  FaultMaintenanceTree m = exponential_leaf(0.5);
-  m.set_corrective(CorrectivePolicy{true, 0.0, 0, 0});
-  const auto curve =
-      expected_failures_curve(m, linspace_grid(8.0, 8), fast_settings(8.0, 10000));
-  for (const CurvePoint& pt : curve)
-    EXPECT_NEAR(pt.value.point, 0.5 * pt.t, 0.06 + 0.02 * pt.t) << pt.t;
-  // Nondecreasing.
-  for (std::size_t i = 1; i < curve.size(); ++i)
-    EXPECT_GE(curve[i].value.point, curve[i - 1].value.point - 1e-12);
-}
-
 TEST(Curves, GridHelpersValidate) {
   EXPECT_THROW(linspace_grid(0, 5), DomainError);
   EXPECT_THROW(linspace_grid(5, 0), DomainError);
@@ -263,23 +251,6 @@ TEST(Curves, GridHelpersValidate) {
   ASSERT_EQ(g.size(), 6u);
   EXPECT_DOUBLE_EQ(g.front(), 0.0);
   EXPECT_DOUBLE_EQ(g.back(), 10.0);
-}
-
-// ---- MTTF -------------------------------------------------------------------------
-
-TEST(Mttf, MatchesExponentialMean) {
-  const FaultMaintenanceTree m = exponential_leaf(0.5);
-  AnalysisSettings s = fast_settings(200.0, 20000);  // horizon >> mean: few censored
-  const MttfEstimate est = mean_time_to_failure(m, s);
-  EXPECT_NEAR(est.mttf.point, 2.0, 0.05);
-  EXPECT_LT(est.censored, 20u);
-}
-
-TEST(Mttf, CensoringReported) {
-  const FaultMaintenanceTree m = exponential_leaf(0.01);  // mean 100
-  const MttfEstimate est = mean_time_to_failure(m, fast_settings(1.0, 1000));
-  EXPECT_GT(est.censored, 950u);  // nearly everything survives 1 year
-  EXPECT_LE(est.mttf.point, 1.0);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <set>
 #include <vector>
 
+#include "rng_testing.hpp"
+
 namespace fmtree {
 namespace {
 
@@ -86,7 +88,7 @@ TEST(RandomStream, BelowIsBoundedAndCoversRange) {
   RandomStream rng(5, 0);
   std::set<std::uint64_t> seen;
   for (int i = 0; i < 10000; ++i) {
-    const std::uint64_t x = rng.below(7);
+    const std::uint64_t x = below(rng, 7);
     ASSERT_LT(x, 7u);
     seen.insert(x);
   }
@@ -95,19 +97,19 @@ TEST(RandomStream, BelowIsBoundedAndCoversRange) {
 
 TEST(RandomStream, BelowZeroIsTotal) {
   RandomStream rng(5, 0);
-  EXPECT_EQ(rng.below(0), 0u);
+  EXPECT_EQ(below(rng, 0), 0u);
 }
 
 TEST(RandomStream, BelowOneIsZero) {
   RandomStream rng(5, 0);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(rng.below(1), 0u);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(below(rng, 1), 0u);
 }
 
 TEST(RandomStream, BelowIsApproximatelyUniform) {
   RandomStream rng(11, 0);
   std::vector<int> counts(10, 0);
   const int n = 100000;
-  for (int i = 0; i < n; ++i) ++counts[rng.below(10)];
+  for (int i = 0; i < n; ++i) ++counts[below(rng, 10)];
   for (int c : counts) EXPECT_NEAR(c, n / 10, n / 10 * 0.1);
 }
 
@@ -261,7 +263,7 @@ TEST(CounterStream, BelowIsBoundedAndCoversRange) {
   CounterStream rng(5, 0);
   std::set<std::uint64_t> seen;
   for (int i = 0; i < 10000; ++i) {
-    const std::uint64_t x = rng.below(7);
+    const std::uint64_t x = below(rng, 7);
     ASSERT_LT(x, 7u);
     seen.insert(x);
   }
@@ -272,7 +274,7 @@ TEST(CounterStream, BelowIsApproximatelyUniform) {
   CounterStream rng(11, 0);
   std::vector<int> counts(10, 0);
   const int n = 100000;
-  for (int i = 0; i < n; ++i) ++counts[rng.below(10)];
+  for (int i = 0; i < n; ++i) ++counts[below(rng, 10)];
   for (int c : counts) EXPECT_NEAR(c, n / 10, n / 10 * 0.1);
 }
 

@@ -29,35 +29,6 @@ TEST(RunningStats, KnownSmallSample) {
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(RunningStats, MergeEqualsSequential) {
-  RandomStream rng(1, 0);
-  RunningStats all, a, b;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.uniform(0, 10);
-    all.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, empty;
-  a.add(1.0);
-  a.add(3.0);
-  RunningStats b = a;
-  b.merge(empty);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
-}
-
 TEST(RunningStats, MeanCiCoversTrueMean) {
   // 95% CI over repeated experiments should cover the true mean ~95% of the
   // time; check coverage is at least 90% over 200 replications.
@@ -101,69 +72,6 @@ TEST(WilsonInterval, RejectsBadInput) {
   EXPECT_THROW(wilson_interval(1, 0), DomainError);
   EXPECT_THROW(wilson_interval(5, 3), DomainError);
   EXPECT_THROW(wilson_interval(1, 2, 1.5), DomainError);
-}
-
-TEST(HoeffdingInterval, WiderThanWilson) {
-  const ConfidenceInterval w = wilson_interval(500, 1000);
-  const ConfidenceInterval h = hoeffding_interval(0.5, 1000);
-  EXPECT_GT(h.half_width(), w.half_width());
-}
-
-TEST(HoeffdingInterval, ShrinksWithSamples) {
-  const ConfidenceInterval a = hoeffding_interval(0.5, 100);
-  const ConfidenceInterval b = hoeffding_interval(0.5, 10000);
-  EXPECT_LT(b.half_width(), a.half_width());
-}
-
-TEST(OkamotoSampleSize, MatchesHoeffdingWidth) {
-  // With the Okamoto count, the Hoeffding interval has half-width <= eps.
-  const double eps = 0.01;
-  const std::uint64_t n = okamoto_sample_size(eps, 0.95);
-  const ConfidenceInterval ci = hoeffding_interval(0.5, n, 0.95);
-  EXPECT_LE(ci.half_width(), eps + 1e-12);
-  // And one fewer sample is not enough.
-  const ConfidenceInterval ci1 = hoeffding_interval(0.5, n - 1, 0.95);
-  EXPECT_GT(ci1.half_width(), eps);
-}
-
-TEST(Histogram, BinsAndEdges) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-0.1);  // underflow
-  h.add(0.0);
-  h.add(1.999);
-  h.add(2.0);
-  h.add(9.999);
-  h.add(10.0);  // overflow (right-open)
-  h.add(25.0);  // overflow
-  EXPECT_EQ(h.total(), 7u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(1), 1u);
-  EXPECT_EQ(h.bin_count(4), 1u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.0);
-  EXPECT_THROW(h.bin_count(5), DomainError);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1, 1, 4), DomainError);
-  EXPECT_THROW(Histogram(0, 1, 0), DomainError);
-}
-
-TEST(Quantile, KnownValues) {
-  const std::vector<double> v{1, 2, 3, 4, 5};
-  EXPECT_DOUBLE_EQ(quantile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(quantile(v, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(quantile(v, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(quantile(v, 0.25), 2.0);
-  EXPECT_DOUBLE_EQ(quantile(v, 0.125), 1.5);  // interpolated
-}
-
-TEST(Quantile, SingleElementAndErrors) {
-  EXPECT_DOUBLE_EQ(quantile({7.0}, 0.3), 7.0);
-  EXPECT_THROW(quantile({}, 0.5), DomainError);
-  EXPECT_THROW(quantile({1.0}, 1.5), DomainError);
 }
 
 }  // namespace

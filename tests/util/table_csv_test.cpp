@@ -16,7 +16,9 @@ TEST(TextTable, RendersAlignedColumns) {
   t.set_alignment({Align::Left, Align::Right});
   t.add_row({"alpha", "1"});
   t.add_row({"b", "12345"});
-  const std::string s = t.to_string();
+  std::ostringstream os;
+  t.print(os);
+  const std::string s = os.str();
   EXPECT_NE(s.find("| name  |"), std::string::npos);
   EXPECT_NE(s.find("|     1 |"), std::string::npos);
   EXPECT_NE(s.find("| 12345 |"), std::string::npos);
@@ -43,7 +45,6 @@ TEST(TextTable, CountsRowsAndColumns) {
 TEST(CellFormatting, FixedScientificIntegral) {
   EXPECT_EQ(cell(3.14159, 2), "3.14");
   EXPECT_EQ(cell(3.0, 0), "3");
-  EXPECT_EQ(cell_sci(12345.678, 3), "1.23e+04");
   EXPECT_EQ(cell(std::uint64_t{42}), "42");
   EXPECT_EQ(cell(-7), "-7");
 }
@@ -58,50 +59,15 @@ TEST(CsvEscape, QuotesOnlyWhenNeeded) {
 }
 
 TEST(Csv, WriterReaderRoundTrip) {
+  // The writer's bytes; data::IncidentStreamReader reads this dialect back
+  // (tests/data/stream_test.cpp).
   std::ostringstream os;
   CsvWriter w(os);
   w.write_row({"a", "b,c", "d\"e", "line\nbreak"});
-  w.write_row({"1", "2", "3", "4"});
-  const auto rows = read_csv_string(os.str());
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0], (CsvRow{"a", "b,c", "d\"e", "line\nbreak"}));
-  EXPECT_EQ(rows[1], (CsvRow{"1", "2", "3", "4"}));
-}
-
-TEST(Csv, ToleratesCrlfAndTrailingNewline) {
-  const auto rows = read_csv_string("a,b\r\nc,d\r\n");
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0], (CsvRow{"a", "b"}));
-  EXPECT_EQ(rows[1], (CsvRow{"c", "d"}));
-}
-
-TEST(Csv, LastLineWithoutNewline) {
-  const auto rows = read_csv_string("a,b\nc,d");
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[1], (CsvRow{"c", "d"}));
-}
-
-TEST(Csv, EmptyFieldsPreserved) {
-  const auto rows = read_csv_string("a,,c\n,,\n");
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0], (CsvRow{"a", "", "c"}));
-  EXPECT_EQ(rows[1], (CsvRow{"", "", ""}));
-}
-
-TEST(Csv, EmptyInputYieldsNoRows) {
-  EXPECT_TRUE(read_csv_string("").empty());
-  EXPECT_TRUE(read_csv_string("\n\n").empty());
-}
-
-TEST(Csv, MalformedQuotingThrows) {
-  EXPECT_THROW(read_csv_string("\"unterminated"), IoError);
-  EXPECT_THROW(read_csv_string("ab\"cd,e"), IoError);
-}
-
-TEST(Csv, QuotedFieldWithEmbeddedNewlineSpansLines) {
-  const auto rows = read_csv_string("\"a\nb\",c\n");
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0], (CsvRow{"a\nb", "c"}));
+  w.write_row({"1", "", "3", "4"});
+  EXPECT_EQ(os.str(),
+            "a,\"b,c\",\"d\"\"e\",\"line\nbreak\"\n"
+            "1,,3,4\n");
 }
 
 }  // namespace
