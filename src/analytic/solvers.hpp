@@ -5,16 +5,18 @@
 
 #include "analytic/ctmc.hpp"
 #include "fmt/fmtree.hpp"
-#include "fmtree/run_settings.hpp"
+#include "obs/telemetry.hpp"
+#include "smc/run_control.hpp"
 
 namespace fmtree::analytic {
 
-/// Iterative-solver options. Embeds fmtree::RunSettings: the solvers honor
-/// `control` (polled every few hundred sweeps; an interrupt or expired
-/// deadline raises ResourceLimitError carrying the progress made) and
-/// `telemetry` (iteration/residual progress snapshots, solver.* metrics,
-/// spans); horizon/seed/threads do not apply to the linear solvers.
-struct SolverOptions : fmtree::RunSettings {
+/// Iterative-solver options.
+struct SolverOptions {
+  /// Optional stop handle, polled every few hundred sweeps: an interrupt or
+  /// expired deadline raises ResourceLimitError carrying the progress made.
+  const smc::RunControl* control = nullptr;
+  /// Iteration/residual progress snapshots, solver.* metrics and spans.
+  obs::Telemetry telemetry;
   double tolerance = 1e-12;      ///< max-norm change per sweep
   std::size_t max_iterations = 200000;
 };

@@ -19,7 +19,7 @@
 // smc::KpiFold in trajectory-index order, exactly what smc::analyze runs.
 // A job's report is therefore bit-identical to smc::analyze on the same
 // model and settings, at any thread count and cache state. Job-level
-// RunSettings::control and ::telemetry are ignored: interruption and
+// AnalysisSettings::control and ::telemetry are ignored: interruption and
 // instrumentation of a sweep are plan-level concerns (SweepPlan::control,
 // run_sweep's telemetry argument).
 //

@@ -10,7 +10,6 @@
 
 #include "analytic/fmt2ctmc.hpp"
 #include "analytic/solvers.hpp"
-#include "batch/checkpoint.hpp"
 #include "batch/result_cache.hpp"
 #include "batch/sweep.hpp"
 #include "data/generator.hpp"
@@ -141,7 +140,6 @@ Options parse_args(const std::vector<std::string>& args) {
     }
     else if (flag == "--policy") opt.policies.push_back(value());
     else if (flag == "--cache-dir") opt.cache_dir = value();
-    else if (flag == "--resume") opt.resume = true;
     else if (flag == "--max-retries")
       opt.max_retries = static_cast<std::uint32_t>(parse_count(value(), "retries"));
     else if (flag == "--stall-timeout")
@@ -227,14 +225,6 @@ Options parse_args(const std::vector<std::string>& args) {
   } else if (!opt.calibrate_path.empty() || !opt.generate_incidents_path.empty()) {
     throw DomainError("--calibrate / --generate-incidents only apply to fleet");
   }
-  if (opt.resume && opt.command == Command::Fleet)
-    throw DomainError(
-        "--resume only applies to sweep (fleet re-runs replay through the "
-        "result cache instead)");
-  if (opt.resume && !opt.connect.empty())
-    throw DomainError(
-        "--resume is incompatible with --connect (the daemon owns the cache "
-        "and checkpoint)");
   if (!(opt.horizon > 0)) throw DomainError("--horizon must be positive");
   if (opt.runs == 0) throw DomainError("--runs must be positive");
   if (!(opt.confidence > 0 && opt.confidence < 1))
@@ -243,8 +233,6 @@ Options parse_args(const std::vector<std::string>& args) {
   if (opt.state_cap == 0) throw DomainError("--state-cap must be positive");
   if (!(opt.stall_timeout >= 0))
     throw DomainError("--stall-timeout must be nonnegative");
-  if (opt.resume && opt.cache_dir.empty())
-    throw DomainError("--resume needs --cache-dir (the checkpoint lives there)");
   return opt;
 }
 
@@ -608,57 +596,8 @@ int cmd_sweep(const Options& opt, const fmt::FaultMaintenanceTree& model,
   }
 
   serve::PreparedRequest prepared = serve::prepare(request, opt.model_root);
-  // The checkpoint manifest wants a SweepPlan (for the plan id and the job
-  // list); build it from the same prepared jobs the service will run.
-  batch::SweepPlan plan;
-  plan.jobs = prepared.jobs;
-
-  // --resume: consult the checkpoint manifest before running. The cache is
-  // what actually replays completed jobs bit-identically; the manifest adds
-  // plan validation and a progress preamble.
-  if (opt.resume && !opt.cache_dir.empty()) {
-    const std::string path = batch::checkpoint_path(opt.cache_dir);
-    try {
-      if (const auto cp = batch::read_checkpoint(path)) {
-        if (cp->plan_id == batch::checkpoint_plan_id(plan)) {
-          // done + failed + pending partition the plan: a failed job is not
-          // banked (it re-runs), so it must never inflate the done total.
-          const std::uint64_t done = cp->jobs_done();
-          const std::uint64_t failed = cp->jobs_failed();
-          out << "resuming: " << done << " of " << cp->jobs.size()
-              << " jobs already completed in a previous run";
-          if (failed > 0) out << ", " << failed << " failed (will re-run)";
-          out << "; " << (cp->jobs.size() - done - failed) << " pending\n";
-        } else {
-          Diagnostic d;
-          d.severity = Severity::Warning;
-          d.code = "C103";
-          d.message = "checkpoint in '" + opt.cache_dir +
-                      "' was written by a different sweep plan; starting fresh";
-          out << "fmtree: " << format_diagnostic(d) << "\n";
-        }
-      } else {
-        out << "resuming: no checkpoint found in '" << opt.cache_dir
-            << "'; starting fresh\n";
-      }
-    } catch (const IoError& e) {
-      Diagnostic d;
-      d.severity = Severity::Warning;
-      d.code = "C103";
-      d.message = std::string("unreadable sweep checkpoint (") + e.what() +
-                  "); starting fresh";
-      out << "fmtree: " << format_diagnostic(d) << "\n";
-    }
-  }
-
-  const serve::Response response =
-      run_in_process(opt, std::move(prepared.jobs), telemetry);
-  // Publish the manifest for the *next* --resume whenever a cache exists —
-  // also after a truncated run, which is exactly when resume matters.
-  if (!opt.cache_dir.empty())
-    batch::write_checkpoint(batch::checkpoint_path(opt.cache_dir), plan, response.jobs);
-
-  return render_sweep_response(opt, response,
+  return render_sweep_response(opt,
+                               run_in_process(opt, std::move(prepared.jobs), telemetry),
                                /*show_cache_line=*/!opt.cache_dir.empty(), out);
 }
 
@@ -1121,10 +1060,10 @@ std::string usage() {
       "  --policy <file>    sweep: add a scripted maintenance-policy candidate\n"
       "                     (repeatable); without an explicit --frequencies,\n"
       "                     only the scripted candidates are evaluated\n"
-      "  --cache-dir <dir>  sweep: content-addressed result cache directory;\n"
-      "                     repeated runs reuse bit-identical results\n"
-      "  --resume           sweep: resume from the checkpoint in --cache-dir;\n"
-      "                     completed jobs replay bit-identically from cache\n"
+      "  --cache-dir <dir>  sweep/fleet/serve: content-addressed result cache\n"
+      "                     directory; running a command again (also after a\n"
+      "                     crash or a stop) replays its finished jobs\n"
+      "                     bit-identically and simulates only the rest\n"
       "  --max-retries <n>  sweep: retry budget per job for transient\n"
       "                     failures (default 2)\n"
       "  --stall-timeout <s> sweep: stop with a diagnostic if no progress\n"

@@ -18,7 +18,7 @@
 //          --state-cap <n>    --no-fallback  --json-errors
 //          --metrics <file>   --trace <file|chrome:file>  --progress
 //          --frequencies <f1,f2,...>  --policy <script.mpl>
-//          --cache-dir <dir>  --resume
+//          --cache-dir <dir>
 //          --max-retries <n>  --stall-timeout <s>
 //          --connect <socket>  --emit-request            (sweep/fleet as a client)
 //          --joints <n>  --fleet-seed <n>  --jitter <x>  --coupling <x>
@@ -98,12 +98,10 @@ struct Options {
   /// each compiled into one scripted sweep candidate) and the positional
   /// script list of `lint-policy`.
   std::vector<std::string> policies;
-  /// On-disk result cache directory for `sweep`; empty = no cache.
+  /// On-disk result cache directory for `sweep`, `fleet` and `serve`; empty =
+  /// no cache. It is also how an interrupted or crashed run resumes: the same
+  /// command run again replays every finished job from it bit-identically.
   std::string cache_dir;
-  /// Resume a previous sweep from the checkpoint manifest in cache_dir:
-  /// completed jobs replay bit-identically from the cache; only the rest are
-  /// simulated. Requires --cache-dir.
-  bool resume = false;
   /// Per-job retry budget for transient failures (SweepPlan::max_retries).
   std::uint32_t max_retries = 2;
   /// Sweep stall watchdog in seconds; 0 = off (SweepPlan::stall_timeout_s).

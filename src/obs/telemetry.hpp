@@ -1,5 +1,6 @@
 // The telemetry bundle: three optional, independently enabled sinks that
-// ride through fmtree::RunSettings into every analysis layer.
+// ride in the settings of every analysis layer (smc::AnalysisSettings,
+// analytic::SolverOptions, the pool, the sweep and the serve session).
 //
 //  * MetricsRegistry — named counters/gauges/histograms, accumulated
 //    per-thread and merged at batch boundaries (obs/metrics.hpp);

@@ -74,7 +74,6 @@
 #include <vector>
 
 #include "fmt/fmtree.hpp"
-#include "fmtree/run_settings.hpp"
 #include "lang/runtime.hpp"
 #include "sim/gate_eval.hpp"
 #include "sim/sampler.hpp"
@@ -116,15 +115,11 @@ struct TrajectoryResult {
   }
 };
 
-/// Per-run simulator options. Embeds fmtree::RunSettings: the simulators
-/// honor `horizon`; seed/threads/control/telemetry are consumed by the
-/// trajectory pool (smc/pool.hpp) — stream identity always comes from the
-/// (seed, index) pair handed to run().
-struct SimOptions : fmtree::RunSettings {
-  /// The single-trajectory default horizon stays 1.0 (the batch layers
-  /// always set it explicitly from their own settings).
-  SimOptions() noexcept { horizon = 1.0; }
-
+/// Per-run simulator options, read by the kernel and sim::Reference. Stream
+/// identity always comes from the (seed, index) pair handed to run().
+struct SimOptions {
+  /// Simulated time span (the batch layers set it from their own settings).
+  double horizon = 1.0;
   bool record_failure_log = false;
   /// Continuous discount rate r for net-present-value cost accounting:
   /// a cost c at time t contributes c * exp(-r t) to discounted_cost.

@@ -6,25 +6,44 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "fmt/fmtree.hpp"
-#include "fmtree/run_settings.hpp"
 #include "lang/runtime.hpp"
+#include "obs/telemetry.hpp"
 #include "smc/pool.hpp"
 #include "util/stats.hpp"
 
 namespace fmtree::smc {
 
-/// Monte-Carlo analysis settings. The execution knobs every backend shares —
-/// horizon, seed, threads, RunControl, telemetry — live in the embedded
-/// fmtree::RunSettings base (their old field locations keep compiling:
-/// `settings.seed`, `settings.horizon`, ... resolve to the base subobject).
-/// A stop via `control` returns early over the completed trajectory prefix —
-/// statistics stay exact for the streams they cover — and the report is
-/// flagged `truncated`.
-struct AnalysisSettings : RunSettings {
+/// Monte-Carlo analysis settings. A stop via `control` returns early over the
+/// completed trajectory prefix — statistics stay exact for the streams they
+/// cover — and the report is flagged `truncated`.
+struct AnalysisSettings {
+  /// Analysis time horizon in the model's time unit (the study: years).
+  double horizon = 10.0;
+  /// Base RNG seed; trajectory i draws from CounterStream(seed, i).
+  std::uint64_t seed = 1;
+  /// Worker threads; 0 = hardware concurrency.
+  unsigned threads = 0;
+  /// Optional scripted maintenance policy (compiled from the policy DSL,
+  /// see src/lang). When set, analysis runs replace the model's built-in
+  /// inspection modules with the script's calendars and the kernel invokes
+  /// the compiled rules at every inspection event. The compiled form's
+  /// fingerprint — not the script text — enters the settings fingerprint,
+  /// so reformatting a script preserves cache keys while any semantic
+  /// change (thresholds, calendars, budgets) invalidates them, and a
+  /// scripted run never shares a cache entry with a built-in one.
+  std::shared_ptr<const lang::CompiledPolicy> policy;
+  /// Optional cooperative stop handle (SIGINT, deadlines, budgets);
+  /// nullptr = run to completion. See smc/run_control.hpp.
+  const RunControl* control = nullptr;
+  /// Optional telemetry sinks (metrics, tracing, progress); disabled by
+  /// default. Telemetry is observational: enabling it changes no analysis
+  /// output bit. See obs/telemetry.hpp and DESIGN.md, "Observability".
+  obs::Telemetry telemetry;
   std::uint64_t trajectories = 10000;
   double confidence = 0.95;
   /// Continuous discount rate for net-present-value cost reporting

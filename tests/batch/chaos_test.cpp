@@ -13,7 +13,6 @@
 #include <filesystem>
 #include <string>
 
-#include "batch/checkpoint.hpp"
 #include "batch/result_cache.hpp"
 #include "batch/sweep.hpp"
 #include "eijoint/model.hpp"

@@ -1,12 +1,11 @@
-// CLI-level chaos: --inject-fault, --resume and the self-healing surface of
-// `fmtree sweep`. "Chaos" prefix: selected by CI's chaos job (ctest -R Chaos).
+// CLI-level chaos: --inject-fault, resuming through the result cache and the
+// self-healing surface of `fmtree sweep`. "Chaos" prefix: selected by CI's chaos job (ctest -R Chaos).
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
-#include "batch/checkpoint.hpp"
 #include "cli/cli.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
@@ -33,15 +32,15 @@ Options sweep_opts(std::vector<double> frequencies) {
   return o;
 }
 
-/// The cost-curve table with layout, status lines (resume preamble, cache
-/// summary, healing note) and the source column removed, so a "simulated"
+/// The cost-curve table with layout, status lines (cache summary, healing
+/// note, warnings) and the source column removed, so a "simulated"
 /// run and a "cache" replay compare equal iff the numbers match.
 std::string normalized_curve(const std::string& text) {
   std::string s;
   std::istringstream lines(text);
   for (std::string line; std::getline(lines, line);) {
     const bool status_line = [&] {
-      for (const char* marker : {"cache:", "resuming:", "self-healing:", "fmtree:"})
+      for (const char* marker : {"cache:", "self-healing:", "fmtree:"})
         if (line.find(marker) != std::string::npos) return true;
       return false;
     }();
@@ -55,12 +54,19 @@ std::string normalized_curve(const std::string& text) {
   return s;
 }
 
+/// The first line of `text` that contains `needle`, or "" when none does.
+std::string row_of(const std::string& text, const std::string& needle) {
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);)
+    if (line.find(needle) != std::string::npos) return line;
+  return "";
+}
+
 TEST(ChaosCliArgs, ParsesRobustnessFlags) {
   const Options o = parse_args(
-      {"sweep", "m.fmt", "--cache-dir", "/tmp/c", "--resume", "--max-retries",
-       "5", "--stall-timeout", "30", "--inject-fault",
-       "cache.write:error,p=0.05,seed=7", "--inject-fault", "sweep.task:error"});
-  EXPECT_TRUE(o.resume);
+      {"sweep", "m.fmt", "--cache-dir", "/tmp/c", "--max-retries", "5",
+       "--stall-timeout", "30", "--inject-fault", "cache.write:error,p=0.05,seed=7",
+       "--inject-fault", "sweep.task:error"});
   EXPECT_EQ(o.max_retries, 5u);
   EXPECT_DOUBLE_EQ(o.stall_timeout, 30.0);
   ASSERT_EQ(o.inject_faults.size(), 2u);
@@ -68,8 +74,6 @@ TEST(ChaosCliArgs, ParsesRobustnessFlags) {
 }
 
 TEST(ChaosCliArgs, RejectsBadRobustnessFlags) {
-  // --resume without a cache directory has nothing to resume from.
-  EXPECT_THROW(parse_args({"sweep", "m.fmt", "--resume"}), DomainError);
   // Malformed fault specs fail at parse time, not mid-run.
   EXPECT_THROW(parse_args({"sweep", "m.fmt", "--inject-fault", "nonsense"}),
                DomainError);
@@ -109,78 +113,74 @@ TEST(ChaosCliSweep, ResumeReplaysACrashedCacheBitIdentically) {
   o.cache_dir = testing::TempDir() + "fmtree_cli_chaos_resume";
   std::filesystem::remove_all(o.cache_dir);
 
-  // Run 1 "crashes": every cache publish fails, so nothing durable lands —
-  // except the checkpoint written at the end.
+  // Run 1 "crashes": every cache publish fails, so nothing durable lands.
   Options crashing = o;
   crashing.inject_faults = {"cache.rename:error"};
   std::ostringstream first;
   ASSERT_EQ(run_on_text(crashing, kSweepModel, first), kExitOk);
   EXPECT_NE(first.str().find("0 hits, 2 misses"), std::string::npos);
 
-  // Run 2 resumes: nothing was persisted, so it recomputes — and must land
-  // on the identical curve. Its cache writes succeed this time.
-  Options resume = o;
-  resume.resume = true;
+  // Run 2 is the same command: nothing was persisted, so it recomputes — and
+  // must land on the identical curve. Its cache writes succeed this time.
   std::ostringstream second;
-  ASSERT_EQ(run_on_text(resume, kSweepModel, second), kExitOk);
-  EXPECT_NE(second.str().find("resuming:"), std::string::npos);
+  ASSERT_EQ(run_on_text(o, kSweepModel, second), kExitOk);
+  EXPECT_NE(second.str().find("0 hits, 2 misses"), std::string::npos);
   EXPECT_EQ(normalized_curve(first.str()), normalized_curve(second.str()));
 
-  // Run 3 resumes against the now-warm cache: all hits, same bits, and the
-  // checkpoint reports every job done.
+  // Run 3 replays the now-warm cache: all hits, same bits.
   std::ostringstream third;
-  ASSERT_EQ(run_on_text(resume, kSweepModel, third), kExitOk);
-  EXPECT_NE(third.str().find("resuming: 2 of 2 jobs"), std::string::npos);
+  ASSERT_EQ(run_on_text(o, kSweepModel, third), kExitOk);
   EXPECT_NE(third.str().find("2 hits, 0 misses"), std::string::npos);
   EXPECT_EQ(normalized_curve(first.str()), normalized_curve(third.str()));
-  const auto cp = batch::read_checkpoint(batch::checkpoint_path(o.cache_dir));
-  ASSERT_TRUE(cp.has_value());
-  EXPECT_EQ(cp->jobs_done(), 2u);
+
+  // The two result entries are the only record of finished work.
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(o.cache_dir))
+    files.push_back(entry.path().filename().string());
+  EXPECT_EQ(files.size(), 2u);
+  for (const std::string& name : files) EXPECT_TRUE(name.ends_with(".json")) << name;
 }
 
-TEST(ChaosCliSweep, ResumeReportsFailedJobsSeparatelyFromDone) {
+TEST(ChaosCliSweep, AFailedJobRunsAgainOnTheNextInvocation) {
   Options o = sweep_opts({0, 2});
-  o.cache_dir = testing::TempDir() + "fmtree_cli_chaos_failed_resume";
+  o.cache_dir = testing::TempDir() + "fmtree_cli_chaos_failed_rerun";
   std::filesystem::remove_all(o.cache_dir);
 
-  // Run 1: one job fails permanently (no retry budget), one succeeds. The
-  // checkpoint must bank them as 1 done + 1 failed, not 2 done.
+  // Run 1: one job fails permanently (no retry budget), the other completes
+  // and is cached.
   Options failing = o;
   failing.max_retries = 0;
   failing.inject_faults = {"sweep.task:error,nth=1,limit=1"};
   std::ostringstream first;
   ASSERT_EQ(run_on_text(failing, kSweepModel, first), kExitTruncated);
-  const auto cp = batch::read_checkpoint(batch::checkpoint_path(o.cache_dir));
-  ASSERT_TRUE(cp.has_value());
-  EXPECT_EQ(cp->jobs_done(), 1u);
-  EXPECT_EQ(cp->jobs_failed(), 1u);
-  EXPECT_EQ(cp->jobs.size(), 2u);  // so none is pending
+  const std::string failed_row = row_of(first.str(), "(failed: injected)");
+  ASSERT_FALSE(failed_row.empty()) << first.str();
+  const std::string label = failed_row.substr(0, failed_row.find('|', 2));
 
-  // Run 2 resumes: the preamble reports the failed job as re-running, and
-  // only the genuinely-done job counts as completed.
-  Options resume = o;
-  resume.resume = true;
+  // Run 2, the same command without faults: the completed job replays and
+  // the failed one is simulated.
   std::ostringstream second;
-  ASSERT_EQ(run_on_text(resume, kSweepModel, second), kExitOk);
-  EXPECT_NE(second.str().find("resuming: 1 of 2 jobs"), std::string::npos);
-  EXPECT_NE(second.str().find("1 failed (will re-run)"), std::string::npos);
-  EXPECT_NE(second.str().find("0 pending"), std::string::npos);
+  ASSERT_EQ(run_on_text(o, kSweepModel, second), kExitOk);
+  EXPECT_NE(second.str().find("cache: 1 hits, 1 misses"), std::string::npos)
+      << second.str();
+  EXPECT_NE(row_of(second.str(), label).find("simulated"), std::string::npos)
+      << second.str();
 }
 
-TEST(ChaosCliSweep, ResumeAgainstADifferentPlanWarnsAndRunsFresh) {
+TEST(ChaosCliSweep, ADifferentGridReplaysTheSharedJobWithoutWarning) {
   Options o = sweep_opts({0, 2});
-  o.cache_dir = testing::TempDir() + "fmtree_cli_chaos_plan_mismatch";
+  o.cache_dir = testing::TempDir() + "fmtree_cli_chaos_other_grid";
   std::filesystem::remove_all(o.cache_dir);
   std::ostringstream first;
   ASSERT_EQ(run_on_text(o, kSweepModel, first), kExitOk);
 
-  Options other = sweep_opts({0, 4});  // different frequency grid
+  Options other = sweep_opts({0, 4});  // shares only the no-inspection job
   other.cache_dir = o.cache_dir;
-  other.resume = true;
   std::ostringstream second;
   ASSERT_EQ(run_on_text(other, kSweepModel, second), kExitOk);
-  EXPECT_NE(second.str().find("C103"), std::string::npos);
-  EXPECT_NE(second.str().find("different sweep plan"), std::string::npos);
+  EXPECT_NE(second.str().find("cache: 1 hits, 1 misses"), std::string::npos)
+      << second.str();
+  EXPECT_EQ(second.str().find("fmtree:"), std::string::npos) << second.str();
 }
 
 TEST(ChaosCliExact, SolverBuildFaultBecomesADiagnosticNotACrash) {

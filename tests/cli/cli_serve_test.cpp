@@ -45,10 +45,6 @@ TEST(CliServeArgs, RejectsBadUsage) {
   EXPECT_THROW(parse_args({"analyze", "m.fmt", "--connect", "s.sock"}),
                DomainError);
   EXPECT_THROW(parse_args({"check", "m.fmt", "--emit-request"}), DomainError);
-  // The daemon owns the cache and checkpoint; --resume cannot ride --connect.
-  EXPECT_THROW(parse_args({"sweep", "m.fmt", "--connect", "s.sock", "--resume",
-                           "--cache-dir", "/tmp/c"}),
-               DomainError);
 }
 
 TEST(CliSweepEmitRequest, PrintsTheCanonicalRequestDocument) {
