@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "util/json.hpp"
+
 #if defined(__linux__) || defined(__APPLE__)
 #include <ctime>
 #define FMTREE_HAS_THREAD_CPUTIME 1
@@ -90,9 +92,9 @@ std::string Tracer::to_json() const {
   for (std::size_t i = 0; i < spans_.size(); ++i) {
     const SpanRecord& s = spans_[i];
     const std::uint64_t wall = s.end_ns > s.start_ns ? s.end_ns - s.start_ns : 0;
-    os << (i ? ",\n" : "\n") << "    {\"name\": \"" << s.name << "\", \"thread\": "
-       << s.thread << ", \"parent\": " << s.parent << ", \"start_ms\": "
-       << json_ms(s.start_ns) << ", \"wall_ms\": " << json_ms(wall)
+    os << (i ? ",\n" : "\n") << "    {\"name\": \"" << json::escape(s.name)
+       << "\", \"thread\": " << s.thread << ", \"parent\": " << s.parent
+       << ", \"start_ms\": " << json_ms(s.start_ns) << ", \"wall_ms\": " << json_ms(wall)
        << ", \"cpu_ms\": " << json_ms(s.cpu_ns) << "}";
   }
   os << (spans_.empty() ? "" : "\n  ") << "]\n}\n";
@@ -107,7 +109,7 @@ std::string Tracer::to_chrome_trace() const {
   for (std::size_t i = 0; i < spans_.size(); ++i) {
     const SpanRecord& s = spans_[i];
     const std::uint64_t wall = s.end_ns > s.start_ns ? s.end_ns - s.start_ns : 0;
-    os << (i ? ",\n " : "\n ") << "{\"name\": \"" << s.name
+    os << (i ? ",\n " : "\n ") << "{\"name\": \"" << json::escape(s.name)
        << "\", \"ph\": \"X\", \"pid\": 1, \"tid\": " << s.thread << ", \"ts\": "
        << static_cast<double>(s.start_ns) / 1e3 << ", \"dur\": "
        << static_cast<double>(wall) / 1e3 << ", \"args\": {\"cpu_ms\": "

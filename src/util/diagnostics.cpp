@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "util/json.hpp"
+
 namespace fmtree {
 
 const char* severity_name(Severity s) {
@@ -44,30 +46,6 @@ std::string format_diagnostic(const Diagnostic& d) {
   return os.str();
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xf];
-          out += hex[c & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string Diagnostics::to_json() const {
   std::ostringstream os;
   os << '[';
@@ -75,11 +53,11 @@ std::string Diagnostics::to_json() const {
     const Diagnostic& d = items_[i];
     if (i != 0) os << ',';
     os << "{\"severity\":\"" << severity_name(d.severity) << "\",\"code\":\""
-       << json_escape(d.code) << "\",\"line\":" << d.loc.line
+       << json::escape(d.code) << "\",\"line\":" << d.loc.line
        << ",\"column\":" << d.loc.column << ",\"message\":\""
-       << json_escape(d.message) << '"';
-    if (!d.hint.empty()) os << ",\"hint\":\"" << json_escape(d.hint) << '"';
-    if (!d.token.empty()) os << ",\"token\":\"" << json_escape(d.token) << '"';
+       << json::escape(d.message) << '"';
+    if (!d.hint.empty()) os << ",\"hint\":\"" << json::escape(d.hint) << '"';
+    if (!d.token.empty()) os << ",\"token\":\"" << json::escape(d.token) << '"';
     os << '}';
   }
   os << ']';

@@ -77,9 +77,6 @@ private:
 ///   <line>:<col>: error[P101]: message (hint: ...)
 std::string format_diagnostic(const Diagnostic& d);
 
-/// JSON string escaping for the machine-readable error channel.
-std::string json_escape(const std::string& s);
-
 /// Aggregate of one parse pass: derives from ParseError so call sites that
 /// expect the single-error exception keep working, while carrying the full
 /// diagnostic list of the pass.

@@ -186,6 +186,18 @@ TEST(Tracer, ExportsBothSchemas) {
   EXPECT_NE(chrome.find("\"parse\""), std::string::npos);
 }
 
+TEST(Tracer, ExportsEscapeSpanNames) {
+  // A job span carries its label verbatim, and a policy name may hold any
+  // character a DSL string literal can.
+  const std::string name = "job:C:\\periodic \"x\"";
+  Tracer tracer;
+  tracer.span(name).close();
+  const json::Value doc = json::parse(tracer.to_json());
+  EXPECT_EQ(doc.find("spans")->items.at(0).find("name")->text, name);
+  const json::Value chrome = json::parse(tracer.to_chrome_trace());
+  EXPECT_EQ(chrome.items.at(0).find("name")->text, name);
+}
+
 TEST(Tracer, MaybeSpanToleratesNull) {
   auto span = maybe_span(nullptr, "anything");
   span.close();  // no tracer: nothing to do, nothing to crash

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace fmtree {
 namespace {
@@ -63,8 +64,8 @@ TEST(Diagnostics, ToJsonEscapesAndListsEveryDiagnostic) {
 }
 
 TEST(Diagnostics, JsonEscapeControlCharacters) {
-  EXPECT_EQ(json_escape("a\nb\tc\\d\"e"), "a\\nb\\tc\\\\d\\\"e");
-  EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(json::escape("a\nb\tc\\d\"e"), "a\\nb\\tc\\\\d\\\"e");
+  EXPECT_EQ(json::escape(std::string(1, '\x01')), "\\u0001");
 }
 
 TEST(Diagnostics, ThrowIfErrorsPicksParseAggregateForParseCodes) {
