@@ -3,11 +3,11 @@
 // parameters from the elicited durations, and validate the calibrated model
 // against a held-out incident database — the substitute for the paper's
 // ProRail data sources (see DESIGN.md, Substitutions).
-#include <fstream>
 #include <iostream>
 
 #include "data/estimate.hpp"
 #include "data/generator.hpp"
+#include "data/stream.hpp"
 #include "data/validate.hpp"
 #include "eijoint/model.hpp"
 #include "eijoint/scenarios.hpp"
@@ -37,8 +37,9 @@ int main() {
 
   // Persist / reload round-trip, as a real study would.
   {
-    std::ofstream out("incidents.csv");
-    incidents.save_csv(out);
+    data::IncidentStreamWriter out("incidents.csv");
+    for (const data::IncidentRecord& r : incidents.records()) out.add(r);
+    out.close();
   }
   std::cout << "\n(wrote incidents.csv)\n";
 

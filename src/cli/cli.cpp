@@ -706,15 +706,14 @@ int cmd_fleet_calibrate(const Options& opt, std::ostream& out) {
 }
 
 /// `fleet --generate-incidents <csv>`: simulate the fleet under the model's
-/// own maintenance policy and stream the incident database out through the
-/// byte-identical-to-save_csv writer.
+/// own maintenance policy and stream each incident straight to the file, so
+/// memory does not grow with the fleet.
 int cmd_fleet_generate(const Options& opt, const fmt::FaultMaintenanceTree& model,
                        std::ostream& out) {
-  const data::IncidentDatabase db = data::generate_incidents(
-      model, static_cast<std::uint32_t>(opt.joints), opt.observe_years,
-      opt.fleet_seed);
   data::IncidentStreamWriter writer(opt.generate_incidents_path);
-  for (const data::IncidentRecord& r : db.records()) writer.add(r);
+  data::generate_incidents(model, static_cast<std::uint32_t>(opt.joints),
+                           opt.observe_years, opt.fleet_seed,
+                           [&writer](const data::IncidentRecord& r) { writer.add(r); });
   writer.close();
   out << "generated " << writer.written() << " incident(s) from " << opt.joints
       << " joints x " << opt.observe_years << " time units into '"

@@ -5,36 +5,34 @@
 
 namespace fmtree::data {
 
-IncidentDatabase generate_incidents(const fmt::FaultMaintenanceTree& ground_truth,
-                                    std::uint32_t num_assets, double years,
-                                    std::uint64_t seed) {
-  return generate_fleet_data(ground_truth, num_assets, years, seed).incidents;
-}
-
-FleetData generate_fleet_data(const fmt::FaultMaintenanceTree& ground_truth,
-                              std::uint32_t num_assets, double years,
-                              std::uint64_t seed) {
+void generate_incidents(const fmt::FaultMaintenanceTree& ground_truth,
+                        std::uint32_t num_assets, double years, std::uint64_t seed,
+                        const std::function<void(const IncidentRecord&)>& sink) {
   const sim::BatchExecutor kernel(ground_truth);
   sim::SimOptions opts;
   opts.horizon = years;
   opts.record_failure_log = true;
-  FleetData fleet{IncidentDatabase(num_assets, years), 0, 0};
   std::uint32_t asset = 0;
   smc::PoolJob job{.executor = &kernel, .options = &opts, .seed = seed,
                    .trajectories = num_assets};
-  // Asset i is trajectory i: its incidents are appended in asset order.
+  // Asset i is trajectory i, and the pool folds in index order.
   job.fold = [&](sim::TrajectoryResult& r) {
     for (const sim::FailureRecord& f : r.failure_log)
-      fleet.incidents.add(
-          IncidentRecord{asset, f.time, ground_truth.ebes()[f.cause_leaf].name});
-    fleet.inspections += r.inspections;
-    fleet.replacements += r.replacements;
+      sink(IncidentRecord{asset, f.time, ground_truth.ebes()[f.cause_leaf].name});
     ++asset;
     return true;
   };
   smc::run_pool({&job, 1}, {});
   if (job.error) std::rethrow_exception(job.error);
-  return fleet;
+}
+
+IncidentDatabase generate_incidents(const fmt::FaultMaintenanceTree& ground_truth,
+                                    std::uint32_t num_assets, double years,
+                                    std::uint64_t seed) {
+  IncidentDatabase db(num_assets, years);
+  generate_incidents(ground_truth, num_assets, years, seed,
+                     [&db](const IncidentRecord& r) { db.add(r); });
+  return db;
 }
 
 std::vector<DegradationSample> elicit_degradation(

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "data/incident.hpp"
@@ -19,29 +20,18 @@
 namespace fmtree::data {
 
 /// Simulates `num_assets` independent assets for `years` under the model's
-/// maintenance policy, recording every system failure with its attributed
-/// mode. Asset i is trajectory i of the kernel: CounterStream(seed, i).
+/// maintenance policy and hands every system failure, with its attributed
+/// mode, to `sink`: asset by asset in asset order, each asset's in time
+/// order. Asset i is trajectory i of the kernel: CounterStream(seed, i).
+/// Memory does not grow with the asset or record count.
+void generate_incidents(const fmt::FaultMaintenanceTree& ground_truth,
+                        std::uint32_t num_assets, double years, std::uint64_t seed,
+                        const std::function<void(const IncidentRecord&)>& sink);
+
+/// The same records, collected into a database.
 IncidentDatabase generate_incidents(const fmt::FaultMaintenanceTree& ground_truth,
                                     std::uint32_t num_assets, double years,
                                     std::uint64_t seed);
-
-/// A fleet observation window: the incident registration plus the
-/// aggregated maintenance-management records (inspection and renewal
-/// counts) — the paper's second data source.
-struct FleetData {
-  IncidentDatabase incidents;
-  std::uint64_t inspections = 0;
-  std::uint64_t replacements = 0;
-
-  double exposure() const noexcept { return incidents.exposure(); }
-};
-
-/// As generate_incidents, but also collects the maintenance records of the
-/// same trajectories (identical seeds: generate_fleet_data(...).incidents
-/// equals generate_incidents(...)).
-FleetData generate_fleet_data(const fmt::FaultMaintenanceTree& ground_truth,
-                              std::uint32_t num_assets, double years,
-                              std::uint64_t seed);
 
 /// Elicited degradation durations of one failure mode.
 struct DegradationSample {

@@ -1,8 +1,5 @@
 #include "data/incident.hpp"
 
-#include <ostream>
-
-#include "util/csv.hpp"
 #include "util/error.hpp"
 
 namespace fmtree::data {
@@ -27,14 +24,6 @@ std::map<std::string, std::uint64_t> IncidentDatabase::counts_by_mode() const {
   std::map<std::string, std::uint64_t> counts;
   for (const IncidentRecord& r : records_) ++counts[r.failure_mode];
   return counts;
-}
-
-void IncidentDatabase::save_csv(std::ostream& os) const {
-  CsvWriter writer(os);
-  writer.write_row({"asset_id", "time", "failure_mode"});
-  for (const IncidentRecord& r : records_)
-    writer.write_row(
-        {std::to_string(r.asset_id), std::to_string(r.time), r.failure_mode});
 }
 
 }  // namespace fmtree::data

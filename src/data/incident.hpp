@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
@@ -42,10 +41,6 @@ public:
 
   /// Incident counts by failure mode, ordered by mode name.
   std::map<std::string, std::uint64_t> counts_by_mode() const;
-
-  /// CSV format: header "asset_id,time,failure_mode", one row per record.
-  /// data::IncidentStreamReader (data/stream.hpp) reads it back.
-  void save_csv(std::ostream& os) const;
 
 private:
   std::uint32_t num_assets_;

@@ -48,8 +48,8 @@ MappedFile::~MappedFile() {
 
 namespace {
 
-/// One CSV field off the mapping (the dialect CsvWriter writes: RFC 4180
-/// quoting, CRLF tolerated). Advances `cur` past the field and its delimiter; sets
+/// One CSV field off the mapping (the dialect IncidentStreamWriter writes:
+/// RFC 4180 quoting, CRLF tolerated). Advances `cur` past the field and its delimiter; sets
 /// `end_of_row` when the delimiter was a newline (or end of input).
 std::string next_field(const char*& cur, const char* end, bool& end_of_row) {
   std::string field;
@@ -100,13 +100,13 @@ IncidentStreamReader::IncidentStreamReader(const std::string& path) : map_(path)
   cur_ = map_.data();
   end_ = map_.data() + map_.size();
   bool eor = false;
-  CsvRow header;
+  std::vector<std::string> header;
   if (cur_ < end_) {
     do {
       header.push_back(next_field(cur_, end_, eor));
     } while (!eor);
   }
-  if (header != CsvRow{"asset_id", "time", "failure_mode"})
+  if (header != std::vector<std::string>{"asset_id", "time", "failure_mode"})
     throw IoError("incident csv: missing or wrong header");
 }
 
@@ -185,7 +185,6 @@ IncidentStreamWriter::IncidentStreamWriter(const std::string& path) : path_(path
   if (file == nullptr)
     throw IoError("cannot create '" + path + "': " + std::strerror(errno));
   file_ = file;
-  // Same bytes as IncidentDatabase::save_csv's header row.
   if (std::fputs("asset_id,time,failure_mode\n", file) < 0) {
     std::fclose(file);
     file_ = nullptr;
@@ -199,7 +198,6 @@ IncidentStreamWriter::~IncidentStreamWriter() {
 
 void IncidentStreamWriter::add(const IncidentRecord& record) {
   if (file_ == nullptr) throw IoError("incident writer '" + path_ + "' is closed");
-  // std::to_string + csv_escape: the exact formatting save_csv produces.
   const std::string row = std::to_string(record.asset_id) + "," +
                           std::to_string(record.time) + "," +
                           csv_escape(record.failure_mode) + "\n";

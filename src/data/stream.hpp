@@ -1,9 +1,8 @@
 // Streaming incident ingestion: calibrate against million-record incident
 // databases in O(1) memory.
 //
-// The layer reads and writes the CSV dialect of IncidentDatabase::save_csv
-// (RFC 4180 quoting, "asset_id,time,failure_mode" header) but never holds
-// more than one record:
+// The layer reads and writes the incident CSV dialect (RFC 4180 quoting,
+// "asset_id,time,failure_mode" header) but never holds more than one record:
 //
 //  * MappedFile           — read-only POSIX mmap with RAII unmap;
 //  * IncidentStreamReader — pull-reader yielding IncidentRecords straight
@@ -15,10 +14,9 @@
 //                           max asset id / time);
 //  * estimate_mode_rates  — Garwood rate table from a scan: the streaming
 //                           equivalent of estimate_rate over counts_by_mode;
-//  * IncidentStreamWriter — append-only writer emitting byte-identical
-//                           output to IncidentDatabase::save_csv, so
-//                           generators can produce fleet-scale databases
-//                           without materialising them either.
+//  * IncidentStreamWriter — append-only writer, the only incident writer,
+//                           so generators can produce fleet-scale
+//                           databases without materialising them either.
 #pragma once
 
 #include <cstdint>
@@ -99,8 +97,9 @@ std::vector<ModeRate> estimate_mode_rates(const IncidentScan& scan,
                                           double observation_years,
                                           double confidence = 0.95);
 
-/// Append-only incident CSV writer; output is byte-identical to
-/// IncidentDatabase::save_csv over the same records. Writes the header on
+/// Append-only incident CSV writer: the header, then one
+/// "<asset_id>,<time>,<failure_mode>" row per record, the time printed by
+/// std::to_string and the mode quoted by csv_escape. Writes the header on
 /// construction; close() flushes and throws IoError on failure (also called
 /// by the destructor, which swallows errors instead).
 class IncidentStreamWriter {

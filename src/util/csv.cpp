@@ -1,7 +1,5 @@
 #include "util/csv.hpp"
 
-#include <ostream>
-
 namespace fmtree {
 
 std::string csv_escape(const std::string& field) {
@@ -15,14 +13,6 @@ std::string csv_escape(const std::string& field) {
   }
   out += '"';
   return out;
-}
-
-void CsvWriter::write_row(const CsvRow& row) {
-  for (std::size_t i = 0; i < row.size(); ++i) {
-    if (i > 0) os_ << ',';
-    os_ << csv_escape(row[i]);
-  }
-  os_ << '\n';
 }
 
 }  // namespace fmtree

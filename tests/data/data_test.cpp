@@ -1,15 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <limits>
 #include <vector>
 
 #include "data/estimate.hpp"
 #include "data/generator.hpp"
 #include "data/incident.hpp"
-#include "data/stream.hpp"
 #include "data/validate.hpp"
 #include "util/error.hpp"
 
@@ -44,27 +41,6 @@ TEST(IncidentDatabase, RatesAndCounts) {
   const auto counts = db.counts_by_mode();
   EXPECT_EQ(counts.at("a"), 2u);
   EXPECT_EQ(counts.at("b"), 1u);
-}
-
-TEST(IncidentDatabase, CsvRoundTrip) {
-  IncidentDatabase db(5, 3.0);
-  db.add({0, 0.5, "mode with, comma"});
-  db.add({4, 2.999, "clean"});
-  const std::string path = testing::TempDir() + "fmtree_incident_roundtrip.csv";
-  {
-    std::ofstream file(path, std::ios::binary);
-    db.save_csv(file);
-  }
-  // The streaming reader is the one reader of save_csv's format.
-  IncidentStreamReader reader(path);
-  std::vector<IncidentRecord> loaded;
-  IncidentRecord record;
-  while (reader.next(record)) loaded.push_back(record);
-  ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded[0].failure_mode, "mode with, comma");
-  EXPECT_NEAR(loaded[1].time, 2.999, 1e-9);
-  EXPECT_EQ(loaded[1].asset_id, 4u);
-  std::remove(path.c_str());
 }
 
 // ---- Generator ------------------------------------------------------------------
@@ -105,6 +81,23 @@ TEST(Generator, DeterministicInSeed) {
   };
   EXPECT_EQ(times(a), times(b));
   EXPECT_NE(times(a), times(c));  // continuous failure times: never all equal
+}
+
+TEST(Generator, SinkReceivesTheDatabaseRecordsInOrder) {
+  const FaultMaintenanceTree m = ground_truth();
+  const IncidentDatabase db = generate_incidents(m, 60, 5.0, 11);
+  std::vector<IncidentRecord> streamed;
+  generate_incidents(m, 60, 5.0, 11,
+                     [&streamed](const IncidentRecord& r) { streamed.push_back(r); });
+  ASSERT_GT(streamed.size(), 0u);
+  ASSERT_EQ(streamed.size(), db.size());
+  for (std::size_t i = 0; i < streamed.size(); ++i) {
+    EXPECT_EQ(streamed[i].asset_id, db.records()[i].asset_id) << i;
+    EXPECT_EQ(streamed[i].time, db.records()[i].time) << i;
+    EXPECT_EQ(streamed[i].failure_mode, db.records()[i].failure_mode) << i;
+  }
+  for (std::size_t i = 1; i < streamed.size(); ++i)
+    EXPECT_GE(streamed[i].asset_id, streamed[i - 1].asset_id) << i;
 }
 
 TEST(Generator, ElicitationMatchesDegradationMoments) {

@@ -1,8 +1,8 @@
 // Streaming incident ingestion: the mmap reader speaks exactly the dialect
-// IncidentDatabase::save_csv writes (round-trip with quoting, CRLF, blank
-// lines), the streaming writer is byte-identical to save_csv, scans carry
-// everything Garwood calibration needs, and malformed inputs fail with
-// row-numbered IoErrors instead of silent misparses.
+// the streaming writer writes (round-trip with quoting, CRLF, blank lines),
+// the writer's bytes are pinned, scans carry everything Garwood calibration
+// needs, and malformed inputs fail with row-numbered IoErrors instead of
+// silent misparses.
 #include "data/stream.hpp"
 
 #include <gtest/gtest.h>
@@ -66,18 +66,19 @@ std::vector<IncidentRecord> sample_records() {
   };
 }
 
-TEST(IncidentStream, WriterIsByteIdenticalToSaveCsv) {
-  IncidentDatabase db(4, 10.0);
-  for (const IncidentRecord& r : sample_records()) db.add(r);
-  std::ostringstream reference;
-  db.save_csv(reference);
-
+TEST(IncidentStream, WriterWritesTheIncidentCsvDialect) {
   const std::string path = temp_path("writer.csv");
   IncidentStreamWriter writer(path);
   for (const IncidentRecord& r : sample_records()) writer.add(r);
   writer.close();
   EXPECT_EQ(writer.written(), sample_records().size());
-  EXPECT_EQ(read_file(path), reference.str());
+  EXPECT_EQ(read_file(path),
+            "asset_id,time,failure_mode\n"
+            "0,0.500000,contamination\n"
+            "3,1.250000,impact_damage\n"
+            "1,2.000000,\"mode,with,commas\"\n"
+            "2,2.750000,\"quoted \"\"mode\"\"\"\n"
+            "3,9.500000,contamination\n");
   std::remove(path.c_str());
 }
 

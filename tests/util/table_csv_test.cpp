@@ -58,17 +58,5 @@ TEST(CsvEscape, QuotesOnlyWhenNeeded) {
   EXPECT_EQ(csv_escape("with\nnewline"), "\"with\nnewline\"");
 }
 
-TEST(Csv, WriterReaderRoundTrip) {
-  // The writer's bytes; data::IncidentStreamReader reads this dialect back
-  // (tests/data/stream_test.cpp).
-  std::ostringstream os;
-  CsvWriter w(os);
-  w.write_row({"a", "b,c", "d\"e", "line\nbreak"});
-  w.write_row({"1", "", "3", "4"});
-  EXPECT_EQ(os.str(),
-            "a,\"b,c\",\"d\"\"e\",\"line\nbreak\"\n"
-            "1,,3,4\n");
-}
-
 }  // namespace
 }  // namespace fmtree
