@@ -373,15 +373,22 @@ int cmd_analyze(const Options& opt, const fmt::FaultMaintenanceTree& model,
   a.print(out);
 
   // A truncated run already consumed the stop signal; launching the quantile
-  // batch would just truncate again at zero trajectories, so skip it.
+  // batch would just stop again before its first trajectory, so skip it.
   if (!opt.quantiles.empty() && !k.truncated) {
-    const auto q = smc::failure_time_quantiles(model, opt.quantiles, s);
+    const smc::FailureQuantiles q =
+        smc::failure_time_quantiles(model, opt.quantiles, s);
     out << "\ntime-to-failure quantiles:\n";
     TextTable qt({"p", "t"});
-    for (std::size_t i = 0; i < q.size(); ++i)
+    for (std::size_t i = 0; i < q.values.size(); ++i)
       qt.add_row({cell(opt.quantiles[i], 3),
-                  std::isinf(q[i]) ? "> horizon" : cell(q[i], 3)});
+                  std::isinf(q.values[i]) ? "> horizon" : cell(q.values[i], 3)});
     qt.print(out);
+    if (q.stop_reason != smc::StopReason::None) {
+      out << "\nNOTE: quantile pass truncated (" << smc::stop_reason_name(q.stop_reason)
+          << ") after " << q.trajectories << " of " << opt.runs
+          << " trajectories; quantiles are exact over that prefix.\n";
+      return kExitTruncated;
+    }
   }
   if (k.truncated) {
     out << "\nNOTE: run truncated (" << smc::stop_reason_name(k.stop_reason)

@@ -49,11 +49,13 @@ Simulation::Simulation(const fmt::FaultMaintenanceTree& model,
   }
 }
 
+PoolJob Simulation::job(Fold fold) const {
+  return {.executor = &executor_, .options = &options_, .seed = seed_,
+          .trajectories = trajectories_, .fold = std::move(fold)};
+}
+
 PoolJob Simulation::job(AnalysisFold& fold) const {
-  PoolJob job{.executor = &executor_, .options = &options_, .seed = seed_,
-              .trajectories = trajectories_};
-  job.fold = [&fold](sim::TrajectoryResult& r) { return fold.add(r); };
-  return job;
+  return job([&fold](sim::TrajectoryResult& r) { return fold.add(r); });
 }
 
 AnalysisFold::AnalysisFold(const AnalysisSettings& settings, Observer observe)

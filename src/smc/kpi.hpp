@@ -112,7 +112,9 @@ public:
   Simulation& operator=(const Simulation&) = delete;
 
   /// A pool job over the settings' seed and trajectory count, folded by
-  /// `fold` (which must outlive the job).
+  /// `fold`.
+  PoolJob job(Fold fold) const;
+  /// The same, folded by an AnalysisFold (which must outlive the job).
   PoolJob job(AnalysisFold& fold) const;
 
 private:

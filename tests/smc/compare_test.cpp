@@ -77,28 +77,31 @@ TEST(FailureTimeQuantiles, MatchExponentialClosedForm) {
   FaultMaintenanceTree m;
   m.set_top(m.add_basic_event("a", Distribution::exponential(0.5)));
   AnalysisSettings s = quick(40000, 100.0);
-  const auto q = failure_time_quantiles(m, {0.25, 0.5, 0.9}, s);
-  ASSERT_EQ(q.size(), 3u);
-  EXPECT_NEAR(q[0], -std::log(0.75) / 0.5, 0.05);
-  EXPECT_NEAR(q[1], -std::log(0.5) / 0.5, 0.06);
-  EXPECT_NEAR(q[2], -std::log(0.1) / 0.5, 0.25);
+  const FailureQuantiles q = failure_time_quantiles(m, {0.25, 0.5, 0.9}, s);
+  ASSERT_EQ(q.values.size(), 3u);
+  EXPECT_EQ(q.trajectories, 40000u);
+  EXPECT_EQ(q.stop_reason, StopReason::None);
+  EXPECT_NEAR(q.values[0], -std::log(0.75) / 0.5, 0.05);
+  EXPECT_NEAR(q.values[1], -std::log(0.5) / 0.5, 0.06);
+  EXPECT_NEAR(q.values[2], -std::log(0.1) / 0.5, 0.25);
 }
 
 TEST(FailureTimeQuantiles, CensoredTailIsInfinite) {
   FaultMaintenanceTree m;
   m.set_top(m.add_basic_event("a", Distribution::exponential(0.01)));  // mean 100
   AnalysisSettings s = quick(2000, 5.0);  // ~95% survive the horizon
-  const auto q = failure_time_quantiles(m, {0.5, 0.99}, s);
-  EXPECT_TRUE(std::isinf(q[0]));
-  EXPECT_TRUE(std::isinf(q[1]));
+  const FailureQuantiles q = failure_time_quantiles(m, {0.5, 0.99}, s);
+  EXPECT_TRUE(std::isinf(q.values[0]));
+  EXPECT_TRUE(std::isinf(q.values[1]));
 }
 
 TEST(FailureTimeQuantiles, MonotoneInProbability) {
   const auto model = eijoint::build_ei_joint(eijoint::EiJointParameters::defaults(),
                                              eijoint::corrective_only());
-  const auto q =
+  const FailureQuantiles q =
       failure_time_quantiles(model, {0.1, 0.3, 0.5, 0.7, 0.9}, quick(10000, 50.0));
-  for (std::size_t i = 1; i < q.size(); ++i) EXPECT_GE(q[i], q[i - 1]);
+  for (std::size_t i = 1; i < q.values.size(); ++i)
+    EXPECT_GE(q.values[i], q.values[i - 1]);
 }
 
 TEST(FailureTimeQuantiles, Validation) {
@@ -106,6 +109,39 @@ TEST(FailureTimeQuantiles, Validation) {
   m.set_top(m.add_basic_event("a", Distribution::exponential(1)));
   EXPECT_THROW(failure_time_quantiles(m, {}, quick(10)), DomainError);
   EXPECT_THROW(failure_time_quantiles(m, {1.5}, quick(10)), DomainError);
+}
+
+TEST(FailureTimeQuantiles, StopAtTheRunControlCoversThePrefix) {
+  const auto model = eijoint::build_ei_joint(eijoint::EiJointParameters::defaults(),
+                                             eijoint::current_policy());
+  RunControl control;
+  control.set_trajectory_budget(1000);
+  AnalysisSettings s = quick(100000);
+  s.control = &control;
+  const FailureQuantiles q = failure_time_quantiles(model, {0.5}, s);
+  EXPECT_GT(q.trajectories, 0u);
+  EXPECT_LT(q.trajectories, 100000u);
+  EXPECT_EQ(q.stop_reason, StopReason::BudgetExhausted);
+}
+
+TEST(CompareModels, StopAtTheRunControlPairsTheCompletedPrefix) {
+  const auto factory = eijoint::ei_joint_factory(eijoint::EiJointParameters::defaults());
+  const FaultMaintenanceTree sparse = factory(eijoint::inspections_per_year(1));
+  const FaultMaintenanceTree current = factory(eijoint::current_policy());
+  RunControl control;
+  control.set_trajectory_budget(1000);
+  AnalysisSettings s = quick(100000);
+  s.control = &control;
+  // The pool runs the variants in plan order, so a stop this early leaves
+  // the second one no trajectory to pair with.
+  EXPECT_THROW(compare_models(sparse, current, s), ResourceLimitError);
+
+  // A later stop pairs the prefix both variants completed.
+  s.trajectories = 4000;
+  control.set_trajectory_budget(6000);
+  const PairedComparison cmp = compare_models(sparse, current, s);
+  EXPECT_GT(cmp.trajectories, 0u);
+  EXPECT_LT(cmp.trajectories, 4000u);
 }
 
 }  // namespace
