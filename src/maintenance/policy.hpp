@@ -33,7 +33,7 @@ struct MaintenancePolicy {
 
 /// The name of a policy inspecting `per_year` times a year: "no-inspection"
 /// for 0, else "<per_year>x-per-year" (default stream formatting, e.g.
-/// "0.5x-per-year"). Sweep labels and cache-checkpoint entries use it.
+/// "0.5x-per-year"). Sweep job labels use it.
 std::string inspection_frequency_label(double per_year);
 
 /// Builds a concrete FMT implementing a policy. Provided by each case study.

@@ -1,9 +1,8 @@
 // Deterministic random number generation with independent substreams.
 //
-// Every stochastic computation in fmtree draws from a RandomStream, and every
-// stream is identified by a (seed, stream-id) pair. Monte-Carlo trajectory i
-// always uses stream i regardless of which thread runs it, so results are
-// bit-for-bit reproducible at any thread count.
+// Every stream is identified by a (seed, stream-id) pair. Monte-Carlo
+// trajectory i always uses stream i regardless of which thread runs it, so
+// results are bit-for-bit reproducible at any thread count.
 //
 // Two generator families live here:
 //
@@ -11,7 +10,8 @@
 //    SplitMix64. Stream separation uses SplitMix64 over (seed, stream)
 //    rather than jump polynomials: it is simpler, O(1), and collisions
 //    between the 2^64 streams of one seed are astronomically unlikely.
-//    This is the scalar engine's generator.
+//    It drives the draws outside the trajectory kernel: the corridor's
+//    per-joint lifetime jitter and the synthetic elicitation datasets.
 //
 //  * CounterStream — counter-based Philox-4x32-10 (Salmon et al., "Parallel
 //    random numbers: as easy as 1, 2, 3"). Draw i of stream t under seed s

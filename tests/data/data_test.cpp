@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <vector>
 
 #include "data/estimate.hpp"
 #include "data/generator.hpp"
 #include "data/incident.hpp"
+#include "data/stream.hpp"
 #include "data/validate.hpp"
 #include "util/error.hpp"
 
@@ -41,6 +43,27 @@ TEST(IncidentDatabase, RatesAndCounts) {
   const auto counts = db.counts_by_mode();
   EXPECT_EQ(counts.at("a"), 2u);
   EXPECT_EQ(counts.at("b"), 1u);
+}
+
+TEST(IncidentDatabase, CsvRoundTrip) {
+  IncidentDatabase db(5, 3.0);
+  db.add({0, 0.5, "mode with, comma"});
+  db.add({4, 2.999, "clean"});
+  const std::string path = testing::TempDir() + "fmtree_incident_roundtrip.csv";
+  {
+    IncidentStreamWriter writer(path);
+    for (const IncidentRecord& r : db.records()) writer.add(r);
+    writer.close();
+  }
+  IncidentStreamReader reader(path);
+  std::vector<IncidentRecord> loaded;
+  IncidentRecord record;
+  while (reader.next(record)) loaded.push_back(record);
+  ASSERT_EQ(loaded.size(), 2u);
+  EXPECT_EQ(loaded[0].failure_mode, "mode with, comma");
+  EXPECT_NEAR(loaded[1].time, 2.999, 1e-9);
+  EXPECT_EQ(loaded[1].asset_id, 4u);
+  std::remove(path.c_str());
 }
 
 // ---- Generator ------------------------------------------------------------------

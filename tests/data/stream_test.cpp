@@ -70,15 +70,17 @@ TEST(IncidentStream, WriterWritesTheIncidentCsvDialect) {
   const std::string path = temp_path("writer.csv");
   IncidentStreamWriter writer(path);
   for (const IncidentRecord& r : sample_records()) writer.add(r);
+  writer.add({1, 9.75, "line\nbreak"});
   writer.close();
-  EXPECT_EQ(writer.written(), sample_records().size());
+  EXPECT_EQ(writer.written(), sample_records().size() + 1);
   EXPECT_EQ(read_file(path),
             "asset_id,time,failure_mode\n"
             "0,0.500000,contamination\n"
             "3,1.250000,impact_damage\n"
             "1,2.000000,\"mode,with,commas\"\n"
             "2,2.750000,\"quoted \"\"mode\"\"\"\n"
-            "3,9.500000,contamination\n");
+            "3,9.500000,contamination\n"
+            "1,9.750000,\"line\nbreak\"\n");
   std::remove(path.c_str());
 }
 
