@@ -1,5 +1,6 @@
 // CLI-level chaos: --inject-fault, resuming through the result cache and the
-// self-healing surface of `fmtree sweep`. "Chaos" prefix: selected by CI's chaos job (ctest -R Chaos).
+// self-healing surface of `fmtree sweep`. "Chaos" prefix: selected by CI's
+// chaos job (ctest -R Chaos).
 #include <gtest/gtest.h>
 
 #include <filesystem>
