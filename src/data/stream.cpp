@@ -49,8 +49,9 @@ MappedFile::~MappedFile() {
 namespace {
 
 /// One CSV field off the mapping (the dialect IncidentStreamWriter writes:
-/// RFC 4180 quoting, CRLF tolerated). Advances `cur` past the field and its delimiter; sets
-/// `end_of_row` when the delimiter was a newline (or end of input).
+/// RFC 4180 quoting, CRLF tolerated). Advances `cur` past the field and its
+/// delimiter; sets `end_of_row` when the delimiter was a newline (or end of
+/// input).
 std::string next_field(const char*& cur, const char* end, bool& end_of_row) {
   std::string field;
   bool in_quotes = false;

@@ -95,7 +95,7 @@ file(GLOB entries RELATIVE ${cache} ${cache}/*)
 list(REMOVE_ITEM entries quarantine)
 list(LENGTH entries entry_count)
 if(NOT entry_count EQUAL 3)
-  message(FATAL_ERROR "the cache holds '${entries}' beside quarantine/, not three entries")
+  message(FATAL_ERROR "beside quarantine/ the cache holds '${entries}', not 3 entries")
 endif()
 foreach(entry IN LISTS entries)
   if(NOT entry MATCHES "^[0-9a-f]+-[0-9a-f]+\\.json$")
