@@ -23,7 +23,7 @@ using ft::TokenType;
 /// Parses one distribution expression, e.g. "erlang(3, 0.5)".
 Distribution parse_distribution(TokenCursor& cur) {
   const std::size_t line = cur.line();
-  const std::string kind = cur.expect_identifier("distribution name");
+  const std::string kind = cur.expect_identifier("distribution name").text;
   if (kind == "never") return Distribution::never();
 
   cur.expect(TokenType::LParen, "'(' after distribution name");
@@ -147,7 +147,7 @@ LeafDecl parse_ebe_body(TokenCursor& cur, std::size_t line) {
     const std::string key = cur.next().text;
     cur.expect(TokenType::Equals, "'=' after '" + key + "'");
     if (key == "repair") {
-      repair_action = cur.expect_identifier("repair action name");
+      repair_action = cur.expect_identifier("repair action name").text;
       continue;
     }
     const double value = cur.expect_number("value for '" + key + "'");
@@ -191,7 +191,7 @@ ModuleDecl parse_module_body(TokenCursor& cur, bool is_inspection, std::size_t l
   ModuleDecl m;
   m.is_inspection = is_inspection;
   m.line = line;
-  m.name = cur.expect_identifier("module name");
+  m.name = cur.expect_identifier("module name").text;
   while (cur.peek().type == TokenType::Identifier) {
     const std::string key = cur.next().text;
     if (key == "targets") {
@@ -221,7 +221,7 @@ ModuleDecl parse_module_body(TokenCursor& cur, bool is_inspection, std::size_t l
 RdepDecl parse_rdep_body(TokenCursor& cur, std::size_t line) {
   RdepDecl r;
   r.line = line;
-  r.name = cur.expect_identifier("rdep name");
+  r.name = cur.expect_identifier("rdep name").text;
   while (cur.peek().type == TokenType::Identifier) {
     const std::string key = cur.next().text;
     if (key == "targets") {
@@ -233,7 +233,7 @@ RdepDecl parse_rdep_body(TokenCursor& cur, std::size_t line) {
     if (key == "factor") {
       r.factor = cur.expect_number("rdep factor");
     } else if (key == "trigger") {
-      r.trigger = cur.expect_identifier("trigger node");
+      r.trigger = cur.expect_identifier("trigger node").text;
     } else if (key == "trigger_phase") {
       const double tp = cur.expect_number("trigger phase");
       if (!std::isfinite(tp) || tp < 1 || tp != std::floor(tp) || tp > 1e9)
@@ -252,7 +252,7 @@ RdepDecl parse_rdep_body(TokenCursor& cur, std::size_t line) {
 FdepDecl parse_fdep_body(TokenCursor& cur, std::size_t line) {
   FdepDecl f;
   f.line = line;
-  f.name = cur.expect_identifier("fdep name");
+  f.name = cur.expect_identifier("fdep name").text;
   while (cur.peek().type == TokenType::Identifier) {
     const std::string key = cur.next().text;
     if (key == "targets") {
@@ -262,7 +262,7 @@ FdepDecl parse_fdep_body(TokenCursor& cur, std::size_t line) {
     }
     cur.expect(TokenType::Equals, "'=' after '" + key + "'");
     if (key == "trigger") {
-      f.trigger = cur.expect_identifier("trigger node");
+      f.trigger = cur.expect_identifier("trigger node").text;
     } else {
       throw ParseError(line, "unknown fdep attribute '" + key + "'");
     }
@@ -296,30 +296,32 @@ CorrectivePolicy parse_corrective_body(TokenCursor& cur, std::size_t line) {
 void parse_statement(TokenCursor& cur, Declarations& decls) {
   const std::size_t line = cur.line();
   const std::size_t column = cur.column();
-  const std::string head = cur.expect_identifier("statement");
-  if (head == "toplevel") {
+  const Token head = cur.expect_identifier("statement");
+  // A statement keyword matches only as a bare word: a quoted head is a name.
+  const std::string keyword = head.quoted ? std::string() : head.text;
+  if (keyword == "toplevel") {
     if (!decls.top.empty())
-      throw ParseError(line, column, head, "duplicate toplevel declaration", "P102",
+      throw ParseError(line, column, keyword, "duplicate toplevel declaration", "P102",
                        "a model has exactly one 'toplevel <name>;' statement");
-    decls.top = cur.expect_identifier("top event name");
+    decls.top = cur.expect_identifier("top event name").text;
     decls.top_loc = {line, column};
-  } else if (head == "inspection" || head == "replacement") {
-    decls.modules.push_back(parse_module_body(cur, head == "inspection", line));
-  } else if (head == "rdep") {
+  } else if (keyword == "inspection" || keyword == "replacement") {
+    decls.modules.push_back(parse_module_body(cur, keyword == "inspection", line));
+  } else if (keyword == "rdep") {
     decls.rdeps.push_back(parse_rdep_body(cur, line));
-  } else if (head == "fdep") {
+  } else if (keyword == "fdep") {
     decls.fdeps.push_back(parse_fdep_body(cur, line));
-  } else if (head == "corrective") {
+  } else if (keyword == "corrective") {
     if (decls.corrective_seen)
-      throw ParseError(line, column, head, "duplicate corrective declaration", "P102");
+      throw ParseError(line, column, keyword, "duplicate corrective declaration", "P102");
     decls.corrective = parse_corrective_body(cur, line);
     decls.corrective_seen = true;
   } else {
-    const std::string& name = head;
+    const std::string& name = head.text;
     if (decls.gates.contains(name) || decls.leaves.contains(name))
       throw ParseError(line, column, name, "duplicate definition of '" + name + "'",
                        "P102", "every node is declared exactly once");
-    const std::string op = cur.expect_identifier("gate type, 'be' or 'ebe'");
+    const std::string op = cur.expect_identifier("gate type, 'be' or 'ebe'").text;
     if (op == "be") {
       Distribution d = parse_distribution(cur);
       decls.leaves.emplace(
@@ -368,9 +370,9 @@ Declarations collect(TokenCursor& cur, Diagnostics& diags) {
     const SourceLocation statement{cur.line(), cur.column()};
     try {
       parse_statement(cur, decls);
+      continue;
     } catch (const ParseError& e) {
       diags.add(diagnostic_from(e));
-      cur.synchronize();
     } catch (const Error& e) {
       // Statement helpers may surface domain errors from model construction;
       // keep the collect contract (diagnostics, never exceptions), located at
@@ -378,8 +380,11 @@ Declarations collect(TokenCursor& cur, Diagnostics& diags) {
       Diagnostic d = diagnostic_from(e, "P199");
       d.loc = statement;
       diags.add(std::move(d));
-      cur.synchronize();
     }
+    // Resume after the next ';'. synchronize() stops before a '}', which
+    // closes a policy rule block; a model has no blocks, so skip it.
+    cur.synchronize();
+    while (cur.accept(TokenType::RBrace)) cur.synchronize();
   }
   if (decls.top.empty())
     diags.error("P103", {cur.line(), cur.column()}, "missing 'toplevel' declaration",
@@ -584,7 +589,7 @@ FaultMaintenanceTree build_model(const Declarations& decls) {
 
 FmtParseResult parse_fmt_collect(const std::string& text) {
   FmtParseResult result;
-  TokenCursor cur(ft::tokenize(text, result.diagnostics));
+  TokenCursor cur(ft::tokenize(text, result.diagnostics, ft::kModelText), ft::kModelText);
   const Declarations decls = collect(cur, result.diagnostics);
   if (result.diagnostics.has_errors()) return result;
   validate_declarations(decls, result.diagnostics);
@@ -609,15 +614,17 @@ FaultMaintenanceTree parse_fmt(const std::string& text) {
 
 namespace {
 
+/// A name as parse_fmt reads it back: bare if it lexes as one bare word
+/// that no statement keyword (nor `targets all`) would match, else quoted.
 std::string quoted(const std::string& name) {
-  for (char c : name) {
-    const bool ok = (std::isalnum(static_cast<unsigned char>(c)) != 0) || c == '_' ||
-                    c == '.' || c == '-';
-    if (!ok) return '"' + name + '"';
-  }
-  if (name.empty() || std::isdigit(static_cast<unsigned char>(name[0])) != 0)
-    return '"' + name + '"';
-  return name;
+  static const std::unordered_set<std::string> keywords{
+      "toplevel", "inspection", "replacement", "rdep", "fdep", "corrective", "all"};
+  bool bare = !name.empty() && !keywords.contains(name) &&
+              (std::isalpha(static_cast<unsigned char>(name[0])) != 0 || name[0] == '_');
+  for (char c : name)
+    bare = bare && (std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_' ||
+                    c == '.' || c == '-');
+  return bare ? name : '"' + name + '"';
 }
 
 /// Shortest exact decimal form (see util/format.hpp); the emitter prints

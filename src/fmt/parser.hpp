@@ -22,11 +22,18 @@
 //   | lognormal(mu, sigma) | uniform(lo, hi) | det(value)
 // A leaf's lifetime must be finite: `never` and `det(inf)` are rejected.
 //
-// Names may be bare identifiers or double-quoted strings. Every node is
-// declared exactly once; forward references are allowed; cycles are rejected.
+// Names may be bare identifiers or double-quoted strings. A quoted string is
+// a name, never a keyword: `"inspection" ebe ...;` declares a leaf, and
+// `targets "all"` names the leaf `all`. to_text() quotes a name that spells a
+// statement keyword or `all`. Every node is declared exactly once; forward
+// references are allowed; cycles are rejected.
 //
 // For `inspection ... targets all`, "all" expands to every inspectable leaf;
 // for `replacement ... targets all`, to every leaf.
+//
+// The text is lexed by ft/lexer.hpp, which also lexes policy scripts: the
+// policy punctuation `{ } + - * / < <= > >= == != ..` lexes, and the parser
+// reports it as a located P101. Recovery resumes after the next ';'.
 //
 // An ebe takes its per-phase rate either as `rate=<r>` (used directly) or as
 // `mean=<M>` (the Erlang mean time to failure; rate = phases/mean). When

@@ -1,13 +1,17 @@
 #include <cmath>
 #include <utility>
 
-#include "lang/lexer.hpp"
+#include "ft/lexer.hpp"
 #include "lang/policy.hpp"
 #include "util/error.hpp"
 
 namespace fmtree::lang {
 
 namespace {
+
+using ft::Token;
+using ft::TokenCursor;
+using ft::TokenType;
 
 /// Recovery-style recursive-descent parser emitting straight into the flat
 /// CompiledPolicy tables (postfix code, no AST). Each top-level statement
@@ -18,7 +22,7 @@ namespace {
 class Compiler {
 public:
   Compiler(std::vector<Token> tokens, Diagnostics& diags)
-      : cur_(std::move(tokens)), diags_(diags) {}
+      : cur_(std::move(tokens), ft::kPolicyText), diags_(diags) {}
 
   std::optional<CompiledPolicy> run() {
     while (!cur_.at_end()) {
@@ -532,8 +536,7 @@ private:
 
 std::optional<CompiledPolicy> compile_policy(const std::string& source,
                                              Diagnostics& diags) {
-  std::vector<Token> tokens = tokenize(source, diags);
-  return Compiler(std::move(tokens), diags).run();
+  return Compiler(ft::tokenize(source, diags, ft::kPolicyText), diags).run();
 }
 
 CompiledPolicy compile_policy(const std::string& source) {

@@ -32,7 +32,8 @@
 // result-cache keys while any semantic change busts them.
 //
 // Stable diagnostic codes (DESIGN.md, "Policy language"):
-//   L110-L112  lexical     (bad character, unterminated string, bad number)
+//   L110-L112  lexical     (bad character, unterminated string, bad number:
+//                           the lexer of ft/lexer.hpp under ft::kPolicyText)
 //   L120-L122  syntax      (unexpected token, unknown statement, bad expression)
 //   L130-L136  semantic    (unknown calendar/budget, duplicates, bad values,
 //                           unknown component at bind time)

@@ -221,6 +221,30 @@ TEST(FmtParserRecovery, ModelErrorsInAStatementAreLocated) {
   EXPECT_EQ(d[1].loc.column, 1u);
 }
 
+TEST(FmtParserRecovery, PolicyPunctuationIsASyntaxErrorWhereItStands) {
+  // Model and policy text share one lexer: '-' is a token, and a model has
+  // no place for it, so the number it precedes is a located P101.
+  const FmtParseResult r = parse_fmt_collect(
+      "toplevel T;\nT or A;\nA ebe phases=2 mean=-5 threshold=9e18;\n");
+  ASSERT_EQ(r.diagnostics.all().size(), 1u);
+  const Diagnostic& d = r.diagnostics.all()[0];
+  EXPECT_EQ(d.code, "P101");
+  EXPECT_EQ(d.loc.line, 3u);
+  EXPECT_EQ(d.loc.column, 21u);
+  EXPECT_EQ(d.token, "-");
+}
+
+TEST(FmtParserRecovery, StrayBraceIsSkippedToTheNextSemicolon) {
+  // The shared recovery stops before a '}' (it closes a policy rule block);
+  // the model parser skips it, so the parse ends after one diagnostic.
+  const FmtParseResult r = parse_fmt_collect("toplevel T;\nT or A };\n");
+  ASSERT_EQ(r.diagnostics.all().size(), 1u);
+  const Diagnostic& d = r.diagnostics.all()[0];
+  EXPECT_EQ(d.code, "P101");
+  EXPECT_EQ(d.loc.line, 2u);
+  EXPECT_EQ(d.loc.column, 8u);
+}
+
 // Static fault trees: the toplevel / and / or / vot / be statements alone.
 
 TEST(FtParserRecovery, CleanInputYieldsTreeAndNoDiagnostics) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fmt/canonical.hpp"
 #include "ft/bdd.hpp"
 #include "util/error.hpp"
 
@@ -146,6 +147,63 @@ TEST(FmtParser, RoundTripsThroughToText) {
   }
   // Inspection offsets serialize explicitly, so schedules match too.
   EXPECT_DOUBLE_EQ(m1.inspections()[0].first_at, m2.inspections()[0].first_at);
+}
+
+/// to_text → parse_fmt reproduces the model's canonical hash; the name of
+/// the check is reported with any failure.
+void expect_round_trip(const FaultMaintenanceTree& model, const std::string& what) {
+  const std::string text = to_text(model);
+  const FmtParseResult reparsed = parse_fmt_collect(text);
+  ASSERT_TRUE(reparsed.model.has_value()) << what << ":\n" << text;
+  EXPECT_EQ(canonical_hash(*reparsed.model), canonical_hash(model)) << what << ":\n"
+                                                                    << text;
+}
+
+TEST(FmtParser, NamesThatSpellKeywordsRoundTrip) {
+  const std::vector<std::string> keywords = {
+      "toplevel", "inspection", "replacement", "rdep", "fdep", "corrective",
+      "targets", "all", "and", "or", "vot", "spare", "be", "ebe", "dormancy",
+      "phases", "mean", "rate", "threshold", "repair", "repair_cost", "repair_time",
+      "factor", "trigger", "trigger_phase", "period", "offset", "cost", "detect",
+      "delay", "downtime_rate", "off", "never", "exp", "erlang", "erlang_mean",
+      "weibull", "lognormal", "uniform", "det"};
+  const DegradationModel wear = DegradationModel::erlang(2, 5.0, 2);
+  for (const std::string& keyword : keywords) {
+    // The keyword names a leaf: the only one the inspection visits, the
+    // trigger of an rdep, and a replacement target.
+    FaultMaintenanceTree leaf_model;
+    const NodeId leaf = leaf_model.add_ebe(keyword, wear);
+    const NodeId other = leaf_model.add_ebe("x", wear);
+    leaf_model.set_top(leaf_model.add_or("T", {leaf, other}));
+    leaf_model.add_rdep("R", leaf, {other}, 2.0);
+    leaf_model.add_inspection(InspectionModule{"I", 1.0, -1.0, 5.0, {leaf}});
+    leaf_model.add_replacement(ReplacementModule{"Z", 4.0, -1.0, 9.0, {leaf}});
+    expect_round_trip(leaf_model, "leaf '" + keyword + "'");
+
+    // The keyword names a gate under the top event.
+    FaultMaintenanceTree gate_model;
+    const NodeId a = gate_model.add_ebe("a", wear);
+    const NodeId b = gate_model.add_ebe("b", wear);
+    const NodeId gate = gate_model.add_and(keyword, {a, b});
+    gate_model.set_top(gate_model.add_or("T", {gate, gate_model.add_ebe("c", wear)}));
+    gate_model.add_inspection(InspectionModule{"I", 1.0, -1.0, 5.0, {a}});
+    expect_round_trip(gate_model, "gate '" + keyword + "'");
+  }
+}
+
+TEST(FmtParser, QuotedAllTargetsTheLeafNamedAll) {
+  const std::string model =
+      "toplevel T;\n"
+      "T or all x;\n"
+      "all ebe phases=2 mean=5 threshold=2;\n"
+      "x ebe phases=2 mean=5 threshold=2;\n";
+  const FaultMaintenanceTree quoted =
+      parse_fmt(model + "inspection I period=1 targets \"all\";");
+  ASSERT_EQ(quoted.inspections()[0].targets.size(), 1u);
+  EXPECT_EQ(quoted.name(quoted.inspections()[0].targets[0]), "all");
+  const FaultMaintenanceTree bare =
+      parse_fmt(model + "inspection I period=1 targets all;");
+  EXPECT_EQ(bare.inspections()[0].targets.size(), 2u);
 }
 
 // Static fault trees: the toplevel / and / or / vot / be statements alone.

@@ -1,19 +1,20 @@
-// Tokenizer of the maintenance-policy DSL: token coverage, the '..' range
-// operator against greedy number scanning, quoted identifiers, and the
-// L110-L112 lexical diagnostics, recorded with their locations.
-#include "lang/lexer.hpp"
+// The shared tokenizer on policy scripts (ft::kPolicyText): token coverage,
+// the '..' range operator against greedy number scanning, quoted
+// identifiers, and the L110-L112 lexical diagnostics, recorded with their
+// locations.
+#include "ft/lexer.hpp"
 
 #include <gtest/gtest.h>
 
 #include "util/error.hpp"
 
-namespace fmtree::lang {
+namespace fmtree::ft {
 namespace {
 
 /// Tokenizes input that must lex without a diagnostic.
 std::vector<Token> lex(const std::string& input) {
   Diagnostics diags;
-  std::vector<Token> tokens = tokenize(input, diags);
+  std::vector<Token> tokens = tokenize(input, diags, kPolicyText);
   EXPECT_TRUE(diags.empty()) << input;
   return tokens;
 }
@@ -87,7 +88,7 @@ TEST(LangLexer, CommentsAndLocations) {
 
 TEST(LangLexer, BadCharacterIsDiagnosedWhereItStands) {
   Diagnostics diags;
-  tokenize("calendar c @ every 1;", diags);
+  tokenize("calendar c @ every 1;", diags, kPolicyText);
   ASSERT_EQ(diags.error_count(), 1u);
   EXPECT_EQ(diags.all()[0].code, "L110");
   EXPECT_EQ(diags.all()[0].loc.line, 1u);
@@ -96,7 +97,7 @@ TEST(LangLexer, BadCharacterIsDiagnosedWhereItStands) {
 
 TEST(LangLexer, RecoveryModeCollectsAndContinues) {
   Diagnostics diags;
-  const auto tokens = tokenize("a @ b $ c", diags);
+  const auto tokens = tokenize("a @ b $ c", diags, kPolicyText);
   EXPECT_EQ(diags.error_count(), 2u);
   for (const Diagnostic& d : diags.all()) EXPECT_EQ(d.code, "L110");
   // All three identifiers survive around the dropped characters.
@@ -108,7 +109,7 @@ TEST(LangLexer, RecoveryModeCollectsAndContinues) {
 
 TEST(LangLexer, UnterminatedStringReportsOpeningQuote) {
   Diagnostics diags;
-  const auto tokens = tokenize("policy \"abc\ndef", diags);
+  const auto tokens = tokenize("policy \"abc\ndef", diags, kPolicyText);
   ASSERT_EQ(diags.error_count(), 1u);
   EXPECT_EQ(diags.all()[0].code, "L111");
   EXPECT_EQ(diags.all()[0].loc.line, 1u);
@@ -121,11 +122,11 @@ TEST(LangLexer, UnterminatedStringReportsOpeningQuote) {
 
 TEST(LangLexer, LoneBangIsDiagnosed) {
   Diagnostics diags;
-  tokenize("phase ! threshold", diags);
+  tokenize("phase ! threshold", diags, kPolicyText);
   ASSERT_EQ(diags.error_count(), 1u);
   EXPECT_EQ(diags.all()[0].code, "L110");
   EXPECT_FALSE(diags.all()[0].hint.empty());
 }
 
 }  // namespace
-}  // namespace fmtree::lang
+}  // namespace fmtree::ft
