@@ -219,13 +219,14 @@ Options parse_args(const std::vector<std::string>& args) {
     if (!opt.calibrate_path.empty() && !opt.generate_incidents_path.empty())
       throw DomainError("--calibrate and --generate-incidents are exclusive");
     if ((!opt.calibrate_path.empty() || !opt.generate_incidents_path.empty()) &&
-        !(opt.observe_years > 0))
+        !(opt.observe_years > 0 && std::isfinite(opt.observe_years)))
       throw DomainError(
-          "--calibrate / --generate-incidents need --observe-years > 0");
+          "--calibrate / --generate-incidents need a finite --observe-years > 0");
   } else if (!opt.calibrate_path.empty() || !opt.generate_incidents_path.empty()) {
     throw DomainError("--calibrate / --generate-incidents only apply to fleet");
   }
-  if (!(opt.horizon > 0)) throw DomainError("--horizon must be positive");
+  if (!(opt.horizon > 0 && std::isfinite(opt.horizon)))
+    throw DomainError("--horizon must be positive and finite");
   if (opt.runs == 0) throw DomainError("--runs must be positive");
   if (!(opt.confidence > 0 && opt.confidence < 1))
     throw DomainError("--confidence must lie in (0,1)");

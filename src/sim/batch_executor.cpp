@@ -435,7 +435,8 @@ void BatchExecutor::simulate_lane(LaneContext& lane, const SimOptions& opts) con
 
 void BatchExecutor::run_block(std::uint64_t seed, std::uint64_t first, std::uint32_t n,
                               const SimOptions& opts, BatchWorkspace& ws) const {
-  if (!(opts.horizon > 0)) throw DomainError("simulation horizon must be positive");
+  if (!(opts.horizon > 0 && std::isfinite(opts.horizon)))
+    throw DomainError("simulation horizon must be positive and finite");
   if (opts.discount_rate < 0) throw DomainError("discount rate must be >= 0");
   // A period of at most half an ulp of the horizon can leave t + period == t
   // at some t <= horizon, where its rounds would refire forever; above it

@@ -13,7 +13,8 @@
 namespace fmtree::smc {
 
 void validate_settings(const AnalysisSettings& s) {
-  if (!(s.horizon > 0)) throw DomainError("analysis horizon must be positive");
+  if (!(s.horizon > 0 && std::isfinite(s.horizon)))
+    throw DomainError("analysis horizon must be positive and finite");
   if (s.trajectories == 0) throw DomainError("need at least one trajectory");
   if (!(s.confidence > 0 && s.confidence < 1))
     throw DomainError("confidence must lie in (0,1)");

@@ -90,11 +90,11 @@ struct KpiReport {
 KpiReport analyze(const fmt::FaultMaintenanceTree& model,
                   const AnalysisSettings& settings);
 
-/// Rejects nonsensical settings with DomainError: a non-positive horizon,
-/// zero trajectories, confidence outside (0,1), a negative or non-finite
-/// discount rate, and adaptive stopping (target_relative_error > 0) with a
-/// zero batch. analyze() calls this; other executors (the batch sweep
-/// engine) share the same contract.
+/// Rejects nonsensical settings with DomainError: a non-positive or
+/// infinite horizon, zero trajectories, confidence outside (0,1), a negative
+/// or non-finite discount rate, and adaptive stopping
+/// (target_relative_error > 0) with a zero batch. analyze() calls this;
+/// other executors (the batch sweep engine) share the same contract.
 void validate_settings(const AnalysisSettings& settings);
 
 class AnalysisFold;

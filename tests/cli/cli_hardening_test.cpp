@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -223,6 +224,25 @@ TEST(CliExit, PeriodTooSmallToAdvanceTheClockFailsAtOnce) {
   EXPECT_EQ(rc, kExitUsage);
   EXPECT_LT(took.count(), 1.0);
   EXPECT_NE(err.str().find("'current-4x-inspection'"), std::string::npos) << err.str();
+}
+
+TEST(CliExit, InfiniteHorizonIsRefusedBeforeAnyWork) {
+  // A trajectory with an infinite horizon never ends, and neither --timeout
+  // nor SIGTERM is polled inside one: the CLI refuses the flag up front.
+  const std::string path = write_model("inf_horizon", kSimModel);
+  const std::vector<std::vector<std::string>> runs = {
+      {"analyze", path, "--horizon", "inf", "--runs", "10"},
+      {"compare", path, path, "--horizon", "inf", "--runs", "2"},
+      {"fleet", path, "--joints", "1", "--observe-years", "inf",
+       "--generate-incidents", "fmtree_cli_hardening_inf.csv"}};
+  for (const std::vector<std::string>& args : runs) {
+    std::ostringstream out, err;
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_EQ(main_impl(args, out, err), kExitUsage) << args[0];
+    const std::chrono::duration<double> took = std::chrono::steady_clock::now() - t0;
+    EXPECT_LT(took.count(), 1.0) << args[0];
+    EXPECT_NE(err.str().find("finite"), std::string::npos) << err.str();
+  }
 }
 
 TEST(CliExit, InterruptControlIsProcessWideSingleton) {

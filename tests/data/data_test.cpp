@@ -106,6 +106,12 @@ TEST(Generator, DeterministicInSeed) {
   EXPECT_NE(times(a), times(c));  // continuous failure times: never all equal
 }
 
+TEST(Generator, InfiniteObservationWindowThrows) {
+  // An asset observed forever never ends: the kernel refuses the horizon.
+  const double forever = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(generate_incidents(ground_truth(), 1, forever, 7), DomainError);
+}
+
 TEST(Generator, SinkReceivesTheDatabaseRecordsInOrder) {
   const FaultMaintenanceTree m = ground_truth();
   const IncidentDatabase db = generate_incidents(m, 60, 5.0, 11);

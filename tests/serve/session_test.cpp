@@ -8,6 +8,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -430,6 +431,27 @@ TEST(ServeSession, NegativeDiscountRateIsRejectedWithR112) {
     EXPECT_EQ(e.code(), "R112");
   }
   EXPECT_EQ(h.metrics.counter_value("serve.jobs"), 0u);
+}
+
+TEST(ServeSession, InfiniteHorizonIsRefusedWithR112AndTheSessionDrains) {
+  // A trajectory with an infinite horizon never ends, and a drain stops a
+  // job only between blocks: admission refuses the request instead.
+  Harness h;
+  Request r = sweep_request();
+  r.settings.horizon = std::numeric_limits<double>::infinity();
+  const std::string text = encode_request(r);
+  ASSERT_NE(text.find("\"horizon\": \"inf\""), std::string::npos) << text;
+  std::string code = "(admitted)";
+  try {
+    (void)h.session->submit(parse_request(text));
+  } catch (const RequestError& e) {
+    code = e.code();
+  }
+  EXPECT_EQ(code, "R112");
+  const auto t0 = std::chrono::steady_clock::now();
+  h.session->drain();
+  const std::chrono::duration<double> took = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(took.count(), 1.0);
 }
 
 TEST(ServeSession, InvalidSettingsAreRejectedWithR112) {

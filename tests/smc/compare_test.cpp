@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "eijoint/model.hpp"
 #include "eijoint/scenarios.hpp"
@@ -109,6 +110,16 @@ TEST(FailureTimeQuantiles, Validation) {
   m.set_top(m.add_basic_event("a", Distribution::exponential(1)));
   EXPECT_THROW(failure_time_quantiles(m, {}, quick(10)), DomainError);
   EXPECT_THROW(failure_time_quantiles(m, {1.5}, quick(10)), DomainError);
+}
+
+TEST(CompareModels, InfiniteHorizonThrowsBeforeAnyTrajectory) {
+  // A trajectory with an infinite horizon never ends; the kernel's run
+  // check refuses it, for each entry point that runs the kernel directly.
+  const auto model = eijoint::build_ei_joint(eijoint::EiJointParameters::defaults(),
+                                             eijoint::current_policy());
+  const AnalysisSettings s = quick(10, std::numeric_limits<double>::infinity());
+  EXPECT_THROW(compare_models(model, model, s), DomainError);
+  EXPECT_THROW(failure_time_quantiles(model, {0.5}, s), DomainError);
 }
 
 TEST(FailureTimeQuantiles, StopAtTheRunControlCoversThePrefix) {
