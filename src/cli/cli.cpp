@@ -34,6 +34,7 @@
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
 #include "util/table.hpp"
+#include "util/text_file.hpp"
 
 namespace fmtree::cli {
 
@@ -428,14 +429,6 @@ int cmd_exact(const Options& opt, const fmt::FaultMaintenanceTree& model,
         << ");\nfalling back to Monte-Carlo estimation:\n\n";
     return cmd_analyze(opt, model, out, telemetry);
   }
-}
-
-std::string read_text_file(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) throw IoError("cannot open '" + path + "'");
-  std::ostringstream text;
-  text << file.rdbuf();
-  return text.str();
 }
 
 /// The canonical description of a sweep invocation: the same document
@@ -980,18 +973,11 @@ int main_impl(const std::vector<std::string>& args, std::ostream& out,
       session.write_files();
       return code;
     }
-    const auto read_file = [](const std::string& path) {
-      std::ifstream file(path);
-      if (!file) throw IoError("cannot open '" + path + "'");
-      std::ostringstream text;
-      text << file.rdbuf();
-      return text.str();
-    };
     if (options.command == Command::Compare) {
-      return run_compare(options, read_file(options.model_path),
-                         read_file(options.model_path_b), out);
+      return run_compare(options, read_text_file(options.model_path),
+                         read_text_file(options.model_path_b), out);
     }
-    return run_on_text(options, read_file(options.model_path), out);
+    return run_on_text(options, read_text_file(options.model_path), out);
   } catch (const ParseErrors& e) {
     return report_failure(options, err, e.diagnostics(), kExitDiagnostics);
   } catch (const ModelErrors& e) {

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <optional>
 #include <sstream>
 
@@ -11,6 +10,7 @@
 #include "lang/runtime.hpp"
 #include "maintenance/policy.hpp"
 #include "util/json.hpp"
+#include "util/text_file.hpp"
 
 namespace fmtree::serve {
 
@@ -324,6 +324,22 @@ std::string encode_request(const Request& request) {
 
 namespace {
 
+/// The text a request ref names: a plain file name under `model_root`. R112
+/// for a ref that leaves the root or a file that cannot be read.
+std::string read_ref(const std::string& ref, const std::string& model_root,
+                     const std::string& what) {
+  if (ref.find("..") != std::string::npos || ref.front() == '/')
+    throw RequestError("R112",
+                       what + " '" + ref + "' must be a plain name inside the model root",
+                       "absolute paths and '..' segments are rejected");
+  try {
+    return read_text_file(model_root + "/" + ref);
+  } catch (const IoError&) {
+    throw RequestError("R112", what + " '" + ref + "' is not a readable file under '" +
+                                   model_root + "'");
+  }
+}
+
 /// Resolves (R112 on a bad ref), compiles (R114 with the compiler's own L1xx
 /// diagnostics) and eagerly binds one policy script against the request's
 /// model, so a script naming missing components is rejected at admission,
@@ -331,22 +347,9 @@ namespace {
 std::shared_ptr<const lang::CompiledPolicy> compile_script(
     const Request::PolicyScript& script, const std::string& model_root,
     const fmt::FaultMaintenanceTree& model) {
-  std::string source = script.text;
-  if (!script.ref.empty()) {
-    if (script.ref.find("..") != std::string::npos || script.ref.front() == '/')
-      throw RequestError("R112",
-                         "policy script ref '" + script.ref +
-                             "' must be a plain name inside the model root",
-                         "absolute paths and '..' segments are rejected");
-    const std::string path = model_root + "/" + script.ref;
-    std::ifstream file(path);
-    if (!file)
-      throw RequestError("R112", "policy script ref '" + script.ref +
-                                     "' not found under '" + model_root + "'");
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    source = buffer.str();
-  }
+  const std::string source = script.ref.empty()
+                                 ? script.text
+                                 : read_ref(script.ref, model_root, "policy script ref");
   Diagnostics diags;
   std::optional<lang::CompiledPolicy> compiled = lang::compile_policy(source, diags);
   if (!compiled) throw RequestError("R114", diags.all());
@@ -361,23 +364,9 @@ std::shared_ptr<const lang::CompiledPolicy> compile_script(
 }  // namespace
 
 PreparedRequest prepare(const Request& request, const std::string& model_root) {
-  std::string text = request.model_text;
-  if (!request.model_ref.empty()) {
-    if (request.model_ref.find("..") != std::string::npos ||
-        request.model_ref.front() == '/')
-      throw RequestError("R112",
-                         "model ref '" + request.model_ref +
-                             "' must be a plain name inside the model root",
-                         "absolute paths and '..' segments are rejected");
-    const std::string path = model_root + "/" + request.model_ref;
-    std::ifstream file(path);
-    if (!file)
-      throw RequestError("R112", "model ref '" + request.model_ref +
-                                     "' not found under '" + model_root + "'");
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    text = buffer.str();
-  }
+  const std::string text = request.model_ref.empty()
+                               ? request.model_text
+                               : read_ref(request.model_ref, model_root, "model ref");
 
   PreparedRequest prepared;
   try {

@@ -121,6 +121,31 @@ TEST(CliExit, JsonErrorsCoverIoFailuresToo) {
   EXPECT_NE(err.str().find("cannot open"), std::string::npos);
 }
 
+// A directory opens like a file but reads nothing: every reader reports it
+// like a missing file instead of handing on empty text.
+const std::string kDirectory = std::string(FMTREE_SOURCE_DIR) + "/examples";
+
+TEST(CliExit, ModelPathNamingADirectoryExitsTwo) {
+  std::ostringstream out, err;
+  EXPECT_EQ(main_impl({"check", kDirectory, "--json-errors"}, out, err), kExitUsage);
+  EXPECT_NE(err.str().find("\"code\":\"U101\""), std::string::npos) << err.str();
+}
+
+TEST(CliExit, SweepPolicyNamingADirectoryExitsTwo) {
+  const std::string path = write_model("dir_policy", kSimModel);
+  std::ostringstream out, err;
+  EXPECT_EQ(main_impl({"sweep", path, "--policy", kDirectory, "--runs", "10"}, out, err),
+            kExitUsage);
+  EXPECT_NE(err.str().find("U101"), std::string::npos) << err.str();
+  EXPECT_EQ(out.str().find("scripted"), std::string::npos) << out.str();
+}
+
+TEST(CliExit, LintPolicyOfADirectoryFails) {
+  std::ostringstream out, err;
+  EXPECT_EQ(main_impl({"lint-policy", kDirectory}, out, err), kExitDiagnostics);
+  EXPECT_NE(out.str().find("FAILED (unreadable)"), std::string::npos) << out.str();
+}
+
 TEST(CliExit, CalibrateRefusesIncidentRowsTheDatabaseWouldRefuse) {
   // A negative time, a NaN time and an empty mode are malformed rows of the
   // incident database whatever the fleet: the streaming calibration must

@@ -179,6 +179,22 @@ TEST(ServeRequest, PrepareRejectsEscapingModelRefsAndBadModels) {
   EXPECT_EQ(expect_code([&] { prepare(uninspectable, "models"); }), "R112");
 }
 
+TEST(ServeRequest, DirectoryRefsAreR112) {
+  // A directory opens like a file but reads nothing: a ref naming one is
+  // refused like a missing file, not prepared as empty text.
+  const std::string root = std::string(FMTREE_SOURCE_DIR) + "/examples";
+  Request model_dir = sweep_request();
+  model_dir.model_text.clear();
+  model_dir.model_ref = ".";
+  EXPECT_EQ(expect_code([&] { prepare(model_dir, root); }), "R112");
+
+  Request script_dir = sweep_request();
+  Request::PolicyScript script;
+  script.ref = "policies";
+  script_dir.scripts.push_back(script);
+  EXPECT_EQ(expect_code([&] { prepare(script_dir, root); }), "R112");
+}
+
 Request fleet_request() {
   Request r;
   r.model_text = kModel;
