@@ -3,14 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <iostream>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "analytic/fmt2ctmc.hpp"
 #include "analytic/solvers.hpp"
-#include "batch/result_cache.hpp"
 #include "batch/sweep.hpp"
 #include "data/generator.hpp"
 #include "data/stream.hpp"
@@ -41,201 +41,6 @@ namespace fmtree::cli {
 smc::RunControl& interrupt_control() {
   static smc::RunControl control;
   return control;
-}
-
-namespace {
-
-double parse_double(const std::string& text, const std::string& what) {
-  std::size_t used = 0;
-  double value = 0;
-  try {
-    value = std::stod(text, &used);
-  } catch (const std::exception&) {
-    throw DomainError("invalid " + what + ": '" + text + "'");
-  }
-  if (used != text.size()) throw DomainError("invalid " + what + ": '" + text + "'");
-  return value;
-}
-
-std::uint64_t parse_count(const std::string& text, const std::string& what) {
-  const double v = parse_double(text, what);
-  if (v < 0 || v != std::floor(v))
-    throw DomainError(what + " must be a nonnegative integer");
-  return static_cast<std::uint64_t>(v);
-}
-
-std::vector<double> parse_quantiles(const std::string& text) {
-  std::vector<double> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    const double q = parse_double(item, "quantile");
-    if (!(q >= 0 && q <= 1)) throw DomainError("quantiles must lie in [0,1]");
-    out.push_back(q);
-  }
-  if (out.empty()) throw DomainError("empty quantile list");
-  return out;
-}
-
-std::vector<double> parse_frequencies(const std::string& text) {
-  std::vector<double> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    const double f = parse_double(item, "frequency");
-    if (!(f >= 0) || !std::isfinite(f))
-      throw DomainError("frequencies must be finite and >= 0");
-    out.push_back(f);
-  }
-  if (out.empty()) throw DomainError("empty frequency list");
-  return out;
-}
-
-}  // namespace
-
-Options parse_args(const std::vector<std::string>& args) {
-  if (args.empty()) throw DomainError("missing command\n" + usage());
-  Options opt;
-  const std::string& cmd = args[0];
-  if (cmd == "check") opt.command = Command::Check;
-  else if (cmd == "analyze") opt.command = Command::Analyze;
-  else if (cmd == "exact") opt.command = Command::Exact;
-  else if (cmd == "dot") opt.command = Command::Dot;
-  else if (cmd == "cutsets") opt.command = Command::CutSets;
-  else if (cmd == "compare") opt.command = Command::Compare;
-  else if (cmd == "sweep") opt.command = Command::Sweep;
-  else if (cmd == "fleet") opt.command = Command::Fleet;
-  else if (cmd == "lint-policy") opt.command = Command::LintPolicy;
-  else if (cmd == "serve") opt.command = Command::Serve;
-  else throw DomainError("unknown command '" + cmd + "'\n" + usage());
-
-  // Flags and positional model paths may interleave in any order.
-  std::vector<std::string> positional;
-  for (std::size_t i = 1; i < args.size();) {
-    const std::string& flag = args[i++];
-    if (!flag.starts_with("--")) {
-      positional.push_back(flag);
-      continue;
-    }
-    auto value = [&]() -> const std::string& {
-      if (i >= args.size()) throw DomainError("flag " + flag + " needs a value");
-      return args[i++];
-    };
-    if (flag == "--horizon") opt.horizon = parse_double(value(), "horizon");
-    else if (flag == "--runs") opt.runs = parse_count(value(), "runs");
-    else if (flag == "--seed") opt.seed = parse_count(value(), "seed");
-    else if (flag == "--threads")
-      opt.threads = static_cast<unsigned>(parse_count(value(), "threads"));
-    else if (flag == "--confidence") opt.confidence = parse_double(value(), "confidence");
-    else if (flag == "--quantiles") opt.quantiles = parse_quantiles(value());
-    else if (flag == "--timeout") opt.timeout = parse_double(value(), "timeout");
-    else if (flag == "--state-cap") opt.state_cap = parse_count(value(), "state cap");
-    else if (flag == "--json-errors") opt.json_errors = true;
-    else if (flag == "--no-fallback") opt.no_fallback = true;
-    else if (flag == "--metrics") opt.metrics_path = value();
-    else if (flag == "--trace") opt.trace_path = value();
-    else if (flag == "--progress") opt.progress = true;
-    else if (flag == "--frequencies") {
-      opt.frequencies = parse_frequencies(value());
-      opt.frequencies_set = true;
-    }
-    else if (flag == "--policy") opt.policies.push_back(value());
-    else if (flag == "--cache-dir") opt.cache_dir = value();
-    else if (flag == "--max-retries")
-      opt.max_retries = static_cast<std::uint32_t>(parse_count(value(), "retries"));
-    else if (flag == "--stall-timeout")
-      opt.stall_timeout = parse_double(value(), "stall timeout");
-    else if (flag == "--inject-fault") {
-      const std::string& spec = value();
-      fault::parse_fault_spec(spec);  // validate now: usage error, not runtime
-      opt.inject_faults.push_back(spec);
-    }
-    else if (flag == "--queue-limit") {
-      opt.queue_limit = static_cast<std::size_t>(parse_count(value(), "queue limit"));
-      if (opt.queue_limit == 0) throw DomainError("--queue-limit must be positive");
-    }
-    else if (flag == "--model-root") opt.model_root = value();
-    else if (flag == "--connect") opt.connect = value();
-    else if (flag == "--emit-request") opt.emit_request = true;
-    else if (flag == "--joints") {
-      opt.joints = static_cast<std::size_t>(parse_count(value(), "joints"));
-      if (opt.joints == 0) throw DomainError("--joints must be positive");
-    }
-    else if (flag == "--fleet-seed") opt.fleet_seed = parse_count(value(), "fleet seed");
-    else if (flag == "--jitter") opt.jitter = parse_double(value(), "jitter");
-    else if (flag == "--coupling") opt.coupling = parse_double(value(), "coupling");
-    else if (flag == "--spacing-km")
-      opt.spacing_km = parse_double(value(), "spacing");
-    else if (flag == "--crews")
-      opt.crews = static_cast<std::uint32_t>(parse_count(value(), "crews"));
-    else if (flag == "--worst")
-      opt.worst_k = static_cast<std::size_t>(parse_count(value(), "worst count"));
-    else if (flag == "--calibrate") opt.calibrate_path = value();
-    else if (flag == "--generate-incidents") opt.generate_incidents_path = value();
-    else if (flag == "--observe-years")
-      opt.observe_years = parse_double(value(), "observation window");
-    else throw DomainError("unknown flag '" + flag + "'\n" + usage());
-  }
-  if (opt.command == Command::LintPolicy) {
-    // lint-policy takes one or more script files, not a model.
-    if (positional.empty())
-      throw DomainError("lint-policy needs at least one policy script\n" + usage());
-    for (std::string& path : positional) opt.policies.push_back(std::move(path));
-  } else {
-    const std::size_t want = opt.command == Command::Compare ? 2u : 1u;
-    if (positional.empty()) {
-      throw DomainError(std::string(opt.command == Command::Serve
-                                        ? "missing socket path"
-                                        : "missing model file") +
-                        "\n" + usage());
-    }
-    if (positional.size() < want)
-      throw DomainError("compare needs two model files\n" + usage());
-    if (positional.size() > want)
-      throw DomainError("unexpected argument '" + positional[want] + "'\n" + usage());
-    if (opt.command == Command::Serve) {
-      opt.socket_path = positional[0];
-    } else {
-      opt.model_path = positional[0];
-    }
-    if (opt.command == Command::Compare) opt.model_path_b = positional[1];
-  }
-  if (opt.command != Command::Sweep && opt.command != Command::Fleet &&
-      (!opt.connect.empty() || opt.emit_request))
-    throw DomainError("--connect / --emit-request only apply to sweep and fleet");
-  if (!opt.policies.empty() && opt.command != Command::Sweep &&
-      opt.command != Command::Fleet && opt.command != Command::LintPolicy)
-    throw DomainError("--policy only applies to sweep and fleet");
-  if (opt.command == Command::Fleet && opt.policies.size() > 1)
-    throw DomainError(
-        "fleet accepts at most one --policy (the script applies to every "
-        "joint)");
-  if (opt.command == Command::Fleet) {
-    if (!(opt.jitter >= 0) || !std::isfinite(opt.jitter))
-      throw DomainError("--jitter must be finite and >= 0");
-    if (!(opt.coupling >= 0) || !std::isfinite(opt.coupling))
-      throw DomainError("--coupling must be finite and >= 0");
-    if (!(opt.spacing_km > 0) || !std::isfinite(opt.spacing_km))
-      throw DomainError("--spacing-km must be positive and finite");
-    if (!opt.calibrate_path.empty() && !opt.generate_incidents_path.empty())
-      throw DomainError("--calibrate and --generate-incidents are exclusive");
-    if ((!opt.calibrate_path.empty() || !opt.generate_incidents_path.empty()) &&
-        !(opt.observe_years > 0 && std::isfinite(opt.observe_years)))
-      throw DomainError(
-          "--calibrate / --generate-incidents need a finite --observe-years > 0");
-  } else if (!opt.calibrate_path.empty() || !opt.generate_incidents_path.empty()) {
-    throw DomainError("--calibrate / --generate-incidents only apply to fleet");
-  }
-  if (!(opt.horizon > 0 && std::isfinite(opt.horizon)))
-    throw DomainError("--horizon must be positive and finite");
-  if (opt.runs == 0) throw DomainError("--runs must be positive");
-  if (!(opt.confidence > 0 && opt.confidence < 1))
-    throw DomainError("--confidence must lie in (0,1)");
-  if (!(opt.timeout >= 0)) throw DomainError("--timeout must be nonnegative");
-  if (opt.state_cap == 0) throw DomainError("--state-cap must be positive");
-  if (!(opt.stall_timeout >= 0))
-    throw DomainError("--stall-timeout must be nonnegative");
-  return opt;
 }
 
 namespace {
@@ -271,14 +76,12 @@ void print_progress(std::ostream& out, const obs::Progress& p) {
 /// settings; write_files() exports afterwards — also for a truncated run,
 /// whose telemetry is exactly what one wants to inspect.
 struct TelemetrySession {
-  explicit TelemetrySession(const Options& opt) : opt_(opt) {
+  TelemetrySession(const Options& opt, std::ostream& err) : opt_(opt) {
     if (!opt.metrics_path.empty()) metrics_ = std::make_unique<obs::MetricsRegistry>();
     if (!opt.trace_path.empty()) tracer_ = std::make_unique<obs::Tracer>();
     if (opt.progress) {
-      std::ostream* sink =
-          opt.progress_stream != nullptr ? opt.progress_stream : &std::cerr;
       progress_ = std::make_unique<obs::ProgressReporter>(
-          [sink](const obs::Progress& p) { print_progress(*sink, p); },
+          [&err](const obs::Progress& p) { print_progress(err, p); },
           /*min_interval_seconds=*/1.0);
     }
   }
@@ -286,8 +89,6 @@ struct TelemetrySession {
   obs::Telemetry handles() const noexcept {
     return {metrics_.get(), tracer_.get(), progress_.get()};
   }
-
-  obs::Tracer* tracer() const noexcept { return tracer_.get(); }
 
   void write_files() const {
     if (metrics_) write(opt_.metrics_path, metrics_->to_json());
@@ -314,37 +115,67 @@ private:
   std::unique_ptr<obs::ProgressReporter> progress_;
 };
 
-int cmd_check(const fmt::FaultMaintenanceTree& model, std::ostream& out) {
-  out << "model OK\n"
-      << "  top event:           " << model.name(model.top()) << "\n"
-      << "  leaves:              " << model.num_ebes() << "\n"
-      << "  gates:               " << model.structure().gates().size() << "\n"
-      << "  rate dependencies:   " << model.rdeps().size() << "\n"
-      << "  functional deps:     " << model.fdeps().size() << "\n"
-      << "  inspection modules:  " << model.inspections().size() << "\n"
-      << "  replacement modules: " << model.replacements().size() << "\n"
-      << "  corrective:          " << (model.corrective().enabled ? "on" : "off") << "\n"
-      << "  markovian (exact analysable): " << (model.is_markovian() ? "yes" : "no")
-      << "\n";
-  return 0;
+/// What a command's handler gets from run(): the options, the models parsed
+/// from the inputs and their text (which request documents carry), the
+/// output streams, the telemetry handles and the armed stop handle.
+struct Invocation {
+  const Options& opt;
+  const std::vector<fmt::FaultMaintenanceTree>& models;
+  const std::vector<std::string>& texts;
+  std::ostream& out;
+  std::ostream& err;
+  obs::Telemetry telemetry;
+  smc::RunControl& control;
+};
+
+/// The exit code of a pass over a prefix of --runs trajectories: a NOTE
+/// and kExitTruncated when `reason` cut it short.
+int ending(const Invocation& in, const char* pass, smc::StopReason reason,
+           std::uint64_t done, const char* results) {
+  if (reason == smc::StopReason::None) return kExitOk;
+  in.out << "\nNOTE: " << pass << " truncated (" << smc::stop_reason_name(reason)
+         << ") after " << done << " of " << in.opt.runs << " trajectories; " << results
+         << " are exact over that prefix.\n";
+  return kExitTruncated;
 }
 
-int cmd_analyze(const Options& opt, const fmt::FaultMaintenanceTree& model,
-                std::ostream& out, obs::Telemetry telemetry) {
+int cmd_check(const Invocation& in) {
+  const fmt::FaultMaintenanceTree& model = in.models[0];
+  in.out << "model OK\n"
+         << "  top event:           " << model.name(model.top()) << "\n"
+         << "  leaves:              " << model.num_ebes() << "\n"
+         << "  gates:               " << model.structure().gates().size() << "\n"
+         << "  rate dependencies:   " << model.rdeps().size() << "\n"
+         << "  functional deps:     " << model.fdeps().size() << "\n"
+         << "  inspection modules:  " << model.inspections().size() << "\n"
+         << "  replacement modules: " << model.replacements().size() << "\n"
+         << "  corrective:          " << (model.corrective().enabled ? "on" : "off")
+         << "\n"
+         << "  markovian (exact analysable): " << (model.is_markovian() ? "yes" : "no")
+         << "\n";
+  return kExitOk;
+}
+
+/// The settings of the Monte-Carlo commands. The stop handle lets a SIGINT
+/// or --timeout stop the run between trajectories; the report then covers
+/// the completed prefix exactly.
+smc::AnalysisSettings analysis_settings(const Invocation& in) {
   smc::AnalysisSettings s;
-  s.horizon = opt.horizon;
-  s.trajectories = opt.runs;
-  s.seed = opt.seed;
-  s.threads = opt.threads;
-  s.confidence = opt.confidence;
-  s.telemetry = telemetry;
-  // The process-wide handle lets a SIGINT (wired up in main()) or --timeout
-  // stop the run between trajectories; the report then covers the completed
-  // prefix exactly. reset() clears state left by a previous run in-process.
-  smc::RunControl& control = interrupt_control();
-  control.reset();
-  if (opt.timeout > 0) control.set_timeout(opt.timeout);
-  s.control = &control;
+  s.horizon = in.opt.horizon;
+  s.trajectories = in.opt.runs;
+  s.seed = in.opt.seed;
+  s.threads = in.opt.threads;
+  s.confidence = in.opt.confidence;
+  s.telemetry = in.telemetry;
+  s.control = &in.control;
+  return s;
+}
+
+int cmd_analyze(const Invocation& in) {
+  const Options& opt = in.opt;
+  const fmt::FaultMaintenanceTree& model = in.models[0];
+  std::ostream& out = in.out;
+  const smc::AnalysisSettings s = analysis_settings(in);
   const smc::KpiReport k = smc::analyze(model, s);
   out << "KPIs over " << opt.horizon << " time units (" << k.trajectories
       << " runs, " << opt.confidence * 100 << "% CIs):\n";
@@ -385,31 +216,22 @@ int cmd_analyze(const Options& opt, const fmt::FaultMaintenanceTree& model,
       qt.add_row({cell(opt.quantiles[i], 3),
                   std::isinf(q.values[i]) ? "> horizon" : cell(q.values[i], 3)});
     qt.print(out);
-    if (q.stop_reason != smc::StopReason::None) {
-      out << "\nNOTE: quantile pass truncated (" << smc::stop_reason_name(q.stop_reason)
-          << ") after " << q.trajectories << " of " << opt.runs
-          << " trajectories; quantiles are exact over that prefix.\n";
-      return kExitTruncated;
-    }
+    return ending(in, "quantile pass", q.stop_reason, q.trajectories, "quantiles");
   }
-  if (k.truncated) {
-    out << "\nNOTE: run truncated (" << smc::stop_reason_name(k.stop_reason)
-        << ") after " << k.trajectories << " of " << opt.runs
-        << " trajectories; statistics are exact over that prefix.\n";
-    return kExitTruncated;
-  }
-  return kExitOk;
+  return ending(in, "run", k.stop_reason, k.trajectories, "statistics");
 }
 
-int cmd_exact(const Options& opt, const fmt::FaultMaintenanceTree& model,
-              std::ostream& out, obs::Telemetry telemetry) {
+int cmd_exact(const Invocation& in) {
+  const Options& opt = in.opt;
+  const fmt::FaultMaintenanceTree& model = in.models[0];
+  std::ostream& out = in.out;
   try {
     // Compute everything before printing so a state-cap overflow on any of
     // the three queries yields a clean fallback instead of a partial report.
     const double unrel =
         analytic::exact_unreliability(model, opt.horizon, opt.state_cap);
     analytic::SolverOptions solver;
-    solver.telemetry = telemetry;
+    solver.telemetry = in.telemetry;
     const double mttf = analytic::exact_mttf(model, opt.state_cap, solver);
     const bool renewal = model.corrective().enabled && model.corrective().delay == 0.0;
     const double failures =
@@ -427,40 +249,104 @@ int cmd_exact(const Options& opt, const fmt::FaultMaintenanceTree& model,
     if (opt.no_fallback) throw;
     out << "exact analysis hit a resource limit (" << e.what()
         << ");\nfalling back to Monte-Carlo estimation:\n\n";
-    return cmd_analyze(opt, model, out, telemetry);
+    return cmd_analyze(in);
   }
 }
 
-/// The canonical description of a sweep invocation: the same document
-/// `--emit-request` prints, the socket client sends, and the daemon parses.
-/// Policy script files are inlined into the request, so the daemon needs no
-/// access to the client's filesystem.
-serve::Request sweep_request(const Options& opt, const std::string& model_text) {
+int cmd_compare(const Invocation& in) {
+  const smc::PairedComparison cmp =
+      smc::compare_models(in.models[0], in.models[1], analysis_settings(in));
+  in.out << "paired comparison (common random numbers, " << cmp.trajectories
+         << " runs; positive = first model higher):\n";
+  TextTable t({"difference (A - B)", "estimate", "CI", "significant"});
+  const auto row = [&](const char* label, const ConfidenceInterval& c) {
+    t.add_row({label, cell(c.point, 4),
+               "[" + cell(c.lo, 4) + ", " + cell(c.hi, 4) + "]",
+               c.contains(0.0) ? "no" : "YES"});
+  };
+  row("failures", cmp.failures_diff);
+  row("total cost", cmp.cost_diff);
+  row("downtime", cmp.downtime_diff);
+  t.print(in.out);
+  return ending(in, "run", cmp.stop_reason, cmp.trajectories, "statistics");
+}
+
+/// The canonical description of a sweep or fleet invocation, which each
+/// command completes: the document `--emit-request` prints, the socket
+/// client sends and the daemon parses. Policy script files are inlined, so
+/// the daemon needs no access to the client's filesystem.
+serve::Request describe(const Invocation& in) {
   serve::Request request;
-  request.model_text = model_text;
-  request.settings.horizon = opt.horizon;
-  request.settings.trajectories = opt.runs;
-  request.settings.seed = opt.seed;
-  request.settings.confidence = opt.confidence;
-  // With --policy and no explicit --frequencies the sweep evaluates only the
-  // scripted candidates (the default grid would drown them in noise).
-  if (opt.policies.empty() || opt.frequencies_set)
-    request.frequencies = opt.frequencies;
-  for (const std::string& path : opt.policies) {
-    serve::Request::PolicyScript script;
-    script.text = read_text_file(path);
-    request.scripts.push_back(std::move(script));
-  }
-  request.has_policy = true;
+  request.model_text = in.texts[0];
+  request.settings.horizon = in.opt.horizon;
+  request.settings.trajectories = in.opt.runs;
+  request.settings.seed = in.opt.seed;
+  request.settings.confidence = in.opt.confidence;
+  for (const std::string& path : in.opt.policies)
+    request.scripts.emplace_back().text = read_text_file(path);
+  request.has_policy = !request.scripts.empty();
   return request;
 }
 
-/// Renders a served/in-process sweep Response exactly as the classic
-/// run_sweep-based CLI did, and returns the process exit code. The cache
-/// summary line appears only for a local run with --cache-dir (a client has
-/// no visibility into the daemon's cache totals beyond the per-job source).
-int render_sweep_response(const Options& opt, const serve::Response& o,
-                          bool show_cache_line, std::ostream& out) {
+/// The service configuration of one invocation (`serve`, and the
+/// in-process runs of `sweep` and `fleet`).
+serve::SessionConfig session_config(const Invocation& in) {
+  serve::SessionConfig config;
+  config.threads = in.opt.threads;
+  config.queue_limit = in.opt.queue_limit;
+  config.cache_dir = in.opt.cache_dir;
+  config.model_root = in.opt.model_root;
+  config.max_retries = in.opt.max_retries;
+  config.stall_timeout_s = in.opt.stall_timeout;
+  config.telemetry = in.telemetry;
+  return config;
+}
+
+/// Runs the request on the daemon at --connect, forwarding its progress,
+/// or in-process: the daemon's service entry points, minus the socket. The
+/// Session (not run_sweep) because its dedup inside one request runs
+/// identical jobs once. SIGINT and --timeout reach the jobs through the
+/// wait loop, whose drain stops them at a trajectory boundary.
+serve::Response respond(const Invocation& in, const serve::Request& request) {
+  if (!in.opt.connect.empty()) {
+    serve::ClientEvents events;
+    if (obs::ProgressReporter* progress = in.telemetry.progress)
+      events.progress = [progress](const obs::Progress& p) { progress->update(p); };
+    return serve::request_over_socket(in.opt.connect, request, events);
+  }
+  serve::PreparedRequest prepared = serve::prepare(request, in.opt.model_root);
+  serve::SessionConfig config = session_config(in);
+  config.queue_limit = std::max(config.queue_limit, prepared.jobs.size());
+  serve::Session session(std::move(config));
+  serve::Ticket ticket = session.submit_jobs(std::move(prepared.jobs));
+  while (!ticket.wait_for(0.05)) {
+    if (in.control.should_stop(0) != smc::StopReason::None) {
+      session.drain();
+      break;
+    }
+  }
+  serve::Response response = ticket.take();
+  // The drain path reports Interrupted; the control knows the precise reason
+  // (deadline vs signal), so prefer it.
+  const smc::StopReason local_reason = in.control.should_stop(0);
+  if (response.stop_reason != smc::StopReason::None &&
+      local_reason != smc::StopReason::None)
+    response.stop_reason = local_reason;
+  return response;
+}
+
+/// Whether to print the cache summary line: only for a local run with
+/// --cache-dir (a client has no visibility into the daemon's cache totals
+/// beyond the per-job source).
+bool shows_cache_line(const Options& opt) {
+  return opt.connect.empty() && !opt.cache_dir.empty();
+}
+
+/// Renders a served or in-process sweep Response as the cost-curve table,
+/// and returns the process exit code.
+int render_sweep(const Invocation& in, const serve::Response& o) {
+  const Options& opt = in.opt;
+  std::ostream& out = in.out;
   out << "inspection-frequency cost curve over " << opt.horizon << " time units ("
       << opt.runs << " runs each, " << opt.confidence * 100 << "% CIs):\n";
   TextTable t({"policy", "cost / time unit", "failures / time unit", "source"});
@@ -490,7 +376,7 @@ int render_sweep_response(const Options& opt, const serve::Response& o,
     out << "\ncost-optimal policy: " << o.jobs[best].label << " at "
         << cell(o.jobs[best].report.cost_per_year.point, 2) << " / time unit\n";
   }
-  if (show_cache_line) {
+  if (shows_cache_line(opt)) {
     std::uint64_t hits = 0;
     for (const batch::JobResult& r : o.jobs) hits += r.cache_hit ? 1 : 0;
     out << "cache: " << hits << " hits, " << o.jobs.size() - hits << " misses ("
@@ -520,124 +406,28 @@ int render_sweep_response(const Options& opt, const serve::Response& o,
   return jobs_failed > 0 ? kExitTruncated : kExitOk;
 }
 
-/// The service configuration of one invocation (`serve`, and the
-/// in-process runs of `sweep` and `fleet`).
-serve::SessionConfig session_config(const Options& opt, obs::Telemetry telemetry) {
-  serve::SessionConfig config;
-  config.threads = opt.threads;
-  config.queue_limit = opt.queue_limit;
-  config.cache_dir = opt.cache_dir;
-  config.model_root = opt.model_root;
-  config.max_retries = opt.max_retries;
-  config.stall_timeout_s = opt.stall_timeout;
-  config.telemetry = telemetry;
-  return config;
-}
-
-/// `--connect`: runs the request on the daemon, forwarding its progress.
-serve::Response run_connected(const Options& opt, const serve::Request& request,
-                              obs::Telemetry telemetry) {
-  serve::ClientEvents events;
-  if (telemetry.progress != nullptr) {
-    events.progress = [progress = telemetry.progress](const obs::Progress& p) {
-      progress->update(p);
-    };
-  }
-  return serve::request_over_socket(opt.connect, request, events);
-}
-
-/// Runs prepared jobs in-process: the daemon's service entry points, minus
-/// the socket. The Session (not run_sweep) because its dedup inside one
-/// request runs identical jobs once. SIGINT and --timeout reach the jobs
-/// through the wait loop, whose drain stops them at a trajectory boundary.
-serve::Response run_in_process(const Options& opt, std::vector<batch::SweepJob> jobs,
-                               obs::Telemetry telemetry) {
-  smc::RunControl& control = interrupt_control();
-  control.reset();
-  if (opt.timeout > 0) control.set_timeout(opt.timeout);
-  serve::SessionConfig config = session_config(opt, telemetry);
-  config.queue_limit = std::max(config.queue_limit, jobs.size());
-  serve::Session session(std::move(config));
-  serve::Ticket ticket = session.submit_jobs(std::move(jobs));
-  while (!ticket.wait_for(0.05)) {
-    if (control.should_stop(0) != smc::StopReason::None) {
-      session.drain();
-      break;
-    }
-  }
-  serve::Response response = ticket.take();
-  // The drain path reports Interrupted; the control knows the precise reason
-  // (deadline vs signal), so prefer it.
-  const smc::StopReason local_reason = control.should_stop(0);
-  if (response.stop_reason != smc::StopReason::None &&
-      local_reason != smc::StopReason::None)
-    response.stop_reason = local_reason;
-  return response;
-}
-
-int cmd_sweep(const Options& opt, const fmt::FaultMaintenanceTree& model,
-              const std::string& model_text, std::ostream& out,
-              obs::Telemetry telemetry) {
-  const serve::Request request = sweep_request(opt, model_text);
-  const bool wants_inspections = [&] {
-    for (double f : request.frequencies)
-      if (f > 0) return true;
-    return false;
-  }();
-  if (wants_inspections && model.inspections().empty())
+int cmd_sweep(const Invocation& in) {
+  const Options& opt = in.opt;
+  serve::Request request = describe(in);
+  request.has_policy = true;
+  // With --policy and no explicit --frequencies the sweep evaluates only the
+  // scripted candidates (the default grid would drown them in noise).
+  if (opt.policies.empty() || opt.frequencies_set)
+    request.frequencies = opt.frequencies;
+  if (std::ranges::any_of(request.frequencies, [](double f) { return f > 0; }) &&
+      in.models[0].inspections().empty())
     throw DomainError("model has no inspection modules to sweep");
   if (opt.emit_request) {
-    out << serve::encode_request(request);
+    in.out << serve::encode_request(request);
     return kExitOk;
   }
-
-  if (!opt.connect.empty()) {
-    return render_sweep_response(opt, run_connected(opt, request, telemetry),
-                                 /*show_cache_line=*/false, out);
-  }
-
-  serve::PreparedRequest prepared = serve::prepare(request, opt.model_root);
-  return render_sweep_response(opt,
-                               run_in_process(opt, std::move(prepared.jobs), telemetry),
-                               /*show_cache_line=*/!opt.cache_dir.empty(), out);
+  return render_sweep(in, respond(in, request));
 }
 
-/// The canonical description of a fleet invocation, mirroring sweep_request:
-/// corridor spec + settings, plus at most one inlined policy script.
-serve::Request fleet_request(const Options& opt, const std::string& model_text) {
-  serve::Request request;
-  request.model_text = model_text;
-  request.settings.horizon = opt.horizon;
-  request.settings.trajectories = opt.runs;
-  request.settings.seed = opt.seed;
-  request.settings.confidence = opt.confidence;
-  request.has_fleet = true;
-  request.fleet.joints = static_cast<std::uint32_t>(opt.joints);
-  request.fleet.seed = opt.fleet_seed;
-  request.fleet.jitter = opt.jitter;
-  request.fleet.coupling = opt.coupling;
-  for (const std::string& path : opt.policies) {
-    serve::Request::PolicyScript script;
-    script.text = read_text_file(path);
-    request.scripts.push_back(std::move(script));
-    request.has_policy = true;
-  }
-  return request;
-}
-
-fleet::CorridorSpec fleet_spec(const Options& opt) {
-  fleet::CorridorSpec spec;
-  spec.joints = opt.joints;
-  spec.seed = opt.fleet_seed;
-  spec.jitter = opt.jitter;
-  spec.coupling = opt.coupling;
-  spec.spacing_km = opt.spacing_km;
-  return spec;
-}
-
-int render_fleet(const Options& opt, const fleet::Corridor& corridor,
-                 const fleet::FleetOutcome& o, bool show_cache_line,
-                 std::ostream& out) {
+int render_fleet(const Invocation& in, const fleet::Corridor& corridor,
+                 const fleet::FleetOutcome& o) {
+  const Options& opt = in.opt;
+  std::ostream& out = in.out;
   const fleet::FleetKpis& k = o.kpis;
   out << "corridor: " << corridor.joints.size() << " joints over "
       << cell(corridor.length_km(), 1) << " km (jitter " << corridor.spec.jitter
@@ -668,7 +458,7 @@ int render_fleet(const Options& opt, const fleet::Corridor& corridor,
     }
     t.print(out);
   }
-  if (show_cache_line)
+  if (shows_cache_line(opt))
     out << "cache: " << o.cache_hits << " hits, " << o.cache_misses
         << " misses (" << opt.cache_dir << ")\n";
   for (const Diagnostic& d : o.warnings)
@@ -687,7 +477,9 @@ int render_fleet(const Options& opt, const fleet::Corridor& corridor,
 
 /// `fleet --calibrate <csv>`: one streaming pass over the incident database
 /// (O(1) memory however many records), then the per-mode Garwood rate table.
-int cmd_fleet_calibrate(const Options& opt, std::ostream& out) {
+int cmd_fleet_calibrate(const Invocation& in) {
+  const Options& opt = in.opt;
+  std::ostream& out = in.out;
   const data::IncidentScan scan = data::scan_incidents(opt.calibrate_path);
   out << "incident scan: " << scan.records << " records, "
       << scan.counts_by_mode.size() << " failure mode(s) (streamed from '"
@@ -708,37 +500,49 @@ int cmd_fleet_calibrate(const Options& opt, std::ostream& out) {
 
 /// `fleet --generate-incidents <csv>`: simulate the fleet under the model's
 /// own maintenance policy and stream each incident straight to the file, so
-/// memory does not grow with the fleet.
-int cmd_fleet_generate(const Options& opt, const fmt::FaultMaintenanceTree& model,
-                       std::ostream& out) {
+/// memory does not grow with the fleet. A stop leaves the incidents of a
+/// prefix of whole joints.
+int cmd_fleet_generate(const Invocation& in) {
+  const Options& opt = in.opt;
   data::IncidentStreamWriter writer(opt.generate_incidents_path);
-  data::generate_incidents(model, static_cast<std::uint32_t>(opt.joints),
-                           opt.observe_years, opt.fleet_seed,
-                           [&writer](const data::IncidentRecord& r) { writer.add(r); });
+  const std::uint32_t joints = data::generate_incidents(
+      in.models[0], static_cast<std::uint32_t>(opt.joints), opt.observe_years,
+      opt.fleet_seed, [&writer](const data::IncidentRecord& r) { writer.add(r); },
+      &in.control);
   writer.close();
-  out << "generated " << writer.written() << " incident(s) from " << opt.joints
-      << " joints x " << opt.observe_years << " time units into '"
-      << opt.generate_incidents_path << "'\n";
-  return kExitOk;
+  in.out << "generated " << writer.written() << " incident(s) from " << joints
+         << " joints x " << opt.observe_years << " time units into '"
+         << opt.generate_incidents_path << "'\n";
+  if (joints == opt.joints) return kExitOk;
+  in.out << "\nNOTE: incident generation truncated ("
+         << smc::stop_reason_name(in.control.should_stop(0)) << ") after " << joints
+         << " of " << opt.joints << " joints; the file holds their incidents.\n";
+  return kExitTruncated;
 }
 
-int cmd_fleet(const Options& opt, const fmt::FaultMaintenanceTree& model,
-              const std::string& model_text, std::ostream& out,
-              obs::Telemetry telemetry) {
-  if (!opt.calibrate_path.empty()) return cmd_fleet_calibrate(opt, out);
-  if (!opt.generate_incidents_path.empty())
-    return cmd_fleet_generate(opt, model, out);
+int cmd_fleet(const Invocation& in) {
+  const Options& opt = in.opt;
+  if (!opt.calibrate_path.empty()) return cmd_fleet_calibrate(in);
+  if (!opt.generate_incidents_path.empty()) return cmd_fleet_generate(in);
 
-  const serve::Request request = fleet_request(opt, model_text);
+  serve::Request request = describe(in);
+  request.has_fleet = true;
+  request.fleet.joints = static_cast<std::uint32_t>(opt.joints);
+  request.fleet.seed = opt.fleet_seed;
+  request.fleet.jitter = opt.jitter;
+  request.fleet.coupling = opt.coupling;
   if (opt.emit_request) {
-    out << serve::encode_request(request);
+    in.out << serve::encode_request(request);
     return kExitOk;
   }
 
   // The corridor is regenerated locally in full (including the render-side
   // spacing the request schema deliberately omits); the jobs the daemon
   // expands from the request are bit-identical to the local plan's.
-  const fleet::Corridor corridor = fleet::generate_corridor(model, fleet_spec(opt));
+  const fleet::Corridor corridor = fleet::generate_corridor(
+      in.models[0], {.joints = opt.joints, .seed = opt.fleet_seed, .jitter = opt.jitter,
+                     .coupling = opt.coupling, .spacing_km = opt.spacing_km,
+                     .overrides = {}});
   // Render-side options only: the jobs come from the request (prepare()).
   fleet::FleetOptions options;
   options.resources.crews = opt.crews;
@@ -753,156 +557,10 @@ int cmd_fleet(const Options& opt, const fmt::FaultMaintenanceTree& model,
     options.policy =
         std::make_shared<const lang::CompiledPolicy>(*std::move(compiled));
   }
-
-  const auto render = [&](const serve::Response& response, bool show_cache) {
-    const fleet::FleetOutcome o =
-        fleet::fleet_outcome(corridor, response.jobs, response.warnings, options);
-    return render_fleet(opt, corridor, o, show_cache, out);
-  };
-  if (!opt.connect.empty())
-    return render(run_connected(opt, request, telemetry), /*show_cache=*/false);
-  serve::PreparedRequest prepared = serve::prepare(request, opt.model_root);
-  return render(run_in_process(opt, std::move(prepared.jobs), telemetry),
-                /*show_cache=*/!opt.cache_dir.empty());
-}
-
-int cmd_serve(const Options& opt, std::ostream& out, obs::Telemetry telemetry) {
-  serve::Session session(session_config(opt, telemetry));
-
-  // SIGINT/SIGTERM (wired in main()) and --timeout stop the accept loop;
-  // Server::run then drains the session and joins every connection.
-  smc::RunControl& control = interrupt_control();
-  control.reset();
-  if (opt.timeout > 0) control.set_timeout(opt.timeout);
-
-  serve::ServerConfig server_config;
-  server_config.socket_path = opt.socket_path;
-  server_config.stop = &control;
-  serve::Server server(session, server_config);
-  out << "fmtree serve: listening on '" << opt.socket_path << "' ("
-      << (opt.cache_dir.empty() ? std::string("memory cache")
-                                : "cache dir " + opt.cache_dir)
-      << ", queue limit " << opt.queue_limit << ")\n"
-      << std::flush;
-  server.run();
-  out << "fmtree serve: drained, exiting\n";
-  return kExitOk;
-}
-
-int cmd_dot(const fmt::FaultMaintenanceTree& model, std::ostream& out) {
-  out << ft::to_dot(model.structure(), model.name(model.top()));
-  return 0;
-}
-
-int cmd_cutsets(const Options& opt, const fmt::FaultMaintenanceTree& model,
-                std::ostream& out) {
-  const ft::FaultTree& tree = model.structure();
-  const auto cuts = ft::minimal_cut_sets(tree);
-  out << cuts.size() << " minimal cut sets:\n";
-  for (const auto& cut : cuts) {
-    out << "  {";
-    for (std::size_t i = 0; i < cut.size(); ++i)
-      out << (i ? ", " : " ") << tree.basic(tree.basic_events()[cut[i]]).name;
-    out << " }\n";
-  }
-  out << "\nstatic top-event probability at t=" << opt.horizon << ": "
-      << cell(ft::top_event_probability(tree, opt.horizon), 8)
-      << "  (maintenance ignored)\n\nimportance measures:\n";
-  TextTable t({"leaf", "P(fail)", "Birnbaum", "Fussell-Vesely", "criticality"});
-  for (const ft::Importance& imp : ft::importance_measures(tree, opt.horizon))
-    t.add_row({imp.name, cell(imp.probability, 4), cell(imp.birnbaum, 4),
-               cell(imp.fussell_vesely, 4), cell(imp.criticality, 4)});
-  t.print(out);
-  return 0;
-}
-
-}  // namespace
-
-int run_on_text(const Options& options, const std::string& model_text,
-                std::ostream& out) {
-  // --inject-fault armings live exactly as long as the command; sites armed
-  // via FMTREE_FAULTS (registry construction) are left untouched.
-  const fault::Scope fault_scope(options.inject_faults);
-  const TelemetrySession session(options);
-  auto parse_span = obs::maybe_span(session.tracer(), "parse");
-  const fmt::FaultMaintenanceTree model = fmt::parse_fmt(model_text);
-  parse_span.close();
-  const auto dispatch = [&] {
-    switch (options.command) {
-      case Command::Check: return cmd_check(model, out);
-      case Command::Analyze:
-        return cmd_analyze(options, model, out, session.handles());
-      case Command::Exact: return cmd_exact(options, model, out, session.handles());
-      case Command::Dot: return cmd_dot(model, out);
-      case Command::CutSets: return cmd_cutsets(options, model, out);
-      case Command::Sweep:
-        return cmd_sweep(options, model, model_text, out, session.handles());
-      case Command::Fleet:
-        return cmd_fleet(options, model, model_text, out, session.handles());
-      case Command::Compare:
-        throw DomainError("compare needs two models; use run_compare");
-      case Command::LintPolicy:
-        // Dispatched in main_impl (no model file); unreachable here.
-        throw DomainError("lint-policy takes policy scripts, not a model");
-      case Command::Serve:
-        // Dispatched in main_impl (no model file); unreachable here.
-        throw DomainError("serve takes a socket path, not a model");
-    }
-    throw DomainError("unhandled command");
-  };
-  const int code = dispatch();
-  session.write_files();
-  return code;
-}
-
-int run_compare(const Options& options, const std::string& model_a_text,
-                const std::string& model_b_text, std::ostream& out) {
-  const TelemetrySession session(options);
-  auto parse_span = obs::maybe_span(session.tracer(), "parse");
-  const fmt::FaultMaintenanceTree a = fmt::parse_fmt(model_a_text);
-  const fmt::FaultMaintenanceTree b = fmt::parse_fmt(model_b_text);
-  parse_span.close();
-  smc::AnalysisSettings s;
-  s.horizon = options.horizon;
-  s.trajectories = options.runs;
-  s.seed = options.seed;
-  s.threads = options.threads;
-  s.confidence = options.confidence;
-  s.telemetry = session.handles();
-  const smc::PairedComparison cmp = smc::compare_models(a, b, s);
-  out << "paired comparison (common random numbers, " << cmp.trajectories
-      << " runs; positive = first model higher):\n";
-  TextTable t({"difference (A - B)", "estimate", "CI", "significant"});
-  const auto row = [&](const char* label, const ConfidenceInterval& c) {
-    t.add_row({label, cell(c.point, 4),
-               "[" + cell(c.lo, 4) + ", " + cell(c.hi, 4) + "]",
-               c.contains(0.0) ? "no" : "YES"});
-  };
-  row("failures", cmp.failures_diff);
-  row("total cost", cmp.cost_diff);
-  row("downtime", cmp.downtime_diff);
-  t.print(out);
-  session.write_files();
-  return 0;
-}
-
-namespace {
-
-/// Renders a failure on `err` — one line per diagnostic, or a JSON array
-/// with --json-errors — and returns the exit code. Exceptions that carry no
-/// diagnostic list are wrapped in a single synthetic diagnostic so the JSON
-/// channel always has the same shape.
-int report_failure(const Options& opt, std::ostream& err,
-                   std::vector<Diagnostic> diags, int code) {
-  if (opt.json_errors) {
-    Diagnostics sink;
-    for (Diagnostic& d : diags) sink.add(std::move(d));
-    err << sink.to_json() << "\n";
-  } else {
-    for (const Diagnostic& d : diags)
-      err << "fmtree: " << format_diagnostic(d) << "\n";
-  }
-  return code;
+  const serve::Response response = respond(in, request);
+  return render_fleet(
+      in, corridor,
+      fleet::fleet_outcome(corridor, response.jobs, response.warnings, options));
 }
 
 /// `fmtree lint-policy <script>...`: compile every script with the
@@ -910,10 +568,13 @@ int report_failure(const Options& opt, std::ostream& err,
 /// file prefix, or one aggregated JSON array with --json-errors). Exit code
 /// kExitDiagnostics when any script fails, kExitOk otherwise — so CI can
 /// gate a whole corpus with a single invocation.
-int cmd_lint_policy(const Options& opt, std::ostream& out, std::ostream& err) {
+int cmd_lint_policy(const Invocation& in) {
+  const Options& opt = in.opt;
+  std::ostream& out = in.out;
+  std::ostream& err = in.err;
   Diagnostics sink;  // aggregate across files for the JSON channel
   bool any_failed = false;
-  for (const std::string& path : opt.policies) {
+  for (const std::string& path : opt.inputs) {
     std::string source;
     try {
       source = read_text_file(path);
@@ -948,6 +609,388 @@ int cmd_lint_policy(const Options& opt, std::ostream& out, std::ostream& err) {
   return any_failed ? kExitDiagnostics : kExitOk;
 }
 
+int cmd_serve(const Invocation& in) {
+  const Options& opt = in.opt;
+  serve::Session session(session_config(in));
+  // SIGINT/SIGTERM (wired in main()) and --timeout stop the accept loop;
+  // Server::run then drains the session and joins every connection.
+  serve::ServerConfig server_config;
+  server_config.socket_path = opt.inputs[0];
+  server_config.stop = &in.control;
+  serve::Server server(session, server_config);
+  in.out << "fmtree serve: listening on '" << opt.inputs[0] << "' ("
+         << (opt.cache_dir.empty() ? std::string("memory cache")
+                                   : "cache dir " + opt.cache_dir)
+         << ", queue limit " << opt.queue_limit << ")\n"
+         << std::flush;
+  server.run();
+  in.out << "fmtree serve: drained, exiting\n";
+  return kExitOk;
+}
+
+int cmd_dot(const Invocation& in) {
+  const fmt::FaultMaintenanceTree& model = in.models[0];
+  in.out << ft::to_dot(model.structure(), model.name(model.top()));
+  return kExitOk;
+}
+
+int cmd_cutsets(const Invocation& in) {
+  std::ostream& out = in.out;
+  const ft::FaultTree& tree = in.models[0].structure();
+  const auto cuts = ft::minimal_cut_sets(tree);
+  out << cuts.size() << " minimal cut sets:\n";
+  for (const auto& cut : cuts) {
+    out << "  {";
+    for (std::size_t i = 0; i < cut.size(); ++i)
+      out << (i ? ", " : " ") << tree.basic(tree.basic_events()[cut[i]]).name;
+    out << " }\n";
+  }
+  out << "\nstatic top-event probability at t=" << in.opt.horizon << ": "
+      << cell(ft::top_event_probability(tree, in.opt.horizon), 8)
+      << "  (maintenance ignored)\n\nimportance measures:\n";
+  TextTable t({"leaf", "P(fail)", "Birnbaum", "Fussell-Vesely", "criticality"});
+  for (const ft::Importance& imp : ft::importance_measures(tree, in.opt.horizon))
+    t.add_row({imp.name, cell(imp.probability, 4), cell(imp.birnbaum, 4),
+               cell(imp.fussell_vesely, 4), cell(imp.criticality, 4)});
+  t.print(out);
+  return kExitOk;
+}
+
+// ---- The command table ------------------------------------------------------
+
+struct CommandRow {
+  Command command;
+  std::string_view name;
+  std::string_view args;  ///< as usage() shows them; "..." = one or more
+  std::size_t inputs;     ///< positional arguments (the least, with "...")
+  bool models;            ///< the inputs are model files, read before run()
+  std::string_view summary;
+  int (*handler)(const Invocation&);
+};
+
+using enum Command;
+
+constexpr CommandRow kCommands[] = {
+    {Check, "check", "<model.fmt>", 1, true, "parse and validate, print a model summary",
+     cmd_check},
+    {Analyze, "analyze", "<model.fmt>", 1, true,
+     "Monte-Carlo KPI report (reliability, failures, cost, ...)", cmd_analyze},
+    {Exact, "exact", "<model.fmt>", 1, true,
+     "exact CTMC results (Markovian models only)", cmd_exact},
+    {Dot, "dot", "<model.fmt>", 1, true, "Graphviz of the tree structure", cmd_dot},
+    {CutSets, "cutsets", "<model.fmt>", 1, true,
+     "minimal cut sets and importance measures", cmd_cutsets},
+    {Compare, "compare", "<a.fmt> <b.fmt>", 2, true,
+     "paired A/B comparison of two models (common random numbers)", cmd_compare},
+    {Sweep, "sweep", "<model.fmt>", 1, true,
+     "evaluate the model across inspection frequencies (cost curve)", cmd_sweep},
+    {Fleet, "fleet", "<model.fmt>", 1, true,
+     "corridor of N joints from one base model: per-joint shards\n"
+     "through the shared pool, corridor KPIs + crew utilisation",
+     cmd_fleet},
+    {LintPolicy, "lint-policy", "<script.mpl>...", 1, false,
+     "compile maintenance-policy scripts, report L1xx diagnostics;\n"
+     "exit 3 on errors",
+     cmd_lint_policy},
+    {Serve, "serve", "<socket>", 1, false,
+     "analysis daemon on a local socket; speaks fmtree.request/v1\n"
+     "and fmtree.response/v1 NDJSON",
+     cmd_serve},
+};
+constexpr bool one_row_per_command() {
+  for (std::size_t i = 0; i < std::size(kCommands); ++i)
+    if (kCommands[i].command != static_cast<Command>(i)) return false;
+  return std::size(kCommands) == static_cast<std::size_t>(Count);
+}
+static_assert(one_row_per_command(), "one kCommands row per Command, in enum order");
+
+// ---- The flag table ---------------------------------------------------------
+
+/// A set of commands, one bit per Command.
+using Scope = unsigned;
+
+template <class... Commands>
+constexpr Scope on(Commands... commands) {
+  return ((Scope{1} << static_cast<unsigned>(commands)) | ...);
+}
+
+constexpr Scope kAll = (Scope{1} << static_cast<unsigned>(Count)) - 1;
+constexpr Scope kSimulating = on(Analyze, Exact, Compare, Sweep, Fleet);
+constexpr Scope kService = on(Sweep, Fleet, Serve);
+
+double parse_double(const std::string& text, std::string_view flag) {
+  std::size_t used = 0;
+  double value = 0;
+  try {
+    value = std::stod(text, &used);
+  } catch (const std::exception&) {
+    used = 0;
+  }
+  if (used == 0 || used != text.size())
+    throw DomainError("invalid " + std::string(flag) + " value '" + text + "'");
+  return value;
+}
+
+/// A flag's value as its setter sees it. Each parser checks the range the
+/// flag allows and names the flag when it refuses a value.
+struct Value {
+  std::string_view flag;
+  std::string text;
+
+  /// The value as a number that `ok` accepts; `rule` completes the message
+  /// "<flag> must <rule>" of one it refuses.
+  double number(bool ok(double), std::string_view rule) const {
+    const double v = parse_double(text, flag);
+    if (!ok(v)) throw DomainError(std::string(flag) + " must " + std::string(rule));
+    return v;
+  }
+  /// A comma-separated list of such numbers, at least one.
+  std::vector<double> list(bool ok(double), std::string_view rule) const {
+    std::vector<double> out;
+    std::stringstream ss(text);
+    for (std::string item; std::getline(ss, item, ',');)
+      out.push_back(Value{flag, item}.number(ok, rule));
+    if (out.empty()) throw DomainError(std::string(flag) + " needs at least one value");
+    return out;
+  }
+  /// The value as a whole number of at least `least`.
+  std::uint64_t count(std::uint64_t least = 0) const {
+    const double v = parse_double(text, flag);
+    if (v < 0 || v != std::floor(v))
+      throw DomainError(std::string(flag) + " must be a nonnegative integer");
+    if (v < static_cast<double>(least))
+      throw DomainError(std::string(flag) + " must be positive");
+    return static_cast<std::uint64_t>(v);
+  }
+};
+
+bool finite_positive(double x) { return x > 0 && std::isfinite(x); }
+bool finite_nonnegative(double x) { return x >= 0 && std::isfinite(x); }
+bool nonnegative(double x) { return x >= 0; }
+
+struct Flag {
+  std::string_view name;
+  std::string_view value;  ///< placeholder usage() shows; "" = a switch
+  Scope commands;          ///< the commands that honour the flag
+  std::string_view help;
+  void (*set)(Options&, const Value&);
+};
+
+constexpr Flag kFlags[] = {
+    {"--horizon", "<t>", kSimulating | on(CutSets), "analysis horizon (default 10)",
+     [](Options& o, const Value& v) {
+       o.horizon = v.number(finite_positive, "be positive and finite");
+     }},
+    {"--runs", "<n>", kSimulating, "Monte-Carlo trajectories (default 10000)",
+     [](Options& o, const Value& v) { o.runs = v.count(1); }},
+    {"--seed", "<n>", kSimulating, "RNG seed (default 1)",
+     [](Options& o, const Value& v) { o.seed = v.count(); }},
+    {"--threads", "<n>", kSimulating | on(Serve), "worker threads (default: all cores)",
+     [](Options& o, const Value& v) { o.threads = static_cast<unsigned>(v.count()); }},
+    {"--confidence", "<p>", kSimulating, "CI level (default 0.95)",
+     [](Options& o, const Value& v) {
+       o.confidence = v.number([](double p) { return p > 0 && p < 1; }, "lie in (0,1)");
+     }},
+    {"--quantiles", "<l>", on(Analyze, Exact),
+     "comma-separated TTF quantiles, e.g. 0.1,0.5,0.9",
+     [](Options& o, const Value& v) {
+       o.quantiles = v.list([](double q) { return q >= 0 && q <= 1; }, "lie in [0,1]");
+     }},
+    {"--timeout", "<s>", kSimulating | on(Serve),
+     "wall-clock budget in seconds from the command's start; on\n"
+     "expiry a run reports its completed prefix (exit code 1)",
+     [](Options& o, const Value& v) {
+       o.timeout = v.number(nonnegative, "be nonnegative");
+     }},
+    {"--state-cap", "<n>", on(Exact), "CTMC state-space cap (default 2^20)",
+     [](Options& o, const Value& v) { o.state_cap = v.count(1); }},
+    {"--no-fallback", "", on(Exact),
+     "fail on a resource limit instead of falling back to Monte-Carlo",
+     [](Options& o, const Value&) { o.no_fallback = true; }},
+    {"--json-errors", "", kAll, "report failures as a JSON diagnostic array",
+     [](Options& o, const Value&) { o.json_errors = true; }},
+    {"--metrics", "<file>", kAll & ~on(LintPolicy),
+     "write run metrics as JSON (fmtree.metrics/v1)",
+     [](Options& o, const Value& v) { o.metrics_path = v.text; }},
+    {"--trace", "<file>", kAll & ~on(LintPolicy),
+     "write phase spans as JSON (fmtree.trace/v1);\n"
+     "chrome:<file> writes Chrome trace_event format",
+     [](Options& o, const Value& v) { o.trace_path = v.text; }},
+    {"--progress", "", on(Analyze, Exact) | kService,
+     "print throttled progress lines while running",
+     [](Options& o, const Value&) { o.progress = true; }},
+    {"--frequencies", "<l>", on(Sweep),
+     "comma-separated inspections per time unit, 0 = none\n"
+     "(default 0,0.5,1,2,3,4,6,8,12,24)",
+     [](Options& o, const Value& v) {
+       o.frequencies = v.list(finite_nonnegative, "be finite and >= 0");
+       o.frequencies_set = true;
+     }},
+    {"--policy", "<file>", on(Sweep, Fleet),
+     "a scripted maintenance policy: a sweep candidate (repeatable;\n"
+     "without --frequencies only the scripts run) or every fleet joint's",
+     [](Options& o, const Value& v) { o.policies.push_back(v.text); }},
+    {"--cache-dir", "<dir>", kService,
+     "content-addressed result cache directory; running a command\n"
+     "again (also after a crash or a stop) replays its finished jobs\n"
+     "bit-identically and simulates only the rest",
+     [](Options& o, const Value& v) { o.cache_dir = v.text; }},
+    {"--max-retries", "<n>", kService,
+     "retry budget per job for transient failures (default 2)",
+     [](Options& o, const Value& v) {
+       o.max_retries = static_cast<std::uint32_t>(v.count());
+     }},
+    {"--stall-timeout", "<s>", kService,
+     "stop with a diagnostic if no progress for <s> seconds\n(default: off)",
+     [](Options& o, const Value& v) {
+       o.stall_timeout = v.number(nonnegative, "be nonnegative");
+     }},
+    {"--inject-fault", "<f>", on(Exact) | kService,
+     "arm a fault site for this run (testing), e.g.\n"
+     "cache.write:error,p=0.05,seed=7; repeatable",
+     [](Options& o, const Value& v) {
+       fault::parse_fault_spec(v.text);  // validate now: usage error, not runtime
+       o.inject_faults.push_back(v.text);
+     }},
+    {"--queue-limit", "<n>", on(Serve),
+     "max outstanding jobs before requests are rejected with R120\n(default 64)",
+     [](Options& o, const Value& v) { o.queue_limit = v.count(1); }},
+    {"--model-root", "<dir>", on(Serve),
+     "directory model refs resolve in (default 'models')",
+     [](Options& o, const Value& v) { o.model_root = v.text; }},
+    {"--connect", "<sock>", on(Sweep, Fleet),
+     "run as a client of the daemon at <sock> instead of in-process\n"
+     "(bit-identical output)",
+     [](Options& o, const Value& v) { o.connect = v.text; }},
+    {"--emit-request", "", on(Sweep, Fleet),
+     "print the fmtree.request/v1 document this invocation describes\nand exit",
+     [](Options& o, const Value&) { o.emit_request = true; }},
+    {"--joints", "<n>", on(Fleet), "corridor size (default 50)",
+     [](Options& o, const Value& v) { o.joints = v.count(1); }},
+    {"--fleet-seed", "<n>", on(Fleet),
+     "corridor generation seed, independent of the analysis --seed\n(default 0)",
+     [](Options& o, const Value& v) { o.fleet_seed = v.count(); }},
+    {"--jitter", "<x>", on(Fleet),
+     "lognormal per-joint lifetime spread (default 0.1; 0 = identical\njoints)",
+     [](Options& o, const Value& v) {
+       o.jitter = v.number(finite_nonnegative, "be finite and >= 0");
+     }},
+    {"--coupling", "<x>", on(Fleet), "neighbour load-coupling strength (default 0)",
+     [](Options& o, const Value& v) {
+       o.coupling = v.number(finite_nonnegative, "be finite and >= 0");
+     }},
+    {"--spacing-km", "<x>", on(Fleet), "track distance between joints (default 1)",
+     [](Options& o, const Value& v) {
+       o.spacing_km = v.number(finite_positive, "be positive and finite");
+     }},
+    {"--crews", "<n>", on(Fleet), "shared maintenance crews (default 2)",
+     [](Options& o, const Value& v) { o.crews = static_cast<std::uint32_t>(v.count()); }},
+    {"--worst", "<n>", on(Fleet), "size of the worst-joints table (default 5)",
+     [](Options& o, const Value& v) { o.worst_k = v.count(); }},
+    {"--calibrate", "<csv>", on(Fleet),
+     "stream an incident database (O(1) memory) and print per-mode\n"
+     "Garwood rates; exposure = joints x --observe-years",
+     [](Options& o, const Value& v) { o.calibrate_path = v.text; }},
+    {"--generate-incidents", "<csv>", on(Fleet),
+     "simulate the fleet and stream an incident database to <csv>;\n"
+     "draws from --fleet-seed (--seed is not used)",
+     [](Options& o, const Value& v) { o.generate_incidents_path = v.text; }},
+    {"--observe-years", "<t>", on(Fleet),
+     "observation window of --calibrate and --generate-incidents",
+     [](Options& o, const Value& v) {
+       o.observe_years = v.number(finite_positive, "be positive and finite");
+     }},
+};
+
+}  // namespace
+
+Options parse_args(const std::vector<std::string>& args) {
+  if (args.empty()) throw DomainError("missing command\n" + usage());
+  const CommandRow* command = std::ranges::find(kCommands, args[0], &CommandRow::name);
+  if (command == std::end(kCommands))
+    throw DomainError("unknown command '" + args[0] + "'\n" + usage());
+  Options opt;
+  opt.command = command->command;
+  // Flags and positional arguments may interleave in any order.
+  for (std::size_t i = 1; i < args.size();) {
+    const std::string& arg = args[i++];
+    if (!arg.starts_with("--")) {
+      opt.inputs.push_back(arg);
+      continue;
+    }
+    const Flag* flag = std::ranges::find(kFlags, arg, &Flag::name);
+    if (flag == std::end(kFlags))
+      throw DomainError("unknown flag '" + arg + "'\n" + usage());
+    if ((flag->commands & on(opt.command)) == 0)
+      throw DomainError("flag " + arg + " does not apply to " +
+                        std::string(command->name));
+    if (!flag->value.empty() && i == args.size())
+      throw DomainError("flag " + arg + " needs a value");
+    flag->set(opt, {arg, flag->value.empty() ? std::string() : args[i++]});
+  }
+  if (opt.inputs.size() < command->inputs)
+    throw DomainError(std::string(command->name) + " needs " +
+                      std::string(command->args) + "\n" + usage());
+  if (opt.inputs.size() > command->inputs && !command->args.ends_with("..."))
+    throw DomainError("unexpected argument '" + opt.inputs[command->inputs] + "'\n" +
+                      usage());
+  if (opt.command == Fleet && opt.policies.size() > 1)
+    throw DomainError(
+        "fleet accepts at most one --policy (the script applies to every joint)");
+  const bool calibrate = !opt.calibrate_path.empty();
+  const bool generate = !opt.generate_incidents_path.empty();
+  if (calibrate && generate)
+    throw DomainError("--calibrate and --generate-incidents are exclusive");
+  if ((calibrate || generate) && !(opt.observe_years > 0))
+    throw DomainError(
+        "--calibrate / --generate-incidents need a finite --observe-years > 0");
+  return opt;
+}
+
+int run(const Options& options, const std::vector<std::string>& model_texts,
+        std::ostream& out, std::ostream& err) {
+  const CommandRow& command = kCommands[static_cast<std::size_t>(options.command)];
+  if (model_texts.size() != (command.models ? command.inputs : 0))
+    throw DomainError(std::string(command.name) + " needs " + std::string(command.args));
+  // --inject-fault armings live exactly as long as the command; sites armed
+  // via FMTREE_FAULTS (registry construction) are left untouched.
+  const fault::Scope fault_scope(options.inject_faults);
+  const TelemetrySession session(options, err);
+  // reset() clears state a previous command left in the process-wide
+  // handle; the --timeout budget starts here, before any work.
+  smc::RunControl& control = interrupt_control();
+  control.reset();
+  if (options.timeout > 0) control.set_timeout(options.timeout);
+  std::vector<fmt::FaultMaintenanceTree> models;
+  if (!model_texts.empty()) {
+    const auto parse_span = obs::maybe_span(session.handles().tracer, "parse");
+    for (const std::string& text : model_texts) models.push_back(fmt::parse_fmt(text));
+  }
+  const int code = command.handler(
+      {options, models, model_texts, out, err, session.handles(), control});
+  session.write_files();
+  return code;
+}
+
+namespace {
+
+/// Renders a failure on `err` — one line per diagnostic, or a JSON array
+/// with --json-errors — and returns the exit code. Exceptions that carry no
+/// diagnostic list are wrapped in a single synthetic diagnostic so the JSON
+/// channel always has the same shape.
+int report_failure(const Options& opt, std::ostream& err,
+                   std::vector<Diagnostic> diags, int code) {
+  if (opt.json_errors) {
+    Diagnostics sink;
+    for (Diagnostic& d : diags) sink.add(std::move(d));
+    err << sink.to_json() << "\n";
+  } else {
+    for (const Diagnostic& d : diags)
+      err << "fmtree: " << format_diagnostic(d) << "\n";
+  }
+  return code;
+}
+
 }  // namespace
 
 int main_impl(const std::vector<std::string>& args, std::ostream& out,
@@ -961,23 +1004,11 @@ int main_impl(const std::vector<std::string>& args, std::ostream& out,
     return kExitUsage;
   }
   try {
-    if (options.command == Command::LintPolicy) {
-      // No model file: the positional arguments are policy scripts.
-      return cmd_lint_policy(options, out, err);
-    }
-    if (options.command == Command::Serve) {
-      // No model file: the daemon reads models from requests / --model-root.
-      const fault::Scope fault_scope(options.inject_faults);
-      const TelemetrySession session(options);
-      const int code = cmd_serve(options, out, session.handles());
-      session.write_files();
-      return code;
-    }
-    if (options.command == Command::Compare) {
-      return run_compare(options, read_text_file(options.model_path),
-                         read_text_file(options.model_path_b), out);
-    }
-    return run_on_text(options, read_text_file(options.model_path), out);
+    std::vector<std::string> model_texts;
+    if (kCommands[static_cast<std::size_t>(options.command)].models)
+      for (const std::string& path : options.inputs)
+        model_texts.push_back(read_text_file(path));
+    return run(options, model_texts, out, err);
   } catch (const ParseErrors& e) {
     return report_failure(options, err, e.diagnostics(), kExitDiagnostics);
   } catch (const ModelErrors& e) {
@@ -1015,81 +1046,31 @@ int main_impl(const std::vector<std::string>& args, std::ostream& out,
 }
 
 std::string usage() {
-  return
-      "usage: fmtree <command> <model.fmt> [options]\n"
-      "commands:\n"
-      "  check     parse and validate, print a model summary\n"
-      "  analyze   Monte-Carlo KPI report (reliability, failures, cost, ...)\n"
-      "  exact     exact CTMC results (Markovian models only)\n"
-      "  dot       Graphviz of the tree structure\n"
-      "  cutsets   minimal cut sets and importance measures\n"
-      "  compare   paired A/B comparison of two models (common random numbers)\n"
-      "  sweep     evaluate the model across inspection frequencies (cost curve)\n"
-      "  fleet     corridor of N joints from one base model: per-joint shards\n"
-      "            through the shared pool, corridor KPIs + crew utilisation\n"
-      "  lint-policy  compile maintenance-policy scripts (fmtree lint-policy\n"
-      "            <script>...), report L1xx diagnostics; exit 3 on errors\n"
-      "  serve     analysis daemon on a local socket (fmtree serve <socket>);\n"
-      "            speaks fmtree.request/v1 / fmtree.response/v1 NDJSON\n"
-      "options:\n"
-      "  --horizon <t>      analysis horizon (default 10)\n"
-      "  --runs <n>         Monte-Carlo trajectories (default 10000)\n"
-      "  --seed <n>         RNG seed (default 1)\n"
-      "  --threads <n>      worker threads (default: all cores)\n"
-      "  --confidence <p>   CI level (default 0.95)\n"
-      "  --quantiles <l>    comma-separated TTF quantiles, e.g. 0.1,0.5,0.9\n"
-      "  --timeout <s>      wall-clock budget in seconds; on expiry analyze\n"
-      "                     reports the completed prefix (exit code 1)\n"
-      "  --state-cap <n>    CTMC state-space cap for exact (default 2^20)\n"
-      "  --no-fallback      fail exact on a resource limit instead of\n"
-      "                     falling back to Monte-Carlo\n"
-      "  --json-errors      report failures as a JSON diagnostic array\n"
-      "  --metrics <file>   write run metrics as JSON (fmtree.metrics/v1)\n"
-      "  --trace <file>     write phase spans as JSON (fmtree.trace/v1);\n"
-      "                     chrome:<file> writes Chrome trace_event format\n"
-      "  --progress         print throttled progress lines while running\n"
-      "  --frequencies <l>  sweep: comma-separated inspections per time unit,\n"
-      "                     0 = none (default 0,0.5,1,2,3,4,6,8,12,24)\n"
-      "  --policy <file>    sweep: add a scripted maintenance-policy candidate\n"
-      "                     (repeatable); without an explicit --frequencies,\n"
-      "                     only the scripted candidates are evaluated\n"
-      "  --cache-dir <dir>  sweep/fleet/serve: content-addressed result cache\n"
-      "                     directory; running a command again (also after a\n"
-      "                     crash or a stop) replays its finished jobs\n"
-      "                     bit-identically and simulates only the rest\n"
-      "  --max-retries <n>  sweep: retry budget per job for transient\n"
-      "                     failures (default 2)\n"
-      "  --stall-timeout <s> sweep: stop with a diagnostic if no progress\n"
-      "                     for <s> seconds (default: off)\n"
-      "  --connect <sock>   sweep/fleet: run as a client of the daemon at\n"
-      "                     <sock> instead of in-process (bit-identical output)\n"
-      "  --emit-request     sweep/fleet: print the fmtree.request/v1 document\n"
-      "                     this invocation describes and exit\n"
-      "  --joints <n>       fleet: corridor size (default 50)\n"
-      "  --fleet-seed <n>   fleet: corridor generation seed, independent of\n"
-      "                     the analysis --seed (default 0)\n"
-      "  --jitter <x>       fleet: lognormal per-joint lifetime spread\n"
-      "                     (default 0.1; 0 = identical joints)\n"
-      "  --coupling <x>     fleet: neighbour load-coupling strength (default 0)\n"
-      "  --spacing-km <x>   fleet: track distance between joints (default 1)\n"
-      "  --crews <n>        fleet: shared maintenance crews (default 2)\n"
-      "  --worst <n>        fleet: size of the worst-joints table (default 5)\n"
-      "  --calibrate <csv>  fleet: stream an incident database (O(1) memory)\n"
-      "                     and print per-mode Garwood rates; needs\n"
-      "                     --observe-years, exposure = joints x years\n"
-      "  --generate-incidents <csv>  fleet: simulate the fleet and stream an\n"
-      "                     incident database to <csv>; needs --observe-years;\n"
-      "                     draws from --fleet-seed (--seed is not used)\n"
-      "  --observe-years <t> fleet: observation window for the two above\n"
-      "  --queue-limit <n>  serve: max outstanding jobs before requests are\n"
-      "                     rejected with R120 (default 64)\n"
-      "  --model-root <dir> serve: directory model refs resolve in\n"
-      "                     (default 'models')\n"
-      "  --inject-fault <f> arm a fault site for this run (testing), e.g.\n"
-      "                     cache.write:error,p=0.05,seed=7; repeatable\n"
-      "exit codes: 0 ok, 1 truncated run, 2 usage/input error,\n"
-      "            3 parse/validation diagnostics, 4 resource limit,\n"
-      "            5 internal error\n";
+  std::ostringstream u;
+  // Help texts break lines with '\n'; continuations align with the text.
+  static constexpr std::size_t kWidth = 28;
+  const auto entry = [&u](std::string head, std::string_view help) {
+    head.resize(std::max(head.size() + 1, kWidth), ' ');
+    u << "  " << head;
+    for (const char c : help) u << c << (c == '\n' ? std::string(kWidth + 2, ' ') : "");
+    u << "\n";
+  };
+  u << "usage: fmtree <command> <inputs> [flags]\ncommands:\n";
+  for (const CommandRow& c : kCommands)
+    entry(std::string(c.name) + " " + std::string(c.args), c.summary);
+  u << "flags, each with the commands that accept it (no other command does):\n";
+  for (const Flag& f : kFlags) {
+    std::string scope;
+    for (const CommandRow& c : kCommands)
+      if ((f.commands & on(c.command)) != 0)
+        scope += (scope.empty() ? "" : " ") + std::string(c.name);
+    entry(std::string(f.name) + " " + std::string(f.value),
+          std::string(f.help) + "\n[" + scope + "]");
+  }
+  u << "exit codes: 0 ok, 1 truncated run, 2 usage/input error,\n"
+       "            3 parse/validation diagnostics, 4 resource limit,\n"
+       "            5 internal error\n";
+  return u.str();
 }
 
 }  // namespace fmtree::cli

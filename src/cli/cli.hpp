@@ -1,32 +1,11 @@
 // The `fmtree` command-line tool: analyse fault-maintenance-tree models in
 // the .fmt text format without writing C++.
 //
-//   fmtree check   <model.fmt>                    parse + validate + summary
-//   fmtree analyze <model.fmt> [options]          KPI report (SMC)
-//   fmtree exact   <model.fmt> [options]          CTMC unreliability/MTTF
-//   fmtree dot     <model.fmt>                    Graphviz of the structure
-//   fmtree cutsets <model.fmt> [options]          minimal cut sets + importance
-//   fmtree compare <a.fmt> <b.fmt> [options]      paired policy comparison
-//   fmtree sweep   <model.fmt> [options]          inspection-frequency cost curve
-//   fmtree fleet   <model.fmt> [options]          N-joint corridor KPIs
-//   fmtree lint-policy <script.mpl>...            compile policy scripts, report L1xx
-//   fmtree serve   <socket> [options]             analysis daemon (fmtree.request/v1)
-//
-// Options: --horizon <years>  --runs <n>  --seed <n>  --threads <n>
-//          --confidence <p>
-//          --quantiles <p1,p2,...>  --timeout <s>
-//          --state-cap <n>    --no-fallback  --json-errors
-//          --metrics <file>   --trace <file|chrome:file>  --progress
-//          --frequencies <f1,f2,...>  --policy <script.mpl>
-//          --cache-dir <dir>
-//          --max-retries <n>  --stall-timeout <s>
-//          --connect <socket>  --emit-request            (sweep/fleet as a client)
-//          --joints <n>  --fleet-seed <n>  --jitter <x>  --coupling <x>
-//          --spacing-km <x>  --crews <n>  --worst <n>              (fleet)
-//          --calibrate <csv>  --generate-incidents <csv>
-//          --observe-years <t>                       (fleet incident data)
-//          --queue-limit <n>   --model-root <dir>        (serve)
-//          --inject-fault <site:spec>  (repeatable; testing only)
+// Two tables in cli.cpp drive it: one row per command (name, positional
+// arguments, summary, handler) and one row per flag (value, the commands
+// that honour it, help, a setter that checks the value). A command accepts
+// only the flags whose row names it, and `fmtree` with no arguments prints
+// both tables (usage()).
 //
 // Split into a library so argument parsing and command execution are unit
 // testable; main() is a thin wrapper.
@@ -34,7 +13,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,6 +31,7 @@ enum class Command {
   Fleet,
   LintPolicy,
   Serve,
+  Count,  ///< the number of commands, not a command
 };
 
 /// Stable process exit codes (documented in DESIGN.md, "Failure semantics").
@@ -67,8 +46,9 @@ enum ExitCode : int {
 
 struct Options {
   Command command = Command::Check;
-  std::string model_path;
-  std::string model_path_b;  ///< second model (compare only)
+  /// The positional arguments: the model file(s), the policy scripts of
+  /// `lint-policy` or the socket `serve` listens on.
+  std::vector<std::string> inputs;
   double horizon = 10.0;
   std::uint64_t runs = 10000;
   std::uint64_t seed = 1;
@@ -84,19 +64,15 @@ struct Options {
   /// selects Chrome trace_event format instead of "fmtree.trace/v1".
   std::string metrics_path;
   std::string trace_path;
-  bool progress = false;  ///< emit throttled progress lines while running
-  /// Destination for --progress lines; nullptr = std::cerr. main_impl points
-  /// it at its `err` stream so tests capture the output.
-  std::ostream* progress_stream = nullptr;
+  bool progress = false;  ///< emit throttled progress lines on stderr while running
   /// Inspection frequencies (per time unit; 0 = no inspections) for `sweep`.
   /// Defaults to the paper's cost-curve grid.
   std::vector<double> frequencies = {0, 0.5, 1, 2, 3, 4, 6, 8, 12, 24};
   /// Set when --frequencies was given explicitly. A sweep with --policy and
   /// no explicit --frequencies evaluates only the scripted candidates.
   bool frequencies_set = false;
-  /// Maintenance-policy script files: `sweep --policy <file>` (repeatable,
-  /// each compiled into one scripted sweep candidate) and the positional
-  /// script list of `lint-policy`.
+  /// Maintenance-policy script files (`--policy`, repeatable): each one a
+  /// scripted `sweep` candidate, or the one policy of every `fleet` joint.
   std::vector<std::string> policies;
   /// On-disk result cache directory for `sweep`, `fleet` and `serve`; empty =
   /// no cache. It is also how an interrupted or crashed run resumes: the same
@@ -109,8 +85,6 @@ struct Options {
   /// Fault-injection specs ("site:mode[,trigger]") armed for the duration of
   /// the command, on top of any FMTREE_FAULTS armings. Testing only.
   std::vector<std::string> inject_faults;
-  /// `serve`: the local socket to listen on (the positional argument).
-  std::string socket_path;
   /// `serve`: admission bound on outstanding jobs (queued + running); a
   /// request that would exceed it is rejected whole with R120.
   std::size_t queue_limit = 64;
@@ -144,31 +118,31 @@ struct Options {
   double observe_years = 0.0;
 };
 
-/// Process-wide cooperative stop handle. Long-running commands (analyze)
-/// poll it between trajectories; main() wires SIGINT to request_stop(), so
-/// an interrupted run still reports exact statistics over the completed
-/// trajectory prefix (exit code kExitTruncated).
+/// Process-wide cooperative stop handle. run() rearms it for every command
+/// (with --timeout's deadline, counted from the command's start); main()
+/// wires SIGINT and SIGTERM to request_stop(). A command that runs
+/// trajectories then reports exact statistics over the completed prefix
+/// (exit code kExitTruncated), and `serve` drains and exits.
 smc::RunControl& interrupt_control();
 
 /// Parses argv-style arguments (excluding the program name). Throws
-/// DomainError with a user-facing message on invalid usage.
+/// DomainError with a user-facing message on invalid usage, including a
+/// flag the command does not accept.
 Options parse_args(const std::vector<std::string>& args);
 
-/// Executes a command on a model given as text (already read from the
-/// file). Returns a process exit code. Not valid for Command::Compare.
-int run_on_text(const Options& options, const std::string& model_text,
-                std::ostream& out);
+/// Runs a parsed command: arms --inject-fault, opens the telemetry sinks,
+/// arms the stop handle, parses `model_texts` (the text of each input the
+/// command reads as a model; none for lint-policy and serve) and calls the
+/// command's handler. Returns the process exit code; failures throw.
+int run(const Options& options, const std::vector<std::string>& model_texts,
+        std::ostream& out, std::ostream& err);
 
-/// Executes the paired comparison (common random numbers) of two models.
-int run_compare(const Options& options, const std::string& model_a_text,
-                const std::string& model_b_text, std::ostream& out);
-
-/// Full entry point: reads the model file and dispatches. Errors are
-/// reported on `err` with a non-zero return.
+/// Full entry point: parses `args`, reads the model files and runs the
+/// command. Errors are reported on `err` with a non-zero return.
 int main_impl(const std::vector<std::string>& args, std::ostream& out,
               std::ostream& err);
 
-/// The usage/help text.
+/// The usage/help text, generated from the command and flag tables.
 std::string usage();
 
 }  // namespace fmtree::cli

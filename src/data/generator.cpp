@@ -5,9 +5,11 @@
 
 namespace fmtree::data {
 
-void generate_incidents(const fmt::FaultMaintenanceTree& ground_truth,
-                        std::uint32_t num_assets, double years, std::uint64_t seed,
-                        const std::function<void(const IncidentRecord&)>& sink) {
+std::uint32_t generate_incidents(const fmt::FaultMaintenanceTree& ground_truth,
+                                 std::uint32_t num_assets, double years,
+                                 std::uint64_t seed,
+                                 const std::function<void(const IncidentRecord&)>& sink,
+                                 const smc::RunControl* control) {
   const sim::BatchExecutor kernel(ground_truth);
   sim::SimOptions opts;
   opts.horizon = years;
@@ -22,8 +24,11 @@ void generate_incidents(const fmt::FaultMaintenanceTree& ground_truth,
     ++asset;
     return true;
   };
-  smc::run_pool({&job, 1}, {});
+  smc::PoolOptions options;
+  options.control = control;
+  smc::run_pool({&job, 1}, options);
   if (job.error) std::rethrow_exception(job.error);
+  return asset;
 }
 
 IncidentDatabase generate_incidents(const fmt::FaultMaintenanceTree& ground_truth,

@@ -16,6 +16,7 @@
 
 #include "data/incident.hpp"
 #include "fmt/fmtree.hpp"
+#include "smc/run_control.hpp"
 
 namespace fmtree::data {
 
@@ -23,10 +24,14 @@ namespace fmtree::data {
 /// maintenance policy and hands every system failure, with its attributed
 /// mode, to `sink`: asset by asset in asset order, each asset's in time
 /// order. Asset i is trajectory i of the kernel: CounterStream(seed, i).
-/// Memory does not grow with the asset or record count.
-void generate_incidents(const fmt::FaultMaintenanceTree& ground_truth,
-                        std::uint32_t num_assets, double years, std::uint64_t seed,
-                        const std::function<void(const IncidentRecord&)>& sink);
+/// Memory does not grow with the asset or record count. A stop at `control`
+/// ends the run after a prefix of whole assets. Returns the number of
+/// assets simulated.
+std::uint32_t generate_incidents(const fmt::FaultMaintenanceTree& ground_truth,
+                                 std::uint32_t num_assets, double years,
+                                 std::uint64_t seed,
+                                 const std::function<void(const IncidentRecord&)>& sink,
+                                 const smc::RunControl* control = nullptr);
 
 /// The same records, collected into a database.
 IncidentDatabase generate_incidents(const fmt::FaultMaintenanceTree& ground_truth,

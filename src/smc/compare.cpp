@@ -11,16 +11,24 @@ namespace fmtree::smc {
 
 namespace {
 
+/// Pairs per block of a paired comparison: blocks double from the first
+/// size to the last, so that an early stop leaves pairs to report too.
+constexpr std::uint64_t kFirstPairBlock = 4096;
+constexpr std::uint64_t kPairBlock = std::uint64_t{1} << 16;
+
 /// Runs the jobs on settings.threads workers until settings.control stops
-/// them, and returns why the pool stopped; a failed job rethrows here.
-StopReason run_jobs(std::span<PoolJob> jobs, const AnalysisSettings& settings) {
+/// them; a failed job rethrows here. `simulated_before` trajectories of
+/// earlier runs count towards the control's trajectory budget.
+PoolOutcome run_jobs(std::span<PoolJob> jobs, const AnalysisSettings& settings,
+                     std::uint64_t simulated_before = 0) {
   PoolOptions options;
   options.threads = settings.threads;
   options.control = settings.control;
+  options.simulated_before = simulated_before;
   const PoolOutcome outcome = run_pool(jobs, options);
   for (const PoolJob& job : jobs)
     if (job.error) std::rethrow_exception(job.error);
-  return outcome.stop_reason;
+  return outcome;
 }
 
 ResourceLimitError nothing_completed(StopReason stop) {
@@ -45,7 +53,7 @@ PairedComparison compare_models(const fmt::FaultMaintenanceTree& a,
   // per-trajectory values the pairing differences.
   struct Values {
     std::vector<double> failures, cost, downtime;
-  } va, vb;
+  };
   const auto keep = [](Values& v) -> Fold {
     return [&v](sim::TrajectoryResult& r) {
       v.failures.push_back(static_cast<double>(r.failures));
@@ -54,22 +62,38 @@ PairedComparison compare_models(const fmt::FaultMaintenanceTree& a,
       return true;
     };
   };
-  PoolJob jobs[] = {simulation_a.job(keep(va)), simulation_b.job(keep(vb))};
-  const StopReason stop = run_jobs(jobs, settings);
-
-  const std::size_t pairs = std::min(va.failures.size(), vb.failures.size());
-  if (pairs == 0) throw nothing_completed(stop);
+  // The pool runs a job's trajectories before the next job's, so the
+  // variants run block by block over the same index range: a stop then
+  // leaves pairs, and only one block's values are kept. Pairs fold in
+  // index order, so the statistics do not depend on the block size.
   RunningStats failures, cost, downtime;
-  for (std::size_t i = 0; i < pairs; ++i) {
-    failures.add(va.failures[i] - vb.failures[i]);
-    cost.add(va.cost[i] - vb.cost[i]);
-    downtime.add(va.downtime[i] - vb.downtime[i]);
-  }
   PairedComparison out;
+  while (out.trajectories < settings.trajectories &&
+         out.stop_reason == StopReason::None) {
+    const std::uint64_t block =
+        std::min(std::clamp(out.trajectories, kFirstPairBlock, kPairBlock),
+                 settings.trajectories - out.trajectories);
+    Values va, vb;
+    PoolJob jobs[] = {simulation_a.job(keep(va)), simulation_b.job(keep(vb))};
+    for (PoolJob& job : jobs) {
+      job.first = out.trajectories;
+      job.trajectories = block;
+    }
+    // Every earlier block completed: two trajectories per pair.
+    const PoolOutcome outcome = run_jobs(jobs, settings, 2 * out.trajectories);
+    const std::size_t pairs = std::min(va.failures.size(), vb.failures.size());
+    for (std::size_t i = 0; i < pairs; ++i) {
+      failures.add(va.failures[i] - vb.failures[i]);
+      cost.add(va.cost[i] - vb.cost[i]);
+      downtime.add(va.downtime[i] - vb.downtime[i]);
+    }
+    out.trajectories += pairs;
+    if (pairs < block) out.stop_reason = outcome.stop_reason;  // the pool stopped
+  }
+  if (out.trajectories == 0) throw nothing_completed(out.stop_reason);
   out.failures_diff = failures.mean_ci(settings.confidence);
   out.cost_diff = cost.mean_ci(settings.confidence);
   out.downtime_diff = downtime.mean_ci(settings.confidence);
-  out.trajectories = pairs;
   return out;
 }
 
@@ -86,7 +110,7 @@ FailureQuantiles failure_time_quantiles(const fmt::FaultMaintenanceTree& model,
     times.push_back(r.first_failure_time);
     return true;
   });
-  const StopReason stop = run_jobs({&job, 1}, settings);
+  const StopReason stop = run_jobs({&job, 1}, settings).stop_reason;
   if (times.empty()) throw nothing_completed(stop);
   std::sort(times.begin(), times.end());
 

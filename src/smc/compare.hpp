@@ -28,6 +28,7 @@ struct PairedComparison {
   ConfidenceInterval downtime_diff;  ///< E[downtime_A - downtime_B]
   /// Pairs compared: after a stop, the prefix both variants completed.
   std::uint64_t trajectories = 0;
+  StopReason stop_reason = StopReason::None;  ///< why the pairs ended short
 
   /// True iff the CI on the failure difference excludes zero.
   bool failures_significantly_different() const noexcept {
@@ -39,7 +40,9 @@ struct PairedComparison {
 };
 
 /// Runs both models on identical random streams and returns paired
-/// difference CIs (A minus B).
+/// difference CIs (A minus B). The variants run block by block over the
+/// same trajectory range, so memory does not grow with the trajectory count
+/// and a stop leaves the pairs of the blocks before it.
 PairedComparison compare_models(const fmt::FaultMaintenanceTree& a,
                                 const fmt::FaultMaintenanceTree& b,
                                 const AnalysisSettings& settings);

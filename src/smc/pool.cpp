@@ -210,7 +210,7 @@ void Pool::simulate(Chunk& chunk, sim::BatchWorkspace& ws, Heartbeat& heartbeat)
     if (options_.fault_site != nullptr) (void)fault::fault_point(options_.fault_site);
     if (halted(s)) return;
     job.executor->run(
-        job.seed, chunk.index * kChunk, chunk.size, *job.options, ws,
+        job.seed, job.first + chunk.index * kChunk, chunk.size, *job.options, ws,
         [&](std::uint64_t, std::span<sim::TrajectoryResult> block) {
           // Copied, not moved: the buffer keeps its own allocations across
           // chunks, and the kernel's stay on this worker's thread.
@@ -296,8 +296,8 @@ void Pool::count(const sim::TrajectoryResult& r, obs::LocalMetrics& local) const
 bool Pool::halted(JobState& s) {
   if (stopped() || s.closed()) return true;
   if (options_.control != nullptr) {
-    const StopReason r =
-        options_.control->should_stop(simulated_.load(std::memory_order_relaxed));
+    const StopReason r = options_.control->should_stop(
+        options_.simulated_before + simulated_.load(std::memory_order_relaxed));
     if (r != StopReason::None) {
       stop(r);
       return true;

@@ -12,9 +12,10 @@
 //    than 32 x workers chunks ahead of the oldest unfolded chunk waits; a
 //    stop, a cancel or a job failure wakes it. Memory is O(workers x chunk),
 //    whatever the trajectory count;
-//  * determinism — trajectory i draws from CounterStream(seed, i) whichever
-//    worker runs it, and a fold sees trajectories in index order, so every
-//    statistic it accumulates is bit-identical at any thread count;
+//  * determinism — trajectory i of a job draws from CounterStream(seed,
+//    first + i) whichever worker runs it, and a fold sees trajectories in
+//    index order, so every statistic it accumulates is bit-identical at any
+//    thread count;
 //  * stops — workers poll the pool's RunControl and each job's cancel
 //    handle between kernel blocks (16 trajectories). On a stop every job
 //    ends at the longest prefix of trajectory indices it completed, which
@@ -50,6 +51,8 @@ struct PoolJob {
   const sim::BatchExecutor* executor = nullptr;
   const sim::SimOptions* options = nullptr;
   std::uint64_t seed = 0;
+  /// Trajectory i of the job draws from CounterStream(seed, first + i).
+  std::uint64_t first = 0;
   std::uint64_t trajectories = 0;
   Fold fold = {};
   /// Optional per-job stop: when it fires, this job ends at its longest
@@ -81,8 +84,11 @@ struct PoolOptions {
   /// chunks.
   unsigned threads = 0;
   /// Stops every job; polled with the number of trajectories the pool has
-  /// simulated so far.
+  /// simulated so far, plus `simulated_before`.
   const RunControl* control = nullptr;
+  /// Trajectories earlier pool runs simulated under the same `control`, so
+  /// that its trajectory budget counts a run split over several calls whole.
+  std::uint64_t simulated_before = 0;
   /// Stall watchdog: when > 0 and no trajectory completes for this many
   /// seconds, the pool stops with StopReason::Stalled and
   /// PoolOutcome::stall names the silent workers.

@@ -83,13 +83,13 @@ TEST(ChaosCliArgs, RejectsBadRobustnessFlags) {
 }
 
 TEST(ChaosCliSweep, InjectedFaultsHealAndTheCurveIsIdentical) {
-  std::ostringstream clean;
-  ASSERT_EQ(run_on_text(sweep_opts({0, 2}), kSweepModel, clean), kExitOk);
+  std::ostringstream clean, err;
+  ASSERT_EQ(run(sweep_opts({0, 2}), {kSweepModel}, clean, err), kExitOk);
 
   Options chaos = sweep_opts({0, 2});
   chaos.inject_faults = {"sweep.task:error,nth=1,limit=1"};
   std::ostringstream healed;
-  ASSERT_EQ(run_on_text(chaos, kSweepModel, healed), kExitOk);
+  ASSERT_EQ(run(chaos, {kSweepModel}, healed, err), kExitOk);
   EXPECT_NE(healed.str().find("self-healing:"), std::string::npos);
   EXPECT_EQ(normalized_curve(clean.str()), normalized_curve(healed.str()));
   // The scope died with the run: nothing stays armed for later tests.
@@ -100,8 +100,8 @@ TEST(ChaosCliSweep, ExhaustedRetriesFailTheJobButFinishTheSweep) {
   Options o = sweep_opts({0, 2});
   o.max_retries = 0;
   o.inject_faults = {"sweep.task:error,nth=1,limit=1"};
-  std::ostringstream out;
-  const int code = run_on_text(o, kSweepModel, out);
+  std::ostringstream out, err;
+  const int code = run(o, {kSweepModel}, out, err);
   EXPECT_EQ(code, kExitTruncated);
   EXPECT_NE(out.str().find("(failed: injected)"), std::string::npos);
   EXPECT_NE(out.str().find("job(s) failed permanently"), std::string::npos);
@@ -117,20 +117,20 @@ TEST(ChaosCliSweep, ResumeReplaysACrashedCacheBitIdentically) {
   // Run 1 "crashes": every cache publish fails, so nothing durable lands.
   Options crashing = o;
   crashing.inject_faults = {"cache.rename:error"};
-  std::ostringstream first;
-  ASSERT_EQ(run_on_text(crashing, kSweepModel, first), kExitOk);
+  std::ostringstream first, err;
+  ASSERT_EQ(run(crashing, {kSweepModel}, first, err), kExitOk);
   EXPECT_NE(first.str().find("0 hits, 2 misses"), std::string::npos);
 
   // Run 2 is the same command: nothing was persisted, so it recomputes — and
   // must land on the identical curve. Its cache writes succeed this time.
   std::ostringstream second;
-  ASSERT_EQ(run_on_text(o, kSweepModel, second), kExitOk);
+  ASSERT_EQ(run(o, {kSweepModel}, second, err), kExitOk);
   EXPECT_NE(second.str().find("0 hits, 2 misses"), std::string::npos);
   EXPECT_EQ(normalized_curve(first.str()), normalized_curve(second.str()));
 
   // Run 3 replays the now-warm cache: all hits, same bits.
   std::ostringstream third;
-  ASSERT_EQ(run_on_text(o, kSweepModel, third), kExitOk);
+  ASSERT_EQ(run(o, {kSweepModel}, third, err), kExitOk);
   EXPECT_NE(third.str().find("2 hits, 0 misses"), std::string::npos);
   EXPECT_EQ(normalized_curve(first.str()), normalized_curve(third.str()));
 
@@ -152,8 +152,8 @@ TEST(ChaosCliSweep, AFailedJobRunsAgainOnTheNextInvocation) {
   Options failing = o;
   failing.max_retries = 0;
   failing.inject_faults = {"sweep.task:error,nth=1,limit=1"};
-  std::ostringstream first;
-  ASSERT_EQ(run_on_text(failing, kSweepModel, first), kExitTruncated);
+  std::ostringstream first, err;
+  ASSERT_EQ(run(failing, {kSweepModel}, first, err), kExitTruncated);
   const std::string failed_row = row_of(first.str(), "(failed: injected)");
   ASSERT_FALSE(failed_row.empty()) << first.str();
   const std::string label = failed_row.substr(0, failed_row.find('|', 2));
@@ -161,7 +161,7 @@ TEST(ChaosCliSweep, AFailedJobRunsAgainOnTheNextInvocation) {
   // Run 2, the same command without faults: the completed job replays and
   // the failed one is simulated.
   std::ostringstream second;
-  ASSERT_EQ(run_on_text(o, kSweepModel, second), kExitOk);
+  ASSERT_EQ(run(o, {kSweepModel}, second, err), kExitOk);
   EXPECT_NE(second.str().find("cache: 1 hits, 1 misses"), std::string::npos)
       << second.str();
   EXPECT_NE(row_of(second.str(), label).find("simulated"), std::string::npos)
@@ -172,13 +172,13 @@ TEST(ChaosCliSweep, ADifferentGridReplaysTheSharedJobWithoutWarning) {
   Options o = sweep_opts({0, 2});
   o.cache_dir = testing::TempDir() + "fmtree_cli_chaos_other_grid";
   std::filesystem::remove_all(o.cache_dir);
-  std::ostringstream first;
-  ASSERT_EQ(run_on_text(o, kSweepModel, first), kExitOk);
+  std::ostringstream first, err;
+  ASSERT_EQ(run(o, {kSweepModel}, first, err), kExitOk);
 
   Options other = sweep_opts({0, 4});  // shares only the no-inspection job
   other.cache_dir = o.cache_dir;
   std::ostringstream second;
-  ASSERT_EQ(run_on_text(other, kSweepModel, second), kExitOk);
+  ASSERT_EQ(run(other, {kSweepModel}, second, err), kExitOk);
   EXPECT_NE(second.str().find("cache: 1 hits, 1 misses"), std::string::npos)
       << second.str();
   EXPECT_EQ(second.str().find("fmtree:"), std::string::npos) << second.str();

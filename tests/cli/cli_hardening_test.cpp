@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_testing.hpp"
 #include "util/error.hpp"
 
 namespace fmtree::cli {
@@ -70,9 +71,12 @@ TEST(CliArgs, HardeningFlagsParsed) {
 }
 
 TEST(CliArgs, HardeningFlagsValidated) {
-  EXPECT_THROW(parse_args({"check", "m", "--timeout", "-1"}), DomainError);
-  EXPECT_THROW(parse_args({"check", "m", "--state-cap", "0"}), DomainError);
-  EXPECT_THROW(parse_args({"check", "m", "--state-cap", "1.5"}), DomainError);
+  EXPECT_EQ(refusal({"analyze", "m", "--timeout", "-1"}),
+            "domain error: --timeout must be nonnegative");
+  EXPECT_EQ(refusal({"exact", "m", "--state-cap", "0"}),
+            "domain error: --state-cap must be positive");
+  EXPECT_EQ(refusal({"exact", "m", "--state-cap", "1.5"}),
+            "domain error: --state-cap must be a nonnegative integer");
 }
 
 TEST(CliArgs, FlagsMayPrecedeTheModelPath) {
@@ -80,10 +84,9 @@ TEST(CliArgs, FlagsMayPrecedeTheModelPath) {
   // flag/positional order must not matter.
   const Options o = parse_args({"check", "--json-errors", "m.fmt"});
   EXPECT_TRUE(o.json_errors);
-  EXPECT_EQ(o.model_path, "m.fmt");
+  EXPECT_EQ(o.inputs, std::vector<std::string>{"m.fmt"});
   const Options c = parse_args({"compare", "--runs", "7", "a.fmt", "b.fmt"});
-  EXPECT_EQ(c.model_path, "a.fmt");
-  EXPECT_EQ(c.model_path_b, "b.fmt");
+  EXPECT_EQ(c.inputs, (std::vector<std::string>{"a.fmt", "b.fmt"}));
   EXPECT_EQ(c.runs, 7u);
   EXPECT_THROW(parse_args({"check", "--json-errors"}), DomainError);
   EXPECT_THROW(parse_args({"compare", "a.fmt", "--runs", "7"}), DomainError);
@@ -226,6 +229,59 @@ TEST(CliExit, TimeoutTruncatesAnalyzeWithExitOne) {
   EXPECT_EQ(rc, kExitTruncated);
   EXPECT_NE(out.str().find("truncated (deadline)"), std::string::npos);
   EXPECT_NE(out.str().find("reliability"), std::string::npos);
+}
+
+TEST(CliExit, TimeoutTruncatesCompareWithExitOne) {
+  // The variants run block by block, so a stop leaves the pairs completed
+  // so far: the report covers them, with a notice, and exit code 1.
+  const std::string model = std::string(FMTREE_SOURCE_DIR) + "/models/ei_joint.fmt";
+  std::ostringstream out, err;
+  const auto t0 = std::chrono::steady_clock::now();
+  const int rc = main_impl({"compare", model, model, "--horizon", "10", "--runs",
+                            "4000000", "--timeout", "1", "--threads", "2"},
+                           out, err);
+  const std::chrono::duration<double> took = std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(rc, kExitTruncated) << err.str();
+  EXPECT_LT(took.count(), 1.5);
+  EXPECT_NE(out.str().find("paired comparison"), std::string::npos) << out.str();
+  EXPECT_NE(out.str().find("NOTE: run truncated (deadline)"), std::string::npos)
+      << out.str();
+}
+
+/// The whole content of the file at `path`.
+std::string read_file(const std::string& path) {
+  std::ifstream file(path);
+  std::ostringstream text;
+  text << file.rdbuf();
+  return text.str();
+}
+
+TEST(CliExit, StoppedIncidentGenerationHoldsWholeJoints) {
+  // A stop ends the generation after whole joints in joint order: the file
+  // equals a complete generation of the joint count the output reports.
+  const std::string model = std::string(FMTREE_SOURCE_DIR) + "/models/ei_joint.fmt";
+  const std::string cut = testing::TempDir() + "fmtree_cli_cut_incidents.csv";
+  const std::string whole = testing::TempDir() + "fmtree_cli_whole_incidents.csv";
+  const std::vector<std::string> fleet = {"fleet", model, "--observe-years", "40",
+                                          "--fleet-seed", "9", "--generate-incidents"};
+  std::vector<std::string> args = fleet;
+  args.insert(args.end(), {cut, "--joints", "1000000", "--timeout", "0.2"});
+  std::ostringstream out, err;
+  ASSERT_EQ(main_impl(args, out, err), kExitTruncated) << err.str() << out.str();
+  const std::string text = out.str();
+  const std::size_t from = text.find(" from ");
+  ASSERT_NE(from, std::string::npos) << text;
+  const std::string joints = text.substr(from + 6, text.find(' ', from + 6) - from - 6);
+  EXPECT_NE(text.find("NOTE: incident generation truncated (deadline) after " + joints +
+                      " of 1000000 joints"),
+            std::string::npos)
+      << text;
+
+  args = fleet;
+  args.insert(args.end(), {whole, "--joints", joints});
+  std::ostringstream whole_out, whole_err;
+  ASSERT_EQ(main_impl(args, whole_out, whole_err), kExitOk) << whole_err.str();
+  EXPECT_EQ(read_file(cut), read_file(whole));
 }
 
 TEST(CliExit, PeriodTooSmallToAdvanceTheClockFailsAtOnce) {

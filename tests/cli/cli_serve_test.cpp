@@ -31,7 +31,7 @@ TEST(CliServeArgs, ParsesSocketAndServeFlags) {
                                 "8", "--model-root", "/srv/models",
                                 "--cache-dir", "/tmp/c"});
   EXPECT_EQ(o.command, Command::Serve);
-  EXPECT_EQ(o.socket_path, "/tmp/fmtree.sock");
+  EXPECT_EQ(o.inputs, std::vector<std::string>{"/tmp/fmtree.sock"});
   EXPECT_EQ(o.queue_limit, 8u);
   EXPECT_EQ(o.model_root, "/srv/models");
   EXPECT_EQ(o.cache_dir, "/tmp/c");
@@ -55,8 +55,8 @@ TEST(CliSweepEmitRequest, PrintsTheCanonicalRequestDocument) {
   o.runs = 200;
   o.seed = 3;
   o.frequencies = {0, 2};
-  std::ostringstream out;
-  ASSERT_EQ(run_on_text(o, kSweepModel, out), kExitOk);
+  std::ostringstream out, err;
+  ASSERT_EQ(run(o, {kSweepModel}, out, err), kExitOk);
   // The emitted document round-trips through the schema parser and carries
   // this invocation's settings bit-exactly (hexfloat canonical form).
   const serve::Request parsed = serve::parse_request(out.str());

@@ -60,8 +60,8 @@ Options sweep_opts(std::vector<double> frequencies) {
 }
 
 TEST(CliSweep, PrintsCurveAndOptimum) {
-  std::ostringstream out;
-  const int code = run_on_text(sweep_opts({0, 2, 4}), kSweepModel, out);
+  std::ostringstream out, err;
+  const int code = run(sweep_opts({0, 2, 4}), {kSweepModel}, out, err);
   EXPECT_EQ(code, kExitOk);
   const std::string text = out.str();
   EXPECT_NE(text.find("no-inspection"), std::string::npos);
@@ -77,13 +77,13 @@ TEST(CliSweep, SecondRunIsServedFromTheDiskCache) {
   Options o = sweep_opts({0, 2});
   o.cache_dir = testing::TempDir() + "fmtree_cli_sweep_cache";
   std::filesystem::remove_all(o.cache_dir);  // idempotence across ctest runs
-  std::ostringstream cold;
-  ASSERT_EQ(run_on_text(o, kSweepModel, cold), kExitOk);
+  std::ostringstream cold, err;
+  ASSERT_EQ(run(o, {kSweepModel}, cold, err), kExitOk);
   EXPECT_NE(cold.str().find("simulated"), std::string::npos);
   EXPECT_NE(cold.str().find("0 hits, 2 misses"), std::string::npos);
 
   std::ostringstream warm;
-  ASSERT_EQ(run_on_text(o, kSweepModel, warm), kExitOk);
+  ASSERT_EQ(run(o, {kSweepModel}, warm, err), kExitOk);
   EXPECT_EQ(warm.str().find("simulated"), std::string::npos);
   EXPECT_NE(warm.str().find("2 hits, 0 misses"), std::string::npos);
 
@@ -102,19 +102,19 @@ TEST(CliSweep, SecondRunIsServedFromTheDiskCache) {
 }
 
 TEST(CliSweep, RejectsInspectionSweepOnUninspectableModel) {
-  std::ostringstream out;
-  EXPECT_THROW(run_on_text(sweep_opts({0, 2}), kNoInspectionModel, out),
+  std::ostringstream out, err;
+  EXPECT_THROW(run(sweep_opts({0, 2}), {kNoInspectionModel}, out, err),
                DomainError);
   // Frequency 0 alone is fine: it just clears (absent) inspections.
-  EXPECT_EQ(run_on_text(sweep_opts({0}), kNoInspectionModel, out), kExitOk);
+  EXPECT_EQ(run(sweep_opts({0}), {kNoInspectionModel}, out, err), kExitOk);
 }
 
 TEST(CliSweep, TimeoutTruncatesWithExitOne) {
   Options o = sweep_opts({0, 2, 4});
   o.runs = 200000;  // far more than a 1 ms budget allows
   o.timeout = 0.001;
-  std::ostringstream out;
-  const int code = run_on_text(o, kSweepModel, out);
+  std::ostringstream out, err;
+  const int code = run(o, {kSweepModel}, out, err);
   EXPECT_EQ(code, kExitTruncated);
   EXPECT_NE(out.str().find("NOTE: sweep truncated"), std::string::npos);
   EXPECT_NE(out.str().find("(interrupted)"), std::string::npos);

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "cli_testing.hpp"
 #include "util/error.hpp"
 
 namespace fmtree::cli {
@@ -33,7 +36,7 @@ TEST(CliArgs, ParsesCommandsAndFlags) {
                                 "500", "--seed", "9", "--threads", "2",
                                 "--confidence", "0.9", "--quantiles", "0.1,0.9"});
   EXPECT_EQ(o.command, Command::Analyze);
-  EXPECT_EQ(o.model_path, "m.fmt");
+  EXPECT_EQ(o.inputs, std::vector<std::string>{"m.fmt"});
   EXPECT_DOUBLE_EQ(o.horizon, 25);
   EXPECT_EQ(o.runs, 500u);
   EXPECT_EQ(o.seed, 9u);
@@ -63,16 +66,26 @@ TEST(CliArgs, RejectsBadUsage) {
   EXPECT_THROW(parse_args({}), DomainError);
   EXPECT_THROW(parse_args({"frobnicate", "m"}), DomainError);
   EXPECT_THROW(parse_args({"check"}), DomainError);
-  EXPECT_THROW(parse_args({"check", "--horizon"}), DomainError);
   EXPECT_THROW(parse_args({"check", "m", "--bogus", "1"}), DomainError);
-  EXPECT_THROW(parse_args({"check", "m", "--horizon"}), DomainError);
-  EXPECT_THROW(parse_args({"check", "m", "--horizon", "abc"}), DomainError);
-  EXPECT_THROW(parse_args({"check", "m", "--horizon", "0"}), DomainError);
-  EXPECT_THROW(parse_args({"check", "m", "--runs", "0"}), DomainError);
-  EXPECT_THROW(parse_args({"check", "m", "--runs", "1.5"}), DomainError);
-  EXPECT_THROW(parse_args({"check", "m", "--confidence", "1"}), DomainError);
-  EXPECT_THROW(parse_args({"check", "m", "--quantiles", "2"}), DomainError);
-  EXPECT_THROW(parse_args({"check", "m", "--quantiles", ""}), DomainError);
+  // Each value check on a command that accepts the flag.
+  EXPECT_EQ(refusal({"cutsets", "--horizon"}),
+            "domain error: flag --horizon needs a value");
+  EXPECT_EQ(refusal({"cutsets", "m", "--horizon"}),
+            "domain error: flag --horizon needs a value");
+  EXPECT_EQ(refusal({"cutsets", "m", "--horizon", "abc"}),
+            "domain error: invalid --horizon value 'abc'");
+  EXPECT_EQ(refusal({"cutsets", "m", "--horizon", "0"}),
+            "domain error: --horizon must be positive and finite");
+  EXPECT_EQ(refusal({"analyze", "m", "--runs", "0"}),
+            "domain error: --runs must be positive");
+  EXPECT_EQ(refusal({"analyze", "m", "--runs", "1.5"}),
+            "domain error: --runs must be a nonnegative integer");
+  EXPECT_EQ(refusal({"analyze", "m", "--confidence", "1"}),
+            "domain error: --confidence must lie in (0,1)");
+  EXPECT_EQ(refusal({"analyze", "m", "--quantiles", "2"}),
+            "domain error: --quantiles must lie in [0,1]");
+  EXPECT_EQ(refusal({"analyze", "m", "--quantiles", ""}),
+            "domain error: --quantiles needs at least one value");
 }
 
 // ---- Command execution ---------------------------------------------------------
@@ -87,8 +100,8 @@ Options opts(Command c, std::uint64_t runs = 2000) {
 }
 
 TEST(CliRun, CheckSummarizesModel) {
-  std::ostringstream out;
-  EXPECT_EQ(run_on_text(opts(Command::Check), kModel, out), 0);
+  std::ostringstream out, err;
+  EXPECT_EQ(run(opts(Command::Check), {kModel}, out, err), 0);
   EXPECT_NE(out.str().find("model OK"), std::string::npos);
   EXPECT_NE(out.str().find("leaves:              2"), std::string::npos);
   EXPECT_NE(out.str().find("inspection modules:  1"), std::string::npos);
@@ -97,42 +110,42 @@ TEST(CliRun, CheckSummarizesModel) {
 TEST(CliRun, AnalyzeReportsKpis) {
   Options o = opts(Command::Analyze);
   o.quantiles = {0.5};
-  std::ostringstream out;
-  EXPECT_EQ(run_on_text(o, kModel, out), 0);
+  std::ostringstream out, err;
+  EXPECT_EQ(run(o, {kModel}, out, err), 0);
   EXPECT_NE(out.str().find("reliability"), std::string::npos);
   EXPECT_NE(out.str().find("cost breakdown"), std::string::npos);
   EXPECT_NE(out.str().find("time-to-failure quantiles"), std::string::npos);
 }
 
 TEST(CliRun, ExactOnMarkovianModel) {
-  std::ostringstream out;
-  EXPECT_EQ(run_on_text(opts(Command::Exact), kMarkovianModel, out), 0);
+  std::ostringstream out, err;
+  EXPECT_EQ(run(opts(Command::Exact), {kMarkovianModel}, out, err), 0);
   EXPECT_NE(out.str().find("MTTF = 2"), std::string::npos);  // 1/(0.2+0.3)
   EXPECT_NE(out.str().find("E[#failures within 10] = 5"), std::string::npos);
 }
 
 TEST(CliRun, ExactRejectsNonMarkovian) {
-  std::ostringstream out;
-  EXPECT_THROW(run_on_text(opts(Command::Exact), kModel, out),
+  std::ostringstream out, err;
+  EXPECT_THROW(run(opts(Command::Exact), {kModel}, out, err),
                UnsupportedModelError);
 }
 
 TEST(CliRun, DotEmitsGraph) {
-  std::ostringstream out;
-  EXPECT_EQ(run_on_text(opts(Command::Dot), kModel, out), 0);
+  std::ostringstream out, err;
+  EXPECT_EQ(run(opts(Command::Dot), {kModel}, out, err), 0);
   EXPECT_NE(out.str().find("digraph"), std::string::npos);
 }
 
 TEST(CliRun, CutsetsListsAndRanks) {
-  std::ostringstream out;
-  EXPECT_EQ(run_on_text(opts(Command::CutSets), kModel, out), 0);
+  std::ostringstream out, err;
+  EXPECT_EQ(run(opts(Command::CutSets), {kModel}, out, err), 0);
   EXPECT_NE(out.str().find("2 minimal cut sets"), std::string::npos);
   EXPECT_NE(out.str().find("Birnbaum"), std::string::npos);
 }
 
 TEST(CliRun, ParseErrorsPropagate) {
-  std::ostringstream out;
-  EXPECT_THROW(run_on_text(opts(Command::Check), "not a model", out), Error);
+  std::ostringstream out, err;
+  EXPECT_THROW(run(opts(Command::Check), {"not a model"}, out, err), Error);
 }
 
 TEST(CliMain, ReportsMissingFileOnStderr) {
@@ -145,8 +158,7 @@ TEST(CliMain, ReportsMissingFileOnStderr) {
 TEST(CliArgs, CompareTakesTwoModels) {
   const Options o = parse_args({"compare", "a.fmt", "b.fmt", "--runs", "100"});
   EXPECT_EQ(o.command, Command::Compare);
-  EXPECT_EQ(o.model_path, "a.fmt");
-  EXPECT_EQ(o.model_path_b, "b.fmt");
+  EXPECT_EQ(o.inputs, (std::vector<std::string>{"a.fmt", "b.fmt"}));
   EXPECT_THROW(parse_args({"compare", "a.fmt"}), DomainError);
   EXPECT_THROW(parse_args({"compare", "a.fmt", "--runs", "5"}), DomainError);
 }
@@ -158,15 +170,15 @@ TEST(CliRun, CompareDetectsBetterPolicy) {
   frequent.replace(frequent.find(from), from.size(),
                    "inspection I period=0.1 cost=20 targets A;");
   Options o = opts(Command::Compare, 4000);
-  std::ostringstream out;
-  EXPECT_EQ(run_compare(o, sparse, frequent, out), 0);
+  std::ostringstream out, err;
+  EXPECT_EQ(run(o, {sparse, frequent}, out, err), 0);
   EXPECT_NE(out.str().find("paired comparison"), std::string::npos);
   EXPECT_NE(out.str().find("failures"), std::string::npos);
 }
 
-TEST(CliRun, RunOnTextRejectsCompare) {
-  std::ostringstream out;
-  EXPECT_THROW(run_on_text(opts(Command::Compare), kModel, out), DomainError);
+TEST(CliRun, CompareNeedsTwoModelTexts) {
+  std::ostringstream out, err;
+  EXPECT_THROW(run(opts(Command::Compare), {kModel}, out, err), DomainError);
 }
 
 TEST(CliMain, ReportsUsageErrors) {

@@ -155,5 +155,21 @@ TEST(CompareModels, StopAtTheRunControlPairsTheCompletedPrefix) {
   EXPECT_LT(cmp.trajectories, 4000u);
 }
 
+TEST(CompareModels, TrajectoryBudgetCountsEveryBlock) {
+  // The variants run in blocks, one pool run each; the budget counts the
+  // trajectories of every block, and the blocks before the stop pair up.
+  const auto factory = eijoint::ei_joint_factory(eijoint::EiJointParameters::defaults());
+  const FaultMaintenanceTree sparse = factory(eijoint::inspections_per_year(1));
+  const FaultMaintenanceTree current = factory(eijoint::current_policy());
+  RunControl control;
+  control.set_trajectory_budget(200000);
+  AnalysisSettings s = quick(400000, 1.0);
+  s.control = &control;
+  const PairedComparison cmp = compare_models(sparse, current, s);
+  EXPECT_GT(cmp.trajectories, 0u);
+  EXPECT_LT(cmp.trajectories, 400000u);
+  EXPECT_EQ(cmp.stop_reason, StopReason::BudgetExhausted);
+}
+
 }  // namespace
 }  // namespace fmtree::smc
