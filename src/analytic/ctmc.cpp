@@ -95,8 +95,15 @@ std::vector<double> poisson_weights(double lambda_t, double epsilon,
   return pmf;
 }
 
+void throw_if_stopped(const smc::RunControl* control, const char* what,
+                      const ResourceLimitError::Progress& progress) {
+  if (control != nullptr && control->should_stop(0) != smc::StopReason::None)
+    throw ResourceLimitError(std::string(what) + " interrupted", progress);
+}
+
 std::vector<double> Ctmc::transient(const std::vector<double>& initial, double t,
-                                    double epsilon) const {
+                                    double epsilon,
+                                    const smc::RunControl* control) const {
   if (initial.size() != num_states_)
     throw DomainError("initial distribution size does not match state count");
   if (t < 0) throw DomainError("time must be >= 0");
@@ -108,6 +115,7 @@ std::vector<double> Ctmc::transient(const std::vector<double>& initial, double t
   std::vector<double> next(num_states_);
   std::vector<double> result(num_states_, 0.0);
   for (std::size_t k = 0; k < pmf.size(); ++k) {
+    throw_if_stopped(control, "transient", {.iterations = k, .states = num_states_});
     if (pmf[k] > 0)
       for (std::size_t s = 0; s < num_states_; ++s) result[s] += pmf[k] * v[s];
     if (k + 1 < pmf.size()) {
@@ -120,10 +128,10 @@ std::vector<double> Ctmc::transient(const std::vector<double>& initial, double t
 
 double Ctmc::transient_probability(const std::vector<double>& initial,
                                    const std::vector<bool>& targets, double t,
-                                   double epsilon) const {
+                                   double epsilon, const smc::RunControl* control) const {
   if (targets.size() != num_states_)
     throw DomainError("target vector size does not match state count");
-  const std::vector<double> pi = transient(initial, t, epsilon);
+  const std::vector<double> pi = transient(initial, t, epsilon, control);
   double p = 0;
   for (std::size_t s = 0; s < num_states_; ++s)
     if (targets[s]) p += pi[s];
@@ -132,7 +140,7 @@ double Ctmc::transient_probability(const std::vector<double>& initial,
 
 double Ctmc::accumulated_reward(const std::vector<double>& initial,
                                 const std::vector<double>& reward, double t,
-                                double epsilon) const {
+                                double epsilon, const smc::RunControl* control) const {
   if (initial.size() != num_states_ || reward.size() != num_states_)
     throw DomainError("vector size does not match state count");
   if (t < 0) throw DomainError("time must be >= 0");
@@ -153,6 +161,8 @@ double Ctmc::accumulated_reward(const std::vector<double>& initial,
   std::vector<double> next(num_states_);
   double acc = 0;
   for (std::size_t k = 0; k < pmf.size(); ++k) {
+    throw_if_stopped(control, "accumulated_reward",
+                     {.iterations = k, .states = num_states_});
     double rv = 0;
     for (std::size_t s = 0; s < num_states_; ++s) rv += reward[s] * v[s];
     acc += tail[k] / lambda * rv;

@@ -6,6 +6,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "smc/run_control.hpp"
+#include "util/error.hpp"
+
 namespace fmtree::analytic {
 
 using State = std::uint32_t;
@@ -35,21 +38,25 @@ public:
   CtmcEdge edge(std::size_t i) const;
 
   /// Transient state distribution pi(t) from `initial`, truncating the
-  /// Poisson series once the tail mass is below `epsilon`.
+  /// Poisson series once the tail mass is below `epsilon`. Each step polls
+  /// `control` (see throw_if_stopped).
   std::vector<double> transient(const std::vector<double>& initial, double t,
-                                double epsilon = 1e-12) const;
+                                double epsilon = 1e-12,
+                                const smc::RunControl* control = nullptr) const;
 
   /// P(in one of `targets` at time t).
   double transient_probability(const std::vector<double>& initial,
                                const std::vector<bool>& targets, double t,
-                               double epsilon = 1e-12) const;
+                               double epsilon = 1e-12,
+                               const smc::RunControl* control = nullptr) const;
 
   /// Expected accumulated reward integral_0^t reward . pi(u) du for a
   /// state-indexed reward-rate vector (e.g. failure intensity -> expected
   /// number of failures; indicator of up states -> expected uptime).
   double accumulated_reward(const std::vector<double>& initial,
                             const std::vector<double>& reward, double t,
-                            double epsilon = 1e-12) const;
+                            double epsilon = 1e-12,
+                            const smc::RunControl* control = nullptr) const;
 
 private:
   /// One step of the uniformized DTMC: out = v P with P = I + Q/lambda.
@@ -71,5 +78,11 @@ private:
 /// has not converged after `max_terms` terms past the mode.
 std::vector<double> poisson_weights(double lambda_t, double epsilon,
                                     std::uint64_t max_terms = 20'000'000);
+
+/// Throws ResourceLimitError ("<what> interrupted", carrying `progress`) once
+/// `control`, if any, says stop. The CTMC builds and solves poll it between
+/// steps, so a stopped query returns no partial value.
+void throw_if_stopped(const smc::RunControl* control, const char* what,
+                      const ResourceLimitError::Progress& progress);
 
 }  // namespace fmtree::analytic

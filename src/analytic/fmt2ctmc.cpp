@@ -65,7 +65,7 @@ double phase_rate(const fmt::DegradationModel& deg, int phase) {
 }  // namespace
 
 MarkovFmt fmt_to_ctmc(const fmt::FaultMaintenanceTree& model, FailureTreatment treatment,
-                      std::size_t max_states) {
+                      std::size_t max_states, const smc::RunControl* control) {
   // Fault site for the allocation-heavy CTMC construction: error mode stands
   // in for a bad_alloc/state-explosion mid-build.
   (void)fault::fault_point("solver.build");
@@ -177,6 +177,7 @@ MarkovFmt fmt_to_ctmc(const fmt::FaultMaintenanceTree& model, FailureTreatment t
     const std::uint64_t key = frontier.front();
     frontier.pop_front();
     const State s = index.at(key);
+    if (s % 1024 == 0) throw_if_stopped(control, "state search", {.states = keys.size()});
     const std::vector<int> phases = codec.decode(key);
     const bool failed_here = is_top_failed(phases);
     if (state_failed.size() <= s) state_failed.resize(s + 1, false);
@@ -220,20 +221,21 @@ MarkovFmt fmt_to_ctmc(const fmt::FaultMaintenanceTree& model, FailureTreatment t
 }
 
 double exact_unreliability(const fmt::FaultMaintenanceTree& model, double t,
-                           std::size_t max_states) {
-  const MarkovFmt m = fmt_to_ctmc(model, FailureTreatment::Absorbing, max_states);
-  return m.chain.transient_probability(m.initial, m.failed, t);
+                           std::size_t max_states, const smc::RunControl* control) {
+  const MarkovFmt m =
+      fmt_to_ctmc(model, FailureTreatment::Absorbing, max_states, control);
+  return m.chain.transient_probability(m.initial, m.failed, t, 1e-12, control);
 }
 
 double exact_expected_failures(const fmt::FaultMaintenanceTree& model, double t,
-                               std::size_t max_states) {
+                               std::size_t max_states, const smc::RunControl* control) {
   const fmt::CorrectivePolicy& c = model.corrective();
   if (!c.enabled || c.delay != 0.0)
     throw UnsupportedModelError(
         "exact_expected_failures models corrective renewal with zero delay; "
         "enable corrective maintenance with delay=0");
-  const MarkovFmt m = fmt_to_ctmc(model, FailureTreatment::Renewal, max_states);
-  return m.chain.accumulated_reward(m.initial, m.failure_intensity, t);
+  const MarkovFmt m = fmt_to_ctmc(model, FailureTreatment::Renewal, max_states, control);
+  return m.chain.accumulated_reward(m.initial, m.failure_intensity, t, 1e-12, control);
 }
 
 }  // namespace fmtree::analytic

@@ -38,17 +38,21 @@ enum class FailureTreatment {
 /// maintenance or non-exponential phases, and ResourceLimitError (carrying
 /// the number of states built) if the reachable state space exceeds
 /// `max_states` — callers can catch the latter and fall back to simulation.
+/// The state search polls `control` (see throw_if_stopped).
 MarkovFmt fmt_to_ctmc(const fmt::FaultMaintenanceTree& model, FailureTreatment treatment,
-                      std::size_t max_states = 1u << 20);
+                      std::size_t max_states = 1u << 20,
+                      const smc::RunControl* control = nullptr);
 
 /// Exact P(system failure occurs in [0, t]) ignoring repair of failures.
 double exact_unreliability(const fmt::FaultMaintenanceTree& model, double t,
-                           std::size_t max_states = 1u << 20);
+                           std::size_t max_states = 1u << 20,
+                           const smc::RunControl* control = nullptr);
 
 /// Exact E[#system failures in [0, t]] under corrective renewal with zero
 /// delay. Requires model.corrective() enabled with delay == 0 so that the
 /// simulator and this oracle implement the same semantics.
 double exact_expected_failures(const fmt::FaultMaintenanceTree& model, double t,
-                               std::size_t max_states = 1u << 20);
+                               std::size_t max_states = 1u << 20,
+                               const smc::RunControl* control = nullptr);
 
 }  // namespace fmtree::analytic

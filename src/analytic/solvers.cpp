@@ -14,21 +14,17 @@ namespace fmtree::analytic {
 
 namespace {
 
-/// Shared per-sweep telemetry of the iterative solvers: an iteration/residual
-/// progress snapshot plus a cooperative-stop poll, every `kStride` sweeps.
-/// Pure observation except for the stop, which raises ResourceLimitError
-/// carrying the progress made — results are never silently partial.
+/// Shared per-sweep telemetry of the iterative solvers: a cooperative-stop
+/// poll every sweep and an iteration/residual progress snapshot every
+/// `kStride` sweeps. Pure observation except for the stop, which raises
+/// ResourceLimitError carrying the progress made — never a partial result.
 constexpr std::size_t kStride = 256;
 
 void poll_iteration(const SolverOptions& opts, const char* what, std::size_t it,
                     double residual, std::size_t states) {
+  throw_if_stopped(opts.control, what,
+                   {.iterations = it + 1, .residual = residual, .states = states});
   if ((it + 1) % kStride != 0) return;
-  if (opts.control != nullptr &&
-      opts.control->should_stop(0) != smc::StopReason::None) {
-    throw ResourceLimitError(std::string(what) + " interrupted",
-                             {.iterations = it + 1, .residual = residual,
-                              .states = states});
-  }
   if (obs::ProgressReporter* progress = opts.telemetry.progress;
       progress != nullptr && progress->due()) {
     obs::Progress p;
@@ -127,7 +123,8 @@ double mean_time_to_absorption(const Ctmc& chain, const std::vector<double>& ini
 double exact_mttf(const fmt::FaultMaintenanceTree& model, std::size_t max_states,
                   const SolverOptions& opts) {
   auto build_span = obs::maybe_span(opts.telemetry.tracer, "build");
-  const MarkovFmt m = fmt_to_ctmc(model, FailureTreatment::Absorbing, max_states);
+  const MarkovFmt m =
+      fmt_to_ctmc(model, FailureTreatment::Absorbing, max_states, opts.control);
   build_span.close();
   if (obs::MetricsRegistry* metrics = opts.telemetry.metrics)
     metrics->set(metrics->gauge("solver.states"),

@@ -12,8 +12,8 @@ namespace fmtree::analytic {
 
 /// Iterative-solver options.
 struct SolverOptions {
-  /// Optional stop handle, polled every few hundred sweeps: an interrupt or
-  /// expired deadline raises ResourceLimitError carrying the progress made.
+  /// Optional stop handle, polled every sweep and by the CTMC build: a stop
+  /// raises ResourceLimitError carrying the progress made.
   const smc::RunControl* control = nullptr;
   /// Iteration/residual progress snapshots, solver.* metrics and spans.
   obs::Telemetry telemetry;

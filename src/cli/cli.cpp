@@ -228,15 +228,16 @@ int cmd_exact(const Invocation& in) {
   try {
     // Compute everything before printing so a state-cap overflow on any of
     // the three queries yields a clean fallback instead of a partial report.
-    const double unrel =
-        analytic::exact_unreliability(model, opt.horizon, opt.state_cap);
+    const double unrel = analytic::exact_unreliability(model, opt.horizon,
+                                                       opt.state_cap, &in.control);
     analytic::SolverOptions solver;
     solver.telemetry = in.telemetry;
+    solver.control = &in.control;
     const double mttf = analytic::exact_mttf(model, opt.state_cap, solver);
     const bool renewal = model.corrective().enabled && model.corrective().delay == 0.0;
-    const double failures =
-        renewal ? analytic::exact_expected_failures(model, opt.horizon, opt.state_cap)
-                : 0.0;
+    const double failures = renewal ? analytic::exact_expected_failures(
+                                          model, opt.horizon, opt.state_cap, &in.control)
+                                    : 0.0;
     out << "exact CTMC analysis (uniformization):\n";
     out << "  P(failure within " << opt.horizon << ") = " << cell(unrel, 8) << "\n";
     out << "  MTTF = " << cell(mttf, 6) << "\n";
@@ -246,6 +247,12 @@ int cmd_exact(const Invocation& in) {
     }
     return kExitOk;
   } catch (const ResourceLimitError& e) {
+    // A stop (SIGINT, --timeout) leaves no number and skips the fallback.
+    if (const smc::StopReason r = in.control.should_stop(0); r != smc::StopReason::None) {
+      out << "NOTE: exact analysis stopped (" << smc::stop_reason_name(r)
+          << ") before a result.\n";
+      return kExitTruncated;
+    }
     if (opt.no_fallback) throw;
     out << "exact analysis hit a resource limit (" << e.what()
         << ");\nfalling back to Monte-Carlo estimation:\n\n";

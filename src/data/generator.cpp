@@ -1,5 +1,6 @@
 #include "data/generator.hpp"
 
+#include "sim/sampler.hpp"
 #include "smc/pool.hpp"
 #include "util/error.hpp"
 
@@ -45,10 +46,15 @@ std::vector<DegradationSample> elicit_degradation(
     std::uint64_t seed) {
   if (n == 0) throw DomainError("elicitation needs n >= 1 samples");
   const fmt::DegradationModel& deg = ground_truth.ebe(leaf).degradation;
-  // A dedicated stream per leaf keeps elicitation datasets of different
-  // modes independent under the same seed.
-  RandomStream rng =
-      RandomStream(seed, 0xe11c17).substream(ground_truth.ebe_index(leaf));
+  const auto index = static_cast<std::uint32_t>(ground_truth.ebe_index(leaf));
+  const sim::SojournSampler sampler(ground_truth);
+  // Leaf i draws from stream (seed, 2^63 | i), so datasets of different
+  // modes are independent under one seed. generate_incidents runs trajectory
+  // j on stream (seed, j) of the same CounterStream family, and with one
+  // family the two could collide where two families could not. No trajectory
+  // index reaches 2^63, so an elicitation never reuses an incident
+  // database's draws under the same seed.
+  CounterStream rng(seed, (std::uint64_t{1} << 63) | index);
 
   std::vector<DegradationSample> out;
   out.reserve(n);
@@ -57,7 +63,7 @@ std::vector<DegradationSample> elicit_degradation(
     double total = 0;
     for (int phase = 1; phase <= deg.phases(); ++phase) {
       if (phase == deg.threshold_phase()) s.time_to_threshold = total;
-      total += deg.sojourn(phase).sample(rng);
+      total += sampler.sample(index, phase, rng);
     }
     // Threshold at phases+1 (undetectable) elicits threshold == failure.
     if (deg.threshold_phase() > deg.phases()) s.time_to_threshold = total;

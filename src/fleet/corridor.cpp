@@ -3,9 +3,8 @@
 #include <cmath>
 #include <cstdio>
 
-#include "util/distributions.hpp"
+#include "sim/sampler.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 
 namespace fmtree::fleet {
 
@@ -48,9 +47,11 @@ double joint_jitter(const CorridorSpec& spec, std::size_t index) {
   if (spec.jitter == 0) return 1.0;
   // Lognormal with unit mean: mu = -sigma^2/2. One draw per joint from the
   // joint's own stream, so the factor is a pure function of (seed, index).
-  RandomStream stream(spec.seed, index);
-  return Distribution::lognormal(-0.5 * spec.jitter * spec.jitter, spec.jitter)
-      .sample(stream);
+  // The fleet seed is not the analysis seed: only an analysis run under the
+  // same seed value would start trajectory `index` on these two draws.
+  CounterStream stream(spec.seed, index);
+  return sim::SojournSampler::sample(
+      Distribution::lognormal(-0.5 * spec.jitter * spec.jitter, spec.jitter), stream);
 }
 
 double joint_scale(const CorridorSpec& spec, std::size_t index) {

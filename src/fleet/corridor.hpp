@@ -7,7 +7,7 @@
 // deterministic per-joint factor composed of
 //
 //  * jitter    — multiplicative lognormal manufacturing/installation spread
-//                with unit mean, drawn from RandomStream(seed, joint_index)
+//                with unit mean, drawn from CounterStream(seed, joint_index)
 //                so joint i's factor never depends on any other joint;
 //  * coupling  — neighbour load-coupling in the RDEP spirit: a joint flanked
 //                by weaker-than-average neighbours degrades faster, because

@@ -29,34 +29,34 @@ ExpZiggurat::ExpZiggurat() noexcept {
 
 const ExpZiggurat kExpZiggurat;
 
+SojournSampler::Row SojournSampler::row(const Distribution& d) {
+  return std::visit(
+      [](const auto& x) -> Row {
+        using T = std::decay_t<decltype(x)>;
+        if constexpr (std::is_same_v<T, Exponential>) {
+          return {Kind::Exponential, 1.0 / x.rate, 0.0};
+        } else if constexpr (std::is_same_v<T, Erlang>) {
+          return {Kind::Erlang, 1.0 / x.rate, static_cast<double>(x.shape)};
+        } else if constexpr (std::is_same_v<T, Weibull>) {
+          return {Kind::Weibull, x.shape, x.scale};
+        } else if constexpr (std::is_same_v<T, Lognormal>) {
+          return {Kind::Lognormal, x.mu, x.sigma};
+        } else if constexpr (std::is_same_v<T, UniformDist>) {
+          return {Kind::Uniform, x.lo, x.hi};
+        } else {
+          static_assert(std::is_same_v<T, Deterministic>);
+          return {Kind::Deterministic, x.value, 0.0};
+        }
+      },
+      d.as_variant());
+}
+
 SojournSampler::SojournSampler(const fmt::FaultMaintenanceTree& model) {
   begin_.reserve(model.num_ebes());
   for (const fmt::ExtendedBasicEvent& ebe : model.ebes()) {
     const fmt::DegradationModel& deg = ebe.degradation;
     begin_.push_back(static_cast<std::uint32_t>(rows_.size()));
-    for (int p = 1; p <= deg.phases(); ++p) {
-      Row s;
-      std::visit(
-          [&s](const auto& d) {
-            using T = std::decay_t<decltype(d)>;
-            if constexpr (std::is_same_v<T, Exponential>) {
-              s = {Kind::Exponential, 1.0 / d.rate, 0.0};
-            } else if constexpr (std::is_same_v<T, Erlang>) {
-              s = {Kind::Erlang, 1.0 / d.rate, static_cast<double>(d.shape)};
-            } else if constexpr (std::is_same_v<T, Weibull>) {
-              s = {Kind::Weibull, d.shape, d.scale};
-            } else if constexpr (std::is_same_v<T, Lognormal>) {
-              s = {Kind::Lognormal, d.mu, d.sigma};
-            } else if constexpr (std::is_same_v<T, UniformDist>) {
-              s = {Kind::Uniform, d.lo, d.hi};
-            } else {
-              static_assert(std::is_same_v<T, Deterministic>);
-              s = {Kind::Deterministic, d.value, 0.0};
-            }
-          },
-          deg.sojourn(p).as_variant());
-      rows_.push_back(s);
-    }
+    for (int p = 1; p <= deg.phases(); ++p) rows_.push_back(row(deg.sojourn(p)));
   }
 }
 

@@ -1,8 +1,9 @@
-// Sojourn sampling, the one piece of code the trajectory kernel
-// (BatchExecutor) shares with its reference oracle (Reference): every
-// (leaf, phase) Distribution of a model flattened into a tagged row and drawn
-// from a counter-based stream, so both simulators turn the same draws into
-// the same sojourn bits.
+// Sojourn sampling: the one sampler of fmtree. Every (leaf, phase)
+// Distribution of a model is flattened into a tagged row and drawn from a
+// counter-based stream, so the trajectory kernel (BatchExecutor) and its
+// reference oracle (Reference) turn the same draws into the same sojourn
+// bits. The draws outside a trajectory (the corridor's per-joint jitter, the
+// elicitation datasets) go through the same row switch.
 #pragma once
 
 #include <array>
@@ -56,31 +57,12 @@ public:
 
   /// One natural-rate sojourn of `phase` (1-based) of leaf `leaf`.
   double sample(std::uint32_t leaf, std::int32_t phase, CounterStream& rng) const {
-    const Row& s = rows_[begin_[leaf] + static_cast<std::uint32_t>(phase - 1)];
-    switch (s.kind) {
-      case Kind::Exponential:
-        return kExpZiggurat.sample(rng) * s.a;
-      case Kind::Erlang: {
-        double sum = kExpZiggurat.sample(rng);
-        for (std::int32_t i = 1; i < static_cast<std::int32_t>(s.b); ++i)
-          sum += kExpZiggurat.sample(rng);
-        return sum * s.a;
-      }
-      case Kind::Weibull:
-        return s.b * std::pow(-std::log(rng.uniform01_open_left()), 1.0 / s.a);
-      case Kind::Lognormal: {
-        // Box–Muller, one variate per call — mirrors Distribution::sample.
-        const double u1 = rng.uniform01_open_left();
-        const double u2 = rng.uniform01();
-        const double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
-        return std::exp(s.a + s.b * z);
-      }
-      case Kind::Uniform:
-        return rng.uniform(s.a, s.b);
-      case Kind::Deterministic:
-        return s.a;
-    }
-    return s.a;  // unreachable
+    return draw(rows_[begin_[leaf] + static_cast<std::uint32_t>(phase - 1)], rng);
+  }
+
+  /// One variate of `d`, through the same row switch as a model's sojourns.
+  static double sample(const Distribution& d, CounterStream& rng) {
+    return draw(row(d), rng);
   }
 
 private:
@@ -99,6 +81,37 @@ private:
     double a = 0.0;
     double b = 0.0;
   };
+
+  static Row row(const Distribution& d);
+
+  /// Inlined into both sample()s, so the kernel's hot loop keeps one
+  /// out-of-line call per sojourn, with the row lookup inside it.
+  [[gnu::always_inline]] static double draw(const Row& s, CounterStream& rng) {
+    switch (s.kind) {
+      case Kind::Exponential:
+        return kExpZiggurat.sample(rng) * s.a;
+      case Kind::Erlang: {
+        double sum = kExpZiggurat.sample(rng);
+        for (std::int32_t i = 1; i < static_cast<std::int32_t>(s.b); ++i)
+          sum += kExpZiggurat.sample(rng);
+        return sum * s.a;
+      }
+      case Kind::Weibull:
+        return s.b * std::pow(-std::log(rng.uniform01_open_left()), 1.0 / s.a);
+      case Kind::Lognormal: {
+        // Box–Muller, one variate per call: no state between calls.
+        const double u1 = rng.uniform01_open_left();
+        const double u2 = rng.uniform01();
+        const double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
+        return std::exp(s.a + s.b * z);
+      }
+      case Kind::Uniform:
+        return rng.uniform(s.a, s.b);
+      case Kind::Deterministic:
+        return s.a;
+    }
+    return s.a;  // unreachable
+  }
 
   std::vector<Row> rows_;
   std::vector<std::uint32_t> begin_;  ///< per leaf: index of its phase-1 row

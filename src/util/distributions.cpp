@@ -17,17 +17,6 @@ void require(bool ok, const std::string& what) {
   if (!ok) throw DomainError(what);
 }
 
-double sample_exponential(double rate, RandomStream& rng) {
-  return -std::log(rng.uniform01_open_left()) / rate;
-}
-
-double sample_normal(RandomStream& rng) {
-  // Box–Muller; one variate per call keeps streams stateless across calls.
-  const double u1 = rng.uniform01_open_left();
-  const double u2 = rng.uniform01();
-  return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
-}
-
 }  // namespace
 
 Distribution Distribution::exponential(double rate) {
@@ -71,30 +60,6 @@ Distribution Distribution::deterministic(double value) {
 }
 
 Distribution Distribution::never() { return Distribution(Deterministic{kInf}); }
-
-double Distribution::sample(RandomStream& rng) const {
-  return std::visit(
-      [&rng](const auto& d) -> double {
-        using T = std::decay_t<decltype(d)>;
-        if constexpr (std::is_same_v<T, Exponential>) {
-          return sample_exponential(d.rate, rng);
-        } else if constexpr (std::is_same_v<T, Erlang>) {
-          double total = 0;
-          for (int i = 0; i < d.shape; ++i) total += sample_exponential(d.rate, rng);
-          return total;
-        } else if constexpr (std::is_same_v<T, Weibull>) {
-          return d.scale * std::pow(-std::log(rng.uniform01_open_left()), 1.0 / d.shape);
-        } else if constexpr (std::is_same_v<T, Lognormal>) {
-          return std::exp(d.mu + d.sigma * sample_normal(rng));
-        } else if constexpr (std::is_same_v<T, UniformDist>) {
-          return rng.uniform(d.lo, d.hi);
-        } else {
-          static_assert(std::is_same_v<T, Deterministic>);
-          return d.value;
-        }
-      },
-      v_);
-}
 
 double Distribution::mean() const {
   return std::visit(

@@ -1,15 +1,14 @@
 // Probability distributions over non-negative durations.
 //
 // A Distribution is a small value type (tagged union) so models can be
-// copied, compared and serialized freely. Sampling takes an explicit
-// RandomStream to keep all randomness externally controlled.
+// copied, compared and serialized freely. It has no sampler of its own:
+// every variate is drawn by sim::SojournSampler (sim/sampler.hpp), the one
+// sampler the trajectory kernel uses.
 #pragma once
 
 #include <iosfwd>
 #include <string>
 #include <variant>
-
-#include "util/rng.hpp"
 
 namespace fmtree {
 
@@ -70,9 +69,6 @@ public:
   static Distribution deterministic(double value);
   /// Point mass at +infinity: the event never occurs.
   static Distribution never();
-
-  /// Draw a variate.
-  double sample(RandomStream& rng) const;
 
   /// E[X]; +infinity for never().
   double mean() const;

@@ -1,26 +1,20 @@
-// Deterministic random number generation with independent substreams.
+// Deterministic random number generation with independent streams.
 //
 // Every stream is identified by a (seed, stream-id) pair. Monte-Carlo
 // trajectory i always uses stream i regardless of which thread runs it, so
 // results are bit-for-bit reproducible at any thread count.
 //
-// Two generator families live here:
-//
-//  * RandomStream — stateful xoshiro256** (Blackman & Vigna), seeded via
-//    SplitMix64. Stream separation uses SplitMix64 over (seed, stream)
-//    rather than jump polynomials: it is simpler, O(1), and collisions
-//    between the 2^64 streams of one seed are astronomically unlikely.
-//    It drives the draws outside the trajectory kernel: the corridor's
-//    per-joint lifetime jitter and the synthetic elicitation datasets.
-//
-//  * CounterStream — counter-based Philox-4x32-10 (Salmon et al., "Parallel
-//    random numbers: as easy as 1, 2, 3"). Draw i of stream t under seed s
-//    is the pure function philox(key = s, counter = (t, i)): no state to
-//    carry, so a stream can be evaluated out of order, resumed at any draw
-//    index, or interleaved across SIMD lanes without perturbing any other
-//    stream. The batch trajectory kernel keys one CounterStream per
-//    trajectory, which is what makes its reports bit-identical at any lane
-//    width, chunk size and thread count by construction.
+// One generator family lives here: CounterStream, counter-based
+// Philox-4x32-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+// 3"). Draw i of stream t under seed s is the pure function
+// philox(key = s, counter = (t, i)): no state to carry, so a stream can be
+// evaluated out of order, resumed at any draw index, or interleaved across
+// SIMD lanes without perturbing any other stream. The batch trajectory kernel
+// keys one CounterStream per trajectory, which is what makes its reports
+// bit-identical at any lane width, chunk size and thread count by
+// construction. The draws outside the kernel (the corridor's per-joint
+// jitter, the elicitation datasets) use the same family under stream ids of
+// their own.
 #pragma once
 
 #include <array>
@@ -28,116 +22,6 @@
 #include <limits>
 
 namespace fmtree {
-
-/// SplitMix64: used for seeding and stream derivation. Passes BigCrush on its
-/// own; never used as the main generator here.
-class SplitMix64 {
-public:
-  explicit constexpr SplitMix64(std::uint64_t seed) noexcept : state_(seed) {}
-
-  constexpr std::uint64_t next() noexcept {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-
-private:
-  std::uint64_t state_;
-};
-
-/// xoshiro256** 1.0 — fast, high-quality 64-bit generator.
-/// Satisfies std::uniform_random_bit_generator.
-class Xoshiro256StarStar {
-public:
-  using result_type = std::uint64_t;
-
-  /// Seeds all 256 bits of state from `seed` via SplitMix64, as the authors
-  /// recommend. The all-zero state is unreachable this way.
-  explicit Xoshiro256StarStar(std::uint64_t seed = 0x853c49e6748fea9bULL) noexcept {
-    SplitMix64 sm(seed);
-    for (auto& s : state_) s = sm.next();
-  }
-
-  static constexpr result_type min() noexcept { return 0; }
-  static constexpr result_type max() noexcept {
-    return std::numeric_limits<result_type>::max();
-  }
-
-  result_type operator()() noexcept {
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
-  }
-
-private:
-  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-    return (x << k) | (x >> (64 - k));
-  }
-
-  std::array<std::uint64_t, 4> state_{};
-};
-
-/// A stream of uniform variates identified by (seed, stream id).
-///
-/// Two RandomStreams with different ids (same seed) are statistically
-/// independent; the same (seed, id) always reproduces the same sequence.
-class RandomStream {
-public:
-  using result_type = std::uint64_t;
-
-  RandomStream(std::uint64_t seed, std::uint64_t stream) noexcept
-      : engine_(derive(seed, stream)), seed_(seed), stream_(stream) {}
-
-  static constexpr result_type min() noexcept { return Xoshiro256StarStar::min(); }
-  static constexpr result_type max() noexcept { return Xoshiro256StarStar::max(); }
-
-  result_type operator()() noexcept { return engine_(); }
-
-  /// Uniform double in [0, 1) with 53 random bits.
-  double uniform01() noexcept {
-    return static_cast<double>(engine_() >> 11) * 0x1.0p-53;
-  }
-
-  /// Uniform double in (0, 1]; safe as an argument to log().
-  double uniform01_open_left() noexcept { return 1.0 - uniform01(); }
-
-  /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi) noexcept {
-    return lo + (hi - lo) * uniform01();
-  }
-
-  /// Bernoulli trial with success probability p (clamped to [0,1]).
-  bool bernoulli(double p) noexcept { return uniform01() < p; }
-
-  /// A child stream derived from this stream's identity. Used to give each
-  /// model component its own stream within a trajectory.
-  RandomStream substream(std::uint64_t child) const noexcept {
-    return RandomStream(derive(seed_, stream_), child);
-  }
-
-  std::uint64_t seed() const noexcept { return seed_; }
-  std::uint64_t stream() const noexcept { return stream_; }
-
-private:
-  static std::uint64_t derive(std::uint64_t seed, std::uint64_t stream) noexcept {
-    // Mix the pair (seed, stream) into one 64-bit engine seed. The golden
-    // ratio constant decorrelates stream from seed; SplitMix64 then avalanches.
-    SplitMix64 sm(seed ^ (stream * 0x9e3779b97f4a7c15ULL + 0x2545f4914f6cdd1dULL));
-    (void)sm.next();
-    return sm.next();
-  }
-
-  Xoshiro256StarStar engine_;
-  std::uint64_t seed_;
-  std::uint64_t stream_;
-};
 
 /// Philox-4x32-10: a counter-based generator. One invocation bijectively
 /// maps a 128-bit counter (under a 64-bit key) to 128 output bits through
@@ -189,8 +73,7 @@ private:
 /// Output i is the pure function Philox(key = seed, counter = (stream, i)) —
 /// there is no hidden state, so the same (seed, stream, i) triple always
 /// yields the same value no matter which draws preceded it, and distinct
-/// (stream, i) pairs can never collide under one seed. Interface mirrors
-/// RandomStream so samplers can be written once against either.
+/// (stream, i) pairs can never collide under one seed.
 class CounterStream {
 public:
   using result_type = std::uint64_t;

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cli_testing.hpp"
@@ -246,6 +247,40 @@ TEST(CliExit, TimeoutTruncatesCompareWithExitOne) {
   EXPECT_NE(out.str().find("paired comparison"), std::string::npos) << out.str();
   EXPECT_NE(out.str().find("NOTE: run truncated (deadline)"), std::string::npos)
       << out.str();
+}
+
+TEST(CliExit, TimeoutAndInterruptStopExactWithoutANumber) {
+  // The EI-joint without inspections and with zero corrective delay has
+  // about 1M CTMC states, which `exact` solves in seconds. The state search
+  // and both uniformization loops poll the stop handle: a stop prints a
+  // NOTE and no number, skips the Monte-Carlo fallback and exits 1.
+  std::ifstream file(std::string(FMTREE_SOURCE_DIR) + "/models/ei_joint.fmt");
+  std::string model, line;
+  while (std::getline(file, line))
+    if (!line.starts_with("inspection ")) model += line + "\n";
+  model.replace(model.find("delay=0.02"), 10, "delay=0");
+  const std::string path = write_model("exact_stop", model);
+  for (const bool interrupt : {false, true}) {
+    std::vector<std::string> args = {"exact", path, "--horizon", "20"};
+    if (!interrupt) args.insert(args.end(), {"--timeout", "1"});
+    std::thread sigint;
+    if (interrupt) {
+      sigint = std::thread([] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(300));
+        interrupt_control().request_stop();
+      });
+    }
+    std::ostringstream out, err;
+    const auto t0 = std::chrono::steady_clock::now();
+    const int rc = main_impl(args, out, err);
+    const std::chrono::duration<double> took = std::chrono::steady_clock::now() - t0;
+    if (sigint.joinable()) sigint.join();
+    EXPECT_EQ(rc, kExitTruncated) << err.str() << out.str();
+    EXPECT_LT(took.count(), 1.5);
+    EXPECT_EQ(out.str(), std::string("NOTE: exact analysis stopped (") +
+                             (interrupt ? "interrupted" : "deadline") +
+                             ") before a result.\n");
+  }
 }
 
 /// The whole content of the file at `path`.

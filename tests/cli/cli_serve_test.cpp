@@ -1,6 +1,6 @@
 // CLI surface of the analysis service: `fmtree serve` argument handling,
-// `sweep --emit-request` as the canonical schema emitter, the `sweep
-// --connect` thin client, and the serve-specific exit-code mapping.
+// `sweep --emit-request` as the canonical schema emitter, the `sweep` and
+// `fleet --connect` thin client, and the serve-specific exit-code mapping.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -79,22 +79,33 @@ TEST(CliSweepConnect, RefusedConnectionIsAUsageErrorWithR121) {
   EXPECT_NE(err.str().find("R121"), std::string::npos);
 }
 
-// End to end through main_impl: a daemon thread and a client invocation in
-// the same process, exactly as the CI integration job drives two processes.
-// The client's rendered curve must be byte-identical to a standalone
-// `fmtree sweep` of the same model and options (the served response carries
-// hexfloat-exact reports, so even the last decimal agrees).
+// End to end through main_impl: a daemon thread and client invocations in
+// the same process, as two processes would run them. Each client's rendering
+// must be byte-identical to the standalone run of the same command (the
+// served response carries hexfloat-exact reports, so even the last decimal
+// agrees): a cost-curve sweep, and the corridor of the golden_corridor test
+// (tests/CMakeLists.txt), whose `fleet` request member must expand to the
+// very jobs the in-process run executes.
 TEST(CliServe, ServedSweepRendersByteIdenticalToStandalone) {
   const std::string model = testing::TempDir() + "fmtree_cli_serve_model.fmt";
   std::ofstream(model) << kSweepModel;
   const std::string socket = testing::TempDir() + "fmtree_cli_serve.sock";
   std::filesystem::remove(socket);
 
-  const std::vector<std::string> sweep_args = {
-      "sweep", model, "--horizon", "5", "--runs", "200", "--seed", "3",
-      "--frequencies", "0,2"};
-  std::ostringstream standalone, standalone_err;
-  ASSERT_EQ(main_impl(sweep_args, standalone, standalone_err), kExitOk);
+  const std::string root = FMTREE_SOURCE_DIR;
+  const std::vector<std::vector<std::string>> commands = {
+      {"sweep", model, "--horizon", "5", "--runs", "200", "--seed", "3", "--frequencies",
+       "0,2"},
+      {"fleet", root + "/models/ei_joint.fmt", "--joints", "25", "--fleet-seed", "7",
+       "--jitter", "0.1", "--coupling", "0.25", "--horizon", "20", "--runs", "2000",
+       "--seed", "1", "--crews", "1", "--worst", "5", "--policy",
+       root + "/examples/policies/shared_crew.mpl"}};
+  std::vector<std::string> standalone;
+  for (const std::vector<std::string>& args : commands) {
+    std::ostringstream out, err;
+    ASSERT_EQ(main_impl(args, out, err), kExitOk) << err.str();
+    standalone.push_back(out.str());
+  }
 
   std::ostringstream serve_out, serve_err;
   std::thread daemon([&] {
@@ -104,14 +115,21 @@ TEST(CliServe, ServedSweepRendersByteIdenticalToStandalone) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   ASSERT_TRUE(std::filesystem::exists(socket));
 
-  std::vector<std::string> client_args = sweep_args;
-  client_args.insert(client_args.end(), {"--connect", socket});
-  std::ostringstream client, client_err;
-  const int code = main_impl(client_args, client, client_err);
+  std::vector<int> codes;
+  std::vector<std::string> served, served_err;
+  for (std::vector<std::string> args : commands) {
+    args.insert(args.end(), {"--connect", socket});
+    std::ostringstream client, client_err;
+    codes.push_back(main_impl(args, client, client_err));
+    served.push_back(client.str());
+    served_err.push_back(client_err.str());
+  }
   interrupt_control().request_stop();  // what a SIGTERM to the daemon does
   daemon.join();
-  ASSERT_EQ(code, kExitOk) << client_err.str();
-  EXPECT_EQ(client.str(), standalone.str());
+  for (std::size_t i = 0; i < commands.size(); ++i) {
+    ASSERT_EQ(codes[i], kExitOk) << commands[i][0] << ": " << served_err[i];
+    EXPECT_EQ(served[i], standalone[i]) << commands[i][0];
+  }
   EXPECT_NE(serve_out.str().find("listening on"), std::string::npos);
   EXPECT_NE(serve_out.str().find("drained"), std::string::npos);
 }

@@ -10,6 +10,7 @@
 #include "data/incident.hpp"
 #include "data/stream.hpp"
 #include "data/validate.hpp"
+#include "sim/sampler.hpp"
 #include "util/error.hpp"
 
 namespace fmtree::data {
@@ -193,10 +194,11 @@ TEST(GammaQuantile, RoundTripsThroughGammaP) {
 }
 
 TEST(FitErlang, RecoversShapeAndRate) {
-  RandomStream rng(5, 0);
+  CounterStream rng(5, 0);
   const Distribution truth = Distribution::erlang(4, 0.5);  // mean 8
   std::vector<double> samples;
-  for (int i = 0; i < 20000; ++i) samples.push_back(truth.sample(rng));
+  for (int i = 0; i < 20000; ++i)
+    samples.push_back(sim::SojournSampler::sample(truth, rng));
   const ErlangFit fit = fit_erlang(samples);
   EXPECT_EQ(fit.shape, 4);
   EXPECT_NEAR(fit.rate, 0.5, 0.02);
@@ -204,10 +206,10 @@ TEST(FitErlang, RecoversShapeAndRate) {
 }
 
 TEST(FitErlang, ExponentialDataGivesShapeOne) {
-  RandomStream rng(6, 0);
+  CounterStream rng(6, 0);
   std::vector<double> samples;
   for (int i = 0; i < 20000; ++i)
-    samples.push_back(Distribution::exponential(0.2).sample(rng));
+    samples.push_back(sim::SojournSampler::sample(Distribution::exponential(0.2), rng));
   EXPECT_EQ(fit_erlang(samples).shape, 1);
 }
 

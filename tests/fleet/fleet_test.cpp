@@ -22,6 +22,7 @@
 #include "smc/kpi.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
+#include "util/stats.hpp"
 
 namespace fmtree::fleet {
 namespace {
@@ -101,6 +102,22 @@ TEST(Corridor, JitterDrawsAreIndependentOfCorridorSizeAndNeighbours) {
   large.overrides.push_back({0, 2.0});
   for (std::size_t i = 0; i < 5; ++i)
     EXPECT_TRUE(same_bits(joint_jitter(small, i), joint_jitter(large, i))) << i;
+}
+
+TEST(Corridor, JitterIsLognormalWithUnitMean) {
+  // The documented law: a lognormal factor with mean 1 whose log has
+  // standard deviation `jitter`.
+  CorridorSpec spec;
+  spec.joints = 20000;
+  spec.jitter = 0.1;
+  RunningStats factor, log_factor;
+  for (std::size_t i = 0; i < spec.joints; ++i) {
+    const double j = joint_jitter(spec, i);
+    factor.add(j);
+    log_factor.add(std::log(j));
+  }
+  EXPECT_NEAR(factor.mean(), 1.0, 4 * factor.std_error());
+  EXPECT_NEAR(std::sqrt(log_factor.variance()), 0.1, 0.05 * 0.1);
 }
 
 TEST(Corridor, CouplingZeroEqualsJitterOnlyBitExactly) {

@@ -56,7 +56,7 @@ TEST(BddCutSets, MatchesMocusOnEiJoint) {
 }
 
 TEST(BddCutSets, MatchesMocusOnRandomTrees) {
-  RandomStream rng(99, 0);
+  CounterStream rng(99, 0);
   for (int rep = 0; rep < 40; ++rep) {
     FaultTree t;
     std::vector<NodeId> nodes;

@@ -126,7 +126,7 @@ TEST(TopEventProbability, AtMissionTimeUsesCdfs) {
 TEST(TopEventProbability, AgreesWithMinCutBoundsOnRandomTrees) {
   // Random small trees: the rare-event sum over the minimal cut sets bounds
   // the exact probability from above.
-  RandomStream rng(33, 0);
+  CounterStream rng(33, 0);
   for (int rep = 0; rep < 25; ++rep) {
     FaultTree t;
     std::vector<NodeId> leaves;

@@ -118,7 +118,7 @@ corrective cost=8000 delay=0.02 downtime_rate=50000;
 
 /// Deterministic document mutator: byte substitutions, deletions,
 /// duplications and statement shuffles/drops, seeded per repetition.
-std::string mutate(const std::string& text, RandomStream& rng) {
+std::string mutate(const std::string& text, CounterStream& rng) {
   std::string out = text;
   const std::uint64_t ops = 1 + below(rng, 4);
   for (std::uint64_t op = 0; op < ops && !out.empty(); ++op) {
@@ -158,7 +158,7 @@ std::string mutate(const std::string& text, RandomStream& rng) {
 TEST(FuzzMutator, CollectNeverThrowsAndNeverHandsBackABrokenModel) {
   const std::string seed_text = kSeedModel;
   for (std::uint64_t rep = 0; rep < 400; ++rep) {
-    RandomStream rng(20260807, rep);
+    CounterStream rng(20260807, rep);
     const std::string mutated = mutate(seed_text, rng);
     SCOPED_TRACE("rep " + std::to_string(rep));
     fmt::FmtParseResult r;
@@ -176,7 +176,7 @@ TEST(FuzzMutator, ThrowingParserAgreesWithCollector) {
   // parse_fmt is collect + throw: it must throw exactly when the collector
   // records errors, and the exception carries the same diagnostics.
   for (std::uint64_t rep = 0; rep < 100; ++rep) {
-    RandomStream rng(77, rep);
+    CounterStream rng(77, rep);
     const std::string mutated = mutate(kSeedModel, rng);
     const fmt::FmtParseResult collected = fmt::parse_fmt_collect(mutated);
     if (!collected.diagnostics.has_errors()) {

@@ -56,7 +56,7 @@ TEST(ParserRobustness, SingleCharacterDeletions) {
 /// Random byte substitutions (printable ASCII) must not crash.
 TEST(ParserRobustness, RandomByteMutations) {
   const std::string text = kValidModel;
-  RandomStream rng(2026, 0);
+  CounterStream rng(2026, 0);
   for (int rep = 0; rep < 300; ++rep) {
     std::string mutated = text;
     const std::size_t pos = below(rng, mutated.size());
@@ -84,7 +84,7 @@ TEST(ParserRobustness, StatementOrderIrrelevant) {
       start = end + 1;
     }
   }
-  RandomStream rng(5, 1);
+  CounterStream rng(5, 1);
   for (int rep = 0; rep < 10; ++rep) {
     // Fisher-Yates shuffle.
     std::vector<std::string> shuffled = statements;

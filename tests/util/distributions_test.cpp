@@ -5,8 +5,6 @@
 #include <cmath>
 
 #include "util/error.hpp"
-#include "util/rng.hpp"
-#include "util/stats.hpp"
 
 namespace fmtree {
 namespace {
@@ -139,50 +137,6 @@ TEST(DistributionCdf, MonotoneNondecreasing) {
     }
   }
 }
-
-// ---- Sampling vs moments (law of large numbers) ------------------------------
-
-class SamplingMatchesMoments : public ::testing::TestWithParam<Distribution> {};
-
-TEST_P(SamplingMatchesMoments, MeanAndVariance) {
-  const Distribution d = GetParam();
-  RandomStream rng(2024, 0);
-  RunningStats stats;
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) stats.add(d.sample(rng));
-  const double tol_mean = 4 * std::sqrt(d.variance() / n) + 1e-9;
-  EXPECT_NEAR(stats.mean(), d.mean(), tol_mean) << d.to_string();
-  // Variance estimate tolerance: generous 10% (heavy-tailed lognormal).
-  if (d.variance() > 0) {
-    EXPECT_NEAR(stats.variance(), d.variance(), 0.1 * d.variance()) << d.to_string();
-  }
-}
-
-TEST_P(SamplingMatchesMoments, SamplesNonNegative) {
-  const Distribution d = GetParam();
-  RandomStream rng(7, 3);
-  for (int i = 0; i < 10000; ++i) ASSERT_GE(d.sample(rng), 0.0);
-}
-
-TEST_P(SamplingMatchesMoments, EmpiricalCdfMatchesCdf) {
-  const Distribution d = GetParam();
-  RandomStream rng(55, 1);
-  const int n = 100000;
-  const double t = d.mean();  // probe at the mean
-  int below = 0;
-  for (int i = 0; i < n; ++i)
-    if (d.sample(rng) <= t) ++below;
-  EXPECT_NEAR(static_cast<double>(below) / n, d.cdf(t), 0.01) << d.to_string();
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllFamilies, SamplingMatchesMoments,
-    ::testing::Values(Distribution::exponential(0.5), Distribution::exponential(4.0),
-                      Distribution::erlang(2, 1.0), Distribution::erlang(6, 0.3),
-                      Distribution::weibull(0.8, 2.0), Distribution::weibull(2.5, 5.0),
-                      Distribution::lognormal(0.0, 0.5),
-                      Distribution::uniform(1.0, 3.0),
-                      Distribution::deterministic(2.5)));
 
 // ---- Special functions --------------------------------------------------------
 

@@ -10,149 +10,6 @@
 namespace fmtree {
 namespace {
 
-TEST(SplitMix64, IsDeterministic) {
-  SplitMix64 a(123);
-  SplitMix64 b(123);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());
-}
-
-TEST(SplitMix64, DifferentSeedsDiffer) {
-  SplitMix64 a(1);
-  SplitMix64 b(2);
-  EXPECT_NE(a.next(), b.next());
-}
-
-TEST(Xoshiro, ReferenceVectorsSelfConsistent) {
-  // Same seed -> same sequence; different seed -> different sequence.
-  Xoshiro256StarStar a(42), b(42), c(43);
-  bool all_equal_c = true;
-  for (int i = 0; i < 64; ++i) {
-    const auto x = a();
-    EXPECT_EQ(x, b());
-    if (x != c()) all_equal_c = false;
-  }
-  EXPECT_FALSE(all_equal_c);
-}
-
-TEST(RandomStream, SameIdentitySameSequence) {
-  RandomStream a(7, 13);
-  RandomStream b(7, 13);
-  for (int i = 0; i < 1000; ++i) ASSERT_EQ(a(), b());
-}
-
-TEST(RandomStream, DifferentStreamsAreDistinct) {
-  RandomStream a(7, 0);
-  RandomStream b(7, 1);
-  int equal = 0;
-  for (int i = 0; i < 1000; ++i)
-    if (a() == b()) ++equal;
-  EXPECT_EQ(equal, 0);
-}
-
-TEST(RandomStream, DifferentSeedsAreDistinct) {
-  RandomStream a(1, 5);
-  RandomStream b(2, 5);
-  int equal = 0;
-  for (int i = 0; i < 1000; ++i)
-    if (a() == b()) ++equal;
-  EXPECT_EQ(equal, 0);
-}
-
-TEST(RandomStream, Uniform01InRange) {
-  RandomStream rng(99, 0);
-  for (int i = 0; i < 100000; ++i) {
-    const double u = rng.uniform01();
-    ASSERT_GE(u, 0.0);
-    ASSERT_LT(u, 1.0);
-  }
-}
-
-TEST(RandomStream, Uniform01OpenLeftNeverZero) {
-  RandomStream rng(99, 1);
-  for (int i = 0; i < 100000; ++i) {
-    const double u = rng.uniform01_open_left();
-    ASSERT_GT(u, 0.0);
-    ASSERT_LE(u, 1.0);
-  }
-}
-
-TEST(RandomStream, Uniform01MeanNearHalf) {
-  RandomStream rng(3, 0);
-  double sum = 0;
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) sum += rng.uniform01();
-  EXPECT_NEAR(sum / n, 0.5, 0.005);
-}
-
-TEST(RandomStream, BelowIsBoundedAndCoversRange) {
-  RandomStream rng(5, 0);
-  std::set<std::uint64_t> seen;
-  for (int i = 0; i < 10000; ++i) {
-    const std::uint64_t x = below(rng, 7);
-    ASSERT_LT(x, 7u);
-    seen.insert(x);
-  }
-  EXPECT_EQ(seen.size(), 7u);
-}
-
-TEST(RandomStream, BelowZeroIsTotal) {
-  RandomStream rng(5, 0);
-  EXPECT_EQ(below(rng, 0), 0u);
-}
-
-TEST(RandomStream, BelowOneIsZero) {
-  RandomStream rng(5, 0);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(below(rng, 1), 0u);
-}
-
-TEST(RandomStream, BelowIsApproximatelyUniform) {
-  RandomStream rng(11, 0);
-  std::vector<int> counts(10, 0);
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) ++counts[below(rng, 10)];
-  for (int c : counts) EXPECT_NEAR(c, n / 10, n / 10 * 0.1);
-}
-
-TEST(RandomStream, BernoulliMatchesProbability) {
-  RandomStream rng(17, 0);
-  int hits = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i)
-    if (rng.bernoulli(0.3)) ++hits;
-  EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
-}
-
-TEST(RandomStream, SubstreamsAreIndependentAndReproducible) {
-  RandomStream parent(21, 4);
-  RandomStream s0 = parent.substream(0);
-  RandomStream s1 = parent.substream(1);
-  RandomStream s0_again = RandomStream(21, 4).substream(0);
-  int equal01 = 0;
-  for (int i = 0; i < 1000; ++i) {
-    const auto a = s0();
-    ASSERT_EQ(a, s0_again());
-    if (a == s1()) ++equal01;
-  }
-  EXPECT_EQ(equal01, 0);
-}
-
-TEST(RandomStream, UniformRangeRespected) {
-  RandomStream rng(2, 2);
-  for (int i = 0; i < 10000; ++i) {
-    const double x = rng.uniform(3.0, 5.0);
-    ASSERT_GE(x, 3.0);
-    ASSERT_LT(x, 5.0);
-  }
-}
-
-TEST(RandomStream, IdentityAccessors) {
-  RandomStream rng(123, 456);
-  EXPECT_EQ(rng.seed(), 123u);
-  EXPECT_EQ(rng.stream(), 456u);
-}
-
-// ---- Counter-based generator (Philox / CounterStream) ----------------------
-
 TEST(Philox, IsAPureFunctionOfKeyAndCounter) {
   const auto a = Philox4x32::block(7, 13, 21);
   const auto b = Philox4x32::block(7, 13, 21);
@@ -278,6 +135,16 @@ TEST(CounterStream, BelowIsApproximatelyUniform) {
   for (int c : counts) EXPECT_NEAR(c, n / 10, n / 10 * 0.1);
 }
 
+TEST(CounterStream, BelowZeroIsTotal) {
+  CounterStream rng(5, 0);
+  EXPECT_EQ(below(rng, 0), 0u);
+}
+
+TEST(CounterStream, BelowOneIsZero) {
+  CounterStream rng(5, 0);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(below(rng, 1), 0u);
+}
+
 TEST(CounterStream, BernoulliMatchesProbability) {
   CounterStream rng(17, 0);
   int hits = 0;
@@ -285,6 +152,15 @@ TEST(CounterStream, BernoulliMatchesProbability) {
   for (int i = 0; i < n; ++i)
     if (rng.bernoulli(0.3)) ++hits;
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
+}
+
+TEST(CounterStream, UniformRangeRespected) {
+  CounterStream rng(2, 2);
+  for (int i = 0; i < 10000; ++i) {
+    const double x = rng.uniform(3.0, 5.0);
+    ASSERT_GE(x, 3.0);
+    ASSERT_LT(x, 5.0);
+  }
 }
 
 TEST(CounterStream, IdentityAndDrawIndexAccessors) {

@@ -3,13 +3,13 @@
 
 #include <cstdint>
 
+#include "util/rng.hpp"
+
 namespace fmtree {
 
-/// Uniform integer in [0, n) from any 64-bit engine (RandomStream or
-/// CounterStream), by Lemire's nearly-divisionless multiply-shift rejection
-/// method. below(rng, 0) is 0.
-template <typename Engine>
-std::uint64_t below(Engine& rng, std::uint64_t n) noexcept {
+/// Uniform integer in [0, n) from a CounterStream, by Lemire's
+/// nearly-divisionless multiply-shift rejection method. below(rng, 0) is 0.
+inline std::uint64_t below(CounterStream& rng, std::uint64_t n) noexcept {
   if (n == 0) return 0;
   std::uint64_t x = rng();
   __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n);

@@ -34,7 +34,7 @@ TEST(RunningStats, MeanCiCoversTrueMean) {
   // time; check coverage is at least 90% over 200 replications.
   int covered = 0;
   for (int rep = 0; rep < 200; ++rep) {
-    RandomStream rng(42, static_cast<std::uint64_t>(rep));
+    CounterStream rng(42, static_cast<std::uint64_t>(rep));
     RunningStats s;
     for (int i = 0; i < 500; ++i) s.add(rng.uniform(0, 2));  // true mean 1
     if (s.mean_ci(0.95).contains(1.0)) ++covered;
