@@ -39,8 +39,8 @@ void poll_iteration(const SolverOptions& opts, const char* what, std::size_t it,
 void record_convergence(const SolverOptions& opts, std::size_t iterations,
                         double residual) {
   if (obs::MetricsRegistry* metrics = opts.telemetry.metrics) {
-    metrics->add(metrics->counter("solver.iterations"), iterations);
-    metrics->set(metrics->gauge("solver.residual"), residual);
+    metrics->add(obs::Metric::SolverIterations, iterations);
+    metrics->set(obs::Metric::SolverResidual, residual);
   }
 }
 
@@ -127,8 +127,7 @@ double exact_mttf(const fmt::FaultMaintenanceTree& model, std::size_t max_states
       fmt_to_ctmc(model, FailureTreatment::Absorbing, max_states, opts.control);
   build_span.close();
   if (obs::MetricsRegistry* metrics = opts.telemetry.metrics)
-    metrics->set(metrics->gauge("solver.states"),
-                 static_cast<double>(m.chain.num_states()));
+    metrics->set(obs::Metric::SolverStates, static_cast<double>(m.chain.num_states()));
   return mean_time_to_absorption(m.chain, m.initial, m.failed, opts);
 }
 

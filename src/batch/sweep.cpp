@@ -21,26 +21,13 @@ namespace {
 
 constexpr double kRetryBackoffCapMs = 1000.0;
 
-struct SweepMetricIds {
-  obs::CounterId jobs, jobs_simulated, tasks, trajectories, events, cache_hits,
-      cache_misses;
-  obs::CounterId retries, job_failures, corrupt_entries, faults_injected;
-};
-
-SweepMetricIds register_sweep_metrics(obs::MetricsRegistry& registry) {
-  SweepMetricIds ids;
-  ids.jobs = registry.counter("batch.jobs");
-  ids.jobs_simulated = registry.counter("batch.jobs_simulated");
-  ids.tasks = registry.counter("batch.tasks");
-  ids.trajectories = registry.counter("batch.trajectories");
-  ids.events = registry.counter("batch.events");
-  ids.cache_hits = registry.counter("batch.cache.hits");
-  ids.cache_misses = registry.counter("batch.cache.misses");
-  ids.retries = registry.counter("sweep.retries");
-  ids.job_failures = registry.counter("sweep.job_failures");
-  ids.corrupt_entries = registry.counter("cache.corrupt_entries");
-  ids.faults_injected = registry.counter("fault.injected");
-  return ids;
+/// A job's settings as the pool runs it: control and telemetry are the
+/// plan's and run_sweep's, not the job's.
+smc::AnalysisSettings pooled_settings(const SweepJob& job) {
+  smc::AnalysisSettings settings = job.settings;
+  settings.control = nullptr;
+  settings.telemetry = {};
+  return settings;
 }
 
 /// Maps a caught exception to its failure record. The transient classes
@@ -141,8 +128,9 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
 
   auto sweep_span = obs::maybe_span(telemetry.tracer, "sweep");
   obs::MetricsRegistry* metrics = telemetry.metrics;
-  const SweepMetricIds ids =
-      metrics != nullptr ? register_sweep_metrics(*metrics) : SweepMetricIds{};
+  const auto count = [metrics](obs::Metric counter, std::uint64_t n = 1) {
+    if (metrics != nullptr && n > 0) metrics->add(counter, n);
+  };
   const std::uint64_t faults_before = fault::FaultRegistry::instance().fires();
 
   SweepOutcome outcome;
@@ -163,7 +151,7 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
     Resolution& resolution = resolved[j];
     result.label = job.label;
     result.key = resolution.key;
-    if (metrics != nullptr) metrics->add(ids.jobs);
+    count(obs::Metric::BatchJobs);
     if (resolution.quarantined)
       quarantines.push_back(*std::move(resolution.quarantined));
     if (resolution.hit) {
@@ -171,14 +159,12 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
       result.completed = true;
       result.cache_hit = true;
       ++outcome.cache_hits;
-      if (metrics != nullptr) metrics->add(ids.cache_hits);
+      count(obs::Metric::BatchCacheHits);
       continue;
     }
     ++outcome.cache_misses;
-    if (metrics != nullptr) metrics->add(ids.cache_misses);
-    smc::AnalysisSettings settings = job.settings;
-    settings.control = nullptr;
-    settings.telemetry = {};
+    count(obs::Metric::BatchCacheMisses);
+    const smc::AnalysisSettings settings = pooled_settings(job);
     try {
       const smc::Simulation& simulation = simulations.emplace_back(job.model, settings);
       smc::KpiFold& fold = folds.emplace_back(settings, job.model.num_ebes());
@@ -205,10 +191,10 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
   options.fault_site = "sweep.task";
   options.telemetry = telemetry;
   options.progress_phase = "sweep";
-  options.counters.trajectories = ids.trajectories;
-  options.counters.events = ids.events;
+  options.counters = {obs::Metric::BatchTrajectories, obs::Metric::BatchEvents,
+                     /*outcomes=*/false};
   const smc::PoolOutcome pool = smc::run_pool(jobs, options);
-  if (metrics != nullptr) metrics->add(ids.tasks, pool.chunks);
+  count(obs::Metric::BatchTasks, pool.chunks);
   outcome.trajectories_simulated = pool.trajectories;
 
   // The sequential phase below re-checks the stop state through this: the
@@ -221,10 +207,13 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
     return stop != smc::StopReason::None;
   };
 
-  // Heal-or-fail driver: re-runs one job through smc::analyze — which is
-  // bit-identical to the pooled path — honoring the transient/permanent
-  // split and the bounded exponential backoff. On entry result.failure
-  // holds the failed attempt.
+  // Heal-or-fail driver: re-runs one job as a one-job pool run, counted as
+  // the first attempt was, and bit-identical to it by the determinism
+  // contract, honoring the transient/permanent split and the bounded
+  // exponential backoff. Retries hit no "sweep.task" fault site. On entry
+  // result.failure holds the failed attempt.
+  smc::PoolOptions retry_options = options;
+  retry_options.fault_site = nullptr;
   const auto heal_job = [&](const SweepJob& job, JobResult& result) {
     std::uint32_t attempts = result.failure.attempts;
     for (;;) {
@@ -239,7 +228,7 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
       if (!result.failure.transient || result.retries >= plan.max_retries) {
         result.failed = true;
         ++outcome.jobs_failed;
-        if (metrics != nullptr) metrics->add(ids.job_failures);
+        count(obs::Metric::SweepJobFailures);
         return;
       }
       if (stopped()) return;  // stopping: leave the job incomplete
@@ -251,15 +240,21 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
             std::chrono::duration<double, std::milli>(backoff_ms));
       ++result.retries;
       ++outcome.retries;
-      if (metrics != nullptr) metrics->add(ids.retries);
+      count(obs::Metric::SweepRetries);
       auto span = obs::maybe_span(telemetry.tracer, "retry:" + job.label);
       try {
-        smc::AnalysisSettings settings = job.settings;
-        settings.telemetry = telemetry;
-        settings.control = plan.control;
-        smc::KpiReport report = smc::analyze(job.model, settings);
-        outcome.trajectories_simulated += report.trajectories;
-        result.report = std::move(report);
+        const smc::AnalysisSettings settings = pooled_settings(job);
+        const smc::Simulation simulation(job.model, settings);
+        smc::KpiFold fold(settings, job.model.num_ebes());
+        smc::PoolJob retry = simulation.job(fold);
+        retry.span = "job:" + job.label;
+        retry_options.simulated_before = outcome.trajectories_simulated;
+        const smc::PoolOutcome run = smc::run_pool({&retry, 1}, retry_options);
+        count(obs::Metric::BatchTasks, run.chunks);
+        outcome.trajectories_simulated += run.trajectories;
+        if (retry.error) std::rethrow_exception(retry.error);
+        result.report =
+            fold.report(retry.finished() ? smc::StopReason::None : run.stop_reason);
         if (!result.report.truncated && cache != nullptr)
           cache->put(result.key, result.report);
         result.completed = !result.report.truncated;
@@ -318,8 +313,7 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
       outcome.stop_reason = stop;
     }
   }
-  if (metrics != nullptr && jobs_simulated > 0)
-    metrics->add(ids.jobs_simulated, jobs_simulated);
+  count(obs::Metric::BatchJobsSimulated, jobs_simulated);
 
   // Robustness bookkeeping: cache-integrity warnings + watchdog diagnostic
   // surface on the outcome; the deltas feed the metrics registry.
@@ -334,14 +328,10 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
   if (cache != nullptr)
     for (Diagnostic& d : cache->take_warnings())
       outcome.warnings.push_back(std::move(d));
-  if (metrics != nullptr && !quarantines.empty())
-    metrics->add(ids.corrupt_entries, quarantines.size());
+  count(obs::Metric::CacheCorruptEntries, quarantines.size());
   for (Diagnostic& d : quarantines) outcome.warnings.push_back(std::move(d));
-  if (metrics != nullptr) {
-    const std::uint64_t fired =
-        fault::FaultRegistry::instance().fires() - faults_before;
-    if (fired > 0) metrics->add(ids.faults_injected, fired);
-  }
+  count(obs::Metric::FaultInjected,
+        fault::FaultRegistry::instance().fires() - faults_before);
   return outcome;
 }
 

@@ -28,9 +28,9 @@
 // structured per-job failure record (JobResult::failed + JobFailure) while
 // the rest of the plan completes. Transient failure classes (I/O, injected
 // faults) are retried up to SweepPlan::max_retries times with bounded
-// exponential backoff; the retry path is a plain smc::analyze, which is
-// bit-identical to the pooled path by the determinism contract, so a healed
-// job's report carries no trace of the faults it survived. A watchdog
+// exponential backoff; a retry is a one-job pool run, bit-identical to the
+// first attempt by the determinism contract and counted into batch.* as it
+// is, so a healed job's report carries no trace of the faults it survived. A watchdog
 // (SweepPlan::stall_timeout_s) converts stalled-worker heartbeats into a
 // StopReason::Stalled stop with a diagnostic naming the stuck workers.
 #pragma once
@@ -194,7 +194,8 @@ std::vector<Resolution> resolve_jobs(std::span<const SweepJob> jobs, ResultCache
 /// (sweep.retries, sweep.job_failures, cache.corrupt_entries,
 /// fault.injected), a "job:<label>" tracer span per chunk plus
 /// "retry:<label>" spans, and "sweep"-phase progress over the total
-/// trajectory count. The "sweep.task" fault site fires once per chunk.
+/// trajectory count. The "sweep.task" fault site fires once per chunk of
+/// the first attempt.
 SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache = nullptr,
                        const obs::Telemetry& telemetry = {});
 

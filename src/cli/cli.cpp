@@ -561,7 +561,7 @@ int cmd_fleet(const Invocation& in) {
     std::optional<lang::CompiledPolicy> compiled =
         lang::compile_policy(request.scripts.front().text, diags);
     if (!compiled) throw serve::RequestError("R114", diags.all());
-    options.policy =
+    options.settings.policy =
         std::make_shared<const lang::CompiledPolicy>(*std::move(compiled));
   }
   const serve::Response response = respond(in, request);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "lang/policy.hpp"
 #include "obs/metrics.hpp"
 
 namespace fmtree::fleet {
@@ -18,7 +19,6 @@ batch::SweepPlan fleet_plan(const Corridor& corridor, const FleetOptions& option
     job.label = joint.name;
     job.model = joint.model;
     job.settings = options.settings;
-    job.settings.policy = options.policy;
     plan.jobs.push_back(std::move(job));
   }
   return plan;
@@ -57,9 +57,9 @@ FleetKpis aggregate_fleet(const Corridor& corridor,
   // Budget composition with the policy DSL: each joint runs its own copy of
   // the scripted budgets, so the corridor budget is joints x the annualised
   // refill of every refilling budget.
-  if (options.policy) {
+  if (const auto& policy = options.settings.policy) {
     double refill_per_year = 0.0;
-    for (const lang::Budget& b : options.policy->budgets)
+    for (const lang::Budget& b : policy->budgets)
       if (b.refill_period > 0) refill_per_year += b.refill_amount / b.refill_period;
     kpis.budget_per_year = refill_per_year * static_cast<double>(kpis.joints);
     if (kpis.budget_per_year > 0)
@@ -124,10 +124,9 @@ FleetOutcome analyze_fleet(const Corridor& corridor, const FleetOptions& options
       batch::run_sweep(fleet_plan(corridor, options), cache, telemetry);
   FleetOutcome fleet =
       fleet_outcome(corridor, outcome.results, std::move(outcome.warnings), options);
-  if (telemetry.metrics != nullptr) {
-    obs::MetricsRegistry& m = *telemetry.metrics;
-    m.add(m.counter("fleet.joints"), corridor.joints.size());
-    m.add(m.counter("fleet.jobs_failed"), fleet.jobs_failed);
+  if (obs::MetricsRegistry* metrics = telemetry.metrics) {
+    metrics->add(obs::Metric::FleetJoints, corridor.joints.size());
+    metrics->add(obs::Metric::FleetJobsFailed, fleet.jobs_failed);
   }
   return fleet;
 }

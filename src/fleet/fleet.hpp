@@ -7,15 +7,14 @@
 // cache key depends only on (joint model, settings). Re-running a corridor
 // after editing one joint therefore re-simulates exactly that joint.
 //
-// The aggregator composes with the .mpl policy DSL: when FleetOptions::policy
-// is set, every joint runs under the scripted calendars (settings.policy, the
-// same mechanism the sweep grid uses), the policy's crew counter bounds
-// repairs per visit inside the simulation, and its budget refill rates feed
-// the corridor budget-utilisation KPI.
+// The aggregator composes with the .mpl policy DSL: when settings.policy is
+// set, every joint runs under the scripted calendars (the same mechanism the
+// sweep grid uses), the policy's crew counter bounds repairs per visit inside
+// the simulation, and its budget refill rates feed the corridor
+// budget-utilisation KPI.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -23,7 +22,6 @@
 #include "batch/result_cache.hpp"
 #include "batch/sweep.hpp"
 #include "fleet/corridor.hpp"
-#include "lang/policy.hpp"
 #include "obs/telemetry.hpp"
 #include "smc/kpi.hpp"
 #include "util/diagnostics.hpp"
@@ -40,12 +38,12 @@ struct SharedResources {
 };
 
 struct FleetOptions {
+  /// Every joint's settings; settings.policy is the optional scripted
+  /// maintenance policy of every joint.
   smc::AnalysisSettings settings;
   SharedResources resources;
   /// How many worst joints (by expected failures/yr) to surface.
   std::size_t worst_k = 5;
-  /// Optional scripted maintenance policy applied to every joint.
-  std::shared_ptr<const lang::CompiledPolicy> policy;
   unsigned threads = 0;  ///< 0 = hardware concurrency
   std::uint32_t max_retries = 2;
   double stall_timeout_s = 0.0;

@@ -13,7 +13,7 @@ namespace {
 
 void count_evaluation(const smc::AnalysisSettings& settings) {
   if (obs::MetricsRegistry* metrics = settings.telemetry.metrics)
-    metrics->add(metrics->counter("optimizer.evaluations"));
+    metrics->add(obs::Metric::OptimizerEvaluations);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // ride in the settings of every analysis layer (smc::AnalysisSettings,
 // analytic::SolverOptions, the pool, the sweep and the serve session).
 //
-//  * MetricsRegistry — named counters/gauges/histograms, accumulated
-//    per-thread and merged at batch boundaries (obs/metrics.hpp);
+//  * MetricsRegistry — the totals of the one metric catalogue (obs::Metric),
+//    accumulated per-thread and merged at batch boundaries (obs/metrics.hpp);
 //  * Tracer          — phase-scoped spans with wall/CPU timings, exportable
 //    as JSON or Chrome trace_event format (obs/tracer.hpp);
 //  * ProgressReporter — throttled live-progress callback (obs/progress.hpp).

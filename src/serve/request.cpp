@@ -393,7 +393,7 @@ PreparedRequest prepare(const Request& request, const std::string& model_root) {
     fleet::FleetOptions options;
     options.settings = request.settings;
     if (!request.scripts.empty())
-      options.policy =
+      options.settings.policy =
           compile_script(request.scripts.front(), model_root, prepared.model);
     try {
       const fleet::Corridor corridor =

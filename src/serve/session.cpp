@@ -33,35 +33,10 @@ struct JobEntry {
   std::shared_ptr<const Cycle> cycle;
 };
 
-/// The serve.* counter ids (plus the batch.cache.hits and
-/// cache.corrupt_entries counters admission shares with run_sweep), defined
-/// here so the header does not pull in obs/metrics.hpp. `valid` is false
-/// when no registry is attached.
-struct ServeMetrics {
-  obs::CounterId requests, rejected, jobs, dedup_hits, cache_hits, corrupt_entries,
-      cancelled;
-  bool valid = false;
-
-  static ServeMetrics from(obs::MetricsRegistry* registry) {
-    ServeMetrics ids;
-    if (registry == nullptr) return ids;
-    ids.requests = registry->counter("serve.requests");
-    ids.rejected = registry->counter("serve.rejected");
-    ids.jobs = registry->counter("serve.jobs");
-    ids.dedup_hits = registry->counter("serve.dedup_hits");
-    ids.cache_hits = registry->counter("batch.cache.hits");
-    ids.corrupt_entries = registry->counter("cache.corrupt_entries");
-    ids.cancelled = registry->counter("serve.cancelled");
-    ids.valid = true;
-    return ids;
-  }
-};
-
 }  // namespace detail
 
 using detail::Cycle;
 using detail::JobEntry;
-using detail::ServeMetrics;
 
 bool Response::all_done() const noexcept {
   for (const batch::JobResult& j : jobs)
@@ -166,8 +141,6 @@ Session::Session(SessionConfig config) : config_(std::move(config)) {
                        : std::make_unique<batch::ResultCache>(config_.cache_dir);
     cache_ = owned_cache_.get();
   }
-  serve_metrics_ = std::make_unique<ServeMetrics>(
-      ServeMetrics::from(config_.telemetry.metrics));
   progress_reporter_ = std::make_unique<obs::ProgressReporter>(
       [this](const obs::Progress& p) {
         {
@@ -223,19 +196,18 @@ Ticket Session::submit_jobs(std::vector<batch::SweepJob> jobs, int priority,
   // runs again, with the same bits.
   std::vector<batch::Resolution> resolved =
       batch::resolve_jobs(jobs, cache_, config_.threads);
-  const ServeMetrics& ids = *serve_metrics_;
   obs::MetricsRegistry* metrics = config_.telemetry.metrics;
   // The C101s of this request's reads: its ticket reports them, and so does
   // the R120 or R122 that refuses it.
   std::vector<Diagnostic> quarantines;
   for (batch::Resolution& r : resolved)
     if (r.quarantined) quarantines.push_back(*std::move(r.quarantined));
-  if (ids.valid && !quarantines.empty())
-    metrics->add(ids.corrupt_entries, quarantines.size());
+  if (metrics != nullptr && !quarantines.empty())
+    metrics->add(obs::Metric::CacheCorruptEntries, quarantines.size());
 
   std::unique_lock lock(mutex_);
   if (stopping_) throw draining(std::move(quarantines));
-  if (ids.valid) metrics->add(ids.requests);
+  if (metrics != nullptr) metrics->add(obs::Metric::ServeRequests);
 
   // Classification pass: classify every job before touching any state, so
   // an admission rejection leaves the session exactly as it found it.
@@ -255,7 +227,7 @@ Ticket Session::submit_jobs(std::vector<batch::SweepJob> jobs, int priority,
     }
   }
   if (outstanding_ + new_jobs > config_.queue_limit) {
-    if (ids.valid) metrics->add(ids.rejected);
+    if (metrics != nullptr) metrics->add(obs::Metric::ServeRejected);
     throw AdmissionError(
         "request needs " + std::to_string(new_jobs) + " queue slot(s) but only " +
         std::to_string(config_.queue_limit - outstanding_) + " of " +
@@ -283,7 +255,7 @@ Ticket Session::submit_jobs(std::vector<batch::SweepJob> jobs, int priority,
       entry->result.cache_hit = true;
       entry->result.report = *std::move(resolved[i].hit);
       ticket.entries_.push_back(std::move(entry));
-      if (ids.valid) metrics->add(ids.cache_hits);
+      if (metrics != nullptr) metrics->add(obs::Metric::BatchCacheHits);
       continue;
     }
     if (kinds[i] == Kind::Attach) {
@@ -293,7 +265,7 @@ Ticket Session::submit_jobs(std::vector<batch::SweepJob> jobs, int priority,
       ++entry->interested;
       entry->priority = std::max(entry->priority, priority);
       ticket.entries_.push_back(std::move(entry));
-      if (ids.valid) metrics->add(ids.dedup_hits);
+      if (metrics != nullptr) metrics->add(obs::Metric::ServeDedupHits);
       continue;
     }
     auto entry = std::make_shared<JobEntry>();
@@ -310,7 +282,7 @@ Ticket Session::submit_jobs(std::vector<batch::SweepJob> jobs, int priority,
     pending_.push_back(entry);
     ++outstanding_;
     queued_any = true;
-    if (ids.valid) metrics->add(ids.jobs);
+    if (metrics != nullptr) metrics->add(obs::Metric::ServeJobs);
     ticket.entries_.push_back(std::move(entry));
   }
   if (queued_any) work_cv_.notify_one();
@@ -320,7 +292,7 @@ Ticket Session::submit_jobs(std::vector<batch::SweepJob> jobs, int priority,
 void Session::release_interest(
     const std::vector<std::shared_ptr<JobEntry>>& entries) {
   std::lock_guard lock(mutex_);
-  const ServeMetrics& ids = *serve_metrics_;
+  obs::MetricsRegistry* metrics = config_.telemetry.metrics;
   for (const auto& entry : entries) {
     if (entry->done) continue;
     if (--entry->interested > 0) continue;
@@ -328,7 +300,7 @@ void Session::release_interest(
     // pending_ resolves immediately (its queue slot frees up now); a running
     // one parks at the next trajectory boundary and resolves after the plan.
     entry->cancel.request_stop();
-    if (ids.valid) config_.telemetry.metrics->add(ids.cancelled);
+    if (metrics != nullptr) metrics->add(obs::Metric::ServeCancelled);
     const auto it = std::find(pending_.begin(), pending_.end(), entry);
     if (it != pending_.end()) {
       pending_.erase(it);

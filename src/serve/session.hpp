@@ -97,7 +97,6 @@ struct Response {
 namespace detail {
 struct Cycle;
 struct JobEntry;
-struct ServeMetrics;
 }
 
 /// A caller's handle on one submitted request. Move-only; destroying an
@@ -180,7 +179,6 @@ private:
   SessionConfig config_;
   std::unique_ptr<batch::ResultCache> owned_cache_;
   batch::ResultCache* cache_ = nullptr;
-  std::unique_ptr<detail::ServeMetrics> serve_metrics_;  ///< counter ids
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;   ///< wakes the dispatcher

@@ -127,26 +127,16 @@ StopReason collect(const fmt::FaultMaintenanceTree& model, const AnalysisSetting
   options.threads = s.threads;
   options.control = s.control;
   options.telemetry = s.telemetry;
-  obs::MetricsRegistry* metrics = s.telemetry.metrics;
-  if (metrics != nullptr) {
-    options.counters = {metrics->counter("smc.trajectories"),
-                        metrics->counter("smc.events"),
-                        metrics->counter("smc.failures"),
-                        metrics->counter("smc.repairs"),
-                        metrics->counter("smc.inspections"),
-                        metrics->counter("smc.replacements"),
-                        metrics->histogram("smc.events_per_trajectory", 0.0, 1024.0, 64)};
-  }
   auto simulate_span = obs::maybe_span(s.telemetry.tracer, "simulate");
   PoolJob job = simulation.job(fold);
   const PoolOutcome outcome = run_pool({&job, 1}, options);
   simulate_span.close();
-  if (metrics != nullptr) {
+  if (obs::MetricsRegistry* metrics = s.telemetry.metrics) {
     // Adaptive runs count their rounds of `batch` trajectories.
     const std::uint64_t rounds = s.target_relative_error > 0
                                      ? (job.folded + s.batch - 1) / s.batch
                                      : 1;
-    metrics->add(metrics->counter("smc.batches"), rounds);
+    metrics->add(obs::Metric::SmcBatches, rounds);
   }
   if (job.error) std::rethrow_exception(job.error);
   return job.finished() ? StopReason::None : outcome.stop_reason;

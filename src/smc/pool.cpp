@@ -155,7 +155,7 @@ void Pool::work(unsigned w) noexcept {
   try {
     sim::BatchWorkspace ws;  // reused across all of this worker's chunks
     obs::MetricsRegistry* metrics = options_.telemetry.metrics;
-    obs::LocalMetrics local = metrics != nullptr ? metrics->local() : obs::LocalMetrics{};
+    obs::LocalMetrics local;
     while (std::unique_ptr<Chunk> chunk = claim()) {
       heartbeats_[w].beats.fetch_add(1, std::memory_order_relaxed);
       simulate(*chunk, ws, heartbeats_[w]);
@@ -260,7 +260,7 @@ void Pool::complete(std::unique_ptr<Chunk> chunk, obs::LocalMetrics& local) {
     try {
       for (; more && folded < next->count; ++folded) {
         sim::TrajectoryResult& r = next->results[folded];
-        count(r, local);
+        if (options_.telemetry.metrics != nullptr) count(r, local);
         more = s.job->fold(r);
       }
     } catch (...) {
@@ -283,14 +283,16 @@ void Pool::complete(std::unique_ptr<Chunk> chunk, obs::LocalMetrics& local) {
 }
 
 void Pool::count(const sim::TrajectoryResult& r, obs::LocalMetrics& local) const {
+  using enum obs::Metric;
   const TrajectoryCounters& c = options_.counters;
   local.add(c.trajectories);
   local.add(c.events, r.events);
-  local.add(c.failures, r.failures);
-  local.add(c.repairs, r.repairs);
-  local.add(c.inspections, r.inspections);
-  local.add(c.replacements, r.replacements);
-  local.observe(c.events_per_trajectory, static_cast<double>(r.events));
+  if (!c.outcomes) return;
+  local.add(SmcFailures, r.failures);
+  local.add(SmcRepairs, r.repairs);
+  local.add(SmcInspections, r.inspections);
+  local.add(SmcReplacements, r.replacements);
+  local.observe(SmcEventsPerTrajectory, static_cast<double>(r.events));
 }
 
 bool Pool::halted(JobState& s) {

@@ -72,11 +72,15 @@ struct PoolJob {
   bool finished() const noexcept { return ended || folded == trajectories; }
 };
 
-/// Metric handles bumped once per folded trajectory, so their totals do not
-/// depend on the thread count. Invalid (default) ids are skipped.
+/// The metrics bumped once per folded trajectory, so their totals do not
+/// depend on the thread count. smc::analyze counts into smc.*, outcomes
+/// included; a sweep counts trajectories and events into batch.*.
 struct TrajectoryCounters {
-  obs::CounterId trajectories, events, failures, repairs, inspections, replacements;
-  obs::HistogramId events_per_trajectory;
+  obs::Metric trajectories = obs::Metric::SmcTrajectories;
+  obs::Metric events = obs::Metric::SmcEvents;
+  /// Also count smc.failures, smc.repairs, smc.inspections and
+  /// smc.replacements, and observe smc.events_per_trajectory.
+  bool outcomes = true;
 };
 
 struct PoolOptions {
@@ -98,7 +102,7 @@ struct PoolOptions {
   const char* fault_site = nullptr;
   /// Tracer for the per-chunk job spans, progress reporter (phase
   /// `progress_phase`, over the total trajectory count) and the metrics
-  /// registry `counters` belong to.
+  /// registry `counters` count into.
   obs::Telemetry telemetry;
   const char* progress_phase = "simulate";
   TrajectoryCounters counters;

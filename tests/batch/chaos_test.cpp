@@ -240,11 +240,11 @@ TEST(ChaosMetrics, RobustnessCountersObserveInjectionAndRetries) {
   const fault::Scope faults({"sweep.task:error,nth=1,limit=1"});
   const SweepOutcome outcome = run_sweep(small_plan(), nullptr, telemetry);
   EXPECT_EQ(outcome.jobs_failed, 0u);
-  const std::string json = metrics.to_json();
-  EXPECT_NE(json.find("\"sweep.retries\""), std::string::npos);
-  EXPECT_NE(json.find("\"sweep.job_failures\""), std::string::npos);
-  EXPECT_NE(json.find("\"cache.corrupt_entries\""), std::string::npos);
-  EXPECT_NE(json.find("\"fault.injected\""), std::string::npos);
+  // Every catalogue counter is exported, so the values carry the check.
+  EXPECT_EQ(metrics.counter_value("fault.injected"), 1u);
+  EXPECT_EQ(metrics.counter_value("sweep.retries"), 1u);
+  EXPECT_EQ(metrics.counter_value("sweep.job_failures"), 0u);
+  EXPECT_EQ(metrics.counter_value("cache.corrupt_entries"), 0u);
 }
 
 }  // namespace

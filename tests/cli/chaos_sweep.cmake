@@ -9,8 +9,9 @@
 #   * every run exits 0, and the three curves are equal once the status lines
 #     (cache:, self-healing:, fmtree:), the source column and the table
 #     layout are removed;
-#   * the faulted run's metrics count fault.injected, sweep.retries,
-#     sweep.job_failures and cache.corrupt_entries;
+#   * the faulted run's metrics count at least one fault.injected and one
+#     sweep.retries (every catalogue counter is present, so presence alone
+#     would show nothing);
 #   * the re-run reports "cache: 2 hits, 1 misses" and exactly one C101, and
 #     the cache directory then holds the three result entries and a
 #     quarantine/ directory with one file.
@@ -73,10 +74,10 @@ endforeach()
 # (its counters are flat "name": integer pairs).
 file(READ ${metrics} json)
 string(REGEX MATCH "\"counters\"[ \t\r\n]*:[ \t\r\n]*{[^}]*}" counters "${json}")
-foreach(name fault.injected sweep.retries sweep.job_failures cache.corrupt_entries)
+foreach(name fault.injected sweep.retries)
   string(REPLACE "." "\\." pattern "${name}")
-  if(NOT counters MATCHES "\"${pattern}\"[ \t\r\n]*:[ \t\r\n]*[0-9]+")
-    message(FATAL_ERROR "the faulted run's metrics have no counter ${name}:\n${json}")
+  if(NOT counters MATCHES "\"${pattern}\"[ \t\r\n]*:[ \t\r\n]*[1-9][0-9]*")
+    message(FATAL_ERROR "the faulted run's metrics count no ${name}:\n${json}")
   endif()
 endforeach()
 

@@ -10,6 +10,8 @@
 #include "cli/cli.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
+#include "util/json.hpp"
+#include "util/text_file.hpp"
 
 namespace fmtree::cli {
 namespace {
@@ -94,6 +96,35 @@ TEST(ChaosCliSweep, InjectedFaultsHealAndTheCurveIsIdentical) {
   EXPECT_EQ(normalized_curve(clean.str()), normalized_curve(healed.str()));
   // The scope died with the run: nothing stays armed for later tests.
   EXPECT_FALSE(fault::fault_point("sweep.task"));
+}
+
+// A healed job's trajectories count under batch.*, as a first attempt's do:
+// the EI-joint cost curve with its first chunk failed names each fact once.
+TEST(ChaosCliSweep, AHealedJobCountsUnderBatchAlone) {
+  const std::string model = std::string(FMTREE_SOURCE_DIR) + "/models/ei_joint.fmt";
+  const std::string metrics = testing::TempDir() + "fmtree_cli_chaos_heal_metrics.json";
+  const std::vector<std::string> args = {"sweep", model, "--horizon", "20", "--runs",
+                                         "2000", "--seed", "1", "--frequencies", "0,2,6"};
+  std::ostringstream clean, healed, err;
+  ASSERT_EQ(main_impl(args, clean, err), kExitOk) << err.str();
+  std::vector<std::string> chaos = args;
+  chaos.insert(chaos.end(),
+               {"--inject-fault", "sweep.task:error,nth=1", "--metrics", metrics});
+  ASSERT_EQ(main_impl(chaos, healed, err), kExitOk) << err.str();
+  EXPECT_NE(healed.str().find("self-healing: 1 retry"), std::string::npos)
+      << healed.str();
+  EXPECT_EQ(normalized_curve(clean.str()), normalized_curve(healed.str()));
+
+  const json::Value doc = json::parse(read_text_file(metrics));
+  const json::Value& counters = *doc.find("counters");
+  EXPECT_EQ(counters.find("sweep.retries")->as_u64(), 1u);
+  EXPECT_EQ(counters.find("batch.trajectories")->as_u64(), 6000u);
+  EXPECT_EQ(counters.find("batch.events")->as_u64(), 632926u);
+  for (const auto& [name, value] : counters.members) {
+    if (name.starts_with("smc.")) {
+      EXPECT_EQ(value.as_u64(), 0u) << name;
+    }
+  }
 }
 
 TEST(ChaosCliSweep, ExhaustedRetriesFailTheJobButFinishTheSweep) {

@@ -19,10 +19,12 @@
 #include "fleet/corridor.hpp"
 #include "fmt/canonical.hpp"
 #include "fmt/parser.hpp"
+#include "lang/policy.hpp"
 #include "smc/kpi.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
 #include "util/stats.hpp"
+#include "util/text_file.hpp"
 
 namespace fmtree::fleet {
 namespace {
@@ -190,6 +192,41 @@ TEST(Fleet, ShardsAreBitIdenticalToStandaloneAnalyses) {
         smc::analyze(corridor.joints[i].model, options.settings);
     EXPECT_TRUE(same_bits(outcome.joints[i].report, direct)) << i;
   }
+}
+
+// settings.policy is the corridor's policy: every joint runs under it, and
+// its budget refills feed the corridor budget.
+TEST(Fleet, SettingsPolicyRunsEveryJointAndFundsTheBudget) {
+  const std::string root = FMTREE_SOURCE_DIR;
+  Diagnostics diags;
+  std::optional<lang::CompiledPolicy> compiled = lang::compile_policy(
+      read_text_file(root + "/examples/policies/shared_crew.mpl"), diags);
+  ASSERT_TRUE(compiled) << diags.to_json();
+  CorridorSpec spec;
+  spec.joints = 3;
+  spec.seed = 7;
+  const fmt::FaultMaintenanceTree base =
+      fmt::parse_fmt(read_text_file(root + "/models/ei_joint.fmt"));
+  const Corridor corridor = generate_corridor(base, spec);
+  FleetOptions options;
+  options.settings.horizon = 20.0;
+  options.settings.trajectories = 500;
+  options.settings.seed = 1;
+  const FleetOutcome plain = analyze_fleet(corridor, options);
+  options.settings.policy = std::make_shared<const lang::CompiledPolicy>(*compiled);
+  const FleetOutcome scripted = analyze_fleet(corridor, options);
+
+  for (std::size_t i = 0; i < corridor.joints.size(); ++i) {
+    const smc::KpiReport direct =
+        smc::analyze(corridor.joints[i].model, options.settings);
+    EXPECT_TRUE(same_bits(scripted.joints[i].report, direct)) << i;
+  }
+  EXPECT_NE(scripted.kpis.cost_per_year, plain.kpis.cost_per_year);
+  // One 800-a-year corridor budget per joint.
+  EXPECT_DOUBLE_EQ(scripted.kpis.budget_per_year, 2400.0);
+  EXPECT_DOUBLE_EQ(scripted.kpis.budget_utilisation,
+                   scripted.kpis.cost_per_year / scripted.kpis.budget_per_year);
+  EXPECT_DOUBLE_EQ(plain.kpis.budget_per_year, 0.0);
 }
 
 // The headline cache property: editing one joint of a large corridor

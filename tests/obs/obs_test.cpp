@@ -2,141 +2,182 @@
 // accumulators, phase tracer, throttled progress reporting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/tracer.hpp"
-#include "util/error.hpp"
 #include "util/json.hpp"
 
 namespace fmtree::obs {
 namespace {
 
 // Gauges and histograms are read back through the JSON export.
-double exported_gauge(const MetricsRegistry& reg, std::string_view name) {
+json::Value exported(const MetricsRegistry& reg, std::string_view family,
+                     std::string_view name) {
   const json::Value doc = json::parse(reg.to_json());
-  return doc.find("gauges")->find(name)->as_double();
+  const json::Value* value = doc.find(family)->find(name);
+  return value != nullptr ? *value : json::Value{};
 }
 
-std::uint64_t exported_histogram_total(const MetricsRegistry& reg,
-                                       std::string_view name) {
-  const json::Value doc = json::parse(reg.to_json());
-  return doc.find("histograms")->find(name)->find("total")->as_u64();
+/// A field of the exported smc.events_per_trajectory histogram.
+json::Value histogram_field(const MetricsRegistry& reg, std::string_view field) {
+  const json::Value histogram = exported(reg, "histograms", "smc.events_per_trajectory");
+  const json::Value* value = histogram.find(field);
+  return value != nullptr ? *value : json::Value{};
 }
 
-TEST(Metrics, RegistrationIsIdempotent) {
-  MetricsRegistry reg;
-  const CounterId a = reg.counter("traj");
-  const CounterId b = reg.counter("traj");
-  EXPECT_EQ(a.index, b.index);
-  const GaugeId g1 = reg.gauge("residual");
-  const GaugeId g2 = reg.gauge("residual");
-  EXPECT_EQ(g1.index, g2.index);
-  const HistogramId h1 = reg.histogram("events", 0.0, 100.0, 10);
-  const HistogramId h2 = reg.histogram("events", 0.0, 100.0, 10);
-  EXPECT_EQ(h1.index, h2.index);
-}
-
-TEST(Metrics, HistogramShapeIsValidated) {
-  MetricsRegistry reg;
-  reg.histogram("h", 0.0, 100.0, 10);
-  EXPECT_THROW(reg.histogram("h", 0.0, 200.0, 10), DomainError);  // mismatch
-  EXPECT_THROW(reg.histogram("bad", 1.0, 1.0, 10), DomainError);  // empty range
-  EXPECT_THROW(reg.histogram("bad", 0.0, 1.0, 0), DomainError);   // no bins
+std::string_view kind_name(MetricKind kind) {
+  switch (kind) {
+    case MetricKind::Counter: return "counter";
+    case MetricKind::Gauge: return "gauge";
+    case MetricKind::Histogram: return "histogram";
+  }
+  return "?";
 }
 
 TEST(Metrics, DirectMutationAndReadBack) {
   MetricsRegistry reg;
-  const CounterId c = reg.counter("c");
-  reg.add(c);
-  reg.add(c, 41);
-  EXPECT_EQ(reg.counter_value("c"), 42u);
+  reg.add(Metric::BatchJobs);
+  reg.add(Metric::BatchJobs, 41);
+  EXPECT_EQ(reg.counter_value("batch.jobs"), 42u);
   EXPECT_EQ(reg.counter_value("unknown"), 0u);
+  EXPECT_EQ(reg.counter_value("solver.residual"), 0u);  // a gauge, not a counter
 
-  const GaugeId g = reg.gauge("g");
-  reg.set(g, 2.5);
-  EXPECT_DOUBLE_EQ(exported_gauge(reg, "g"), 2.5);
+  reg.set(Metric::SolverResidual, 2.5);
+  EXPECT_DOUBLE_EQ(exported(reg, "gauges", "solver.residual").as_double(), 2.5);
 
-  const HistogramId h = reg.histogram("h", 0.0, 10.0, 5);
-  LocalMetrics local = reg.local();
-  local.observe(h, -1.0);  // underflow
-  local.observe(h, 3.0);
-  local.observe(h, 99.0);  // overflow
+  // 64 bins of width 16 over [0, 1024), then underflow and overflow.
+  LocalMetrics local;
+  local.observe(Metric::SmcEventsPerTrajectory, -1.0);
+  local.observe(Metric::SmcEventsPerTrajectory, 3.0);
+  local.observe(Metric::SmcEventsPerTrajectory, 16.0);
+  local.observe(Metric::SmcEventsPerTrajectory, 1023.5);
+  local.observe(Metric::SmcEventsPerTrajectory, 1024.0);
   reg.merge(local);
-  EXPECT_EQ(exported_histogram_total(reg, "h"), 3u);
+  EXPECT_EQ(histogram_field(reg, "underflow").as_u64(), 1u);
+  EXPECT_EQ(histogram_field(reg, "overflow").as_u64(), 1u);
+  EXPECT_EQ(histogram_field(reg, "total").as_u64(), 5u);
+  const std::vector<json::Value> counts = histogram_field(reg, "counts").items;
+  ASSERT_EQ(counts.size(), 64u);
+  EXPECT_EQ(counts[0].as_u64(), 1u);
+  EXPECT_EQ(counts[1].as_u64(), 1u);
+  EXPECT_EQ(counts[63].as_u64(), 1u);
+  // The histogram's cells border no counter's.
+  EXPECT_EQ(reg.counter_value("smc.batches"), 0u);
+  EXPECT_EQ(reg.counter_value("solver.iterations"), 0u);
 }
 
 TEST(Metrics, LocalAccumulatorsMergeAndReset) {
   MetricsRegistry reg;
-  const CounterId c = reg.counter("c");
-  const HistogramId h = reg.histogram("h", 0.0, 10.0, 5);
-
-  LocalMetrics a = reg.local();
-  LocalMetrics b = reg.local();
-  a.add(c, 10);
-  b.add(c, 5);
-  a.observe(h, 1.0);
-  b.observe(h, 2.0);
+  LocalMetrics a;
+  LocalMetrics b;
+  a.add(Metric::SmcEvents, 10);
+  b.add(Metric::SmcEvents, 5);
+  a.observe(Metric::SmcEventsPerTrajectory, 1.0);
+  b.observe(Metric::SmcEventsPerTrajectory, 2.0);
   reg.merge(a);
   reg.merge(b);
-  EXPECT_EQ(reg.counter_value("c"), 15u);
-  EXPECT_EQ(exported_histogram_total(reg, "h"), 2u);
+  EXPECT_EQ(reg.counter_value("smc.events"), 15u);
+  EXPECT_EQ(histogram_field(reg, "total").as_u64(), 2u);
 
   // merge() resets the local state, so folding again adds nothing.
   reg.merge(a);
-  EXPECT_EQ(reg.counter_value("c"), 15u);
-}
-
-TEST(Metrics, LocalHandlesLateRegistrationAndInvalidIds) {
-  MetricsRegistry reg;
-  LocalMetrics local = reg.local();  // sized before anything exists
-  local.add(CounterId{}, 100);       // invalid id: ignored
-  const CounterId c = reg.counter("late");
-  local.add(c, 7);  // registered after local() was taken: grows on first use
-  reg.merge(local);
-  EXPECT_EQ(reg.counter_value("late"), 7u);
+  EXPECT_EQ(reg.counter_value("smc.events"), 15u);
+  EXPECT_EQ(histogram_field(reg, "total").as_u64(), 2u);
 }
 
 TEST(Metrics, ConcurrentWorkersMergeExactly) {
   MetricsRegistry reg;
-  const CounterId c = reg.counter("n");
   constexpr int kThreads = 4, kPerThread = 10000;
   std::vector<std::thread> pool;
   for (int t = 0; t < kThreads; ++t) {
     pool.emplace_back([&] {
-      LocalMetrics local = reg.local();
-      for (int i = 0; i < kPerThread; ++i) local.add(c);
+      LocalMetrics local;
+      for (int i = 0; i < kPerThread; ++i) local.add(Metric::SmcTrajectories);
       reg.merge(local);
     });
   }
   for (std::thread& t : pool) t.join();
-  EXPECT_EQ(reg.counter_value("n"),
+  EXPECT_EQ(reg.counter_value("smc.trajectories"),
             static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
 TEST(Metrics, JsonFollowsSchemaWithSortedKeys) {
   MetricsRegistry reg;
-  reg.add(reg.counter("zeta"), 1);
-  reg.add(reg.counter("alpha"), 2);
-  reg.set(reg.gauge("g"), 1.5);
-  reg.gauge("never_set");  // registered but unset gauges are omitted
-  const HistogramId h = reg.histogram("h", 0.0, 2.0, 2);
-  LocalMetrics local = reg.local();  // sized after the registration
-  local.observe(h, 0.5);
-  reg.merge(local);
+  reg.add(Metric::SweepRetries, 1);
+  reg.add(Metric::BatchCacheHits, 2);
+  reg.set(Metric::SolverStates, 1.5);  // solver.residual stays unset
 
   const std::string json = reg.to_json();
   EXPECT_NE(json.find("\"schema\": \"fmtree.metrics/v1\""), std::string::npos);
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-  EXPECT_LT(json.find("\"alpha\""), json.find("\"zeta\""));  // sorted
-  EXPECT_EQ(json.find("never_set"), std::string::npos);
+  EXPECT_LT(json.find("\"batch.cache.hits\""), json.find("\"sweep.retries\""));  // sorted
   EXPECT_NE(json.find("\"underflow\""), std::string::npos);
-  EXPECT_NE(json.find("\"total\""), std::string::npos);
+
+  // Every counter and histogram of the catalogue, and each gauge once set.
+  const json::Value doc = json::parse(json);
+  for (const MetricRow& row : kMetrics) {
+    SCOPED_TRACE(row.name);
+    const json::Value* counter = doc.find("counters")->find(row.name);
+    const json::Value* gauge = doc.find("gauges")->find(row.name);
+    const json::Value* histogram = doc.find("histograms")->find(row.name);
+    EXPECT_EQ(counter != nullptr, row.kind == MetricKind::Counter);
+    EXPECT_EQ(gauge != nullptr, row.metric == Metric::SolverStates);
+    EXPECT_EQ(histogram != nullptr, row.kind == MetricKind::Histogram);
+  }
+  EXPECT_EQ(doc.find("counters")->find("sweep.retries")->as_u64(), 1u);
+  EXPECT_EQ(doc.find("counters")->find("fleet.joints")->as_u64(), 0u);
+}
+
+// DESIGN.md's metric table ("| metric | kind | meaning |", one metric per
+// row) names exactly the catalogue: every (name, kind) pair once.
+TEST(Metrics, DesignTableMatchesTheCatalogue) {
+  const std::string path = std::string(FMTREE_SOURCE_DIR) + "/DESIGN.md";
+  std::ifstream file(path);
+  ASSERT_TRUE(file) << "missing " << path;
+  std::vector<std::pair<std::string, std::string>> documented;
+  bool in_table = false;
+  for (std::string line; std::getline(file, line);) {
+    if (line.rfind("| metric | kind | meaning |", 0) == 0) {
+      in_table = true;
+      continue;
+    }
+    if (!in_table) continue;
+    if (line.rfind("|", 0) != 0) break;
+    if (line.rfind("|---", 0) == 0) continue;
+    const std::size_t name_at = line.find('`');
+    const std::size_t name_end = line.find('`', name_at + 1);
+    const std::size_t kind_at = line.find('|', name_end);
+    const std::size_t kind_end = line.find('|', kind_at + 1);
+    ASSERT_NE(kind_end, std::string::npos) << "malformed row: " << line;
+    std::string kind = line.substr(kind_at + 1, kind_end - kind_at - 1);
+    kind.erase(0, kind.find_first_not_of(' '));
+    kind.erase(kind.find_last_not_of(' ') + 1);
+    documented.emplace_back(line.substr(name_at + 1, name_end - name_at - 1), kind);
+  }
+  std::vector<std::pair<std::string, std::string>> catalogue;
+  for (const MetricRow& row : kMetrics)
+    catalogue.emplace_back(std::string(row.name), std::string(kind_name(row.kind)));
+  std::sort(documented.begin(), documented.end());
+  std::sort(catalogue.begin(), catalogue.end());
+
+  std::vector<std::pair<std::string, std::string>> missing, extra;
+  std::set_difference(catalogue.begin(), catalogue.end(), documented.begin(),
+                      documented.end(), std::back_inserter(missing));
+  std::set_difference(documented.begin(), documented.end(), catalogue.begin(),
+                      catalogue.end(), std::back_inserter(extra));
+  for (const auto& [name, kind] : missing)
+    ADD_FAILURE() << "DESIGN.md lacks the row of " << kind << " " << name;
+  for (const auto& [name, kind] : extra)
+    ADD_FAILURE() << "DESIGN.md names " << kind << " " << name << ", not in kMetrics";
+  EXPECT_EQ(documented, catalogue);  // and names each pair once
 }
 
 TEST(Tracer, SpansNestPerThread) {

@@ -2,16 +2,12 @@
 """Validate fmtree telemetry JSON against tools/telemetry_schema.json.
 
 Usage: validate_telemetry.py <metrics|trace> <file.json> [schema.json]
-                             [--require NAME ...]
 
 Self-contained interpreter for the small JSON-Schema subset the telemetry
 schemas use (type / const / required / properties / additionalProperties /
-items / minimum), so CI needs nothing beyond the Python standard library.
-
---require NAME ... (metrics documents only) additionally demands that each
-named metric is present in the counters/gauges/histograms maps — the drift
-tripwire for instrumentation CI depends on (e.g. fault.injected,
-sweep.retries, sweep.job_failures, cache.corrupt_entries).
+items / minimum), so it needs nothing beyond the Python standard library.
+The schema is name-agnostic: a metrics document lists every counter and
+histogram of fmtree's metric catalogue (src/obs/metrics.hpp) whatever ran.
 
 Exit code 0 = valid, 1 = invalid, 2 = usage/IO error.
 """
@@ -69,35 +65,10 @@ def validate(value, schema, path, errors):
             validate(item, schema["items"], f"{path}[{i}]", errors)
 
 
-def check_required_metrics(document, names, path, errors):
-    """Every name must appear in one of the metric maps of the document."""
-    present = set()
-    for family in ("counters", "gauges", "histograms"):
-        table = document.get(family)
-        if isinstance(table, dict):
-            present.update(table)
-    for name in names:
-        if name not in present:
-            errors.append(f"{path}: required metric {name!r} is missing")
-
-
 def main(argv):
-    args = list(argv[1:])
-    required = []
-    if "--require" in args:
-        at = args.index("--require")
-        required = args[at + 1:]
-        args = args[:at]
-        if not required:
-            print("validate_telemetry: --require needs at least one name",
-                  file=sys.stderr)
-            return 2
+    args = argv[1:]
     if len(args) not in (2, 3) or args[0] not in ("metrics", "trace"):
         print(__doc__.strip(), file=sys.stderr)
-        return 2
-    if required and args[0] != "metrics":
-        print("validate_telemetry: --require only applies to metrics",
-              file=sys.stderr)
         return 2
     schema_path = args[2] if len(args) == 3 else os.path.join(
         os.path.dirname(os.path.abspath(__file__)), "telemetry_schema.json")
@@ -111,14 +82,11 @@ def main(argv):
         return 2
     errors = []
     validate(document, schema, "$", errors)
-    if isinstance(document, dict) and required:
-        check_required_metrics(document, required, "$", errors)
     if errors:
         for e in errors:
             print(f"INVALID {args[1]}: {e}", file=sys.stderr)
         return 1
-    suffix = f" (+{len(required)} required metrics)" if required else ""
-    print(f"OK {args[1]} conforms to fmtree.{args[0]} schema{suffix}")
+    print(f"OK {args[1]} conforms to fmtree.{args[0]} schema")
     return 0
 
 
