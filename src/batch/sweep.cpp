@@ -21,13 +21,19 @@ namespace {
 
 constexpr double kRetryBackoffCapMs = 1000.0;
 
-/// A job's settings as the pool runs it: control and telemetry are the
-/// plan's and run_sweep's, not the job's.
-smc::AnalysisSettings pooled_settings(const SweepJob& job) {
+/// One attempt at `job`, the first and every retry alike, as a pool job: its
+/// simulation and smc::analyze's KPI fold live on in `simulations` and
+/// `folds`. Control and telemetry are the plan's and run_sweep's.
+smc::PoolJob attempt(const SweepJob& job, std::deque<smc::Simulation>& simulations,
+                     std::deque<smc::KpiFold>& folds) {
   smc::AnalysisSettings settings = job.settings;
   settings.control = nullptr;
   settings.telemetry = {};
-  return settings;
+  const smc::Simulation& simulation = simulations.emplace_back(job.model, settings);
+  smc::KpiFold& fold = folds.emplace_back(settings, job.model.num_ebes());
+  smc::PoolJob pool_job = simulation.job(fold);
+  pool_job.span = "job:" + job.label;
+  return pool_job;
 }
 
 /// Maps a caught exception to its failure record. The transient classes
@@ -128,7 +134,7 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
 
   auto sweep_span = obs::maybe_span(telemetry.tracer, "sweep");
   obs::MetricsRegistry* metrics = telemetry.metrics;
-  const auto count = [metrics](obs::Metric counter, std::uint64_t n = 1) {
+  const auto count = [metrics](obs::CounterMetric counter, std::uint64_t n = 1) {
     if (metrics != nullptr && n > 0) metrics->add(counter, n);
   };
   const std::uint64_t faults_before = fault::FaultRegistry::instance().fires();
@@ -164,13 +170,9 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
     }
     ++outcome.cache_misses;
     count(obs::Metric::BatchCacheMisses);
-    const smc::AnalysisSettings settings = pooled_settings(job);
     try {
-      const smc::Simulation& simulation = simulations.emplace_back(job.model, settings);
-      smc::KpiFold& fold = folds.emplace_back(settings, job.model.num_ebes());
-      smc::PoolJob& pool_job = jobs.emplace_back(simulation.job(fold));
-      pool_job.cancel = job.cancel;
-      pool_job.span = "job:" + job.label;
+      jobs.push_back(attempt(job, simulations, folds));
+      jobs.back().cancel = job.cancel;
       pooled.push_back(j);
     } catch (...) {
       // Model/policy rejected at set-up (e.g. a script naming a component
@@ -191,8 +193,7 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
   options.fault_site = "sweep.task";
   options.telemetry = telemetry;
   options.progress_phase = "sweep";
-  options.counters = {obs::Metric::BatchTrajectories, obs::Metric::BatchEvents,
-                     /*outcomes=*/false};
+  options.sweep_counters = true;
   const smc::PoolOutcome pool = smc::run_pool(jobs, options);
   count(obs::Metric::BatchTasks, pool.chunks);
   outcome.trajectories_simulated = pool.trajectories;
@@ -201,6 +202,8 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
   // watchdog or control may have stopped the pool, and retries also honor a
   // stop that arrives while they back off.
   smc::StopReason stop = pool.stop_reason;
+  std::vector<std::string> stalls;  // the watchdog diagnostics, in run order
+  if (!pool.stall.empty()) stalls.push_back(pool.stall);
   const auto stopped = [&]() {
     if (stop == smc::StopReason::None && plan.control != nullptr)
       stop = plan.control->should_stop(outcome.trajectories_simulated);
@@ -210,8 +213,10 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
   // Heal-or-fail driver: re-runs one job as a one-job pool run, counted as
   // the first attempt was, and bit-identical to it by the determinism
   // contract, honoring the transient/permanent split and the bounded
-  // exponential backoff. Retries hit no "sweep.task" fault site. On entry
-  // result.failure holds the failed attempt.
+  // exponential backoff. Retries hit no "sweep.task" fault site; a stop or
+  // stall of theirs stops the sweep as the first pass's would, and the
+  // trajectory budget counts them after it. On entry result.failure holds
+  // the failed attempt.
   smc::PoolOptions retry_options = options;
   retry_options.fault_site = nullptr;
   const auto heal_job = [&](const SweepJob& job, JobResult& result) {
@@ -243,15 +248,14 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
       count(obs::Metric::SweepRetries);
       auto span = obs::maybe_span(telemetry.tracer, "retry:" + job.label);
       try {
-        const smc::AnalysisSettings settings = pooled_settings(job);
-        const smc::Simulation simulation(job.model, settings);
-        smc::KpiFold fold(settings, job.model.num_ebes());
-        smc::PoolJob retry = simulation.job(fold);
-        retry.span = "job:" + job.label;
+        smc::PoolJob retry = attempt(job, simulations, folds);
+        const smc::KpiFold& fold = folds.back();
         retry_options.simulated_before = outcome.trajectories_simulated;
         const smc::PoolOutcome run = smc::run_pool({&retry, 1}, retry_options);
         count(obs::Metric::BatchTasks, run.chunks);
         outcome.trajectories_simulated += run.trajectories;
+        if (stop == smc::StopReason::None) stop = run.stop_reason;
+        if (!run.stall.empty()) stalls.push_back(run.stall);
         if (retry.error) std::rethrow_exception(retry.error);
         result.report =
             fold.report(retry.finished() ? smc::StopReason::None : run.stop_reason);
@@ -315,16 +319,12 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
   }
   count(obs::Metric::BatchJobsSimulated, jobs_simulated);
 
-  // Robustness bookkeeping: cache-integrity warnings + watchdog diagnostic
+  // Robustness bookkeeping: cache-integrity warnings + watchdog diagnostics
   // surface on the outcome; the deltas feed the metrics registry.
-  if (!pool.stall.empty()) {
-    Diagnostic d;
-    d.severity = Severity::Warning;
-    d.code = "B102";
-    d.message = pool.stall;
-    d.hint = "raise --stall-timeout if the workload legitimately pauses";
-    outcome.warnings.push_back(std::move(d));
-  }
+  for (std::string& stall : stalls)
+    outcome.warnings.push_back(
+        {.severity = Severity::Warning, .code = "B102", .message = std::move(stall),
+         .hint = "raise --stall-timeout if the workload legitimately pauses"});
   if (cache != nullptr)
     for (Diagnostic& d : cache->take_warnings())
       outcome.warnings.push_back(std::move(d));

@@ -31,14 +31,14 @@ std::vector<const MetricRow*> sorted_rows(MetricKind kind) {
 
 }  // namespace
 
-void MetricsRegistry::add(Metric counter, std::uint64_t delta) {
+void MetricsRegistry::add(CounterMetric counter, std::uint64_t delta) {
   std::lock_guard<std::mutex> lock(mutex_);
   totals_.add(counter, delta);
 }
 
-void MetricsRegistry::set(Metric gauge, double value) {
+void MetricsRegistry::set(GaugeMetric gauge, double value) {
   std::lock_guard<std::mutex> lock(mutex_);
-  gauges_[detail::index(gauge)] = value;
+  gauges_[detail::index(gauge.metric)] = value;
 }
 
 void MetricsRegistry::merge(LocalMetrics& local) {
@@ -62,38 +62,34 @@ std::string MetricsRegistry::to_json() const {
   };
 
   std::ostringstream os;
+  bool first = true;  // no key yet in the open object
+  const auto key = [&](const MetricRow& row) -> std::ostream& {
+    os << (first ? "\n" : ",\n") << "    \"" << row.name << "\": ";
+    first = false;
+    return os;
+  };
+  const auto close = [&](const char* next) {
+    os << (first ? "" : "\n  ") << next;
+    first = true;
+  };
   os << "{\n  \"schema\": \"fmtree.metrics/v1\",\n  \"counters\": {";
-  bool first = true;
-  for (const MetricRow* row : sorted_rows(MetricKind::Counter)) {
-    os << (first ? "\n" : ",\n") << "    \"" << row->name << "\": " << *cells(*row);
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
-  first = true;
-  for (const MetricRow* row : sorted_rows(MetricKind::Gauge)) {
-    const std::optional<double>& value = gauges_[detail::index(row->metric)];
-    if (!value) continue;
-    os << (first ? "\n" : ",\n") << "    \"" << row->name
-       << "\": " << json_number(*value);
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
-  first = true;
+  for (const MetricRow* row : sorted_rows(MetricKind::Counter)) key(*row) << *cells(*row);
+  close("},\n  \"gauges\": {");
+  for (const MetricRow* row : sorted_rows(MetricKind::Gauge))
+    if (const auto& value = gauges_[detail::index(row->metric)])
+      key(*row) << json_number(*value);
+  close("},\n  \"histograms\": {");
   for (const MetricRow* row : sorted_rows(MetricKind::Histogram)) {
     const std::uint64_t* counts = cells(*row);
-    const std::uint64_t underflow = counts[row->bins];
-    const std::uint64_t overflow = counts[row->bins + 1];
     std::uint64_t total = 0;
     for (std::size_t b = 0; b < row->bins + 2; ++b) total += counts[b];
-    os << (first ? "\n" : ",\n") << "    \"" << row->name
-       << "\": {\"lo\": " << json_number(row->lo) << ", \"hi\": " << json_number(row->hi)
-       << ", \"counts\": [";
+    key(*row) << "{\"lo\": " << json_number(row->lo)
+              << ", \"hi\": " << json_number(row->hi) << ", \"counts\": [";
     for (std::size_t b = 0; b < row->bins; ++b) os << (b ? ", " : "") << counts[b];
-    os << "], \"underflow\": " << underflow << ", \"overflow\": " << overflow
-       << ", \"total\": " << total << "}";
-    first = false;
+    os << "], \"underflow\": " << counts[row->bins]
+       << ", \"overflow\": " << counts[row->bins + 1] << ", \"total\": " << total << "}";
   }
-  os << (first ? "" : "\n  ") << "}\n}\n";
+  close("}\n}\n");
   return os.str();
 }
 

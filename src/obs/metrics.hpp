@@ -134,6 +134,19 @@ constexpr bool one_row_per_metric() {
 static_assert(one_row_per_metric(), "one kMetrics row per Metric, in enum order, "
                                     "unique names, a shape for histograms alone");
 
+/// A metric where one of kind K is expected: the conversion from Metric runs at
+/// compile time, so passing a metric of another kind does not compile.
+template <MetricKind K>
+struct MetricOf {
+  consteval MetricOf(Metric m) : metric(m) {
+    if (kMetrics[static_cast<std::size_t>(m)].kind != K) throw "a metric of another kind";
+  }
+  Metric metric;
+};
+using CounterMetric = MetricOf<MetricKind::Counter>;
+using GaugeMetric = MetricOf<MetricKind::Gauge>;
+using HistogramMetric = MetricOf<MetricKind::Histogram>;
+
 namespace detail {
 
 /// Where each metric's cells start in a LocalMetrics: one per counter,
@@ -163,20 +176,20 @@ constexpr std::size_t index(Metric m) { return static_cast<std::size_t>(m); }
 class LocalMetrics {
 public:
   /// Adds to a counter.
-  void add(Metric counter, std::uint64_t delta = 1) noexcept {
-    cells_[detail::kCellOffsets[detail::index(counter)]] += delta;
+  void add(CounterMetric counter, std::uint64_t delta = 1) noexcept {
+    cells_[detail::kCellOffsets[detail::index(counter.metric)]] += delta;
   }
 
   /// Records one observation of a histogram.
-  void observe(Metric histogram, double x) noexcept {
-    const MetricRow& row = kMetrics[detail::index(histogram)];
+  void observe(HistogramMetric histogram, double x) noexcept {
+    const MetricRow& row = kMetrics[detail::index(histogram.metric)];
     std::size_t cell = row.bins;  // underflow
     if (!(x < row.lo)) {
       const auto bin =
           static_cast<std::size_t>((x - row.lo) / ((row.hi - row.lo) / double(row.bins)));
       cell = bin < row.bins ? bin : row.bins + 1;  // else overflow
     }
-    ++cells_[detail::kCellOffsets[detail::index(histogram)] + cell];
+    ++cells_[detail::kCellOffsets[detail::index(histogram.metric)] + cell];
   }
 
 private:
@@ -194,8 +207,8 @@ public:
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  void add(Metric counter, std::uint64_t delta = 1);
-  void set(Metric gauge, double value);
+  void add(CounterMetric counter, std::uint64_t delta = 1);
+  void set(GaugeMetric gauge, double value);
 
   /// Folds a local accumulator into the registry and resets it.
   void merge(LocalMetrics& local);

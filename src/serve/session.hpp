@@ -66,7 +66,7 @@ struct SessionConfig {
   /// Borrowed cache, e.g. a second Session sharing another's cache();
   /// nullptr = the Session owns one built from cache_dir.
   batch::ResultCache* cache = nullptr;
-  /// Server-owned sinks. serve.* counters are registered here, and
+  /// Server-owned sinks. serve.* counters are recorded here, and
   /// admission-time cache hits and quarantines count as batch.cache.hits and
   /// cache.corrupt_entries like run_sweep's own; run_sweep adds its other
   /// batch.* counters. Progress flows through the Session's own snapshot

@@ -284,10 +284,13 @@ void Pool::complete(std::unique_ptr<Chunk> chunk, obs::LocalMetrics& local) {
 
 void Pool::count(const sim::TrajectoryResult& r, obs::LocalMetrics& local) const {
   using enum obs::Metric;
-  const TrajectoryCounters& c = options_.counters;
-  local.add(c.trajectories);
-  local.add(c.events, r.events);
-  if (!c.outcomes) return;
+  if (options_.sweep_counters) {
+    local.add(BatchTrajectories);
+    local.add(BatchEvents, r.events);
+    return;
+  }
+  local.add(SmcTrajectories);
+  local.add(SmcEvents, r.events);
   local.add(SmcFailures, r.failures);
   local.add(SmcRepairs, r.repairs);
   local.add(SmcInspections, r.inspections);

@@ -72,17 +72,6 @@ struct PoolJob {
   bool finished() const noexcept { return ended || folded == trajectories; }
 };
 
-/// The metrics bumped once per folded trajectory, so their totals do not
-/// depend on the thread count. smc::analyze counts into smc.*, outcomes
-/// included; a sweep counts trajectories and events into batch.*.
-struct TrajectoryCounters {
-  obs::Metric trajectories = obs::Metric::SmcTrajectories;
-  obs::Metric events = obs::Metric::SmcEvents;
-  /// Also count smc.failures, smc.repairs, smc.inspections and
-  /// smc.replacements, and observe smc.events_per_trajectory.
-  bool outcomes = true;
-};
-
 struct PoolOptions {
   /// Worker threads; 0 = hardware concurrency. Never more than there are
   /// chunks.
@@ -101,11 +90,13 @@ struct PoolOptions {
   /// (nullptr = none).
   const char* fault_site = nullptr;
   /// Tracer for the per-chunk job spans, progress reporter (phase
-  /// `progress_phase`, over the total trajectory count) and the metrics
-  /// registry `counters` count into.
+  /// `progress_phase`, over the total trajectory count) and metrics registry.
   obs::Telemetry telemetry;
   const char* progress_phase = "simulate";
-  TrajectoryCounters counters;
+  /// Metrics count each folded trajectory, so their totals do not depend on
+  /// the thread count: as a sweep's (batch.trajectories, batch.events) when
+  /// set, else as smc::analyze's (smc.*, outcomes and the histogram too).
+  bool sweep_counters = false;
 };
 
 struct PoolOutcome {

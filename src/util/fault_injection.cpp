@@ -123,7 +123,8 @@ FaultRegistry::FaultRegistry() {
                                          : all.substr(semi + 1);
     if (one.empty()) continue;
     try {
-      arm(parse_fault_spec(one));
+      const FaultSpec spec = parse_fault_spec(one);
+      (void)exchange(spec.site, Armed{spec});
     } catch (const DomainError& e) {
       // Env arming must never take the process down; report and skip.
       std::fprintf(stderr, "fmtree: FMTREE_FAULTS: %s (entry skipped)\n",
@@ -137,21 +138,14 @@ FaultRegistry& FaultRegistry::instance() {
   return registry;
 }
 
-void FaultRegistry::arm(FaultSpec spec) {
-  if (spec.site.empty()) throw DomainError("fault spec needs a site name");
-  // Copy the key first: the RHS of map[key] = value is sequenced before the
-  // subscript, so keying on spec.site while moving spec would key on "".
-  const std::string site = spec.site;
+std::optional<FaultRegistry::Armed> FaultRegistry::exchange(const std::string& site,
+                                                          std::optional<Armed> armed) {
   std::lock_guard lock(mutex_);
-  sites_[site] = Armed{std::move(spec), 0, 0};
+  std::optional<Armed> previous;
+  if (auto node = sites_.extract(site)) previous = std::move(node.mapped());
+  if (armed) sites_.emplace(site, *std::move(armed));
   armed_count_.store(sites_.size(), std::memory_order_relaxed);
-}
-
-bool FaultRegistry::disarm(std::string_view site) {
-  std::lock_guard lock(mutex_);
-  const bool erased = sites_.erase(std::string(site)) != 0;
-  armed_count_.store(sites_.size(), std::memory_order_relaxed);
-  return erased;
+  return previous;
 }
 
 std::optional<FaultHit> FaultRegistry::check(std::string_view site) {
@@ -194,16 +188,19 @@ bool fault_point_slow(std::string_view site) {
 }  // namespace detail
 
 Scope::Scope(const std::vector<std::string>& specs) {
-  sites_.reserve(specs.size());
+  for (const std::string& text : specs) (void)parse_fault_spec(text);  // all or none
+  FaultRegistry& registry = FaultRegistry::instance();
   for (const std::string& text : specs) {
-    FaultSpec spec = parse_fault_spec(text);
-    sites_.push_back(spec.site);
-    FaultRegistry::instance().arm(std::move(spec));
+    const FaultSpec spec = parse_fault_spec(text);
+    displaced_.emplace_back(spec.site,
+                            registry.exchange(spec.site, FaultRegistry::Armed{spec}));
   }
 }
 
 Scope::~Scope() {
-  for (const std::string& site : sites_) FaultRegistry::instance().disarm(site);
+  // Newest first, so a site this scope armed twice gets its oldest spec back.
+  for (auto it = displaced_.rbegin(); it != displaced_.rend(); ++it)
+    (void)FaultRegistry::instance().exchange(it->first, std::move(it->second));
 }
 
 }  // namespace fmtree::fault

@@ -4,9 +4,8 @@
 //
 // A *site* is a stable string ("cache.write", "sweep.task", ...) named at the
 // code location where a fault can manifest. Sites are inert until *armed*
-// with a FaultSpec, either programmatically (tests, fault::Scope) or from the
-// FMTREE_FAULTS environment variable / the CLI's --inject-fault flag. The
-// armed spec decides
+// with a FaultSpec, either by a fault::Scope (tests, the CLI's --inject-fault
+// flag) or from the FMTREE_FAULTS environment variable. The armed spec decides
 //
 //   * the *mode* — what happens when the fault fires:
 //       error          throw InjectedFault at the site
@@ -48,6 +47,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -115,11 +115,6 @@ public:
   /// reported on stderr and skipped).
   static FaultRegistry& instance();
 
-  /// Arms (or replaces) the spec for spec.site.
-  void arm(FaultSpec spec);
-  /// Disarms one site; returns false if it was not armed.
-  bool disarm(std::string_view site);
-
   bool any_armed() const noexcept {
     return armed_count_.load(std::memory_order_relaxed) != 0;
   }
@@ -136,6 +131,8 @@ public:
   }
 
 private:
+  friend class Scope;
+
   FaultRegistry();
 
   struct Armed {
@@ -143,6 +140,10 @@ private:
     std::uint64_t hits = 0;
     std::uint64_t fired = 0;
   };
+
+  /// Puts `armed` on `site` (nullopt: disarms it) and returns what the site
+  /// held before.
+  std::optional<Armed> exchange(const std::string& site, std::optional<Armed> armed);
 
   std::mutex mutex_;
   std::unordered_map<std::string, Armed> sites_;
@@ -165,9 +166,9 @@ inline bool fault_point(std::string_view site) {
 }
 
 /// RAII arming for tests and the CLI: arms the given "site:spec" strings on
-/// construction (throws DomainError on malformed input) and disarms exactly
-/// those sites on destruction, leaving other armings (e.g. FMTREE_FAULTS)
-/// in place.
+/// construction (throws DomainError on malformed input) and on destruction
+/// puts back what those sites held before, counts included: a spec armed
+/// from FMTREE_FAULTS resumes where it was, and other sites are untouched.
 class Scope {
 public:
   Scope() = default;
@@ -177,7 +178,8 @@ public:
   ~Scope();
 
 private:
-  std::vector<std::string> sites_;
+  /// Each armed site and what it displaced, in arming order.
+  std::vector<std::pair<std::string, std::optional<FaultRegistry::Armed>>> displaced_;
 };
 
 }  // namespace fmtree::fault

@@ -1,7 +1,8 @@
 // Chaos suite: sweeps under injected faults. Every test here carries the
-// "Chaos" prefix so CI's chaos job can select exactly this suite
-// (ctest -R Chaos) — these tests also arm faults themselves, so they run
-// identically with and without FMTREE_FAULTS in the environment.
+// "Chaos" prefix so the ctest entry chaos_ambient_batch (`ctest -L chaos`)
+// can run exactly this suite again with a sweep.task fault armed from
+// FMTREE_FAULTS. The tests arm the faults they count themselves, which
+// shadows the ambient spec while it lasts, so they pass with and without it.
 //
 // The invariant under test is the robustness contract of DESIGN.md
 // ("Failure semantics"): injected faults may cost retries, recomputation or
@@ -68,7 +69,7 @@ std::string fresh_dir(const std::string& name) {
 TEST(ChaosSweep, InjectedTaskFaultHealsBitIdentically) {
   const SweepOutcome baseline = run_sweep(small_plan());
   // The first claimed task throws; the job becomes a failure record, then
-  // heals through the retry path (plain analyze, which never hits
+  // heals through the retry path (a one-job pool run, which never hits
   // sweep.task). The healed report must carry no trace of the fault.
   const fault::Scope faults({"sweep.task:error,nth=1,limit=1"});
   const SweepOutcome chaos = run_sweep(small_plan());
@@ -118,6 +119,29 @@ TEST(ChaosSweep, WatchdogConvertsAStallIntoAStalledStop) {
   for (const Diagnostic& d : outcome.warnings)
     if (d.code == "B102") saw_b102 = true;
   EXPECT_TRUE(saw_b102);
+}
+
+TEST(ChaosSweep, ARetryCutByTheBudgetStopsTheSweepWithItsReason) {
+  // The first pass fails the one job's first chunk; its retry counts against
+  // the plan's trajectory budget and stops there, as a first pass would.
+  smc::RunControl control;
+  control.set_trajectory_budget(500);
+  SweepPlan plan = small_plan(/*threads=*/1);
+  plan.jobs.resize(1);
+  plan.jobs[0].settings.trajectories = 1000;
+  plan.control = &control;
+  plan.retry_backoff_ms = 0.0;
+  const fault::Scope faults({"sweep.task:error,nth=1,limit=1"});
+  const SweepOutcome outcome = run_sweep(plan);
+  EXPECT_EQ(outcome.retries, 1u);
+  EXPECT_TRUE(outcome.truncated);
+  EXPECT_EQ(outcome.stop_reason, smc::StopReason::BudgetExhausted);
+  const JobResult& job = outcome.results[0];
+  EXPECT_FALSE(job.completed);
+  EXPECT_FALSE(job.failed);
+  EXPECT_TRUE(job.report.truncated);
+  EXPECT_GE(job.report.trajectories, 500u);
+  EXPECT_LT(job.report.trajectories, 1000u);
 }
 
 TEST(ChaosCache, CorruptedWritesAreQuarantinedOnReadAndRecomputed) {

@@ -5,6 +5,8 @@
 
 #include "cli/cli.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
+#include "util/text_file.hpp"
 
 namespace fmtree::cli {
 namespace {
@@ -118,6 +120,40 @@ TEST(CliSweep, TimeoutTruncatesWithExitOne) {
   EXPECT_EQ(code, kExitTruncated);
   EXPECT_NE(out.str().find("NOTE: sweep truncated"), std::string::npos);
   EXPECT_NE(out.str().find("(interrupted)"), std::string::npos);
+}
+
+// A healed job's trajectories count under batch.*, as a first attempt's do:
+// the EI-joint cost curve with its first chunk failed names each fact once.
+// Pins exact counts, so it is no Chaos case: those also run under ambient
+// faults.
+TEST(CliSweep, AHealedJobCountsUnderBatchAlone) {
+  const std::string model = std::string(FMTREE_SOURCE_DIR) + "/models/ei_joint.fmt";
+  const std::string metrics = testing::TempDir() + "fmtree_cli_sweep_heal_metrics.json";
+  const std::vector<std::string> args = {"sweep", model, "--horizon", "20", "--runs",
+                                         "2000", "--seed", "1", "--frequencies", "0,2,6"};
+  std::ostringstream clean, healed, err;
+  ASSERT_EQ(main_impl(args, clean, err), kExitOk) << err.str();
+  std::vector<std::string> chaos = args;
+  chaos.insert(chaos.end(),
+               {"--inject-fault", "sweep.task:error,nth=1", "--metrics", metrics});
+  ASSERT_EQ(main_impl(chaos, healed, err), kExitOk) << err.str();
+  // The healing note is the one line the fault adds.
+  const std::string note = "self-healing: 1 retry recovered transient failures\n";
+  std::string text = healed.str();
+  const std::size_t at = text.find(note);
+  ASSERT_NE(at, std::string::npos) << text;
+  EXPECT_EQ(text.erase(at, note.size()), clean.str());
+
+  const json::Value doc = json::parse(read_text_file(metrics));
+  const json::Value& counters = *doc.find("counters");
+  EXPECT_EQ(counters.find("sweep.retries")->as_u64(), 1u);
+  EXPECT_EQ(counters.find("batch.trajectories")->as_u64(), 6000u);
+  EXPECT_EQ(counters.find("batch.events")->as_u64(), 632926u);
+  for (const auto& [name, value] : counters.members) {
+    if (name.starts_with("smc.")) {
+      EXPECT_EQ(value.as_u64(), 0u) << name;
+    }
+  }
 }
 
 }  // namespace

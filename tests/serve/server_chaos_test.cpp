@@ -1,6 +1,7 @@
-// Socket daemon tests, including the Chaos-prefixed fault-site suites (CI
-// selects chaos coverage with `ctest -R Chaos`; these arm their own faults,
-// so they run identically with and without FMTREE_FAULTS set).
+// Socket daemon tests, including the Chaos-prefixed fault-site suites (the
+// ctest entry chaos_ambient_serve, `ctest -L chaos`, runs them again with a
+// sweep.task fault armed from FMTREE_FAULTS; they arm their own faults, so
+// they pass with and without it).
 //
 // The invariants: a served response carries the same report bits as an
 // in-process run; a dropped connection (serve.accept) or a dropped event

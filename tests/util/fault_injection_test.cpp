@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <set>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -87,13 +88,10 @@ TEST(FaultRegistry, LimitCapsTotalFires) {
 
 TEST(FaultRegistry, ProbabilityCoinIsDeterministicPerSeed) {
   const auto run = [](std::uint64_t seed) {
-    FaultSpec spec = parse_fault_spec("test.coin:corrupt,p=0.5");
-    spec.seed = seed;
-    FaultRegistry::instance().arm(spec);
+    const Scope scope({"test.coin:corrupt,p=0.5,seed=" + std::to_string(seed)});
     std::set<int> fired;
     for (int i = 0; i < 64; ++i)
       if (fault_point("test.coin")) fired.insert(i);
-    FaultRegistry::instance().disarm("test.coin");
     return fired;
   };
   // Hit indices are per-arming, so two armings with the same seed replay the
@@ -126,7 +124,25 @@ TEST(FaultScope, DisarmsItsSitesOnExit) {
   }
   EXPECT_FALSE(fault_point("test.scoped"));
   // Malformed specs throw before arming anything.
-  EXPECT_THROW(Scope({"broken spec"}), DomainError);
+  EXPECT_THROW(Scope({"test.scoped:error", "broken spec"}), DomainError);
+  EXPECT_FALSE(fault_point("test.scoped"));
+}
+
+TEST(FaultScope, PutsBackTheSpecItDisplaced) {
+  {
+    // The outer spec stands for one armed from FMTREE_FAULTS. It resumes with
+    // its hit count where it was: its second hit is the first after the
+    // inner scope.
+    const Scope outer({"test.shadowed:corrupt,nth=2"});
+    EXPECT_FALSE(fault_point("test.shadowed"));
+    {
+      const Scope inner({"test.shadowed:error", "test.shadowed:stall=0"});
+      EXPECT_FALSE(fault_point("test.shadowed"));  // the newest spec rules
+    }
+    EXPECT_TRUE(fault_point("test.shadowed"));
+    EXPECT_FALSE(fault_point("test.shadowed"));
+  }
+  EXPECT_FALSE(fault_point("test.shadowed"));
 }
 
 TEST(FaultScope, FiresFeedTheInjectedMetricCounter) {
