@@ -4,22 +4,23 @@
 // expected number of failures (with per-mode attribution), availability and
 // cost — plus the classic static-analysis view (importance measures).
 //
-// Runs through the fmtree::Analysis facade with metrics enabled, so the end
-// of the run can also show what the engine did (trajectory and event
-// counts) — the counters `fmtree analyze --metrics` exports as JSON.
+// Runs smc::analyze with a metrics registry attached, so the end of the run
+// can also show what the engine did (trajectory and event counts) — the
+// counters `fmtree analyze --metrics` exports as JSON.
 #include <iostream>
 
 #include "eijoint/model.hpp"
 #include "eijoint/scenarios.hpp"
-#include "fmtree/analysis.hpp"
 #include "ft/importance.hpp"
+#include "obs/metrics.hpp"
+#include "smc/kpi.hpp"
 #include "util/table.hpp"
 
 using namespace fmtree;
 
 int main() {
   const auto params = eijoint::EiJointParameters::defaults();
-  fmt::FaultMaintenanceTree model =
+  const fmt::FaultMaintenanceTree model =
       eijoint::build_ei_joint(params, eijoint::current_policy());
 
   std::cout << "EI-joint FMT: " << model.num_ebes() << " failure modes, "
@@ -28,10 +29,14 @@ int main() {
             << "Policy: quarterly inspections + corrective renewal\n\n";
 
   // ---- Full FMT analysis (statistical model checking) ----------------------
-  Analysis study(std::move(model));
-  study.horizon(20.0).trajectories(20000).seed(1).enable_metrics();
-  const smc::KpiReport k = study.kpis();
-  const double horizon = study.settings().horizon;
+  obs::MetricsRegistry metrics;
+  smc::AnalysisSettings settings;
+  settings.horizon = 20.0;
+  settings.trajectories = 20000;
+  settings.seed = 1;
+  settings.telemetry.metrics = &metrics;
+  const smc::KpiReport k = smc::analyze(model, settings);
+  const double horizon = settings.horizon;
 
   std::cout << "KPIs over a 20-year horizon (" << k.trajectories << " runs):\n";
   TextTable kpis({"KPI", "estimate", "95% CI"});
@@ -61,20 +66,20 @@ int main() {
   std::cout << "\nFailure attribution (per joint-year):\n";
   TextTable attr({"mode", "failures/yr", "repairs/yr"});
   attr.set_alignment({Align::Left, Align::Right, Align::Right});
-  for (std::size_t i = 0; i < study.model().num_ebes(); ++i) {
-    attr.add_row({study.model().ebes()[i].name,
+  for (std::size_t i = 0; i < model.num_ebes(); ++i) {
+    attr.add_row({model.ebes()[i].name,
                   cell(k.failures_per_leaf[i] / horizon, 4),
                   cell(k.repairs_per_leaf[i] / horizon, 3)});
   }
   attr.print(std::cout);
 
-  // ---- What the engine did (telemetry of the session) ----------------------
+  // ---- What the engine did (telemetry of the run) --------------------------
   std::cout << "\nEngine telemetry (enabled sinks never change a result bit):\n";
   TextTable tel({"metric", "value"});
   tel.set_alignment({Align::Left, Align::Right});
   for (const char* name : {"smc.trajectories", "smc.events", "smc.failures",
                            "smc.inspections", "smc.repairs"}) {
-    tel.add_row({name, std::to_string(study.metrics().counter_value(name))});
+    tel.add_row({name, std::to_string(metrics.counter_value(name))});
   }
   tel.print(std::cout);
 
@@ -83,7 +88,7 @@ int main() {
   TextTable imp({"mode", "P(fail by 10y)", "Birnbaum", "Fussell-Vesely"});
   imp.set_alignment({Align::Left, Align::Right, Align::Right, Align::Right});
   for (const ft::Importance& i :
-       ft::importance_measures(study.model().structure(), 10.0)) {
+       ft::importance_measures(model.structure(), 10.0)) {
     imp.add_row({i.name, cell(i.probability, 3), cell(i.birnbaum, 3),
                  cell(i.fussell_vesely, 3)});
   }

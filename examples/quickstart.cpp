@@ -1,15 +1,15 @@
-// Quickstart: build a small fault maintenance tree, analyse its KPIs through
-// the fmtree::Analysis facade, and compare maintenance strategies.
+// Quickstart: build a small fault maintenance tree, analyse its KPIs with
+// smc::analyze, and compare maintenance strategies in one sweep.
 //
 // The system is a two-component pump skid: the pump wears through 4
 // degradation phases (visible from phase 3, repairable by overhaul), the
 // controller fails abruptly (undetectable). The system fails when either
 // fails.
 #include <iostream>
-#include <utility>
-#include <vector>
+#include <string>
 
-#include "fmtree/analysis.hpp"
+#include "batch/sweep.hpp"
+#include "smc/kpi.hpp"
 #include "util/table.hpp"
 
 using namespace fmtree;
@@ -45,39 +45,39 @@ fmt::FaultMaintenanceTree build_pump_skid(double inspections_per_year) {
 }  // namespace
 
 int main() {
-  // This first block is the README's opening sample: one session object, the
-  // settings chained onto it, every KPI from a single call.
-  Analysis study(build_pump_skid(/*inspections_per_year=*/4.0));
-  study.horizon(10.0).trajectories(20000).seed(42);
-  const smc::KpiReport k = study.kpis();
+  // This first block is the README's opening sample: the settings of a run,
+  // then every KPI from a single call.
+  smc::AnalysisSettings settings;
+  settings.horizon = 10.0;
+  settings.trajectories = 20000;
+  settings.seed = 42;
+  const smc::KpiReport k =
+      smc::analyze(build_pump_skid(/*inspections_per_year=*/4.0), settings);
   std::cout << "With quarterly inspections: R(10y) = " << k.reliability.point
             << ", cost/yr = " << k.cost_per_year.point << "\n\n";
 
-  // Comparing strategies = one session per candidate model, same settings.
-  // submit() enqueues each candidate on the session's analysis service and
-  // returns immediately, so the four studies run concurrently; wait() then
-  // collects each report, bit-identical to what blocking kpis() would return.
-  std::vector<std::pair<double, PendingKpis>> pending;
-  std::vector<Analysis> sessions;  // keep each service alive until wait()
+  // Comparing strategies = one job per candidate model, same settings. The
+  // four jobs form one sweep plan and share one trajectory pool; each job's
+  // report is bit-identical to what smc::analyze returns for its model.
+  batch::SweepPlan plan;
   for (double freq : {0.0, 1.0, 2.0, 4.0}) {
-    Analysis candidate(build_pump_skid(freq));
-    candidate.horizon(10.0).trajectories(20000).seed(42);
-    pending.emplace_back(freq, candidate.submit());
-    sessions.push_back(std::move(candidate));
+    batch::SweepJob& job = plan.jobs.emplace_back();
+    job.label = freq == 0 ? "no inspections"
+                          : std::to_string(static_cast<int>(freq)) + "x/year";
+    job.model = build_pump_skid(freq);
+    job.settings = settings;
   }
+  const batch::SweepOutcome outcome = batch::run_sweep(plan);
 
   TextTable table({"strategy", "reliability(10y)", "E[failures]/y", "availability",
                    "cost/yr"});
   table.set_alignment({Align::Left, Align::Right, Align::Right, Align::Right,
                        Align::Right});
-  for (auto& [freq, handle] : pending) {
-    const smc::KpiReport kpis = handle.wait();
-    table.add_row({freq == 0 ? "no inspections"
-                             : std::to_string(static_cast<int>(freq)) + "x/year",
-                   cell(kpis.reliability.point, 4),
-                   cell(kpis.failures_per_year.point, 4),
-                   cell(kpis.availability.point, 5),
-                   cell(kpis.cost_per_year.point, 0)});
+  for (const batch::JobResult& r : outcome.results) {
+    table.add_row({r.label, cell(r.report.reliability.point, 4),
+                   cell(r.report.failures_per_year.point, 4),
+                   cell(r.report.availability.point, 5),
+                   cell(r.report.cost_per_year.point, 0)});
   }
   std::cout << "Pump-skid FMT, 10-year horizon, " << 20000 << " runs:\n\n";
   table.print(std::cout);

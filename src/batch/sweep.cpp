@@ -6,9 +6,11 @@
 #include <cmath>
 #include <deque>
 #include <exception>
+#include <map>
 #include <optional>
 #include <system_error>
 #include <thread>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
@@ -144,19 +146,24 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
 
   // Phase 1: resolve every job against the cache on the resolver's workers.
   // Then, serially and in plan order, count each job and set up each miss as
-  // a pool job: its simulation, and the KPI fold smc::analyze would use.
+  // a pool job: its simulation, and the KPI fold smc::analyze would use. A
+  // miss whose key an earlier miss holds runs no pool job: first[j] names
+  // the job whose outcome job j takes (j itself unless it has such a twin).
   std::vector<Resolution> resolved = resolve_jobs(plan.jobs, cache, plan.threads);
   std::vector<Diagnostic> quarantines;  // the jobs' C101s, in plan order
   std::deque<smc::Simulation> simulations;
   std::deque<smc::KpiFold> folds;
   std::vector<smc::PoolJob> jobs;
   std::vector<std::uint32_t> pooled;  // plan index of each pool job
+  std::vector<std::uint32_t> first(plan.jobs.size());
+  std::map<std::pair<Fingerprint, Fingerprint>, std::uint32_t> first_miss;
   for (std::uint32_t j = 0; j < plan.jobs.size(); ++j) {
     const SweepJob& job = plan.jobs[j];
     JobResult& result = outcome.results[j];
     Resolution& resolution = resolved[j];
     result.label = job.label;
     result.key = resolution.key;
+    first[j] = j;
     count(obs::Metric::BatchJobs);
     if (resolution.quarantined)
       quarantines.push_back(*std::move(resolution.quarantined));
@@ -170,6 +177,9 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
     }
     ++outcome.cache_misses;
     count(obs::Metric::BatchCacheMisses);
+    first[j] = first_miss.try_emplace({result.key.model, result.key.request}, j)
+                   .first->second;
+    if (first[j] != j) continue;
     try {
       jobs.push_back(attempt(job, simulations, folds));
       jobs.back().cancel = job.cancel;
@@ -182,7 +192,8 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
     }
   }
 
-  // Phase 2: every miss runs as one job of a single pool run.
+  // Phase 2: every miss without an earlier twin runs as one job of a single
+  // pool run.
   smc::PoolOptions options;
   options.threads = plan.threads;
   options.control = plan.control;
@@ -232,8 +243,6 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
       }
       if (!result.failure.transient || result.retries >= plan.max_retries) {
         result.failed = true;
-        ++outcome.jobs_failed;
-        count(obs::Metric::SweepJobFailures);
         return;
       }
       if (stopped()) return;  // stopping: leave the job incomplete
@@ -272,11 +281,17 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
   };
 
   // Phase 3: settle every miss in plan order — report and cache a finished
-  // job, heal a failed one.
+  // job, heal a failed one, hand a twin its first job's outcome.
   std::size_t next = 0;  // into jobs, folds and pooled
   for (std::uint32_t j = 0; j < plan.jobs.size(); ++j) {
     JobResult& result = outcome.results[j];
     if (result.cache_hit) continue;
+    if (first[j] != j) {  // its twin, earlier in plan order, is settled
+      JobResult twin = outcome.results[first[j]];
+      twin.label = std::move(result.label);
+      result = std::move(twin);
+      continue;
+    }
     if (next == pooled.size() || pooled[next] != j) {  // set-up failed
       heal_job(plan.jobs[j], result);
       continue;
@@ -309,15 +324,18 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
   }
 
   std::uint64_t jobs_simulated = 0;
-  for (const JobResult& result : outcome.results) {
+  for (std::uint32_t j = 0; j < plan.jobs.size(); ++j) {
+    const JobResult& result = outcome.results[j];
     if (result.cancelled) ++outcome.jobs_cancelled;
-    if (result.completed && !result.cache_hit) ++jobs_simulated;
+    if (result.failed) ++outcome.jobs_failed;
+    if (result.completed && !result.cache_hit && first[j] == j) ++jobs_simulated;
     if (!result.completed && !result.failed && !result.cancelled) {
       outcome.truncated = true;
       outcome.stop_reason = stop;
     }
   }
   count(obs::Metric::BatchJobsSimulated, jobs_simulated);
+  count(obs::Metric::SweepJobFailures, outcome.jobs_failed);
 
   // Robustness bookkeeping: cache-integrity warnings + watchdog diagnostics
   // surface on the outcome; the deltas feed the metrics registry.

@@ -5,7 +5,9 @@
 // consults an optional ResultCache, so previously computed jobs cost one
 // model hash instead of a simulation, and runs every miss as one job of a
 // single smc::run_pool call: workers claim fixed-size trajectory chunks of
-// all jobs in plan order, so small jobs do not idle most threads.
+// all jobs in plan order, so small jobs do not idle most threads. Misses
+// that share a cache key run once: a later one takes the first one's
+// outcome under its own label.
 //
 // Cache resolution (resolve_jobs) is parallel too: a warm 1000-joint
 // corridor is 1000 model hashes and ~1000 disk reads before any trajectory
@@ -139,7 +141,9 @@ struct JobResult {
 struct SweepOutcome {
   std::vector<JobResult> results;  ///< in SweepPlan::jobs order
   std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;  ///< jobs actually simulated
+  /// Jobs the cache did not answer, those that shared a key with an earlier
+  /// miss included.
+  std::uint64_t cache_misses = 0;
   std::uint64_t trajectories_simulated = 0;
   /// True when the plan stopped (control or watchdog) before every job
   /// finished. Permanently *failed* jobs do not set this — they are
@@ -187,10 +191,13 @@ std::vector<Resolution> resolve_jobs(std::span<const SweepJob> jobs, ResultCache
                                      unsigned threads);
 
 /// Executes the plan: resolve_jobs at width plan.threads, then one pool run
-/// of the misses. `cache` may be null (no caching); `telemetry` may be
-/// empty. Emits batch.* counters (jobs, jobs_simulated — jobs that produced
-/// a fresh report rather than a cache hit — tasks, i.e. pool chunks, events
-/// and trajectories folded, cache hits/misses), the robustness counters
+/// of the misses, each key once: a miss whose key an earlier miss of the
+/// plan holds takes that job's outcome (report, completed, failed, failure,
+/// retries, cancelled) under its own label. `cache` may be null (no
+/// caching); `telemetry` may be empty. Emits batch.* counters (jobs and
+/// cache hits/misses, per job; jobs_simulated — jobs that produced a fresh
+/// report, each key once; tasks, i.e. pool chunks that folded a trajectory;
+/// events and trajectories folded), the robustness counters
 /// (sweep.retries, sweep.job_failures, cache.corrupt_entries,
 /// fault.injected), a "job:<label>" tracer span per chunk plus
 /// "retry:<label>" spans, and "sweep"-phase progress over the total

@@ -295,50 +295,32 @@ serve::Request describe(const Invocation& in) {
   return request;
 }
 
-/// The service configuration of one invocation (`serve`, and the
-/// in-process runs of `sweep` and `fleet`).
-serve::SessionConfig session_config(const Invocation& in) {
-  serve::SessionConfig config;
-  config.threads = in.opt.threads;
-  config.queue_limit = in.opt.queue_limit;
-  config.cache_dir = in.opt.cache_dir;
-  config.model_root = in.opt.model_root;
-  config.max_retries = in.opt.max_retries;
-  config.stall_timeout_s = in.opt.stall_timeout;
-  config.telemetry = in.telemetry;
-  return config;
-}
-
 /// Runs the request on the daemon at --connect, forwarding its progress,
-/// or in-process: the daemon's service entry points, minus the socket. The
-/// Session (not run_sweep) because its dedup inside one request runs
-/// identical jobs once. SIGINT and --timeout reach the jobs through the
-/// wait loop, whose drain stops them at a trajectory boundary.
+/// or in-process: prepare()'s jobs through run_sweep, with the plan and the
+/// cache built from the flags. Both paths decide every result bit in
+/// prepare() and run_sweep; a stop carries the stop handle's own reason.
 serve::Response respond(const Invocation& in, const serve::Request& request) {
-  if (!in.opt.connect.empty()) {
+  const Options& opt = in.opt;
+  if (!opt.connect.empty()) {
     serve::ClientEvents events;
     if (obs::ProgressReporter* progress = in.telemetry.progress)
       events.progress = [progress](const obs::Progress& p) { progress->update(p); };
-    return serve::request_over_socket(in.opt.connect, request, events);
+    return serve::request_over_socket(opt.connect, request, events);
   }
-  serve::PreparedRequest prepared = serve::prepare(request, in.opt.model_root);
-  serve::SessionConfig config = session_config(in);
-  config.queue_limit = std::max(config.queue_limit, prepared.jobs.size());
-  serve::Session session(std::move(config));
-  serve::Ticket ticket = session.submit_jobs(std::move(prepared.jobs));
-  while (!ticket.wait_for(0.05)) {
-    if (in.control.should_stop(0) != smc::StopReason::None) {
-      session.drain();
-      break;
-    }
-  }
-  serve::Response response = ticket.take();
-  // The drain path reports Interrupted; the control knows the precise reason
-  // (deadline vs signal), so prefer it.
-  const smc::StopReason local_reason = in.control.should_stop(0);
-  if (response.stop_reason != smc::StopReason::None &&
-      local_reason != smc::StopReason::None)
-    response.stop_reason = local_reason;
+  batch::SweepPlan plan;
+  plan.jobs = serve::prepare(request, opt.model_root).jobs;
+  plan.threads = opt.threads;
+  plan.control = &in.control;
+  plan.max_retries = opt.max_retries;
+  plan.stall_timeout_s = opt.stall_timeout;
+  std::optional<batch::ResultCache> cache;
+  if (!opt.cache_dir.empty()) cache.emplace(opt.cache_dir);
+  batch::SweepOutcome outcome =
+      batch::run_sweep(plan, cache ? &*cache : nullptr, in.telemetry);
+  serve::Response response;
+  response.jobs = std::move(outcome.results);
+  response.warnings = std::move(outcome.warnings);
+  response.stop_reason = outcome.stop_reason;
   return response;
 }
 
@@ -565,9 +547,9 @@ int cmd_fleet(const Invocation& in) {
         std::make_shared<const lang::CompiledPolicy>(*std::move(compiled));
   }
   const serve::Response response = respond(in, request);
-  return render_fleet(
-      in, corridor,
-      fleet::fleet_outcome(corridor, response.jobs, response.warnings, options));
+  return render_fleet(in, corridor,
+                      fleet::fleet_outcome(corridor, response.jobs, response.warnings,
+                                           options, in.telemetry.metrics));
 }
 
 /// `fmtree lint-policy <script>...`: compile every script with the
@@ -618,7 +600,15 @@ int cmd_lint_policy(const Invocation& in) {
 
 int cmd_serve(const Invocation& in) {
   const Options& opt = in.opt;
-  serve::Session session(session_config(in));
+  serve::SessionConfig config;
+  config.threads = opt.threads;
+  config.queue_limit = opt.queue_limit;
+  config.cache_dir = opt.cache_dir;
+  config.model_root = opt.model_root;
+  config.max_retries = opt.max_retries;
+  config.stall_timeout_s = opt.stall_timeout;
+  config.telemetry = in.telemetry;
+  serve::Session session(std::move(config));
   // SIGINT/SIGTERM (wired in main()) and --timeout stop the accept loop;
   // Server::run then drains the session and joins every connection.
   serve::ServerConfig server_config;

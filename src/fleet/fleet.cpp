@@ -84,8 +84,8 @@ FleetKpis aggregate_fleet(const Corridor& corridor,
 
 FleetOutcome fleet_outcome(const Corridor& corridor,
                            std::span<const batch::JobResult> results,
-                           std::vector<Diagnostic> warnings,
-                           const FleetOptions& options) {
+                           std::vector<Diagnostic> warnings, const FleetOptions& options,
+                           obs::MetricsRegistry* metrics) {
   FleetOutcome fleet;
   fleet.warnings = std::move(warnings);
   fleet.joints.reserve(corridor.joints.size());
@@ -114,6 +114,10 @@ FleetOutcome fleet_outcome(const Corridor& corridor,
     fleet.joints.push_back(std::move(summary));
   }
   fleet.kpis = aggregate_fleet(corridor, fleet.joints, options);
+  if (metrics != nullptr) {
+    metrics->add(obs::Metric::FleetJoints, corridor.joints.size());
+    metrics->add(obs::Metric::FleetJobsFailed, fleet.jobs_failed);
+  }
   return fleet;
 }
 
@@ -122,13 +126,8 @@ FleetOutcome analyze_fleet(const Corridor& corridor, const FleetOptions& options
                            const obs::Telemetry& telemetry) {
   batch::SweepOutcome outcome =
       batch::run_sweep(fleet_plan(corridor, options), cache, telemetry);
-  FleetOutcome fleet =
-      fleet_outcome(corridor, outcome.results, std::move(outcome.warnings), options);
-  if (obs::MetricsRegistry* metrics = telemetry.metrics) {
-    metrics->add(obs::Metric::FleetJoints, corridor.joints.size());
-    metrics->add(obs::Metric::FleetJobsFailed, fleet.jobs_failed);
-  }
-  return fleet;
+  return fleet_outcome(corridor, outcome.results, std::move(outcome.warnings), options,
+                       telemetry.metrics);
 }
 
 }  // namespace fmtree::fleet

@@ -111,18 +111,20 @@ FleetKpis aggregate_fleet(const Corridor& corridor,
                           const FleetOptions& options);
 
 /// The inverse of fleet_plan: folds the per-joint results of a run (corridor
-/// order, whichever executor produced them) and the run's warnings into a
-/// FleetOutcome. Counts follow run_sweep: a miss is any job the cache did
-/// not answer. Failed shards become warnings (code F101) and are excluded
-/// from the aggregates; an interrupted shard marks the outcome truncated.
+/// order, whichever executor produced them: run_sweep in analyze_fleet and
+/// in-process `fmtree fleet`, the daemon under `fmtree fleet --connect`) and
+/// the run's warnings into a FleetOutcome. Counts follow run_sweep: a miss
+/// is any job the cache did not answer. Failed shards become warnings (code
+/// F101) and are excluded from the aggregates; an interrupted shard marks
+/// the outcome truncated. Adds the corridor's fleet.joints and
+/// fleet.jobs_failed to `metrics` when it is non-null.
 FleetOutcome fleet_outcome(const Corridor& corridor,
                            std::span<const batch::JobResult> results,
-                           std::vector<Diagnostic> warnings,
-                           const FleetOptions& options);
+                           std::vector<Diagnostic> warnings, const FleetOptions& options,
+                           obs::MetricsRegistry* metrics = nullptr);
 
-/// Runs the corridor through the shared pool and folds it with
-/// fleet_outcome. Emits the fleet.joints and fleet.jobs_failed counters on
-/// the telemetry metrics sink.
+/// Runs the corridor through the shared pool (run_sweep) and folds it with
+/// fleet_outcome, which counts on the telemetry metrics sink.
 FleetOutcome analyze_fleet(const Corridor& corridor, const FleetOptions& options,
                            batch::ResultCache* cache = nullptr,
                            const obs::Telemetry& telemetry = {});

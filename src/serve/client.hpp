@@ -1,8 +1,8 @@
 // The socket client of the serve daemon: connects, sends one
 // "fmtree.request/v1" document, streams the "fmtree.response/v1" events back
 // and returns the decoded Response. `fmtree sweep --connect` is a thin
-// wrapper around this — the same Response type comes back whether the
-// analysis ran in-process (serve::Session) or across the socket, and the
+// wrapper around this — the CLI renders the same Response type whether it
+// ran the analysis in-process (run_sweep) or across the socket, and the
 // decoded reports are bit-identical to the server's computation
 // (serve/protocol.hpp explains why).
 //

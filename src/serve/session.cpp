@@ -63,20 +63,6 @@ Ticket::Ticket(Ticket&& other) noexcept
   other.detached_ = true;
 }
 
-Ticket& Ticket::operator=(Ticket&& other) noexcept {
-  if (this != &other) {
-    cancel();
-    session_ = other.session_;
-    id_ = std::move(other.id_);
-    entries_ = std::move(other.entries_);
-    warnings_ = std::move(other.warnings_);
-    detached_ = other.detached_;
-    other.session_ = nullptr;
-    other.detached_ = true;
-  }
-  return *this;
-}
-
 Ticket::~Ticket() { cancel(); }
 
 void Ticket::wait() {
@@ -255,7 +241,10 @@ Ticket Session::submit_jobs(std::vector<batch::SweepJob> jobs, int priority,
       entry->result.cache_hit = true;
       entry->result.report = *std::move(resolved[i].hit);
       ticket.entries_.push_back(std::move(entry));
-      if (metrics != nullptr) metrics->add(obs::Metric::BatchCacheHits);
+      if (metrics != nullptr) {
+        metrics->add(obs::Metric::BatchJobs);
+        metrics->add(obs::Metric::BatchCacheHits);
+      }
       continue;
     }
     if (kinds[i] == Kind::Attach) {

@@ -66,10 +66,10 @@ struct SessionConfig {
   /// Borrowed cache, e.g. a second Session sharing another's cache();
   /// nullptr = the Session owns one built from cache_dir.
   batch::ResultCache* cache = nullptr;
-  /// Server-owned sinks. serve.* counters are recorded here, and
-  /// admission-time cache hits and quarantines count as batch.cache.hits and
-  /// cache.corrupt_entries like run_sweep's own; run_sweep adds its other
-  /// batch.* counters. Progress flows through the Session's own snapshot
+  /// Server-owned sinks. serve.* counters are recorded here, and an
+  /// admission-time cache hit counts in batch.jobs and batch.cache.hits, and
+  /// a quarantine in cache.corrupt_entries, like run_sweep's own; run_sweep
+  /// adds its other batch.* counters. Progress flows through the Session's own snapshot
   /// (progress()) *and* any reporter installed here.
   obs::Telemetry telemetry;
 };
@@ -105,7 +105,6 @@ class Ticket {
 public:
   Ticket() = default;
   Ticket(Ticket&&) noexcept;
-  Ticket& operator=(Ticket&&) noexcept;
   Ticket(const Ticket&) = delete;
   Ticket& operator=(const Ticket&) = delete;
   ~Ticket();
@@ -146,8 +145,8 @@ public:
   /// AdmissionError (R120).
   Ticket submit(const Request& request);
 
-  /// Pre-built jobs (the in-process fast path used by fmtree::Analysis and
-  /// the CLI). Settings are validated (R112); admission is all-or-nothing.
+  /// Pre-built jobs, e.g. a corridor's fleet_plan. Settings are validated
+  /// (R112); admission is all-or-nothing.
   Ticket submit_jobs(std::vector<batch::SweepJob> jobs, int priority = 0,
                      std::string id = {});
 

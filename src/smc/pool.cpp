@@ -99,6 +99,7 @@ private:
   // Guarded by mutex_.
   std::size_t cursor_ = 0;  ///< first job that may still have chunks to claim
   std::uint64_t next_ticket_ = 0;
+  std::uint64_t folded_chunks_ = 0;  ///< chunks that handed their fold a trajectory
   std::set<std::uint64_t> outstanding_;  ///< tickets claimed, not yet retired
   std::vector<std::unique_ptr<Chunk>> parked_;
   std::vector<std::unique_ptr<Chunk>> free_;
@@ -145,7 +146,7 @@ PoolOutcome Pool::run() {
   if (error_) std::rethrow_exception(error_);
 
   out.stop_reason = stop_.load(std::memory_order_acquire);
-  out.chunks = next_ticket_;
+  out.chunks = folded_chunks_;
   out.trajectories = simulated_.load(std::memory_order_relaxed);
   out.stall = stall_;
   return out;
@@ -268,6 +269,7 @@ void Pool::complete(std::unique_ptr<Chunk> chunk, obs::LocalMetrics& local) {
     }
     lock.lock();
     s.job->folded += folded;
+    if (folded > 0) ++folded_chunks_;
     if (error) {
       if (!s.job->error) s.job->error = error;
       finish(j);

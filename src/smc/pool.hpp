@@ -101,7 +101,9 @@ struct PoolOptions {
 
 struct PoolOutcome {
   StopReason stop_reason = StopReason::None;  ///< why the pool stopped early
-  std::uint64_t chunks = 0;                   ///< chunks claimed
+  /// Chunks that handed their job's fold at least one trajectory: like the
+  /// folded prefixes, independent of the thread count.
+  std::uint64_t chunks = 0;
   std::uint64_t trajectories = 0;  ///< simulated, whether folded or not
   std::string stall;               ///< the watchdog's diagnostic, if it fired
 };

@@ -15,6 +15,7 @@
 #include "report_bits.hpp"
 #include "smc/kpi.hpp"
 #include "util/error.hpp"
+#include "util/fault_injection.hpp"
 
 namespace fmtree::batch {
 namespace {
@@ -110,6 +111,67 @@ TEST(SweepEngine, AdaptiveJobsRunPooledAndStayBitIdentical) {
     EXPECT_TRUE(warm.results[0].cache_hit);
     EXPECT_TRUE(same_bits(warm.results[0].report, direct));
   }
+}
+
+// Jobs of one plan that share a cache key run once: a later one takes the
+// first one's outcome under its own label, and counts as a job and a miss
+// but not as a simulated job.
+TEST(SweepEngine, JobsThatShareAKeyRunOnce) {
+  SweepPlan plan = small_plan(2);
+  plan.jobs[1].settings = plan.jobs[0].settings;
+  plan.jobs[1].label = "twin";
+  plan.jobs.resize(2);
+  obs::MetricsRegistry metrics;
+  const SweepOutcome outcome = run_sweep(plan, nullptr, {&metrics, nullptr, nullptr});
+  ASSERT_EQ(outcome.results.size(), 2u);
+  EXPECT_EQ(outcome.results[0].label, "seed-1");
+  EXPECT_EQ(outcome.results[1].label, "twin");
+  const smc::KpiReport direct = smc::analyze(plan.jobs[0].model, plan.jobs[0].settings);
+  for (const JobResult& r : outcome.results) {
+    EXPECT_TRUE(r.completed);
+    EXPECT_FALSE(r.cache_hit);
+    EXPECT_TRUE(same_bits(r.report, direct)) << r.label;
+  }
+  EXPECT_EQ(outcome.trajectories_simulated, 300u);
+  EXPECT_EQ(metrics.counter_value("batch.trajectories"), 300u);
+  EXPECT_EQ(metrics.counter_value("batch.jobs"), 2u);
+  EXPECT_EQ(metrics.counter_value("batch.cache.misses"), 2u);
+  EXPECT_EQ(metrics.counter_value("batch.jobs_simulated"), 1u);
+
+  // A permanent failure is the twin's too.
+  const fault::Scope faults({"sweep.task:error,nth=1"});
+  plan.max_retries = 0;
+  const SweepOutcome failed = run_sweep(plan);
+  for (const JobResult& r : failed.results) {
+    EXPECT_TRUE(r.failed) << r.label;
+    EXPECT_EQ(r.failure.kind, "injected") << r.label;
+  }
+  EXPECT_EQ(failed.jobs_failed, 2u);
+}
+
+// batch.tasks counts the chunks that hand their job's fold a trajectory.
+// Workers claim chunks past an adaptive stop before they see it, and how
+// many depends on the width; the count does not.
+TEST(SweepEngine, TasksCountFoldedChunksAtAnyWidth) {
+  SweepPlan plan;
+  SweepJob& job = plan.jobs.emplace_back();
+  job.label = "adaptive";
+  job.model = eijoint::build_ei_joint(eijoint::EiJointParameters::defaults(),
+                                      eijoint::current_policy());
+  job.settings.horizon = 20.0;
+  job.settings.trajectories = std::uint64_t{1} << 20;
+  job.settings.target_relative_error = 0.2;
+  std::vector<std::uint64_t> tasks;
+  for (unsigned threads : {1u, 4u}) {
+    plan.threads = threads;
+    obs::MetricsRegistry metrics;
+    const SweepOutcome outcome = run_sweep(plan, nullptr, {&metrics, nullptr, nullptr});
+    ASSERT_TRUE(outcome.results[0].completed);
+    EXPECT_LT(outcome.results[0].report.trajectories, job.settings.trajectories);
+    tasks.push_back(metrics.counter_value("batch.tasks"));
+  }
+  EXPECT_GT(tasks[0], 0u);
+  EXPECT_EQ(tasks[0], tasks[1]);
 }
 
 TEST(SweepEngine, StartsJobsInPlanOrder) {

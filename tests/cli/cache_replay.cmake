@@ -3,9 +3,10 @@
 #   * the first run reports "cache: 0 hits, <JOBS> misses", the second
 #     "cache: <JOBS> hits, 0 misses";
 #   * apart from that line the two renderings are identical;
-#   * the second run's metrics count the hits as batch.cache.hits == <JOBS>,
-#     and no serve.cache* or fleet.cache* counter exists (one metric name per
-#     cache outcome).
+#   * the second run's metrics count the hits as batch.cache.hits == <JOBS>
+#     and every job in batch.jobs == <JOBS>, no serve.cache* or fleet.cache*
+#     counter exists (one metric name per cache outcome), and every serve.*
+#     counter is 0 (an in-process run starts no service).
 # Invoked by ctest as
 #
 #   cmake -DFMTREE=<fmtree binary> -DSOURCE_DIR=<repo root>
@@ -69,12 +70,18 @@ string(REGEX MATCH "\"counters\"[ \t\r\n]*:[ \t\r\n]*{[^}]*}" counters "${json}"
 if(NOT counters)
   message(FATAL_ERROR "the replay's metrics file has no counters object:\n${json}")
 endif()
-set(hits "")
-if(counters MATCHES "\"batch\\.cache\\.hits\"[ \t\r\n]*:[ \t\r\n]*([0-9]+)")
-  set(hits ${CMAKE_MATCH_1})
-endif()
-if(NOT hits STREQUAL JOBS)
-  message(FATAL_ERROR "batch.cache.hits of the replay is '${hits}', expected ${JOBS}")
+foreach(counter batch.cache.hits batch.jobs)
+  string(REPLACE "." "\\." pattern ${counter})
+  set(value "")
+  if(counters MATCHES "\"${pattern}\"[ \t\r\n]*:[ \t\r\n]*([0-9]+)")
+    set(value ${CMAKE_MATCH_1})
+  endif()
+  if(NOT value STREQUAL JOBS)
+    message(FATAL_ERROR "${counter} of the replay is '${value}', expected ${JOBS}")
+  endif()
+endforeach()
+if(counters MATCHES "\"(serve\\.[^\"]*)\"[ \t\r\n]*:[ \t\r\n]*0*[1-9]")
+  message(FATAL_ERROR "the in-process replay counts '${CMAKE_MATCH_1}'")
 endif()
 if(counters MATCHES "\"((serve|fleet)\\.cache[^\"]*)\"")
   message(FATAL_ERROR "the replay's metrics carry a stale counter '${CMAKE_MATCH_1}'")

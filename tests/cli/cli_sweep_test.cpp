@@ -156,5 +156,26 @@ TEST(CliSweep, AHealedJobCountsUnderBatchAlone) {
   }
 }
 
+// Joints without jitter share one cache key: the in-process corridor
+// simulates one joint, counts all eight as jobs and as fleet joints, and
+// starts no service.
+TEST(CliFleet, IdenticalJointsRunOnceAndAllCount) {
+  const std::string model = std::string(FMTREE_SOURCE_DIR) + "/models/ei_joint.fmt";
+  const std::string metrics = testing::TempDir() + "fmtree_cli_fleet_twins_metrics.json";
+  std::ostringstream out, err;
+  ASSERT_EQ(main_impl({"fleet", model, "--joints", "8", "--jitter", "0", "--runs", "500",
+                       "--metrics", metrics},
+                      out, err),
+            kExitOk)
+      << err.str();
+  const json::Value doc = json::parse(read_text_file(metrics));
+  const json::Value& counters = *doc.find("counters");
+  EXPECT_EQ(counters.find("fleet.joints")->as_u64(), 8u);
+  EXPECT_EQ(counters.find("batch.jobs")->as_u64(), 8u);
+  EXPECT_EQ(counters.find("batch.jobs_simulated")->as_u64(), 1u);
+  EXPECT_EQ(counters.find("batch.trajectories")->as_u64(), 500u);
+  EXPECT_EQ(counters.find("serve.requests")->as_u64(), 0u);
+}
+
 }  // namespace
 }  // namespace fmtree::cli

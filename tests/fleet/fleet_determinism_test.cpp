@@ -77,8 +77,8 @@ void expect_same_outcome(const FleetOutcome& a, const FleetOutcome& b) {
 
 /// The daemon's code path for the same corridor: expand the request through
 /// serve::prepare (which routes through fleet::fleet_plan), execute it on a
-/// serve::Session and fold the response with fleet_outcome, as `fmtree fleet`
-/// does.
+/// serve::Session and fold the response with fleet_outcome, as `fmtree fleet
+/// --connect` does.
 FleetOutcome via_service(const Corridor& corridor, const FleetOptions& options) {
   serve::Request request;
   request.model_text = kModel;

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -168,6 +169,47 @@ TEST(ServeSession, RepeatedRequestResolvesFromTheCacheWithoutSimulation) {
   EXPECT_EQ(h.metrics.counter_value("batch.jobs_simulated"), simulated);
   EXPECT_GE(h.metrics.counter_value("batch.cache.hits"), 2u);
   EXPECT_EQ(h.accounted_jobs(), 4u);
+}
+
+// A hit answered at admission counts as a job, as run_sweep counts one:
+// batch.jobs = batch.cache.hits + batch.cache.misses.
+TEST(ServeSession, AnAdmissionHitCountsAsAJob) {
+  Harness h;
+  Request r = sweep_request();
+  r.frequencies = {0, 2, 4};
+  EXPECT_TRUE(h.session->submit(r).take().all_done());
+  const Response warm = h.session->submit(r).take();
+  for (const batch::JobResult& j : warm.jobs) EXPECT_TRUE(j.cache_hit);
+  EXPECT_EQ(h.metrics.counter_value("batch.jobs"), 6u);
+  EXPECT_EQ(h.metrics.counter_value("batch.jobs"),
+            h.metrics.counter_value("batch.cache.hits") +
+                h.metrics.counter_value("batch.cache.misses"));
+}
+
+// One submitted job is smc::analyze bit for bit, and its repeat is a cache
+// hit with the same bits.
+TEST(ServeSession, ASubmittedJobMatchesAnalyzeBitExactly) {
+  smc::AnalysisSettings settings;
+  settings.horizon = 8.0;
+  settings.trajectories = 3000;
+  settings.seed = 11;
+  settings.threads = 2;
+  const fmt::FaultMaintenanceTree model = fmt::parse_fmt(kModel);
+  const smc::KpiReport reference = smc::analyze(model, settings);
+  Harness h;
+  const auto submit = [&] {
+    std::vector<batch::SweepJob> jobs;
+    jobs.push_back({"analysis", model, settings, nullptr});
+    return h.session->submit_jobs(std::move(jobs)).take();
+  };
+  const Response first = submit();
+  ASSERT_EQ(first.jobs.size(), 1u);
+  EXPECT_FALSE(first.jobs[0].cache_hit);
+  EXPECT_TRUE(same_bits(first.jobs[0].report, reference));
+  const Response again = submit();
+  ASSERT_EQ(again.jobs.size(), 1u);
+  EXPECT_TRUE(again.jobs[0].cache_hit);
+  EXPECT_TRUE(same_bits(again.jobs[0].report, reference));
 }
 
 TEST(ServeSession, AdmissionRejectsWholeRequestsBeyondTheQueueLimit) {
@@ -357,8 +399,8 @@ TEST(ServeSession, AdmissionDoesNotWaitOnAnotherRequestsDiskRead) {
   Harness h(64, 2, 0.0, dir);
   const fault::Scope faults({"cache.read:stall=400,nth=1"});
   const std::uint64_t fired = fault::FaultRegistry::instance().fires();
-  Ticket a;
-  std::thread first([&] { a = h.session->submit(single_policy(2)); });
+  std::optional<Ticket> a;
+  std::thread first([&] { a.emplace(h.session->submit(single_policy(2))); });
   while (fault::FaultRegistry::instance().fires() == fired)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   const auto t0 = std::chrono::steady_clock::now();
@@ -368,7 +410,7 @@ TEST(ServeSession, AdmissionDoesNotWaitOnAnotherRequestsDiskRead) {
           .count();
   first.join();
   EXPECT_LT(admitted_ms, 100.0);
-  const Response ra = a.take();
+  const Response ra = a->take();
   ASSERT_EQ(ra.jobs.size(), 1u);
   EXPECT_TRUE(ra.jobs[0].cache_hit);
   EXPECT_TRUE(b.take().all_done());
