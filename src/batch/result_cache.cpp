@@ -1,8 +1,6 @@
 #include "batch/result_cache.hpp"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -19,54 +17,35 @@ namespace {
 
 using json::hexfloat;
 
-double parse_hexfloat(const json::Value& v) {
-  if (!v.is(json::Kind::String)) throw IoError("cache entry: expected a hexfloat string");
-  errno = 0;
-  char* end = nullptr;
-  const double d = std::strtod(v.text.c_str(), &end);
-  if (end == v.text.c_str() || *end != '\0')
-    throw IoError("cache entry: bad hexfloat '" + v.text + "'");
-  return d;
-}
-
-void encode_ci(std::ostringstream& os, const char* name,
-               const ConfidenceInterval& ci) {
-  os << "    \"" << name << "\": [\"" << hexfloat(ci.point) << "\", \""
-     << hexfloat(ci.lo) << "\", \"" << hexfloat(ci.hi) << "\", \""
-     << hexfloat(ci.confidence) << "\"],\n";
+void encode_ci(std::ostringstream& os, const char* name, const ConfidenceInterval& ci) {
+  os << ",\"" << name << "\":[\"" << hexfloat(ci.point) << "\",\"" << hexfloat(ci.lo)
+     << "\",\"" << hexfloat(ci.hi) << "\",\"" << hexfloat(ci.confidence) << "\"]";
 }
 
 ConfidenceInterval decode_ci(const json::Value& report, const char* name) {
-  const json::Value* v = report.find(name);
-  if (v == nullptr || !v->is(json::Kind::Array) || v->items.size() != 4)
-    throw IoError("cache entry: missing interval '" + std::string(name) + "'");
-  return {parse_hexfloat(v->items[0]), parse_hexfloat(v->items[1]),
-          parse_hexfloat(v->items[2]), parse_hexfloat(v->items[3])};
+  const json::Value& v = report.at(name);
+  if (!v.is(json::Kind::Array) || v.items.size() != 4)
+    throw IoError("cache entry: interval '" + std::string(name) + "' needs 4 items");
+  return {v.items[0].as_double(), v.items[1].as_double(), v.items[2].as_double(),
+          v.items[3].as_double()};
 }
 
 void encode_doubles(std::ostringstream& os, const char* name,
-                    const std::vector<double>& values, bool trailing_comma) {
-  os << "    \"" << name << "\": [";
+                    const std::vector<double>& values) {
+  os << ",\"" << name << "\":[";
   for (std::size_t i = 0; i < values.size(); ++i)
-    os << (i == 0 ? "\"" : ", \"") << hexfloat(values[i]) << "\"";
-  os << "]" << (trailing_comma ? "," : "") << "\n";
+    os << (i == 0 ? "\"" : ",\"") << hexfloat(values[i]) << '"';
+  os << ']';
 }
 
 std::vector<double> decode_doubles(const json::Value& report, const char* name) {
-  const json::Value* v = report.find(name);
-  if (v == nullptr || !v->is(json::Kind::Array))
-    throw IoError("cache entry: missing array '" + std::string(name) + "'");
+  const json::Value& v = report.at(name);
+  if (!v.is(json::Kind::Array))
+    throw IoError("cache entry: '" + std::string(name) + "' must be an array");
   std::vector<double> out;
-  out.reserve(v->items.size());
-  for (const json::Value& item : v->items) out.push_back(parse_hexfloat(item));
+  out.reserve(v.items.size());
+  for (const json::Value& item : v.items) out.push_back(item.as_double());
   return out;
-}
-
-double decode_double(const json::Value& report, const char* name) {
-  const json::Value* v = report.find(name);
-  if (v == nullptr)
-    throw IoError("cache entry: missing field '" + std::string(name) + "'");
-  return parse_hexfloat(*v);
 }
 
 /// Per-process random token for temp-file names: two crashed or concurrent
@@ -157,14 +136,10 @@ Fingerprint report_content_hash(const smc::KpiReport& r) {
 
 std::string encode_report(const CacheKey& key, const smc::KpiReport& r) {
   std::ostringstream os;
-  os << "{\n"
-     << "  \"schema\": \"fmtree.result/v2\",\n"
-     << "  \"model\": \"" << key.model.hex() << "\",\n"
-     << "  \"request\": \"" << key.request.hex() << "\",\n"
-     << "  \"content_hash\": \"" << report_content_hash(r).hex() << "\",\n"
-     << "  \"report\": {\n"
-     << "    \"horizon\": \"" << hexfloat(r.horizon) << "\",\n"
-     << "    \"trajectories\": " << r.trajectories << ",\n";
+  os << "{\"schema\":\"fmtree.result/v2\",\"model\":\"" << key.model.hex()
+     << "\",\"request\":\"" << key.request.hex() << "\",\"content_hash\":\""
+     << report_content_hash(r).hex() << "\",\"report\":{\"horizon\":\""
+     << hexfloat(r.horizon) << "\",\"trajectories\":" << r.trajectories;
   encode_ci(os, "reliability", r.reliability);
   encode_ci(os, "expected_failures", r.expected_failures);
   encode_ci(os, "failures_per_year", r.failures_per_year);
@@ -174,14 +149,13 @@ std::string encode_report(const CacheKey& key, const smc::KpiReport& r) {
   encode_ci(os, "npv_cost", r.npv_cost);
   encode_doubles(os, "mean_cost",
                  {r.mean_cost.inspection, r.mean_cost.repair, r.mean_cost.replacement,
-                  r.mean_cost.corrective, r.mean_cost.downtime},
-                 /*trailing_comma=*/true);
-  os << "    \"mean_inspections\": \"" << hexfloat(r.mean_inspections) << "\",\n"
-     << "    \"mean_repairs\": \"" << hexfloat(r.mean_repairs) << "\",\n"
-     << "    \"mean_replacements\": \"" << hexfloat(r.mean_replacements) << "\",\n";
-  encode_doubles(os, "failures_per_leaf", r.failures_per_leaf, true);
-  encode_doubles(os, "repairs_per_leaf", r.repairs_per_leaf, false);
-  os << "  }\n}\n";
+                  r.mean_cost.corrective, r.mean_cost.downtime});
+  os << ",\"mean_inspections\":\"" << hexfloat(r.mean_inspections)
+     << "\",\"mean_repairs\":\"" << hexfloat(r.mean_repairs)
+     << "\",\"mean_replacements\":\"" << hexfloat(r.mean_replacements) << '"';
+  encode_doubles(os, "failures_per_leaf", r.failures_per_leaf);
+  encode_doubles(os, "repairs_per_leaf", r.repairs_per_leaf);
+  os << "}}";
   return os.str();
 }
 
@@ -190,49 +164,37 @@ smc::KpiReport decode_report(const CacheKey& key, const std::string& text) {
 }
 
 smc::KpiReport decode_report(const CacheKey& key, const json::Value& doc) {
-  const json::Value* schema = doc.find("schema");
-  if (schema == nullptr || !schema->is(json::Kind::String) ||
-      schema->text != "fmtree.result/v2")
+  if (doc.at("schema").as_string() != "fmtree.result/v2")
     throw IoError("cache entry: unknown schema");
-  const json::Value* model = doc.find("model");
-  const json::Value* request = doc.find("request");
-  if (model == nullptr || request == nullptr || model->text != key.model.hex() ||
-      request->text != key.request.hex())
+  if (doc.at("model").as_string() != key.model.hex() ||
+      doc.at("request").as_string() != key.request.hex())
     throw IoError("cache entry: key mismatch");
-  const json::Value* stored_hash = doc.find("content_hash");
-  if (stored_hash == nullptr || !stored_hash->is(json::Kind::String))
-    throw IoError("cache entry: missing content hash");
-  const json::Value* rep = doc.find("report");
-  if (rep == nullptr || !rep->is(json::Kind::Object))
-    throw IoError("cache entry: missing report object");
+  const std::string& stored_hash = doc.at("content_hash").as_string();
+  const json::Value& rep = doc.at("report");
 
   smc::KpiReport r;
-  r.horizon = decode_double(*rep, "horizon");
-  const json::Value* traj = rep->find("trajectories");
-  if (traj == nullptr) throw IoError("cache entry: missing trajectory count");
-  r.trajectories = traj->as_u64();
-  r.truncated = false;  // put() never stores truncated reports
-  r.stop_reason = smc::StopReason::None;
-  r.reliability = decode_ci(*rep, "reliability");
-  r.expected_failures = decode_ci(*rep, "expected_failures");
-  r.failures_per_year = decode_ci(*rep, "failures_per_year");
-  r.availability = decode_ci(*rep, "availability");
-  r.total_cost = decode_ci(*rep, "total_cost");
-  r.cost_per_year = decode_ci(*rep, "cost_per_year");
-  r.npv_cost = decode_ci(*rep, "npv_cost");
-  const std::vector<double> cost = decode_doubles(*rep, "mean_cost");
+  r.horizon = rep.at("horizon").as_double();
+  r.trajectories = rep.at("trajectories").as_u64();
+  r.reliability = decode_ci(rep, "reliability");
+  r.expected_failures = decode_ci(rep, "expected_failures");
+  r.failures_per_year = decode_ci(rep, "failures_per_year");
+  r.availability = decode_ci(rep, "availability");
+  r.total_cost = decode_ci(rep, "total_cost");
+  r.cost_per_year = decode_ci(rep, "cost_per_year");
+  r.npv_cost = decode_ci(rep, "npv_cost");
+  const std::vector<double> cost = decode_doubles(rep, "mean_cost");
   if (cost.size() != 5) throw IoError("cache entry: mean_cost needs 5 components");
   r.mean_cost = {cost[0], cost[1], cost[2], cost[3], cost[4]};
-  r.mean_inspections = decode_double(*rep, "mean_inspections");
-  r.mean_repairs = decode_double(*rep, "mean_repairs");
-  r.mean_replacements = decode_double(*rep, "mean_replacements");
-  r.failures_per_leaf = decode_doubles(*rep, "failures_per_leaf");
-  r.repairs_per_leaf = decode_doubles(*rep, "repairs_per_leaf");
+  r.mean_inspections = rep.at("mean_inspections").as_double();
+  r.mean_repairs = rep.at("mean_repairs").as_double();
+  r.mean_replacements = rep.at("mean_replacements").as_double();
+  r.failures_per_leaf = decode_doubles(rep, "failures_per_leaf");
+  r.repairs_per_leaf = decode_doubles(rep, "repairs_per_leaf");
 
   // Integrity gate: the values we decoded must reproduce the checksum the
   // writer computed from its values. Any bit rot or torn write that still
-  // parses lands here.
-  if (report_content_hash(r).hex() != stored_hash->text)
+  // parses lands here, whichever spelling a value was read from.
+  if (report_content_hash(r).hex() != stored_hash)
     throw IoError("cache entry: content hash mismatch");
   return r;
 }

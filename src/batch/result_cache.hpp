@@ -2,9 +2,9 @@
 //
 // Two tiers:
 //  * memory — always on; a map from CacheKey to KpiReport;
-//  * disk   — optional; one JSON file per entry ("fmtree.result/v2") in a
-//    caller-chosen directory, so repeated CLI runs and separate processes
-//    share results.
+//  * disk   — optional; one JSON file per entry ("fmtree.result/v2", one
+//    line) in a caller-chosen directory, so repeated CLI runs and separate
+//    processes share results.
 //
 // There are no invalidation rules: keys are content hashes, so any change
 // to the model or the result-relevant settings produces a *different* key
@@ -13,10 +13,11 @@
 //
 // Bitwise identity: a cache hit returns the exact doubles of the original
 // computation. On disk every double is stored as a C99 hexfloat string
-// ("0x1.8p+1"), which round-trips bit-for-bit through strtod — decimal JSON
-// numbers would not. Truncated reports (RunControl stops) are refused by
-// put(): they are exact only over the prefix a stop happened to cut, which
-// is not a deterministic function of the key.
+// ("0x1.8p+1"), which round-trips bit for bit; a JSON number or the
+// multi-line layout of earlier releases also decodes, and the content hash
+// over the decoded bits is the gate. Truncated reports (RunControl stops)
+// are refused by put(): they are exact only over the prefix a stop happened
+// to cut, which is not a deterministic function of the key.
 //
 // Concurrency: get() and put() may be called from any number of threads.
 // `mutex_` guards only the memory tier, the stats, the pending C102

@@ -341,8 +341,10 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
   // surface on the outcome; the deltas feed the metrics registry.
   for (std::string& stall : stalls)
     outcome.warnings.push_back(
-        {.severity = Severity::Warning, .code = "B102", .message = std::move(stall),
-         .hint = "raise --stall-timeout if the workload legitimately pauses"});
+        {.severity = Severity::Warning, .code = "B102", .loc = {},
+         .message = std::move(stall),
+         .hint = "raise --stall-timeout if the workload legitimately pauses",
+         .token = {}});
   if (cache != nullptr)
     for (Diagnostic& d : cache->take_warnings())
       outcome.warnings.push_back(std::move(d));

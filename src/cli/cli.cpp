@@ -298,14 +298,22 @@ serve::Request describe(const Invocation& in) {
 /// Runs the request on the daemon at --connect, forwarding its progress,
 /// or in-process: prepare()'s jobs through run_sweep, with the plan and the
 /// cache built from the flags. Both paths decide every result bit in
-/// prepare() and run_sweep; a stop carries the stop handle's own reason.
-serve::Response respond(const Invocation& in, const serve::Request& request) {
+/// prepare() and run_sweep; a stop carries the stop handle's own reason. A
+/// client stopped before the daemon answered prints a NOTE and has nothing.
+std::optional<serve::Response> respond(const Invocation& in,
+                                       const serve::Request& request) {
   const Options& opt = in.opt;
   if (!opt.connect.empty()) {
     serve::ClientEvents events;
     if (obs::ProgressReporter* progress = in.telemetry.progress)
       events.progress = [progress](const obs::Progress& p) { progress->update(p); };
-    return serve::request_over_socket(opt.connect, request, events);
+    serve::Response response =
+        serve::request_over_socket(opt.connect, request, events, &in.control);
+    if (!response.jobs.empty() || response.stop_reason == smc::StopReason::None)
+      return response;
+    in.out << "NOTE: stopped (" << smc::stop_reason_name(response.stop_reason)
+           << ") before the daemon at " << opt.connect << " answered; no results.\n";
+    return std::nullopt;
   }
   batch::SweepPlan plan;
   plan.jobs = serve::prepare(request, opt.model_root).jobs;
@@ -410,7 +418,8 @@ int cmd_sweep(const Invocation& in) {
     in.out << serve::encode_request(request);
     return kExitOk;
   }
-  return render_sweep(in, respond(in, request));
+  const std::optional<serve::Response> response = respond(in, request);
+  return response ? render_sweep(in, *response) : kExitTruncated;
 }
 
 int render_fleet(const Invocation& in, const fleet::Corridor& corridor,
@@ -546,9 +555,10 @@ int cmd_fleet(const Invocation& in) {
     options.settings.policy =
         std::make_shared<const lang::CompiledPolicy>(*std::move(compiled));
   }
-  const serve::Response response = respond(in, request);
+  const std::optional<serve::Response> response = respond(in, request);
+  if (!response) return kExitTruncated;
   return render_fleet(in, corridor,
-                      fleet::fleet_outcome(corridor, response.jobs, response.warnings,
+                      fleet::fleet_outcome(corridor, response->jobs, response->warnings,
                                            options, in.telemetry.metrics));
 }
 

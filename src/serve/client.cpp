@@ -1,5 +1,6 @@
 #include "serve/client.hpp"
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -55,7 +56,7 @@ void write_all(int fd, const std::string& data) {
 }  // namespace
 
 Response request_over_socket(const std::string& socket_path, const Request& request,
-                             const ClientEvents& events) {
+                             const ClientEvents& events, const smc::RunControl* stop) {
   FdCloser sock{::socket(AF_UNIX, SOCK_STREAM, 0)};
   if (sock.fd < 0)
     transport_error(std::string("cannot create socket: ") + std::strerror(errno));
@@ -80,6 +81,14 @@ Response request_over_socket(const std::string& socket_path, const Request& requ
   std::string buffer;
   char chunk[4096];
   for (;;) {
+    while (stop != nullptr) {  // wait in steps of 100 ms, checking the stop
+      Response stopped;
+      stopped.stop_reason = stop->should_stop(0);
+      if (stopped.stop_reason != smc::StopReason::None) return stopped;
+      pollfd pfd{sock.fd, POLLIN, 0};
+      const int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
+      if (ready > 0 || (ready < 0 && errno != EINTR)) break;  // recv reports errors
+    }
     const ssize_t r = ::recv(sock.fd, chunk, sizeof chunk, 0);
     if (r < 0) {
       if (errno == EINTR) continue;

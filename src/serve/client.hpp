@@ -11,6 +11,9 @@
 // a server-sent error event is rethrown as the matching exception —
 // AdmissionError for R120, RequestError carrying the server's code and
 // diagnostics otherwise.
+// A client given a stop handle checks it every 100 ms while it waits; a
+// stop closes the connection (the daemon cancels the jobs only this client
+// watched) and returns a Response with no jobs and the stop's reason.
 #pragma once
 
 #include <cstddef>
@@ -20,6 +23,7 @@
 #include "obs/progress.hpp"
 #include "serve/request.hpp"
 #include "serve/session.hpp"
+#include "smc/run_control.hpp"
 
 namespace fmtree::serve {
 
@@ -30,8 +34,9 @@ struct ClientEvents {
 };
 
 /// Executes `request` against the daemon at `socket_path`. Blocks until the
-/// terminal event. Throws AdmissionError / RequestError as described above.
+/// terminal event or a `stop`. Throws AdmissionError / RequestError as above.
 Response request_over_socket(const std::string& socket_path, const Request& request,
-                             const ClientEvents& events = {});
+                             const ClientEvents& events = {},
+                             const smc::RunControl* stop = nullptr);
 
 }  // namespace fmtree::serve

@@ -1,7 +1,5 @@
 #include "serve/protocol.hpp"
 
-#include <cerrno>
-#include <cstdlib>
 #include <sstream>
 #include <string_view>
 
@@ -33,45 +31,11 @@ std::string diagnostics_json(const std::vector<Diagnostic>& items) {
   return sink.to_json();
 }
 
-const json::Value& member(const json::Value& obj, const char* key) {
-  const json::Value* v = obj.find(key);
-  if (v == nullptr) bad_wire(std::string("missing member '") + key + "'");
-  return *v;
-}
-
-std::string get_string(const json::Value& obj, const char* key) {
-  const json::Value& v = member(obj, key);
-  if (!v.is(json::Kind::String))
-    bad_wire(std::string("member '") + key + "' must be a string");
-  return v.text;
-}
-
+/// An optional string member, `fallback` when absent.
 std::string get_string_or(const json::Value& obj, const char* key,
                           std::string fallback = {}) {
   const json::Value* v = obj.find(key);
-  if (v == nullptr) return fallback;
-  if (!v->is(json::Kind::String))
-    bad_wire(std::string("member '") + key + "' must be a string");
-  return v->text;
-}
-
-std::uint64_t get_u64(const json::Value& obj, const char* key) {
-  return member(obj, key).as_u64();
-}
-
-/// Doubles travel as hexfloat strings (exact) but plain numbers are accepted
-/// too, mirroring the request schema's tolerance.
-double get_double(const json::Value& obj, const char* key) {
-  const json::Value& v = member(obj, key);
-  if (v.is(json::Kind::Number)) return v.as_double();
-  if (!v.is(json::Kind::String))
-    bad_wire(std::string("member '") + key + "' must be a number");
-  errno = 0;
-  char* end = nullptr;
-  const double d = std::strtod(v.text.c_str(), &end);
-  if (end == v.text.c_str() || *end != '\0')
-    bad_wire(std::string("member '") + key + "' is not a number: '" + v.text + "'");
-  return d;
+  return v == nullptr ? fallback : v->as_string();
 }
 
 Severity severity_from_name(const std::string& name) {
@@ -90,20 +54,18 @@ batch::JobState job_state_from_name(const std::string& name) {
 }
 
 Diagnostic decode_diagnostic(const json::Value& obj) {
-  if (!obj.is(json::Kind::Object)) bad_wire("diagnostic must be an object");
   Diagnostic d;
-  d.severity = severity_from_name(get_string(obj, "severity"));
-  d.code = get_string(obj, "code");
-  d.loc.line = get_u64(obj, "line");
-  d.loc.column = get_u64(obj, "column");
-  d.message = get_string(obj, "message");
+  d.severity = severity_from_name(obj.at("severity").as_string());
+  d.code = obj.at("code").as_string();
+  d.loc.line = obj.at("line").as_u64();
+  d.loc.column = obj.at("column").as_u64();
+  d.message = obj.at("message").as_string();
   d.hint = get_string_or(obj, "hint");
   d.token = get_string_or(obj, "token");
   return d;
 }
 
-std::vector<Diagnostic> decode_diagnostics(const json::Value& arr,
-                                           const char* where) {
+std::vector<Diagnostic> decode_diagnostics(const json::Value& arr, const char* where) {
   if (!arr.is(json::Kind::Array))
     bad_wire(std::string("member '") + where + "' must be an array");
   std::vector<Diagnostic> out;
@@ -113,35 +75,29 @@ std::vector<Diagnostic> decode_diagnostics(const json::Value& arr,
 }
 
 batch::JobResult decode_job(const json::Value& obj) {
-  if (!obj.is(json::Kind::Object)) bad_wire("result job must be an object");
   batch::JobResult out;
-  out.label = get_string(obj, "label");
-  const json::Value& key = member(obj, "key");
-  if (!key.is(json::Kind::Object)) bad_wire("job 'key' must be an object");
-  out.key.model = Fingerprint::from_hex(get_string(key, "model"));
-  out.key.request = Fingerprint::from_hex(get_string(key, "request"));
-  const batch::JobState state = job_state_from_name(get_string(obj, "status"));
+  out.label = obj.at("label").as_string();
+  const json::Value& key = obj.at("key");
+  out.key.model = Fingerprint::from_hex(key.at("model").as_string());
+  out.key.request = Fingerprint::from_hex(key.at("request").as_string());
+  const batch::JobState state = job_state_from_name(obj.at("status").as_string());
   out.completed = state == batch::JobState::Done;
   out.failed = state == batch::JobState::Failed;
   out.cancelled = state == batch::JobState::Cancelled;
   out.cache_hit = get_string_or(obj, "source", "simulated") == "cache";
-  out.retries = static_cast<std::uint32_t>(get_u64(obj, "retries"));
+  out.retries = static_cast<std::uint32_t>(obj.at("retries").as_u64());
   if (out.failed) {
-    const json::Value& failure = member(obj, "failure");
-    if (!failure.is(json::Kind::Object)) bad_wire("job 'failure' must be an object");
-    out.failure.kind = get_string(failure, "kind");
-    out.failure.message = get_string(failure, "message");
-    const json::Value& transient = member(failure, "transient");
+    const json::Value& failure = obj.at("failure");
+    out.failure.kind = failure.at("kind").as_string();
+    out.failure.message = failure.at("message").as_string();
+    const json::Value& transient = failure.at("transient");
     if (!transient.is(json::Kind::Bool)) bad_wire("'transient' must be a bool");
     out.failure.transient = transient.boolean;
-    out.failure.attempts = static_cast<std::uint32_t>(get_u64(failure, "attempts"));
+    out.failure.attempts = static_cast<std::uint32_t>(failure.at("attempts").as_u64());
   }
-  if (out.completed) {
-    // The embedded report is the verbatim (compacted) "fmtree.result/v2"
-    // document, decoded from its parsed subtree; decode_report's content-hash
-    // check guards end-to-end integrity.
-    out.report = batch::decode_report(out.key, member(obj, "report"));
-  }
+  // The embedded report is the "fmtree.result/v2" cache entry verbatim;
+  // decode_report's content-hash check guards end-to-end integrity.
+  if (out.completed) out.report = batch::decode_report(out.key, obj.at("report"));
   return out;
 }
 
@@ -186,7 +142,7 @@ std::string encode_result(const Response& response) {
          << ",\"attempts\":" << job.failure.attempts << '}';
     }
     if (job.completed)
-      os << ",\"report\":" << compact_json(batch::encode_report(job.key, job.report));
+      os << ",\"report\":" << batch::encode_report(job.key, job.report);
     os << '}';
   }
   os << "]}\n";
@@ -203,42 +159,41 @@ std::string encode_error(const RequestError& error) {
 
 Event decode_event(const std::string& line) try {
   const json::Value doc = json::parse(line);
-  if (!doc.is(json::Kind::Object)) bad_wire("event is not a JSON object");
   if (get_string_or(doc, "schema") != kSchema)
     bad_wire("missing or unsupported schema tag (want fmtree.response/v1)");
-  const std::string event = get_string(doc, "event");
+  const std::string event = doc.at("event").as_string();
   Event out;
   if (event == "accepted") {
     out.kind = EventKind::Accepted;
     out.id = get_string_or(doc, "id");
-    out.jobs = get_u64(doc, "jobs");
+    out.jobs = doc.at("jobs").as_u64();
   } else if (event == "progress") {
     out.kind = EventKind::Progress;
-    const std::string phase = get_string(doc, "phase");
+    const std::string phase = doc.at("phase").as_string();
     for (const std::string_view known : kPhases)
       if (phase == known) out.progress.phase = known;
-    out.progress.done = get_u64(doc, "done");
-    out.progress.total = get_u64(doc, "total");
-    out.progress.rate = get_double(doc, "rate");
-    out.progress.eta_seconds = get_double(doc, "eta_seconds");
-    out.progress.ci_half_width = get_double(doc, "ci_half_width");
-    out.progress.ci_target = get_double(doc, "ci_target");
+    out.progress.done = doc.at("done").as_u64();
+    out.progress.total = doc.at("total").as_u64();
+    out.progress.rate = doc.at("rate").as_double();
+    out.progress.eta_seconds = doc.at("eta_seconds").as_double();
+    out.progress.ci_half_width = doc.at("ci_half_width").as_double();
+    out.progress.ci_target = doc.at("ci_target").as_double();
   } else if (event == "result") {
     out.kind = EventKind::Result;
     out.id = get_string_or(doc, "id");
     out.response.id = out.id;
     out.response.stop_reason =
         smc::stop_reason_from_name(get_string_or(doc, "stop_reason", "none"));
-    out.response.warnings = decode_diagnostics(member(doc, "warnings"), "warnings");
-    const json::Value& jobs = member(doc, "jobs");
+    out.response.warnings = decode_diagnostics(doc.at("warnings"), "warnings");
+    const json::Value& jobs = doc.at("jobs");
     if (!jobs.is(json::Kind::Array)) bad_wire("member 'jobs' must be an array");
     out.response.jobs.reserve(jobs.items.size());
     for (const json::Value& job : jobs.items)
       out.response.jobs.push_back(decode_job(job));
   } else if (event == "error") {
     out.kind = EventKind::Error;
-    out.error_code = get_string(doc, "code");
-    out.diagnostics = decode_diagnostics(member(doc, "diagnostics"), "diagnostics");
+    out.error_code = doc.at("code").as_string();
+    out.diagnostics = decode_diagnostics(doc.at("diagnostics"), "diagnostics");
     if (out.diagnostics.empty()) {
       Diagnostic d;
       d.code = out.error_code;
@@ -253,29 +208,6 @@ Event decode_event(const std::string& line) try {
   throw;
 } catch (const Error& e) {
   bad_wire(e.what());
-}
-
-std::string compact_json(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  bool in_string = false;
-  bool escaped = false;
-  for (const char c : text) {
-    if (in_string) {
-      out.push_back(c);
-      if (escaped)
-        escaped = false;
-      else if (c == '\\')
-        escaped = true;
-      else if (c == '"')
-        in_string = false;
-      continue;
-    }
-    if (c == ' ' || c == '\t' || c == '\n' || c == '\r') continue;
-    out.push_back(c);
-    if (c == '"') in_string = true;
-  }
-  return out;
 }
 
 }  // namespace fmtree::serve

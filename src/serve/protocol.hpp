@@ -10,13 +10,11 @@
 //   {"schema":"fmtree.response/v1","event":"result","jobs":[...],...}   (terminal)
 //   {"schema":"fmtree.response/v1","event":"error","code":"R1xx",...}   (terminal)
 //
-// Result bodies reuse the existing hexfloat-exact "fmtree.result/v2"
-// serialization (batch/result_cache.hpp) verbatim — each done job's
-// "report" member is the cache entry document, whitespace-compacted to fit
-// one NDJSON line. Compaction only removes inter-token whitespace, which
-// JSON treats as insignificant; every value byte (hexfloats included) is
-// untouched, so a decoded response is bit-identical to the server's
-// computation and to the standalone CLI's.
+// Result bodies reuse the hexfloat-exact "fmtree.result/v2" document
+// (batch/result_cache.hpp) verbatim: each done job's "report" member is the
+// cache entry encode_report writes, which is one line with no whitespace.
+// Every double travels as its hexfloat, so a decoded response is
+// bit-identical to the server's computation and to the standalone CLI's.
 #pragma once
 
 #include <string>
@@ -52,9 +50,5 @@ struct Event {
 /// Decodes one event line. Throws RequestError R121 on anything that is not
 /// a well-formed fmtree.response/v1 event (the transport is broken).
 Event decode_event(const std::string& line);
-
-/// Removes insignificant whitespace from a JSON document (string contents
-/// untouched). Used to embed multi-line documents in NDJSON lines.
-std::string compact_json(const std::string& text);
 
 }  // namespace fmtree::serve

@@ -1,7 +1,6 @@
 #include "serve/request.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <optional>
 #include <sstream>
 
@@ -32,27 +31,16 @@ Diagnostic make_diagnostic(std::string code, const std::string& message,
   throw RequestError("R112", message, std::move(hint));
 }
 
-/// Schema doubles: a JSON number, or a string holding a C99 hexfloat (or
-/// any strtod-parseable spelling). Hexfloat strings are the canonical form
+/// Schema doubles: a JSON number, or a string spelling one
+/// (json::Value::as_double). Hexfloat strings are the canonical form
 /// because they round-trip bit-exactly into the cache fingerprint.
 double parse_number(const json::Value& v, const std::string& what) {
-  if (v.is(json::Kind::Number)) {
-    try {
-      return v.as_double();
-    } catch (const Error& e) {
-      invalid("request field '" + what + "': " + e.what());
-    }
+  try {
+    return v.as_double();
+  } catch (const Error& e) {
+    invalid("request field '" + what + "': " + e.what(),
+            "use a JSON number or a C99 hexfloat string like \"0x1.8p+1\"");
   }
-  if (v.is(json::Kind::String)) {
-    const char* begin = v.text.c_str();
-    char* end = nullptr;
-    const double value = std::strtod(begin, &end);
-    if (end == begin || *end != '\0')
-      invalid("request field '" + what + "' is not a number: '" + v.text + "'",
-              "use a JSON number or a C99 hexfloat string like \"0x1.8p+1\"");
-    return value;
-  }
-  invalid("request field '" + what + "' must be a number or hexfloat string");
 }
 
 /// Schema integers (counts and seeds): a JSON number spelled as a

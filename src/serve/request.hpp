@@ -2,8 +2,8 @@
 // description of *an analysis* as data, shared by every entry point — the
 // `fmtree serve` daemon parses it off the socket, `fmtree sweep
 // --emit-request` prints it, `serve::Session` accepts it in-process, and
-// `tools/validate_request.py` checks documents against the published JSON
-// schema (tools/request_schema.json) in CI.
+// `tools/validate_schema.py request` checks documents against the published
+// JSON schema (tools/request_schema.json) in CI.
 //
 // A request names a model (inline .fmt text or a `ref` resolved against the
 // server's model root), the result-relevant analysis settings, and an

@@ -58,11 +58,13 @@ private:
       case '[': return parse_array();
       case '"': return parse_string_value();
       case 't':
-        if (!consume_literal("true")) fail("bad literal");
-        return Value{.kind = Kind::Bool, .boolean = true};
-      case 'f':
-        if (!consume_literal("false")) fail("bad literal");
-        return Value{.kind = Kind::Bool, .boolean = false};
+      case 'f': {
+        Value v;
+        v.kind = Kind::Bool;
+        v.boolean = consume_literal("true");
+        if (!v.boolean && !consume_literal("false")) fail("bad literal");
+        return v;
+      }
       case 'n':
         if (!consume_literal("null")) fail("bad literal");
         return Value{};
@@ -206,6 +208,16 @@ const Value* Value::find(std::string_view key) const noexcept {
   return nullptr;
 }
 
+const Value& Value::at(std::string_view key) const {
+  if (const Value* v = find(key)) return *v;
+  throw IoError("json: missing member '" + std::string(key) + "'");
+}
+
+const std::string& Value::as_string() const {
+  if (kind != Kind::String) throw IoError("json: expected a string");
+  return text;
+}
+
 std::uint64_t Value::as_u64() const {
   if (kind != Kind::Number) throw IoError("json: expected a number");
   errno = 0;
@@ -218,11 +230,11 @@ std::uint64_t Value::as_u64() const {
 }
 
 double Value::as_double() const {
-  if (kind != Kind::Number) throw IoError("json: expected a number");
-  errno = 0;
+  if (kind != Kind::Number && kind != Kind::String)
+    throw IoError("json: expected a number");
   char* end = nullptr;
   const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0')
+  if (text.empty() || end != text.c_str() + text.size())
     throw IoError("json: bad number '" + text + "'");
   return v;
 }

@@ -1,12 +1,12 @@
-// A minimal JSON reader for fmtree's own on-disk artifacts (result-cache
-// entries). Full JSON grammar on input; numbers are kept as their raw
-// source tokens so callers can decode them losslessly (the cache stores
-// doubles as C99 hexfloat *strings*, not JSON numbers, precisely to avoid
-// decimal round-trip error — see batch/result_cache.cpp).
+// A minimal JSON reader for fmtree's own documents: the result-cache entry,
+// the request and the response events. Full JSON grammar on input; numbers
+// are kept as their raw source tokens. fmtree writes each double as a string
+// holding its exact C99 hexfloat (hexfloat() below) and reads every double
+// back through Value::as_double, which also takes a plain JSON number.
 //
 // This is deliberately not a general-purpose JSON library: no DOM mutation,
 // no serializer (writers hand-format their output), no streaming. Errors
-// throw IoError with a byte offset.
+// throw IoError.
 #pragma once
 
 #include <cstdint>
@@ -29,12 +29,15 @@ struct Value {
 
   /// Object member lookup; nullptr when absent or not an object.
   const Value* find(std::string_view key) const noexcept;
+  /// The same for a required member; throws IoError naming `key`.
+  const Value& at(std::string_view key) const;
 
   bool is(Kind k) const noexcept { return kind == k; }
 
-  /// Decodes a Number token as u64 / double; throws IoError on any other
-  /// kind or on trailing garbage in the token. as_u64 accepts only a plain
-  /// nonnegative integer below 2^64 (no sign, fraction or exponent).
+  /// Readers; each throws IoError on another kind or a malformed token.
+  /// as_u64 takes a plain integer in [0, 2^64) (no sign, fraction, exponent);
+  /// as_double a Number, or a String spelling a double (fmtree's hexfloats).
+  const std::string& as_string() const;
   std::uint64_t as_u64() const;
   double as_double() const;
 };

@@ -14,6 +14,7 @@
 #include "fmt/parser.hpp"
 #include "report_bits.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace fmtree::batch {
 namespace {
@@ -52,6 +53,61 @@ TEST(ResultCacheCodec, HexfloatRoundTripIsBitwiseExact) {
   const smc::KpiReport original = nasty_report();
   const smc::KpiReport decoded = decode_report(key, encode_report(key, original));
   EXPECT_TRUE(same_bits(original, decoded));
+}
+
+// nasty_report() under test_key() in the multi-line layout entries had
+// before they became one line, pasted from that release's encode_report.
+// JSON whitespace is insignificant, so a cache written then still replays
+// bit for bit.
+constexpr const char* kMultiLineEntry = R"({
+  "schema": "fmtree.result/v2",
+  "model": "00000000000012340000000000000000",
+  "request": "00000000000056780000000000009abc",
+  "content_hash": "ce70685fba179356fb6abc3863860585",
+  "report": {
+    "horizon": "0x1.3333333333334p-2",
+    "trajectories": 12345,
+    "reliability": ["0x1.5555555555555p-2", "0x1.5555555555554p-2", "0x1.5555555555555p-1", "0x1.e666666666666p-1"],
+    "expected_failures": ["0x0.0000000000001p-1022", "0x1.1ccf385ebc8ap+1023", "-0x0p+0", "0x1.fae147ae147aep-1"],
+    "failures_per_year": ["0x1.921fb54442d18p+1", "-0x1.921fb54442d18p+1", "0x1.56e1fc2f8f359p-997", "0x1.e666666666666p-1"],
+    "availability": ["0x1p-52", "0x0p+0", "0x1p+0", "0x1.e666666666666p-1"],
+    "total_cost": ["0x1.34a456d5cfaadp+10", "0x1.f4p+9", "0x1.77p+10", "0x1.e666666666666p-1"],
+    "cost_per_year": ["0x1.edd2f1a9fbe77p+5", "0x1.9p+5", "0x1.2cp+6", "0x1.e666666666666p-1"],
+    "npv_cost": ["0x1.15c6666666666p+10", "0x1.f40cccccccccdp+9", "0x1.3186666666666p+10", "0x1.e666666666666p-1"],
+    "mean_cost": ["0x1.999999999999ap-4", "0x1.999999999999ap-3", "0x1.3333333333333p-2", "0x1.999999999999ap-2", "0x1.6666666666666p-1"],
+    "mean_inspections": "0x1.3ffffffffffffp+5",
+    "mean_repairs": "0x1.0000000000001p+1",
+    "mean_replacements": "0x0p+0",
+    "failures_per_leaf": ["0x1.999999999999ap-4", "0x1.2492492492492p-3", "0x0.0000000000001p-1022"],
+    "repairs_per_leaf": ["0x0p+0", "-0x0p+0", "0x1.edd2f1a9fbe77p+6"]
+  }
+}
+)";
+
+TEST(ResultCacheCodec, MultiLineEntriesOfEarlierReleasesDecodeBitwise) {
+  EXPECT_TRUE(same_bits(decode_report(test_key(), kMultiLineEntry), nasty_report()));
+}
+
+TEST(ResultCacheCodec, ValueSpelledAsAJsonNumberDecodesAndTheHashGatesIt) {
+  // total_cost's point, 1234.5678, whose shortest decimal reads back to the
+  // same bits. The hash is over decoded bits, so either spelling passes and
+  // one changed digit does not.
+  const CacheKey key = test_key();
+  const std::string text = encode_report(key, nasty_report());
+  const std::string hexfloat = "\"" + json::hexfloat(1234.5678) + "\"";
+  const auto respelled = [&](const std::string& number) {
+    std::string out = text;
+    out.replace(out.find(hexfloat), hexfloat.size(), number);
+    return out;
+  };
+  EXPECT_TRUE(same_bits(decode_report(key, respelled("1234.5678")), nasty_report()));
+  try {
+    (void)decode_report(key, respelled("1234.5679"));
+    ADD_FAILURE() << "a changed digit decoded";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("content hash mismatch"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ResultCacheCodec, RejectsKeyMismatchAndGarbage) {
@@ -147,7 +203,7 @@ TEST(ResultCacheCodec, ContentHashIsAFunctionOfValuesNotText) {
   // decoded values, not from the serialized text or the entry identity).
   const std::string a = encode_report(test_key(), nasty_report());
   const std::string b = encode_report(test_key(/*salt=*/9), nasty_report());
-  const std::string needle = "\"content_hash\": \"";
+  const std::string needle = "\"content_hash\":\"";
   const auto hash_of = [&](const std::string& text) {
     const std::size_t at = text.find(needle) + needle.size();
     return text.substr(at, 32);

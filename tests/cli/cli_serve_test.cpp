@@ -7,11 +7,15 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <thread>
 
 #include "cli/cli.hpp"
 #include "serve/request.hpp"
+#include "serve/server.hpp"
+#include "serve/session.hpp"
+#include "smc/run_control.hpp"
 #include "util/error.hpp"
 
 namespace fmtree::cli {
@@ -77,6 +81,69 @@ TEST(CliSweepConnect, RefusedConnectionIsAUsageErrorWithR121) {
                              out, err);
   EXPECT_EQ(code, kExitUsage);
   EXPECT_NE(err.str().find("R121"), std::string::npos);
+}
+
+// A --connect client stops at --timeout as an in-process run does: it closes
+// its connection, prints a NOTE naming the stop and exits 1 with no table.
+// The daemon is a Session and a Server with a stop handle of their own: run()
+// rearms interrupt_control(), so `fmtree serve` in this process would share
+// the client's deadline. It cancels the abandoned jobs at its next progress
+// write and answers the next request.
+TEST(CliSweepConnect, ClientStopsAtItsTimeoutAndTheDaemonServesOn) {
+  const std::string socket = testing::TempDir() + "fmtree_cli_connect_timeout.sock";
+  std::filesystem::remove(socket);
+  smc::RunControl daemon_stop;
+  serve::SessionConfig config;
+  config.threads = 2;
+  serve::Session session(std::move(config));
+  serve::ServerConfig server_config;
+  server_config.socket_path = socket;
+  server_config.stop = &daemon_stop;
+  server_config.poll_interval_s = 0.02;
+  serve::Server server(session, server_config);
+  std::thread daemon([&] { server.run(); });
+  for (int i = 0; i < 1000 && !std::filesystem::exists(socket); ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_TRUE(std::filesystem::exists(socket));
+
+  // Runs a client; one still waiting after `seconds` is released by stopping
+  // the daemon (its drain answers every connection), so a failure never hangs.
+  const auto client = [&](const std::vector<std::string>& args, double seconds,
+                          std::string& out) {
+    std::ostringstream client_out, client_err;
+    std::future<int> code = std::async(std::launch::async, [&] {
+      return main_impl(args, client_out, client_err);
+    });
+    const auto limit = std::chrono::duration<double>(seconds);
+    const bool returned = code.wait_for(limit) == std::future_status::ready;
+    EXPECT_TRUE(returned) << "fmtree " << args[0] << " still waiting after " << seconds
+                          << " s";
+    if (!returned) daemon_stop.request_stop();
+    const int exit_code = code.get();
+    out = client_out.str() + client_err.str();
+    return exit_code;
+  };
+
+  const std::string root = FMTREE_SOURCE_DIR;
+  std::string out;
+  EXPECT_EQ(client({"sweep", root + "/models/ei_joint.fmt", "--runs", "50000000",
+                    "--timeout", "1", "--connect", socket},
+                   5.0, out),
+            kExitTruncated)
+      << out;
+  EXPECT_NE(out.find("NOTE: stopped (deadline)"), std::string::npos) << out;
+  EXPECT_EQ(out.find("cost curve"), std::string::npos) << out;
+
+  const std::string model = testing::TempDir() + "fmtree_cli_connect_timeout.fmt";
+  std::ofstream(model) << kSweepModel;
+  EXPECT_EQ(client({"sweep", model, "--horizon", "5", "--runs", "200", "--seed", "3",
+                    "--frequencies", "0,2", "--connect", socket},
+                   10.0, out),
+            kExitOk)
+      << out;
+  EXPECT_NE(out.find("cost-optimal policy"), std::string::npos) << out;
+  daemon_stop.request_stop();
+  daemon.join();
 }
 
 // End to end through main_impl: a daemon thread and client invocations in

@@ -1,5 +1,5 @@
 # The documents fmtree writes for other programs conform to the checked-in
-# schemas:
+# schemas (tools/validate_schema.py checks each one):
 #   * the metrics and trace files of an EI-joint `analyze --progress`
 #     (tools/telemetry_schema.json, "fmtree.metrics/v1" / "fmtree.trace/v1");
 #   * the "fmtree.request/v1" documents `--emit-request` prints for three
@@ -35,7 +35,7 @@ if(NOT status EQUAL 0)
 endif()
 foreach(kind metrics trace)
   execute_process(
-    COMMAND ${PYTHON} tools/validate_telemetry.py ${kind} ${WORK_DIR}/${kind}.json
+    COMMAND ${PYTHON} tools/validate_schema.py ${kind} ${WORK_DIR}/${kind}.json
     WORKING_DIRECTORY ${SOURCE_DIR}
     OUTPUT_VARIABLE output
     ERROR_VARIABLE output
@@ -47,11 +47,11 @@ foreach(kind metrics trace)
 endforeach()
 
 # Pipes the request document of `fmtree <ARGN> --emit-request` through the
-# request validator; both must exit 0.
+# validator; both must exit 0.
 function(validate_request)
   execute_process(
     COMMAND ${FMTREE} ${ARGN} --emit-request
-    COMMAND ${PYTHON} tools/validate_request.py -
+    COMMAND ${PYTHON} tools/validate_schema.py request -
     WORKING_DIRECTORY ${SOURCE_DIR}
     OUTPUT_VARIABLE output
     ERROR_VARIABLE output
@@ -59,7 +59,7 @@ function(validate_request)
   list(JOIN ARGN " " command)
   if(NOT statuses STREQUAL "0;0")
     message(FATAL_ERROR
-            "fmtree ${command} --emit-request | validate_request.py exited with "
+            "fmtree ${command} --emit-request | validate_schema.py request - exited with "
             "${statuses}:\n${output}")
   endif()
   message(STATUS "fmtree ${command}: ${output}")

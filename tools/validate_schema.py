@@ -1,22 +1,28 @@
 #!/usr/bin/env python3
-"""Validate an fmtree.request/v1 document against tools/request_schema.json.
+"""Validate an fmtree JSON document against its checked-in schema.
 
-Usage: validate_request.py <request.json|-> [schema.json]
+Usage: validate_schema.py <metrics|trace|request> <file.json|->
 
-Self-contained interpreter for the small JSON-Schema subset the request
-schema uses (type / const / enum / required / properties /
-additionalProperties: false / items / oneOf / anyOf / minimum / maximum /
-minLength / minItems), so CI needs nothing beyond the Python standard
-library. The
-custom "format": "double" keyword accepts either a JSON number or a string
-that parses as a double — including the canonical C99 hexfloat spelling
-("0x1.8p+1") `fmtree sweep --emit-request` emits for bit-exact round-trips.
+  metrics  an `--metrics` file ("fmtree.metrics/v1", tools/telemetry_schema.json)
+  trace    a `--trace` file ("fmtree.trace/v1", tools/telemetry_schema.json)
+  request  an "fmtree.request/v1" document (tools/request_schema.json)
+
+Self-contained interpreter for the small JSON-Schema subset the schemas use
+(type / const / enum / required / properties / additionalProperties / items /
+oneOf / anyOf / minimum / maximum / minLength / minItems), so CI needs
+nothing beyond the Python standard library. The custom "format": "double"
+keyword accepts either a JSON number or a string that parses as a double,
+including the canonical C99 hexfloat spelling ("0x1.8p+1") that
+`fmtree sweep --emit-request` emits for bit-exact round-trips. The
+telemetry schema is name-agnostic: a metrics document lists every counter
+and histogram of fmtree's metric catalogue (src/obs/metrics.hpp) whatever
+ran.
 
 Reads the document from stdin when the file argument is "-", so the CLI can
 be piped straight in:
 
-    fmtree sweep model.fmt --emit-request | validate_request.py -
-    fmtree fleet model.fmt --joints 100 --emit-request | validate_request.py -
+    fmtree sweep model.fmt --emit-request | validate_schema.py request -
+    fmtree fleet model.fmt --joints 100 --emit-request | validate_schema.py request -
 
 Exit code 0 = valid, 1 = invalid, 2 = usage/IO error.
 """
@@ -24,6 +30,12 @@ Exit code 0 = valid, 1 = invalid, 2 = usage/IO error.
 import json
 import os
 import sys
+
+SCHEMA_FILES = {
+    "metrics": "telemetry_schema.json",
+    "trace": "telemetry_schema.json",
+    "request": "request_schema.json",
+}
 
 
 def is_double(value):
@@ -127,22 +139,23 @@ def validate(value, schema, path, errors):
 
 def main(argv):
     args = argv[1:]
-    if len(args) not in (1, 2):
+    if len(args) != 2 or args[0] not in SCHEMA_FILES:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    schema_path = args[1] if len(args) == 2 else os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "request_schema.json")
-    name = "<stdin>" if args[0] == "-" else args[0]
+    kind, source = args
+    schema_path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                               SCHEMA_FILES[kind])
+    name = "<stdin>" if source == "-" else source
     try:
         with open(schema_path) as f:
-            schema = json.load(f)["request"]
-        if args[0] == "-":
+            schema = json.load(f)[kind]
+        if source == "-":
             document = json.load(sys.stdin)
         else:
-            with open(args[0]) as f:
+            with open(source) as f:
                 document = json.load(f)
     except (OSError, json.JSONDecodeError, KeyError) as e:
-        print(f"validate_request: {e}", file=sys.stderr)
+        print(f"validate_schema: {e}", file=sys.stderr)
         return 2
     errors = []
     validate(document, schema, "$", errors)
@@ -150,7 +163,8 @@ def main(argv):
         for e in errors:
             print(f"INVALID {name}: {e}", file=sys.stderr)
         return 1
-    print(f"OK {name} conforms to the fmtree.request/v1 schema")
+    print(f"OK {name} conforms to the {kind} schema of "
+          f"{os.path.basename(schema_path)}")
     return 0
 
 
