@@ -109,13 +109,9 @@ bool bitwise_equal(const sim::TrajectoryResult& a, const sim::TrajectoryResult& 
 std::vector<sim::TrajectoryResult> kernel_results(const sim::BatchExecutor& kernel,
                                                   std::uint64_t first, std::uint64_t n,
                                                   const sim::SimOptions& opts) {
-  std::vector<sim::TrajectoryResult> out;
+  std::vector<sim::TrajectoryResult> out(n);
   sim::BatchWorkspace ws;
-  kernel.run(kSeed, first, n, opts, ws,
-             [&](std::uint64_t, std::span<sim::TrajectoryResult> block) {
-               out.insert(out.end(), block.begin(), block.end());
-               return true;
-             });
+  for (std::uint64_t i = 0; i < n; ++i) kernel.run(kSeed, first + i, opts, ws, out[i]);
   return out;
 }
 
@@ -146,13 +142,13 @@ ModelReport bench_model(const std::string& name, const fmt::FaultMaintenanceTree
   // The kernel on one thread, called directly.
   {
     sim::BatchWorkspace ws;
+    sim::TrajectoryResult r;
     std::uint64_t events = 0;
     const auto t0 = std::chrono::steady_clock::now();
-    kernel.run(kSeed, 0, n, opts, ws,
-               [&](std::uint64_t, std::span<sim::TrajectoryResult> block) {
-                 for (const sim::TrajectoryResult& r : block) events += r.events;
-                 return true;
-               });
+    for (std::uint64_t i = 0; i < n; ++i) {
+      kernel.run(kSeed, i, opts, ws, r);
+      events += r.events;
+    }
     const double sec = seconds_since(t0);
     rep.batch_traj_per_sec = static_cast<double>(n) / sec;
     rep.batch_events_per_trajectory =
@@ -168,11 +164,11 @@ ModelReport bench_model(const std::string& name, const fmt::FaultMaintenanceTree
         kernel_results(kernel, 0, n_check, opts);
     rep.batch_lane_invariant = true;
     for (std::uint64_t first = 0; first < n_check; first += 5) {  // odd splits
-      const std::uint64_t lanes = std::min<std::uint64_t>(5, n_check - first);
+      const std::uint64_t run = std::min<std::uint64_t>(5, n_check - first);
       const std::vector<sim::TrajectoryResult> split =
-          kernel_results(kernel, first, lanes, opts);
-      for (std::uint64_t lane = 0; lane < lanes; ++lane)
-        if (!bitwise_equal(whole[first + lane], split[lane]))
+          kernel_results(kernel, first, run, opts);
+      for (std::uint64_t k = 0; k < run; ++k)
+        if (!bitwise_equal(whole[first + k], split[k]))
           rep.batch_lane_invariant = false;
     }
   }

@@ -76,8 +76,8 @@ struct BoundPolicy {
                           const PolicyState& st) const;
 };
 
-/// Mutable per-trajectory policy execution state (one per kernel lane, one
-/// per reference trajectory).
+/// Mutable per-trajectory policy execution state (one per kernel workspace,
+/// one per reference trajectory).
 struct PolicyState {
   std::vector<double> budget_spent;              ///< per budget
   std::vector<std::uint8_t> repaired_this_round; ///< per leaf

@@ -285,17 +285,18 @@ void Session::release_interest(
   for (const auto& entry : entries) {
     if (entry->done) continue;
     if (--entry->interested > 0) continue;
-    // Last watcher gone: fire the per-job cancel. A job still waiting in
-    // pending_ resolves immediately (its queue slot frees up now); a running
-    // one parks at the next trajectory boundary and resolves after the plan.
+    // Last watcher gone: fire the per-job cancel, and let no new request
+    // join the job. A job still waiting in pending_ resolves immediately (its
+    // queue slot frees up now); a running one parks at the next trajectory
+    // boundary and resolves after the plan.
     entry->cancel.request_stop();
     if (metrics != nullptr) metrics->add(obs::Metric::ServeCancelled);
+    inflight_.erase(entry->key_id);
     const auto it = std::find(pending_.begin(), pending_.end(), entry);
     if (it != pending_.end()) {
       pending_.erase(it);
       entry->done = true;
       entry->result.cancelled = true;
-      inflight_.erase(entry->key_id);
       --outstanding_;
     }
   }
@@ -307,7 +308,10 @@ void Session::resolve_entry_locked(JobEntry& entry, batch::JobResult result,
   entry.done = true;
   entry.result = std::move(result);
   entry.cycle = std::move(cycle);
-  inflight_.erase(entry.key_id);
+  // A cancelled job left inflight_ with its last watcher, and a newer job may
+  // hold its key by now.
+  const auto it = inflight_.find(entry.key_id);
+  if (it != inflight_.end() && it->second.get() == &entry) inflight_.erase(it);
   --outstanding_;
 }
 

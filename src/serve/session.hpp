@@ -28,7 +28,8 @@
 //
 // Cancellation: Ticket::cancel() detaches one caller; when the last watcher
 // of a job detaches, the job's per-job RunControl (SweepJob::cancel) fires
-// and the pool abandons it at the next trajectory boundary. drain() — the
+// and the pool abandons it at the next trajectory boundary. No later request
+// attaches to a cancelled job: an identical one runs anew. drain() — the
 // SIGTERM path — stops the dispatcher, cancels everything still pending,
 // and resolves all tickets; completed jobs keep their cached results, so a
 // restarted daemon replays them bit-identically.

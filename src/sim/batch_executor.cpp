@@ -1,9 +1,12 @@
 #include "sim/batch_executor.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace fmtree::sim {
 
@@ -107,37 +110,79 @@ BatchExecutor::BatchExecutor(const fmt::FaultMaintenanceTree& model)
   downtime_cost_rate_ = corrective.downtime_cost_rate;
 }
 
-/// Mutable view of one lane's rows inside the workspace. Plain pointers so
-/// the event loop indexes flat memory with no bounds rechecking. The four
-/// clock pointers are offsets into one contiguous candidate row (leaf_time
-/// is its base) — see BatchWorkspace::clock.
-struct BatchExecutor::LaneContext {
-  std::int32_t* phase = nullptr;
-  double* accel = nullptr;
-  double* frozen = nullptr;
-  double* leaf_time = nullptr;
-  std::uint8_t* failed = nullptr;
-  std::uint8_t* under_repair = nullptr;
-  double* inspect_time = nullptr;
-  double* replace_time = nullptr;
-  double* corrective_time = nullptr;
-  std::uint8_t* system_down = nullptr;
-  double* down_since = nullptr;
-  GateEvaluator::State* gates = nullptr;
-  CounterStream* rng = nullptr;
-  lang::PolicyState* policy = nullptr;  ///< non-null iff a scripted policy runs
-  TrajectoryResult* result = nullptr;
-};
-
-void BatchExecutor::simulate_lane(LaneContext& lane, const SimOptions& opts) const {
+void BatchExecutor::run(std::uint64_t seed, std::uint64_t index, const SimOptions& opts,
+                        BatchWorkspace& ws, TrajectoryResult& result) const {
+  const double horizon = opts.horizon;
+  const double discount_rate = opts.discount_rate;
+  if (!(horizon > 0 && std::isfinite(horizon)))
+    throw DomainError("simulation horizon must be positive and finite");
+  if (discount_rate < 0) throw DomainError("discount rate must be >= 0");
+  // A period of at most half an ulp of the horizon can leave t + period == t
+  // at some t <= horizon, where its rounds would refire forever; above it
+  // every round advances the clock.
+  const double stall = (std::nextafter(horizon, kInf) - horizon) / 2;
+  const auto check_period = [&](const char* kind, const auto& mod) {
+    if (mod.first_at <= horizon && mod.period <= stall)
+      throw DomainError(std::string(kind) + " '" + mod.name +
+                        "' has a period too small to advance the clock before the "
+                        "horizon");
+  };
+  for (const fmt::InspectionModule& mod : model_.inspections())
+    check_period("inspection", mod);
+  for (const fmt::ReplacementModule& mod : model_.replacements())
+    check_period("replacement", mod);
   const std::uint32_t num_leaves = num_leaves_;
   const auto num_insp = static_cast<std::uint32_t>(inspections_.size());
   const auto num_repl = static_cast<std::uint32_t>(replacements_.size());
-  const double horizon = opts.horizon;
-  const double discount_rate = opts.discount_rate;
-  GateEvaluator::State& gates = *lane.gates;
-  CounterStream& rng = *lane.rng;
-  TrajectoryResult& result = *lane.result;
+
+  // ---- Reset the state (no reallocation when sizes are unchanged) ----------
+  ws.phase.assign(num_leaves, 1);
+  ws.accel.assign(num_leaves, 1.0);
+  ws.frozen_remaining.assign(num_leaves, 0.0);
+  ws.leaf_failed.assign(num_leaves, 0);
+  ws.under_repair.assign(num_leaves, 0);
+  ws.clock.assign(num_leaves + num_insp + num_repl + 1, kInf);
+  eval_.reset(ws.gates);
+  if (opts.bound_policy) ws.policy.reset(*opts.bound_policy);
+  result.horizon = horizon;
+  result.first_failure_time = kInf;
+  result.failures = 0;
+  result.downtime = 0.0;
+  result.cost = {};
+  result.discounted_cost = {};
+  result.inspections = 0;
+  result.repairs = 0;
+  result.replacements = 0;
+  result.events = 0;
+  result.repairs_per_leaf.assign(num_leaves, 0);
+  result.failures_per_leaf.assign(num_leaves, 0);
+  result.failure_log.clear();
+
+  // Plain pointers, so the event loop indexes flat memory with no bounds
+  // rechecking. The three maintenance pointers are offsets into the clock
+  // row, whose base is leaf_time — see BatchWorkspace::clock.
+  std::int32_t* const phase = ws.phase.data();
+  double* const accel = ws.accel.data();
+  double* const frozen = ws.frozen_remaining.data();
+  std::uint8_t* const failed = ws.leaf_failed.data();
+  std::uint8_t* const under_repair = ws.under_repair.data();
+  double* const leaf_time = ws.clock.data();
+  double* const inspect_time = leaf_time + num_leaves;
+  double* const replace_time = inspect_time + num_insp;
+  double* const corrective_time = replace_time + num_repl;
+  GateEvaluator::State& gates = ws.gates;
+  CounterStream rng(seed, index);
+  bool system_down = false;
+  double down_since = 0.0;
+
+  for (std::uint32_t m = 0; m < num_insp; ++m) inspect_time[m] = inspections_[m].first_at;
+  for (std::uint32_t m = 0; m < num_repl; ++m)
+    replace_time[m] = replacements_[m].first_at;
+  // The corrective slot stays +infinity: no renewal pending. Every leaf
+  // starts in phase 1 at acceleration 1, so its first sojourn is drawn here
+  // leaf by leaf, exactly as schedule_phase would draw it.
+  for (std::uint32_t leaf = 0; leaf < num_leaves; ++leaf)
+    leaf_time[leaf] = sampler_.sample(leaf, 1, rng);
 
   const auto discount = [&](double now) {
     return discount_rate > 0 ? std::exp(-discount_rate * now) : 1.0;
@@ -150,20 +195,20 @@ void BatchExecutor::simulate_lane(LaneContext& lane, const SimOptions& opts) con
   };
 
   const auto schedule_phase = [&](std::uint32_t leaf, double now) {
-    const double raw = sampler_.sample(leaf, lane.phase[leaf], rng);
-    if (lane.accel[leaf] > 0) {
-      lane.leaf_time[leaf] = now + raw / lane.accel[leaf];
+    const double raw = sampler_.sample(leaf, phase[leaf], rng);
+    if (accel[leaf] > 0) {
+      leaf_time[leaf] = now + raw / accel[leaf];
     } else {
       // Frozen (cold spare): hold the sampled sojourn until reactivated.
-      lane.frozen[leaf] = raw;
-      lane.leaf_time[leaf] = kInf;
+      frozen[leaf] = raw;
+      leaf_time[leaf] = kInf;
     }
   };
 
   const auto fail_leaf = [&](std::uint32_t leaf) {
-    lane.under_repair[leaf] = 0;
-    lane.leaf_time[leaf] = kInf;
-    lane.failed[leaf] = 1;
+    under_repair[leaf] = 0;
+    leaf_time[leaf] = kInf;
+    failed[leaf] = 1;
     eval_.set_leaf(gates, leaf, true);
   };
 
@@ -175,7 +220,7 @@ void BatchExecutor::simulate_lane(LaneContext& lane, const SimOptions& opts) con
     const auto spi = static_cast<std::size_t>(sp);
     for (std::uint32_t k = spare_begin_[spi]; k < spare_begin_[spi + 1]; ++k) {
       const std::uint32_t c = spare_children_[k];
-      if (!lane.failed[c]) return c == leaf ? 1.0 : spare_dormancy_[spi];
+      if (!failed[c]) return c == leaf ? 1.0 : spare_dormancy_[spi];
     }
     return 1.0;
   };
@@ -187,24 +232,23 @@ void BatchExecutor::simulate_lane(LaneContext& lane, const SimOptions& opts) con
         const RdepInfo& dep = rdep_info_[rdep_edges_[k]];
         const bool active = dep.trigger_phase == 0
                                 ? gates.node_true[dep.trigger_node] != 0
-                                : lane.phase[dep.trigger_leaf] >= dep.trigger_phase;
+                                : phase[dep.trigger_leaf] >= dep.trigger_phase;
         if (active) desired *= dep.factor;
       }
-      if (desired == lane.accel[leaf]) continue;
-      if (!lane.failed[leaf] && !lane.under_repair[leaf]) {
+      if (desired == accel[leaf]) continue;
+      if (!failed[leaf] && !under_repair[leaf]) {
         // Rescale the remaining sojourn; a factor of zero freezes it at its
         // natural-rate remainder so reactivation resumes where it stopped.
-        const double natural = lane.accel[leaf] > 0
-                                   ? (lane.leaf_time[leaf] - now) * lane.accel[leaf]
-                                   : lane.frozen[leaf];
+        const double natural =
+            accel[leaf] > 0 ? (leaf_time[leaf] - now) * accel[leaf] : frozen[leaf];
         if (desired > 0) {
-          lane.leaf_time[leaf] = now + natural / desired;
+          leaf_time[leaf] = now + natural / desired;
         } else {
-          lane.frozen[leaf] = natural;
-          lane.leaf_time[leaf] = kInf;
+          frozen[leaf] = natural;
+          leaf_time[leaf] = kInf;
         }
       }
-      lane.accel[leaf] = desired;
+      accel[leaf] = desired;
     }
   };
 
@@ -212,21 +256,21 @@ void BatchExecutor::simulate_lane(LaneContext& lane, const SimOptions& opts) con
     // Renewal preempts an ongoing repair and any pending transition; both
     // cancellations are plain stores here (schedule_phase overwrites the
     // clock, or parks it at +infinity while frozen).
-    lane.under_repair[leaf] = 0;
-    lane.phase[leaf] = 1;
-    if (lane.failed[leaf]) {
-      lane.failed[leaf] = 0;
+    under_repair[leaf] = 0;
+    phase[leaf] = 1;
+    if (failed[leaf]) {
+      failed[leaf] = 0;
       eval_.set_leaf(gates, leaf, false);
     }
     schedule_phase(leaf, now);
   };
 
   const auto end_downtime = [&](double now) {
-    result.downtime += now - *lane.down_since;
-    result.cost.downtime += downtime_cost_rate_ * (now - *lane.down_since);
-    result.discounted_cost.downtime += discounted_downtime(*lane.down_since, now);
-    *lane.system_down = 0;
-    *lane.corrective_time = kInf;  // cancel a pending corrective renewal
+    result.downtime += now - down_since;
+    result.cost.downtime += downtime_cost_rate_ * (now - down_since);
+    result.discounted_cost.downtime += discounted_downtime(down_since, now);
+    system_down = false;
+    *corrective_time = kInf;  // cancel a pending corrective renewal
   };
 
   // FDEP cascade: failed triggers force their dependents to fail, possibly
@@ -240,8 +284,8 @@ void BatchExecutor::simulate_lane(LaneContext& lane, const SimOptions& opts) con
         if (!gates.node_true[fdep_trigger_node_[f]]) continue;
         for (std::uint32_t k = fdep_begin_[f]; k < fdep_begin_[f + 1]; ++k) {
           const std::uint32_t leaf = fdep_dependents_[k];
-          if (lane.failed[leaf]) continue;
-          lane.phase[leaf] = num_phases_[leaf] + 1;
+          if (failed[leaf]) continue;
+          phase[leaf] = num_phases_[leaf] + 1;
           fail_leaf(leaf);
           changed = true;
         }
@@ -255,7 +299,7 @@ void BatchExecutor::simulate_lane(LaneContext& lane, const SimOptions& opts) con
     apply_fdeps();
     update_rates(now);
     const bool top_now = gates.node_true[top_node_] != 0;
-    if (top_now && !*lane.system_down) {
+    if (top_now && !system_down) {
       ++result.failures;
       result.first_failure_time = std::min(result.first_failure_time, now);
       ++result.failures_per_leaf[cause];
@@ -264,28 +308,28 @@ void BatchExecutor::simulate_lane(LaneContext& lane, const SimOptions& opts) con
       result.cost.corrective += corrective_enabled_ ? corrective_cost_ : 0.0;
       result.discounted_cost.corrective +=
           corrective_enabled_ ? corrective_cost_ * discount(now) : 0.0;
-      *lane.system_down = 1;
-      *lane.down_since = now;
-      if (corrective_enabled_) *lane.corrective_time = now + corrective_delay_;
-    } else if (!top_now && *lane.system_down) {
+      system_down = true;
+      down_since = now;
+      if (corrective_enabled_) *corrective_time = now + corrective_delay_;
+    } else if (!top_now && system_down) {
       end_downtime(now);
     }
   };
 
   // Apply initial spare dormancy (and any rate dependency active at t = 0):
-  // run_block() samples every leaf at acceleration 1, and this rescales the
-  // affected sojourns before the first event.
+  // the first sojourns were drawn at acceleration 1, and this rescales the
+  // affected ones before the first event.
   update_rates(0.0);
 
-  // ---- Main loop: branch-free min-scan over the lane's candidate clocks ----
-  // Candidate index space (= the merged clock row): [0, L) leaf events (phase
+  // ---- Main loop: branch-free min-scan over the candidate clocks -----------
+  // Candidate index space (= the clock row): [0, L) leaf events (phase
   // transition, or repair completion while under_repair), [L, L+Mi)
   // inspections, [L+Mi, L+Mi+Mr) replacements, L+Mi+Mr the pending
   // corrective renewal. Ties break toward the lowest index.
   const std::uint32_t insp_base = num_leaves;
   const std::uint32_t repl_base = insp_base + num_insp;
   const std::uint32_t corrective_idx = repl_base + num_repl;
-  const double* clock = lane.leaf_time;  // base of the contiguous row
+  const double* clock = leaf_time;
 
   while (true) {
     double best = clock[0];
@@ -308,15 +352,15 @@ void BatchExecutor::simulate_lane(LaneContext& lane, const SimOptions& opts) con
     // a renewal may resurrect one.
     if (best_idx < num_leaves) {
       const std::uint32_t leaf = best_idx;
-      if (lane.under_repair[leaf]) {
+      if (under_repair[leaf]) {
         // Repair completed: the component returns as new.
-        lane.under_repair[leaf] = 0;
-        lane.phase[leaf] = 1;
+        under_repair[leaf] = 0;
+        phase[leaf] = 1;
         schedule_phase(leaf, now);
         update_rates(now);  // phase reset may deactivate RDEPs
       } else {
-        ++lane.phase[leaf];
-        if (lane.phase[leaf] > num_phases_[leaf]) {
+        ++phase[leaf];
+        if (phase[leaf] > num_phases_[leaf]) {
           fail_leaf(leaf);
           settle(now, leaf);
         } else {
@@ -331,7 +375,7 @@ void BatchExecutor::simulate_lane(LaneContext& lane, const SimOptions& opts) con
       const lang::BoundPolicy* policy = opts.bound_policy;
       if (policy && !lang::round_active(*policy, m, now)) {
         // Out-of-window seasonal visit: no cost, no round, just reschedule.
-        lane.inspect_time[m] = now + mod.period;
+        inspect_time[m] = now + mod.period;
         continue;
       }
       ++result.inspections;
@@ -347,8 +391,8 @@ void BatchExecutor::simulate_lane(LaneContext& lane, const SimOptions& opts) con
         result.discounted_cost.repair += repair_cost_[leaf] * discount(now);
         if (repair_duration_[leaf] > 0) {
           // Timed repair: pause degradation until the crew finishes.
-          lane.under_repair[leaf] = 1;
-          lane.leaf_time[leaf] = now + repair_duration_[leaf];
+          under_repair[leaf] = 1;
+          leaf_time[leaf] = now + repair_duration_[leaf];
         } else {
           renew_leaf(leaf, now);
         }
@@ -357,20 +401,17 @@ void BatchExecutor::simulate_lane(LaneContext& lane, const SimOptions& opts) con
       bool idle = true;
       if (policy) {
         const auto host = lang::make_host(
-            [&](std::uint32_t leaf) {
-              return static_cast<double>(lane.phase[leaf]);
-            },
-            [&](std::uint32_t leaf) { return lane.failed[leaf] != 0; },
-            [&](std::uint32_t leaf) { return lane.under_repair[leaf] != 0; },
-            do_repair);
-        idle = !lang::run_round(*policy, m, now, host, *lane.policy) &&
+            [&](std::uint32_t leaf) { return static_cast<double>(phase[leaf]); },
+            [&](std::uint32_t leaf) { return failed[leaf] != 0; },
+            [&](std::uint32_t leaf) { return under_repair[leaf] != 0; }, do_repair);
+        idle = !lang::run_round(*policy, m, now, host, ws.policy) &&
                policy->time_invariant[m] != 0;
       } else {
         for (std::uint32_t k = mod.targets_begin; k < mod.targets_end; ++k) {
           const std::uint32_t leaf = insp_targets_[k];
-          if (lane.failed[leaf]) continue;       // inspections cannot fix failures
-          if (lane.under_repair[leaf]) continue;  // a crew is already on it
-          if (lane.phase[leaf] < threshold_[leaf]) continue;
+          if (failed[leaf]) continue;        // inspections cannot fix failures
+          if (under_repair[leaf]) continue;  // a crew is already on it
+          if (phase[leaf] < threshold_[leaf]) continue;
           idle = false;  // eligible: a repair, or a detection draw, follows
           // Imperfect inspections miss degradation with prob. 1 - p.
           if (mod.detection_probability < 1.0 &&
@@ -384,7 +425,7 @@ void BatchExecutor::simulate_lane(LaneContext& lane, const SimOptions& opts) con
         // Repairs reset phases, which can deactivate phase-triggered rate
         // dependencies (failure states are untouched, so no gate can flip).
         update_rates(now);
-        lane.inspect_time[m] = now + mod.period;
+        inspect_time[m] = now + mod.period;
         continue;
       }
       // Fast-forward: nothing changed since the last update_rates, and only
@@ -405,7 +446,7 @@ void BatchExecutor::simulate_lane(LaneContext& lane, const SimOptions& opts) con
         result.discounted_cost.inspection += mod.cost * discount(t);
         t += mod.period;
       }
-      lane.inspect_time[m] = t;
+      inspect_time[m] = t;
     } else if (best_idx < corrective_idx) {
       const std::uint32_t m = best_idx - repl_base;
       const ReplacementInfo& mod = replacements_[m];
@@ -415,117 +456,19 @@ void BatchExecutor::simulate_lane(LaneContext& lane, const SimOptions& opts) con
       for (std::uint32_t k = mod.targets_begin; k < mod.targets_end; ++k)
         renew_leaf(repl_targets_[k], now);
       settle(now, 0);  // may restore a failed system
-      lane.replace_time[m] = now + mod.period;
+      replace_time[m] = now + mod.period;
     } else {
       // Corrective renewal: the whole system returns as new.
-      *lane.corrective_time = kInf;
-      for (std::uint32_t leaf = 0; leaf < num_leaves; ++leaf)
-        renew_leaf(leaf, now);
+      *corrective_time = kInf;
+      for (std::uint32_t leaf = 0; leaf < num_leaves; ++leaf) renew_leaf(leaf, now);
       settle(now, 0);
     }
   }
 
-  if (*lane.system_down) {
-    result.downtime += horizon - *lane.down_since;
-    result.cost.downtime += downtime_cost_rate_ * (horizon - *lane.down_since);
-    result.discounted_cost.downtime +=
-        discounted_downtime(*lane.down_since, horizon);
-  }
-}
-
-void BatchExecutor::run_block(std::uint64_t seed, std::uint64_t first, std::uint32_t n,
-                              const SimOptions& opts, BatchWorkspace& ws) const {
-  if (!(opts.horizon > 0 && std::isfinite(opts.horizon)))
-    throw DomainError("simulation horizon must be positive and finite");
-  if (opts.discount_rate < 0) throw DomainError("discount rate must be >= 0");
-  // A period of at most half an ulp of the horizon can leave t + period == t
-  // at some t <= horizon, where its rounds would refire forever; above it
-  // every round advances the clock.
-  const double stall = (std::nextafter(opts.horizon, kInf) - opts.horizon) / 2;
-  const auto check_period = [&](const char* kind, const auto& mod) {
-    if (mod.first_at <= opts.horizon && mod.period <= stall)
-      throw DomainError(std::string(kind) + " '" + mod.name +
-                        "' has a period too small to advance the clock before the "
-                        "horizon");
-  };
-  for (const fmt::InspectionModule& mod : model_.inspections())
-    check_period("inspection", mod);
-  for (const fmt::ReplacementModule& mod : model_.replacements())
-    check_period("replacement", mod);
-  const std::uint32_t num_leaves = num_leaves_;
-  const auto num_insp = static_cast<std::uint32_t>(inspections_.size());
-  const auto num_repl = static_cast<std::uint32_t>(replacements_.size());
-
-  // ---- Reset the SoA state (no reallocation when sizes are unchanged) ------
-  const std::size_t cells = static_cast<std::size_t>(n) * num_leaves;
-  const std::uint32_t num_clocks = num_leaves + num_insp + num_repl + 1;
-  ws.phase.assign(cells, 1);
-  ws.accel.assign(cells, 1.0);
-  ws.frozen_remaining.assign(cells, 0.0);
-  ws.leaf_failed.assign(cells, 0);
-  ws.under_repair.assign(cells, 0);
-  ws.clock.assign(static_cast<std::size_t>(n) * num_clocks, kInf);
-  ws.system_down.assign(n, 0);
-  ws.down_since.assign(n, 0.0);
-  ws.gates.resize(n);
-  ws.results.resize(n);
-  ws.rng.clear();
-  ws.rng.reserve(n);
-  for (std::uint32_t lane = 0; lane < n; ++lane)
-    ws.rng.emplace_back(seed, first + lane);
-  if (opts.bound_policy) {
-    ws.policy.resize(n);
-    for (std::uint32_t lane = 0; lane < n; ++lane)
-      ws.policy[lane].reset(*opts.bound_policy);
-  }
-
-  for (std::uint32_t lane = 0; lane < n; ++lane) {
-    eval_.reset(ws.gates[lane]);
-    TrajectoryResult& r = ws.results[lane];
-    r = TrajectoryResult{};
-    r.horizon = opts.horizon;
-    r.repairs_per_leaf.assign(num_leaves, 0);
-    r.failures_per_leaf.assign(num_leaves, 0);
-    double* row = ws.clock.data() + static_cast<std::size_t>(lane) * num_clocks;
-    for (std::uint32_t m = 0; m < num_insp; ++m)
-      row[num_leaves + m] = inspections_[m].first_at;
-    for (std::uint32_t m = 0; m < num_repl; ++m)
-      row[num_leaves + num_insp + m] = replacements_[m].first_at;
-    // The corrective slot (last) stays +infinity: no renewal pending.
-  }
-
-  // ---- Initial firing times: all leaves x lanes sampled in one pass --------
-  // Every lane starts with phase 1 and acceleration 1, so this is exactly
-  // what schedule_phase would draw leaf by leaf — hoisted out of the event
-  // loop into a contiguous sweep over the SoA block.
-  for (std::uint32_t lane = 0; lane < n; ++lane) {
-    CounterStream& rng = ws.rng[lane];
-    double* row = ws.clock.data() + static_cast<std::size_t>(lane) * num_clocks;
-    for (std::uint32_t leaf = 0; leaf < num_leaves; ++leaf)
-      row[leaf] = sampler_.sample(leaf, 1, rng);
-  }
-
-  // ---- Per-lane event loops -------------------------------------------------
-  for (std::uint32_t lane = 0; lane < n; ++lane) {
-    const std::size_t row = static_cast<std::size_t>(lane) * num_leaves;
-    double* clock = ws.clock.data() + static_cast<std::size_t>(lane) * num_clocks;
-    LaneContext ctx;
-    ctx.phase = ws.phase.data() + row;
-    ctx.accel = ws.accel.data() + row;
-    ctx.frozen = ws.frozen_remaining.data() + row;
-    ctx.leaf_time = clock;
-    ctx.failed = ws.leaf_failed.data() + row;
-    ctx.under_repair = ws.under_repair.data() + row;
-    ctx.inspect_time = clock + num_leaves;
-    ctx.replace_time = clock + num_leaves + num_insp;
-    ctx.corrective_time = clock + num_leaves + num_insp + num_repl;
-    ctx.system_down = &ws.system_down[lane];
-    ctx.down_since = &ws.down_since[lane];
-    ctx.gates = &ws.gates[lane];
-    ctx.rng = &ws.rng[lane];
-    if (opts.bound_policy) ctx.policy = &ws.policy[lane];
-    ctx.result = &ws.results[lane];
-    simulate_lane(ctx, opts);
+  if (system_down) {
+    result.downtime += horizon - down_since;
+    result.cost.downtime += downtime_cost_rate_ * (horizon - down_since);
+    result.discounted_cost.downtime += discounted_downtime(down_since, horizon);
   }
 }
 

@@ -1,7 +1,7 @@
-// The trajectory kernel: structure-of-arrays lane-block execution of the
-// fault-maintenance-tree semantics. Every Monte-Carlo result of the library
-// comes from here; sim::Reference re-implements the same semantics naively
-// and is held to it bit for bit by the tests.
+// The trajectory kernel: one trajectory of the fault-maintenance-tree
+// semantics per call. Every Monte-Carlo result of the library comes from
+// here; sim::Reference re-implements the same semantics naively and is held
+// to it bit for bit by the tests.
 //
 // Semantics:
 //  * each leaf degrades through its phases; phase sojourn times are sampled
@@ -38,20 +38,20 @@
 // trajectory t under seed s is the pure function philox(s, (t, i)). A
 // trajectory draws its initial sojourns leaf by leaf, then one draw per
 // scheduled sojourn and per imperfect-inspection Bernoulli trial, so its
-// stream depends only on its own event sequence — never on which lane,
-// block, chunk or thread ran it. Reports are bit-identical at any thread
-// count and chunking by construction.
+// stream depends only on its own event sequence — never on which chunk or
+// thread ran it, or on what its workspace ran before. Reports are
+// bit-identical at any thread count and chunking by construction.
 //
-// Execution: the mutable state of a block of lanes lives in flat
-// per-field arrays (phase, acceleration, next-event clock, ...), so
-//  * event selection is a branch-free min-scan over the lane's clock row —
+// Execution: the mutable state of the trajectory lives in a reusable
+// workspace of flat per-leaf rows (phase, acceleration, ...) and one
+// next-event clock row, so
+//  * event selection is a branch-free min-scan over the clock row —
 //    cancellation is a plain store;
-//  * sojourns come from flat per-(leaf, phase) sampler rows (SojournSampler)
-//    and the initial firing times of a whole block are sampled in one pass;
-//  * gates are evaluated incrementally (GateEvaluator, one State per lane),
-//    so a leaf flip costs O(changed region), and events that cannot change
-//    a failure flag (phase advances, repairs, inspections) skip the FDEP and
-//    top-event parts of the settle, which they provably leave unchanged;
+//  * sojourns come from flat per-(leaf, phase) sampler rows (SojournSampler);
+//  * gates are evaluated incrementally (GateEvaluator), so a leaf flip
+//    costs O(changed region), and events that cannot change a failure flag
+//    (phase advances, repairs, inspections) skip the FDEP and top-event
+//    parts of the settle, which they provably leave unchanged;
 //  * idle inspection rounds fast-forward. A built-in round is idle when no
 //    target is eligible (working, not under repair, at or past its
 //    threshold phase); a round that missed an eligible target drew a number
@@ -67,17 +67,14 @@
 //    horizon, which could stop the clock, is rejected with a DomainError.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <vector>
 
 #include "fmt/fmtree.hpp"
 #include "lang/runtime.hpp"
 #include "sim/gate_eval.hpp"
 #include "sim/sampler.hpp"
-#include "util/rng.hpp"
 
 namespace fmtree::sim {
 
@@ -133,34 +130,28 @@ struct SimOptions {
   const lang::BoundPolicy* bound_policy = nullptr;
 };
 
-/// All mutable state of one block of lanes, reusable across blocks (one per
-/// worker thread): SoA field arrays sized lanes x leaves, per-lane gate
-/// states and counter streams, and the per-lane results. A workspace carries
-/// nothing between blocks and may be handed to executors of different
-/// models — every block resizes it to fit.
+/// All mutable state of one trajectory, reusable across trajectories (one
+/// per worker thread): the per-leaf rows, the clock row, the gate state and
+/// the policy VM state. A workspace carries nothing from one trajectory to
+/// the next and may be handed to executors of different models — every run
+/// resizes it to fit.
 struct BatchWorkspace {
-  // Lane-major SoA rows: field[lane * num_leaves + leaf].
+  // Per-leaf rows: field[leaf].
   std::vector<std::int32_t> phase;
   std::vector<double> accel;
   std::vector<double> frozen_remaining;  // natural-rate time left while accel == 0
   std::vector<std::uint8_t> leaf_failed;
   std::vector<std::uint8_t> under_repair;
-  /// Lane-major candidate-clock rows of length L + Mi + Mr + 1: next event
-  /// time per leaf ([0, L): phase transition, or repair completion while
-  /// under_repair; +infinity when failed or frozen), per inspection module
-  /// ([L, L+Mi)), per replacement module ([L+Mi, L+Mi+Mr)), and the pending
-  /// corrective renewal (last slot; +infinity = none). One contiguous row
-  /// means event selection is a single min-scan.
+  /// Candidate-clock row of length L + Mi + Mr + 1: next event time per leaf
+  /// ([0, L): phase transition, or repair completion while under_repair;
+  /// +infinity when failed or frozen), per inspection module ([L, L+Mi)),
+  /// per replacement module ([L+Mi, L+Mi+Mr)), and the pending corrective
+  /// renewal (last slot; +infinity = none). One contiguous row means event
+  /// selection is a single min-scan.
   std::vector<double> clock;
-  // Per-lane scalars.
-  std::vector<std::uint8_t> system_down;
-  std::vector<double> down_since;
-  std::vector<GateEvaluator::State> gates;
-  std::vector<CounterStream> rng;
-  /// Per-lane scripted-policy VM states (sized only when a policy runs).
-  std::vector<lang::PolicyState> policy;
-  /// Per-lane trajectory results of the current block.
-  std::vector<TrajectoryResult> results;
+  GateEvaluator::State gates;
+  /// Scripted-policy VM state (reset only when a policy runs).
+  lang::PolicyState policy;
 };
 
 /// Executes trajectories of one FMT. Immutable after construction; run() is
@@ -172,34 +163,16 @@ public:
   /// outlive the executor.
   explicit BatchExecutor(const fmt::FaultMaintenanceTree& model);
 
-  /// Simulates trajectories [first, first + count), trajectory i on
-  /// CounterStream(seed, i), one block of lanes at a time. After each block
-  /// on_block(index, results) receives the index of the block's first
-  /// trajectory and the block's results (valid until the next block; the
-  /// callee may move from them). Returning false stops before the next
-  /// block. Honors horizon, discount_rate, record_failure_log and
-  /// bound_policy from `opts`.
-  template <class OnBlock>
-  void run(std::uint64_t seed, std::uint64_t first, std::uint64_t count,
-           const SimOptions& opts, BatchWorkspace& ws, OnBlock&& on_block) const {
-    for (std::uint64_t done = 0; done < count;) {
-      const auto n =
-          static_cast<std::uint32_t>(std::min<std::uint64_t>(kLanes, count - done));
-      run_block(seed, first + done, n, opts, ws);
-      if (!on_block(first + done, std::span<TrajectoryResult>(ws.results.data(), n)))
-        return;
-      done += n;
-    }
-  }
+  /// Simulates trajectory `index` on CounterStream(seed, index) into
+  /// `result`, which it resets first (its vectors keep their capacity).
+  /// Honors horizon, discount_rate, record_failure_log and bound_policy from
+  /// `opts`.
+  void run(std::uint64_t seed, std::uint64_t index, const SimOptions& opts,
+           BatchWorkspace& ws, TrajectoryResult& result) const;
 
   const fmt::FaultMaintenanceTree& model() const noexcept { return model_; }
 
 private:
-  /// Lanes per block: wide enough to amortize block setup and keep the
-  /// initial sampling pass long, small enough that a block's SoA state stays
-  /// cache-resident. Execution-only — results do not depend on it.
-  static constexpr std::uint32_t kLanes = 16;
-
   /// Hot-loop form of one rate dependency (no strings, ids pre-resolved).
   struct RdepInfo {
     std::uint32_t trigger_node = 0;
@@ -222,14 +195,6 @@ private:
     double cost = 0.0;
     std::uint32_t targets_begin = 0, targets_end = 0;  ///< into repl_targets_
   };
-
-  struct LaneContext;  // per-lane view over the workspace rows (in .cpp)
-
-  /// Simulates the n <= kLanes trajectories [first, first + n) into
-  /// ws.results[0..n).
-  void run_block(std::uint64_t seed, std::uint64_t first, std::uint32_t n,
-                 const SimOptions& opts, BatchWorkspace& ws) const;
-  void simulate_lane(LaneContext& lane, const SimOptions& opts) const;
 
   const fmt::FaultMaintenanceTree& model_;
   GateEvaluator eval_;

@@ -21,6 +21,10 @@ namespace {
 /// Trajectories per chunk: the unit of claiming, parking and folding.
 /// Scheduling only — trajectory identity lives in the counter streams.
 constexpr std::uint64_t kChunk = 64;
+/// Trajectories between a worker's polls: every kPoll trajectories of a
+/// chunk, and at its end, the worker publishes its count, beats its heartbeat,
+/// offers progress and checks for a stop or a cancel.
+constexpr std::uint64_t kPoll = 16;
 /// A claim waits while it is this many chunks per worker ahead of the
 /// oldest unfolded chunk. Wide enough that a worker descheduled for a few
 /// milliseconds on a loaded host does not stall the others: on 4 cores with
@@ -58,7 +62,7 @@ struct JobState {
 };
 
 /// Per-worker liveness signal for the stall watchdog: beats advance with
-/// every claimed chunk and kernel block; active drops when the worker exits.
+/// every claimed chunk and every poll; active drops when the worker exits.
 struct alignas(64) Heartbeat {
   std::atomic<std::uint64_t> beats{0};
   std::atomic<bool> active{true};
@@ -210,27 +214,25 @@ void Pool::simulate(Chunk& chunk, sim::BatchWorkspace& ws, Heartbeat& heartbeat)
                                 job.span);
     if (options_.fault_site != nullptr) (void)fault::fault_point(options_.fault_site);
     if (halted(s)) return;
-    job.executor->run(
-        job.seed, job.first + chunk.index * kChunk, chunk.size, *job.options, ws,
-        [&](std::uint64_t, std::span<sim::TrajectoryResult> block) {
-          // Copied, not moved: the buffer keeps its own allocations across
-          // chunks, and the kernel's stay on this worker's thread.
-          std::copy(block.begin(), block.end(),
-                    chunk.results.begin() + static_cast<std::ptrdiff_t>(chunk.count));
-          chunk.count += block.size();
-          simulated_.fetch_add(block.size(), std::memory_order_relaxed);
-          s.simulated.fetch_add(block.size(), std::memory_order_relaxed);
-          heartbeat.beats.fetch_add(1, std::memory_order_relaxed);
-          obs::ProgressReporter* progress = options_.telemetry.progress;
-          if (progress != nullptr && progress->due()) {
-            obs::Progress p;
-            p.phase = options_.progress_phase;
-            p.done = simulated_.load(std::memory_order_relaxed);
-            p.total = total_trajectories_;
-            progress->update(p);
-          }
-          return !halted(s);
-        });
+    const std::uint64_t first = job.first + chunk.index * kChunk;
+    for (std::uint64_t i = 0; i < chunk.size;) {
+      job.executor->run(job.seed, first + i, *job.options, ws, chunk.results[i]);
+      if (++i % kPoll != 0 && i < chunk.size) continue;
+      const std::uint64_t n = i - chunk.count;
+      chunk.count = i;
+      simulated_.fetch_add(n, std::memory_order_relaxed);
+      s.simulated.fetch_add(n, std::memory_order_relaxed);
+      heartbeat.beats.fetch_add(1, std::memory_order_relaxed);
+      obs::ProgressReporter* progress = options_.telemetry.progress;
+      if (progress != nullptr && progress->due()) {
+        obs::Progress p;
+        p.phase = options_.progress_phase;
+        p.done = simulated_.load(std::memory_order_relaxed);
+        p.total = total_trajectories_;
+        progress->update(p);
+      }
+      if (halted(s)) return;
+    }
   } catch (...) {
     fail(chunk.job, std::current_exception());
   }

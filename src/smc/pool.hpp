@@ -17,10 +17,10 @@
 //    index order, so every statistic it accumulates is bit-identical at any
 //    thread count;
 //  * stops — workers poll the pool's RunControl and each job's cancel
-//    handle between kernel blocks (16 trajectories). On a stop every job
-//    ends at the longest prefix of trajectory indices it completed, which
-//    its fold has received exactly as an untruncated run of that length
-//    would deliver it;
+//    handle every 16 trajectories of a chunk. On a stop every job ends at
+//    the longest prefix of trajectory indices it completed, which its fold
+//    has received exactly as an untruncated run of that length would
+//    deliver it;
 //  * isolation — an exception from a chunk or a fold fails only its own job
 //    (PoolJob::error); the other jobs run on.
 //

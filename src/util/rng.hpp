@@ -8,13 +8,12 @@
 // Philox-4x32-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
 // 3"). Draw i of stream t under seed s is the pure function
 // philox(key = s, counter = (t, i)): no state to carry, so a stream can be
-// evaluated out of order, resumed at any draw index, or interleaved across
-// SIMD lanes without perturbing any other stream. The batch trajectory kernel
-// keys one CounterStream per trajectory, which is what makes its reports
-// bit-identical at any lane width, chunk size and thread count by
-// construction. The draws outside the kernel (the corridor's per-joint
-// jitter, the elicitation datasets) use the same family under stream ids of
-// their own.
+// evaluated out of order, resumed at any draw index, or interleaved with
+// others without perturbing any other stream. The trajectory kernel keys one
+// CounterStream per trajectory, which is what makes its reports bit-identical
+// at any chunk size and thread count by construction. The draws outside the
+// kernel (the corridor's per-joint jitter, the elicitation datasets) use the
+// same family under stream ids of their own.
 #pragma once
 
 #include <array>

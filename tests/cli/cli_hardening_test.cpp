@@ -40,9 +40,9 @@ const char* kSimModel =
     "inspection I period=0.5 cost=20 targets A;\n"
     "corrective cost=5000 delay=0;\n";
 
-/// Writes a model under the test's working directory and returns the path.
+/// Writes a model under the test's temporary directory and returns the path.
 std::string write_model(const std::string& name, const std::string& text) {
-  const std::string path = "fmtree_cli_hardening_" + name + ".fmt";
+  const std::string path = testing::TempDir() + "fmtree_cli_hardening_" + name + ".fmt";
   std::ofstream f(path);
   f << text;
   return path;
@@ -155,7 +155,7 @@ TEST(CliExit, CalibrateRefusesIncidentRowsTheDatabaseWouldRefuse) {
   // incident database whatever the fleet: the streaming calibration must
   // stop at the first with a row-numbered input error (exit 2, U101)
   // instead of printing a rate table.
-  const std::string csv = "fmtree_cli_hardening_bad_incidents.csv";
+  const std::string csv = testing::TempDir() + "fmtree_cli_hardening_bad_incidents.csv";
   {
     std::ofstream f(csv);
     f << "asset_id,time,failure_mode\n"
@@ -321,7 +321,7 @@ TEST(CliExit, StoppedIncidentGenerationHoldsWholeJoints) {
 
 TEST(CliExit, PeriodTooSmallToAdvanceTheClockFailsAtOnce) {
   // The EI-joint inspected every 1e-17 from t = 1, where 1 + 1e-17 == 1.
-  // The trajectory pool polls --timeout only between blocks, so a stalled
+  // The trajectory pool polls --timeout only between trajectories, so a stalled
   // clock would never return; the kernel refuses the period up front.
   std::ifstream file(std::string(FMTREE_SOURCE_DIR) + "/models/ei_joint.fmt");
   std::ostringstream text;
@@ -346,11 +346,12 @@ TEST(CliExit, InfiniteHorizonIsRefusedBeforeAnyWork) {
   // A trajectory with an infinite horizon never ends, and neither --timeout
   // nor SIGTERM is polled inside one: the CLI refuses the flag up front.
   const std::string path = write_model("inf_horizon", kSimModel);
+  const std::string csv = testing::TempDir() + "fmtree_cli_hardening_inf.csv";
   const std::vector<std::vector<std::string>> runs = {
       {"analyze", path, "--horizon", "inf", "--runs", "10"},
       {"compare", path, path, "--horizon", "inf", "--runs", "2"},
-      {"fleet", path, "--joints", "1", "--observe-years", "inf",
-       "--generate-incidents", "fmtree_cli_hardening_inf.csv"}};
+      {"fleet", path, "--joints", "1", "--observe-years", "inf", "--generate-incidents",
+       csv}};
   for (const std::vector<std::string>& args : runs) {
     std::ostringstream out, err;
     const auto t0 = std::chrono::steady_clock::now();

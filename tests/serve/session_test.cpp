@@ -1,8 +1,9 @@
 // serve::Session semantics: in-flight dedup (N identical concurrent requests
-// cost one computation), all-or-nothing admission control (R120), cache-hit
-// resolution, the drain path that resolves every ticket, responses that
-// report only their own stop reason and warnings, admission reads that run
-// outside the session lock, and refusals that carry those reads' warnings.
+// cost one computation, and none joins a cancelled job), all-or-nothing
+// admission control (R120), cache-hit resolution, the drain path that
+// resolves every ticket, responses that report only their own stop reason
+// and warnings, admission reads that run outside the session lock, and
+// refusals that carry those reads' warnings.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -267,6 +268,24 @@ TEST(ServeSession, LastWatcherCancelAbandonsTheJob) {
   EXPECT_TRUE(response.all_done());
 }
 
+// A running job whose last watcher left takes no newcomer: an identical
+// request submitted while it winds down runs as a new job and completes,
+// where attaching would hand it the cancelled result.
+TEST(ServeSession, ANewRequestDoesNotJoinACancelledJob) {
+  const fault::Scope faults(kStallFirstChunk);
+  Harness h;
+  const std::uint64_t fired = fault::FaultRegistry::instance().fires();
+  Ticket first = h.session->submit(single_policy(2));
+  // Cancel only once the job is running (its first chunk is stalled).
+  while (fault::FaultRegistry::instance().fires() == fired)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  first.cancel();
+  const Response again = h.session->submit(single_policy(2)).take();
+  ASSERT_EQ(again.jobs.size(), 1u);
+  EXPECT_EQ(again.jobs[0].state(), batch::JobState::Done);
+  EXPECT_EQ(h.metrics.counter_value("serve.dedup_hits"), 0u);
+}
+
 // A stop and its diagnostic belong to the dispatch cycle that hit them.
 // Request B runs in a later, clean cycle than the stalled request A, so B
 // reports no stop reason and no warning even when it is taken first.
@@ -477,7 +496,7 @@ TEST(ServeSession, NegativeDiscountRateIsRejectedWithR112) {
 
 TEST(ServeSession, InfiniteHorizonIsRefusedWithR112AndTheSessionDrains) {
   // A trajectory with an infinite horizon never ends, and a drain stops a
-  // job only between blocks: admission refuses the request instead.
+  // job only between trajectories: admission refuses the request instead.
   Harness h;
   Request r = sweep_request();
   r.settings.horizon = std::numeric_limits<double>::infinity();

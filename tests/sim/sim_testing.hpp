@@ -12,9 +12,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <iterator>
 #include <random>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -73,19 +71,16 @@ inline ::testing::AssertionResult bit_identical(const sim::TrajectoryResult& a,
   return ::testing::AssertionSuccess();
 }
 
-/// The kernel's trajectories [first, first + count) under `seed`.
+/// The kernel's trajectories [first, first + count) under `seed`, run on one
+/// workspace.
 inline std::vector<sim::TrajectoryResult> kernel_run(
     const fmt::FaultMaintenanceTree& model, std::uint64_t seed, std::uint64_t first,
     std::uint64_t count, const sim::SimOptions& opts) {
   const sim::BatchExecutor executor(model);
   sim::BatchWorkspace ws;
-  std::vector<sim::TrajectoryResult> out;
-  executor.run(seed, first, count, opts, ws,
-               [&](std::uint64_t, std::span<sim::TrajectoryResult> block) {
-                 out.insert(out.end(), std::make_move_iterator(block.begin()),
-                            std::make_move_iterator(block.end()));
-                 return true;
-               });
+  std::vector<sim::TrajectoryResult> out(count);
+  for (std::uint64_t i = 0; i < count; ++i)
+    executor.run(seed, first + i, opts, ws, out[i]);
   return out;
 }
 

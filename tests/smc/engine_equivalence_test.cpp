@@ -5,9 +5,9 @@
 //    every KPI the kernel estimates must overlap the confidence interval the
 //    retired engine recorded at the same settings, pinned below — the
 //    semantics did not move when the engine changed, only the draws.
-//  * Determinism: the kernel's report is bit-identical at any thread count,
-//    lane-block width and chunk split (counter streams make trajectory i a
-//    pure function of (seed, i)).
+//  * Determinism: the kernel's report is bit-identical at any thread count
+//    and chunk split, and whatever its workspace ran before (counter streams
+//    make trajectory i a pure function of (seed, i)).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,11 +24,15 @@
 namespace fmtree::smc {
 namespace {
 
-fmt::FaultMaintenanceTree load_model(const std::string& name) {
+std::string model_text(const std::string& name) {
   std::ifstream file(std::string(FMTREE_SOURCE_DIR) + "/models/" + name + ".fmt");
   std::ostringstream text;
   text << file.rdbuf();
-  return fmt::parse_fmt(text.str());
+  return text.str();
+}
+
+fmt::FaultMaintenanceTree load_model(const std::string& name) {
+  return fmt::parse_fmt(model_text(name));
 }
 
 bool overlaps(const ConfidenceInterval& a, double lo, double hi) {
@@ -93,31 +97,43 @@ TEST(BatchDeterminism, ReportBitsInvariantToThreadCount) {
   }
 }
 
-TEST(BatchDeterminism, ReportBitsInvariantToLaneWidth) {
-  // A run of n trajectories simulates its first block with min(n, lanes)
-  // lanes, so slicing the range into runs of width w exercises blocks of
-  // every width up to the kernel's own — the bits must not notice.
-  const fmt::FaultMaintenanceTree model = load_model("ei_joint");
+TEST(BatchDeterminism, AReusedWorkspaceCarriesNothingBetweenTrajectories) {
+  // One workspace and one result run a compressor trajectory with its
+  // failure log on, then an EI-joint trajectory with it off. The EI-joint
+  // bits must equal a fresh workspace's: no phase, rate, flag, gate state,
+  // count or log entry of the compressor may leak into them. The
+  // compressor's corrective renewal is moved past the horizon, so most of
+  // its trajectories end down, with failed leaves and raised rates.
+  std::string text = model_text("compressor");
+  const std::string delay = "delay=0.05";
+  ASSERT_NE(text.find(delay), std::string::npos);
+  text.replace(text.find(delay), delay.size(), "delay=1000");
+  const fmt::FaultMaintenanceTree compressor = fmt::parse_fmt(text);
+  const fmt::FaultMaintenanceTree ei_joint = load_model("ei_joint");
+  const sim::BatchExecutor first(compressor);
+  const sim::BatchExecutor second(ei_joint);
+  sim::SimOptions logged;
+  logged.horizon = 10.0;
+  logged.record_failure_log = true;
   sim::SimOptions opts;
   opts.horizon = 10.0;
-  const std::vector<sim::TrajectoryResult> whole =
-      sim_test::kernel_run(model, 7, 0, 600, opts);
-  for (std::uint64_t width : {1u, 3u, 16u, 64u}) {
-    for (std::uint64_t first = 0; first < whole.size(); first += width) {
-      const std::uint64_t n = std::min<std::uint64_t>(width, whole.size() - first);
-      const std::vector<sim::TrajectoryResult> slice =
-          sim_test::kernel_run(model, 7, first, n, opts);
-      for (std::uint64_t lane = 0; lane < n; ++lane)
-        ASSERT_TRUE(sim_test::bit_identical(whole[first + lane], slice[lane]))
-            << "width " << width << ", trajectory " << first + lane;
-    }
+  sim::BatchWorkspace ws;
+  sim::TrajectoryResult reused;
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    first.run(11, i, logged, ws, reused);
+    second.run(11, i, opts, ws, reused);
+    sim::BatchWorkspace fresh_ws;
+    sim::TrajectoryResult fresh;
+    second.run(11, i, opts, fresh_ws, fresh);
+    ASSERT_TRUE(sim_test::bit_identical(fresh, reused)) << "trajectory " << i;
   }
 }
 
 TEST(BatchDeterminism, ChunkSplitsReproduceEveryTrajectoryBit) {
-  // Lane L of any chunk [first, first+n) runs CounterStream(seed, first+L):
-  // re-running an arbitrary sub-range must reproduce the same trajectories
-  // bit-for-bit, independent of how the full range was originally split.
+  // Trajectory first+k of any run [first, first+n) draws from
+  // CounterStream(seed, first+k): re-running an arbitrary sub-range must
+  // reproduce the same trajectories bit-for-bit, independent of how the full
+  // range was originally split.
   const fmt::FaultMaintenanceTree model = load_model("compressor");
   sim::SimOptions opts;
   opts.horizon = 10.0;
@@ -127,9 +143,9 @@ TEST(BatchDeterminism, ChunkSplitsReproduceEveryTrajectoryBit) {
     const std::uint64_t n = std::min<std::uint64_t>(37, 512 - first);
     const std::vector<sim::TrajectoryResult> split =
         sim_test::kernel_run(model, 5, first, n, opts);
-    for (std::uint64_t lane = 0; lane < n; ++lane)
-      ASSERT_TRUE(sim_test::bit_identical(reference[first + lane], split[lane]))
-          << "trajectory " << first + lane;
+    for (std::uint64_t k = 0; k < n; ++k)
+      ASSERT_TRUE(sim_test::bit_identical(reference[first + k], split[k]))
+          << "trajectory " << first + k;
   }
 }
 

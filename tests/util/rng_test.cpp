@@ -33,7 +33,7 @@ TEST(CounterStream, SameIdentitySameSequence) {
 TEST(CounterStream, AtMatchesSequentialDraws) {
   // Random access at(seed, stream, i) must agree with the i-th sequential
   // draw — this is the property that lets a trajectory be re-run in
-  // isolation (any lane, any batch) and reproduce its stream exactly.
+  // isolation (any chunk, any thread) and reproduce its stream exactly.
   CounterStream seq(42, 1234567);
   for (std::uint64_t i = 0; i < 256; ++i)
     ASSERT_EQ(seq(), CounterStream::at(42, 1234567, i)) << "draw " << i;
@@ -80,7 +80,7 @@ TEST(CounterStream, DifferentSeedsAreDistinct) {
 }
 
 TEST(CounterStream, DistantStreamIdsStayIndependent) {
-  // Lane retirement/refill uses arbitrary trajectory indices as stream ids;
+  // Pool chunks and elicitation datasets use arbitrary indices as stream ids;
   // adjacent and far-apart ids must be equally unrelated.
   CounterStream a(3, 0);
   CounterStream b(3, std::uint64_t{1} << 63);
