@@ -13,11 +13,11 @@ using namespace fmtree;
 int main() {
   bench::header("A14", "Preventive renewal period sweep (on top of current-4x)",
                 "claim C4 corollary: periodic renewal does not pay off");
-  const auto factory = eijoint::ei_joint_factory(eijoint::EiJointParameters::defaults());
+  const eijoint::EiJointParameters params = eijoint::EiJointParameters::defaults();
   const smc::AnalysisSettings settings = bench::default_settings(30.0, 8000);
 
   const smc::KpiReport baseline =
-      smc::analyze(factory(eijoint::current_policy()), settings);
+      smc::analyze(eijoint::build_ei_joint(params, eijoint::current_policy()), settings);
 
   TextTable t({"renewal period (y)", "E[failures]/yr", "renewal cost/yr",
                "total cost/yr", "delta vs no renewal"});
@@ -27,8 +27,8 @@ int main() {
              cell(baseline.cost_per_year.point, 0), "-"});
   bool renewal_never_pays = true;
   for (double period : {30.0, 20.0, 15.0, 10.0, 5.0}) {
-    const smc::KpiReport k =
-        smc::analyze(factory(eijoint::with_renewal(period)), settings);
+    const smc::KpiReport k = smc::analyze(
+        eijoint::build_ei_joint(params, eijoint::with_renewal(period)), settings);
     const double delta = k.cost_per_year.point - baseline.cost_per_year.point;
     if (delta < 0) renewal_never_pays = false;
     t.add_row({cell(period, 0), cell(k.failures_per_year.point, 4),

@@ -4,17 +4,19 @@
 // optimum moves when a failure is cheaper or dearer than assumed.
 // Expected shape: the optimal frequency is nondecreasing in the failure
 // cost — dearer failures justify more inspections.
+#include "batch/sweep.hpp"
 #include "bench/common.hpp"
 #include "eijoint/model.hpp"
 #include "eijoint/scenarios.hpp"
-#include "maintenance/optimizer.hpp"
+#include "maintenance/policy.hpp"
 
 using namespace fmtree;
 
 int main() {
   bench::header("A16", "Optimal inspection frequency vs failure cost",
                 "robustness of claim C4 to the corrective-cost estimate");
-  const auto factory = eijoint::ei_joint_factory(eijoint::EiJointParameters::defaults());
+  const eijoint::EiJointParameters params = eijoint::EiJointParameters::defaults();
+  const std::vector<double> frequencies = eijoint::cost_curve_frequencies();
   const smc::AnalysisSettings settings = bench::default_settings(20.0, 8000);
 
   TextTable t({"failure cost multiplier", "corrective cost", "optimal insp/yr",
@@ -26,18 +28,21 @@ int main() {
     maintenance::MaintenancePolicy base = eijoint::current_policy();
     base.corrective.cost *= multiplier;
     base.corrective.downtime_cost_rate *= multiplier;
-    const auto candidates = maintenance::inspection_frequency_candidates(
-        base, eijoint::cost_curve_frequencies());
-    const maintenance::SweepResult sweep =
-        maintenance::sweep_policies(factory, candidates, settings);
-    const double opt_freq = sweep.best().policy.inspections_per_year();
+    batch::SweepPlan plan;
+    plan.jobs = maintenance::frequency_jobs(eijoint::build_ei_joint(params, base),
+                                            frequencies, settings);
+    const batch::SweepOutcome sweep = batch::run_sweep(plan);
+    const std::size_t best = maintenance::cheapest(sweep.results);
+    const double opt_freq = frequencies.at(best);
+    const double opt_cost = sweep.results[best].report.cost_per_year.point;
     optima.push_back(opt_freq);
     double current_cost = 0;
-    for (const auto& e : sweep.curve)
-      if (e.policy.inspections_per_year() == 4.0) current_cost = e.cost_per_year();
+    for (std::size_t i = 0; i < frequencies.size(); ++i)
+      if (frequencies[i] == 4.0)
+        current_cost = sweep.results[i].report.cost_per_year.point;
     t.add_row({cell(multiplier, 2), cell(base.corrective.cost, 0), cell(opt_freq, 1),
-               cell(sweep.best().cost_per_year(), 0), cell(current_cost, 0),
-               cell(100.0 * (current_cost / sweep.best().cost_per_year() - 1), 1) + "%"});
+               cell(opt_cost, 0), cell(current_cost, 0),
+               cell(100.0 * (current_cost / opt_cost - 1), 1) + "%"});
   }
   t.print(std::cout);
 

@@ -12,7 +12,7 @@ using namespace fmtree;
 int main() {
   bench::header("F4", "Reliability R(t) per maintenance strategy, 0-50 years",
                 "claim C1/C2: more inspections -> higher joint reliability");
-  const auto factory = eijoint::ei_joint_factory(eijoint::EiJointParameters::defaults());
+  const eijoint::EiJointParameters params = eijoint::EiJointParameters::defaults();
   const std::vector<maintenance::MaintenancePolicy> strategies{
       eijoint::corrective_only(), eijoint::inspections_per_year(1),
       eijoint::inspections_per_year(2), eijoint::current_policy(),
@@ -26,8 +26,8 @@ int main() {
 
   std::vector<std::vector<smc::CurvePoint>> curves;
   for (const auto& strategy : strategies) {
-    curves.push_back(smc::reliability_curve(factory(strategy), grid,
-                                            bench::default_settings(50.0, 6000)));
+    curves.push_back(smc::reliability_curve(eijoint::build_ei_joint(params, strategy),
+                                            grid, bench::default_settings(50.0, 6000)));
   }
   for (std::size_t g = 0; g < grid.size(); ++g) {
     std::vector<std::string> row{cell(grid[g], 0)};

@@ -11,7 +11,7 @@ using namespace fmtree;
 int main() {
   bench::header("F5", "Expected failures per joint-year vs inspection frequency",
                 "claim C2: failure count analysable; diminishing returns");
-  const auto factory = eijoint::ei_joint_factory(eijoint::EiJointParameters::defaults());
+  const eijoint::EiJointParameters params = eijoint::EiJointParameters::defaults();
   const smc::AnalysisSettings settings = bench::default_settings(20.0, 8000);
 
   TextTable t({"inspections/yr", "E[failures]/yr (95% CI)", "reliability(20y)",
@@ -19,8 +19,8 @@ int main() {
   t.set_alignment({Align::Right, Align::Right, Align::Right, Align::Right});
   std::vector<double> rates;
   for (double freq : eijoint::cost_curve_frequencies()) {
-    const smc::KpiReport k =
-        smc::analyze(factory(eijoint::inspections_per_year(freq)), settings);
+    const smc::KpiReport k = smc::analyze(
+        eijoint::build_ei_joint(params, eijoint::inspections_per_year(freq)), settings);
     rates.push_back(k.failures_per_year.point);
     t.add_row({cell(freq, 1), bench::ci_cell(k.failures_per_year, 4),
                cell(k.reliability.point, 3),
@@ -35,7 +35,8 @@ int main() {
             << (monotone ? "PASS" : "FAIL") << "\n";
 
   // Attribution under the current policy.
-  const fmt::FaultMaintenanceTree current = factory(eijoint::current_policy());
+  const fmt::FaultMaintenanceTree current =
+      eijoint::build_ei_joint(params, eijoint::current_policy());
   const smc::KpiReport k = smc::analyze(current, settings);
   std::cout << "\nFailure attribution under current-4x (per joint-year):\n";
   TextTable attr({"failure mode", "failures/yr", "share"});

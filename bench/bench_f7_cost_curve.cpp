@@ -6,10 +6,10 @@
 #include <cstring>
 
 #include "batch/result_cache.hpp"
+#include "batch/sweep.hpp"
 #include "bench/common.hpp"
-#include "eijoint/model.hpp"
 #include "eijoint/scenarios.hpp"
-#include "maintenance/optimizer.hpp"
+#include "maintenance/policy.hpp"
 
 using namespace fmtree;
 
@@ -35,44 +35,42 @@ int main() {
   bench::header("F7", "Yearly cost vs inspection frequency (breakdown)",
                 "claim C4: current policy close to cost-optimal; extra "
                 "inspections cost more than the failures they avoid");
-  const auto factory = eijoint::ei_joint_factory(eijoint::EiJointParameters::defaults());
-  const auto candidates = maintenance::inspection_frequency_candidates(
-      eijoint::current_policy(), eijoint::cost_curve_frequencies());
+  const std::vector<double> frequencies = eijoint::cost_curve_frequencies();
   const smc::AnalysisSettings settings = bench::default_settings(20.0, 8000);
+  const batch::SweepPlan plan =
+      eijoint::cost_curve_plan(eijoint::EiJointParameters::defaults(), settings);
 
   // The curve runs through the batch sweep engine with a result cache: the
   // first pass simulates, the second is served from the cache bit-for-bit.
   using clock = std::chrono::steady_clock;
   batch::ResultCache cache;
   const auto cold_start = clock::now();
-  const maintenance::SweepResult sweep =
-      maintenance::sweep_policies(factory, candidates, settings, &cache);
+  const batch::SweepOutcome sweep = batch::run_sweep(plan, &cache);
   const double cold_s = std::chrono::duration<double>(clock::now() - cold_start).count();
   const auto warm_start = clock::now();
-  const maintenance::SweepResult warm =
-      maintenance::sweep_policies(factory, candidates, settings, &cache);
+  const batch::SweepOutcome warm = batch::run_sweep(plan, &cache);
   const double warm_s = std::chrono::duration<double>(clock::now() - warm_start).count();
 
+  const std::size_t best = maintenance::cheapest(sweep.results);
   TextTable t({"inspections/yr", "inspection", "repairs", "corrective", "downtime",
                "total/yr (95% CI)"});
   t.set_alignment({Align::Right, Align::Right, Align::Right, Align::Right,
                    Align::Right, Align::Right});
-  for (std::size_t i = 0; i < sweep.curve.size(); ++i) {
-    const maintenance::PolicyEvaluation& e = sweep.curve[i];
-    const fmt::CostBreakdown per_year = e.kpis.mean_cost / settings.horizon;
-    std::string total = bench::ci_cell(e.kpis.cost_per_year, 0);
-    if (i == sweep.best_index) total += "  <-- optimum";
-    t.add_row({cell(e.policy.inspections_per_year(), 1), cell(per_year.inspection, 0),
+  double current_cost = 0;
+  for (std::size_t i = 0; i < sweep.results.size(); ++i) {
+    const smc::KpiReport& k = sweep.results[i].report;
+    const fmt::CostBreakdown per_year = k.mean_cost / settings.horizon;
+    std::string total = bench::ci_cell(k.cost_per_year, 0);
+    if (i == best) total += "  <-- optimum";
+    t.add_row({cell(frequencies[i], 1), cell(per_year.inspection, 0),
                cell(per_year.repair, 0), cell(per_year.corrective, 0),
                cell(per_year.downtime, 0), std::move(total)});
+    if (frequencies[i] == 4.0) current_cost = k.cost_per_year.point;
   }
   t.print(std::cout);
 
-  const double best_freq = sweep.best().policy.inspections_per_year();
-  double current_cost = 0;
-  for (const auto& e : sweep.curve)
-    if (e.policy.inspections_per_year() == 4.0) current_cost = e.cost_per_year();
-  const double best_cost = sweep.best().cost_per_year();
+  const double best_freq = frequencies.at(best);
+  const double best_cost = sweep.results[best].report.cost_per_year.point;
   const bool near_optimal = current_cost <= 1.15 * best_cost;
   std::cout << "\nOptimum: " << cell(best_freq, 1) << " inspections/yr at "
             << cell(best_cost, 0) << "/yr; current policy (4x) costs "
@@ -82,9 +80,9 @@ int main() {
             << "Shape check (current within 15% of optimum): "
             << (near_optimal ? "PASS" : "FAIL") << "\n";
 
-  bool cached_identical = warm.curve.size() == sweep.curve.size();
-  for (std::size_t i = 0; cached_identical && i < sweep.curve.size(); ++i)
-    cached_identical = same_bits(sweep.curve[i].kpis, warm.curve[i].kpis);
+  bool cached_identical = warm.results.size() == sweep.results.size();
+  for (std::size_t i = 0; cached_identical && i < sweep.results.size(); ++i)
+    cached_identical = same_bits(sweep.results[i].report, warm.results[i].report);
   const auto st = cache.stats();
   std::cout << "\nCache replay: cold " << cell(cold_s, 2) << "s, warm "
             << cell(warm_s, 3) << "s (" << st.hits << " hits, " << st.misses

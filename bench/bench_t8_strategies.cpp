@@ -9,7 +9,7 @@ using namespace fmtree;
 int main() {
   bench::header("T8", "Strategy comparison: reliability / failures / cost",
                 "claims C2+C4: one model, all KPIs; current ~ cost-optimal");
-  const auto factory = eijoint::ei_joint_factory(eijoint::EiJointParameters::defaults());
+  const eijoint::EiJointParameters params = eijoint::EiJointParameters::defaults();
   const smc::AnalysisSettings settings = bench::default_settings(20.0, 8000);
 
   TextTable t({"strategy", "R(20y)", "E[failures]/yr", "availability", "insp+rep/yr",
@@ -18,7 +18,8 @@ int main() {
                    Align::Right, Align::Right, Align::Right});
   double current_cost = 0, best_cost = 1e300;
   for (const maintenance::MaintenancePolicy& policy : eijoint::paper_strategies()) {
-    const smc::KpiReport k = smc::analyze(factory(policy), settings);
+    const smc::KpiReport k =
+        smc::analyze(eijoint::build_ei_joint(params, policy), settings);
     const fmt::CostBreakdown per_year = k.mean_cost / settings.horizon;
     const double planned = per_year.inspection + per_year.repair + per_year.replacement;
     const double unplanned = per_year.corrective + per_year.downtime;

@@ -21,6 +21,7 @@
 #include "ft/bdd.hpp"
 #include "ft/importance.hpp"
 #include "lang/policy.hpp"
+#include "maintenance/policy.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/tracer.hpp"
@@ -347,9 +348,7 @@ int render_sweep(const Invocation& in, const serve::Response& o) {
   out << "inspection-frequency cost curve over " << opt.horizon << " time units ("
       << opt.runs << " runs each, " << opt.confidence * 100 << "% CIs):\n";
   TextTable t({"policy", "cost / time unit", "failures / time unit", "source"});
-  std::size_t best = o.jobs.size();
-  for (std::size_t i = 0; i < o.jobs.size(); ++i) {
-    const batch::JobResult& r = o.jobs[i];
+  for (const batch::JobResult& r : o.jobs) {
     if (r.failed) {
       t.add_row({r.label, "(failed: " + r.failure.kind + ")", "", ""});
       continue;
@@ -364,12 +363,9 @@ int render_sweep(const Invocation& in, const serve::Response& o) {
     }
     t.add_row({r.label, ci(r.report.cost_per_year, 2), ci(r.report.failures_per_year, 5),
                r.cache_hit ? "cache" : "simulated"});
-    if (best == o.jobs.size() ||
-        r.report.cost_per_year.point < o.jobs[best].report.cost_per_year.point)
-      best = i;
   }
   t.print(out);
-  if (best < o.jobs.size()) {
+  if (const std::size_t best = maintenance::cheapest(o.jobs); best < o.jobs.size()) {
     out << "\ncost-optimal policy: " << o.jobs[best].label << " at "
         << cell(o.jobs[best].report.cost_per_year.point, 2) << " / time unit\n";
   }

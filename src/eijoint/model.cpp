@@ -65,10 +65,4 @@ fmt::FaultMaintenanceTree build_ei_joint(const EiJointParameters& params,
   return model;
 }
 
-maintenance::ModelFactory ei_joint_factory(EiJointParameters params) {
-  return [params = std::move(params)](const maintenance::MaintenancePolicy& policy) {
-    return build_ei_joint(params, policy);
-  };
-}
-
 }  // namespace fmtree::eijoint

@@ -27,7 +27,4 @@ namespace fmtree::eijoint {
 fmt::FaultMaintenanceTree build_ei_joint(const EiJointParameters& params,
                                          const maintenance::MaintenancePolicy& policy);
 
-/// A factory closing over fixed parameters, for the policy optimizer.
-maintenance::ModelFactory ei_joint_factory(EiJointParameters params);
-
 }  // namespace fmtree::eijoint

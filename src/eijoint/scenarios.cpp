@@ -1,9 +1,6 @@
 #include "eijoint/scenarios.hpp"
 
-#include <utility>
-
 #include "eijoint/model.hpp"
-#include "maintenance/optimizer.hpp"
 
 namespace fmtree::eijoint {
 
@@ -72,11 +69,12 @@ std::vector<double> cost_curve_frequencies() {
 
 batch::SweepPlan cost_curve_plan(const EiJointParameters& params,
                                  const smc::AnalysisSettings& settings) {
-  return maintenance::policy_plan(
-      ei_joint_factory(params),
-      maintenance::inspection_frequency_candidates(current_policy(),
-                                                   cost_curve_frequencies()),
-      settings);
+  batch::SweepPlan plan;
+  plan.jobs = maintenance::frequency_jobs(build_ei_joint(params, current_policy()),
+                                          cost_curve_frequencies(), settings);
+  plan.threads = settings.threads;
+  plan.control = settings.control;
+  return plan;
 }
 
 }  // namespace fmtree::eijoint

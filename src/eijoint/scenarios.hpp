@@ -36,10 +36,12 @@ std::vector<maintenance::MaintenancePolicy> paper_strategies();
 /// Inspection frequencies (per year) swept for the cost curve.
 std::vector<double> cost_curve_frequencies();
 
-/// The paper's cost-curve sweep as a batch plan (maintenance::policy_plan):
-/// one job per frequency in cost_curve_frequencies() (labels follow the
-/// optimizer's naming), all under the same settings so the curve is
-/// seed-comparable. Run it with batch::run_sweep.
+/// The paper's cost-curve sweep as a batch plan: maintenance::frequency_jobs
+/// of the EI-joint under current_policy() over cost_curve_frequencies(), all
+/// under the same settings so the curve is seed-comparable, with the plan's
+/// threads and control taken from the settings. Its jobs and cache keys are
+/// those of `fmtree sweep models/ei_joint.fmt` at equal settings. Run it
+/// with batch::run_sweep.
 batch::SweepPlan cost_curve_plan(const EiJointParameters& params,
                                  const smc::AnalysisSettings& settings);
 

@@ -1,14 +1,20 @@
 // Maintenance strategies as data: a policy describes how often a system is
 // inspected and renewed and at what cost, independent of the system's
 // failure structure. Model builders (e.g. eijoint::build_ei_joint) turn a
-// policy into the concrete maintenance modules of an FMT, which lets the
-// optimizer sweep policies without knowing the model.
+// policy into the concrete maintenance modules of an FMT. An
+// inspection-frequency sweep edits one built model instead: frequency_jobs
+// reschedules its inspection modules, one sweep job per frequency, and
+// cheapest picks the cost-optimal result.
 #pragma once
 
-#include <functional>
+#include <cstddef>
+#include <span>
 #include <string>
+#include <vector>
 
+#include "batch/sweep.hpp"
 #include "fmt/fmtree.hpp"
+#include "smc/kpi.hpp"
 
 namespace fmtree::maintenance {
 
@@ -36,8 +42,22 @@ struct MaintenancePolicy {
 /// "0.5x-per-year"). Sweep job labels use it.
 std::string inspection_frequency_label(double per_year);
 
-/// Builds a concrete FMT implementing a policy. Provided by each case study.
-using ModelFactory = std::function<fmt::FaultMaintenanceTree(const MaintenancePolicy&)>;
+/// The inspection-frequency sweep of `model`: one job per entry of
+/// `per_year`, in order, labelled inspection_frequency_label(f), running a
+/// copy of `model` under `settings`. For f > 0 every inspection module of
+/// the copy inspects with period 1/f, first round at 1/f; for f = 0 the copy
+/// has no inspection modules. Throws DomainError on an empty list, a
+/// negative or non-finite frequency, and f > 0 for a model without
+/// inspection modules. Every frequency sweep (fmtree sweep, the daemon, the
+/// library cost curve) builds its jobs here, so equal settings give equal
+/// cache keys.
+std::vector<batch::SweepJob> frequency_jobs(const fmt::FaultMaintenanceTree& model,
+                                            const std::vector<double>& per_year,
+                                            const smc::AnalysisSettings& settings);
+
+/// The index of the completed result with the lowest cost_per_year.point
+/// (the first one on a tie), or results.size() when none completed.
+std::size_t cheapest(std::span<const batch::JobResult> results);
 
 /// Applies a policy's modules to an existing FMT whose structure is already
 /// built: one inspection module over all inspectable leaves, one replacement

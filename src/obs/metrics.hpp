@@ -47,7 +47,6 @@ enum class Metric : std::uint8_t {
   SolverIterations,
   SolverResidual,
   SolverStates,
-  OptimizerEvaluations,
   BatchJobs,
   BatchJobsSimulated,
   BatchTasks,
@@ -96,7 +95,6 @@ inline constexpr MetricRow kMetrics[] = {
     {Metric::SolverIterations, "solver.iterations", MetricKind::Counter},
     {Metric::SolverResidual, "solver.residual", MetricKind::Gauge},
     {Metric::SolverStates, "solver.states", MetricKind::Gauge},
-    {Metric::OptimizerEvaluations, "optimizer.evaluations", MetricKind::Counter},
     {Metric::BatchJobs, "batch.jobs", MetricKind::Counter},
     {Metric::BatchJobsSimulated, "batch.jobs_simulated", MetricKind::Counter},
     {Metric::BatchTasks, "batch.tasks", MetricKind::Counter},

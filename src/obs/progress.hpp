@@ -1,7 +1,7 @@
 // Throttled live-progress reporting for long-running analyses.
 //
-// Producers (the Monte-Carlo runner, the adaptive KPI driver, the CTMC
-// solvers, the policy optimizer) describe where they are with a Progress
+// Producers (the trajectory pool, the adaptive KPI driver and the CTMC
+// solvers) describe where they are with a Progress
 // snapshot; the ProgressReporter rate-limits delivery to the user callback
 // so hot loops can offer progress on every iteration without flooding
 // anything. The cheap pre-check is `due()` — one steady_clock read and one

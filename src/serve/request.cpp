@@ -402,26 +402,15 @@ PreparedRequest prepare(const Request& request, const std::string& model_root) {
     return prepared;
   }
 
-  bool wants_inspections = false;
-  for (double f : request.frequencies) wants_inspections = wants_inspections || f > 0;
-  if (wants_inspections && prepared.model.inspections().empty())
-    throw RequestError("R112", "model has no inspection modules to sweep");
-
-  // Identical expansion (labels included) to the `fmtree sweep` CLI, so a
-  // served sweep and a standalone one describe — and cache — the same jobs.
-  prepared.jobs.reserve(request.frequencies.size() + request.scripts.size());
-  for (double f : request.frequencies) {
-    batch::SweepJob job;
-    job.model = prepared.model;
-    job.label = maintenance::inspection_frequency_label(f);
-    if (f == 0) {
-      job.model.clear_inspections();
-    } else {
-      for (std::size_t i = 0; i < job.model.inspections().size(); ++i)
-        job.model.set_inspection_schedule(i, 1.0 / f);
+  // A DomainError is an invalid field: parse_request admits only finite
+  // frequencies >= 0, so it names a model without inspection modules.
+  if (!request.frequencies.empty()) {
+    try {
+      prepared.jobs = maintenance::frequency_jobs(prepared.model, request.frequencies,
+                                                  request.settings);
+    } catch (const DomainError& e) {
+      throw RequestError("R112", {diagnostic_from(e, "R112")});
     }
-    job.settings = request.settings;
-    prepared.jobs.push_back(std::move(job));
   }
 
   // Scripted candidates: compile each script (R114 carries the compiler's

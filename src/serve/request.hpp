@@ -119,8 +119,10 @@ Request parse_request(const std::string& text);
 std::string encode_request(const Request& request);
 
 /// The request, resolved and expanded: the parsed model plus one SweepJob
-/// per policy point (labels identical to the `fmtree sweep` CLI:
-/// "no-inspection" / "<f>x-per-year", or "analysis" without a policy).
+/// per policy point. A frequency grid expands through
+/// maintenance::frequency_jobs ("no-inspection" / "<f>x-per-year"), the one
+/// builder of every inspection-frequency sweep; a script's job is labelled
+/// by its policy name, and a request without a policy is one "analysis".
 struct PreparedRequest {
   fmt::FaultMaintenanceTree model;
   std::vector<batch::SweepJob> jobs;

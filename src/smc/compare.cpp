@@ -16,21 +16,6 @@ namespace {
 constexpr std::uint64_t kFirstPairBlock = 4096;
 constexpr std::uint64_t kPairBlock = std::uint64_t{1} << 16;
 
-/// Runs the jobs on settings.threads workers until settings.control stops
-/// them; a failed job rethrows here. `simulated_before` trajectories of
-/// earlier runs count towards the control's trajectory budget.
-PoolOutcome run_jobs(std::span<PoolJob> jobs, const AnalysisSettings& settings,
-                     std::uint64_t simulated_before = 0) {
-  PoolOptions options;
-  options.threads = settings.threads;
-  options.control = settings.control;
-  options.simulated_before = simulated_before;
-  const PoolOutcome outcome = run_pool(jobs, options);
-  for (const PoolJob& job : jobs)
-    if (job.error) std::rethrow_exception(job.error);
-  return outcome;
-}
-
 ResourceLimitError nothing_completed(StopReason stop) {
   return ResourceLimitError("run stopped (" + std::string(stop_reason_name(stop)) +
                                 ") before any trajectory completed",
@@ -80,7 +65,7 @@ PairedComparison compare_models(const fmt::FaultMaintenanceTree& a,
       job.trajectories = block;
     }
     // Every earlier block completed: two trajectories per pair.
-    const PoolOutcome outcome = run_jobs(jobs, settings, 2 * out.trajectories);
+    const PoolOutcome outcome = simulate(jobs, settings, 2 * out.trajectories);
     const std::size_t pairs = std::min(va.failures.size(), vb.failures.size());
     for (std::size_t i = 0; i < pairs; ++i) {
       failures.add(va.failures[i] - vb.failures[i]);
@@ -110,7 +95,7 @@ FailureQuantiles failure_time_quantiles(const fmt::FaultMaintenanceTree& model,
     times.push_back(r.first_failure_time);
     return true;
   });
-  const StopReason stop = run_jobs({&job, 1}, settings).stop_reason;
+  const StopReason stop = simulate({&job, 1}, settings).stop_reason;
   if (times.empty()) throw nothing_completed(stop);
   std::sort(times.begin(), times.end());
 

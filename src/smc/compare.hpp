@@ -8,8 +8,9 @@
 // giving far tighter confidence intervals on "which policy is better".
 //
 // Both estimators set up their kernels through smc::Simulation (so a
-// scripted settings.policy applies) and stop at settings.control like
-// analyze(): over the completed trajectory prefix, or with a
+// scripted settings.policy applies) and run them through smc::simulate like
+// analyze(): they count their trajectories in settings.telemetry and stop at
+// settings.control over the completed trajectory prefix, or with a
 // ResourceLimitError when no trajectory completed.
 #pragma once
 

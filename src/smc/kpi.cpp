@@ -24,6 +24,21 @@ void validate_settings(const AnalysisSettings& s) {
     throw DomainError("adaptive stopping needs a positive batch");
 }
 
+PoolOutcome simulate(std::span<PoolJob> jobs, const AnalysisSettings& settings,
+                     std::uint64_t simulated_before) {
+  PoolOptions options;
+  options.threads = settings.threads;
+  options.control = settings.control;
+  options.simulated_before = simulated_before;
+  options.telemetry = settings.telemetry;
+  auto span = obs::maybe_span(settings.telemetry.tracer, "simulate");
+  const PoolOutcome outcome = run_pool(jobs, options);
+  span.close();
+  for (const PoolJob& job : jobs)
+    if (job.error) std::rethrow_exception(job.error);
+  return outcome;
+}
+
 namespace {
 
 /// A scripted policy simulates the apply_policy transform of the model: its
@@ -112,25 +127,17 @@ ConfidenceInterval scale(const ConfidenceInterval& ci, double factor) {
   return {ci.point * factor, ci.lo * factor, ci.hi * factor, ci.confidence};
 }
 
-/// Runs one analysis job on the pool — the single funnel of every smc
-/// estimator — and returns why it ended short (None when the fold saw every
-/// trajectory it asked for). Opens the "build" and "simulate" spans and
-/// counts smc.* metrics per folded trajectory. A job that failed rethrows
-/// here, on the caller's thread.
+/// Runs one analysis job through simulate() and returns why it ended short
+/// (None when the fold saw every trajectory it asked for). Opens the "build"
+/// span and counts smc.batches.
 StopReason collect(const fmt::FaultMaintenanceTree& model, const AnalysisSettings& s,
                    AnalysisFold& fold) {
   auto build_span = obs::maybe_span(s.telemetry.tracer, "build");
   const Simulation simulation(model, s);
   build_span.close();
 
-  PoolOptions options;
-  options.threads = s.threads;
-  options.control = s.control;
-  options.telemetry = s.telemetry;
-  auto simulate_span = obs::maybe_span(s.telemetry.tracer, "simulate");
   PoolJob job = simulation.job(fold);
-  const PoolOutcome outcome = run_pool({&job, 1}, options);
-  simulate_span.close();
+  const PoolOutcome outcome = simulate({&job, 1}, s);
   if (obs::MetricsRegistry* metrics = s.telemetry.metrics) {
     // Adaptive runs count their rounds of `batch` trajectories.
     const std::uint64_t rounds = s.target_relative_error > 0
@@ -138,7 +145,6 @@ StopReason collect(const fmt::FaultMaintenanceTree& model, const AnalysisSetting
                                      : 1;
     metrics->add(obs::Metric::SmcBatches, rounds);
   }
-  if (job.error) std::rethrow_exception(job.error);
   return job.finished() ? StopReason::None : outcome.stop_reason;
 }
 

@@ -8,6 +8,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "fmt/fmtree.hpp"
@@ -96,6 +97,14 @@ KpiReport analyze(const fmt::FaultMaintenanceTree& model,
 /// (target_relative_error > 0) with a zero batch. analyze() calls this;
 /// other executors (the batch sweep engine) share the same contract.
 void validate_settings(const AnalysisSettings& settings);
+
+/// Runs `jobs` on the pool with the settings' threads, control and
+/// telemetry, inside a "simulate" span, and rethrows the first failed job's
+/// error on the caller's thread. `simulated_before` trajectories of earlier
+/// runs count towards the control's trajectory budget. Every smc estimator
+/// simulates through it, so each one counts its trajectories in smc.*.
+PoolOutcome simulate(std::span<PoolJob> jobs, const AnalysisSettings& settings,
+                     std::uint64_t simulated_before = 0);
 
 class AnalysisFold;
 

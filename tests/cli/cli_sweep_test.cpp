@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "cli/cli.hpp"
@@ -109,6 +110,16 @@ TEST(CliSweep, RejectsInspectionSweepOnUninspectableModel) {
                DomainError);
   // Frequency 0 alone is fine: it just clears (absent) inspections.
   EXPECT_EQ(run(sweep_opts({0}), {kNoInspectionModel}, out, err), kExitOk);
+
+  // At the process edge: a usage error with one diagnostic and no table.
+  const std::string path = testing::TempDir() + "fmtree_cli_sweep_uninspectable.fmt";
+  std::ofstream(path) << kNoInspectionModel;
+  std::ostringstream edge_out, edge_err;
+  EXPECT_EQ(main_impl({"sweep", path, "--frequencies", "0,2"}, edge_out, edge_err),
+            kExitUsage);
+  EXPECT_EQ(edge_err.str(),
+            "fmtree: error[U101]: model has no inspection modules to sweep\n");
+  EXPECT_EQ(edge_out.str(), "");
 }
 
 TEST(CliSweep, TimeoutTruncatesWithExitOne) {

@@ -84,13 +84,14 @@ TEST(EiJointModel, ParameterValidation) {
 }
 
 TEST(EiJointModel, FactoryAppliesPolicy) {
-  const auto factory = ei_joint_factory(EiJointParameters::defaults());
-  const fmt::FaultMaintenanceTree none = factory(corrective_only());
+  const EiJointParameters params = EiJointParameters::defaults();
+  const fmt::FaultMaintenanceTree none = build_ei_joint(params, corrective_only());
   EXPECT_TRUE(none.inspections().empty());
-  const fmt::FaultMaintenanceTree monthly = factory(inspections_per_year(12));
+  const fmt::FaultMaintenanceTree monthly =
+      build_ei_joint(params, inspections_per_year(12));
   ASSERT_EQ(monthly.inspections().size(), 1u);
   EXPECT_NEAR(monthly.inspections()[0].period, 1.0 / 12, 1e-12);
-  const fmt::FaultMaintenanceTree renewed = factory(with_renewal(15));
+  const fmt::FaultMaintenanceTree renewed = build_ei_joint(params, with_renewal(15));
   ASSERT_EQ(renewed.replacements().size(), 1u);
   EXPECT_DOUBLE_EQ(renewed.replacements()[0].period, 15.0);
 }
@@ -98,8 +99,8 @@ TEST(EiJointModel, FactoryAppliesPolicy) {
 TEST(EiJointModel, AllModesCauseFailuresWithoutMaintenance) {
   // Long-horizon corrective-only run: every mode should eventually be a
   // proximate cause (bolt votes make individual bolts rarer but present).
-  const auto factory = ei_joint_factory(EiJointParameters::defaults());
-  const fmt::FaultMaintenanceTree m = factory(corrective_only());
+  const fmt::FaultMaintenanceTree m =
+      build_ei_joint(EiJointParameters::defaults(), corrective_only());
   smc::AnalysisSettings s;
   s.horizon = 60;
   s.trajectories = 3000;

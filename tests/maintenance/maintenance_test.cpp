@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
-#include "eijoint/model.hpp"
+#include <cmath>
+#include <limits>
+
+#include "batch/sweep.hpp"
 #include "eijoint/scenarios.hpp"
-#include "maintenance/optimizer.hpp"
 #include "maintenance/policy.hpp"
 #include "util/error.hpp"
 
@@ -65,49 +67,112 @@ TEST(Policy, FrequencyHelpers) {
   EXPECT_FALSE(p.has_inspections());
 }
 
-TEST(Optimizer, CandidateGenerationNamesAndPeriods) {
-  MaintenancePolicy base;
-  base.inspection_cost = 35;
-  const auto cands = inspection_frequency_candidates(base, {0, 2, 4});
-  ASSERT_EQ(cands.size(), 3u);
-  EXPECT_EQ(cands[0].name, "no-inspection");
-  EXPECT_DOUBLE_EQ(cands[0].inspection_period, 0.0);
-  EXPECT_DOUBLE_EQ(cands[1].inspection_period, 0.5);
-  EXPECT_DOUBLE_EQ(cands[2].inspection_period, 0.25);
-  EXPECT_THROW(inspection_frequency_candidates(base, {}), DomainError);
-  EXPECT_THROW(inspection_frequency_candidates(base, {-1.0}), DomainError);
+/// bare_model() under `policy`, plus a second inspection module with a
+/// period and first round of its own.
+fmt::FaultMaintenanceTree twice_inspected_model(const MaintenancePolicy& policy) {
+  fmt::FaultMaintenanceTree m = bare_model();
+  apply_policy(m, policy);
+  m.add_inspection(fmt::InspectionModule{"offset", 2.0, 0.7, 5.0, {*m.find("wear")}});
+  return m;
 }
 
-TEST(Optimizer, SweepFindsInteriorOptimum) {
+TEST(FrequencyJobs, LabelsPeriodsAndFirstRounds) {
+  MaintenancePolicy p;
+  p.name = "base";
+  p.inspection_period = 0.25;
+  p.inspection_cost = 35;
+  const fmt::FaultMaintenanceTree m = twice_inspected_model(p);
+  smc::AnalysisSettings s;
+  s.seed = 5;
+  const std::vector<double> per_year{0, 2, 4};
+  const std::vector<batch::SweepJob> jobs = frequency_jobs(m, per_year, s);
+  ASSERT_EQ(jobs.size(), 3u);
+  EXPECT_EQ(jobs[0].label, "no-inspection");
+  EXPECT_EQ(jobs[1].label, "2x-per-year");
+  EXPECT_EQ(jobs[2].label, "4x-per-year");
+  EXPECT_TRUE(jobs[0].model.inspections().empty());
+  // Every module is rescheduled, its first round moved to the new period;
+  // names, costs and targets stay the model's own.
+  for (std::size_t j = 1; j < jobs.size(); ++j) {
+    ASSERT_EQ(jobs[j].model.inspections().size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+      const fmt::InspectionModule& module = jobs[j].model.inspections()[i];
+      const fmt::InspectionModule& original = m.inspections()[i];
+      EXPECT_EQ(module.name, original.name);
+      EXPECT_DOUBLE_EQ(module.period, 1.0 / per_year[j]);
+      EXPECT_DOUBLE_EQ(module.first_at, 1.0 / per_year[j]);
+      EXPECT_DOUBLE_EQ(module.cost, original.cost);
+      EXPECT_EQ(module.targets, original.targets);
+    }
+  }
+  for (const batch::SweepJob& job : jobs) EXPECT_EQ(job.settings.seed, 5u);
+  // The input model is a template, not edited.
+  EXPECT_DOUBLE_EQ(m.inspections()[1].first_at, 0.7);
+}
+
+TEST(FrequencyJobs, RejectsEmptyNegativeAndUninspectableGrids) {
+  MaintenancePolicy p;
+  p.inspection_period = 1.0;
+  const fmt::FaultMaintenanceTree inspected = twice_inspected_model(p);
+  const smc::AnalysisSettings s;
+  EXPECT_THROW(frequency_jobs(inspected, {}, s), DomainError);
+  EXPECT_THROW(frequency_jobs(inspected, {2, -1.0}, s), DomainError);
+  EXPECT_THROW(frequency_jobs(inspected, {std::numeric_limits<double>::infinity()}, s),
+               DomainError);
+  EXPECT_THROW(frequency_jobs(inspected, {std::nan("")}, s), DomainError);
+  // A model without inspection modules has nothing to reschedule: f > 0
+  // would label an uninspected job as inspected.
+  const fmt::FaultMaintenanceTree bare = bare_model();
+  EXPECT_THROW(frequency_jobs(bare, {0, 4}, s), DomainError);
+  // Frequency 0 alone only clears the (absent) inspections.
+  EXPECT_EQ(frequency_jobs(bare, {0}, s).size(), 1u);
+}
+
+TEST(FrequencyJobs, CheapestSkipsIncompleteJobsAndKeepsTheFirstTie) {
+  std::vector<batch::JobResult> results(5);
+  const double costs[] = {10, 1, 5, 5, 2};
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    results[i].completed = true;
+    results[i].report.cost_per_year.point = costs[i];
+  }
+  results[1].completed = false;  // interrupted
+  results[4].completed = false;
+  results[4].failed = true;
+  EXPECT_EQ(cheapest(results), 2u);
+  for (batch::JobResult& r : results) r.completed = false;
+  EXPECT_EQ(cheapest(results), results.size());
+  EXPECT_EQ(cheapest({}), 0u);
+}
+
+TEST(FrequencyJobs, SweepFindsInteriorOptimum) {
   // Inspections are cheap relative to failures, but over-inspection must
   // eventually dominate: the swept curve should have its minimum strictly
-  // inside and cost must be reported for every candidate.
-  auto factory = [](const MaintenancePolicy& p) {
-    fmt::FaultMaintenanceTree m = bare_model();
-    apply_policy(m, p);
-    return m;
-  };
+  // inside and cost must be reported for every frequency.
+  fmt::FaultMaintenanceTree m = bare_model();
   MaintenancePolicy base;
+  base.inspection_period = 1.0;
   base.inspection_cost = 30;
   base.corrective = fmt::CorrectivePolicy{true, 0.05, 3000, 0};
-  const auto candidates = inspection_frequency_candidates(base, {0, 1, 4, 52});
+  apply_policy(m, base);
   smc::AnalysisSettings s;
   s.horizon = 10;
   s.trajectories = 4000;
   s.seed = 17;
-  const SweepResult result = sweep_policies(factory, candidates, s);
-  ASSERT_EQ(result.curve.size(), 4u);
-  for (const PolicyEvaluation& e : result.curve) EXPECT_GT(e.cost_per_year(), 0.0);
+  batch::SweepPlan plan;
+  plan.jobs = frequency_jobs(m, {0, 1, 4, 52}, s);
+  const batch::SweepOutcome outcome = batch::run_sweep(plan);
+  ASSERT_EQ(outcome.results.size(), 4u);
+  for (const batch::JobResult& r : outcome.results) {
+    EXPECT_TRUE(r.completed);
+    EXPECT_GT(r.report.cost_per_year.point, 0.0);
+  }
+  const std::size_t best = cheapest(outcome.results);
+  ASSERT_LT(best, outcome.results.size());
+  const double best_cost = outcome.results[best].report.cost_per_year.point;
   // No inspection must be more expensive than the best found.
-  EXPECT_GT(result.curve[0].cost_per_year(), result.best().cost_per_year());
+  EXPECT_GT(outcome.results[0].report.cost_per_year.point, best_cost);
   // Weekly inspections (52/yr at 30 each = 1560/yr) must also lose.
-  EXPECT_GT(result.curve[3].cost_per_year(), result.best().cost_per_year());
-}
-
-TEST(Optimizer, SweepRejectsEmptyCandidates) {
-  auto factory = [](const MaintenancePolicy&) { return bare_model(); };
-  smc::AnalysisSettings s;
-  EXPECT_THROW(sweep_policies(factory, {}, s), DomainError);
+  EXPECT_GT(outcome.results[3].report.cost_per_year.point, best_cost);
 }
 
 TEST(Scenarios, CatalogueIsConsistent) {

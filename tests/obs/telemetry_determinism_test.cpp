@@ -18,6 +18,7 @@
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/tracer.hpp"
+#include "smc/compare.hpp"
 #include "smc/kpi.hpp"
 
 namespace fmtree::smc {
@@ -59,10 +60,20 @@ void expect_reports_identical(const KpiReport& a, const KpiReport& b) {
   }
 }
 
+/// The model with yearly instead of half-yearly inspections: a variant to
+/// compare against.
+fmt::FaultMaintenanceTree sparser(fmt::FaultMaintenanceTree model) {
+  model.set_inspection_schedule(0, 1.0);
+  return model;
+}
+
 TEST(TelemetryDeterminism, EnablingTelemetryChangesNoOutputBit) {
   const fmt::FaultMaintenanceTree model = fmt::parse_fmt(kModel);
+  const fmt::FaultMaintenanceTree variant = sparser(model);
   for (unsigned threads : {1u, 2u, 4u}) {
     const KpiReport bare = analyze(model, base_settings(threads));
+    const PairedComparison bare_cmp =
+        compare_models(model, variant, base_settings(threads));
 
     obs::MetricsRegistry metrics;
     obs::Tracer tracer;
@@ -70,12 +81,37 @@ TEST(TelemetryDeterminism, EnablingTelemetryChangesNoOutputBit) {
     AnalysisSettings instrumented = base_settings(threads);
     instrumented.telemetry = {&metrics, &tracer, &progress};
     const KpiReport observed = analyze(model, instrumented);
+    const PairedComparison observed_cmp = compare_models(model, variant, instrumented);
 
     SCOPED_TRACE(threads);
     expect_reports_identical(bare, observed);
-    EXPECT_EQ(metrics.counter_value("smc.trajectories"), 4000u);
+    EXPECT_EQ(bare_cmp.trajectories, observed_cmp.trajectories);
+    EXPECT_BIT_EQ(bare_cmp.failures_diff, observed_cmp.failures_diff);
+    EXPECT_BIT_EQ(bare_cmp.cost_diff, observed_cmp.cost_diff);
+    EXPECT_BIT_EQ(bare_cmp.downtime_diff, observed_cmp.downtime_diff);
+    EXPECT_EQ(metrics.counter_value("smc.trajectories"), 4000u + 2 * 4000u);
     EXPECT_GT(tracer.records().size(), 0u);
   }
+}
+
+TEST(TelemetryDeterminism, CompareAndQuantilePassCountTheirTrajectories) {
+  const fmt::FaultMaintenanceTree model = fmt::parse_fmt(kModel);
+  obs::MetricsRegistry compare_metrics;
+  obs::Tracer tracer;
+  AnalysisSettings s = base_settings(2);
+  s.telemetry = {&compare_metrics, &tracer, nullptr};
+  const PairedComparison cmp = compare_models(model, sparser(model), s);
+  EXPECT_EQ(compare_metrics.counter_value("smc.trajectories"), 2 * cmp.trajectories);
+  bool simulate_span = false;
+  for (const obs::SpanRecord& r : tracer.records())
+    simulate_span = simulate_span || r.name == "simulate";
+  EXPECT_TRUE(simulate_span);
+
+  obs::MetricsRegistry quantile_metrics;
+  s.telemetry = {&quantile_metrics, nullptr, nullptr};
+  const FailureQuantiles q = failure_time_quantiles(model, {0.5}, s);
+  EXPECT_EQ(quantile_metrics.counter_value("smc.trajectories"), q.trajectories);
+  EXPECT_EQ(q.trajectories, 4000u);
 }
 
 TEST(TelemetryDeterminism, AdaptiveStoppingIsUnaffectedByTelemetry) {

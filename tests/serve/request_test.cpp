@@ -8,6 +8,7 @@
 #include <string>
 
 #include "batch/fingerprint.hpp"
+#include "eijoint/scenarios.hpp"
 #include "fmt/canonical.hpp"
 #include "serve/request.hpp"
 #include "util/error.hpp"
@@ -168,7 +169,9 @@ TEST(ServeRequest, PrepareRejectsEscapingModelRefsAndBadModels) {
   Request broken = sweep_request();
   broken.model_text = "toplevel T;\nT or A;\n";  // A undefined
   EXPECT_EQ(expect_code([&] { prepare(broken, "models"); }), "R113");
+}
 
+TEST(ServeRequest, PrepareRejectsAnInspectionSweepOfAnUninspectableModel) {
   Request uninspectable = sweep_request();
   uninspectable.model_text = R"(
     toplevel T;
@@ -176,7 +179,43 @@ TEST(ServeRequest, PrepareRejectsEscapingModelRefsAndBadModels) {
     A be exp(0.2);
     corrective cost=100 delay=0;
   )";
-  EXPECT_EQ(expect_code([&] { prepare(uninspectable, "models"); }), "R112");
+  uninspectable.frequencies = {0, 2};
+  try {
+    prepare(uninspectable, "models");
+    FAIL() << "expected R112";
+  } catch (const RequestError& e) {
+    EXPECT_EQ(e.code(), "R112");
+    ASSERT_EQ(e.diagnostics().size(), 1u);
+    EXPECT_EQ(e.diagnostics()[0].message, "model has no inspection modules to sweep");
+  }
+}
+
+// The library's cost curve and a sweep of the EI-joint model file build
+// their jobs through one function, so at equal settings they share every
+// label and cache key.
+TEST(ServeRequest, PreparedSweepSharesTheCostCurvePlanKeys) {
+  smc::AnalysisSettings s;
+  s.horizon = 20.0;
+  s.trajectories = 500;
+  s.seed = 11;
+  Request r;
+  r.model_ref = "ei_joint.fmt";
+  r.settings = s;
+  r.frequencies = eijoint::cost_curve_frequencies();
+  r.has_policy = true;
+  const PreparedRequest prepared =
+      prepare(r, std::string(FMTREE_SOURCE_DIR) + "/models");
+  const batch::SweepPlan plan =
+      eijoint::cost_curve_plan(eijoint::EiJointParameters::defaults(), s);
+  ASSERT_EQ(plan.jobs.size(), prepared.jobs.size());
+  for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
+    const batch::SweepJob& library = plan.jobs[i];
+    const batch::SweepJob& served = prepared.jobs[i];
+    EXPECT_EQ(library.label, served.label);
+    EXPECT_TRUE(batch::kpi_cache_key(library.model, library.settings) ==
+                batch::kpi_cache_key(served.model, served.settings))
+        << library.label;
+  }
 }
 
 TEST(ServeRequest, DirectoryRefsAreR112) {

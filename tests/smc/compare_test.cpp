@@ -35,9 +35,11 @@ TEST(CompareModels, IdenticalModelsGiveZeroDifference) {
 }
 
 TEST(CompareModels, DetectsThatInspectionsReduceFailures) {
-  const auto factory = eijoint::ei_joint_factory(eijoint::EiJointParameters::defaults());
-  const FaultMaintenanceTree sparse = factory(eijoint::inspections_per_year(1));
-  const FaultMaintenanceTree current = factory(eijoint::current_policy());
+  const eijoint::EiJointParameters params = eijoint::EiJointParameters::defaults();
+  const FaultMaintenanceTree sparse =
+      eijoint::build_ei_joint(params, eijoint::inspections_per_year(1));
+  const FaultMaintenanceTree current =
+      eijoint::build_ei_joint(params, eijoint::current_policy());
   const PairedComparison cmp = compare_models(sparse, current, quick());
   EXPECT_GT(cmp.failures_diff.lo, 0.0);  // sparse has strictly more failures
   EXPECT_TRUE(cmp.failures_significantly_different());
@@ -47,9 +49,11 @@ TEST(CompareModels, PairedTighterThanUnpairedOnCloseVariants) {
   // 3x vs 4x inspections are so close that independent runs at this budget
   // cannot rank them; the paired estimator's CI must be narrower than the
   // difference of two independent CIs combined.
-  const auto factory = eijoint::ei_joint_factory(eijoint::EiJointParameters::defaults());
-  const FaultMaintenanceTree a = factory(eijoint::inspections_per_year(3));
-  const FaultMaintenanceTree b = factory(eijoint::current_policy());
+  const eijoint::EiJointParameters params = eijoint::EiJointParameters::defaults();
+  const FaultMaintenanceTree a =
+      eijoint::build_ei_joint(params, eijoint::inspections_per_year(3));
+  const FaultMaintenanceTree b =
+      eijoint::build_ei_joint(params, eijoint::current_policy());
   const AnalysisSettings s = quick(6000);
   const PairedComparison paired = compare_models(a, b, s);
 
@@ -136,9 +140,11 @@ TEST(FailureTimeQuantiles, StopAtTheRunControlCoversThePrefix) {
 }
 
 TEST(CompareModels, StopAtTheRunControlPairsTheCompletedPrefix) {
-  const auto factory = eijoint::ei_joint_factory(eijoint::EiJointParameters::defaults());
-  const FaultMaintenanceTree sparse = factory(eijoint::inspections_per_year(1));
-  const FaultMaintenanceTree current = factory(eijoint::current_policy());
+  const eijoint::EiJointParameters params = eijoint::EiJointParameters::defaults();
+  const FaultMaintenanceTree sparse =
+      eijoint::build_ei_joint(params, eijoint::inspections_per_year(1));
+  const FaultMaintenanceTree current =
+      eijoint::build_ei_joint(params, eijoint::current_policy());
   RunControl control;
   control.set_trajectory_budget(1000);
   AnalysisSettings s = quick(100000);
@@ -158,9 +164,11 @@ TEST(CompareModels, StopAtTheRunControlPairsTheCompletedPrefix) {
 TEST(CompareModels, TrajectoryBudgetCountsEveryBlock) {
   // The variants run in blocks, one pool run each; the budget counts the
   // trajectories of every block, and the blocks before the stop pair up.
-  const auto factory = eijoint::ei_joint_factory(eijoint::EiJointParameters::defaults());
-  const FaultMaintenanceTree sparse = factory(eijoint::inspections_per_year(1));
-  const FaultMaintenanceTree current = factory(eijoint::current_policy());
+  const eijoint::EiJointParameters params = eijoint::EiJointParameters::defaults();
+  const FaultMaintenanceTree sparse =
+      eijoint::build_ei_joint(params, eijoint::inspections_per_year(1));
+  const FaultMaintenanceTree current =
+      eijoint::build_ei_joint(params, eijoint::current_policy());
   RunControl control;
   control.set_trajectory_budget(200000);
   AnalysisSettings s = quick(400000, 1.0);

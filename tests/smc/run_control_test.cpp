@@ -80,15 +80,19 @@ TEST(RunControl, TruncatedPrefixBitIdenticalToUntruncatedRun) {
   sim::SimOptions opts;
   opts.horizon = 10.0;
 
+  // The budget exceeds the 8,192 trajectories the pool can simulate while
+  // chunk 0 waits: its reorder window spans kWindowPerWorker (32) x 4 workers
+  // = 128 chunks of kChunk (64), chunk 0 included. So the budget cannot stop
+  // the run before chunk 0 completes, and the prefix is nonempty.
   RunControl control;
-  control.set_trajectory_budget(120);
+  control.set_trajectory_budget(10000);
   const sim_test::PoolRun truncated =
-      sim_test::pool_run(model, 42, 5000, opts, 4, &control);
+      sim_test::pool_run(model, 42, 40000, opts, 4, &control);
   EXPECT_EQ(truncated.outcome.stop_reason, StopReason::BudgetExhausted);
   // The delivered prefix hovers around the budget but is only guaranteed to
   // be nonempty and partial (a slow worker shortens it).
   ASSERT_GT(truncated.results.size(), 0u);
-  ASSERT_LT(truncated.results.size(), 5000u);
+  ASSERT_LT(truncated.results.size(), 40000u);
 
   const sim_test::PoolRun reference =
       sim_test::pool_run(model, 42, truncated.results.size(), opts, 4);
@@ -101,16 +105,19 @@ TEST(RunControl, AnalyzeReportsTruncationOverExactPrefix) {
   const fmt::FaultMaintenanceTree model = fmt::parse_fmt(kModel);
   AnalysisSettings s;
   s.horizon = 10.0;
-  s.trajectories = 4000;
+  s.trajectories = 20000;
   s.seed = 9;
   s.threads = 2;
+  // The budget exceeds the 4,096 trajectories (kWindowPerWorker 32 x 2
+  // workers x kChunk 64) the pool can simulate while chunk 0 waits, so the
+  // prefix is nonempty.
   RunControl control;
-  control.set_trajectory_budget(150);
+  control.set_trajectory_budget(5000);
   s.control = &control;
   const KpiReport truncated = analyze(model, s);
   ASSERT_TRUE(truncated.truncated);
   EXPECT_EQ(truncated.stop_reason, StopReason::BudgetExhausted);
-  ASSERT_LT(truncated.trajectories, 4000u);
+  ASSERT_LT(truncated.trajectories, 20000u);
 
   // The same analysis asked for exactly the delivered prefix is identical.
   AnalysisSettings exact = s;
@@ -151,13 +158,16 @@ TEST(RunControl, AdaptiveBatchingStopsAtBudget) {
   s.batch = 512;
   s.target_relative_error = 1e-9;  // would need far more than the budget
   s.threads = 2;
+  // The budget exceeds the 4,096 trajectories (kWindowPerWorker 32 x 2
+  // workers x kChunk 64) the pool can simulate while chunk 0 waits, so the
+  // prefix is nonempty.
   RunControl control;
-  control.set_trajectory_budget(700);
+  control.set_trajectory_budget(5000);
   s.control = &control;
   const KpiReport k = analyze(model, s);
   EXPECT_TRUE(k.truncated);
   EXPECT_EQ(k.stop_reason, StopReason::BudgetExhausted);
-  EXPECT_LT(k.trajectories, 2000u);  // stopped near the budget, not the cap
+  EXPECT_LT(k.trajectories, 6300u);  // stopped near the budget, not the cap
 }
 
 TEST(RunControl, HugeRunStopsAtBudgetInBoundedMemory) {
