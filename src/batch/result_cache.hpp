@@ -57,7 +57,8 @@
 // corrupt a write), "cache.rename" (fail the publish step). All are inert
 // unless armed; a cache under injection degrades to recomputation, never
 // takes the analysis down. They fire on whichever thread calls get() or
-// put(), which for a sweep's reads is one of the resolver's workers.
+// put(): for a sweep's reads, one of the resolver's workers; for its
+// writes, the pool worker that holds the sweep's writer role, one at a time.
 #pragma once
 
 #include <cstdint>

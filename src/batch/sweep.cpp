@@ -7,6 +7,7 @@
 #include <deque>
 #include <exception>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <system_error>
 #include <thread>
@@ -23,17 +24,77 @@ namespace {
 
 constexpr double kRetryBackoffCapMs = 1000.0;
 
+/// Hands settled jobs' entries to the cache, one writer at a time, on the
+/// threads that settle them. Each new disk entry costs the kernel an inode
+/// allocation, and concurrent creators contend for it, so a put queues its
+/// entry and writes the queue dry only when no other thread is writing; a
+/// thread that finds a write in progress returns at once. Every put returns
+/// after its entry is written or handed to a writer that is still running,
+/// so the queue is empty once the pool run that settled the jobs returns.
+class Writer {
+public:
+  Writer(ResultCache* cache, obs::Tracer* tracer) : cache_(cache), tracer_(tracer) {}
+  Writer(const Writer&) = delete;  // the pool jobs' folds hold its address
+  Writer& operator=(const Writer&) = delete;
+
+  /// `result` must stay unchanged until the pool run returns.
+  void put(const JobResult& result) noexcept {
+    if (cache_ == nullptr) return;
+    std::unique_lock lock(mutex_);
+    try {
+      queue_.push_back(&result);
+    } catch (...) {
+      return;  // out of memory: the entry is lost to the cache, not to its job
+    }
+    if (writing_) return;
+    writing_ = true;
+    while (!queue_.empty()) {
+      const JobResult& next = *queue_.front();
+      queue_.pop_front();
+      lock.unlock();
+      try {
+        auto span = obs::maybe_span(tracer_, "write:" + next.label);
+        cache_->put(next.key, next.report);
+      } catch (...) {
+        // Only an allocation failure throws here; it costs this entry alone.
+      }
+      lock.lock();
+    }
+    writing_ = false;
+  }
+
+private:
+  ResultCache* cache_;
+  obs::Tracer* tracer_;
+  std::mutex mutex_;
+  std::deque<const JobResult*> queue_;  // guarded by mutex_
+  bool writing_ = false;                // guarded by mutex_
+};
+
 /// One attempt at `job`, the first and every retry alike, as a pool job: its
 /// simulation and smc::analyze's KPI fold live on in `simulations` and
-/// `folds`. Control and telemetry are the plan's and run_sweep's.
-smc::PoolJob attempt(const SweepJob& job, std::deque<smc::Simulation>& simulations,
+/// `folds`. Control and telemetry are the plan's and run_sweep's. The fold
+/// settles the job when it takes its last trajectory: it builds the report
+/// into `result`, marks the job completed and hands it to `writer`, on the
+/// worker that folded it. A throw from report() (a non-finite statistic) is
+/// the job's PoolJob::error.
+smc::PoolJob attempt(const SweepJob& job, JobResult& result, Writer& writer,
+                     std::deque<smc::Simulation>& simulations,
                      std::deque<smc::KpiFold>& folds) {
   smc::AnalysisSettings settings = job.settings;
   settings.control = nullptr;
   settings.telemetry = {};
   const smc::Simulation& simulation = simulations.emplace_back(job.model, settings);
   smc::KpiFold& fold = folds.emplace_back(settings, job.model.num_ebes());
-  smc::PoolJob pool_job = simulation.job(fold);
+  smc::PoolJob pool_job = simulation.job(
+      [&fold, &result, &writer, last = settings.trajectories](sim::TrajectoryResult& r) {
+        const bool more = fold.add(r);
+        if (more && fold.folded() < last) return true;
+        result.report = fold.report();
+        result.completed = true;
+        writer.put(result);
+        return more;
+      });
   pool_job.span = "job:" + job.label;
   return pool_job;
 }
@@ -151,6 +212,7 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
   // the job whose outcome job j takes (j itself unless it has such a twin).
   std::vector<Resolution> resolved = resolve_jobs(plan.jobs, cache, plan.threads);
   std::vector<Diagnostic> quarantines;  // the jobs' C101s, in plan order
+  Writer writer(cache, telemetry.tracer);
   std::deque<smc::Simulation> simulations;
   std::deque<smc::KpiFold> folds;
   std::vector<smc::PoolJob> jobs;
@@ -181,7 +243,7 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
                    .first->second;
     if (first[j] != j) continue;
     try {
-      jobs.push_back(attempt(job, simulations, folds));
+      jobs.push_back(attempt(job, result, writer, simulations, folds));
       jobs.back().cancel = job.cancel;
       pooled.push_back(j);
     } catch (...) {
@@ -193,7 +255,7 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
   }
 
   // Phase 2: every miss without an earlier twin runs as one job of a single
-  // pool run.
+  // pool run, which settles each job that finishes and writes its entry.
   smc::PoolOptions options;
   options.threads = plan.threads;
   options.control = plan.control;
@@ -257,7 +319,7 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
       count(obs::Metric::SweepRetries);
       auto span = obs::maybe_span(telemetry.tracer, "retry:" + job.label);
       try {
-        smc::PoolJob retry = attempt(job, simulations, folds);
+        smc::PoolJob retry = attempt(job, result, writer, simulations, folds);
         const smc::KpiFold& fold = folds.back();
         retry_options.simulated_before = outcome.trajectories_simulated;
         const smc::PoolOutcome run = smc::run_pool({&retry, 1}, retry_options);
@@ -265,12 +327,10 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
         outcome.trajectories_simulated += run.trajectories;
         if (stop == smc::StopReason::None) stop = run.stop_reason;
         if (!run.stall.empty()) stalls.push_back(run.stall);
+        if (result.completed) return;  // settled by its fold
         if (retry.error) std::rethrow_exception(retry.error);
-        result.report =
-            fold.report(retry.finished() ? smc::StopReason::None : run.stop_reason);
-        if (!result.report.truncated && cache != nullptr)
-          cache->put(result.key, result.report);
-        result.completed = !result.report.truncated;
+        // A stop cut the retry short: its report is truncated and uncached.
+        result.report = fold.report(run.stop_reason);
         return;
       } catch (...) {
         const std::uint32_t prior_retries = result.retries;
@@ -280,46 +340,30 @@ SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache,
     }
   };
 
-  // Phase 3: settle every miss in plan order — report and cache a finished
-  // job, heal a failed one, hand a twin its first job's outcome.
-  std::size_t next = 0;  // into jobs, folds and pooled
+  // Phase 3: a pooled job that finished is settled. In plan order, heal a
+  // failed job, park a cancelled one, and hand a twin its first job's outcome.
+  std::size_t next = 0;  // into jobs and pooled
   for (std::uint32_t j = 0; j < plan.jobs.size(); ++j) {
     JobResult& result = outcome.results[j];
-    if (result.cache_hit) continue;
     if (first[j] != j) {  // its twin, earlier in plan order, is settled
       JobResult twin = outcome.results[first[j]];
       twin.label = std::move(result.label);
       result = std::move(twin);
       continue;
     }
-    if (next == pooled.size() || pooled[next] != j) {  // set-up failed
+    const smc::PoolJob* pool_job =
+        next < pooled.size() && pooled[next] == j ? &jobs[next++] : nullptr;
+    if (result.completed) continue;  // a cache hit, or settled by its fold
+    if (pool_job == nullptr) {       // set-up failed
       heal_job(plan.jobs[j], result);
-      continue;
-    }
-    const smc::PoolJob& pool_job = jobs[next];
-    const smc::KpiFold& fold = folds[next];
-    ++next;
-    if (pool_job.error) {
-      result.failure = classify_failure(pool_job.error, /*attempts=*/1);
+    } else if (pool_job->error) {
+      // A failed chunk, or a report() that threw: a non-finite statistic
+      // (DomainError) is deterministic for the job's inputs, so heal_job
+      // records a permanent failure without burning retries.
+      result.failure = classify_failure(pool_job->error, /*attempts=*/1);
       heal_job(plan.jobs[j], result);
-      continue;
-    }
-    if (!pool_job.finished()) {
-      // A cancel that cut the job short parks it as cancelled; a cancel
-      // that lost the race with its last trajectory left it finished.
-      if (pool_job.cancelled) result.cancelled = true;
-      continue;
-    }
-    try {
-      result.report = fold.report();
-      if (cache != nullptr) cache->put(result.key, result.report);
-      result.completed = true;
-    } catch (...) {
-      // E.g. NaN-poisoned statistics (DomainError): deterministic for the
-      // job's inputs, so heal_job records a permanent failure without
-      // burning retries; injected faults still heal.
-      result.failure = classify_failure(std::current_exception(), /*attempts=*/1);
-      heal_job(plan.jobs[j], result);
+    } else if (pool_job->cancelled) {
+      result.cancelled = true;  // a cancel that cut the job short
     }
   }
 

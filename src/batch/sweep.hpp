@@ -9,6 +9,15 @@
 // that share a cache key run once: a later one takes the first one's
 // outcome under its own label.
 //
+// A job is settled on the pool: the worker that folds its last trajectory
+// builds its report and marks it completed, then hands its cache entry to
+// the sweep's writer, which lets one thread write at a time. A worker that
+// finds a write in progress leaves its entry queued and simulates on, and
+// the worker holding the writer role writes the queue dry, so the cache
+// writes (an inode allocation each on disk) overlap later jobs' simulation
+// instead of following the pool, and all of them have finished when
+// run_sweep returns.
+//
 // Cache resolution (resolve_jobs) is parallel too: a warm 1000-joint
 // corridor is 1000 model hashes and ~1000 disk reads before any trajectory
 // runs, so the keys are computed and the cache read on up to `threads`
@@ -193,16 +202,21 @@ std::vector<Resolution> resolve_jobs(std::span<const SweepJob> jobs, ResultCache
 /// Executes the plan: resolve_jobs at width plan.threads, then one pool run
 /// of the misses, each key once: a miss whose key an earlier miss of the
 /// plan holds takes that job's outcome (report, completed, failed, failure,
-/// retries, cancelled) under its own label. `cache` may be null (no
-/// caching); `telemetry` may be empty. Emits batch.* counters (jobs and
-/// cache hits/misses, per job; jobs_simulated — jobs that produced a fresh
-/// report, each key once; tasks, i.e. pool chunks that folded a trajectory;
-/// events and trajectories folded), the robustness counters
-/// (sweep.retries, sweep.job_failures, cache.corrupt_entries,
-/// fault.injected), a "job:<label>" tracer span per chunk plus
-/// "retry:<label>" spans, and "sweep"-phase progress over the total
-/// trajectory count. The "sweep.task" fault site fires once per chunk of
-/// the first attempt.
+/// retries, cancelled) under its own label. Each job that finishes, first
+/// attempt or retry, is reported and put into `cache` on the pool, its
+/// write run by the pool worker that holds the writer role (see the file
+/// comment); afterwards the calling thread heals failed jobs and hands
+/// twins their outcomes. `cache` may be null (no caching); `telemetry` may
+/// be empty. Emits batch.* counters (jobs and cache hits/misses, per job;
+/// jobs_simulated — jobs that produced a fresh report, each key once;
+/// tasks, i.e. pool chunks that folded a trajectory; events and
+/// trajectories folded), the robustness counters (sweep.retries,
+/// sweep.job_failures, cache.corrupt_entries, fault.injected), a
+/// "job:<label>" tracer span per chunk, "retry:<label>" spans and a
+/// "write:<label>" span around each cache write on the thread that writes
+/// it, and "sweep"-phase progress over the total trajectory count. The
+/// "sweep.task" fault site fires once per chunk of the first attempt; the
+/// cache's "cache.write" site fires in completion order, not plan order.
 SweepOutcome run_sweep(const SweepPlan& plan, ResultCache* cache = nullptr,
                        const obs::Telemetry& telemetry = {});
 

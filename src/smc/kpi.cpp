@@ -34,6 +34,8 @@ PoolOutcome simulate(std::span<PoolJob> jobs, const AnalysisSettings& settings,
   auto span = obs::maybe_span(settings.telemetry.tracer, "simulate");
   const PoolOutcome outcome = run_pool(jobs, options);
   span.close();
+  if (obs::MetricsRegistry* metrics = settings.telemetry.metrics)
+    metrics->add(obs::Metric::SmcBatches, 1);
   for (const PoolJob& job : jobs)
     if (job.error) std::rethrow_exception(job.error);
   return outcome;
@@ -129,7 +131,7 @@ ConfidenceInterval scale(const ConfidenceInterval& ci, double factor) {
 
 /// Runs one analysis job through simulate() and returns why it ended short
 /// (None when the fold saw every trajectory it asked for). Opens the "build"
-/// span and counts smc.batches.
+/// span.
 StopReason collect(const fmt::FaultMaintenanceTree& model, const AnalysisSettings& s,
                    AnalysisFold& fold) {
   auto build_span = obs::maybe_span(s.telemetry.tracer, "build");
@@ -138,12 +140,12 @@ StopReason collect(const fmt::FaultMaintenanceTree& model, const AnalysisSetting
 
   PoolJob job = simulation.job(fold);
   const PoolOutcome outcome = simulate({&job, 1}, s);
-  if (obs::MetricsRegistry* metrics = s.telemetry.metrics) {
-    // Adaptive runs count their rounds of `batch` trajectories.
-    const std::uint64_t rounds = s.target_relative_error > 0
-                                     ? (job.folded + s.batch - 1) / s.batch
-                                     : 1;
-    metrics->add(obs::Metric::SmcBatches, rounds);
+  // simulate() counted one batch; an adaptive run counts its rounds of
+  // `batch` trajectories.
+  obs::MetricsRegistry* metrics = s.telemetry.metrics;
+  if (metrics != nullptr && s.target_relative_error > 0) {
+    const std::uint64_t rounds = (job.folded + s.batch - 1) / s.batch;
+    if (rounds > 1) metrics->add(obs::Metric::SmcBatches, rounds - 1);
   }
   return job.finished() ? StopReason::None : outcome.stop_reason;
 }

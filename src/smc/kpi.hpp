@@ -102,7 +102,8 @@ void validate_settings(const AnalysisSettings& settings);
 /// telemetry, inside a "simulate" span, and rethrows the first failed job's
 /// error on the caller's thread. `simulated_before` trajectories of earlier
 /// runs count towards the control's trajectory budget. Every smc estimator
-/// simulates through it, so each one counts its trajectories in smc.*.
+/// simulates through it, so each one counts its trajectories in smc.*, and
+/// each call counts one smc.batches.
 PoolOutcome simulate(std::span<PoolJob> jobs, const AnalysisSettings& settings,
                      std::uint64_t simulated_before = 0);
 

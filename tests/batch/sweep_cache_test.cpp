@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -39,10 +40,10 @@ smc::AnalysisSettings small_settings(std::uint64_t trajectories = 300) {
   return s;
 }
 
-SweepPlan small_plan(unsigned threads = 0) {
+SweepPlan small_plan(unsigned threads = 0, std::uint64_t jobs = 3) {
   SweepPlan plan;
   plan.threads = threads;
-  for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
+  for (std::uint64_t seed = 1; seed <= jobs; ++seed) {
     SweepJob job;
     job.label = "seed-" + std::to_string(seed);
     job.model = fmt::parse_fmt(kModel);
@@ -51,6 +52,20 @@ SweepPlan small_plan(unsigned threads = 0) {
     plan.jobs.push_back(std::move(job));
   }
   return plan;
+}
+
+std::string fresh_dir(const std::string& name) {
+  const std::string dir = testing::TempDir() + name;
+  std::filesystem::remove_all(dir);  // idempotence across ctest runs
+  return dir;
+}
+
+/// The names of the regular files directly in `dir`.
+std::vector<std::string> file_names(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    if (entry.is_regular_file()) names.push_back(entry.path().filename().string());
+  return names;
 }
 
 // The load-bearing invariant: a pooled sweep produces, for every job, the
@@ -199,6 +214,112 @@ TEST(SweepEngine, StartsJobsInPlanOrder) {
   }
   EXPECT_EQ(first_seen, (std::vector<std::string>{"job:job0", "job:job1", "job:job2",
                                                    "job:job3", "job:job4"}));
+}
+
+// Workers write the entries of the jobs they settle while the pool runs;
+// every write has finished when run_sweep returns, at any width.
+TEST(SweepEngine, ColdSweepWritesEveryEntryBeforeItReturns) {
+  for (unsigned threads : {1u, 4u}) {
+    const std::string dir = fresh_dir("fmtree_sweep_cold_" + std::to_string(threads));
+    const SweepPlan plan = small_plan(threads, 12);
+    std::vector<Fingerprint> hashes;
+    {
+      ResultCache cache(dir);
+      const SweepOutcome cold = run_sweep(plan, &cache);
+      ASSERT_EQ(cold.cache_misses, 12u);
+      for (const JobResult& r : cold.results) {
+        ASSERT_TRUE(r.completed) << r.label;
+        hashes.push_back(report_content_hash(r.report));
+      }
+      EXPECT_EQ(cache.stats().disk_writes, 12u) << threads;
+      EXPECT_EQ(cache.stats().disk_failures, 0u) << threads;
+    }
+    const std::vector<std::string> names = file_names(dir);
+    EXPECT_EQ(names.size(), 12u) << threads;
+    for (const std::string& name : names)
+      EXPECT_EQ(name.find(".tmp."), std::string::npos) << name;
+
+    ResultCache fresh(dir);
+    const SweepOutcome warm = run_sweep(plan, &fresh);
+    EXPECT_EQ(warm.cache_hits, 12u) << threads;
+    EXPECT_EQ(fresh.stats().disk_hits, 12u) << threads;
+    for (std::size_t i = 0; i < warm.results.size(); ++i)
+      EXPECT_EQ(report_content_hash(warm.results[i].report), hashes[i]) << i;
+  }
+}
+
+// One thread writes at a time: with each disk write stalled 25 ms, the
+// eight entries of a four-worker sweep take at least 8 x 25 ms to write,
+// and the sweep returns only after the last one.
+TEST(SweepEngine, CacheWritesNeverOverlap) {
+  const std::string dir = fresh_dir("fmtree_sweep_one_writer");
+  ResultCache cache(dir);
+  const fault::Scope faults({"cache.write:stall=25"});
+  using clock = std::chrono::steady_clock;
+  const auto start = clock::now();
+  const SweepOutcome outcome = run_sweep(small_plan(4, 8), &cache);
+  const auto elapsed = clock::now() - start;
+  EXPECT_GE(elapsed, std::chrono::milliseconds(8 * 25));
+  for (const JobResult& r : outcome.results) EXPECT_TRUE(r.completed) << r.label;
+  EXPECT_EQ(cache.stats().disk_writes, 8u);
+}
+
+// A report that throws, here from a cost that overflows to +inf, fails its
+// job on the worker that settles it: a permanent domain failure with no
+// retry and no cache entry, while every other job completes and is written.
+TEST(SweepEngine, AJobWhoseReportThrowsFailsAloneWithoutRetries) {
+  const std::string dir = fresh_dir("fmtree_sweep_report_throws");
+  SweepPlan plan = small_plan(4, 4);
+  plan.jobs[2].label = "overflow";
+  plan.jobs[2].model = fmt::parse_fmt(R"(
+    toplevel T;
+    T or A B;
+    A ebe phases=3 mean=6 threshold=2 repair_cost=100;
+    B be exp(0.5);
+    inspection I period=0.25 cost=20 targets A;
+    corrective cost=1e308 delay=0.02;
+  )");
+  obs::MetricsRegistry metrics;
+  ResultCache cache(dir);
+  const SweepOutcome outcome = run_sweep(plan, &cache, {&metrics, nullptr, nullptr});
+  for (std::size_t i = 0; i < outcome.results.size(); ++i) {
+    const JobResult& r = outcome.results[i];
+    const bool on_disk = std::filesystem::exists(dir + "/" + r.key.id() + ".json");
+    if (i == 2) {
+      EXPECT_TRUE(r.failed);
+      EXPECT_FALSE(r.completed);
+      EXPECT_EQ(r.failure.kind, "domain");
+      EXPECT_EQ(r.retries, 0u);
+      EXPECT_FALSE(on_disk);
+    } else {
+      EXPECT_TRUE(r.completed) << r.label;
+      EXPECT_TRUE(on_disk) << r.label;
+    }
+  }
+  EXPECT_EQ(outcome.jobs_failed, 1u);
+  EXPECT_EQ(cache.stats().disk_writes, 3u);
+  EXPECT_EQ(metrics.counter_value("sweep.job_failures"), 1u);
+  EXPECT_EQ(metrics.counter_value("sweep.retries"), 0u);
+}
+
+// Each simulated job's entry is written under a "write:<label>" span on the
+// thread that writes it; hits and twins write nothing.
+TEST(SweepEngine, TracedColdSweepSpansOneWritePerSimulatedJob) {
+  ResultCache cache;
+  SweepPlan plan = small_plan(2, 3);
+  SweepPlan warm_up = plan;
+  warm_up.jobs.resize(1);
+  (void)run_sweep(warm_up, &cache);
+  plan.jobs.push_back(plan.jobs[1]);
+  plan.jobs.back().label = "twin";
+  obs::Tracer tracer;
+  const SweepOutcome outcome = run_sweep(plan, &cache, {nullptr, &tracer, nullptr});
+  ASSERT_EQ(outcome.cache_hits, 1u);
+  std::vector<std::string> writes;
+  for (const obs::SpanRecord& span : tracer.records())
+    if (span.name.rfind("write:", 0) == 0) writes.push_back(span.name);
+  std::sort(writes.begin(), writes.end());
+  EXPECT_EQ(writes, (std::vector<std::string>{"write:seed-2", "write:seed-3"}));
 }
 
 TEST(SweepEngine, HugeJobStopsAtBudgetInBoundedMemory) {

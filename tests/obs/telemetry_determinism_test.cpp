@@ -99,19 +99,27 @@ TEST(TelemetryDeterminism, CompareAndQuantilePassCountTheirTrajectories) {
   obs::MetricsRegistry compare_metrics;
   obs::Tracer tracer;
   AnalysisSettings s = base_settings(2);
+  s.trajectories = 10000;  // pair blocks of 4096, 4096 and 1808
   s.telemetry = {&compare_metrics, &tracer, nullptr};
   const PairedComparison cmp = compare_models(model, sparser(model), s);
   EXPECT_EQ(compare_metrics.counter_value("smc.trajectories"), 2 * cmp.trajectories);
+  // One batch per pool run, which is one block of pairs.
+  EXPECT_EQ(compare_metrics.counter_value("smc.batches"), 3u);
   bool simulate_span = false;
   for (const obs::SpanRecord& r : tracer.records())
     simulate_span = simulate_span || r.name == "simulate";
   EXPECT_TRUE(simulate_span);
 
   obs::MetricsRegistry quantile_metrics;
+  s = base_settings(2);
   s.telemetry = {&quantile_metrics, nullptr, nullptr};
   const FailureQuantiles q = failure_time_quantiles(model, {0.5}, s);
   EXPECT_EQ(quantile_metrics.counter_value("smc.trajectories"), q.trajectories);
   EXPECT_EQ(q.trajectories, 4000u);
+  EXPECT_EQ(quantile_metrics.counter_value("smc.batches"), 1u);
+  // `analyze --quantiles` runs the analysis and the quantile pass: 2 batches.
+  (void)analyze(model, s);
+  EXPECT_EQ(quantile_metrics.counter_value("smc.batches"), 2u);
 }
 
 TEST(TelemetryDeterminism, AdaptiveStoppingIsUnaffectedByTelemetry) {
